@@ -32,7 +32,6 @@ from .deformation import (
 from .forms import (
     CheckedFormsModule,
     FormsError,
-    class_is_torsion,
     de_rham_report_homotopy,
     de_rham_report_sliced,
     forms_free,
@@ -40,7 +39,7 @@ from .forms import (
     pd_check,
     torsion_length,
 )
-from .groebner import StabilizationError, quotient_dimension
+from .groebner import StabilizationError
 from .jobio import JobError, JobSpec, parse_job
 from .logarithmic import (
     Divisor,
@@ -52,7 +51,7 @@ from .logarithmic import (
     is_free,
     saito_check,
 )
-from .module import INFINITE, FreeElement, ModuleError, ModulePresentation
+from .module import INFINITE, FreeElement, ModuleError
 from .order import MonomialOrder
 from .poly import ParseError, Poly, PolyError, quasihomogeneous_weights
 
@@ -181,14 +180,10 @@ def _cmd_saito_check(job: JobSpec, opts: dict) -> dict:
 def _forms_module(job: JobSpec, k: int) -> CheckedFormsModule:
     if job.target_divisor_text is not None and job.map_text is not None:
         e_basis = _target_basis(job)
-        imap = _inducing_map(job).germ()
+        full = _inducing_map(job)
+        imap = full.germ()
         h0 = e_basis.divisor.h.compose(imap.components)
-        weights = None
-        if job.weights is not None:
-            params = set(job.param_indices()) | set(job.ext_param_indices())
-            weights = tuple(w for i, w in enumerate(job.weights) if i not in params)
-        else:
-            weights = quasihomogeneous_weights(h0)
+        weights = full.germ_weights(_source_weights(job, h0))
         return forms_pullback(e_basis, imap.components, imap.source_names, k, weights=weights)
     d = _divisor_from_job(job)
     basis = _certified_basis(job, d)
@@ -223,13 +218,11 @@ def _cmd_de_rham(job: JobSpec, opts: dict) -> dict:
     bound = opts.get("degree-bound", 12)
     if job.target_divisor_text is not None and job.map_text is not None:
         e_basis = _target_basis(job)
-        imap = _inducing_map(job).germ()
+        full = _inducing_map(job)
+        imap = full.germ()
         h0 = e_basis.divisor.h.compose(imap.components)
         n = imap.source_dim
-        weights = _source_weights(job, h0)
-        if weights is not None and len(weights) != n:
-            params = set(job.param_indices()) | set(job.ext_param_indices())
-            weights = tuple(w for i, w in enumerate(weights) if i not in params)
+        weights = full.germ_weights(_source_weights(job, h0))
         semi = None if weights else quasihomogeneous_weights(h0, allow_zero=True)
         mods = [forms_pullback(e_basis, imap.components, imap.source_names, k, weights=weights)
                 for k in range(0, n + 1)]

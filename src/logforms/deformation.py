@@ -13,23 +13,12 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .forms import (
-    CheckedFormsModule,
-    cokernel_slice_dims,
-    forms_pullback,
-    stabilized_sum,
-)
-from .groebner import (
-    StabilizationError,
-    groebner_basis,
-    normal_form,
-    normal_form_with_cofactors,
-    quotient_dimension,
-)
+from .forms import cokernel_slice_dims, forms_pullback, stabilized_sum
+from .groebner import QuotientTable, normal_form, quotient_dimension
 from .logarithmic import Divisor, LogBasis, apply_field, derlog_h, euler_field
-from .module import INFINITE, FreeElement, ModulePresentation, ModuleError
+from .module import INFINITE, FreeElement, ModulePresentation
 from .order import MonomialOrder
-from .poly import Poly, PolyError
+from .poly import Poly
 
 
 class DeformationError(ValueError):
@@ -84,6 +73,15 @@ class InducingMap:
             comps.append(Poly(len(keep), terms))
         return InducingMap(names, self.target_names, comps)
 
+    def germ_weights(self, weights: Optional[Sequence[int]]) -> Optional[tuple]:
+        """Source weights for the central germ: the parameter entries are
+        dropped when the weights cover the full source ring, and weights of
+        any other length (already on the germ) pass through."""
+        if weights is None or len(weights) != self.source_dim:
+            return weights
+        params = set(self.s_indices) | set(self.t_indices)
+        return tuple(w for i, w in enumerate(weights) if i not in params)
+
 
 class DeformationSetup:
     """A free target divisor with certificate, an inducing map, and parameters."""
@@ -95,9 +93,6 @@ class DeformationSetup:
         self.e_basis = e_basis
         self.map = imap
         self.weights = tuple(weights) if weights is not None else None
-
-    def pulled_equation(self) -> Poly:
-        return self.e_basis.divisor.h.compose(self.map.components)
 
 
 def jacobian_columns(components: Sequence[Poly], source_n: int) -> list:
@@ -139,6 +134,13 @@ def t1_log(total_basis: LogBasis, param_indices: Sequence[int],
     """Relative T1 of the projection to the chosen parameters: the free module
     on the parameter directions modulo the parameter rows of the basis matrix,
     optionally reduced mod the ideal of the kill parameters."""
+    pres, order = _t1_presentation(total_basis, param_indices, kill_indices, order)
+    return pres, quotient_dimension(pres, order)
+
+
+def _t1_presentation(total_basis: LogBasis, param_indices: Sequence[int],
+                     kill_indices: Sequence[int], order: Optional[MonomialOrder]):
+    """The presentation of `t1_log` and the monomial order it is read in."""
     n = total_basis.n
     nv = total_basis.divisor.h.nvars
     d = len(param_indices)
@@ -154,9 +156,7 @@ def t1_log(total_basis: LogBasis, param_indices: Sequence[int],
         for a in range(d):
             rels.append(FreeElement.unit(d, nv, a).scale(s))
     pres = ModulePresentation(d, rels, nvars=nv)
-    order = order or total_basis.divisor.order()
-    dim = quotient_dimension(pres, order.with_nvars(nv))
-    return pres, dim
+    return pres, (order or total_basis.divisor.order()).with_nvars(nv)
 
 
 def theta_prime_minors(total_basis: LogBasis, param_indices: Sequence[int],
@@ -254,15 +254,10 @@ def mu_e_derham(setup: DeformationSetup, bound: int = 20, window: int = 4) -> in
     """Singular Milnor number as the dimension of the top checked forms of the
     central fibre modulo exact forms, accumulated over weighted-degree slices."""
     imap = setup.map.germ()
-    n = imap.source_dim
     if setup.weights is None:
         raise DeformationError("the de Rham route needs positive weights")
-    if len(setup.weights) == n:
-        weights = setup.weights
-    else:
-        params = set(setup.map.s_indices) | set(setup.map.t_indices)
-        weights = tuple(w for i, w in enumerate(setup.weights) if i not in params)
-    p = n - 1
+    weights = setup.map.germ_weights(setup.weights)
+    p = imap.source_dim - 1
     mods = [forms_pullback(setup.e_basis, imap.components,
                            imap.source_names, k, weights=weights)
             for k in (p - 1, p)]
@@ -427,46 +422,21 @@ def ke_discriminant_reduced(total_basis: LogBasis, s_index: int,
                             order: Optional[MonomialOrder] = None):
     """Whether the zeroth Fitting ideal of the relative T1 over the base equals
     the base maximal ideal (one-parameter miniversal data)."""
-    pres, dim = t1_log(total_basis, [s_index], (), order)
-    if dim == INFINITE:
+    pres, order = _t1_presentation(total_basis, [s_index], (), order)
+    table = QuotientTable(pres, order)
+    basis_terms = table.standard_terms()
+    if basis_terms is None:
         raise DeformationError("relative T1 is infinite; hypotheses do not hold")
-    if dim == 0:
+    if not basis_terms:
         raise DeformationError("relative T1 vanishes (trivial family); no discriminant to test")
-    order = (order or total_basis.divisor.order()).with_nvars(pres.nvars)
-    gb = groebner_basis(pres.relations, order)
-    from .groebner import _component_box, _lead_module
-    from .order import mono_divides
-
-    leads = _lead_module(gb, order, pres.rank)
     nv = pres.nvars
-    # standard monomial basis of the finite quotient
-    basis_terms = []
-    for comp in range(pres.rank):
-        if any(e == tuple([0] * nv) for e in leads[comp]):
-            continue
-        box = _component_box(leads[comp], nv)
-        if box is None:
-            raise DeformationError("relative T1 is not finite over the base point")
-
-        def walk(prefix, i):
-            if i == nv:
-                e = tuple(prefix)
-                if not any(mono_divides(l, e) for l in leads[comp]):
-                    basis_terms.append((comp, e))
-                return
-            for a in range(box[i]):
-                prefix.append(a)
-                walk(prefix, i + 1)
-                prefix.pop()
-
-        walk([], 0)
     m = len(basis_terms)
     index = {t: i for i, t in enumerate(basis_terms)}
     s = Poly.variable(nv, s_index)
     cols = []
     for comp, e in basis_terms:
         el = FreeElement.unit(pres.rank, nv, comp).scale(Poly.monomial(nv, e)).scale(s)
-        red = normal_form(el, gb, order)
+        red = normal_form(el, table.gb, order)
         col = [Fraction(0)] * m
         for c2, poly in enumerate(red.entries):
             for e2, v in poly.terms.items():
@@ -480,10 +450,10 @@ def ke_discriminant_reduced(total_basis: LogBasis, s_index: int,
             mat[i][j] = mat[i][j] - Poly.constant(1, cols[j][i])
     from .logarithmic import poly_det
 
-    chi = poly_det(mat) if m else Poly.constant(1, 1)
+    chi = poly_det(mat)
     # Fitting ideal over the base is (chi); reduced iff it equals (s)
     reduced = chi == Poly.variable(1, 0) or chi == -Poly.variable(1, 0)
-    return reduced, chi, dim
+    return reduced, chi, m
 
 
 def cm_regular_sequence_proxy(pres: ModulePresentation, base_indices: Sequence[int],

@@ -165,12 +165,6 @@ def pullback(k: int, target_n: int, form: FreeElement, components: Sequence[Poly
     return out
 
 
-def vol_form(n: int, nvars: int) -> FreeElement:
-    """dx_1 ^ ... ^ dx_n as an n-form."""
-    e = FreeElement.zero(1, nvars)
-    return FreeElement([Poly.constant(nvars, 1)])
-
-
 def monomial_form(n: int, k: int, nvars: int, I: tuple, coeff: Poly) -> FreeElement:
     entries = [Poly.zero(nvars) for _ in range(form_rank(n, k))]
     entries[form_index(n, k)[I]] = coeff

@@ -11,21 +11,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exterior import contract, ext_d, form_basis, form_index, form_rank, monomial_form, wedge
+from .exterior import contract, ext_d, form_basis, form_rank, monomial_form, wedge
 from .groebner import (
     LinSpace,
     QuotientTable,
     StabilizationError,
-    groebner_basis,
     is_member,
     kernel_of_map,
     normal_form,
     quotient_dimension,
     saturate,
-    submodule_contains,
 )
 from .logarithmic import LogBasis, apply_field, log_form_generators
-from .module import FreeElement, Grading, ModulePresentation, ModuleError
+from .module import FreeElement, Grading, ModulePresentation
 from .order import MonomialOrder
 from .poly import Poly, PolyError, poly_exact_div
 
@@ -77,7 +75,6 @@ class CheckedFormsModule:
         self.rank = max(form_rank(self.n, k), 1)
         self.relations = [r for r in relations if not r.is_zero()]
         self.weights = tuple(weights) if weights is not None else None
-        self._gb = None
         self._table = None
 
     @property
@@ -105,23 +102,21 @@ class CheckedFormsModule:
         return ModulePresentation(self.rank, self.relations, grading=self.grading(),
                                   nvars=self.nvars)
 
-    def gb(self) -> list:
-        if self._gb is None:
-            self._gb = groebner_basis(self.relations, self.order())
-        return self._gb
-
     def table(self) -> QuotientTable:
+        """The staircase of the relations' Groebner basis, computed once."""
         if self._table is None:
-            pres = self.presentation()
-            if pres.grading is None:
-                raise FormsError("graded dimension tables need positive weights")
-            self._table = QuotientTable(pres, self.order())
+            self._table = QuotientTable(self.presentation(), self.order())
         return self._table
+
+    def gb(self) -> list:
+        return self.table().gb
 
     def class_is_zero(self, form: FreeElement) -> bool:
         return is_member(form, self.gb(), self.order())
 
     def dimension_table(self, bound: int) -> dict:
+        if self.table().pres.grading is None:
+            raise FormsError("graded dimension tables need positive weights")
         return self.table().table(bound)
 
     def __repr__(self):
@@ -274,6 +269,20 @@ def class_is_torsion(m: CheckedFormsModule, form: FreeElement) -> bool:
 # graded slices
 
 
+def _slice_coordinates(m: CheckedFormsModule, form: FreeElement, index: dict) -> list:
+    """Coordinates of the class of a form of m in a slice basis of m, given
+    as a map from standard term to position."""
+    red = normal_form(form, m.gb(), m.order())
+    row = [Fraction(0)] * len(index)
+    for comp, p in enumerate(red.entries):
+        for e, c in p.terms.items():
+            pos = index.get((comp, e))
+            if pos is None:
+                raise FormsError("reduced form left the slice basis")
+            row[pos] = c
+    return row
+
+
 class GradedSlices:
     """Standard-monomial slice bases of graded forms modules (indexed by their
     own form degree k), with the degree-preserving derivative matrices."""
@@ -301,26 +310,13 @@ class GradedSlices:
         mod_next = self.by_k.get(k + 1)
         if mod_next is None:
             return [[] for _ in src]
-        tgt = self.basis(k + 1, degree)
-        index = {t: i for i, t in enumerate(tgt)}
-        cols = []
-        gb = mod_next.gb()
-        order = mod_next.order()
+        index = {t: i for i, t in enumerate(self.basis(k + 1, degree))}
         n = mod_next.n
         nv = mod_next.nvars
+        cols = []
         for comp, e in src:
-            I = form_basis(n, k)[comp]
-            f = monomial_form(n, k, nv, I, Poly.monomial(nv, e))
-            df = ext_d(n, k, f)
-            red = normal_form(df, gb, order)
-            row = [Fraction(0)] * len(index)
-            for c2, p in enumerate(red.entries):
-                for e2, c in p.terms.items():
-                    pos = index.get((c2, e2))
-                    if pos is None:
-                        raise FormsError("reduced form left the slice basis")
-                    row[pos] = c
-            cols.append(row)
+            f = monomial_form(n, k, nv, form_basis(n, k)[comp], Poly.monomial(nv, e))
+            cols.append(_slice_coordinates(mod_next, ext_d(n, k, f), index))
         return cols
 
     def d_rank(self, k: int, degree: int) -> int:
@@ -421,9 +417,6 @@ def stabilized_sum(table: dict, bound: int, window: int):
 def wedge_map_kernel_dims(source: CheckedFormsModule, target: CheckedFormsModule,
                           wedge_form: FreeElement, wedge_deg: int, bound: int) -> dict:
     """Per-degree kernel dimensions of (wedge with a fixed form) on slice bases."""
-    t_table = target.table()
-    gb = target.gb()
-    order = target.order()
     n = target.n
     nv = target.nvars
     out = {}
@@ -439,22 +432,14 @@ def wedge_map_kernel_dims(source: CheckedFormsModule, target: CheckedFormsModule
                 target.weights,
                 [sum(target.weights[i] for i in I) for I in form_basis(n, wedge_deg)])
             shift = min(degs)
-        tgt = t_table.standard_monomials(degree + shift)
+        tgt = target.table().standard_monomials(degree + shift)
         index = {t: i for i, t in enumerate(tgt)}
-        sp = LinSpace(len(index) if index else 1)
+        sp = LinSpace(len(index))
         kernel = 0
         for comp, e in src:
             I = form_basis(source.n, source.k)[comp] if form_rank(source.n, source.k) else ()
             f = monomial_form(source.n, source.k, nv, I, Poly.monomial(nv, e))
-            w = wedge(n, wedge_deg, wedge_form, source.k, f)
-            red = normal_form(w, gb, order)
-            if red.is_zero():
-                kernel += 1
-                continue
-            row = [Fraction(0)] * len(index)
-            for c2, p in enumerate(red.entries):
-                for e2, v in p.terms.items():
-                    row[index[(c2, e2)]] = v
+            row = _slice_coordinates(target, wedge(n, wedge_deg, wedge_form, source.k, f), index)
             if not sp.add(row):
                 kernel += 1
         out[degree] = kernel

@@ -9,6 +9,7 @@ deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd as int_gcd
 from typing import Callable, Optional, Sequence
 
@@ -354,7 +355,6 @@ def kernel_of_map(columns: Sequence[FreeElement], target_relations: Sequence[Fre
         return []
     everything = list(columns) + list(target_relations)
     syz = syzygy_module(everything, order)
-    nvars = columns[0].nvars
     out = []
     for s in syz:
         u = FreeElement(s.entries[:a])
@@ -458,38 +458,8 @@ def _component_box(leads: Sequence[tuple], nvars: int):
     return bounds
 
 
-def quotient_dimension(p: ModulePresentation, order: Optional[MonomialOrder] = None):
-    """Vector-space dimension of O^rank / <relations>, or INFINITE."""
-    order = (order or MonomialOrder()).with_nvars(p.nvars)
-    gb = groebner_basis(p.relations, order)
-    leads = _lead_module(gb, order, p.rank)
-    nvars = p.nvars
-    total = 0
-    zero_e = tuple([0] * nvars)
-    for comp in range(p.rank):
-        comp_leads = leads[comp]
-        if any(e == zero_e for e in comp_leads):
-            continue
-        if nvars == 0:
-            total += 1
-            continue
-        box = _component_box(comp_leads, nvars)
-        if box is None:
-            return INFINITE
-        # enumerate the box and drop monomials divisible by a lead
-        def count(prefix: list, i: int) -> int:
-            if i == nvars:
-                e = tuple(prefix)
-                return 0 if any(mono_divides(l, e) for l in comp_leads) else 1
-            c = 0
-            for a in range(box[i]):
-                prefix.append(a)
-                c += count(prefix, i + 1)
-                prefix.pop()
-            return c
-
-        total += count([], 0)
-    return total
+def _is_standard(leads: Sequence[tuple], e: tuple) -> bool:
+    return not any(mono_divides(l, e) for l in leads)
 
 
 def _monomials_of_weight(nvars: int, weights: Sequence[int], target: int):
@@ -514,26 +484,45 @@ def _monomials_of_weight(nvars: int, weights: Sequence[int], target: int):
 
 
 class QuotientTable:
-    """Hilbert-function access to a graded quotient via its leading-term staircase."""
+    """The leading-term staircase of O^rank / <relations>, read from one
+    reduced Groebner basis.
+
+    One staircase serves both questions asked of a quotient: the standard
+    terms of one weighted degree (`standard_monomials`, which needs a
+    grading) and the full list of standard terms of a finite quotient
+    (`standard_terms`, which is None when the quotient is infinite).
+    """
 
     def __init__(self, p: ModulePresentation, order: Optional[MonomialOrder] = None):
-        if p.grading is None:
-            raise ModuleError("graded dimension tables need a grading")
         self.pres = p
         self.order = (order or MonomialOrder()).with_nvars(p.nvars)
         self.gb = groebner_basis(p.relations, self.order)
         self.leads = _lead_module(self.gb, self.order, p.rank)
 
+    def standard_terms(self) -> Optional[list]:
+        """All standard module terms of a finite quotient, or None when some
+        component has infinitely many."""
+        nvars = self.pres.nvars
+        zero_e = tuple([0] * nvars)
+        out = []
+        for comp, leads in enumerate(self.leads):
+            if zero_e in leads:
+                continue
+            box = _component_box(leads, nvars)
+            if box is None:
+                return None
+            out.extend((comp, e) for e in product(*map(range, box)) if _is_standard(leads, e))
+        return out
+
     def standard_monomials(self, degree: int):
         """Standard monomial module terms of the given weighted degree."""
         g = self.pres.grading
+        if g is None:
+            raise ModuleError("graded dimension tables need a grading")
         out = []
-        for comp in range(self.pres.rank):
-            target = degree - g.shifts[comp]
-            if target < 0:
-                continue
-            for e in _monomials_of_weight(self.pres.nvars, g.weights, target):
-                if not any(mono_divides(l, e) for l in self.leads[comp]):
+        for comp, leads in enumerate(self.leads):
+            for e in _monomials_of_weight(self.pres.nvars, g.weights, degree - g.shifts[comp]):
+                if _is_standard(leads, e):
                     out.append((comp, e))
         return out
 
@@ -542,6 +531,13 @@ class QuotientTable:
 
     def table(self, bound: int) -> dict:
         return {d: self.dim(d) for d in range(0, bound + 1)}
+
+
+def quotient_dimension(p: ModulePresentation, order: Optional[MonomialOrder] = None):
+    """Vector-space dimension of O^rank / <relations>, or INFINITE: the number
+    of standard terms on the staircase of `QuotientTable`."""
+    terms = QuotientTable(p, order).standard_terms()
+    return INFINITE if terms is None else len(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +562,6 @@ class LinSpace:
                         row[k] -= f * base[k]
         return row
 
-    def contains(self, row: Sequence[Fraction]) -> bool:
-        r = self._reduce(row)
-        return all(x == 0 for x in r)
-
     def add(self, row: Sequence[Fraction]) -> bool:
         """Insert a row; returns True when it enlarged the space."""
         r = self._reduce(row)
@@ -588,13 +580,6 @@ class LinSpace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-
-def rank_of_rows(rows: Sequence[Sequence[Fraction]], width: int) -> int:
-    sp = LinSpace(width)
-    for r in rows:
-        sp.add(r)
-    return sp.dim
 
 
 def minimal_generator_indices(gens: Sequence[FreeElement],

@@ -13,12 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .groebner import (
-    groebner_basis,
-    minimal_generator_indices,
-    syzygy_module,
-)
-from .module import FreeElement, Grading, ModuleError
+from .groebner import minimal_generator_indices, syzygy_module
+from .module import FreeElement, ModuleError
 from .order import MonomialOrder
 from .poly import Poly, PolyError, is_squarefree, poly_exact_div, quasihomogeneous_weights
 
@@ -100,24 +96,20 @@ class LogBasis:
     def field_degrees(self) -> Optional[list]:
         """Weighted degrees of the fields when the divisor is graded."""
         w = self.divisor.weights
-        if w is None:
+        return None if w is None else _field_degrees(self.theta, w)
+
+
+def _field_degrees(fields: Sequence[Sequence[Poly]], w: Sequence[int]) -> Optional[list]:
+    """Weighted degree of each field (given by its coefficients) under the
+    weights w, where x_i d/dx_i has degree 0; None when some field is not
+    homogeneous.  A zero field gets degree 0."""
+    degs = []
+    for col in fields:
+        s = {sum(a * b for a, b in zip(e, w)) - w[i] for i, c in enumerate(col) for e in c.terms}
+        if len(s) > 1:
             return None
-        degs = []
-        for col in self.theta:
-            d = None
-            for i, c in enumerate(col):
-                if c.is_zero():
-                    continue
-                s = {wd - w[i] for wd in
-                     (sum(a * b for a, b in zip(e, w)) for e in c.terms)}
-                if len(s) != 1:
-                    return None
-                if d is None:
-                    d = s.pop()
-                elif d != s.pop():
-                    return None
-            degs.append(d if d is not None else 0)
-        return degs
+        degs.append(s.pop() if s else 0)
+    return degs
 
 
 class FreenessVerdict:
@@ -263,22 +255,8 @@ def is_free(d: Divisor, order: Optional[MonomialOrder] = None) -> FreenessVerdic
     n = d.nvars
     gens = derlog(d, order)
     fields = [f for f, _ in gens]
-    degrees = None
     w = d.semipositive_weights()
-    if w is not None:
-        degrees = []
-        graded = True
-        for f in fields:
-            degs = set()
-            for i, c in enumerate(f.entries):
-                for e in c.terms:
-                    degs.add(sum(a * b for a, b in zip(e, w)) - w[i])
-            if len(degs) > 1:
-                graded = False
-                break
-            degrees.append(degs.pop() if degs else 0)
-        if not graded:
-            degrees = None
+    degrees = None if w is None else _field_degrees([f.entries for f in fields], w)
     idx = minimal_generator_indices(fields, order or d.order(), degrees)
     count = len(idx)
     if count < n:
@@ -319,7 +297,7 @@ def log_form_generators(basis: LogBasis, k: int) -> list:
     n = basis.n
     if k < 0 or k > n:
         raise ModuleError("form degree out of range")
-    from .exterior import form_basis, form_rank
+    from .exterior import form_basis
 
     mat = basis.matrix()
     nv = basis.divisor.h.nvars

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .poly import Poly, PolyError
@@ -117,9 +116,6 @@ class Grading:
             raise ModuleError("grading weights must be strictly positive")
         self.weights = tuple(weights)
         self.shifts = tuple(shifts)
-
-    def degree_of_term(self, comp: int, expo: tuple) -> int:
-        return self.shifts[comp] + sum(a * w for a, w in zip(expo, self.weights))
 
     def __eq__(self, other):
         return (

@@ -207,15 +207,6 @@ class Poly:
             out = out + term
         return out
 
-    def eval_rational(self, point: Sequence[Fraction]) -> Fraction:
-        val = Fraction(0)
-        for e, c in self.terms.items():
-            prod = c
-            for a, p in zip(e, point):
-                prod *= p ** a
-            val += prod
-        return val
-
     def set_vars_zero(self, indices: Iterable[int]) -> "Poly":
         """Substitute 0 for the given variables (ring unchanged)."""
         kill = set(indices)
@@ -224,16 +215,6 @@ class Poly:
             if all(e[i] == 0 for i in kill):
                 t[e] = t.get(e, 0) + c
         return Poly(self.nvars, t)
-
-    def extend(self, nvars_new: int, positions: Sequence[int]) -> "Poly":
-        """Reembed into a larger ring; positions[i] = new index of old variable i."""
-        t: dict = {}
-        for e, c in self.terms.items():
-            e2 = [0] * nvars_new
-            for i, a in enumerate(e):
-                e2[positions[i]] = a
-            t[tuple(e2)] = c
-        return Poly(nvars_new, t)
 
     # -- integer normalisation ------------------------------------------
 
@@ -462,15 +443,6 @@ def _univ_coeffs(f: Poly, v: int) -> list:
         e2[v] = 0
         coeffs[k] = coeffs[k] + Poly.monomial(f.nvars, e2, c)
     return coeffs
-
-def _from_univ(coeffs: Sequence[Poly], v: int, nvars: int) -> Poly:
-    out = Poly.zero(nvars)
-    xv = Poly.variable(nvars, v)
-    for k, c in enumerate(coeffs):
-        if not c.is_zero():
-            out = out + c * xv ** k
-    return out
-
 
 def _pseudo_rem(f: Poly, g: Poly, v: int) -> Poly:
     """Pseudo-remainder of f by g with respect to variable v."""

@@ -1,11 +1,30 @@
 """Shared corpus: the divisors, families and maps exercised across the suite."""
 
+import sys
+
 import pytest
 
+from logforms import groebner
 from logforms.deformation import DeformationSetup, InducingMap
 from logforms.logarithmic import Divisor, FreenessVerdict, is_free
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, parse_poly
+
+
+@pytest.fixture
+def gb_calls(monkeypatch):
+    """Counts `groebner_basis` calls, through every `logforms` module that binds it."""
+    calls = []
+    original = groebner.groebner_basis
+
+    def counting(generators, order):
+        calls.append(len(generators))
+        return original(generators, order)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("logforms") and getattr(mod, "groebner_basis", None) is original:
+            monkeypatch.setattr(mod, "groebner_basis", counting)
+    return calls
 
 
 def certified(divisor):

@@ -1,5 +1,7 @@
 """Normal spaces, relative T1, singular Milnor number routes, map germs."""
 
+from pathlib import Path
+
 import pytest
 
 from logforms.deformation import (
@@ -28,12 +30,14 @@ from logforms.groebner import (
     quotient_dimension,
     submodules_equal,
 )
+from logforms.jobio import parse_job
 from logforms.logarithmic import Divisor, derlog_fields, is_free
 from logforms.module import INFINITE, FreeElement, ModulePresentation
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, parse_poly
 
 ORD = MonomialOrder()
+JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
 
 def test_kev_transverse_map_gives_zero(nc2):
@@ -177,6 +181,17 @@ def test_fitting_reduced_four_planes(four_planes_family):
     reduced, chi, dim = ke_discriminant_reduced(basis, 3)
     assert reduced and dim == 1
     assert chi == Poly.variable(1, 0)
+
+
+def test_fitting_reduced_computes_one_basis(gb_calls):
+    """The T1 dimension, its standard basis and the normal forms of the
+    multiplication by s all come from one Groebner basis."""
+    job = parse_job((JOBS / "fitting_four_planes.job").read_text())
+    basis = is_free(Divisor(job.ring, job.divisor_poly(), weights=job.weights)).basis
+    del gb_calls[:]
+    reduced, _, dim = ke_discriminant_reduced(basis, job.param_indices()[0])
+    assert reduced and dim == 1
+    assert len(gb_calls) == 1
 
 
 def test_fitting_not_applicable_for_trivial_family():

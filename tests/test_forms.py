@@ -6,6 +6,7 @@ from logforms.exterior import form_basis, monomial_form, wedge
 from logforms.forms import (
     FormsError,
     class_is_torsion,
+    cokernel_slice_dims,
     contract_class,
     contraction_well_defined,
     de_rham_report_homotopy,
@@ -150,6 +151,22 @@ def test_de_rham_exact_four_planes_afd(four_planes_afd):
                            weights=setup.weights) for k in range(0, 4)]
     rep = de_rham_report_sliced(mods, 8)
     assert rep["all_exact"]
+
+
+def test_slices_compute_one_basis_per_module(four_planes_afd, gb_calls):
+    """A module's one Groebner basis serves both its slice bases and the
+    normal forms that land in it."""
+    setup = four_planes_afd
+
+    def modules(ks):
+        return [forms_pullback(setup.e_basis, setup.map.components, setup.map.source_names, k,
+                               weights=setup.weights) for k in ks]
+
+    assert de_rham_report_sliced(modules(range(0, 4)), 8)["all_exact"]
+    assert len(gb_calls) == 4
+    del gb_calls[:]
+    assert sum(cokernel_slice_dims(modules((1, 2)), 2, 12).values()) == 1
+    assert len(gb_calls) == 2
 
 
 def test_de_rham_homotopy_mode(calderon):

@@ -120,6 +120,21 @@ def test_quotient_dimension_order_independence():
         assert d1 == d2
 
 
+@pytest.mark.parametrize("rank, rels, grading", [
+    (1, [F("x^2"), F("y^3")], Grading((1, 1), (0,))),
+    (2, [F("x^2", "0"), F("y", "x"), F("0", "y^2"), F("0", "x^3")], Grading((1, 2), (0, 1))),
+    (2, [F("x^2", "y"), F("x*y", "0"), F("y^2", "0"), F("0", "x^2"), F("0", "x*y"), F("0", "y^2")],
+     Grading((1, 1), (0, 1))),
+])
+def test_staircase_finite_count_matches_graded_slices(rank, rels, grading):
+    p = ModulePresentation(rank, rels, grading=grading)
+    for order in (MonomialOrder("wdegrevlex"), MonomialOrder("lex")):
+        qt = QuotientTable(p, order)
+        slices = [t for d in range(0, 21) for t in qt.standard_monomials(d)]
+        assert sorted(slices) == sorted(qt.standard_terms())
+        assert quotient_dimension(p, order) == sum(qt.table(20).values())
+
+
 def test_minimal_generators_drops_multiples():
     x = parse_poly("x", N2)
     gens = [F("x"), F("y"), F("x^2")]
