@@ -40,7 +40,7 @@ from .forms import (
     torsion_length,
 )
 from .groebner import StabilizationError
-from .jobio import JobError, JobSpec, parse_job
+from .jobio import JobError, JobSpec, check_option, parse_job
 from .logarithmic import (
     Divisor,
     DivisorError,
@@ -97,16 +97,20 @@ def _certified_basis(job: JobSpec, d: Divisor) -> LogBasis:
     return verdict.basis
 
 
+def _free_basis(names, h: Poly, weights, what: str) -> LogBasis:
+    """The Saito basis of a divisor that must be certified free; its weights
+    are detected when none are given."""
+    verdict = is_free(Divisor(names, h, weights=weights or quasihomogeneous_weights(h)))
+    if verdict.kind != FreenessVerdict.FREE:
+        raise PreconditionError(f"{what} is not certified free ({verdict.kind})")
+    return verdict.basis
+
+
 def _target_basis(job: JobSpec) -> LogBasis:
     if not job.target_ring or job.target_divisor_text is None:
         raise PreconditionError("this command needs 'target-ring' and 'target-divisor'")
-    h = job.target_divisor_poly()
-    weights = job.target_weights or quasihomogeneous_weights(h)
-    E = Divisor(job.target_ring, h, weights=weights)
-    verdict = is_free(E)
-    if verdict.kind != FreenessVerdict.FREE:
-        raise PreconditionError(f"target divisor is not certified free ({verdict.kind})")
-    return verdict.basis
+    return _free_basis(job.target_ring, job.target_divisor_poly(), job.target_weights,
+                       "target divisor")
 
 
 def _inducing_map(job: JobSpec) -> InducingMap:
@@ -123,6 +127,16 @@ def _source_weights(job: JobSpec, h: Optional[Poly] = None):
     if h is not None:
         return quasihomogeneous_weights(h)
     return None
+
+
+def _pullback_germ(job: JobSpec):
+    """The certified target basis, the central germ of the map, the pulled-back
+    equation h0 and the germ's weights (given, or detected from h0)."""
+    e_basis = _target_basis(job)
+    full = _inducing_map(job)
+    imap = full.germ()
+    h0 = e_basis.divisor.h.compose(imap.components)
+    return e_basis, imap, h0, full.germ_weights(_source_weights(job, h0))
 
 
 def _flag(certified: bool) -> str:
@@ -179,11 +193,7 @@ def _cmd_saito_check(job: JobSpec, opts: dict) -> dict:
 
 def _forms_module(job: JobSpec, k: int) -> CheckedFormsModule:
     if job.target_divisor_text is not None and job.map_text is not None:
-        e_basis = _target_basis(job)
-        full = _inducing_map(job)
-        imap = full.germ()
-        h0 = e_basis.divisor.h.compose(imap.components)
-        weights = full.germ_weights(_source_weights(job, h0))
+        e_basis, imap, _, weights = _pullback_germ(job)
         return forms_pullback(e_basis, imap.components, imap.source_names, k, weights=weights)
     d = _divisor_from_job(job)
     basis = _certified_basis(job, d)
@@ -217,12 +227,8 @@ def _cmd_omega_check(job: JobSpec, opts: dict) -> dict:
 def _cmd_de_rham(job: JobSpec, opts: dict) -> dict:
     bound = opts.get("degree-bound", 12)
     if job.target_divisor_text is not None and job.map_text is not None:
-        e_basis = _target_basis(job)
-        full = _inducing_map(job)
-        imap = full.germ()
-        h0 = e_basis.divisor.h.compose(imap.components)
+        e_basis, imap, h0, weights = _pullback_germ(job)
         n = imap.source_dim
-        weights = full.germ_weights(_source_weights(job, h0))
         semi = None if weights else quasihomogeneous_weights(h0, allow_zero=True)
         mods = [forms_pullback(e_basis, imap.components, imap.source_names, k, weights=weights)
                 for k in range(0, n + 1)]
@@ -376,19 +382,12 @@ def _cmd_ae_codim(job: JobSpec, opts: dict) -> dict:
     rec_cert = {}
     agreement = None
     if job.unfolding_discriminant_text is not None and job.inclusion_text is not None:
-        from .poly import parse_poly as _pp
-
-        hD = _pp(job.unfolding_discriminant_text, job.unfolding_target)
-        uw = job.unfolding_weights or quasihomogeneous_weights(hD)
-        DF = Divisor(job.unfolding_target, hD, weights=uw)
-        verdict = is_free(DF)
-        if verdict.kind != FreenessVerdict.FREE:
-            raise PreconditionError("unfolding discriminant is not certified free")
-        rec_cert["discriminant_saito_basis"] = _basis_record(verdict.basis)
-        incl = InducingMap(job.target_ring, job.unfolding_target,
-                           [_pp(t, job.target_ring) for t in job.inclusion_text])
-        tw = job.target_weights
-        damon = ae_codim_damon(verdict.basis, incl, weights=tw, order=opts.get("order"))
+        df_basis = _free_basis(job.unfolding_target, job.unfolding_discriminant_poly(),
+                               job.unfolding_weights, "unfolding discriminant")
+        rec_cert["discriminant_saito_basis"] = _basis_record(df_basis)
+        incl = InducingMap(job.target_ring, job.unfolding_target, job.inclusion_polys())
+        damon = ae_codim_damon(df_basis, incl, weights=job.target_weights,
+                               order=opts.get("order"))
         routes["damon"] = _fmt_dim(damon)
         agreement = routes["direct"] == routes["damon"]
     dims = {f"ae_codim_{name}": {"value": v, "route": name} for name, v in sorted(routes.items())}
@@ -434,13 +433,12 @@ HANDLERS = {
 def run_job(job: JobSpec, options: Optional[dict] = None) -> dict:
     """Execute a validated job and assemble the result record."""
     opts = dict(job.options)
-    if options:
-        opts.update({k: v for k, v in options.items() if v is not None})
-    if "order" in opts and isinstance(opts["order"], str):
-        kind = opts["order"]
-        if kind not in ("wdegrevlex", "lex"):
-            raise PreconditionError(f"unknown order {kind!r}")
-        opts["order"] = MonomialOrder(kind) if kind == "lex" else None
+    for k, v in (options or {}).items():
+        if v is not None:
+            check_option(k, v)
+            opts[k] = v
+    if "order" in opts:
+        opts["order"] = MonomialOrder("lex") if opts["order"] == "lex" else None
     if not job.command:
         raise PreconditionError("no command given (job file or command line)")
     handler = HANDLERS[job.command]

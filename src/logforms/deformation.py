@@ -8,13 +8,12 @@ a good defining equation) that must agree on weighted homogeneous data.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
 from .forms import cokernel_slice_dims, forms_pullback, stabilized_sum
-from .groebner import QuotientTable, normal_form, quotient_dimension
+from .groebner import LinSpace, QuotientTable, normal_form, quotient_dimension
 from .logarithmic import Divisor, LogBasis, apply_field, derlog_h, euler_field
 from .module import INFINITE, FreeElement, ModulePresentation
 from .order import MonomialOrder
@@ -269,40 +268,8 @@ def mu_e_derham(setup: DeformationSetup, bound: int = 20, window: int = 4) -> in
 # map germs
 
 
-class SparseLinSpace:
-    """Row space over Q with sparse rows keyed by hashable, orderable terms."""
-
-    def __init__(self):
-        self.rows: dict = {}
-
-    def _reduce(self, row: dict) -> dict:
-        row = {t: c for t, c in row.items() if c}
-        while row:
-            p = max(row)
-            base = self.rows.get(p)
-            if base is None:
-                return row
-            f = row[p]
-            for t, c in base.items():
-                s = row.get(t, 0) - f * c
-                if s:
-                    row[t] = s
-                else:
-                    row.pop(t, None)
-        return row
-
-    def add(self, row: dict) -> bool:
-        r = self._reduce(row)
-        if not r:
-            return False
-        p = max(r)
-        inv = 1 / r[p]
-        self.rows[p] = {t: c * inv for t, c in r.items()}
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+class SparseLinSpace(LinSpace):
+    add = LinSpace.add  # its own `add`: bench/spans.py times the jet route under this name
 
 
 def _truncate_vec(entries: Sequence[Poly], jet_order: int) -> dict:
@@ -454,38 +421,3 @@ def ke_discriminant_reduced(total_basis: LogBasis, s_index: int,
     # Fitting ideal over the base is (chi); reduced iff it equals (s)
     reduced = chi == Poly.variable(1, 0) or chi == -Poly.variable(1, 0)
     return reduced, chi, m
-
-
-def cm_regular_sequence_proxy(pres: ModulePresentation, base_indices: Sequence[int],
-                              seed: int = 0, retries: int = 5,
-                              order: Optional[MonomialOrder] = None):
-    """Desk-scale Cohen-Macaulay proxy: cutting by (dim base - 1) generic linear
-    forms in the base variables must leave a finite module, with the same
-    dimension for several pseudo-random choices."""
-    d = len(base_indices)
-    cuts = d - 1
-    nv = pres.nvars
-    order = (order or MonomialOrder()).with_nvars(nv)
-    if cuts == 0:
-        dim = quotient_dimension(pres, order)
-        return dim != INFINITE, dim
-    rng = random.Random(seed)
-    dims = []
-    for attempt in range(retries):
-        rels = list(pres.relations)
-        for _ in range(cuts):
-            form = Poly.zero(nv)
-            while form.is_zero():
-                form = Poly(nv, {tuple(1 if i == b else 0 for i in range(nv)): Fraction(rng.randint(1, 9))
-                                 for b in base_indices})
-            for a in range(pres.rank):
-                rels.append(FreeElement.unit(pres.rank, nv, a).scale(form))
-        cut = ModulePresentation(pres.rank, rels, nvars=nv)
-        dim = quotient_dimension(cut, order)
-        if dim == INFINITE:
-            continue
-        dims.append(dim)
-        if len(dims) >= 2:
-            break
-    ok = len(dims) >= 1 and all(x == dims[0] for x in dims)
-    return ok, dims[0] if dims else INFINITE

@@ -8,7 +8,6 @@ and additionally the parameter differentials in the relative case.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exterior import contract, ext_d, form_basis, form_rank, monomial_form, wedge
@@ -269,17 +268,12 @@ def class_is_torsion(m: CheckedFormsModule, form: FreeElement) -> bool:
 # graded slices
 
 
-def _slice_coordinates(m: CheckedFormsModule, form: FreeElement, index: dict) -> list:
-    """Coordinates of the class of a form of m in a slice basis of m, given
-    as a map from standard term to position."""
-    red = normal_form(form, m.gb(), m.order())
-    row = [Fraction(0)] * len(index)
-    for comp, p in enumerate(red.entries):
-        for e, c in p.terms.items():
-            pos = index.get((comp, e))
-            if pos is None:
-                raise FormsError("reduced form left the slice basis")
-            row[pos] = c
+def _slice_coordinates(m: CheckedFormsModule, form: FreeElement, terms: set) -> dict:
+    """Coordinates {standard term: coefficient} of the class of a form of m
+    in a slice basis of m, given as the set of its standard terms."""
+    row = normal_form(form, m.gb(), m.order()).vec()
+    if not row.keys() <= terms:
+        raise FormsError("reduced form left the slice basis")
     return row
 
 
@@ -289,16 +283,19 @@ class GradedSlices:
 
     def __init__(self, modules: Sequence[CheckedFormsModule]):
         self.by_k = {}
+        self._bases: dict = {}
         for m in modules:
             if m.grading() is None:
                 raise FormsError("slice computations need positive weights and homogeneous relations")
             self.by_k[m.k] = m
 
     def basis(self, k: int, degree: int) -> list:
-        m = self.by_k.get(k)
-        if m is None:
-            return []
-        return m.table().standard_monomials(degree)
+        """The standard terms of one slice, enumerated once and kept."""
+        key = (k, degree)
+        if key not in self._bases:
+            m = self.by_k.get(k)
+            self._bases[key] = [] if m is None else m.table().standard_monomials(degree)
+        return self._bases[key]
 
     def dim(self, k: int, degree: int) -> int:
         return len(self.basis(k, degree))
@@ -309,25 +306,19 @@ class GradedSlices:
         src = self.basis(k, degree)
         mod_next = self.by_k.get(k + 1)
         if mod_next is None:
-            return [[] for _ in src]
-        index = {t: i for i, t in enumerate(self.basis(k + 1, degree))}
+            return [{} for _ in src]
+        terms = set(self.basis(k + 1, degree))
         n = mod_next.n
         nv = mod_next.nvars
         cols = []
         for comp, e in src:
             f = monomial_form(n, k, nv, form_basis(n, k)[comp], Poly.monomial(nv, e))
-            cols.append(_slice_coordinates(mod_next, ext_d(n, k, f), index))
+            cols.append(_slice_coordinates(mod_next, ext_d(n, k, f), terms))
         return cols
 
     def d_rank(self, k: int, degree: int) -> int:
-        cols = self.d_matrix(k, degree)
-        if not cols:
-            return 0
-        width = max(len(c) for c in cols)
-        if width == 0:
-            return 0
-        sp = LinSpace(width)
-        for c in cols:
+        sp = LinSpace()
+        for c in self.d_matrix(k, degree):
             sp.add(c)
         return sp.dim
 
@@ -432,14 +423,13 @@ def wedge_map_kernel_dims(source: CheckedFormsModule, target: CheckedFormsModule
                 target.weights,
                 [sum(target.weights[i] for i in I) for I in form_basis(n, wedge_deg)])
             shift = min(degs)
-        tgt = target.table().standard_monomials(degree + shift)
-        index = {t: i for i, t in enumerate(tgt)}
-        sp = LinSpace(len(index))
+        terms = set(target.table().standard_monomials(degree + shift))
+        sp = LinSpace()
         kernel = 0
         for comp, e in src:
             I = form_basis(source.n, source.k)[comp] if form_rank(source.n, source.k) else ()
             f = monomial_form(source.n, source.k, nv, I, Poly.monomial(nv, e))
-            row = _slice_coordinates(target, wedge(n, wedge_deg, wedge_form, source.k, f), index)
+            row = _slice_coordinates(target, wedge(n, wedge_deg, wedge_form, source.k, f), terms)
             if not sp.add(row):
                 kernel += 1
         out[degree] = kernel

@@ -413,8 +413,12 @@ def saturate(relations: Sequence[FreeElement], rank: int, ideal_gens: Sequence[P
     gb_current = groebner_basis(current, order)
     for _ in range(max_steps):
         bigger = colon_ideal(gb_current, rank, ideal_gens, order)
+        if bigger == current:
+            return gb_current
+        # N lies in N : I, so the chain is stable exactly when the reduced
+        # (canonical) bases agree.
         gb_bigger = groebner_basis(bigger, order)
-        if submodule_contains(gb_current, gb_bigger, order):
+        if gb_bigger == gb_current:
             return gb_current
         current = bigger
         gb_current = gb_bigger
@@ -545,36 +549,42 @@ def quotient_dimension(p: ModulePresentation, order: Optional[MonomialOrder] = N
 
 
 class LinSpace:
-    """Incremental row space over Q with exact elimination."""
+    """Row space over Q, grown one sparse row at a time.
 
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: dict = {}  # pivot index -> reduced row (list of Fractions)
+    A row maps orderable column keys to coefficients.  Each stored row is
+    scaled to 1 on its largest key (its pivot), and a new row is only reduced
+    forward against the stored pivots, so no stored row is ever rewritten.
+    Whether a row enlarges the space, and the dimension, do not depend on
+    which echelon form is kept.
+    """
 
-    def _reduce(self, row: list) -> list:
-        row = list(row)
-        for piv in sorted(self.rows):
-            if row[piv]:
-                f = row[piv]
-                base = self.rows[piv]
-                for k in range(self.width):
-                    if base[k]:
-                        row[k] -= f * base[k]
+    def __init__(self):
+        self.rows: dict = {}  # pivot key -> row scaled to 1 at its pivot
+
+    def _reduce(self, row: dict) -> dict:
+        row = {t: c for t, c in row.items() if c}
+        while row:
+            p = max(row)
+            base = self.rows.get(p)
+            if base is None:
+                return row
+            f = row[p]
+            for t, c in base.items():
+                s = row.get(t, 0) - f * c
+                if s:
+                    row[t] = s
+                else:
+                    row.pop(t, None)
         return row
 
-    def add(self, row: Sequence[Fraction]) -> bool:
+    def add(self, row: dict) -> bool:
         """Insert a row; returns True when it enlarged the space."""
         r = self._reduce(row)
-        piv = next((i for i, x in enumerate(r) if x), None)
-        if piv is None:
+        if not r:
             return False
-        inv = 1 / r[piv]
-        r = [x * inv for x in r]
-        for p, base in self.rows.items():
-            if base[piv]:
-                f = base[piv]
-                self.rows[p] = [a - f * b for a, b in zip(base, r)]
-        self.rows[piv] = r
+        p = max(r)
+        inv = 1 / Fraction(r[p])
+        self.rows[p] = {t: c * inv for t, c in r.items()}
         return True
 
     @property
@@ -598,18 +608,15 @@ def minimal_generator_indices(gens: Sequence[FreeElement],
     nvars = gens[0].nvars
     syz = syzygy_module(gens, order)
     s = len(gens)
-    space = LinSpace(s)
+    space = LinSpace()
     for rel in syz:
-        row = [rel.entries[i].constant_value() for i in range(s)]
-        space.add(row)
+        space.add({i: rel.entries[i].constant_value() for i in range(s)})
     if degrees is None:
         degrees = [max((g.entries[c].total_degree() for c in range(g.rank)
                         if not g.entries[c].is_zero()), default=0) for g in gens]
     chosen = []
     for i in sorted(range(s), key=lambda i: (degrees[i], i)):
-        unit = [Fraction(0)] * s
-        unit[i] = Fraction(1)
-        if space.add(unit):
+        if space.add({i: Fraction(1)}):
             chosen.append(i)
     chosen.sort()
     return chosen

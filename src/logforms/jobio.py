@@ -47,7 +47,10 @@ COMMANDS = (
     "fitting-reduced",
 )
 
-OPTION_KEYS = ("degree-bound", "order", "seed", "form-degree", "jet-cap", "window")
+# The domain of each option: the words it may take, or the least value of an
+# integer option (None: any integer).
+OPTION_DOMAINS = {"degree-bound": 0, "order": ("wdegrevlex", "lex"), "seed": None,
+                  "form-degree": 0, "jet-cap": 1, "window": 1}
 
 
 class JobError(ValueError):
@@ -59,6 +62,21 @@ class JobError(ValueError):
         self.message = message
         self.line = line
         self.col = col
+
+
+def check_option(key: str, value, line: int = 0, col: int = 0):
+    """Reject an option value outside its domain; job-file options and
+    command-line overrides both pass through here."""
+    if key not in OPTION_DOMAINS:
+        raise JobError(f"unknown option {key!r}", line, col)
+    domain = OPTION_DOMAINS[key]
+    if isinstance(domain, tuple):
+        if value not in domain:
+            raise JobError(f"option {key} must be one of {', '.join(domain)}, not {value!r}",
+                           line, col)
+    elif not isinstance(value, int) or (domain is not None and value < domain):
+        need = "an integer" if domain is None else f"an integer >= {domain}"
+        raise JobError(f"option {key} needs {need}, not {value!r}", line, col)
 
 
 class _JobTokens:
@@ -167,6 +185,12 @@ class JobSpec:
 
     def map_polys(self) -> list:
         return [parse_poly(t, self.ring) for t in self.map_text]
+
+    def unfolding_discriminant_poly(self) -> Poly:
+        return parse_poly(self.unfolding_discriminant_text, self.unfolding_target)
+
+    def inclusion_polys(self) -> list:
+        return [parse_poly(t, self.target_ring) for t in self.inclusion_text]
 
     def field_elements(self) -> list:
         return [[parse_poly(t, self.ring) for t in vec] for vec in self.fields_text]
@@ -340,12 +364,14 @@ def parse_job(text: str) -> JobSpec:
             job.command = c[1]
         elif kw == "option":
             k = toks.next()
-            if k[0] != "word" or k[1] not in OPTION_KEYS:
+            if k[0] != "word":
                 raise JobError(f"unknown option {k[1]!r}", k[2], k[3])
             v = toks.next()
             if v[0] not in ("int", "word"):
                 raise JobError(f"expected option value, found {v[1]!r}", v[2], v[3])
-            job.options[k[1]] = int(v[1]) if v[0] == "int" else v[1]
+            value = int(v[1]) if v[0] == "int" else v[1]
+            check_option(k[1], value, k[2], k[3])
+            job.options[k[1]] = value
         else:
             raise JobError(f"unknown statement {kw!r}", t[2], t[3])
         toks.expect(";")

@@ -570,39 +570,24 @@ def quasihomogeneous_weights(h: Poly, allow_zero: bool = False) -> Optional[tupl
             return None
         return tuple(1 for _ in range(n))
     base = expos[0]
-    rows = [[e[i] - base[i] for i in range(n)] for e in expos[1:]]
 
-    # exact rational RREF of the difference system rows * w = 0
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots: list = []
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(n) if c not in pivots]
+    # echelon form of the difference system (e - base) . w = 0, keyed by
+    # -column so that each pivot is the leftmost column of its row; the pivot
+    # columns of a row space do not depend on the echelon form, so the free
+    # columns are those of the reduced one
+    from .groebner import LinSpace
+
+    space = LinSpace()
+    for e in expos[1:]:
+        space.add({-i: Fraction(e[i] - base[i]) for i in range(n)})
+    free = [c for c in range(n) if -c not in space.rows]
 
     def solve(assignment: Sequence[int]) -> Optional[tuple]:
-        w = [Fraction(0)] * n
-        for c, val in zip(free, assignment):
-            w[c] = Fraction(val)
-        for i, c in enumerate(pivots):
-            w[c] = -sum(mat[i][j] * w[j] for j in free)
+        w = {-c: Fraction(val) for c, val in zip(free, assignment)}
+        # right to left: a row involves only columns right of its pivot
+        for p in sorted(space.rows):
+            w[p] = -sum(v * w[t] for t, v in space.rows[p].items() if t != p)
+        w = [w[-c] for c in range(n)]
         if allow_zero:
             ok = all(x >= 0 for x in w) and any(x > 0 for x in w)
         else:

@@ -13,12 +13,13 @@ from logforms.poly import Poly, parse_poly
 
 @pytest.fixture
 def gb_calls(monkeypatch):
-    """Counts `groebner_basis` calls, through every `logforms` module that binds it."""
+    """Records the generators of every `groebner_basis` call, through every
+    `logforms` module that binds it."""
     calls = []
     original = groebner.groebner_basis
 
     def counting(generators, order):
-        calls.append(len(generators))
+        calls.append(tuple(generators))
         return original(generators, order)
 
     for name, mod in list(sys.modules.items()):

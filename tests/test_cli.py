@@ -126,3 +126,17 @@ def test_cli_flag_overrides_degree_bound():
     record = json.loads(proc.stdout)
     degrees = set(record["tables"]["per_degree"])
     assert degrees == {str(d) for d in range(0, 5)}
+
+
+@pytest.mark.parametrize("jobname, extra, argv", [
+    ("de_rham_plane_pair", "option degree-bound -3;", []),
+    ("is_free_normal_crossing", "option seed abc;", []),
+    ("mu_e_four_planes", "option window abc;", []),
+    ("is_free_normal_crossing", "option order foo;", []),
+    ("de_rham_plane_pair", "", ["--degree-bound", "-1"]),
+], ids=["degree-bound", "seed", "window", "order", "cli-degree-bound"])
+def test_invalid_option_is_a_parse_error(tmp_path, capsys, jobname, extra, argv):
+    job = tmp_path / "job.job"
+    job.write_text((JOBS / f"{jobname}.job").read_text() + extra + "\n")
+    assert main(["--input", str(job), *argv]) == 2
+    assert "parse error: option" in capsys.readouterr().err

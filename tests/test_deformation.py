@@ -11,7 +11,6 @@ from logforms.deformation import (
     InducingMap,
     ae_codim_damon,
     ae_normal_space_direct,
-    cm_regular_sequence_proxy,
     good_equation_witness,
     jacobian_columns,
     ke_discriminant_reduced,
@@ -202,16 +201,13 @@ def test_fitting_not_applicable_for_trivial_family():
         ke_discriminant_reduced(basis, 2)
 
 
-def test_cm_proxy(four_planes_family, four_lines_total):
+def test_t1_log_finite_and_infinite(four_planes_family, four_lines_total):
     _, basis = four_planes_family
-    pres, _ = t1_log(basis, [3])
-    ok, dim = cm_regular_sequence_proxy(pres, [3], seed=0)
-    assert ok and dim == 1
+    _, dim = t1_log(basis, [3])
+    assert dim == 1
     _, basis2 = four_lines_total
-    pres2, dim2 = t1_log(basis2, [2, 3])
+    _, dim2 = t1_log(basis2, [2, 3])
     assert dim2 == INFINITE
-    ok2, cut = cm_regular_sequence_proxy(pres2, [2, 3], seed=0)
-    assert ok2 and cut == 4
 
 
 def test_normal_space_sequence_exactness(nc4, four_planes_divisor, four_planes_afd):

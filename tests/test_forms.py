@@ -169,6 +169,34 @@ def test_slices_compute_one_basis_per_module(four_planes_afd, gb_calls):
     assert len(gb_calls) == 2
 
 
+def test_torsion_saturation_computes_no_basis_twice(four_planes_afd, gb_calls):
+    """The colon chain stops when a step returns the previous step's
+    generators, so every basis it computes has a new input."""
+    setup = four_planes_afd
+    m = forms_pullback(setup.e_basis, setup.map.components, setup.map.source_names, 2,
+                       weights=setup.weights)
+    assert torsion_length(m) == 1
+    assert len(gb_calls) == 3
+    assert len(set(gb_calls)) == 3
+
+
+def test_slices_enumerate_each_slice_once(four_planes_afd, monkeypatch):
+    """One staircase enumeration per (module, degree) pair."""
+    setup = four_planes_afd
+    calls = []
+    original = QuotientTable.standard_monomials
+
+    def counting(self, degree):
+        calls.append(degree)
+        return original(self, degree)
+
+    monkeypatch.setattr(QuotientTable, "standard_monomials", counting)
+    mods = [forms_pullback(setup.e_basis, setup.map.components, setup.map.source_names, k,
+                           weights=setup.weights) for k in range(0, 4)]
+    assert de_rham_report_sliced(mods, 8)["all_exact"]
+    assert len(calls) == 4 * 9
+
+
 def test_de_rham_homotopy_mode(calderon):
     d, basis = calderon
     mods = [forms_free(basis, k) for k in range(0, 4)]
