@@ -40,7 +40,7 @@ from .forms import (
     torsion_length,
 )
 from .groebner import StabilizationError
-from .jobio import JobError, JobSpec, check_option, parse_job
+from .jobio import OPTION_DOMAINS, JobError, JobSpec, check_option, parse_job
 from .logarithmic import (
     Divisor,
     DivisorError,
@@ -79,38 +79,35 @@ def _basis_record(basis: LogBasis) -> dict:
     }
 
 
-def _divisor_from_job(job: JobSpec, check_reduced: bool = True) -> Divisor:
+def _weights_for(h: Poly, given) -> Optional[tuple]:
+    """The given weights, or else those detected for h (None when it has none)."""
+    return tuple(given) if given is not None else quasihomogeneous_weights(h)
+
+
+def _weighted_divisor(names, h: Poly, given) -> Divisor:
+    return Divisor(names, h, weights=_weights_for(h, given))
+
+
+def _divisor_from_job(job: JobSpec) -> Divisor:
     if not job.ring or job.divisor_text is None:
         raise PreconditionError("this command needs 'ring' and 'divisor'")
-    h = job.divisor_poly()
-    weights = job.weights
-    if weights is None:
-        weights = quasihomogeneous_weights(h)
-    return Divisor(job.ring, h, weights=weights, check_reduced=check_reduced)
+    return _weighted_divisor(job.ring, job.divisor_poly(), job.weights)
 
 
-def _certified_basis(job: JobSpec, d: Divisor) -> LogBasis:
+def _free_basis(d: Divisor, what: str = "divisor") -> LogBasis:
+    """The Saito basis of a divisor that must be certified free."""
     verdict = is_free(d)
     if verdict.kind != FreenessVerdict.FREE:
         raise PreconditionError(
-            f"divisor is not certified free ({verdict.kind}); this command needs a Saito basis")
-    return verdict.basis
-
-
-def _free_basis(names, h: Poly, weights, what: str) -> LogBasis:
-    """The Saito basis of a divisor that must be certified free; its weights
-    are detected when none are given."""
-    verdict = is_free(Divisor(names, h, weights=weights or quasihomogeneous_weights(h)))
-    if verdict.kind != FreenessVerdict.FREE:
-        raise PreconditionError(f"{what} is not certified free ({verdict.kind})")
+            f"{what} is not certified free ({verdict.kind}); this command needs a Saito basis")
     return verdict.basis
 
 
 def _target_basis(job: JobSpec) -> LogBasis:
     if not job.target_ring or job.target_divisor_text is None:
         raise PreconditionError("this command needs 'target-ring' and 'target-divisor'")
-    return _free_basis(job.target_ring, job.target_divisor_poly(), job.target_weights,
-                       "target divisor")
+    return _free_basis(_weighted_divisor(job.target_ring, job.target_divisor_poly(),
+                                         job.target_weights), "target divisor")
 
 
 def _inducing_map(job: JobSpec) -> InducingMap:
@@ -121,14 +118,6 @@ def _inducing_map(job: JobSpec) -> InducingMap:
                        t_indices=tuple(job.ext_param_indices()))
 
 
-def _source_weights(job: JobSpec, h: Optional[Poly] = None):
-    if job.weights is not None:
-        return tuple(job.weights)
-    if h is not None:
-        return quasihomogeneous_weights(h)
-    return None
-
-
 def _pullback_germ(job: JobSpec):
     """The certified target basis, the central germ of the map, the pulled-back
     equation h0 and the germ's weights (given, or detected from h0)."""
@@ -136,7 +125,7 @@ def _pullback_germ(job: JobSpec):
     full = _inducing_map(job)
     imap = full.germ()
     h0 = e_basis.divisor.h.compose(imap.components)
-    return e_basis, imap, h0, full.germ_weights(_source_weights(job, h0))
+    return e_basis, imap, h0, full.germ_weights(_weights_for(h0, job.weights))
 
 
 def _flag(certified: bool) -> str:
@@ -196,15 +185,12 @@ def _forms_module(job: JobSpec, k: int) -> CheckedFormsModule:
         e_basis, imap, _, weights = _pullback_germ(job)
         return forms_pullback(e_basis, imap.components, imap.source_names, k, weights=weights)
     d = _divisor_from_job(job)
-    basis = _certified_basis(job, d)
+    basis = _free_basis(d)
     return forms_free(basis, k)
 
 
 def _cmd_omega_check(job: JobSpec, opts: dict) -> dict:
-    k = opts.get("form-degree")
-    if k is None:
-        k = job.options.get("form-degree", 1)
-    m = _forms_module(job, k)
+    m = _forms_module(job, opts.get("form-degree", 1))
     names = m.names
     rec = {"verdicts": {"kind": m.kind}, "dimensions": {}, "certificates": {},
            "tables": {}, "flags": {}}
@@ -234,7 +220,7 @@ def _cmd_de_rham(job: JobSpec, opts: dict) -> dict:
                 for k in range(0, n + 1)]
     else:
         d = _divisor_from_job(job)
-        basis = _certified_basis(job, d)
+        basis = _free_basis(d)
         n = d.nvars
         weights = d.weights
         semi = None if weights else d.semipositive_weights()
@@ -247,14 +233,7 @@ def _cmd_de_rham(job: JobSpec, opts: dict) -> dict:
         certified = True
     else:
         raise PreconditionError("de-rham-check needs a weight system (none found)")
-    tables = {}
-    for deg, info in rep.get("per_degree", {}).items():
-        entry = {"exact": info["exact"]}
-        if "cohomology" in info:
-            entry["cohomology"] = info["cohomology"]
-        if "certificate" in info:
-            entry["certificate"] = info["certificate"]
-        tables[str(deg)] = entry
+    tables = {str(deg): info for deg, info in rep.get("per_degree", {}).items()}
     return {"verdicts": {"all_exact": rep["all_exact"], "mode": rep["mode"],
                          **({"failure": rep["failure"]} if "failure" in rep else {})},
             "dimensions": {}, "certificates": {}, "tables": {"per_degree": tables},
@@ -263,8 +242,6 @@ def _cmd_de_rham(job: JobSpec, opts: dict) -> dict:
 
 def _cmd_torsion_length(job: JobSpec, opts: dict) -> dict:
     k = opts.get("form-degree")
-    if k is None:
-        k = job.options.get("form-degree")
     if k is None:
         nsrc = len(job.ring) if job.ring else len(job.target_ring)
         k = nsrc - 1
@@ -292,7 +269,7 @@ def _cmd_kev(job: JobSpec, opts: dict) -> dict:
 
 def _cmd_t1_log(job: JobSpec, opts: dict) -> dict:
     d = _divisor_from_job(job)
-    basis = _certified_basis(job, d)
+    basis = _free_basis(d)
     params = job.param_indices()
     ext = job.ext_param_indices()
     if not params:
@@ -309,7 +286,7 @@ def _cmd_t1_log(job: JobSpec, opts: dict) -> dict:
 
 def _cmd_critical_ideal(job: JobSpec, opts: dict) -> dict:
     d = _divisor_from_job(job)
-    basis = _certified_basis(job, d)
+    basis = _free_basis(d)
     params = job.param_indices()
     if not params:
         raise PreconditionError("critical-ideal needs 'params'")
@@ -327,9 +304,8 @@ def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
     if job.target_divisor_text is not None and job.map_text is not None:
         e_basis = _target_basis(job)
         imap = _inducing_map(job)
-        weights = _source_weights(job)
-        setup = DeformationSetup(e_basis, imap, weights=weights)
-        if weights is not None:
+        setup = DeformationSetup(e_basis, imap, weights=job.weights)
+        if setup.weights is not None:
             try:
                 routes["derham"] = mu_e_derham(setup, bound=opts.get("degree-bound", 20),
                                                window=opts.get("window", 4))
@@ -342,7 +318,7 @@ def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
         d = _divisor_from_job(job)
         params = job.param_indices()
         try:
-            basis = _certified_basis(job, d)
+            basis = _free_basis(d)
             routes["alternating"] = mu_e_alternating(basis, params, opts.get("order"))
         except (PreconditionError, DeformationError) as exc:
             errors["alternating"] = str(exc)
@@ -382,8 +358,9 @@ def _cmd_ae_codim(job: JobSpec, opts: dict) -> dict:
     rec_cert = {}
     agreement = None
     if job.unfolding_discriminant_text is not None and job.inclusion_text is not None:
-        df_basis = _free_basis(job.unfolding_target, job.unfolding_discriminant_poly(),
-                               job.unfolding_weights, "unfolding discriminant")
+        df_basis = _free_basis(_weighted_divisor(job.unfolding_target,
+                                                 job.unfolding_discriminant_poly(),
+                                                 job.unfolding_weights), "unfolding discriminant")
         rec_cert["discriminant_saito_basis"] = _basis_record(df_basis)
         incl = InducingMap(job.target_ring, job.unfolding_target, job.inclusion_polys())
         damon = ae_codim_damon(df_basis, incl, weights=job.target_weights,
@@ -403,7 +380,7 @@ def _cmd_ae_codim(job: JobSpec, opts: dict) -> dict:
 
 def _cmd_fitting_reduced(job: JobSpec, opts: dict) -> dict:
     d = _divisor_from_job(job)
-    basis = _certified_basis(job, d)
+    basis = _free_basis(d)
     params = job.param_indices()
     if len(params) != 1:
         raise PreconditionError("fitting-reduced needs exactly one parameter")
@@ -505,9 +482,7 @@ def main(argv: Optional[list] = None) -> int:
                       f"command line says {args.command!r}", file=sys.stderr)
                 return 2
             job.command = args.command
-        overrides = {"degree-bound": args.degree_bound, "order": args.order,
-                     "seed": args.seed, "form-degree": args.form_degree,
-                     "jet-cap": args.jet_cap}
+        overrides = {k: getattr(args, k.replace("-", "_"), None) for k in OPTION_DOMAINS}
         record = run_job(job, overrides)
     except (JobError, ParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -13,7 +13,8 @@ from math import comb
 from typing import Optional, Sequence
 
 from .forms import cokernel_slice_dims, forms_pullback, stabilized_sum
-from .groebner import LinSpace, QuotientTable, normal_form, quotient_dimension
+from .groebner import (LinSpace, QuotientTable, monomials_of_weight, normal_form,
+                       quotient_dimension)
 from .logarithmic import Divisor, LogBasis, apply_field, derlog_h, euler_field
 from .module import INFINITE, FreeElement, ModulePresentation
 from .order import MonomialOrder
@@ -140,22 +141,29 @@ def t1_log(total_basis: LogBasis, param_indices: Sequence[int],
 def _t1_presentation(total_basis: LogBasis, param_indices: Sequence[int],
                      kill_indices: Sequence[int], order: Optional[MonomialOrder]):
     """The presentation of `t1_log` and the monomial order it is read in."""
-    n = total_basis.n
     nv = total_basis.divisor.h.nvars
-    d = len(param_indices)
-    if d == 0:
+    if not param_indices:
         raise DeformationError("at least one deformation parameter required")
+    pres = _parameter_rows(total_basis.theta, param_indices, kill_indices, nv)
+    return pres, (order or total_basis.divisor.order()).with_nvars(nv)
+
+
+def _parameter_rows(fields: Sequence[Sequence[Poly]], param_indices: Sequence[int],
+                    kill_indices: Sequence[int], nv: int) -> ModulePresentation:
+    """The free module on the parameter directions modulo the parameter rows
+    of the fields (given by their coefficients) and the kill parameters
+    times every direction."""
+    d = len(param_indices)
     rels = []
-    for j in range(n):
-        col = FreeElement([total_basis.theta[j][i] for i in param_indices])
+    for f in fields:
+        col = FreeElement([f[i] for i in param_indices])
         if not col.is_zero():
             rels.append(col)
     for kill in kill_indices:
         s = Poly.variable(nv, kill)
         for a in range(d):
             rels.append(FreeElement.unit(d, nv, a).scale(s))
-    pres = ModulePresentation(d, rels, nvars=nv)
-    return pres, (order or total_basis.divisor.order()).with_nvars(nv)
+    return ModulePresentation(d, rels, nvars=nv)
 
 
 def theta_prime_minors(total_basis: LogBasis, param_indices: Sequence[int],
@@ -232,19 +240,9 @@ def mu_e_good_equation(total_h: Poly, param_indices: Sequence[int],
     if apply_field(witness, total_h) != total_h:
         raise DeformationError("good-equation witness fails chi(h) = h")
     nv = total_h.nvars
-    d = len(param_indices)
     dummy = Divisor([f"v{i}" for i in range(nv)], total_h, check_reduced=False)
-    fields = derlog_h(dummy, order)
-    rels = []
-    for f in fields:
-        col = FreeElement([f.entries[i] for i in param_indices])
-        if not col.is_zero():
-            rels.append(col)
-    for kill in param_indices:
-        s = Poly.variable(nv, kill)
-        for a in range(d):
-            rels.append(FreeElement.unit(d, nv, a).scale(s))
-    pres = ModulePresentation(d, rels, nvars=nv)
+    fields = [f.entries for f in derlog_h(dummy, order)]
+    pres = _parameter_rows(fields, param_indices, param_indices, nv)
     use_order = order or (MonomialOrder("wdegrevlex", weights) if weights else MonomialOrder())
     return quotient_dimension(pres, use_order.with_nvars(nv))
 
@@ -307,10 +305,11 @@ def ae_normal_space_direct(components: Sequence[Poly], cap: int = 20):
     prev = None
     for N in range(1, cap + 1):
         span = SparseLinSpace()
+        monomials = [e for deg in range(N + 1) for e in monomials_of_weight(n, (1,) * n, deg)]
         # source-field images: monomial times each Jacobian column
         for v in range(n):
             col = partial_cols[v]
-            for e in _monomials_up_to(n, N):
+            for e in monomials:
                 shifted = [Poly(n, {tuple(a + b for a, b in zip(e2, e)): c
                                     for e2, c in q.terms.items()}) for q in col]
                 vec = _truncate_vec(shifted, N)
@@ -331,22 +330,6 @@ def ae_normal_space_direct(components: Sequence[Poly], cap: int = 20):
             return c_N
         prev = c_N
     return INFINITE_OR_UNSTABLE
-
-
-def _monomials_up_to(n: int, bound: int):
-    out = []
-
-    def rec(i, remaining, prefix):
-        if i == n:
-            out.append(tuple(prefix))
-            return
-        for a in range(remaining + 1):
-            prefix.append(a)
-            rec(i + 1, remaining - a, prefix)
-            prefix.pop()
-
-    rec(0, bound, [])
-    return out
 
 
 def _component_powers(components: Sequence[Poly], orders: Sequence[int], bound: int):

@@ -50,7 +50,7 @@ def wedge(n: int, ka: int, a: FreeElement, kb: int, b: FreeElement) -> FreeEleme
     k = ka + kb
     nv = a.nvars
     if k > n:
-        return zero_form(n, 0, nv).scale(0) if form_rank(n, k) == 0 else FreeElement.zero(form_rank(n, k), nv)
+        return zero_form(n, k, nv)
     basis_a = form_basis(n, ka)
     basis_b = form_basis(n, kb)
     idx = form_index(n, k)
@@ -78,7 +78,7 @@ def ext_d(n: int, k: int, a: FreeElement) -> FreeElement:
     """Exterior derivative of a k-form."""
     nv = a.nvars
     if k >= n:
-        return FreeElement.zero(max(form_rank(n, k + 1), 1), nv)
+        return zero_form(n, k + 1, nv)
     basis = form_basis(n, k)
     idx = form_index(n, k + 1)
     out = [Poly.zero(nv) for _ in range(form_rank(n, k + 1))]

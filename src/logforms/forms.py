@@ -174,12 +174,8 @@ def forms_relative(e_basis: LogBasis, components: Sequence[Poly], source_names: 
                    weights: Optional[Sequence[int]] = None) -> CheckedFormsModule:
     """Relative forms of a family: pulled-back ideal plus parameter differentials."""
     n = len(source_names)
-    nv = components[0].nvars
-    gens = pullback_relation_generators(e_basis, components, n, k)
-    params = set(param_indices)
-    for I in form_basis(n, k):
-        if set(I) & params:
-            gens.append(monomial_form(n, k, nv, I, Poly.constant(nv, 1)))
+    gens = (pullback_relation_generators(e_basis, components, n, k)
+            + _parameter_differentials(n, k, components[0].nvars, param_indices))
     h0 = e_basis.divisor.h.compose(list(components))
     return CheckedFormsModule(source_names, n, k, gens, h0, weights=weights, kind="relative")
 
@@ -188,12 +184,15 @@ def forms_free_relative(basis: LogBasis, param_indices: Sequence[int], k: int) -
     """Relative forms when the total space itself carries a free-divisor certificate."""
     d = basis.divisor
     n = d.nvars
-    gens = log_form_generators(basis, k)
-    params = set(param_indices)
-    for I in form_basis(n, k):
-        if set(I) & params:
-            gens.append(monomial_form(n, k, d.h.nvars, I, Poly.constant(d.h.nvars, 1)))
+    gens = log_form_generators(basis, k) + _parameter_differentials(n, k, d.h.nvars, param_indices)
     return CheckedFormsModule(d.names, n, k, gens, d.h, weights=d.weights, kind="relative")
+
+
+def _parameter_differentials(n: int, k: int, nv: int, param_indices: Sequence[int]) -> list:
+    """The basis k-forms dx_I that contain the differential of a parameter."""
+    params = set(param_indices)
+    return [monomial_form(n, k, nv, I, Poly.constant(nv, 1))
+            for I in form_basis(n, k) if set(I) & params]
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +243,8 @@ def subquotient_dimension(big_gens: Sequence[FreeElement], small_gens: Sequence[
 
 def torsion_length(m: CheckedFormsModule, max_steps: int = 30):
     """C-dimension of the elements killed by a power of the maximal ideal."""
-    order = m.order()
-    nv = m.nvars
-    variables = [Poly.variable(nv, i) for i in range(nv)]
-    sat = saturate(m.relations, m.rank, variables, order, max_steps=max_steps)
-    dim = subquotient_dimension(sat, m.relations, order, nv)
-    return dim
+    return subquotient_dimension(torsion_saturation(m, max_steps), m.relations, m.order(),
+                                 m.nvars)
 
 
 def torsion_saturation(m: CheckedFormsModule, max_steps: int = 30) -> list:

@@ -64,15 +64,12 @@ class _Reducers:
     def __init__(self, vecs: Sequence[dict], key: Callable):
         self.key = key
         self.by_comp: dict = {}
-        self.items: list = []
         for v in vecs:
             self.add(v)
 
     def add(self, vec: dict):
         lt, lc = _leading(vec, self.key)
-        entry = (lt, lc, vec)
-        self.items.append(entry)
-        self.by_comp.setdefault(lt[0], []).append(entry)
+        self.by_comp.setdefault(lt[0], []).append((lt, lc, vec))
 
     def find(self, term: tuple):
         comp, expo = term
@@ -121,8 +118,7 @@ def _reduce_full(f: dict, reducers: _Reducers, key: Callable, cofactors: Optiona
 # Buchberger
 
 
-def _buchberger_vecs(inputs: Sequence[dict], order: MonomialOrder, rank: int,
-                     is_ideal: bool) -> list:
+def _buchberger_vecs(inputs: Sequence[dict], order: MonomialOrder, is_ideal: bool) -> list:
     key = order.term_key
     G: list = []
     for v in inputs:
@@ -233,7 +229,7 @@ def groebner_basis(generators: Sequence[FreeElement], order: MonomialOrder) -> l
         return []
     rank, nvars = generators[0].rank, generators[0].nvars
     order = order.with_nvars(nvars)
-    basis = _buchberger_vecs([g.vec() for g in generators], order, rank, rank == 1)
+    basis = _buchberger_vecs([g.vec() for g in generators], order, rank == 1)
     return [FreeElement.from_vec(rank, nvars, v) for v in basis]
 
 
@@ -291,6 +287,20 @@ def submodules_equal(gens_a: Sequence[FreeElement], gens_b: Sequence[FreeElement
     return submodule_contains(gba, gens_b, order) and submodule_contains(gbb, gens_a, order)
 
 
+def _tagged_basis(gens: Sequence[FreeElement], order: MonomialOrder) -> list:
+    """Reduced Groebner basis of the generators, generator i extended by the
+    unit vector in component rank + i, so the components from rank on record
+    how each basis element combines the generators."""
+    rank, nvars = gens[0].rank, gens[0].nvars
+    zero_e = tuple([0] * nvars)
+    tagged = []
+    for i, g in enumerate(gens):
+        v = g.vec()
+        v[(rank + i, zero_e)] = Fraction(1)
+        tagged.append(v)
+    return _buchberger_vecs(tagged, order, False)
+
+
 def syzygy_module(columns: Sequence[FreeElement],
                   order: Optional[MonomialOrder] = None) -> list:
     """Generators of the module of relations sum(a_i * column_i) = 0."""
@@ -298,15 +308,8 @@ def syzygy_module(columns: Sequence[FreeElement],
     if not columns:
         return []
     rank, nvars = columns[0].rank, columns[0].nvars
-    order = (order or MonomialOrder()).with_nvars(nvars)
     s = len(columns)
-    tagged = []
-    zero_e = tuple([0] * nvars)
-    for i, g in enumerate(columns):
-        v = g.vec()
-        v[(rank + i, zero_e)] = Fraction(1)
-        tagged.append(v)
-    basis = _buchberger_vecs(tagged, order, rank + s, False)
+    basis = _tagged_basis(columns, (order or MonomialOrder()).with_nvars(nvars))
     syz = []
     for v in basis:
         if all(c >= rank for (c, _) in v):
@@ -327,13 +330,7 @@ def lift_over_generators(f: FreeElement, gens: Sequence[FreeElement],
     rank, nvars = gens[0].rank, gens[0].nvars
     order = (order or MonomialOrder()).with_nvars(nvars)
     s = len(gens)
-    zero_e = tuple([0] * nvars)
-    tagged = []
-    for i, g in enumerate(gens):
-        v = g.vec()
-        v[(rank + i, zero_e)] = Fraction(1)
-        tagged.append(v)
-    basis = _buchberger_vecs(tagged, order, rank + s, False)
+    basis = _tagged_basis(gens, order)
     key = order.term_key
     reducers = _Reducers(basis, key)
     reduced = _reduce_full(f.vec(), reducers, key)
@@ -466,7 +463,7 @@ def _is_standard(leads: Sequence[tuple], e: tuple) -> bool:
     return not any(mono_divides(l, e) for l in leads)
 
 
-def _monomials_of_weight(nvars: int, weights: Sequence[int], target: int):
+def monomials_of_weight(nvars: int, weights: Sequence[int], target: int):
     """All exponent tuples with given weighted degree (weights positive)."""
     out: list = []
 
@@ -525,7 +522,7 @@ class QuotientTable:
             raise ModuleError("graded dimension tables need a grading")
         out = []
         for comp, leads in enumerate(self.leads):
-            for e in _monomials_of_weight(self.pres.nvars, g.weights, degree - g.shifts[comp]):
+            for e in monomials_of_weight(self.pres.nvars, g.weights, degree - g.shifts[comp]):
                 if _is_standard(leads, e):
                     out.append((comp, e))
         return out

@@ -1,23 +1,14 @@
 """Declarative job files: parsing, validation and canonical echo.
 
-Grammar (statements end with ';', comments run from '#' to end of line):
+A job is a list of statements, each ending with ';'; comments run from '#' to
+end of line.  `STATEMENTS` declares every statement but two, in echo order,
+and the shape of its argument:
 
-    ring { x, y, z };
-    weights ( 1, 1, 1 );
-    params { s };
-    ext-params { t };
-    divisor "x*y*z";
-    fields { ("x", "0", "0"), ("0", "y", "0") };
-    target-ring { w1, w2 };
-    target-divisor "w1*w2";
-    target-weights ( 1, 1 );
-    map ( "x", "x+y" );
-    unfolding-ring { x, u, y };
-    unfolding-target { X, U, W };
-    unfolding-map ( "x", "u", "y^3+x^2*y+u*y" );
-    unfolding-discriminant "4*(U+X^2)^3+27*W^2";
-    unfolding-weights ( 1, 2, 3 );
-    inclusion ( "X", "0", "W" );
+    ring { x, y, z };                        # names
+    weights ( 1, 1, 1 );                     # ints
+    divisor "x*y*z";                         # string
+    map ( "x", "x+y" );                      # strings
+    fields { ("x", "0", "0"), ("0", "y", "0") };   # fields (string lists)
     command is-free;
     option degree-bound 20;
 
@@ -27,9 +18,79 @@ integer or a/b rational coefficients).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from .poly import ParseError, Poly, parse_poly
+
+
+# The job language: statement keyword -> (JobSpec attribute, argument shape),
+# in echo order.  `command` and `option` are parsed on their own.
+STATEMENTS = {
+    "ring": ("ring", "names"),
+    "weights": ("weights", "ints"),
+    "params": ("params", "names"),
+    "ext-params": ("ext_params", "names"),
+    "divisor": ("divisor_text", "string"),
+    "fields": ("fields_text", "fields"),
+    "target-ring": ("target_ring", "names"),
+    "target-weights": ("target_weights", "ints"),
+    "target-divisor": ("target_divisor_text", "string"),
+    "map": ("map_text", "strings"),
+    "unfolding-ring": ("unfolding_ring", "names"),
+    "unfolding-target": ("unfolding_target", "names"),
+    "unfolding-map": ("unfolding_map_text", "strings"),
+    "unfolding-discriminant": ("unfolding_discriminant_text", "string"),
+    "unfolding-weights": ("unfolding_weights", "ints"),
+    "inclusion": ("inclusion_text", "strings"),
+}
+
+# Per list shape: its brackets, the token kind of one item (or the shape of a
+# nested list) and the item's name in error messages.
+_LISTS = {"names": ("{", "}", "word", "identifier"),
+          "ints": ("(", ")", "int", "integer"),
+          "strings": ("(", ")", "string", "quoted polynomial"),
+          "fields": ("{", "}", "strings", None)}
+
+
+
+def _quoted(texts) -> str:
+    return ", ".join(f'"{t}"' for t in texts)
+
+
+# The canonical echo of an argument, per shape.  Field vectors are written
+# with tight parentheses, string lists with padded ones.
+_ECHO = {"names": lambda v: "{ " + ", ".join(v) + " }",
+         "ints": lambda v: "( " + ", ".join(map(str, v)) + " )",
+         "string": lambda v: f'"{v}"',
+         "strings": lambda v: "( " + _quoted(v) + " )",
+         "fields": lambda v: "{ " + ", ".join(f"({_quoted(vec)})" for vec in v) + " }"}
+
+# Validation: the variable lists, which must not repeat a name; each weights
+# statement with the ring it grades; and each polynomial statement with the
+# ring its polynomials live in, the ring each of its vectors must match in
+# length and the message when one does not (None for a single polynomial),
+# and what one of its polynomials is called in error messages.
+_RINGS = ("ring", "target-ring", "unfolding-ring", "unfolding-target")
+_WEIGHTED = (("weights", "ring"), ("target-weights", "target-ring"),
+             ("unfolding-weights", "unfolding-target"))
+_POLYNOMIALS = (
+    ("divisor", "ring", None, None, "divisor"),
+    ("target-divisor", "target-ring", None, None, "target-divisor"),
+    ("map", "ring", "target-ring", "map needs one component per target variable",
+     "map component"),
+    ("fields", "ring", "ring", "each field needs one coefficient per ring variable",
+     "field coefficient"),
+    ("unfolding-map", "unfolding-ring", "unfolding-target",
+     "unfolding-map needs one component per unfolding-target variable",
+     "unfolding-map component"),
+    ("unfolding-discriminant", "unfolding-target", None, None, "unfolding-discriminant"),
+    ("inclusion", "target-ring", "unfolding-target",
+     "inclusion needs one component per unfolding-target variable", "inclusion component"),
+)
+
+
+def _default(shape: str):
+    return [] if shape == "names" else None
 
 
 COMMANDS = (
@@ -153,25 +214,12 @@ class _JobTokens:
 
 
 class JobSpec:
-    """Validated job: rings, objects, command and options."""
+    """Validated job: one attribute per statement of `STATEMENTS` (a `names`
+    statement defaults to [], any other to None), the command and options."""
 
     def __init__(self):
-        self.ring: list = []
-        self.weights: Optional[list] = None
-        self.params: list = []
-        self.ext_params: list = []
-        self.divisor_text: Optional[str] = None
-        self.fields_text: Optional[list] = None
-        self.target_ring: list = []
-        self.target_weights: Optional[list] = None
-        self.target_divisor_text: Optional[str] = None
-        self.map_text: Optional[list] = None
-        self.unfolding_ring: list = []
-        self.unfolding_target: list = []
-        self.unfolding_map_text: Optional[list] = None
-        self.unfolding_discriminant_text: Optional[str] = None
-        self.unfolding_weights: Optional[list] = None
-        self.inclusion_text: Optional[list] = None
+        for attr, shape in STATEMENTS.values():
+            setattr(self, attr, _default(shape))
         self.command: Optional[str] = None
         self.options: dict = {}
 
@@ -205,39 +253,10 @@ class JobSpec:
 
     def echo(self) -> str:
         out = []
-        if self.ring:
-            out.append("ring { " + ", ".join(self.ring) + " };")
-        if self.weights is not None:
-            out.append("weights ( " + ", ".join(str(w) for w in self.weights) + " );")
-        if self.params:
-            out.append("params { " + ", ".join(self.params) + " };")
-        if self.ext_params:
-            out.append("ext-params { " + ", ".join(self.ext_params) + " };")
-        if self.divisor_text is not None:
-            out.append(f'divisor "{self.divisor_text}";')
-        if self.fields_text is not None:
-            vecs = ", ".join("(" + ", ".join(f'"{t}"' for t in vec) + ")" for vec in self.fields_text)
-            out.append("fields { " + vecs + " };")
-        if self.target_ring:
-            out.append("target-ring { " + ", ".join(self.target_ring) + " };")
-        if self.target_weights is not None:
-            out.append("target-weights ( " + ", ".join(str(w) for w in self.target_weights) + " );")
-        if self.target_divisor_text is not None:
-            out.append(f'target-divisor "{self.target_divisor_text}";')
-        if self.map_text is not None:
-            out.append("map ( " + ", ".join(f'"{t}"' for t in self.map_text) + " );")
-        if self.unfolding_ring:
-            out.append("unfolding-ring { " + ", ".join(self.unfolding_ring) + " };")
-        if self.unfolding_target:
-            out.append("unfolding-target { " + ", ".join(self.unfolding_target) + " };")
-        if self.unfolding_map_text is not None:
-            out.append("unfolding-map ( " + ", ".join(f'"{t}"' for t in self.unfolding_map_text) + " );")
-        if self.unfolding_discriminant_text is not None:
-            out.append(f'unfolding-discriminant "{self.unfolding_discriminant_text}";')
-        if self.unfolding_weights is not None:
-            out.append("unfolding-weights ( " + ", ".join(str(w) for w in self.unfolding_weights) + " );")
-        if self.inclusion_text is not None:
-            out.append("inclusion ( " + ", ".join(f'"{t}"' for t in self.inclusion_text) + " );")
+        for kw, (attr, shape) in STATEMENTS.items():
+            value = getattr(self, attr)
+            if value != _default(shape):
+                out.append(f"{kw} {_ECHO[shape](value)};")
         if self.command:
             out.append(f"command {self.command};")
         for k in sorted(self.options):
@@ -248,67 +267,23 @@ class JobSpec:
         return isinstance(other, JobSpec) and self.__dict__ == other.__dict__
 
 
-def _parse_name_list(toks: _JobTokens) -> list:
-    toks.expect("{")
-    names = []
-    while True:
-        t = toks.next()
-        if t[0] == "}":
-            break
-        if t[0] != "word":
-            raise JobError(f"expected identifier, found {t[1]!r}", t[2], t[3])
-        names.append(t[1])
-        nxt = toks.peek()
-        if nxt[0] == ",":
-            toks.next()
-    return names
-
-
-def _parse_int_list(toks: _JobTokens) -> list:
-    toks.expect("(")
+def _parse_list(toks: _JobTokens, shape: str) -> list:
+    """A bracketed list of one shape; the commas between items are optional."""
+    opening, closing, item, what = _LISTS[shape]
+    toks.expect(opening)
     vals = []
-    while True:
-        t = toks.next()
-        if t[0] == ")":
-            break
-        if t[0] != "int":
-            raise JobError(f"expected integer, found {t[1]!r}", t[2], t[3])
-        vals.append(int(t[1]))
-        nxt = toks.peek()
-        if nxt[0] == ",":
+    while toks.peek()[0] != closing:
+        if item in _LISTS:
+            vals.append(_parse_list(toks, item))
+        else:
+            t = toks.next()
+            if t[0] != item:
+                raise JobError(f"expected {what}, found {t[1]!r}", t[2], t[3])
+            vals.append(int(t[1]) if item == "int" else t[1])
+        if toks.peek()[0] == ",":
             toks.next()
+    toks.next()
     return vals
-
-
-def _parse_string_list(toks: _JobTokens) -> list:
-    toks.expect("(")
-    vals = []
-    while True:
-        t = toks.next()
-        if t[0] == ")":
-            break
-        if t[0] != "string":
-            raise JobError(f"expected quoted polynomial, found {t[1]!r}", t[2], t[3])
-        vals.append(t[1])
-        nxt = toks.peek()
-        if nxt[0] == ",":
-            toks.next()
-    return vals
-
-
-def _parse_field_vectors(toks: _JobTokens) -> list:
-    toks.expect("{")
-    vecs = []
-    while True:
-        t = toks.peek()
-        if t[0] == "}":
-            toks.next()
-            break
-        vecs.append(_parse_string_list(toks))
-        nxt = toks.peek()
-        if nxt[0] == ",":
-            toks.next()
-    return vecs
 
 
 def parse_job(text: str) -> JobSpec:
@@ -322,41 +297,10 @@ def parse_job(text: str) -> JobSpec:
         if t[0] != "word":
             raise JobError(f"expected statement keyword, found {t[1]!r}", t[2], t[3])
         kw = t[1]
-        if kw == "ring":
-            job.ring = _parse_name_list(toks)
-        elif kw == "weights":
-            job.weights = _parse_int_list(toks)
-        elif kw == "params":
-            job.params = _parse_name_list(toks)
-        elif kw == "ext-params":
-            job.ext_params = _parse_name_list(toks)
-        elif kw == "divisor":
-            s = toks.expect("string")
-            job.divisor_text = s[1]
-        elif kw == "fields":
-            job.fields_text = _parse_field_vectors(toks)
-        elif kw == "target-ring":
-            job.target_ring = _parse_name_list(toks)
-        elif kw == "target-weights":
-            job.target_weights = _parse_int_list(toks)
-        elif kw == "target-divisor":
-            s = toks.expect("string")
-            job.target_divisor_text = s[1]
-        elif kw == "map":
-            job.map_text = _parse_string_list(toks)
-        elif kw == "unfolding-ring":
-            job.unfolding_ring = _parse_name_list(toks)
-        elif kw == "unfolding-target":
-            job.unfolding_target = _parse_name_list(toks)
-        elif kw == "unfolding-map":
-            job.unfolding_map_text = _parse_string_list(toks)
-        elif kw == "unfolding-discriminant":
-            s = toks.expect("string")
-            job.unfolding_discriminant_text = s[1]
-        elif kw == "unfolding-weights":
-            job.unfolding_weights = _parse_int_list(toks)
-        elif kw == "inclusion":
-            job.inclusion_text = _parse_string_list(toks)
+        if kw in STATEMENTS:
+            attr, shape = STATEMENTS[kw]
+            value = toks.expect("string")[1] if shape == "string" else _parse_list(toks, shape)
+            setattr(job, attr, value)
         elif kw == "command":
             c = toks.next()
             if c[0] != "word" or c[1] not in COMMANDS:
@@ -380,6 +324,9 @@ def parse_job(text: str) -> JobSpec:
 
 
 def _validate(job: JobSpec, text: str):
+    def arg(kw: str):
+        return getattr(job, STATEMENTS[kw][0])
+
     def find_pos(needle: str):
         pos = text.find(needle)
         if pos < 0:
@@ -388,66 +335,37 @@ def _validate(job: JobSpec, text: str):
         col = pos - (text.rfind("\n", 0, pos) + 1) + 1
         return line, col
 
-    for group, ring in (("ring", job.ring), ("target-ring", job.target_ring),
-                        ("unfolding-ring", job.unfolding_ring),
-                        ("unfolding-target", job.unfolding_target)):
-        if len(set(ring)) != len(ring):
-            raise JobError(f"duplicate variable in {group}")
-    if job.weights is not None:
-        if len(job.weights) != len(job.ring):
-            raise JobError("weights length does not match ring")
-        if any(w <= 0 for w in job.weights):
-            raise JobError("weights must be strictly positive")
-    if job.target_weights is not None:
-        if len(job.target_weights) != len(job.target_ring):
-            raise JobError("target-weights length does not match target-ring")
-        if any(w <= 0 for w in job.target_weights):
-            raise JobError("target-weights must be strictly positive")
+    for kw in _RINGS:
+        if len(set(arg(kw))) != len(arg(kw)):
+            raise JobError(f"duplicate variable in {kw}")
+    for kw, ring in _WEIGHTED:
+        weights = arg(kw)
+        if weights is not None:
+            if len(weights) != len(arg(ring)):
+                raise JobError(f"{kw} length does not match {ring}")
+            if any(w <= 0 for w in weights):
+                raise JobError(f"{kw} must be strictly positive")
     for p in job.params + job.ext_params:
         if p not in job.ring:
             line, col = find_pos(p)
             raise JobError(f"parameter {p!r} is not a ring variable", line, col)
-    # polynomial syntax and variable scope
-    def check_poly(txt: str, names: Sequence[str], what: str):
-        try:
-            parse_poly(txt, names)
-        except ParseError as exc:
-            line, col = find_pos(txt)
-            raise JobError(f"{what}: {exc.message}", line, col) from exc
-
-    if job.divisor_text is not None:
-        if not job.ring:
-            raise JobError("divisor given without a ring")
-        check_poly(job.divisor_text, job.ring, "divisor")
-    if job.target_divisor_text is not None:
-        check_poly(job.target_divisor_text, job.target_ring, "target-divisor")
-    if job.map_text is not None:
-        if len(job.map_text) != len(job.target_ring):
-            raise JobError("map needs one component per target variable")
-        for c in job.map_text:
-            check_poly(c, job.ring, "map component")
-    if job.fields_text is not None:
-        for vec in job.fields_text:
-            if len(vec) != len(job.ring):
-                raise JobError("each field needs one coefficient per ring variable")
-            for c in vec:
-                check_poly(c, job.ring, "field coefficient")
-    if job.unfolding_map_text is not None:
-        if len(job.unfolding_map_text) != len(job.unfolding_target):
-            raise JobError("unfolding-map needs one component per unfolding-target variable")
-        for c in job.unfolding_map_text:
-            check_poly(c, job.unfolding_ring, "unfolding-map component")
-    if job.unfolding_discriminant_text is not None:
-        check_poly(job.unfolding_discriminant_text, job.unfolding_target, "unfolding-discriminant")
-    if job.unfolding_weights is not None:
-        if len(job.unfolding_weights) != len(job.unfolding_target):
-            raise JobError("unfolding-weights length does not match unfolding-target")
-        if any(w <= 0 for w in job.unfolding_weights):
-            raise JobError("unfolding-weights must be strictly positive")
-    if job.inclusion_text is not None:
-        if not job.target_ring:
-            raise JobError("inclusion needs a target-ring (the source of the inclusion)")
-        if len(job.inclusion_text) != len(job.unfolding_target):
-            raise JobError("inclusion needs one component per unfolding-target variable")
-        for c in job.inclusion_text:
-            check_poly(c, job.target_ring, "inclusion component")
+    if job.divisor_text is not None and not job.ring:
+        raise JobError("divisor given without a ring")
+    if job.inclusion_text is not None and not job.target_ring:
+        raise JobError("inclusion needs a target-ring (the source of the inclusion)")
+    # arity, polynomial syntax and variable scope
+    for kw, ring, arity, arity_message, what in _POLYNOMIALS:
+        value = arg(kw)
+        if value is None:
+            continue
+        shape = STATEMENTS[kw][1]
+        vectors = value if shape == "fields" else [value] if shape == "strings" else [[value]]
+        for vec in vectors:
+            if arity is not None and len(vec) != len(arg(arity)):
+                raise JobError(arity_message)
+            for txt in vec:
+                try:
+                    parse_poly(txt, arg(ring))
+                except ParseError as exc:
+                    line, col = find_pos(txt)
+                    raise JobError(f"{what}: {exc.message}", line, col) from exc

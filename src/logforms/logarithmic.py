@@ -250,6 +250,15 @@ def _canonical_field_order(fields: list, order: MonomialOrder) -> list:
     return sorted(fields, key=lead_key, reverse=True)
 
 
+def _positive_certificate(d: Divisor, fields: list):
+    """`saito_check` of the fields, with the first field negated when the
+    certificate's unit comes out negative, so the unit is positive."""
+    basis, reason = saito_check(d, fields)
+    if basis is not None and basis.unit < 0:
+        basis, reason = saito_check(d, [-fields[0]] + fields[1:])
+    return basis, reason
+
+
 def is_free(d: Divisor, order: Optional[MonomialOrder] = None) -> FreenessVerdict:
     """Freeness test via minimal generators of the tangent-field module."""
     n = d.nvars
@@ -265,10 +274,7 @@ def is_free(d: Divisor, order: Optional[MonomialOrder] = None) -> FreenessVerdic
     if count > n:
         return FreenessVerdict(FreenessVerdict.NOT_FREE, generator_count=count)
     chosen = _canonical_field_order([fields[i] for i in idx], order or d.order())
-    basis, reason = saito_check(d, chosen)
-    if basis is not None and basis.unit < 0:
-        chosen = [-chosen[0]] + chosen[1:]
-        basis, reason = saito_check(d, chosen)
+    basis, reason = _positive_certificate(d, chosen)
     if basis is not None:
         return FreenessVerdict(FreenessVerdict.FREE, basis=basis, generator_count=n)
     # bounded search among the generator pool for a determinant certificate
@@ -280,11 +286,8 @@ def is_free(d: Divisor, order: Optional[MonomialOrder] = None) -> FreenessVerdic
         if tried > SUBSET_SEARCH_CAP:
             break
         cand = _canonical_field_order([fields[i] for i in subset], order or d.order())
-        basis, _ = saito_check(d, cand)
+        basis, _ = _positive_certificate(d, cand)
         if basis is not None:
-            if basis.unit < 0:
-                cand = [-cand[0]] + cand[1:]
-                basis, _ = saito_check(d, cand)
             return FreenessVerdict(FreenessVerdict.FREE, basis=basis, generator_count=n)
     return FreenessVerdict(FreenessVerdict.INCONCLUSIVE, generator_count=n,
                            reason=reason or "no determinant certificate found")

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from logforms.cli import main, run_job
-from logforms.jobio import JobError, parse_job
+from logforms.jobio import STATEMENTS, JobError, parse_job
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -140,3 +140,78 @@ def test_invalid_option_is_a_parse_error(tmp_path, capsys, jobname, extra, argv)
     job.write_text((JOBS / f"{jobname}.job").read_text() + extra + "\n")
     assert main(["--input", str(job), *argv]) == 2
     assert "parse error: option" in capsys.readouterr().err
+
+
+# One single-fault job per JobError site: (id, job text, message, (line, column)
+# of the fault, or None where the message carries no position).
+JOB_ERRORS = [
+    ("character", 'ring { x };\n@', "unexpected character '@'", (2, 1)),
+    ("unterminated", 'ring { x };\ndivisor "x;\n', "unterminated string", (2, 9)),
+    ("keyword", "{ x };", "expected statement keyword, found '{'", (1, 1)),
+    ("statement", 'ring { x };\nsurface "x";', "unknown statement 'surface'", (2, 1)),
+    ("semicolon", 'ring { x }\ndivisor "x";', "expected ';', found 'divisor'", (2, 1)),
+    ("command", "command frobnicate;", "unknown command 'frobnicate'", (1, 9)),
+    ("option-key", "option 3 4;", "unknown option '3'", (1, 8)),
+    ("option-value", 'option seed "x";', "expected option value, found 'x'", (1, 13)),
+    ("names", "ring { x, 1 };", "expected identifier, found '1'", (1, 11)),
+    ("ints", "ring { x };\nweights ( a );", "expected integer, found 'a'", (2, 11)),
+    ("strings", "ring { x };\ntarget-ring { w };\nmap ( x );",
+     "expected quoted polynomial, found 'x'", (3, 7)),
+    ("field-vector", 'ring { x };\nfields { "x" };', "expected '(', found 'x'", (2, 10)),
+    ("duplicate-ring", "ring { x, x };", "duplicate variable in ring", None),
+    ("duplicate-target-ring", "target-ring { w, w };", "duplicate variable in target-ring", None),
+    ("duplicate-unfolding-ring", "unfolding-ring { u, u };",
+     "duplicate variable in unfolding-ring", None),
+    ("duplicate-unfolding-target", "unfolding-target { U, U };",
+     "duplicate variable in unfolding-target", None),
+    ("weights-length", "ring { x, y };\nweights ( 1 );", "weights length does not match ring", None),
+    ("weights-positive", "ring { x, y };\nweights ( 1, 0 );", "weights must be strictly positive", None),
+    ("target-weights-length", "target-ring { w };\ntarget-weights ( 1, 1 );",
+     "target-weights length does not match target-ring", None),
+    ("target-weights-positive", "target-ring { w };\ntarget-weights ( -1 );",
+     "target-weights must be strictly positive", None),
+    ("unfolding-weights-length", "unfolding-target { U };\nunfolding-weights ( );",
+     "unfolding-weights length does not match unfolding-target", None),
+    ("unfolding-weights-positive", "unfolding-target { U };\nunfolding-weights ( 0 );",
+     "unfolding-weights must be strictly positive", None),
+    ("params", "ring { x, y };\nparams { t };", "parameter 't' is not a ring variable", (2, 10)),
+    ("divisor", 'ring { x };\ndivisor "x*w";', "divisor: unknown variable 'w'", (2, 10)),
+    ("target-divisor", 'target-ring { w };\ntarget-divisor "w*x";',
+     "target-divisor: unknown variable 'x'", (2, 17)),
+    ("map", 'ring { x };\ntarget-ring { w };\nmap ( "y" );',
+     "map component: unknown variable 'y'", (3, 8)),
+    ("field", 'ring { x };\nfields { ("y") };', "field coefficient: unknown variable 'y'", (2, 12)),
+    ("unfolding-map", 'unfolding-ring { u };\nunfolding-target { U };\nunfolding-map ( "v" );',
+     "unfolding-map component: unknown variable 'v'", (3, 18)),
+    ("unfolding-discriminant", 'unfolding-target { U };\nunfolding-discriminant "V";',
+     "unfolding-discriminant: unknown variable 'V'", (2, 25)),
+    ("inclusion", 'target-ring { w };\nunfolding-target { U };\ninclusion ( "v" );',
+     "inclusion component: unknown variable 'v'", (3, 14)),
+    ("map-arity", 'ring { x };\ntarget-ring { w, z };\nmap ( "x" );',
+     "map needs one component per target variable", None),
+    ("field-arity", 'ring { x, y };\nfields { ("x") };',
+     "each field needs one coefficient per ring variable", None),
+    ("unfolding-map-arity", 'unfolding-ring { u };\nunfolding-target { U, V };\nunfolding-map ( "u" );',
+     "unfolding-map needs one component per unfolding-target variable", None),
+    ("inclusion-arity", 'target-ring { w };\nunfolding-target { U, V };\ninclusion ( "w" );',
+     "inclusion needs one component per unfolding-target variable", None),
+    ("divisor-without-ring", 'divisor "1";', "divisor given without a ring", None),
+    ("inclusion-without-ring", 'unfolding-target { U };\ninclusion ( "0" );',
+     "inclusion needs a target-ring (the source of the inclusion)", None),
+]
+
+
+@pytest.mark.parametrize("text, message, position", [c[1:] for c in JOB_ERRORS],
+                         ids=[c[0] for c in JOB_ERRORS])
+def test_job_error_message_and_position(text, message, position):
+    with pytest.raises(JobError) as exc:
+        parse_job(text + "\n")
+    assert exc.value.message == message
+    assert (exc.value.line, exc.value.col) == (position or (0, 0))
+
+
+def test_readme_grammar_lists_the_statement_table():
+    readme = (JOBS.parent / "README.md").read_text()
+    block = readme.split("### Job file grammar", 1)[1].split("```")[1]
+    keywords = [line.split()[0] for line in block.splitlines() if line.strip()]
+    assert keywords == [*STATEMENTS, "command", "option"]
