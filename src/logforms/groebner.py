@@ -9,9 +9,10 @@ deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd as int_gcd
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .module import INFINITE, FreeElement, Grading, ModulePresentation, ModuleError
 from .order import MonomialOrder, mono_div, mono_divides, mono_lcm, mono_mul
@@ -26,22 +27,36 @@ class StabilizationError(RuntimeError):
 # vec primitives
 
 
-def _leading(vec: dict, key: Callable):
-    t = max(vec, key=key)
+class _TermKeys(dict):
+    """Heap keys of module terms, memoised for one kernel call: the negated
+    `term_key`, so the greatest term comes first in a min-heap and under
+    `min`.  Each call makes its own; nothing outlives it."""
+
+    __slots__ = ("term_key",)
+
+    def __init__(self, order: MonomialOrder):
+        super().__init__()
+        self.term_key = order.term_key
+
+    def __missing__(self, t: tuple):
+        k = self[t] = tuple([-x for x in self.term_key(t)])
+        return k
+
+
+def _leading(vec: dict, keys: _TermKeys):
+    t = min(vec, key=keys.__getitem__)
     return t, vec[t]
 
 
-def _normalize(vec: dict, key: Callable) -> dict:
-    """Scale so coefficients are coprime integers and the lead coefficient is positive."""
-    if not vec:
-        return vec
+def _normalize(vec: dict, lc: Fraction) -> dict:
+    """Scale so coefficients are coprime integers and the lead coefficient
+    (`lc`, the current one) is positive."""
     denom = 1
     for c in vec.values():
         denom = denom * c.denominator // int_gcd(denom, c.denominator)
     numer = 0
     for c in vec.values():
         numer = int_gcd(numer, c.numerator * denom // c.denominator)
-    lt, lc = _leading(vec, key)
     sign = 1 if lc > 0 else -1
     factor = Fraction(denom, sign * numer)
     return {t: c * factor for t, c in vec.items()}
@@ -59,58 +74,81 @@ def _sub_scaled_shifted(target: dict, src: dict, coeff: Fraction, shift: tuple):
 
 
 class _Reducers:
-    """Basis elements bucketed by leading component for division."""
+    """Basis elements bucketed by leading component for division.  Each entry
+    is (lead term, lead coefficient, the other terms, position added)."""
 
-    def __init__(self, vecs: Sequence[dict], key: Callable):
-        self.key = key
+    def __init__(self):
         self.by_comp: dict = {}
-        for v in vecs:
-            self.add(v)
+        self.count = 0
 
-    def add(self, vec: dict):
-        lt, lc = _leading(vec, self.key)
-        self.by_comp.setdefault(lt[0], []).append((lt, lc, vec))
+    def add(self, lt: tuple, lc: Fraction, vec: dict):
+        tail = [(t, c) for t, c in vec.items() if t != lt]
+        self.by_comp.setdefault(lt[0], []).append((lt, lc, tail, self.count))
+        self.count += 1
 
     def find(self, term: tuple):
         comp, expo = term
-        for lt, lc, vec in self.by_comp.get(comp, ()):
-            if mono_divides(lt[1], expo):
-                return lt, lc, vec
+        for entry in self.by_comp.get(comp, ()):
+            if mono_divides(entry[0][1], expo):
+                return entry
         return None
 
 
-def _reduce_full(f: dict, reducers: _Reducers, key: Callable, cofactors: Optional[list] = None,
-                 index_of: Optional[dict] = None) -> dict:
-    """Full normal form of f against the reducers.
+def _reducers_of(vecs: Sequence[dict], keys: _TermKeys) -> _Reducers:
+    reducers = _Reducers()
+    for v in vecs:
+        reducers.add(*_leading(v, keys), v)
+    return reducers
 
-    When `cofactors` is given it must be a list of vec-dicts (one per original
-    basis element, rank 1 over the scalar ring) which accumulates the division
-    coefficients: f = sum(cofactor_i * basis_i) + result.
+
+def _reduce_full(f: dict, reducers: _Reducers, keys: _TermKeys,
+                 cofactors: Optional[list] = None) -> dict:
+    """Full normal form of f against the reducers.  Its terms come in
+    decreasing order, so the first one is its lead.
+
+    The pending terms sit in a heap with lazy deletion: a popped term that is
+    no longer pending was cancelled.  A reduction step pushes only the terms
+    it brings in, and every term it touches is smaller than the one reduced.
+
+    When `cofactors` is given it holds one dict per reducer (by position
+    added), which accumulates the division coefficients by exponent:
+    f = sum(cofactor_i * reducer_i) + result.
     """
     work = dict(f)
+    heap = [(keys[t], t) for t in work]
+    heapify(heap)
     result: dict = {}
-    while work:
-        t = max(work, key=key)
-        c = work.pop(t)
+    while heap:
+        t = heappop(heap)[1]
+        c = work.pop(t, None)
+        if c is None:
+            continue
         hit = reducers.find(t)
         if hit is None:
             result[t] = c
             continue
-        lt, lc, vec = hit
+        lt, lc, tail, pos = hit
         shift = mono_div(t[1], lt[1])
         factor = c / lc
-        work[t] = c  # reinstate so the subtraction cancels it
-        _sub_scaled_shifted(work, vec, factor, shift)
-        if cofactors is not None and index_of is not None:
-            idx = index_of.get(id(vec))
-            if idx is not None:
-                cof = cofactors[idx]
-                key2 = (0, shift)
-                s = cof.get(key2, 0) + factor
+        for (comp, e), v in tail:
+            u = (comp, mono_mul(e, shift))
+            old = work.get(u)
+            if old is None:
+                work[u] = -factor * v
+                heappush(heap, (keys[u], u))
+            else:
+                s = old - factor * v
                 if s:
-                    cof[key2] = s
+                    work[u] = s
                 else:
-                    cof.pop(key2, None)
+                    del work[u]
+        if cofactors is not None:
+            cof = cofactors[pos]
+            s = cof.get(shift, 0) + factor
+            if s:
+                cof[shift] = s
+            else:
+                cof.pop(shift, None)
     return result
 
 
@@ -119,57 +157,49 @@ def _reduce_full(f: dict, reducers: _Reducers, key: Callable, cofactors: Optiona
 
 
 def _buchberger_vecs(inputs: Sequence[dict], order: MonomialOrder, is_ideal: bool) -> list:
-    key = order.term_key
+    keys = _TermKeys(order)
+    mono_key = order.mono_key
     G: list = []
+    lts: list = []  # (lead term, lead coefficient) of G[i]
+    reducers = _Reducers()
+    # Pending pairs: the set answers the chain criterion's membership test,
+    # the heap hands them out by (lcm key, component, i, j), each lcm and its
+    # key computed once when the pair is pushed.
+    pairs = set()
+    queue: list = []
+
+    def add(vec: dict, lt: tuple):
+        lc = vec[lt]
+        j = len(G)
+        G.append(vec)
+        lts.append((lt, lc))
+        reducers.add(lt, lc, vec)
+        comp, e = lt
+        for i in range(j):
+            (ci, ei), _ = lts[i]
+            if ci == comp:
+                L = mono_lcm(ei, e)
+                pairs.add((i, j))
+                heappush(queue, (mono_key(L), comp, i, j, L))
+
     for v in inputs:
         if v:
-            G.append(_normalize(v, key))
-    lts = [_leading(g, key) for g in G]
+            lt, lc = _leading(v, keys)
+            add(_normalize(v, lc), lt)
 
-    def lcm_of(i: int, j: int):
-        (ci, ei), _ = lts[i]
-        (cj, ej), _ = lts[j]
-        if ci != cj:
-            return None
-        return (ci, mono_lcm(ei, ej))
-
-    pairs = set()
-    order_key_cache: dict = {}
-
-    def push_pairs(j: int):
-        for i in range(j):
-            L = lcm_of(i, j)
-            if L is None:
-                continue
-            pairs.add((i, j))
-
-    for j in range(len(G)):
-        push_pairs(j)
-
-    def pair_sort_key(p):
-        L = lcm_of(*p)
-        k = order_key_cache.get(L)
-        if k is None:
-            k = order.mono_key(L[1])
-            order_key_cache[L] = k
-        return (k, L[0], p[0], p[1])
-
-    reducers = _Reducers(G, key)
-    while pairs:
-        pair = min(pairs, key=pair_sort_key)
-        pairs.discard(pair)
-        i, j = pair
-        L = lcm_of(i, j)
-        (ci, ei), lci = lts[i]
-        (cj, ej), lcj = lts[j]
-        if is_ideal and mono_mul(ei, ej) == L[1]:
+    while queue:
+        _, comp, i, j, L = heappop(queue)
+        pairs.discard((i, j))
+        (_, ei), lci = lts[i]
+        (_, ej), lcj = lts[j]
+        if is_ideal and mono_mul(ei, ej) == L:
             continue  # product criterion: coprime leads (valid for ideals)
         chained = False
         for k in range(len(G)):
             if k == i or k == j:
                 continue
             (ck, ek), _ = lts[k]
-            if ck == L[0] and mono_divides(ek, L[1]):
+            if ck == comp and mono_divides(ek, L):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik not in pairs and pjk not in pairs:
@@ -178,34 +208,37 @@ def _buchberger_vecs(inputs: Sequence[dict], order: MonomialOrder, is_ideal: boo
         if chained:
             continue
         s: dict = {}
-        _sub_scaled_shifted(s, G[i], Fraction(-1, 1) / lci, mono_div(L[1], ei))
-        _sub_scaled_shifted(s, G[j], Fraction(1, 1) / lcj, mono_div(L[1], ej))
-        s = _reduce_full(s, reducers, key)
+        _sub_scaled_shifted(s, G[i], Fraction(-1, 1) / lci, mono_div(L, ei))
+        _sub_scaled_shifted(s, G[j], Fraction(1, 1) / lcj, mono_div(L, ej))
+        s = _reduce_full(s, reducers, keys)
         if s:
-            s = _normalize(s, key)
-            G.append(s)
-            lts.append(_leading(s, key))
-            reducers.add(s)
-            push_pairs(len(G) - 1)
-    return _interreduce(G, order)
+            lt = next(iter(s))
+            add(_normalize(s, s[lt]), lt)
+    return _interreduce(G, lts, keys)
 
 
-def _interreduce(G: Sequence[dict], order: MonomialOrder) -> list:
-    key = order.term_key
-    items = [(g, _leading(g, key)[0]) for g in G if g]
-    items.sort(key=lambda gl: key(gl[1]))
+def _interreduce(G: Sequence[dict], lts: Sequence[tuple], keys: _TermKeys) -> list:
+    """The reduced basis from a Groebner basis G with its leads, sorted by
+    increasing lead."""
+    items = sorted(((lt, lc, g) for g, (lt, lc) in zip(G, lts)),
+                   key=lambda item: keys[item[0]], reverse=True)
     kept: list = []
-    for g, lt in items:
-        if any(k_lt[0] == lt[0] and mono_divides(k_lt[1], lt[1]) for _, k_lt in kept):
+    reducers = _Reducers()
+    for lt, lc, g in items:
+        if any(k_lt[0] == lt[0] and mono_divides(k_lt[1], lt[1]) for k_lt, _, _ in kept):
             continue
-        kept.append((g, lt))
+        kept.append((lt, lc, g))
+        reducers.add(lt, lc, g)
+    # No other kept lead divides a kept lead (a smaller one would have
+    # dropped it, a larger one cannot divide it), and an element's own lead
+    # divides none of the smaller terms met while reducing its tail.  So the
+    # tail reduced against all kept elements is the element reduced against
+    # the others, less its lead, and the output stays in increasing order.
     out = []
-    for idx, (g, lt) in enumerate(kept):
-        others = _Reducers([h for jdx, (h, _) in enumerate(kept) if jdx != idx], key)
-        r = _reduce_full(g, others, key)
-        if r:
-            out.append(_normalize(r, key))
-    out.sort(key=lambda v: key(_leading(v, key)[0]))
+    for lt, lc, g in kept:
+        r = {lt: lc}
+        r.update(_reduce_full({t: c for t, c in g.items() if t != lt}, reducers, keys))
+        out.append(_normalize(r, lc))
     return out
 
 
@@ -239,11 +272,9 @@ def normal_form(f: FreeElement, basis: Sequence[FreeElement], order: MonomialOrd
         if f.rank != basis[0].rank:
             raise ModuleError("rank mismatch between element and basis")
         _check_family(basis)
-    order = order.with_nvars(f.nvars)
-    key = order.term_key
-    reducers = _Reducers([b.vec() for b in basis if not b.is_zero()], key)
-    r = _reduce_full(f.vec(), reducers, key)
-    return FreeElement.from_vec(f.rank, f.nvars, r)
+    keys = _TermKeys(order.with_nvars(f.nvars))
+    reducers = _reducers_of([b.vec() for b in basis if not b.is_zero()], keys)
+    return FreeElement.from_vec(f.rank, f.nvars, _reduce_full(f.vec(), reducers, keys))
 
 
 def normal_form_with_cofactors(f: FreeElement, basis: Sequence[FreeElement],
@@ -253,22 +284,15 @@ def normal_form_with_cofactors(f: FreeElement, basis: Sequence[FreeElement],
         if f.rank != basis[0].rank:
             raise ModuleError("rank mismatch between element and basis")
         _check_family(basis)
-    order = order.with_nvars(f.nvars)
-    key = order.term_key
-    vecs = [b.vec() for b in basis]
-    live = [v for v in vecs if v]
-    reducers = _Reducers(live, key)
-    index_of = {}
-    pos = 0
-    for i, v in enumerate(vecs):
-        if v:
-            index_of[id(live[pos])] = i
-            pos += 1
-    cof: list = [dict() for _ in basis]
-    r = _reduce_full(f.vec(), reducers, key, cofactors=cof, index_of=index_of)
-    rem = FreeElement.from_vec(f.rank, f.nvars, r)
-    cof_polys = [Poly(f.nvars, {e: c for (_, e), c in d.items()}) for d in cof]
-    return rem, cof_polys
+    keys = _TermKeys(order.with_nvars(f.nvars))
+    live = [i for i, b in enumerate(basis) if not b.is_zero()]
+    reducers = _reducers_of([basis[i].vec() for i in live], keys)
+    cof: list = [dict() for _ in live]
+    r = _reduce_full(f.vec(), reducers, keys, cofactors=cof)
+    cof_polys = [Poly.zero(f.nvars) for _ in basis]
+    for i, d in zip(live, cof):
+        cof_polys[i] = Poly(f.nvars, d)
+    return FreeElement.from_vec(f.rank, f.nvars, r), cof_polys
 
 
 def is_member(f: FreeElement, gb: Sequence[FreeElement], order: MonomialOrder) -> bool:
@@ -330,10 +354,8 @@ def lift_over_generators(f: FreeElement, gens: Sequence[FreeElement],
     rank, nvars = gens[0].rank, gens[0].nvars
     order = (order or MonomialOrder()).with_nvars(nvars)
     s = len(gens)
-    basis = _tagged_basis(gens, order)
-    key = order.term_key
-    reducers = _Reducers(basis, key)
-    reduced = _reduce_full(f.vec(), reducers, key)
+    keys = _TermKeys(order)
+    reduced = _reduce_full(f.vec(), _reducers_of(_tagged_basis(gens, order), keys), keys)
     if any(c < rank for (c, _) in reduced):
         return None
     coeffs = [dict() for _ in range(s)]
@@ -428,10 +450,10 @@ def saturate(relations: Sequence[FreeElement], rank: int, ideal_gens: Sequence[P
 
 def _lead_module(gb: Sequence[FreeElement], order: MonomialOrder, rank: int):
     """Minimal leading exponents per component."""
-    key = order.term_key
+    keys = _TermKeys(order)
     leads: list = [[] for _ in range(rank)]
     for g in gb:
-        (c, e), _ = _leading(g.vec(), key)
+        (c, e), _ = _leading(g.vec(), keys)
         leads[c].append(e)
     minimal: list = []
     for lst in leads:

@@ -65,12 +65,13 @@ _ECHO = {"names": lambda v: "{ " + ", ".join(v) + " }",
          "strings": lambda v: "( " + _quoted(v) + " )",
          "fields": lambda v: "{ " + ", ".join(f"({_quoted(vec)})" for vec in v) + " }"}
 
-# Validation: the variable lists, which must not repeat a name; each weights
+# Validation: the name lists, which must not repeat a name; each weights
 # statement with the ring it grades; and each polynomial statement with the
 # ring its polynomials live in, the ring each of its vectors must match in
 # length and the message when one does not (None for a single polynomial),
 # and what one of its polynomials is called in error messages.
-_RINGS = ("ring", "target-ring", "unfolding-ring", "unfolding-target")
+_NAME_LISTS = ("ring", "target-ring", "unfolding-ring", "unfolding-target", "params",
+               "ext-params")
 _WEIGHTED = (("weights", "ring"), ("target-weights", "target-ring"),
              ("unfolding-weights", "unfolding-target"))
 _POLYNOMIALS = (
@@ -290,6 +291,7 @@ def parse_job(text: str) -> JobSpec:
     """Parse and validate a job file; raises JobError with line/column."""
     toks = _JobTokens(text)
     job = JobSpec()
+    args: dict = {}  # statement keyword -> the tokens of its (last) argument
     while True:
         t = toks.next()
         if t[0] == "end":
@@ -299,8 +301,10 @@ def parse_job(text: str) -> JobSpec:
         kw = t[1]
         if kw in STATEMENTS:
             attr, shape = STATEMENTS[kw]
+            first = toks.pos
             value = toks.expect("string")[1] if shape == "string" else _parse_list(toks, shape)
             setattr(job, attr, value)
+            args[kw] = toks.toks[first:toks.pos]
         elif kw == "command":
             c = toks.next()
             if c[0] != "word" or c[1] not in COMMANDS:
@@ -319,23 +323,25 @@ def parse_job(text: str) -> JobSpec:
         else:
             raise JobError(f"unknown statement {kw!r}", t[2], t[3])
         toks.expect(";")
-    _validate(job, text)
+    _validate(job, args)
     return job
 
 
-def _validate(job: JobSpec, text: str):
+def _validate(job: JobSpec, args: dict):
+    """Check the parsed job against itself; `args` holds each statement's
+    argument tokens, so a fault is placed inside the statement that holds it."""
     def arg(kw: str):
         return getattr(job, STATEMENTS[kw][0])
 
-    def find_pos(needle: str):
-        pos = text.find(needle)
-        if pos < 0:
-            return 0, 0
-        line = text.count("\n", 0, pos) + 1
-        col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-        return line, col
+    def find_pos(kw: str, item: str):
+        """Line and column of a name, or of the text of a quoted polynomial,
+        in the argument of statement kw."""
+        for kind, text, line, col in args[kw]:
+            if text == item and kind in ("word", "string"):
+                return line, col + (kind == "string")
+        return 0, 0
 
-    for kw in _RINGS:
+    for kw in _NAME_LISTS:
         if len(set(arg(kw))) != len(arg(kw)):
             raise JobError(f"duplicate variable in {kw}")
     for kw, ring in _WEIGHTED:
@@ -345,10 +351,10 @@ def _validate(job: JobSpec, text: str):
                 raise JobError(f"{kw} length does not match {ring}")
             if any(w <= 0 for w in weights):
                 raise JobError(f"{kw} must be strictly positive")
-    for p in job.params + job.ext_params:
-        if p not in job.ring:
-            line, col = find_pos(p)
-            raise JobError(f"parameter {p!r} is not a ring variable", line, col)
+    for kw in ("params", "ext-params"):
+        for p in arg(kw):
+            if p not in job.ring:
+                raise JobError(f"parameter {p!r} is not a ring variable", *find_pos(kw, p))
     if job.divisor_text is not None and not job.ring:
         raise JobError("divisor given without a ring")
     if job.inclusion_text is not None and not job.target_ring:
@@ -367,5 +373,4 @@ def _validate(job: JobSpec, text: str):
                 try:
                     parse_poly(txt, arg(ring))
                 except ParseError as exc:
-                    line, col = find_pos(txt)
-                    raise JobError(f"{what}: {exc.message}", line, col) from exc
+                    raise JobError(f"{what}: {exc.message}", *find_pos(kw, txt)) from exc

@@ -9,6 +9,7 @@ well-orders.
 
 from __future__ import annotations
 
+from operator import add, le, mul, sub
 from typing import Optional, Sequence
 
 
@@ -41,13 +42,13 @@ class MonomialOrder:
         if self.kind == "lex":
             return e
         w = self.weights
-        deg = sum(a * b for a, b in zip(e, w)) if w is not None else sum(e)
-        return (deg,) + tuple(-x for x in reversed(e))
+        deg = sum(map(mul, e, w)) if w is not None else sum(e)
+        return (deg, *[-x for x in reversed(e)])
 
     def term_key(self, term: tuple):
         """Key for a module term (component, exponent); larger = greater."""
         comp, e = term
-        return (-comp,) + tuple(self.mono_key(e))
+        return (-comp, *self.mono_key(e))
 
     def __eq__(self, other):
         return (
@@ -61,17 +62,17 @@ class MonomialOrder:
 
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: tuple, b: tuple) -> bool:
     """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))

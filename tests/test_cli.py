@@ -198,6 +198,15 @@ JOB_ERRORS = [
     ("divisor-without-ring", 'divisor "1";', "divisor given without a ring", None),
     ("inclusion-without-ring", 'unfolding-target { U };\ninclusion ( "0" );',
      "inclusion needs a target-ring (the source of the inclusion)", None),
+    ("duplicate-params", "ring { x, s };\nparams { s, s };", "duplicate variable in params", None),
+    ("duplicate-ext-params", "ring { x, s };\next-params { s, s };",
+     "duplicate variable in ext-params", None),
+    ("map-variable-in-target-ring", 'ring { x };\ntarget-ring { w };\nmap ( "w" );',
+     "map component: unknown variable 'w'", (3, 8)),
+    ("params-name-in-keyword", "ring { x };\nparams { s };", "parameter 's' is not a ring variable",
+     (2, 10)),
+    ("ext-params-name-in-other-name", "ring { xs };\next-params { xs, s };",
+     "parameter 's' is not a ring variable", (2, 18)),
 ]
 
 
@@ -208,6 +217,14 @@ def test_job_error_message_and_position(text, message, position):
         parse_job(text + "\n")
     assert exc.value.message == message
     assert (exc.value.line, exc.value.col) == (position or (0, 0))
+
+
+def test_repeated_parameter_is_a_parse_error(tmp_path, capsys):
+    job = tmp_path / "job.job"
+    job.write_text((JOBS / "t1_four_planes.job").read_text().replace("params { s };",
+                                                                     "params { s, s };"))
+    assert main(["--input", str(job)]) == 2
+    assert "duplicate variable in params" in capsys.readouterr().err
 
 
 def test_readme_grammar_lists_the_statement_table():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logforms.groebner import (
     QuotientTable,
@@ -17,7 +19,7 @@ from logforms.groebner import (
     syzygy_module,
 )
 from logforms.module import INFINITE, FreeElement, Grading, ModulePresentation, ModuleError
-from logforms.order import MonomialOrder
+from logforms.order import MonomialOrder, mono_div, mono_divides, mono_mul
 from logforms.poly import Poly, parse_poly
 
 N2 = ["x", "y"]
@@ -242,6 +244,10 @@ def test_gb_canonical_under_input_shuffle():
     gb1 = groebner_basis(gens, ORD)
     gb2 = groebner_basis(list(reversed(gens)), ORD)
     assert gb1 == gb2
+    module = [F("x^2", "y"), F("x*y", "0"), F("y^2", "x"), F("0", "x^2 - y^2")]
+    shuffles = [module, list(reversed(module)), module[2:] + module[:2]]
+    bases = [groebner_basis(gens, ORD) for gens in shuffles]
+    assert bases[0] == bases[1] == bases[2]
 
 
 def test_saturation_nonstabilization_raises():
@@ -282,3 +288,92 @@ def test_normal_form_fully_reduced():
     for comp, p in enumerate(nf.entries):
         for e in p.terms:
             assert not any(lc == comp and mono_divides(le, e) for lc, le in leads)
+
+
+@st.composite
+def _polys(draw, nvars, max_terms, max_exp):
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        e = tuple(draw(st.integers(0, max_exp)) for _ in range(nvars))
+        terms[e] = Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                            draw(st.integers(1, 2)))
+    return Poly(nvars, terms)
+
+
+@st.composite
+def _division_inputs(draw):
+    """Generators and a dividend in O^rank, rank 1 or 2, over 1 to 3
+    variables, and an order."""
+    rank = draw(st.integers(1, 2))
+    nvars = draw(st.integers(1, 3 if rank == 1 else 2))
+
+    def element(max_terms):
+        return FreeElement([draw(_polys(nvars, max_terms, 2)) for _ in range(rank)])
+
+    gens = [element(2) for _ in range(draw(st.integers(1, 3)))]
+    order = draw(st.sampled_from([MonomialOrder("wdegrevlex"), MonomialOrder("lex")]))
+    return gens, element(5), order
+
+
+def _naive_normal_form(f, basis, order):
+    """Remainder of f by full division: reduce the greatest remaining term by
+    the first basis element whose lead divides it, found by scanning for the
+    maximum afresh on every step."""
+    key = order.with_nvars(f.nvars).term_key
+    leads = [(max(v, key=key), v) for v in (b.vec() for b in basis)]
+    work, rem = f.vec(), {}
+    while work:
+        t = max(work, key=key)
+        hit = next(((lt, v) for lt, v in leads
+                    if lt[0] == t[0] and mono_divides(lt[1], t[1])), None)
+        if hit is None:
+            rem[t] = work.pop(t)
+            continue
+        lt, v = hit
+        shift, factor = mono_div(t[1], lt[1]), work[t] / v[lt]
+        for (c, e), a in v.items():
+            u = (c, mono_mul(e, shift))
+            work[u] = work.get(u, 0) - factor * a
+            if not work[u]:
+                del work[u]
+    return FreeElement.from_vec(f.rank, f.nvars, rem)
+
+
+@given(_division_inputs())
+@settings(max_examples=80, deadline=None)
+def test_normal_form_matches_naive_division(inputs):
+    gens, f, order = inputs
+    gb = groebner_basis(gens, order)
+    assert normal_form(f, gb, order) == _naive_normal_form(f, gb, order)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@st.composite
+def _ideals(draw):
+    nvars = draw(st.integers(2, 3))
+    return [draw(_polys(nvars, 3, 3)) for _ in range(draw(st.integers(1, 3)))]
+
+
+def _monic(terms: dict, order: MonomialOrder) -> frozenset:
+    lc = terms[max(terms, key=order.mono_key)]
+    return frozenset((e, c / lc) for e, c in terms.items())
+
+
+@given(_ideals())
+@settings(max_examples=40, deadline=None)
+def test_reduced_basis_matches_sympy(sympy, polys):
+    nvars = polys[0].nvars
+    order = ORD.with_nvars(nvars)
+    syms = sympy.symbols(f"x0:{nvars}")
+    exprs = [sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator)
+                                   for e, c in p.terms.items()}, *syms).as_expr() for p in polys]
+    theirs = sympy.groebner(exprs, *syms, order="grevlex")
+    ours = groebner_basis([FreeElement([p]) for p in polys], order)
+    assert {_monic(g.entries[0].terms, order) for g in ours} == {
+        _monic({e: Fraction(int(c.p), int(c.q)) for e, c in q.as_dict().items()}, order)
+        for q in theirs.polys}
+    assert len(ours) == len(theirs.polys)
