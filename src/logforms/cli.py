@@ -354,6 +354,8 @@ def _cmd_ae_codim(job: JobSpec, opts: dict) -> dict:
     f0 = job.map_polys()
     cap = opts.get("jet-cap", 20)
     direct = ae_normal_space_direct(f0, cap=cap)
+    if direct == INFINITE_OR_UNSTABLE:
+        raise StabilizationError(f"jet orders did not stabilise within jet-cap {cap}")
     routes = {"direct": _fmt_dim(direct)}
     rec_cert = {}
     agreement = None
@@ -368,7 +370,7 @@ def _cmd_ae_codim(job: JobSpec, opts: dict) -> dict:
         routes["damon"] = _fmt_dim(damon)
         agreement = routes["direct"] == routes["damon"]
     dims = {f"ae_codim_{name}": {"value": v, "route": name} for name, v in sorted(routes.items())}
-    rec = {"verdicts": {"finite": direct != INFINITE_OR_UNSTABLE},
+    rec = {"verdicts": {"finite": True},
            "dimensions": dims, "certificates": rec_cert,
            "routes": sorted(routes),
            "flags": {"certified": _flag(True)}}

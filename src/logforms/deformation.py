@@ -13,8 +13,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .forms import cokernel_slice_dims, forms_pullback, stabilized_sum
-from .groebner import (LinSpace, QuotientTable, monomials_of_weight, normal_form,
-                       quotient_dimension)
+from .groebner import LinSpace, QuotientTable, monomials_of_weight, quotient_dimension
 from .logarithmic import Divisor, LogBasis, apply_field, derlog_h, euler_field
 from .module import INFINITE, FreeElement, ModulePresentation
 from .order import MonomialOrder
@@ -386,11 +385,9 @@ def ke_discriminant_reduced(total_basis: LogBasis, s_index: int,
     cols = []
     for comp, e in basis_terms:
         el = FreeElement.unit(pres.rank, nv, comp).scale(Poly.monomial(nv, e)).scale(s)
-        red = normal_form(el, table.gb, order)
         col = [Fraction(0)] * m
-        for c2, poly in enumerate(red.entries):
-            for e2, v in poly.terms.items():
-                col[index[(c2, e2)]] = v
+        for t, v in table.reduce(el).items():
+            col[index[t]] = v
         cols.append(col)
     # characteristic polynomial det(sI - M) in one variable
     svar = Poly.variable(1, 0)

@@ -17,7 +17,6 @@ from .groebner import (
     StabilizationError,
     is_member,
     kernel_of_map,
-    normal_form,
     quotient_dimension,
     saturate,
 )
@@ -111,7 +110,7 @@ class CheckedFormsModule:
         return self.table().gb
 
     def class_is_zero(self, form: FreeElement) -> bool:
-        return is_member(form, self.gb(), self.order())
+        return not self.table().reduce(form)
 
     def dimension_table(self, bound: int) -> dict:
         if self.table().pres.grading is None:
@@ -221,13 +220,7 @@ def contract_class(m: CheckedFormsModule, chi: FreeElement, form: FreeElement) -
 def contraction_well_defined(m: CheckedFormsModule, lower: CheckedFormsModule,
                              chi: FreeElement) -> bool:
     """Check that contracting every relation generator lands in the lower relations."""
-    gb = lower.gb()
-    order = lower.order()
-    for g in m.relations:
-        c = contract(m.n, m.k, chi, g)
-        if not is_member(c, gb, order):
-            return False
-    return True
+    return all(lower.class_is_zero(contract(m.n, m.k, chi, g)) for g in m.relations)
 
 
 def subquotient_dimension(big_gens: Sequence[FreeElement], small_gens: Sequence[FreeElement],
@@ -266,7 +259,7 @@ def class_is_torsion(m: CheckedFormsModule, form: FreeElement) -> bool:
 def _slice_coordinates(m: CheckedFormsModule, form: FreeElement, terms: set) -> dict:
     """Coordinates {standard term: coefficient} of the class of a form of m
     in a slice basis of m, given as the set of its standard terms."""
-    row = normal_form(form, m.gb(), m.order()).vec()
+    row = m.table().reduce(form)
     if not row.keys() <= terms:
         raise FormsError("reduced form left the slice basis")
     return row

@@ -30,7 +30,8 @@ class StabilizationError(RuntimeError):
 class _TermKeys(dict):
     """Heap keys of module terms, memoised for one kernel call: the negated
     `term_key`, so the greatest term comes first in a min-heap and under
-    `min`.  Each call makes its own; nothing outlives it."""
+    `min`.  Each call makes its own and drops it on return; only a
+    `QuotientTable` keeps one, for as long as it lives."""
 
     __slots__ = ("term_key",)
 
@@ -513,7 +514,9 @@ class QuotientTable:
     One staircase serves both questions asked of a quotient: the standard
     terms of one weighted degree (`standard_monomials`, which needs a
     grading) and the full list of standard terms of a finite quotient
-    (`standard_terms`, which is None when the quotient is infinite).
+    (`standard_terms`, which is None when the quotient is infinite).  The
+    same basis reduces elements (`reduce`) through one reducer table and one
+    term-key memo, built on first use and kept with the table.
     """
 
     def __init__(self, p: ModulePresentation, order: Optional[MonomialOrder] = None):
@@ -521,6 +524,18 @@ class QuotientTable:
         self.order = (order or MonomialOrder()).with_nvars(p.nvars)
         self.gb = groebner_basis(p.relations, self.order)
         self.leads = _lead_module(self.gb, self.order, p.rank)
+        self._keys: Optional[_TermKeys] = None
+        self._reducers: Optional[_Reducers] = None
+
+    def reduce(self, f: FreeElement) -> dict:
+        """The normal form of f against the basis, as a vec: the same
+        remainder as `normal_form(f, self.gb, self.order)`."""
+        if f.rank != self.pres.rank:
+            raise ModuleError("rank mismatch between element and basis")
+        if self._reducers is None:
+            self._keys = _TermKeys(self.order)
+            self._reducers = _reducers_of([g.vec() for g in self.gb], self._keys)
+        return _reduce_full(f.vec(), self._reducers, self._keys)
 
     def standard_terms(self) -> Optional[list]:
         """All standard module terms of a finite quotient, or None when some

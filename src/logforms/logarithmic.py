@@ -277,7 +277,14 @@ def is_free(d: Divisor, order: Optional[MonomialOrder] = None) -> FreenessVerdic
     basis, reason = _positive_certificate(d, chosen)
     if basis is not None:
         return FreenessVerdict(FreenessVerdict.FREE, basis=basis, generator_count=n)
-    # bounded search among the generator pool for a determinant certificate
+    if w is not None and all(x > 0 for x in w):
+        # Graded: n homogeneous generators of the rank-n module form a basis,
+        # so by Saito's criterion their determinant is a unit times h.
+        raise InternalInvariantError(
+            f"the {n} minimal generators of a graded tangent-field module "
+            f"fail Saito's criterion: {reason}")
+    # Without positive weights: bounded search among the generator pool for a
+    # determinant certificate.
     pool = sorted(range(len(fields)),
                   key=lambda i: (degrees[i] if degrees else 0, i))[:16]
     tried = 0

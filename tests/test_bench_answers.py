@@ -1,0 +1,24 @@
+"""The cheapest `derham-slices` benchmark cases give their known answers, so a
+wrong answer on the slice route fails the test suite as well as the benchmark."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+CASES = Path(__file__).resolve().parent.parent / "bench" / "cases.py"
+
+
+@pytest.fixture(scope="module")
+def derham_cases():
+    spec = importlib.util.spec_from_file_location("bench_cases", CASES)
+    cases = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cases)
+    return {c.id: c for c in cases.derham_slices(1)}
+
+
+@pytest.mark.parametrize("case_id", ["mu-derham/C2-m5", "mu-derham/C3-m4",
+                                     "de-rham-check/A3"])
+def test_derham_slices_known_answer(derham_cases, case_id):
+    case = derham_cases[case_id]
+    assert case.run() == case.expected

@@ -232,3 +232,13 @@ def test_readme_grammar_lists_the_statement_table():
     block = readme.split("### Job file grammar", 1)[1].split("```")[1]
     keywords = [line.split()[0] for line in block.splitlines() if line.strip()]
     assert keywords == [*STATEMENTS, "command", "option"]
+
+
+def test_ae_codim_jet_cap_run_out_exits_4(tmp_path, capsys):
+    job = tmp_path / "job.job"
+    job.write_text('ring { x, y };\ntarget-ring { X, Y };\nmap ( "x", "y^3" );\n'
+                   'option jet-cap 8;\ncommand ae-codim;\n')
+    assert main(["--input", str(job)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-stabilization" in captured.err

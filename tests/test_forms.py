@@ -197,6 +197,26 @@ def test_slices_enumerate_each_slice_once(four_planes_afd, monkeypatch):
     assert len(calls) == 4 * 9
 
 
+def test_slices_build_one_reducer_table_per_module(nc4, monkeypatch):
+    """Every slice coordinate of a module reduces through the one reducer
+    table its `QuotientTable` keeps."""
+    from logforms import groebner
+
+    _, basis = nc4
+    calls = []
+    original = groebner._reducers_of
+
+    def counting(vecs, keys):
+        calls.append(len(vecs))
+        return original(vecs, keys)
+
+    monkeypatch.setattr(groebner, "_reducers_of", counting)
+    mods = [forms_free(basis, k) for k in range(0, 5)]
+    assert de_rham_report_sliced(mods, 6)["all_exact"]
+    # d leaves level 0 into level 1 and so on: levels 1..4 are reduced into
+    assert len(calls) == 4
+
+
 def test_de_rham_homotopy_mode(calderon):
     d, basis = calderon
     mods = [forms_free(basis, k) for k in range(0, 4)]

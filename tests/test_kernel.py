@@ -347,6 +347,29 @@ def test_normal_form_matches_naive_division(inputs):
     assert normal_form(f, gb, order) == _naive_normal_form(f, gb, order)
 
 
+@st.composite
+def _table_inputs(draw):
+    """Generators, several dividends of their rank and ring, and an order."""
+    gens, f, order = draw(_division_inputs())
+    more = [FreeElement([draw(_polys(f.nvars, 5, 2)) for _ in range(f.rank)])
+            for _ in range(draw(st.integers(1, 4)))]
+    return gens, [f] + more, order
+
+
+@given(_table_inputs())
+@settings(max_examples=80, deadline=None)
+def test_table_reduce_matches_normal_form(inputs):
+    gens, fs, order = inputs
+    qt = QuotientTable(ModulePresentation(fs[0].rank, gens, nvars=fs[0].nvars), order)
+    for f in fs:
+        # every dividend goes through the same kept reducer table and memo
+        r = FreeElement.from_vec(f.rank, f.nvars, qt.reduce(f))
+        assert r == normal_form(f, qt.gb, order) == _naive_normal_form(f, qt.gb, order)
+        assert r.is_zero() == is_member(f, qt.gb, order)
+    for g in gens:
+        assert not qt.reduce(g)
+
+
 @pytest.fixture(scope="module")
 def sympy():
     return pytest.importorskip("sympy")

@@ -1,13 +1,18 @@
 """Tangent-field modules, Saito certificates and logarithmic form generators."""
 
+from pathlib import Path
+
 import pytest
 
+from logforms import logarithmic
+from logforms.cli import main
 from logforms.exterior import ext_d, form_basis, monomial_form, contract, wedge
 from logforms.groebner import groebner_basis, is_member, submodules_equal
 from logforms.logarithmic import (
     Divisor,
     DivisorError,
     FreenessVerdict,
+    InternalInvariantError,
     apply_field,
     derlog,
     derlog_fields,
@@ -212,3 +217,45 @@ def test_contraction_closure_invariant(nc3, calderon):
             for f in basis.fields():
                 for g in gk:
                     assert is_member(contract(n, k, f, g), gb, ORD)
+
+
+def _failing_saito(monkeypatch):
+    """Make every Saito check inside `is_free` fail; returns the call list."""
+    calls = []
+
+    def fail(d, candidates):
+        calls.append(candidates)
+        return None, "forced failure"
+
+    monkeypatch.setattr(logarithmic, "saito_check", fail)
+    return calls
+
+
+@pytest.mark.parametrize("text, weights", [
+    ("x*y*z", (1, 1, 1)),
+    ("x*y*(x-y)", None),                  # positive weights found by detection
+    ("4*x^3 + 27*y^2", (2, 3)),
+], ids=["given-weights", "detected-weights", "cusp"])
+def test_graded_saito_failure_is_an_invariant_violation(monkeypatch, text, weights):
+    names = ["x", "y", "z"][:3 if "z" in text else 2]
+    d = Divisor(names, parse_poly(text, names), weights=weights)
+    calls = _failing_saito(monkeypatch)
+    with pytest.raises(InternalInvariantError, match="Saito"):
+        is_free(d)
+    assert len(calls) == 1  # the minimal generators only: no subset search
+
+
+def test_ungraded_saito_failure_keeps_the_subset_search(monkeypatch, calderon):
+    d, _ = calderon   # x*y*(x-y)*(x+l*y): its only weights give l weight 0
+    assert 0 in d.semipositive_weights()
+    calls = _failing_saito(monkeypatch)
+    v = is_free(d)
+    assert v.kind == FreenessVerdict.INCONCLUSIVE
+    assert len(calls) > 1
+
+
+def test_graded_saito_failure_exits_5(monkeypatch, capsys):
+    _failing_saito(monkeypatch)
+    job = Path(__file__).resolve().parent.parent / "jobs" / "is_free_normal_crossing.job"
+    assert main(["--input", str(job)]) == 5
+    assert "internal invariant violation" in capsys.readouterr().err
