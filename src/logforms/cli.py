@@ -370,10 +370,12 @@ def _cmd_ae_codim(job: JobSpec, opts: dict) -> dict:
         routes["damon"] = _fmt_dim(damon)
         agreement = routes["direct"] == routes["damon"]
     dims = {f"ae_codim_{name}": {"value": v, "route": name} for name, v in sorted(routes.items())}
+    # the jet route stops when two consecutive jet orders agree, which proves
+    # nothing on its own: only the Damon route, agreeing with it, certifies
     rec = {"verdicts": {"finite": True},
            "dimensions": dims, "certificates": rec_cert,
            "routes": sorted(routes),
-           "flags": {"certified": _flag(True)}}
+           "flags": {"certified": _flag(agreement is True)}}
     if agreement is not None:
         rec["verdicts"]["routes_agree"] = agreement
         rec["agreement"] = agreement

@@ -1,9 +1,12 @@
 """Groebner bases, syzygies and dimension counts for submodules of free modules.
 
 The engine works on flattened elements ("vecs"): dictionaries mapping module
-terms (component, exponent) to nonzero rational coefficients.  All arithmetic
-is exact; bases are normalised and sorted so every computation is
-deterministic.
+terms (component, exponent) to nonzero coefficients.  All arithmetic is exact.
+Inside the kernel the coefficients are Python ints: a dividend's denominators
+are cleared on entry, basis elements are kept primitive with a positive lead,
+and division is fraction-free (pseudo-division).  Values become `Fraction`s
+only where they leave the kernel, as exact rationals.  Bases are normalised
+and sorted so every computation is deterministic.
 """
 
 from __future__ import annotations
@@ -49,25 +52,45 @@ def _leading(vec: dict, keys: _TermKeys):
     return t, vec[t]
 
 
-def _normalize(vec: dict, lc: Fraction) -> dict:
-    """Scale so coefficients are coprime integers and the lead coefficient
-    (`lc`, the current one) is positive."""
+def _integral(vec: dict):
+    """(D * vec, D) for the least positive D that makes every coefficient of
+    a rational vec an integer: how a value enters the kernel."""
     denom = 1
     for c in vec.values():
-        denom = denom * c.denominator // int_gcd(denom, c.denominator)
-    numer = 0
+        d = c.denominator
+        if d != 1:
+            denom = denom * d // int_gcd(denom, d)
+    return {t: c.numerator * (denom // c.denominator) for t, c in vec.items()}, denom
+
+
+def _rational(vec: dict, denom: int) -> dict:
+    """The integer vec divided by denom, as exact `Fraction`s: how a value
+    leaves the kernel."""
+    if denom == 1:
+        return {t: Fraction(c) for t, c in vec.items()}
+    return {t: Fraction(c, denom) for t, c in vec.items()}
+
+
+def _normalize(vec: dict, lc: int) -> dict:
+    """Divide an integer vec by its content, so its coefficients are coprime
+    integers and the lead coefficient (`lc`, the current one) is positive."""
+    content = 0
     for c in vec.values():
-        numer = int_gcd(numer, c.numerator * denom // c.denominator)
-    sign = 1 if lc > 0 else -1
-    factor = Fraction(denom, sign * numer)
-    return {t: c * factor for t, c in vec.items()}
+        content = int_gcd(content, c)
+        if content == 1:
+            break
+    if lc < 0:
+        content = -content
+    if content == 1:
+        return vec
+    return {t: c // content for t, c in vec.items()}
 
 
-def _sub_scaled_shifted(target: dict, src: dict, coeff: Fraction, shift: tuple):
-    """target -= coeff * x^shift * src, in place."""
+def _add_scaled_shifted(target: dict, src: dict, coeff: int, shift: tuple):
+    """target += coeff * x^shift * src, in place."""
     for (c, e), v in src.items():
         t = (c, mono_mul(e, shift))
-        s = target.get(t, 0) - coeff * v
+        s = target.get(t, 0) + coeff * v
         if s:
             target[t] = s
         else:
@@ -76,13 +99,14 @@ def _sub_scaled_shifted(target: dict, src: dict, coeff: Fraction, shift: tuple):
 
 class _Reducers:
     """Basis elements bucketed by leading component for division.  Each entry
-    is (lead term, lead coefficient, the other terms, position added)."""
+    is (lead term, lead coefficient, the other terms, position added); every
+    element is a primitive integer vec with a positive lead."""
 
     def __init__(self):
         self.by_comp: dict = {}
         self.count = 0
 
-    def add(self, lt: tuple, lc: Fraction, vec: dict):
+    def add(self, lt: tuple, lc: int, vec: dict):
         tail = [(t, c) for t, c in vec.items() if t != lt]
         self.by_comp.setdefault(lt[0], []).append((lt, lc, tail, self.count))
         self.count += 1
@@ -96,29 +120,44 @@ class _Reducers:
 
 
 def _reducers_of(vecs: Sequence[dict], keys: _TermKeys) -> _Reducers:
+    """The reducer table of rational vecs, each made primitive with a
+    positive lead; dividing by a positive multiple of an element leaves the
+    same remainder."""
     reducers = _Reducers()
     for v in vecs:
-        reducers.add(*_leading(v, keys), v)
+        v = _integral(v)[0]
+        lt, lc = _leading(v, keys)
+        v = _normalize(v, lc)
+        reducers.add(lt, v[lt], v)
     return reducers
 
 
 def _reduce_full(f: dict, reducers: _Reducers, keys: _TermKeys,
-                 cofactors: Optional[list] = None) -> dict:
-    """Full normal form of f against the reducers.  Its terms come in
+                 cofactors: Optional[list] = None):
+    """Pseudo-division of an integer vec f by the reducers: returns
+    (remainder, scale) with scale a positive integer and scale * f equal to
+    sum(cofactor_i * reducer_i) + remainder.  Dividing the remainder by scale
+    gives the full normal form of f over the rationals.  Its terms come in
     decreasing order, so the first one is its lead.
+
+    To cancel a term c * x^t by a reducer with lead lc * x^lt, with
+    g = gcd(c, lc), everything met so far (pending terms, remainder and
+    cofactors) is multiplied by lc/g, and (c/g) * x^(t-lt) * reducer is
+    subtracted.  The division runs through the same terms as over the
+    rationals, each coefficient the rational one times the current scale.
 
     The pending terms sit in a heap with lazy deletion: a popped term that is
     no longer pending was cancelled.  A reduction step pushes only the terms
     it brings in, and every term it touches is smaller than the one reduced.
 
     When `cofactors` is given it holds one dict per reducer (by position
-    added), which accumulates the division coefficients by exponent:
-    f = sum(cofactor_i * reducer_i) + result.
+    added), which accumulates the division coefficients by exponent.
     """
     work = dict(f)
     heap = [(keys[t], t) for t in work]
     heapify(heap)
     result: dict = {}
+    scale = 1
     while heap:
         t = heappop(heap)[1]
         c = work.pop(t, None)
@@ -130,27 +169,40 @@ def _reduce_full(f: dict, reducers: _Reducers, keys: _TermKeys,
             continue
         lt, lc, tail, pos = hit
         shift = mono_div(t[1], lt[1])
-        factor = c / lc
+        if lc != 1:
+            g = int_gcd(c, lc)
+            c //= g
+            m = lc // g
+            if m != 1:
+                scale *= m
+                for u in work:
+                    work[u] *= m
+                for u in result:
+                    result[u] *= m
+                if cofactors is not None:
+                    for cof in cofactors:
+                        for u in cof:
+                            cof[u] *= m
         for (comp, e), v in tail:
             u = (comp, mono_mul(e, shift))
             old = work.get(u)
             if old is None:
-                work[u] = -factor * v
+                work[u] = -c * v
                 heappush(heap, (keys[u], u))
             else:
-                s = old - factor * v
+                s = old - c * v
                 if s:
                     work[u] = s
                 else:
                     del work[u]
         if cofactors is not None:
             cof = cofactors[pos]
-            s = cof.get(shift, 0) + factor
+            s = cof.get(shift, 0) + c
             if s:
                 cof[shift] = s
             else:
                 cof.pop(shift, None)
-    return result
+    return result, scale
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +210,8 @@ def _reduce_full(f: dict, reducers: _Reducers, keys: _TermKeys,
 
 
 def _buchberger_vecs(inputs: Sequence[dict], order: MonomialOrder, is_ideal: bool) -> list:
+    """The reduced Groebner basis of rational vecs, as primitive integer vecs
+    with a positive lead, sorted by increasing lead."""
     keys = _TermKeys(order)
     mono_key = order.mono_key
     G: list = []
@@ -185,6 +239,7 @@ def _buchberger_vecs(inputs: Sequence[dict], order: MonomialOrder, is_ideal: boo
 
     for v in inputs:
         if v:
+            v = _integral(v)[0]
             lt, lc = _leading(v, keys)
             add(_normalize(v, lc), lt)
 
@@ -208,10 +263,13 @@ def _buchberger_vecs(inputs: Sequence[dict], order: MonomialOrder, is_ideal: boo
                     break
         if chained:
             continue
+        # (lcj/g) x^(L-ei) G[i] - (lci/g) x^(L-ej) G[j]: a positive multiple
+        # of the monic S-polynomial, in integers
+        g = int_gcd(lci, lcj)
         s: dict = {}
-        _sub_scaled_shifted(s, G[i], Fraction(-1, 1) / lci, mono_div(L, ei))
-        _sub_scaled_shifted(s, G[j], Fraction(1, 1) / lcj, mono_div(L, ej))
-        s = _reduce_full(s, reducers, keys)
+        _add_scaled_shifted(s, G[i], lcj // g, mono_div(L, ei))
+        _add_scaled_shifted(s, G[j], -(lci // g), mono_div(L, ej))
+        s = _reduce_full(s, reducers, keys)[0]
         if s:
             lt = next(iter(s))
             add(_normalize(s, s[lt]), lt)
@@ -219,8 +277,9 @@ def _buchberger_vecs(inputs: Sequence[dict], order: MonomialOrder, is_ideal: boo
 
 
 def _interreduce(G: Sequence[dict], lts: Sequence[tuple], keys: _TermKeys) -> list:
-    """The reduced basis from a Groebner basis G with its leads, sorted by
-    increasing lead."""
+    """The reduced basis from a Groebner basis G of primitive integer vecs
+    with their leads, sorted by increasing lead, each element primitive with
+    a positive lead."""
     items = sorted(((lt, lc, g) for g, (lt, lc) in zip(G, lts)),
                    key=lambda item: keys[item[0]], reverse=True)
     kept: list = []
@@ -237,8 +296,9 @@ def _interreduce(G: Sequence[dict], lts: Sequence[tuple], keys: _TermKeys) -> li
     # the others, less its lead, and the output stays in increasing order.
     out = []
     for lt, lc, g in kept:
-        r = {lt: lc}
-        r.update(_reduce_full({t: c for t, c in g.items() if t != lt}, reducers, keys))
+        tail, scale = _reduce_full({t: c for t, c in g.items() if t != lt}, reducers, keys)
+        r = {lt: lc * scale}
+        r.update(tail)
         out.append(_normalize(r, lc))
     return out
 
@@ -264,7 +324,17 @@ def groebner_basis(generators: Sequence[FreeElement], order: MonomialOrder) -> l
     rank, nvars = generators[0].rank, generators[0].nvars
     order = order.with_nvars(nvars)
     basis = _buchberger_vecs([g.vec() for g in generators], order, rank == 1)
-    return [FreeElement.from_vec(rank, nvars, v) for v in basis]
+    return [FreeElement.from_vec(rank, nvars, _rational(v, 1)) for v in basis]
+
+
+def _divide(f: FreeElement, reducers: _Reducers, keys: _TermKeys,
+            cofactors: Optional[list] = None):
+    """Pseudo-division of f with its denominators cleared: (remainder, d)
+    where the rational remainder of f is the integer remainder divided by d
+    (and so are the cofactors)."""
+    ints, denom = _integral(f.vec())
+    r, scale = _reduce_full(ints, reducers, keys, cofactors)
+    return r, denom * scale
 
 
 def normal_form(f: FreeElement, basis: Sequence[FreeElement], order: MonomialOrder) -> FreeElement:
@@ -275,7 +345,8 @@ def normal_form(f: FreeElement, basis: Sequence[FreeElement], order: MonomialOrd
         _check_family(basis)
     keys = _TermKeys(order.with_nvars(f.nvars))
     reducers = _reducers_of([b.vec() for b in basis if not b.is_zero()], keys)
-    return FreeElement.from_vec(f.rank, f.nvars, _reduce_full(f.vec(), reducers, keys))
+    r, denom = _divide(f, reducers, keys)
+    return FreeElement.from_vec(f.rank, f.nvars, _rational(r, denom))
 
 
 def normal_form_with_cofactors(f: FreeElement, basis: Sequence[FreeElement],
@@ -287,13 +358,18 @@ def normal_form_with_cofactors(f: FreeElement, basis: Sequence[FreeElement],
         _check_family(basis)
     keys = _TermKeys(order.with_nvars(f.nvars))
     live = [i for i, b in enumerate(basis) if not b.is_zero()]
-    reducers = _reducers_of([basis[i].vec() for i in live], keys)
+    vecs = [basis[i].vec() for i in live]
+    reducers = _reducers_of(vecs, keys)
     cof: list = [dict() for _ in live]
-    r = _reduce_full(f.vec(), reducers, keys, cofactors=cof)
+    r, denom = _divide(f, reducers, keys, cof)
     cof_polys = [Poly.zero(f.nvars) for _ in basis]
-    for i, d in zip(live, cof):
-        cof_polys[i] = Poly(f.nvars, d)
-    return FreeElement.from_vec(f.rank, f.nvars, r), cof_polys
+    for entries in reducers.by_comp.values():
+        for lt, lc, _, pos in entries:
+            # the reducer is lc / (lead coefficient of the element) times it
+            k = lc / vecs[pos][lt]
+            cof_polys[live[pos]] = Poly(f.nvars, {e: k * Fraction(c, denom)
+                                                  for e, c in cof[pos].items()})
+    return FreeElement.from_vec(f.rank, f.nvars, _rational(r, denom)), cof_polys
 
 
 def is_member(f: FreeElement, gb: Sequence[FreeElement], order: MonomialOrder) -> bool:
@@ -321,7 +397,7 @@ def _tagged_basis(gens: Sequence[FreeElement], order: MonomialOrder) -> list:
     tagged = []
     for i, g in enumerate(gens):
         v = g.vec()
-        v[(rank + i, zero_e)] = Fraction(1)
+        v[(rank + i, zero_e)] = 1
         tagged.append(v)
     return _buchberger_vecs(tagged, order, False)
 
@@ -338,7 +414,8 @@ def syzygy_module(columns: Sequence[FreeElement],
     syz = []
     for v in basis:
         if all(c >= rank for (c, _) in v):
-            syz.append(FreeElement.from_vec(s, nvars, {(c - rank, e): x for (c, e), x in v.items()}))
+            syz.append(FreeElement.from_vec(s, nvars, {(c - rank, e): Fraction(x)
+                                                       for (c, e), x in v.items()}))
     return syz
 
 
@@ -356,12 +433,12 @@ def lift_over_generators(f: FreeElement, gens: Sequence[FreeElement],
     order = (order or MonomialOrder()).with_nvars(nvars)
     s = len(gens)
     keys = _TermKeys(order)
-    reduced = _reduce_full(f.vec(), _reducers_of(_tagged_basis(gens, order), keys), keys)
+    reduced, denom = _divide(f, _reducers_of(_tagged_basis(gens, order), keys), keys)
     if any(c < rank for (c, _) in reduced):
         return None
     coeffs = [dict() for _ in range(s)]
     for (c, e), v in reduced.items():
-        coeffs[c - rank][e] = -v
+        coeffs[c - rank][e] = Fraction(-v, denom)
     return [Poly(nvars, t) for t in coeffs]
 
 
@@ -535,7 +612,8 @@ class QuotientTable:
         if self._reducers is None:
             self._keys = _TermKeys(self.order)
             self._reducers = _reducers_of([g.vec() for g in self.gb], self._keys)
-        return _reduce_full(f.vec(), self._reducers, self._keys)
+        r, denom = _divide(f, self._reducers, self._keys)
+        return _rational(r, denom)
 
     def standard_terms(self) -> Optional[list]:
         """All standard module terms of a finite quotient, or None when some
@@ -553,15 +631,19 @@ class QuotientTable:
         return out
 
     def standard_monomials(self, degree: int):
-        """Standard monomial module terms of the given weighted degree."""
+        """Standard monomial module terms of the given weighted degree.  The
+        monomials of each distinct degree - shift are enumerated once."""
         g = self.pres.grading
         if g is None:
             raise ModuleError("graded dimension tables need a grading")
+        monomials: dict = {}
         out = []
         for comp, leads in enumerate(self.leads):
-            for e in monomials_of_weight(self.pres.nvars, g.weights, degree - g.shifts[comp]):
-                if _is_standard(leads, e):
-                    out.append((comp, e))
+            target = degree - g.shifts[comp]
+            monos = monomials.get(target)
+            if monos is None:
+                monos = monomials[target] = monomials_of_weight(self.pres.nvars, g.weights, target)
+            out.extend((comp, e) for e in monos if _is_standard(leads, e))
         return out
 
     def dim(self, degree: int) -> int:
@@ -585,24 +667,34 @@ def quotient_dimension(p: ModulePresentation, order: Optional[MonomialOrder] = N
 class LinSpace:
     """Row space over Q, grown one sparse row at a time.
 
-    A row maps orderable column keys to coefficients.  Each stored row is
-    scaled to 1 on its largest key (its pivot), and a new row is only reduced
-    forward against the stored pivots, so no stored row is ever rewritten.
-    Whether a row enlarges the space, and the dimension, do not depend on
-    which echelon form is kept.
+    A row maps orderable column keys to rational coefficients.  Its
+    denominators are cleared on entry and it is reduced fraction-free: at a
+    stored row whose pivot entry is b, a row with entry f there becomes
+    (b/g) * row - (f/g) * stored row, with g = gcd(f, b).  Each stored row is
+    a primitive integer row with a positive entry on its largest key (its
+    pivot), and a new row is only reduced forward against the stored pivots,
+    so no stored row is ever rewritten.  Whether a row enlarges the space,
+    and the dimension, do not depend on which echelon form is kept.
     """
 
     def __init__(self):
-        self.rows: dict = {}  # pivot key -> row scaled to 1 at its pivot
+        self.rows: dict = {}  # pivot key -> primitive integer row, positive at its pivot
 
     def _reduce(self, row: dict) -> dict:
-        row = {t: c for t, c in row.items() if c}
+        row = _integral({t: c for t, c in row.items() if c})[0]
         while row:
             p = max(row)
             base = self.rows.get(p)
             if base is None:
                 return row
             f = row[p]
+            b = base[p]
+            if b != 1:
+                g = int_gcd(f, b)
+                f //= g
+                m = b // g
+                if m != 1:
+                    row = {t: c * m for t, c in row.items()}
             for t, c in base.items():
                 s = row.get(t, 0) - f * c
                 if s:
@@ -617,8 +709,7 @@ class LinSpace:
         if not r:
             return False
         p = max(r)
-        inv = 1 / Fraction(r[p])
-        self.rows[p] = {t: c * inv for t, c in r.items()}
+        self.rows[p] = _normalize(r, r[p])
         return True
 
     @property

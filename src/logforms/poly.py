@@ -584,9 +584,11 @@ def quasihomogeneous_weights(h: Poly, allow_zero: bool = False) -> Optional[tupl
 
     def solve(assignment: Sequence[int]) -> Optional[tuple]:
         w = {-c: Fraction(val) for c, val in zip(free, assignment)}
-        # right to left: a row involves only columns right of its pivot
+        # right to left: a row involves only columns right of its pivot; the
+        # stored rows are integer rows, so divide by the pivot entry exactly
         for p in sorted(space.rows):
-            w[p] = -sum(v * w[t] for t, v in space.rows[p].items() if t != p)
+            row = space.rows[p]
+            w[p] = Fraction(-sum(v * w[t] for t, v in row.items() if t != p), row[p])
         w = [w[-c] for c in range(n)]
         if allow_zero:
             ok = all(x >= 0 for x in w) and any(x > 0 for x in w)

@@ -242,3 +242,16 @@ def test_ae_codim_jet_cap_run_out_exits_4(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-stabilization" in captured.err
+
+
+@pytest.mark.parametrize("germ", ["x*y+y^5", "x*y^2+y^4"])
+def test_ae_codim_jet_route_alone_is_uncertified(tmp_path, capsys, germ):
+    # the jet route stops when two consecutive jet orders agree, which proves
+    # nothing: (x, xy+y^5) gives 2 that way, (x, xy^2+y^4) gives 1
+    job = tmp_path / "job.job"
+    job.write_text(f'ring {{ x, y }};\ntarget-ring {{ X, Y }};\nmap ( "x", "{germ}" );\n'
+                   'command ae-codim;\n')
+    assert main(["--input", str(job)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["routes"] == ["direct"]
+    assert record["flags"]["certified"] == "UNCERTIFIED-LOCAL"

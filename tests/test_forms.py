@@ -197,6 +197,40 @@ def test_slices_enumerate_each_slice_once(four_planes_afd, monkeypatch):
     assert len(calls) == 4 * 9
 
 
+def test_slices_enumerate_each_degree_once_per_slice(four_planes_afd, monkeypatch):
+    """Within one slice, the monomials of one weighted degree are enumerated
+    once, however many components share that degree shift."""
+    from logforms import groebner
+
+    setup = four_planes_afd
+    enumerated = []
+    slices = []
+    original_slice = QuotientTable.standard_monomials
+    original_enum = groebner.monomials_of_weight
+
+    def counting_slice(self, degree):
+        enumerated.clear()
+        out = original_slice(self, degree)
+        shifts = self.pres.grading.shifts
+        slices.append((list(enumerated), {degree - s for s in shifts}, len(shifts)))
+        return out
+
+    def counting_enum(nvars, weights, target):
+        enumerated.append(target)
+        return original_enum(nvars, weights, target)
+
+    monkeypatch.setattr(QuotientTable, "standard_monomials", counting_slice)
+    monkeypatch.setattr(groebner, "monomials_of_weight", counting_enum)
+    mods = [forms_pullback(setup.e_basis, setup.map.components, setup.map.source_names, k,
+                           weights=setup.weights) for k in range(0, 4)]
+    assert de_rham_report_sliced(mods, 8)["all_exact"]
+    assert len(slices) == 4 * 9
+    for targets, distinct, rank in slices:
+        assert sorted(targets) == sorted(distinct)
+    # the components share shifts, so enumerating per component repeats work
+    assert sum(rank for _, _, rank in slices) > sum(len(t) for t, _, _ in slices)
+
+
 def test_slices_build_one_reducer_table_per_module(nc4, monkeypatch):
     """Every slice coordinate of a module reduces through the one reducer
     table its `QuotientTable` keeps."""

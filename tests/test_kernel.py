@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logforms.groebner import (
+    LinSpace,
     QuotientTable,
     groebner_basis,
     is_member,
@@ -14,6 +15,7 @@ from logforms.groebner import (
     minimal_generator_indices,
     minimal_generators,
     normal_form,
+    normal_form_with_cofactors,
     quotient_dimension,
     submodules_equal,
     syzygy_module,
@@ -368,6 +370,92 @@ def test_table_reduce_matches_normal_form(inputs):
         assert r.is_zero() == is_member(f, qt.gb, order)
     for g in gens:
         assert not qt.reduce(g)
+
+
+def _combination(coeffs, elems):
+    acc = FreeElement.zero(elems[0].rank, elems[0].nvars)
+    for c, g in zip(coeffs, elems):
+        acc = acc + g.scale(c)
+    return acc
+
+
+@given(_division_inputs())
+@settings(max_examples=80, deadline=None)
+def test_normal_form_with_cofactors_recombines(inputs):
+    gens, f, order = inputs
+    gb = groebner_basis(gens, order)
+    # against the reduced basis, and against the fractional generators as given
+    for basis in (gb, gens):
+        r, cofactors = normal_form_with_cofactors(f, basis, order)
+        assert len(cofactors) == len(basis)
+        assert _combination(cofactors, basis) + r == f
+        assert r == normal_form(f, basis, order) == _naive_normal_form(f, basis, order)
+
+
+@given(_division_inputs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_lift_over_fractional_generators_round_trips(inputs, data):
+    gens, f, order = inputs
+    nvars = f.nvars
+    multipliers = [data.draw(_polys(nvars, 3, 2)) for _ in gens]
+    member = _combination(multipliers, gens)
+    coeffs = lift_over_generators(member, gens, order)
+    assert coeffs is not None
+    assert _combination(coeffs, gens) == member
+    lifted = lift_over_generators(f, gens, order)
+    if lifted is None:
+        assert not is_member(f, groebner_basis(gens, order), order)
+    else:
+        assert _combination(lifted, gens) == f
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def _dependent_rows(draw):
+    """Fractional rows of length 5: a few drawn rows, then fractional
+    combinations of them, shuffled, so the rank is often short."""
+    rows = draw(st.lists(st.lists(_FRACTIONS, min_size=5, max_size=5), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 4))):
+        mult = [draw(_FRACTIONS) for _ in rows]
+        rows.append([sum((m * r[i] for m, r in zip(mult, rows)), Fraction(0)) for i in range(5)])
+    return draw(st.permutations(rows))
+
+
+@given(_dependent_rows())
+@settings(max_examples=100, deadline=None)
+def test_linspace_dim_matches_dense_rank(rows):
+    space = LinSpace()
+    for row in rows:
+        space.add(dict(enumerate(row)))
+    assert space.dim == _dense_rank(rows)
+
+
+def _coefficients(x):
+    if isinstance(x, FreeElement):
+        return [c for p in x.entries for c in p.terms.values()]
+    if isinstance(x, Poly):
+        return list(x.terms.values())
+    if isinstance(x, dict):
+        return list(x.values())
+    return [c for y in x for c in _coefficients(y)]
+
+
+@given(_division_inputs())
+@settings(max_examples=60, deadline=None)
+def test_kernel_results_are_fractions(inputs):
+    """Values leave the integer kernel as exact rationals, never as ints or
+    floats."""
+    gens, f, order = inputs
+    gb = groebner_basis(gens, order)
+    qt = QuotientTable(ModulePresentation(f.rank, gens, nvars=f.nvars), order)
+    lifted = lift_over_generators(gens[0].scale(Poly.constant(f.nvars, Fraction(1, 3))),
+                                  gens, order)
+    results = [gb, normal_form(f, gb, order), qt.reduce(f), syzygy_module(gens, order),
+               lifted, normal_form_with_cofactors(f, gens, order)[1]]
+    for c in _coefficients(results):
+        assert type(c) is Fraction
 
 
 @pytest.fixture(scope="module")
