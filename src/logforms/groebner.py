@@ -15,6 +15,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd as int_gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from .module import INFINITE, FreeElement, Grading, ModulePresentation, ModuleError
@@ -388,35 +389,83 @@ def submodules_equal(gens_a: Sequence[FreeElement], gens_b: Sequence[FreeElement
     return submodule_contains(gba, gens_b, order) and submodule_contains(gbb, gens_a, order)
 
 
-def _tagged_basis(gens: Sequence[FreeElement], order: MonomialOrder) -> list:
-    """Reduced Groebner basis of the generators, generator i extended by the
-    unit vector in component rank + i, so the components from rank on record
-    how each basis element combines the generators."""
+class _EliminationOrder:
+    """The term order of a stacked module O^rank + O^s: every head term (below
+    component rank) is greater than every tag term (from rank on).  Tags
+    compare position over term, as O^s does under the scalar order.  Heads
+    compare by weighted degree first (total degree under lex), then by
+    position, then by the scalar order.  For homogeneous input whose head
+    components share one shift this is position over term; for other input,
+    pure position over term would let one reduction step bring in terms of
+    ever higher degree in later head components, and on random inhomogeneous
+    colons it made Buchberger's algorithm a thousand times slower."""
+
+    __slots__ = ("mono_key", "rank", "weights")
+
+    def __init__(self, order: MonomialOrder, rank: int):
+        self.mono_key = order.mono_key
+        self.rank = rank
+        self.weights = order.weights
+
+    def term_key(self, term: tuple):
+        comp, e = term
+        if comp < self.rank:
+            w = self.weights
+            return (1, sum(map(mul, e, w)) if w is not None else sum(e), -comp,
+                    *self.mono_key(e))
+        return (0, -comp, *self.mono_key(e))
+
+
+def _tagged_basis(gens: Sequence[FreeElement], order: MonomialOrder,
+                  tags: Optional[Sequence[FreeElement]] = None,
+                  plain: Sequence[FreeElement] = ()) -> list:
+    """Reduced Groebner basis of the stacked vecs g_i + t_i and p_j + 0 in
+    O^rank + O^s, where the generators g_i and the plain elements p_j live in
+    O^rank and the tag t_i of g_i (by default the unit vector e_i) sits in the
+    components from rank on, under the `_EliminationOrder`.
+
+    Every tag term is smaller than every head term, so the basis elements
+    that lie wholly in the tags are a reduced Groebner basis of the tags of
+    the combinations sum(a_i * (g_i + t_i)) + sum(b_j * p_j) whose heads
+    cancel, in the order that O^s has (`_tag_part` reads them off)."""
     rank, nvars = gens[0].rank, gens[0].nvars
     zero_e = tuple([0] * nvars)
-    tagged = []
+    stacked = []
     for i, g in enumerate(gens):
         v = g.vec()
-        v[(rank + i, zero_e)] = 1
-        tagged.append(v)
-    return _buchberger_vecs(tagged, order, False)
+        if tags is None:
+            v[(rank + i, zero_e)] = 1
+        else:
+            for (c, e), x in tags[i].vec().items():
+                v[(rank + c, e)] = x
+        stacked.append(v)
+    stacked.extend(p.vec() for p in plain)
+    return _buchberger_vecs(stacked, _EliminationOrder(order, rank), False)
+
+
+def _tag_part(basis: Sequence[dict], rank: int, s: int, nvars: int) -> list:
+    """The elements of a `_tagged_basis` that lie wholly from component rank
+    on, shifted down into O^s.  They are primitive integer vecs with a
+    positive lead, sorted by increasing lead: the canonical reduced basis that
+    `groebner_basis` gives for the module they generate."""
+    out = []
+    for v in basis:
+        if all(c >= rank for (c, _) in v):
+            out.append(FreeElement.from_vec(s, nvars, {(c - rank, e): Fraction(x)
+                                                       for (c, e), x in v.items()}))
+    return out
 
 
 def syzygy_module(columns: Sequence[FreeElement],
                   order: Optional[MonomialOrder] = None) -> list:
-    """Generators of the module of relations sum(a_i * column_i) = 0."""
+    """Generators of the module of relations sum(a_i * column_i) = 0: the
+    reduced Groebner basis of the syzygy module."""
     _check_family(columns)
     if not columns:
         return []
     rank, nvars = columns[0].rank, columns[0].nvars
-    s = len(columns)
     basis = _tagged_basis(columns, (order or MonomialOrder()).with_nvars(nvars))
-    syz = []
-    for v in basis:
-        if all(c >= rank for (c, _) in v):
-            syz.append(FreeElement.from_vec(s, nvars, {(c - rank, e): Fraction(x)
-                                                       for (c, e), x in v.items()}))
-    return syz
+    return _tag_part(basis, rank, len(columns), nvars)
 
 
 def lift_over_generators(f: FreeElement, gens: Sequence[FreeElement],
@@ -432,7 +481,7 @@ def lift_over_generators(f: FreeElement, gens: Sequence[FreeElement],
     rank, nvars = gens[0].rank, gens[0].nvars
     order = (order or MonomialOrder()).with_nvars(nvars)
     s = len(gens)
-    keys = _TermKeys(order)
+    keys = _TermKeys(_EliminationOrder(order, rank))
     reduced, denom = _divide(f, _reducers_of(_tagged_basis(gens, order), keys), keys)
     if any(c < rank for (c, _) in reduced):
         return None
@@ -445,19 +494,17 @@ def lift_over_generators(f: FreeElement, gens: Sequence[FreeElement],
 def kernel_of_map(columns: Sequence[FreeElement], target_relations: Sequence[FreeElement],
                   order: Optional[MonomialOrder] = None) -> list:
     """Generators of {u in O^len(columns) : sum(u_i * column_i) lies in the
-    submodule generated by target_relations}."""
+    submodule generated by target_relations}: the reduced Groebner basis of
+    that kernel.  Only the columns are tagged; the target relations enter
+    untagged, so their own syzygies are never computed."""
     _check_family(list(columns) + list(target_relations))
     a = len(columns)
     if a == 0:
         return []
-    everything = list(columns) + list(target_relations)
-    syz = syzygy_module(everything, order)
-    out = []
-    for s in syz:
-        u = FreeElement(s.entries[:a])
-        if not u.is_zero():
-            out.append(u)
-    return out
+    rank, nvars = columns[0].rank, columns[0].nvars
+    order = (order or MonomialOrder()).with_nvars(nvars)
+    basis = _tagged_basis(columns, order, plain=target_relations)
+    return _tag_part(basis, rank, a, nvars)
 
 
 def colon_single(relations: Sequence[FreeElement], rank: int, f: Poly,
@@ -465,60 +512,65 @@ def colon_single(relations: Sequence[FreeElement], rank: int, f: Poly,
     """Generators of the colon submodule {v in O^rank : f*v in <relations>}."""
     nvars = f.nvars
     cols = [FreeElement.unit(rank, nvars, c).scale(f) for c in range(rank)]
-    sols = kernel_of_map(cols, list(relations), order)
-    return sols
+    return kernel_of_map(cols, list(relations), order)
 
 
 def intersect(gens_a: Sequence[FreeElement], gens_b: Sequence[FreeElement],
               order: Optional[MonomialOrder] = None) -> list:
-    """Generators of the intersection of two submodules of the same free module."""
+    """The reduced Groebner basis of the intersection of two submodules of
+    the same free module.  It is read from one basis of the stacked elements
+    a_i + a_i and b_j + 0: an element 0 + v has v = sum(s_i * a_i) =
+    -sum(t_j * b_j), which lies in both."""
     _check_family(list(gens_a) + list(gens_b))
     if not gens_a or not gens_b:
         return []
-    syz = syzygy_module(list(gens_a) + list(gens_b), order)
-    a = len(gens_a)
-    nvars = gens_a[0].nvars
-    rank = gens_a[0].rank
-    out = []
-    for s in syz:
-        v = FreeElement.zero(rank, nvars)
-        for i in range(a):
-            v = v + gens_a[i].scale(s.entries[i])
-        if not v.is_zero():
-            out.append(v)
-    return out
+    rank, nvars = gens_a[0].rank, gens_a[0].nvars
+    order = (order or MonomialOrder()).with_nvars(nvars)
+    basis = _tagged_basis(gens_a, order, tags=gens_a, plain=gens_b)
+    return _tag_part(basis, rank, rank, nvars)
 
 
 def colon_ideal(relations: Sequence[FreeElement], rank: int, ideal_gens: Sequence[Poly],
                 order: Optional[MonomialOrder] = None) -> list:
-    """Colon {v : g*v in N for every ideal generator g} as the intersection of
-    the single colons."""
-    gens = None
-    for f in ideal_gens:
-        ci = colon_single(relations, rank, f, order)
-        gens = ci if gens is None else intersect(gens, ci, order)
-        if not gens:
-            return []
-    return gens or []
+    """The colon N : I = {v : g*v in N for every ideal generator g}, as one
+    kernel and so as its reduced Groebner basis.
+
+    With I = (f_1, ..., f_k), v lies in N : I exactly when v maps into N^k
+    under v -> (f_1*v, ..., f_k*v) in (O^rank)^k.  So the columns are
+    (f_1*e_c, ..., f_k*e_c), one for each component c, and the target
+    relations are the generators of N placed in each of the k blocks."""
+    if not ideal_gens:
+        return []
+    k = len(ideal_gens)
+    nvars = ideal_gens[0].nvars
+    zero = Poly.zero(nvars)
+    columns = []
+    for c in range(rank):
+        entries = [zero] * (rank * k)
+        for i, f in enumerate(ideal_gens):
+            entries[i * rank + c] = f
+        columns.append(FreeElement(entries))
+    blocks = []
+    for i in range(k):
+        for g in relations:
+            entries = [zero] * (rank * k)
+            entries[i * rank:(i + 1) * rank] = g.entries
+            blocks.append(FreeElement(entries))
+    return kernel_of_map(columns, blocks, order)
 
 
 def saturate(relations: Sequence[FreeElement], rank: int, ideal_gens: Sequence[Poly],
              order: Optional[MonomialOrder] = None, max_steps: int = 30) -> list:
     """Stabilised union of iterated colons N : I, N : I^2, ... by the ideal."""
     order = (order or MonomialOrder()).with_nvars(ideal_gens[0].nvars)
-    current = list(relations)
-    gb_current = groebner_basis(current, order)
+    current = groebner_basis(relations, order)
     for _ in range(max_steps):
-        bigger = colon_ideal(gb_current, rank, ideal_gens, order)
+        # N lies in N : I, and both are reduced (canonical) bases, so the
+        # chain is stable exactly when a step returns its input.
+        bigger = colon_ideal(current, rank, ideal_gens, order)
         if bigger == current:
-            return gb_current
-        # N lies in N : I, so the chain is stable exactly when the reduced
-        # (canonical) bases agree.
-        gb_bigger = groebner_basis(bigger, order)
-        if gb_bigger == gb_current:
-            return gb_current
+            return current
         current = bigger
-        gb_current = gb_bigger
     raise StabilizationError("colon chain did not stabilise within the step bound")
 
 

@@ -535,22 +535,91 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
 
 
 def is_squarefree(h: Poly) -> bool:
-    """True when gcd(h, dh/dx_1, ..., dh/dx_n) is constant (char 0)."""
+    """True when h has no repeated factor over Q, read from the lead
+    monomials of one reduced degrevlex Groebner basis of
+    J = (h, dh/dx_1, ..., dh/dx_n).
+
+    The rule: h is squarefree exactly when, for every variable x_j, some lead
+    monomial does not contain x_j.  A set S of variables is independent
+    modulo J when no lead monomial is a monomial in S alone, and
+    dim Q[x]/J is the largest size of such a set; S = {x_i : i != j} is
+    independent exactly when every lead contains x_j.  So the rule says
+    dim Q[x]/J <= n - 2, and it holds for J = (1), a constant h.
+
+    Proof (characteristic 0): if h = p^2 * q with p nonconstant, p divides h
+    and every partial, so V(J) contains V(p), of dimension n - 1.  If h is
+    reduced, V(J) is the singular locus of V(h), a proper closed subset of
+    each of its components, so dim V(J) <= n - 2.
+
+    An inhomogeneous h is first homogenised with a new variable t.
+    Homogenisation is multiplicative and t divides no homogenised polynomial,
+    so a factor of H = h^hom dehomogenises (t = 1) to a factor of h of the
+    same degree, and H has a repeated factor exactly when h has.
+    Buchberger's algorithm keeps to one degree at a time on homogeneous
+    input; on dense bivariate h of degree 15 this cut the basis from seconds
+    to under a tenth of a second.
+    """
     if h.is_zero():
         raise PolyError("zero polynomial has no squarefree test")
-    g = h
-    for i in range(h.nvars):
-        d = h.derivative(i)
-        if d.is_zero():
-            continue
-        g = poly_gcd(g, d)
-        if g.is_constant():
-            return True
-    return g.is_constant()
+    # deferred: the Groebner layer is built on this module
+    from .groebner import QuotientTable
+    from .module import FreeElement, ModulePresentation
+
+    n = h.nvars
+    if not h.is_homogeneous((1,) * n):
+        d = h.total_degree()
+        h = Poly(n + 1, {e + (d - sum(e),): c for e, c in h.terms.items()})
+        n += 1
+    gens = [FreeElement([p]) for p in [h] + [h.derivative(i) for i in range(n)]]
+    leads = QuotientTable(ModulePresentation(1, gens)).leads[0]
+    return all(any(e[j] == 0 for e in leads) for j in range(n))
 
 
 # ---------------------------------------------------------------------------
 # quasihomogeneity
+
+
+def _lex_least_point(constraints: list) -> Optional[list]:
+    """The lexicographically least point t = (t_0, ..., t_{m-1}) with
+    sum(a_j * t_j) >= b for every (a, b) in constraints, or None when there
+    is none.  Each t_j must be bounded below by a constraint of its own
+    (a = e_j), so that the least point exists.
+
+    Fourier-Motzkin over `Fraction`: eliminate t_{m-1}, ..., t_0 in turn by
+    adding positive multiples of a lower and an upper bound, keeping each
+    stage.  The last stage holds constraints 0 >= b only, and the system is
+    feasible exactly when all of them hold.  Then t_0, t_1, ... each take the
+    greatest lower bound that the stage in t_0..t_j leaves, given the values
+    already fixed; the stage's upper bounds admit it, because the next stage
+    holds at the values fixed so far.
+    """
+
+    m = len(constraints[0][0])
+
+    def normal(a: tuple, b) -> tuple:
+        # scaled so that the first nonzero coefficient is +-1
+        k = next((abs(x) for x in a if x), 1)
+        return tuple(Fraction(x) / k for x in a), Fraction(b) / k
+
+    stage = {normal(tuple(a), b) for a, b in constraints}
+    stages = [stage]
+    for j in range(m - 1, -1, -1):
+        lower = [(a, b) for a, b in stage if a[j] > 0]
+        upper = [(a, b) for a, b in stage if a[j] < 0]
+        stage = {(a, b) for a, b in stage if a[j] == 0}
+        for al, bl in lower:
+            for au, bu in upper:
+                p, q = -au[j], al[j]
+                stage.add(normal(tuple(p * x + q * y for x, y in zip(al, au)), p * bl + q * bu))
+        stages.append(stage)
+    if any(b > 0 for _, b in stage):
+        return None
+    t: list = []
+    for j in range(m):
+        # stages[m - 1 - j] involves t_0..t_j only
+        t.append(max((b - sum(x * y for x, y in zip(a, t))) / a[j]
+                     for a, b in stages[m - 1 - j] if a[j] > 0))
+    return t
 
 
 def quasihomogeneous_weights(h: Poly, allow_zero: bool = False) -> Optional[tuple]:
@@ -559,6 +628,15 @@ def quasihomogeneous_weights(h: Poly, allow_zero: bool = False) -> Optional[tupl
 
     With allow_zero=True a semipositive system (some zero weights, not all)
     is accepted when no strictly positive one exists.
+
+    The weights solve the difference system (e - base) . w = 0, so each one
+    is a linear form in the values of the free columns of its echelon.  Free
+    values in 1..4 (all ones when there are more than four free columns) are
+    tried first.  When none of them works, feasibility is decided exactly:
+    the system is homogeneous, so positive weights exist exactly when some
+    free values make every weight at least 1 (semipositive ones: at least 0
+    with sum at least 1), and the lexicographically least such free values
+    (`_lex_least_point`) give the answer.
     """
     if h.is_zero():
         raise PolyError("zero polynomial")
@@ -581,21 +659,19 @@ def quasihomogeneous_weights(h: Poly, allow_zero: bool = False) -> Optional[tupl
     for e in expos[1:]:
         space.add({-i: Fraction(e[i] - base[i]) for i in range(n)})
     free = [c for c in range(n) if -c not in space.rows]
+    if not free:
+        return None
 
-    def solve(assignment: Sequence[int]) -> Optional[tuple]:
+    def weights_at(assignment: Sequence) -> list:
         w = {-c: Fraction(val) for c, val in zip(free, assignment)}
         # right to left: a row involves only columns right of its pivot; the
         # stored rows are integer rows, so divide by the pivot entry exactly
         for p in sorted(space.rows):
             row = space.rows[p]
             w[p] = Fraction(-sum(v * w[t] for t, v in row.items() if t != p), row[p])
-        w = [w[-c] for c in range(n)]
-        if allow_zero:
-            ok = all(x >= 0 for x in w) and any(x > 0 for x in w)
-        else:
-            ok = all(x > 0 for x in w)
-        if not ok:
-            return None
+        return [w[-c] for c in range(n)]
+
+    def lowest_terms(w: list) -> tuple:
         denom = 1
         for x in w:
             denom = denom * x.denominator // int_gcd(denom, x.denominator)
@@ -605,14 +681,20 @@ def quasihomogeneous_weights(h: Poly, allow_zero: bool = False) -> Optional[tupl
             g = int_gcd(g, x)
         return tuple(x // g for x in ints)
 
-    if not free:
-        return None
     from itertools import product
 
-    grids = [(1,)] if len(free) > 4 else None
-    candidates: Iterable = product(*[range(1, 5) for _ in free]) if grids is None else [(1,) * len(free)]
+    m = len(free)
+    candidates: Iterable = product(*[range(1, 5) for _ in free]) if m <= 4 else [(1,) * m]
     for assignment in candidates:
-        w = solve(assignment)
-        if w is not None:
-            return w
-    return None
+        w = weights_at(assignment)
+        if all(x > 0 for x in w) or (allow_zero and all(x >= 0 for x in w) and any(w)):
+            return lowest_terms(w)
+
+    # column f of `forms` is the weight vector at the unit free values e_f
+    units = [[int(f == g) for g in range(m)] for f in range(m)]
+    forms = list(zip(*[weights_at(u) for u in units]))
+    point = _lex_least_point([(a, 1) for a in forms])
+    if point is None and allow_zero:
+        total = [sum(col) for col in zip(*forms)]
+        point = _lex_least_point([(a, 0) for a in forms] + [(total, 1)])
+    return None if point is None else lowest_terms(weights_at(point))

@@ -35,7 +35,8 @@ def test_derham_slices_known_answer(derham_cases, case_id):
     assert case.run() == case.expected
 
 
-@pytest.mark.parametrize("case_id", ["torsion/C3-m4", "kev/C3-m4", "is-free/A3"])
+@pytest.mark.parametrize("case_id", ["torsion/C3-m4", "torsion/C3-m5", "kev/C3-m4",
+                                     "is-free/A3", "is-free/C3-m6"])
 def test_syzygy_ladder_known_answer(syzygy_cases, case_id):
     case = syzygy_cases[case_id]
     assert case.run() == case.expected

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from logforms.groebner import (
     LinSpace,
     QuotientTable,
+    colon_ideal,
+    colon_single,
     groebner_basis,
+    intersect,
     is_member,
     lift_over_generators,
     minimal_generator_indices,
@@ -456,6 +459,103 @@ def test_kernel_results_are_fractions(inputs):
                lifted, normal_form_with_cofactors(f, gens, order)[1]]
     for c in _coefficients(results):
         assert type(c) is Fraction
+
+
+@st.composite
+def _homogeneous(draw, nvars, degree, max_terms):
+    """A polynomial of total degree `degree` with up to max_terms terms
+    (zero when it draws none)."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e, rest = [], degree
+        for _ in range(nvars - 1):
+            a = draw(st.integers(0, rest))
+            e.append(a)
+            rest -= a
+        terms[tuple(e + [rest])] = Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                                            draw(st.integers(1, 2)))
+    return Poly(nvars, terms)
+
+
+@st.composite
+def _colon_inputs(draw):
+    """Relations of a submodule N of O^rank, ideal generators and an order,
+    rank 1 or 2 over 1 to 3 variables.  Graded inputs have every relation
+    and generator homogeneous for unit weights (the components of a relation
+    share its degree).  Ungraded ones have at most two relations and
+    squarefree-exponent ideal generators: larger inhomogeneous inputs now
+    and then keep Buchberger's algorithm busy for more than ten seconds, on
+    every route to the colon."""
+    rank = draw(st.integers(1, 2))
+    nvars = draw(st.integers(1, 3 if rank == 1 else 2))
+    graded = draw(st.booleans())
+
+    def poly(degree, max_exp):
+        if graded:
+            return draw(_homogeneous(nvars, degree, 2))
+        return draw(_polys(nvars, 2, max_exp))
+
+    relations = []
+    for _ in range(draw(st.integers(1, 3 if graded else 2))):
+        degree = draw(st.integers(1, 3))
+        relations.append(FreeElement([poly(degree, 2) for _ in range(rank)]))
+    ideal = [poly(draw(st.integers(1, 2)), 1) for _ in range(draw(st.integers(1, 3)))]
+    ideal = [f for f in ideal if not f.is_zero()] or [Poly.variable(nvars, 0)]
+    order = draw(st.sampled_from([MonomialOrder("wdegrevlex"), MonomialOrder("lex")]))
+    return relations, rank, ideal, order
+
+
+@given(_colon_inputs())
+@settings(max_examples=80, deadline=None)
+def test_colon_ideal_is_the_intersection_of_single_colons(inputs):
+    """N : (f_1, ..., f_k) as one kernel is the reduced basis of the
+    intersection of the colons N : f_i, lies in the colon and contains N."""
+    relations, rank, ideal, order = inputs
+    colon = colon_ideal(relations, rank, ideal, order)
+    meet = colon_single(relations, rank, ideal[0], order)
+    for f in ideal[1:]:
+        meet = intersect(meet, colon_single(relations, rank, f, order), order)
+    assert colon == groebner_basis(meet, order)
+    gb = groebner_basis(relations, order)
+    for v in colon:
+        assert all(is_member(v.scale(f), gb, order) for f in ideal)
+    assert all(is_member(g, colon, order) for g in relations)
+
+
+@st.composite
+def _intersect_inputs(draw):
+    """Two families of elements of O^rank and an order, rank 1 or 2 over 1 to
+    3 variables: homogeneous for unit weights (one to three elements each),
+    or arbitrary (one or two, and one; larger inhomogeneous families now and
+    then keep Buchberger's algorithm busy for more than ten seconds, on
+    either route)."""
+    rank = draw(st.integers(1, 2))
+    nvars = draw(st.integers(1, 3 if rank == 1 else 2))
+    graded = draw(st.booleans())
+
+    def element():
+        if graded:
+            degree = draw(st.integers(1, 3))
+            return FreeElement([draw(_homogeneous(nvars, degree, 2)) for _ in range(rank)])
+        return FreeElement([draw(_polys(nvars, 2, 2)) for _ in range(rank)])
+
+    gens_a = [element() for _ in range(draw(st.integers(1, 3 if graded else 2)))]
+    gens_b = [element() for _ in range(draw(st.integers(1, 3 if graded else 1)))]
+    order = draw(st.sampled_from([MonomialOrder("wdegrevlex"), MonomialOrder("lex")]))
+    return gens_a, gens_b, order
+
+
+@given(_intersect_inputs())
+@settings(max_examples=60, deadline=None)
+def test_intersect_matches_syzygy_construction(inputs):
+    """A meet B read from one stacked basis equals the span of
+    sum(s_i * a_i) over the syzygies s of (a, b), as a reduced basis."""
+    gens_a, gens_b, order = inputs
+    a = len(gens_a)
+    spans = [_combination(s.entries[:a], gens_a)
+             for s in syzygy_module(gens_a + gens_b, order)]
+    expected = groebner_basis([v for v in spans if not v.is_zero()], order)
+    assert intersect(gens_a, gens_b, order) == expected
 
 
 @pytest.fixture(scope="module")

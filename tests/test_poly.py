@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, parsing and quasihomogeneity."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,13 @@ def test_quasihomogeneous_weights_property():
         assert len(degs) == 1
 
 
+def test_weights_beyond_the_search_grid():
+    """Positive weights exist, but none with free-column values in 1..4:
+    with the free columns x, u at 1 the system needs 6 < u < 7.4."""
+    h = parse_poly("y*z^11 + x^8*u + x^14*z", ["y", "z", "x", "u"])
+    assert quasihomogeneous_weights(h) == (4, 1, 1, 7)
+
+
 def test_semipositive_weights_for_cross_ratio_family():
     h = P("x*y*(x-y)*(x+z*y)")
     assert quasihomogeneous_weights(h) is None
@@ -126,6 +134,94 @@ def small_polys(draw):
         if c:
             terms[e] = c
     return Poly(3, terms)
+
+
+def _gcd_with_partials_is_constant(h):
+    """The gcd criterion: h is squarefree when gcd(h, dh/dx_1, ..., dh/dx_n)
+    is constant (characteristic 0)."""
+    g = h
+    for i in range(h.nvars):
+        d = h.derivative(i)
+        if not d.is_zero():
+            g = poly_gcd(g, d)
+    return g.is_constant()
+
+
+@st.composite
+def _factor(draw, nvars):
+    """One to three terms with exponents up to 4 - nvars."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        e = tuple(draw(st.integers(0, 4 - nvars)) for _ in range(nvars))
+        terms[e] = Fraction(draw(st.sampled_from([-2, -1, 1, 3])), draw(st.integers(1, 2)))
+    return Poly(nvars, terms)
+
+
+@st.composite
+def squarefree_inputs(draw):
+    """Products of small factors over 1 to 3 variables, inhomogeneous in
+    general, with a squared factor about half the time; and constants.  The
+    sizes (fewer factors over three variables) keep the gcd oracle quick."""
+    nvars = draw(st.integers(1, 3))
+    h = Poly.constant(nvars, draw(st.sampled_from([-2, 1, Fraction(1, 3)])))
+    for _ in range(draw(st.integers(0, 2 if nvars < 3 else 1))):
+        h = h * draw(_factor(nvars))
+    if draw(st.booleans()):
+        p = draw(_factor(nvars))
+        h = h * p * p
+    return h
+
+
+@given(squarefree_inputs())
+@settings(max_examples=120, deadline=None)
+def test_squarefree_matches_gcd_criterion(h):
+    if h.is_zero():
+        return
+    assert is_squarefree(h) == _gcd_with_partials_is_constant(h)
+
+
+def test_squarefree_edge_cases():
+    assert is_squarefree(Poly.constant(2, 5))
+    assert is_squarefree(parse_poly("x^2 - 2", ["x"]))
+    assert not is_squarefree(parse_poly("(x^2 - 2)^2*(x + 1)", ["x"]))
+    assert not is_squarefree(P("(x*y + z + 1)^2*(x - y)"))
+    assert is_squarefree(P("x^2 + y^3 + z^5 + x*y*z"))
+    with pytest.raises(PolyError):
+        is_squarefree(Poly.zero(3))
+
+
+@st.composite
+def quasihomogeneous_polys(draw):
+    """Two to four monomials of one weighted degree over 2 to 5 variables,
+    under drawn positive weights (one of them 1, which closes each monomial),
+    in a drawn variable order."""
+    nvars = draw(st.integers(2, 5))
+    weights = [draw(st.integers(1, 6)) for _ in range(nvars - 1)]
+    degree = draw(st.integers(max(weights), 3 * max(weights) + 4))
+    monos = set()
+    for _ in range(draw(st.integers(2, 4))):
+        e, rest = [], degree
+        for w in weights:
+            a = draw(st.integers(0, rest // w))
+            e.append(a)
+            rest -= a * w
+        monos.add(tuple(e + [rest]))
+    perm = draw(st.permutations(range(nvars)))
+    return Poly(nvars, {tuple(e[i] for i in perm): Fraction(1) for e in monos})
+
+
+@given(quasihomogeneous_polys())
+@settings(max_examples=150, deadline=None)
+def test_weights_found_whenever_they_exist(h):
+    if h.is_constant():
+        return
+    w = quasihomogeneous_weights(h)
+    assert w is not None and all(x > 0 for x in w)
+    assert len({sum(a * b for a, b in zip(e, w)) for e in h.terms}) == 1
+    g = 0
+    for x in w:
+        g = gcd(g, x)
+    assert g == 1
 
 
 @given(small_polys(), small_polys(), small_polys())
