@@ -32,6 +32,7 @@ from .deformation import (
 from .forms import (
     CheckedFormsModule,
     FormsError,
+    GradedDimensionTable,
     de_rham_report_homotopy,
     de_rham_report_sliced,
     forms_free,
@@ -199,8 +200,6 @@ def _cmd_omega_check(job: JobSpec, opts: dict) -> dict:
     rec["dimensions"]["rank"] = {"value": m.rank, "route": "binomial(n, k)"}
     graded = m.grading() is not None
     if graded:
-        from .forms import GradedDimensionTable
-
         bound = opts.get("degree-bound", 20)
         rec["tables"]["graded_dimensions"] = GradedDimensionTable(
             m.dimension_table(bound)).as_dict()
@@ -327,7 +326,7 @@ def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
             errors["good_equation"] = "no good-equation witness found"
         else:
             try:
-                dim = mu_e_good_equation(d.h, params, witness, opts.get("order"), d.weights)
+                dim = mu_e_good_equation(d, params, witness, opts.get("order"))
                 routes["good_equation"] = _fmt_dim(dim)
             except DeformationError as exc:
                 errors["good_equation"] = str(exc)

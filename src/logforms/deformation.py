@@ -9,12 +9,20 @@ a good defining equation) that must agree on weighted homogeneous data.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
 from .forms import cokernel_slice_dims, forms_pullback, stabilized_sum
-from .groebner import LinSpace, QuotientTable, monomials_of_weight, quotient_dimension
-from .logarithmic import Divisor, LogBasis, apply_field, derlog_h, euler_field
+from .exterior import minor_table
+from .groebner import (
+    LinSpace,
+    QuotientTable,
+    lift_over_generators,
+    monomials_of_weight,
+    quotient_dimension,
+)
+from .logarithmic import Divisor, LogBasis, apply_field, derlog_h, euler_field, poly_det
 from .module import INFINITE, FreeElement, ModulePresentation
 from .order import MonomialOrder
 from .poly import Poly
@@ -169,17 +177,11 @@ def theta_prime_minors(total_basis: LogBasis, param_indices: Sequence[int],
                        t_indices: Sequence[int] = ()) -> list:
     """Maximal minors of the parameter-rows submatrix, restricted to the
     vanishing of the extension parameters."""
-    from itertools import combinations
-
-    from .logarithmic import poly_det
-
-    n = total_basis.n
-    rows = list(param_indices) + [t for t in t_indices if t not in param_indices]
-    d = len(rows)
+    rows = tuple(param_indices) + tuple(t for t in t_indices if t not in param_indices)
+    minor = minor_table(total_basis.matrix(), total_basis.divisor.h.nvars)
     minors = []
-    for cols in combinations(range(n), d):
-        sub = [[total_basis.theta[j][i] for j in cols] for i in rows]
-        m = poly_det(sub)
+    for cols in combinations(range(total_basis.n), len(rows)):
+        m = minor(rows, cols)
         if t_indices:
             m = m.set_vars_zero(t_indices)
         if not m.is_zero():
@@ -220,8 +222,6 @@ def good_equation_witness(h: Poly, weights: Optional[Sequence[int]] = None) -> O
         if deg > 0:
             chi = euler_field(weights, nv)
             return FreeElement([c.scale(Fraction(1, deg)) for c in chi.entries])
-    from .groebner import lift_over_generators
-
     partials = [FreeElement([h.derivative(i)]) for i in range(nv)]
     coeffs = lift_over_generators(FreeElement([h]), partials, MonomialOrder())
     if coeffs is None:
@@ -230,20 +230,16 @@ def good_equation_witness(h: Poly, weights: Optional[Sequence[int]] = None) -> O
     return chi if apply_field(chi, h) == h else None
 
 
-def mu_e_good_equation(total_h: Poly, param_indices: Sequence[int],
-                       witness: FreeElement,
-                       order: Optional[MonomialOrder] = None,
-                       weights: Optional[Sequence[int]] = None):
+def mu_e_good_equation(d: Divisor, param_indices: Sequence[int], witness: FreeElement,
+                       order: Optional[MonomialOrder] = None):
     """Dimension of the parameter directions modulo the annihilating fields of
     the equation and the base maximal ideal; requires a good-equation witness."""
-    if apply_field(witness, total_h) != total_h:
+    if apply_field(witness, d.h) != d.h:
         raise DeformationError("good-equation witness fails chi(h) = h")
-    nv = total_h.nvars
-    dummy = Divisor([f"v{i}" for i in range(nv)], total_h, check_reduced=False)
-    fields = [f.entries for f in derlog_h(dummy, order)]
+    nv = d.nvars
+    fields = [f.entries for f in derlog_h(d, order)]
     pres = _parameter_rows(fields, param_indices, param_indices, nv)
-    use_order = order or (MonomialOrder("wdegrevlex", weights) if weights else MonomialOrder())
-    return quotient_dimension(pres, use_order.with_nvars(nv))
+    return quotient_dimension(pres, (order or d.order()).with_nvars(nv))
 
 
 def mu_e_derham(setup: DeformationSetup, bound: int = 20, window: int = 4) -> int:
@@ -318,7 +314,6 @@ def ae_normal_space_direct(components: Sequence[Poly], cap: int = 20):
         for beta_poly in _component_powers(components, orders, N):
             for a in range(p):
                 entries = [Poly.zero(n)] * p
-                entries = list(entries)
                 entries[a] = beta_poly
                 vec = _truncate_vec(entries, N)
                 if vec:
@@ -395,8 +390,6 @@ def ke_discriminant_reduced(total_basis: LogBasis, s_index: int,
     for j in range(m):
         for i in range(m):
             mat[i][j] = mat[i][j] - Poly.constant(1, cols[j][i])
-    from .logarithmic import poly_det
-
     chi = poly_det(mat)
     # Fitting ideal over the base is (chi); reduced iff it equals (s)
     reduced = chi == Poly.variable(1, 0) or chi == -Poly.variable(1, 0)

@@ -124,45 +124,63 @@ def contract(n: int, k: int, field: FreeElement, a: FreeElement) -> FreeElement:
     return FreeElement(out)
 
 
+def minor_table(matrix: Sequence[Sequence[Poly]], nvars: int):
+    """The minors of a polynomial matrix, memoised for the table's lifetime.
+
+    Returns minor(rows, cols): the determinant of the submatrix with the given
+    rows and columns in the order given, by Laplace expansion along the first
+    listed row; minor((), ()) = 1.
+    """
+    cache: dict = {}
+
+    def minor(rows: tuple, cols: tuple) -> Poly:
+        if not rows:
+            return Poly.constant(nvars, 1)
+        key = (rows, cols)
+        if key not in cache:
+            row = matrix[rows[0]]
+            acc = Poly.zero(nvars)
+            for pos, c in enumerate(cols):
+                a = row[c]
+                if a.is_zero():
+                    continue
+                term = a * minor(rows[1:], cols[:pos] + cols[pos + 1:])
+                if pos % 2 == 1:
+                    term = -term
+                acc = acc + term
+            cache[key] = acc
+        return cache[key]
+
+    return minor
+
+
 def pullback(k: int, target_n: int, form: FreeElement, components: Sequence[Poly],
              source_n: int) -> FreeElement:
     """Pull a k-form on the target back along the map with the given components.
 
     `form` has rank C(target_n, k) with coefficients in the target ring;
     `components` are target coordinates expressed in source-ring polynomials.
+    The pullback of dy_J is the sum over I of the (J, I) minor of the
+    Jacobian times dx_I.
     """
     if len(components) != target_n:
         raise ModuleError("one component per target variable required")
     nv = source_n if not components else components[0].nvars
-    if k == 0:
-        return FreeElement([form.entries[0].compose(list(components))])
-    basis = form_basis(target_n, k)
-    # differentials of the components as source 1-forms
-    dcomp = []
-    for f in components:
-        entries = [f.derivative(v) for v in range(source_n)]
-        dcomp.append(FreeElement(entries))
-    out = FreeElement.zero(max(form_rank(source_n, k), 1), nv)
-    for pos, J in enumerate(basis):
+    minor = minor_table([[f.derivative(v) for v in range(source_n)] for f in components], nv)
+    source_basis = form_basis(source_n, k)
+    out = [Poly.zero(nv) for _ in range(max(len(source_basis), 1))]
+    for pos, J in enumerate(form_basis(target_n, k)):
         c = form.entries[pos]
         if c.is_zero():
             continue
         pulled_c = c.compose(list(components))
         if pulled_c.is_zero():
             continue
-        block = None
-        deg = 0
-        for j in J:
-            if block is None:
-                block = dcomp[j]
-                deg = 1
-            else:
-                block = wedge(source_n, deg, block, 1, dcomp[j])
-                deg += 1
-        if block is None or block.is_zero():
-            continue
-        out = out + block.scale(pulled_c)
-    return out
+        for q, I in enumerate(source_basis):
+            m = minor(J, I)
+            if not m.is_zero():
+                out[q] = out[q] + pulled_c * m
+    return FreeElement(out)
 
 
 def monomial_form(n: int, k: int, nvars: int, I: tuple, coeff: Poly) -> FreeElement:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .exterior import contract, ext_d, form_basis, form_rank, monomial_form, wedge
+from .exterior import contract, ext_d, form_basis, form_rank, monomial_form, pullback, wedge
 from .groebner import (
     LinSpace,
     QuotientTable,
@@ -19,6 +19,7 @@ from .groebner import (
     kernel_of_map,
     quotient_dimension,
     saturate,
+    syzygy_module,
 )
 from .logarithmic import LogBasis, apply_field, log_form_generators
 from .module import FreeElement, Grading, ModulePresentation
@@ -106,9 +107,6 @@ class CheckedFormsModule:
             self._table = QuotientTable(self.presentation(), self.order())
         return self._table
 
-    def gb(self) -> list:
-        return self.table().gb
-
     def class_is_zero(self, form: FreeElement) -> bool:
         return not self.table().reduce(form)
 
@@ -136,8 +134,6 @@ def pullback_relation_generators(e_basis: LogBasis, components: Sequence[Poly],
                                  source_n: int, k: int) -> list:
     """Degree-k part of the exterior ideal generated by the pulled-back
     logarithmic form generators of the target divisor."""
-    from .exterior import pullback
-
     m = e_basis.n
     nv = components[0].nvars
     gens: list = []
@@ -200,8 +196,6 @@ def _parameter_differentials(n: int, k: int, nv: int, param_indices: Sequence[in
 
 def pd_check(m: CheckedFormsModule) -> bool:
     """True when the relation generators form a free basis of the relation module."""
-    from .groebner import syzygy_module
-
     syz = syzygy_module(m.relations, m.order())
     return all(s.is_zero() for s in syz)
 
@@ -351,10 +345,8 @@ def de_rham_report_homotopy(modules: Sequence[CheckedFormsModule],
     n = modules[0].n
     nv = modules[0].nvars
     chi = FreeElement([Poly.variable(nv, i).scale(semiweights[i]) for i in range(n)])
-    shifts_cache = {}
     for m in modules:
         shifts = [sum(semiweights[i] for i in I) for I in form_basis(m.n, m.k)] or [0]
-        shifts_cache[m.k] = shifts
         for r in m.relations:
             degs = r.weighted_degree(semiweights, shifts)
             if degs is None:

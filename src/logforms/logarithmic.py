@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
+from .exterior import form_basis, minor_table
 from .groebner import minimal_generator_indices, syzygy_module
 from .module import FreeElement, ModuleError
 from .order import MonomialOrder
@@ -31,12 +32,12 @@ class Divisor:
     """An ambient variable list with a reduced equation and optional weights."""
 
     def __init__(self, names: Sequence[str], h: Poly,
-                 weights: Optional[Sequence[int]] = None, check_reduced: bool = True):
+                 weights: Optional[Sequence[int]] = None):
         if h.nvars != len(names):
             raise DivisorError("equation does not match the variable list")
         if h.is_zero() or h.is_constant():
             raise DivisorError("divisor equation must be a nonconstant polynomial")
-        if check_reduced and not is_squarefree(h):
+        if not is_squarefree(h):
             raise DivisorError("divisor equation is not reduced (repeated factor)")
         self.names = tuple(names)
         self.h = h
@@ -178,34 +179,12 @@ def euler_field(weights: Sequence[int], nvars: int) -> FreeElement:
 
 
 def poly_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square polynomial matrix (cofactor expansion, memoised)."""
-    n = len(matrix)
-    if n == 0:
+    """Determinant of a square polynomial matrix: the full minor of its
+    `minor_table`."""
+    if not matrix:
         raise ModuleError("empty matrix has no determinant here")
-    nv = matrix[0][0].nvars
-    cache: dict = {}
-
-    def minor(rows: tuple, cols: tuple) -> Poly:
-        if not rows:
-            return Poly.constant(nv, 1)
-        key = (rows, cols)
-        if key in cache:
-            return cache[key]
-        r0 = rows[0]
-        acc = Poly.zero(nv)
-        for pos, c in enumerate(cols):
-            a = matrix[r0][c]
-            if a.is_zero():
-                continue
-            sub = minor(rows[1:], cols[:pos] + cols[pos + 1:])
-            term = a * sub
-            if pos % 2 == 1:
-                term = -term
-            acc = acc + term
-        cache[key] = acc
-        return acc
-
-    return minor(tuple(range(n)), tuple(range(n)))
+    full = tuple(range(len(matrix)))
+    return minor_table(matrix, matrix[0][0].nvars)(full, full)
 
 
 def saito_check(d: Divisor, candidates: Sequence[FreeElement]):
@@ -303,26 +282,12 @@ def is_free(d: Divisor, order: Optional[MonomialOrder] = None) -> FreenessVerdic
 def log_form_generators(basis: LogBasis, k: int) -> list:
     """Generators of h times the k-th exterior power of the dual of the basis,
     as polynomial k-forms: one generator per index set I, with dx_J-coefficient
-    the signed complementary minor of the coefficient matrix."""
+    the signed complementary minor of the coefficient matrix.  For k = 0 the
+    one generator is det = unit * h."""
     n = basis.n
     if k < 0 or k > n:
         raise ModuleError("form degree out of range")
-    from .exterior import form_basis
-
-    mat = basis.matrix()
-    nv = basis.divisor.h.nvars
-    cache: dict = {}
-
-    def minor_det(rows: tuple, cols: tuple) -> Poly:
-        key = (rows, cols)
-        if key not in cache:
-            if not rows:
-                cache[key] = Poly.constant(nv, 1)
-            else:
-                sub = [[mat[r][c] for c in cols] for r in rows]
-                cache[key] = poly_det(sub)
-        return cache[key]
-
+    minor = minor_table(basis.matrix(), basis.divisor.h.nvars)
     gens = []
     basis_k = form_basis(n, k)
     full = tuple(range(n))
@@ -333,11 +298,9 @@ def log_form_generators(basis: LogBasis, k: int) -> list:
         for J in basis_k:
             Jc = tuple(j for j in full if j not in J)
             sJ = sum(j + 1 for j in J)
-            m = minor_det(Jc, Ic)
+            m = minor(Jc, Ic)
             if (sI + sJ) % 2 == 1:
                 m = -m
             entries.append(m)
-        gens.append(FreeElement(entries) if entries else FreeElement([Poly.zero(nv)]))
-    if k == 0:
-        gens = [FreeElement([basis.divisor.h.scale(basis.unit)])]
+        gens.append(FreeElement(entries))
     return gens

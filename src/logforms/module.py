@@ -37,7 +37,6 @@ class FreeElement:
     @staticmethod
     def unit(rank: int, nvars: int, comp: int, coeff=1) -> "FreeElement":
         entries = [Poly.zero(nvars)] * rank
-        entries = list(entries)
         entries[comp] = Poly.constant(nvars, coeff)
         return FreeElement(entries)
 

@@ -8,6 +8,7 @@ integers, one entry per ambient variable.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd as int_gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -636,7 +637,8 @@ def quasihomogeneous_weights(h: Poly, allow_zero: bool = False) -> Optional[tupl
     the system is homogeneous, so positive weights exist exactly when some
     free values make every weight at least 1 (semipositive ones: at least 0
     with sum at least 1), and the lexicographically least such free values
-    (`_lex_least_point`) give the answer.
+    (`_lex_least_point`) give the answer.  The semipositive search, grid
+    then exact, starts only after the positive one has found nothing.
     """
     if h.is_zero():
         raise PolyError("zero polynomial")
@@ -681,20 +683,23 @@ def quasihomogeneous_weights(h: Poly, allow_zero: bool = False) -> Optional[tupl
             g = int_gcd(g, x)
         return tuple(x // g for x in ints)
 
-    from itertools import product
-
     m = len(free)
-    candidates: Iterable = product(*[range(1, 5) for _ in free]) if m <= 4 else [(1,) * m]
-    for assignment in candidates:
-        w = weights_at(assignment)
-        if all(x > 0 for x in w) or (allow_zero and all(x >= 0 for x in w) and any(w)):
-            return lowest_terms(w)
-
-    # column f of `forms` is the weight vector at the unit free values e_f
+    grid = list(product(*[range(1, 5) for _ in free])) if m <= 4 else [(1,) * m]
     units = [[int(f == g) for g in range(m)] for f in range(m)]
-    forms = list(zip(*[weights_at(u) for u in units]))
-    point = _lex_least_point([(a, 1) for a in forms])
-    if point is None and allow_zero:
-        total = [sum(col) for col in zip(*forms)]
-        point = _lex_least_point([(a, 0) for a in forms] + [(total, 1)])
-    return None if point is None else lowest_terms(weights_at(point))
+
+    def search(accept, bounds) -> Optional[tuple]:
+        for assignment in grid:
+            w = weights_at(assignment)
+            if accept(w):
+                return lowest_terms(w)
+        # column f of `forms` is the weight vector at the unit free values e_f
+        forms = list(zip(*[weights_at(u) for u in units]))
+        point = _lex_least_point(bounds(forms))
+        return None if point is None else lowest_terms(weights_at(point))
+
+    w = search(lambda w: all(x > 0 for x in w), lambda forms: [(a, 1) for a in forms])
+    if w is None and allow_zero:
+        w = search(lambda w: all(x >= 0 for x in w) and any(w),
+                   lambda forms: [(a, 0) for a in forms]
+                   + [([sum(col) for col in zip(*forms)], 1)])
+    return w

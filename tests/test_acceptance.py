@@ -191,13 +191,13 @@ def test_criterion_07_mu_routes(four_planes_family, four_planes_family_map,
     derham = mu_e_derham(four_planes_family_map, bound=14)
     alt = mu_e_alternating(basis, [3])
     w = good_equation_witness(d.h, d.weights)
-    good = mu_e_good_equation(d.h, [3], w, weights=d.weights)
+    good = mu_e_good_equation(d, [3], w)
     ok = derham == alt == good == 1
     # (pip) = (pop) on every weighted homogeneous 1-parameter free+freeing family
     for (dv, bs), s_idx in ((four_planes_family, 3), (lips_disc, 1), (four_lines_total, 3)):
         _, pip = t1_log(bs, [s_idx])
         wv = good_equation_witness(dv.h, dv.weights)
-        pop = mu_e_good_equation(dv.h, [s_idx], wv, weights=dv.weights)
+        pop = mu_e_good_equation(dv, [s_idx], wv)
         if pip != pop:
             ok = False
     _report(7, ok, "mu routes on the four-planes family all equal 1; relative-T1 "

@@ -30,7 +30,7 @@ from logforms.groebner import (
     submodules_equal,
 )
 from logforms.jobio import parse_job
-from logforms.logarithmic import Divisor, derlog_fields, is_free
+from logforms.logarithmic import Divisor, derlog_fields, is_free, poly_det
 from logforms.module import INFINITE, FreeElement, ModulePresentation
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, parse_poly
@@ -109,11 +109,27 @@ def test_critical_ideal_four_planes_supported_at_origin(four_planes_family):
         assert is_member(v, gb, ORD)
 
 
+def test_critical_ideal_with_an_ext_param(four_lines_total):
+    """Rows come as params then ext-params (here out of index order), and the
+    ext-param is set to zero in each minor; duplicates are dropped."""
+    d, basis = four_lines_total
+    s1, s2 = 2, 3
+    expected = []
+    for cols in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
+        sub = [[basis.theta[j][i] for j in cols] for i in (s2, s1)]
+        m = poly_det(sub).set_vars_zero([s1])
+        if not m.is_zero() and m.primitive()[0] not in expected:
+            expected.append(m.primitive()[0])
+    minors = theta_prime_minors(basis, [s2], [s1])
+    assert minors == expected
+    assert all(e[s1] == 0 for m in minors for e in m.terms)
+
+
 def test_mu_routes_four_planes(four_planes_family, four_planes_family_map):
     d, basis = four_planes_family
     assert mu_e_alternating(basis, [3]) == 1
     w = good_equation_witness(d.h, d.weights)
-    assert mu_e_good_equation(d.h, [3], w, weights=d.weights) == 1
+    assert mu_e_good_equation(d, [3], w) == 1
     assert mu_e_derham(four_planes_family_map, bound=12) == 1
 
 
@@ -121,7 +137,7 @@ def test_mu_routes_four_lines(four_lines_total, four_lines_afd):
     d, basis = four_lines_total
     assert mu_e_alternating(basis, [2, 3]) == 3
     w = good_equation_witness(d.h, d.weights)
-    assert mu_e_good_equation(d.h, [2, 3], w, weights=d.weights) == 3
+    assert mu_e_good_equation(d, [2, 3], w) == 3
     assert mu_e_derham(four_lines_afd, bound=10) == 3
 
 
@@ -234,7 +250,7 @@ def test_pip_equals_pop(four_planes_family, lips_disc, four_lines_total):
     for (d, basis), s_idx in cases:
         _, pip = t1_log(basis, [s_idx])
         w = good_equation_witness(d.h, d.weights)
-        pop = mu_e_good_equation(d.h, [s_idx], w, weights=d.weights)
+        pop = mu_e_good_equation(d, [s_idx], w)
         assert pip == pop
 
 
@@ -254,7 +270,7 @@ def test_mu_trivial_family_is_zero():
     basis = is_free(d).basis
     assert mu_e_alternating(basis, [2]) == 0
     w = good_equation_witness(d.h, d.weights)
-    assert mu_e_good_equation(d.h, [2], w, weights=d.weights) == 0
+    assert mu_e_good_equation(d, [2], w) == 0
 
 
 def test_good_equation_route_cross_ratio_family(calderon):
@@ -262,6 +278,6 @@ def test_good_equation_route_cross_ratio_family(calderon):
     d, basis = calderon
     w = good_equation_witness(d.h)
     assert w is not None
-    assert mu_e_good_equation(d.h, [2], w) == INFINITE
+    assert mu_e_good_equation(d, [2], w) == INFINITE
     _, pip = t1_log(basis, [2])
     assert pip == INFINITE

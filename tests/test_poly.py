@@ -118,6 +118,14 @@ def test_weights_beyond_the_search_grid():
     assert quasihomogeneous_weights(h) == (4, 1, 1, 7)
 
 
+def test_semipositive_search_prefers_positive_weights():
+    """allow_zero accepts a zero weight only when no positive system exists,
+    even where the 1..4 grid meets a semipositive vector first."""
+    assert quasihomogeneous_weights(P("x*y^2 + z^2"), allow_zero=True) == (2, 1, 2)
+    h = Poly(4, {(4, 4, 0, 4): 3, (2, 0, 2, 2): -2, (3, 2, 1, 3): -2})
+    assert quasihomogeneous_weights(h, allow_zero=True) == (1, 1, 4, 1)
+
+
 def test_semipositive_weights_for_cross_ratio_family():
     h = P("x*y*(x-y)*(x+z*y)")
     assert quasihomogeneous_weights(h) is None
@@ -217,6 +225,7 @@ def test_weights_found_whenever_they_exist(h):
         return
     w = quasihomogeneous_weights(h)
     assert w is not None and all(x > 0 for x in w)
+    assert quasihomogeneous_weights(h, allow_zero=True) == w
     assert len({sum(a * b for a, b in zip(e, w)) for e in h.terms}) == 1
     g = 0
     for x in w:
