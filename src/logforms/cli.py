@@ -37,6 +37,7 @@ from .forms import (
     de_rham_report_sliced,
     forms_free,
     forms_pullback,
+    forms_pullback_degrees,
     pd_check,
     torsion_length,
 )
@@ -215,8 +216,8 @@ def _cmd_de_rham(job: JobSpec, opts: dict) -> dict:
         e_basis, imap, h0, weights = _pullback_germ(job)
         n = imap.source_dim
         semi = None if weights else quasihomogeneous_weights(h0, allow_zero=True)
-        mods = [forms_pullback(e_basis, imap.components, imap.source_names, k, weights=weights)
-                for k in range(0, n + 1)]
+        mods = forms_pullback_degrees(e_basis, imap.components, imap.source_names,
+                                      range(0, n + 1), weights)
     else:
         d = _divisor_from_job(job)
         basis = _free_basis(d)

@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
-from .forms import cokernel_slice_dims, forms_pullback, stabilized_sum
+from .forms import cokernel_slice_dims, forms_pullback_degrees, stabilized_sum
 from .exterior import minor_table
 from .groebner import (
     LinSpace,
@@ -250,9 +250,8 @@ def mu_e_derham(setup: DeformationSetup, bound: int = 20, window: int = 4) -> in
         raise DeformationError("the de Rham route needs positive weights")
     weights = setup.map.germ_weights(setup.weights)
     p = imap.source_dim - 1
-    mods = [forms_pullback(setup.e_basis, imap.components,
-                           imap.source_names, k, weights=weights)
-            for k in (p - 1, p)]
+    mods = forms_pullback_degrees(setup.e_basis, imap.components, imap.source_names,
+                                  (p - 1, p), weights)
     table = cokernel_slice_dims(mods, p, bound)
     return stabilized_sum(table, bound, window)
 
@@ -373,15 +372,13 @@ def ke_discriminant_reduced(total_basis: LogBasis, s_index: int,
         raise DeformationError("relative T1 is infinite; hypotheses do not hold")
     if not basis_terms:
         raise DeformationError("relative T1 vanishes (trivial family); no discriminant to test")
-    nv = pres.nvars
     m = len(basis_terms)
     index = {t: i for i, t in enumerate(basis_terms)}
-    s = Poly.variable(nv, s_index)
     cols = []
     for comp, e in basis_terms:
-        el = FreeElement.unit(pres.rank, nv, comp).scale(Poly.monomial(nv, e)).scale(s)
         col = [Fraction(0)] * m
-        for t, v in table.reduce(el).items():
+        s_times_e = e[:s_index] + (e[s_index] + 1,) + e[s_index + 1:]
+        for t, v in table.reduce({(comp, s_times_e): 1}).items():
             col[index[t]] = v
         cols.append(col)
     # characteristic polynomial det(sI - M) in one variable

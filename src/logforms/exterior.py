@@ -74,28 +74,43 @@ def wedge(n: int, ka: int, a: FreeElement, kb: int, b: FreeElement) -> FreeEleme
     return FreeElement(out)
 
 
+def d_term(n: int, I: tuple, e: tuple) -> dict:
+    """The exterior derivative of the single term x^e dx_I, as an integer vec
+    {(position of dx_J among the (k+1)-forms, exponent): coefficient}:
+
+        d(x^e dx_I) = sum over v not in I with e_v > 0 of
+                      (-1)^#{i in I : i < v} * e_v * x^(e - e_v) dx_(I + v),
+
+    the sign being that of moving dx_v past the dx_i of I with i < v (as
+    `merge_sign((v,), I)` gives it).  Only the first n variables are
+    differentiated."""
+    idx = form_index(n, len(I) + 1)
+    out = {}
+    for v in range(n):
+        ev = e[v]
+        if not ev or v in I:
+            continue
+        below = sum(1 for i in I if i < v)
+        J = I[:below] + (v,) + I[below:]
+        out[(idx[J], e[:v] + (ev - 1,) + e[v + 1:])] = -ev if below % 2 else ev
+    return out
+
+
 def ext_d(n: int, k: int, a: FreeElement) -> FreeElement:
-    """Exterior derivative of a k-form."""
+    """Exterior derivative of a k-form: `d_term` summed over its terms."""
     nv = a.nvars
     if k >= n:
         return zero_form(n, k + 1, nv)
     basis = form_basis(n, k)
-    idx = form_index(n, k + 1)
-    out = [Poly.zero(nv) for _ in range(form_rank(n, k + 1))]
-    for pos, I in enumerate(basis):
-        c = a.entries[pos]
-        if c.is_zero():
-            continue
-        for v in range(n):
-            if v in I:
-                continue
-            dc = c.derivative(v)
-            if dc.is_zero():
-                continue
-            sign, merged = merge_sign((v,), I)
-            p = idx[merged]
-            out[p] = out[p] + (dc if sign > 0 else -dc)
-    return FreeElement(out)
+    out: dict = {}
+    for (pos, e), c in a.vec().items():
+        for t, v in d_term(n, basis[pos], e).items():
+            s = out.get(t, 0) + c * v
+            if s:
+                out[t] = s
+            else:
+                del out[t]
+    return FreeElement.from_vec(form_rank(n, k + 1), nv, out)
 
 
 def contract(n: int, k: int, field: FreeElement, a: FreeElement) -> FreeElement:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .exterior import contract, ext_d, form_basis, form_rank, monomial_form, pullback, wedge
+from .exterior import contract, d_term, form_basis, form_rank, monomial_form, pullback, wedge
 from .groebner import (
     LinSpace,
     QuotientTable,
@@ -108,7 +108,7 @@ class CheckedFormsModule:
         return self._table
 
     def class_is_zero(self, form: FreeElement) -> bool:
-        return not self.table().reduce(form)
+        return not self.table().reduce(form.vec())
 
     def dimension_table(self, bound: int) -> dict:
         if self.table().pres.grading is None:
@@ -134,34 +134,53 @@ def pullback_relation_generators(e_basis: LogBasis, components: Sequence[Poly],
                                  source_n: int, k: int) -> list:
     """Degree-k part of the exterior ideal generated by the pulled-back
     logarithmic form generators of the target divisor."""
+    return pullback_relations_by_degree(e_basis, components, source_n, (k,))[k]
+
+
+def pullback_relations_by_degree(e_basis: LogBasis, components: Sequence[Poly],
+                                 source_n: int, ks: Sequence[int]) -> dict:
+    """{k: `pullback_relation_generators` of degree k} for each k in ks.  Each
+    logarithmic generator of degree j is pulled back once per call, however
+    many of the degrees take its wedges with the basis (k - j)-forms."""
     m = e_basis.n
     nv = components[0].nvars
-    gens: list = []
-    for j in range(0, min(k, m) + 1):
-        if k - j > source_n:
+    out: dict = {k: [] for k in ks}
+    for j in range(0, min(max(ks), m) + 1):
+        wanted = [k for k in out if j <= k and k - j <= source_n]
+        if not wanted:
             continue
-        for g in log_form_generators(e_basis, j):
-            p = pullback(j, m, g, components, source_n)
-            if p.is_zero():
-                continue
-            if j == k:
-                gens.append(p)
-            else:
+        pulled = [p for p in (pullback(j, m, g, components, source_n)
+                              for g in log_form_generators(e_basis, j)) if not p.is_zero()]
+        for k in wanted:
+            gens = out[k]
+            for p in pulled:
+                if j == k:
+                    gens.append(p)
+                    continue
                 for M in form_basis(source_n, k - j):
                     unit = monomial_form(source_n, k - j, nv, M, Poly.constant(nv, 1))
                     w = wedge(source_n, j, p, k - j, unit)
                     if not w.is_zero():
                         gens.append(w)
-    return gens
+    return out
 
 
 def forms_pullback(e_basis: LogBasis, components: Sequence[Poly], source_names: Sequence[str],
                    k: int, weights: Optional[Sequence[int]] = None) -> CheckedFormsModule:
     """Forms on the preimage divisor presented by the pulled-back ideal."""
+    return forms_pullback_degrees(e_basis, components, source_names, (k,), weights)[0]
+
+
+def forms_pullback_degrees(e_basis: LogBasis, components: Sequence[Poly],
+                           source_names: Sequence[str], ks: Sequence[int],
+                           weights: Optional[Sequence[int]]) -> list:
+    """`forms_pullback` for each form degree in ks, in that order, from one
+    pullback of each logarithmic generator."""
     n = len(source_names)
     h0 = e_basis.divisor.h.compose(list(components))
-    gens = pullback_relation_generators(e_basis, components, n, k)
-    return CheckedFormsModule(source_names, n, k, gens, h0, weights=weights, kind="pullback")
+    gens = pullback_relations_by_degree(e_basis, components, n, ks)
+    return [CheckedFormsModule(source_names, n, k, gens[k], h0, weights=weights, kind="pullback")
+            for k in ks]
 
 
 def forms_relative(e_basis: LogBasis, components: Sequence[Poly], source_names: Sequence[str],
@@ -250,9 +269,10 @@ def class_is_torsion(m: CheckedFormsModule, form: FreeElement) -> bool:
 # graded slices
 
 
-def _slice_coordinates(m: CheckedFormsModule, form: FreeElement, terms: set) -> dict:
-    """Coordinates {standard term: coefficient} of the class of a form of m
-    in a slice basis of m, given as the set of its standard terms."""
+def _slice_coordinates(m: CheckedFormsModule, form: dict, terms: set) -> dict:
+    """Coordinates {standard term: coefficient} of the class of a form of m,
+    given as a vec, in a slice basis of m, given as the set of its standard
+    terms."""
     row = m.table().reduce(form)
     if not row.keys() <= terms:
         raise FormsError("reduced form left the slice basis")
@@ -291,12 +311,9 @@ class GradedSlices:
             return [{} for _ in src]
         terms = set(self.basis(k + 1, degree))
         n = mod_next.n
-        nv = mod_next.nvars
-        cols = []
-        for comp, e in src:
-            f = monomial_form(n, k, nv, form_basis(n, k)[comp], Poly.monomial(nv, e))
-            cols.append(_slice_coordinates(mod_next, ext_d(n, k, f), terms))
-        return cols
+        basis = form_basis(n, k)
+        return [_slice_coordinates(mod_next, d_term(n, basis[comp], e), terms)
+                for comp, e in src]
 
     def d_rank(self, k: int, degree: int) -> int:
         sp = LinSpace()
@@ -409,7 +426,8 @@ def wedge_map_kernel_dims(source: CheckedFormsModule, target: CheckedFormsModule
         for comp, e in src:
             I = form_basis(source.n, source.k)[comp] if form_rank(source.n, source.k) else ()
             f = monomial_form(source.n, source.k, nv, I, Poly.monomial(nv, e))
-            row = _slice_coordinates(target, wedge(n, wedge_deg, wedge_form, source.k, f), terms)
+            row = _slice_coordinates(target, wedge(n, wedge_deg, wedge_form, source.k, f).vec(),
+                                     terms)
             if not sp.add(row):
                 kernel += 1
         out[degree] = kernel

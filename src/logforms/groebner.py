@@ -644,8 +644,9 @@ class QuotientTable:
     terms of one weighted degree (`standard_monomials`, which needs a
     grading) and the full list of standard terms of a finite quotient
     (`standard_terms`, which is None when the quotient is infinite).  The
-    same basis reduces elements (`reduce`) through one reducer table and one
-    term-key memo, built on first use and kept with the table.
+    same basis reduces vecs (`reduce`) through one reducer table, one
+    term-key memo and one memo of term normal forms, built on first use and
+    kept with the table.
     """
 
     def __init__(self, p: ModulePresentation, order: Optional[MonomialOrder] = None):
@@ -655,17 +656,46 @@ class QuotientTable:
         self.leads = _lead_module(self.gb, self.order, p.rank)
         self._keys: Optional[_TermKeys] = None
         self._reducers: Optional[_Reducers] = None
+        # term -> (integer remainder, scale) of that term; None for a standard
+        # term, which is its own normal form
+        self._term_nfs: dict = {}
 
-    def reduce(self, f: FreeElement) -> dict:
-        """The normal form of f against the basis, as a vec: the same
-        remainder as `normal_form(f, self.gb, self.order)`."""
-        if f.rank != self.pres.rank:
-            raise ModuleError("rank mismatch between element and basis")
+    def reduce(self, f: dict) -> dict:
+        """The normal form of the vec f against the basis, as a vec of exact
+        rationals: the same remainder as `normal_form` of f.
+
+        The normal form modulo a Groebner basis is unique, hence linear, so
+        it is the sum of c * NF(t) over the terms c * t of f.  Each term is
+        pseudo-divided once per table; NF(t) is its remainder over its scale.
+        """
         if self._reducers is None:
             self._keys = _TermKeys(self.order)
             self._reducers = _reducers_of([g.vec() for g in self.gb], self._keys)
-        r, denom = _divide(f, self._reducers, self._keys)
-        return _rational(r, denom)
+        nfs = self._term_nfs
+        parts = []
+        denom = 1
+        for t, c in f.items():
+            if t in nfs:
+                nf = nfs[t]
+            else:
+                if t[0] >= self.pres.rank:
+                    raise ModuleError("rank mismatch between element and basis")
+                r, scale = _reduce_full({t: 1}, self._reducers, self._keys)
+                nf = nfs[t] = None if t in r else (r, scale)
+            r, scale = ({t: 1}, 1) if nf is None else nf
+            d = scale * c.denominator
+            denom = denom * d // int_gcd(denom, d)
+            parts.append((c.numerator, d, r))
+        acc: dict = {}
+        for num, d, r in parts:
+            m = num * (denom // d)
+            for u, v in r.items():
+                s = acc.get(u, 0) + m * v
+                if s:
+                    acc[u] = s
+                else:
+                    del acc[u]
+        return _rational(acc, denom)
 
     def standard_terms(self) -> Optional[list]:
         """All standard module terms of a finite quotient, or None when some

@@ -1,5 +1,6 @@
 """Shared corpus: the divisors, families and maps exercised across the suite."""
 
+import importlib
 import sys
 
 import pytest
@@ -9,6 +10,15 @@ from logforms.deformation import DeformationSetup, InducingMap
 from logforms.logarithmic import Divisor, FreenessVerdict, is_free
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, parse_poly
+
+
+def _rebind(monkeypatch, original, replacement):
+    """Replace every binding of `original` in a `logforms` module namespace."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("logforms"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, replacement)
 
 
 @pytest.fixture
@@ -22,10 +32,37 @@ def gb_calls(monkeypatch):
         calls.append(tuple(generators))
         return original(generators, order)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("logforms") and getattr(mod, "groebner_basis", None) is original:
-            monkeypatch.setattr(mod, "groebner_basis", counting)
+    _rebind(monkeypatch, original, counting)
     return calls
+
+
+@pytest.fixture
+def call_counter(monkeypatch):
+    """count(module, name) starts recording the calls of the `logforms`
+    function `module.name`, or of a method when name is "Class.method",
+    through every `logforms` module that binds it, and returns the list of
+    their positional arguments (a method's include self).  `count.log` holds
+    every counted call as (name, args), in the order the calls start."""
+
+    def count(module: str, name: str) -> list:
+        calls = []
+        owner_name, _, method = name.partition(".")
+        owner = getattr(importlib.import_module(f"logforms.{module}"), owner_name)
+        original = getattr(owner, method) if method else owner
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            count.log.append((name, args))
+            return original(*args, **kwargs)
+
+        if method:
+            monkeypatch.setattr(owner, method, counting)
+        else:
+            _rebind(monkeypatch, original, counting)
+        return calls
+
+    count.log = []
+    return count
 
 
 def certified(divisor):

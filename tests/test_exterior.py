@@ -1,4 +1,4 @@
-"""Minors and pullbacks of the exterior algebra against textbook definitions."""
+"""Minors, pullbacks and the exterior derivative against textbook definitions."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -6,7 +6,16 @@ from itertools import permutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logforms.exterior import form_basis, form_rank, minor_table, pullback, wedge
+from logforms.exterior import (
+    d_term,
+    ext_d,
+    form_basis,
+    form_rank,
+    minor_table,
+    monomial_form,
+    pullback,
+    wedge,
+)
 from logforms.logarithmic import poly_det
 from logforms.module import FreeElement
 from logforms.poly import Poly
@@ -102,3 +111,40 @@ def test_pullback_matches_wedge_chains(case):
     k, target_n, form, components, source_n = case
     assert (pullback(k, target_n, form, components, source_n)
             == wedge_chain_pullback(k, target_n, form, components, source_n))
+
+
+@st.composite
+def monomial_forms(draw):
+    """x^e dx_I over n <= 4 variables, with |I| < n."""
+    n = draw(st.integers(1, 4))
+    I = draw(st.sampled_from(form_basis(n, draw(st.integers(0, n - 1)))))
+    e = tuple(draw(st.integers(0, 3)) for _ in range(n))
+    return n, I, e
+
+
+def d_vec(n: int, k: int, vec: dict) -> dict:
+    """d of a vec of k-forms, summed term by term with `d_term`."""
+    out: dict = {}
+    for (pos, e), c in vec.items():
+        for t, v in d_term(n, form_basis(n, k)[pos], e).items():
+            out[t] = out.get(t, 0) + c * v
+    return {t: c for t, c in out.items() if c}
+
+
+@given(monomial_forms())
+@settings(max_examples=150, deadline=None)
+def test_d_image_matches_ext_d(case):
+    """The integer image of one term is `ext_d` of its monomial form, and the
+    sum over v of d(x^e)/dx_v dx_v ^ dx_I through `wedge`; d of it is zero."""
+    n, I, e = case
+    k = len(I)
+    image = d_term(n, I, e)
+    x_e = Poly.monomial(n, e)
+    assert image == ext_d(n, k, monomial_form(n, k, n, I, x_e)).vec()
+    dx_I = monomial_form(n, k, n, I, Poly.constant(n, 1))
+    leibniz = FreeElement.zero(form_rank(n, k + 1), n)
+    for v in range(n):
+        leibniz = leibniz + wedge(n, 1, monomial_form(n, 1, n, (v,), x_e.derivative(v)), k, dx_I)
+    assert image == leibniz.vec()
+    assert all(type(c) is int for c in image.values())
+    assert d_vec(n, k + 1, image) == {}

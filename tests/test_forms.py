@@ -181,50 +181,34 @@ def test_torsion_saturation_computes_no_basis_twice(four_planes_afd, gb_calls):
     assert len(set(gb_calls)) == 2
 
 
-def test_slices_enumerate_each_slice_once(four_planes_afd, monkeypatch):
+def test_slices_enumerate_each_slice_once(four_planes_afd, call_counter):
     """One staircase enumeration per (module, degree) pair."""
     setup = four_planes_afd
-    calls = []
-    original = QuotientTable.standard_monomials
-
-    def counting(self, degree):
-        calls.append(degree)
-        return original(self, degree)
-
-    monkeypatch.setattr(QuotientTable, "standard_monomials", counting)
+    calls = call_counter("groebner", "QuotientTable.standard_monomials")
     mods = [forms_pullback(setup.e_basis, setup.map.components, setup.map.source_names, k,
                            weights=setup.weights) for k in range(0, 4)]
     assert de_rham_report_sliced(mods, 8)["all_exact"]
     assert len(calls) == 4 * 9
 
 
-def test_slices_enumerate_each_degree_once_per_slice(four_planes_afd, monkeypatch):
+def test_slices_enumerate_each_degree_once_per_slice(four_planes_afd, call_counter):
     """Within one slice, the monomials of one weighted degree are enumerated
     once, however many components share that degree shift."""
-    from logforms import groebner
-
     setup = four_planes_afd
-    enumerated = []
-    slices = []
-    original_slice = QuotientTable.standard_monomials
-    original_enum = groebner.monomials_of_weight
-
-    def counting_slice(self, degree):
-        enumerated.clear()
-        out = original_slice(self, degree)
-        shifts = self.pres.grading.shifts
-        slices.append((list(enumerated), {degree - s for s in shifts}, len(shifts)))
-        return out
-
-    def counting_enum(nvars, weights, target):
-        enumerated.append(target)
-        return original_enum(nvars, weights, target)
-
-    monkeypatch.setattr(QuotientTable, "standard_monomials", counting_slice)
-    monkeypatch.setattr(groebner, "monomials_of_weight", counting_enum)
+    call_counter("groebner", "QuotientTable.standard_monomials")
+    call_counter("groebner", "monomials_of_weight")
     mods = [forms_pullback(setup.e_basis, setup.map.components, setup.map.source_names, k,
                            weights=setup.weights) for k in range(0, 4)]
     assert de_rham_report_sliced(mods, 8)["all_exact"]
+    # each enumeration belongs to the slice call that started last before it
+    slices = []
+    for name, args in call_counter.log:
+        if name == "monomials_of_weight":
+            slices[-1][0].append(args[2])
+        else:
+            table, degree = args
+            shifts = table.pres.grading.shifts
+            slices.append(([], {degree - s for s in shifts}, len(shifts)))
     assert len(slices) == 4 * 9
     for targets, distinct, rank in slices:
         assert sorted(targets) == sorted(distinct)
@@ -232,24 +216,31 @@ def test_slices_enumerate_each_degree_once_per_slice(four_planes_afd, monkeypatc
     assert sum(rank for _, _, rank in slices) > sum(len(t) for t, _, _ in slices)
 
 
-def test_slices_build_one_reducer_table_per_module(nc4, monkeypatch):
+def test_slices_build_one_reducer_table_per_module(nc4, call_counter):
     """Every slice coordinate of a module reduces through the one reducer
     table its `QuotientTable` keeps."""
-    from logforms import groebner
-
     _, basis = nc4
-    calls = []
-    original = groebner._reducers_of
-
-    def counting(vecs, keys):
-        calls.append(len(vecs))
-        return original(vecs, keys)
-
-    monkeypatch.setattr(groebner, "_reducers_of", counting)
+    calls = call_counter("groebner", "_reducers_of")
     mods = [forms_free(basis, k) for k in range(0, 5)]
     assert de_rham_report_sliced(mods, 6)["all_exact"]
     # d leaves level 0 into level 1 and so on: levels 1..4 are reduced into
     assert len(calls) == 4
+
+
+def test_slices_reduce_each_term_once(nc4, call_counter):
+    """A table pseudo-divides each distinct term it is asked to reduce once,
+    however many slice images share that term."""
+    _, basis = nc4
+    mods = [forms_free(basis, k) for k in range(0, 5)]
+    for m in mods:
+        m.table()  # the Groebner bases divide too; build them before counting
+    reductions = call_counter("groebner", "_reduce_full")
+    reduced = call_counter("groebner", "QuotientTable.reduce")
+    assert de_rham_report_sliced(mods, 6)["all_exact"]
+    distinct = {(table, t) for table, vec in reduced for t in vec}
+    assert len(reductions) == len(distinct)
+    # the images of d share terms, so reducing them whole repeats work
+    assert len(distinct) < sum(len(vec) for _, vec in reduced)
 
 
 def test_de_rham_homotopy_mode(calderon):

@@ -368,11 +368,56 @@ def test_table_reduce_matches_normal_form(inputs):
     qt = QuotientTable(ModulePresentation(fs[0].rank, gens, nvars=fs[0].nvars), order)
     for f in fs:
         # every dividend goes through the same kept reducer table and memo
-        r = FreeElement.from_vec(f.rank, f.nvars, qt.reduce(f))
+        r = FreeElement.from_vec(f.rank, f.nvars, qt.reduce(f.vec()))
         assert r == normal_form(f, qt.gb, order) == _naive_normal_form(f, qt.gb, order)
         assert r.is_zero() == is_member(f, qt.gb, order)
     for g in gens:
-        assert not qt.reduce(g)
+        assert not qt.reduce(g.vec())
+
+
+@st.composite
+def _shared_term_inputs(draw):
+    """`_table_inputs` plus sums and rational multiples of the dividends, so
+    that later dividends share terms with earlier ones."""
+    gens, fs, order = draw(_table_inputs())
+    k = len(fs)
+    shared = [fs[i] + fs[(i + 1) % k] for i in range(k)]
+    shared += [f.scale(Fraction(draw(st.sampled_from([-3, -1, 2])), draw(st.integers(1, 3))))
+               for f in fs]
+    return gens, fs + shared, order
+
+
+@given(_shared_term_inputs())
+@settings(max_examples=60, deadline=None)
+def test_table_reduce_memo_is_order_free(inputs):
+    """Reducing through one table's term memo in either order, or through a
+    fresh table per dividend, gives the same normal forms as full division."""
+    gens, fs, order = inputs
+    pres = ModulePresentation(fs[0].rank, gens, nvars=fs[0].nvars)
+    forward, backward = QuotientTable(pres, order), QuotientTable(pres, order)
+    ahead = [forward.reduce(f.vec()) for f in fs]
+    behind = [backward.reduce(f.vec()) for f in reversed(fs)][::-1]
+    gb = forward.gb
+    for f, a, b in zip(fs, ahead, behind):
+        assert a == b == QuotientTable(pres, order).reduce(f.vec())
+        assert (FreeElement.from_vec(f.rank, f.nvars, a) == normal_form(f, gb, order)
+                == _naive_normal_form(f, gb, order))
+
+
+def test_table_reduce_rejects_a_term_beyond_the_rank():
+    """A term whose component is not one of the presentation's raises, also
+    once the table's memo holds other terms."""
+    qt = QuotientTable(ModulePresentation(2, [F("x", "y")], nvars=2), ORD)
+    with pytest.raises(ModuleError):
+        qt.reduce({(2, (0, 0)): Fraction(1)})
+    assert qt.reduce({(0, (1, 0)): Fraction(1)}) == {(1, (0, 1)): Fraction(-1)}
+    with pytest.raises(ModuleError):
+        qt.reduce({(0, (1, 0)): Fraction(1), (3, (1, 0)): Fraction(1)})
+
+
+def test_table_reduce_of_the_empty_vec_is_empty():
+    qt = QuotientTable(ModulePresentation(1, [F("x^2")], nvars=2), ORD)
+    assert qt.reduce({}) == {}
 
 
 def _combination(coeffs, elems):
@@ -455,7 +500,7 @@ def test_kernel_results_are_fractions(inputs):
     qt = QuotientTable(ModulePresentation(f.rank, gens, nvars=f.nvars), order)
     lifted = lift_over_generators(gens[0].scale(Poly.constant(f.nvars, Fraction(1, 3))),
                                   gens, order)
-    results = [gb, normal_form(f, gb, order), qt.reduce(f), syzygy_module(gens, order),
+    results = [gb, normal_form(f, gb, order), qt.reduce(f.vec()), syzygy_module(gens, order),
                lifted, normal_form_with_cofactors(f, gens, order)[1]]
     for c in _coefficients(results):
         assert type(c) is Fraction
