@@ -108,7 +108,7 @@ class CheckedFormsModule:
         return self._table
 
     def class_is_zero(self, form: FreeElement) -> bool:
-        return not self.table().reduce(form.vec())
+        return not self.table().reduce_integral(form.vec())[0]
 
     def dimension_table(self, bound: int) -> dict:
         if self.table().pres.grading is None:
@@ -270,10 +270,11 @@ def class_is_torsion(m: CheckedFormsModule, form: FreeElement) -> bool:
 
 
 def _slice_coordinates(m: CheckedFormsModule, form: dict, terms: set) -> dict:
-    """Coordinates {standard term: coefficient} of the class of a form of m,
-    given as a vec, in a slice basis of m, given as the set of its standard
-    terms."""
-    row = m.table().reduce(form)
+    """Coordinates {standard term: integer} of a positive multiple of the
+    class of a form of m, given as a vec, in a slice basis of m, given as the
+    set of its standard terms.  A rank read from such rows is the rank of the
+    classes, since scaling a row by a nonzero number keeps its span."""
+    row = m.table().reduce_integral(form)[0]
     if not row.keys() <= terms:
         raise FormsError("reduced form left the slice basis")
     return row
@@ -304,7 +305,8 @@ class GradedSlices:
 
     def d_matrix(self, k: int, degree: int) -> list:
         """Columns: images under d of the degree-slice basis of level k, in the
-        slice coordinates of level k+1."""
+        slice coordinates of level k+1, each as an integer row scaled by a
+        positive number (`_slice_coordinates`)."""
         src = self.basis(k, degree)
         mod_next = self.by_k.get(k + 1)
         if mod_next is None:

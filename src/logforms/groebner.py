@@ -34,8 +34,7 @@ class StabilizationError(RuntimeError):
 class _TermKeys(dict):
     """Heap keys of module terms, memoised for one kernel call: the negated
     `term_key`, so the greatest term comes first in a min-heap and under
-    `min`.  Each call makes its own and drops it on return; only a
-    `QuotientTable` keeps one, for as long as it lives."""
+    `min`.  Each call makes its own and drops it on return."""
 
     __slots__ = ("term_key",)
 
@@ -98,24 +97,43 @@ def _add_scaled_shifted(target: dict, src: dict, coeff: int, shift: tuple):
             target.pop(t, None)
 
 
+def _divisibility_mask(e: tuple) -> int:
+    """Three bits per variable, the lowest min(e_i, 3) of them set (Singular's
+    short exponent vectors): when x^a divides x^b, every bit of a's mask is
+    set in b's, so a mask with a bit that b's lacks rules a division out."""
+    m = 0
+    for i, x in enumerate(e):
+        if x:
+            m |= (7 if x >= 3 else 2 * x - 1) << (3 * i)
+    return m
+
+
 class _Reducers:
     """Basis elements bucketed by leading component for division.  Each entry
     is (lead term, lead coefficient, the other terms, position added); every
-    element is a primitive integer vec with a positive lead."""
+    element is a primitive integer vec with a positive lead.  Beside each
+    component's entries runs the list of their leads' divisibility masks,
+    which `find` tests before it compares exponents."""
 
     def __init__(self):
         self.by_comp: dict = {}
+        self.masks: dict = {}
         self.count = 0
 
     def add(self, lt: tuple, lc: int, vec: dict):
         tail = [(t, c) for t, c in vec.items() if t != lt]
         self.by_comp.setdefault(lt[0], []).append((lt, lc, tail, self.count))
+        self.masks.setdefault(lt[0], []).append(_divisibility_mask(lt[1]))
         self.count += 1
 
     def find(self, term: tuple):
         comp, expo = term
-        for entry in self.by_comp.get(comp, ()):
-            if mono_divides(entry[0][1], expo):
+        entries = self.by_comp.get(comp)
+        if entries is None:
+            return None
+        outside = ~_divisibility_mask(expo)
+        for entry, mask in zip(entries, self.masks[comp]):
+            if not mask & outside and mono_divides(entry[0][1], expo):
                 return entry
         return None
 
@@ -636,6 +654,85 @@ def monomials_of_weight(nvars: int, weights: Sequence[int], target: int):
     return out
 
 
+def _combine(pairs, nfs: dict):
+    """The sum of c * NF(u) over the pairs (u, c), each u a term of the memo
+    nfs (None: u is standard; else (remainder, scale), NF(u) = remainder /
+    scale) and each c an int or a `Fraction`, as (integer vec, positive
+    denominator)."""
+    denom = 1
+    for u, c in pairs:
+        nf = nfs[u]
+        d = c.denominator if nf is None else nf[1] * c.denominator
+        if d != 1:
+            denom = denom * d // int_gcd(denom, d)
+    acc: dict = {}
+    for u, c in pairs:
+        nf = nfs[u]
+        if nf is None:
+            r = ((u, 1),)
+            m = c.numerator * (denom // c.denominator)
+        else:
+            r = nf[0].items()
+            m = c.numerator * (denom // (nf[1] * c.denominator))
+        for w, a in r:
+            s = acc.get(w, 0) + m * a
+            if s:
+                acc[w] = s
+            else:
+                acc.pop(w, None)
+    return acc, denom
+
+
+def _fill_term_nfs(t: tuple, nfs: dict, reducers: _Reducers):
+    """Enter the normal form of the term t into the memo nfs, with that of
+    every term its reduction meets and the memo lacks.
+
+    A standard term is its own normal form and is entered as None.  For any
+    other term, one reducer step gives the lead lc * x^lt of a basis element
+    g whose lead divides t, so t = x^s * x^lt, and x^s * g lies in the
+    submodule.  The normal form is linear and vanishes on the submodule, so
+    NF(t) = -(1/lc) * sum(v * NF(x^s * u)) over the other terms v * u of g,
+    each smaller than t.  It is entered as (remainder, scale), integers with
+    NF(t) = remainder / scale, divided by their common content: as a
+    normal form is unique, so is this pair, whichever order filled the memo.
+
+    The terms wait on an explicit stack, not on the call stack: a chain of
+    reductions can be thousands of terms deep.  A term is stepped once, when
+    it first reaches the top; it is entered when it reaches the top again,
+    after every missing term of its step has been entered above it.
+    """
+    stack = [(t, None)]
+    while stack:
+        s, step = stack[-1]
+        if step is None:
+            if s in nfs:
+                stack.pop()
+                continue
+            hit = reducers.find(s)
+            if hit is None:
+                nfs[s] = None
+                stack.pop()
+                continue
+            lt, lc, tail, _ = hit
+            shift = mono_div(s[1], lt[1])
+            step = lc, [((comp, mono_mul(e, shift)), v) for (comp, e), v in tail]
+            stack[-1] = (s, step)
+            missing = [(u, None) for u, _ in step[1] if u not in nfs]
+            if missing:
+                stack.extend(missing)
+                continue
+        stack.pop()
+        lc, pairs = step
+        acc, denom = _combine(pairs, nfs)
+        scale = lc * denom
+        g = scale
+        for a in acc.values():
+            g = int_gcd(g, a)
+            if g == 1:
+                break
+        nfs[s] = ({w: -a // g for w, a in acc.items()}, scale // g)
+
+
 class QuotientTable:
     """The leading-term staircase of O^rank / <relations>, read from one
     reduced Groebner basis.
@@ -644,9 +741,11 @@ class QuotientTable:
     terms of one weighted degree (`standard_monomials`, which needs a
     grading) and the full list of standard terms of a finite quotient
     (`standard_terms`, which is None when the quotient is infinite).  The
-    same basis reduces vecs (`reduce`) through one reducer table, one
-    term-key memo and one memo of term normal forms, built on first use and
-    kept with the table.
+    same basis reduces vecs (`reduce_integral`, and `reduce` over the
+    rationals) through one reducer table, built on first use, and one memo
+    of term normal forms, both kept with the table.  Each term the memo
+    holds took one reducer step; the rest of its normal form was read from
+    the memo (`_fill_term_nfs`).
     """
 
     def __init__(self, p: ModulePresentation, order: Optional[MonomialOrder] = None):
@@ -654,48 +753,34 @@ class QuotientTable:
         self.order = (order or MonomialOrder()).with_nvars(p.nvars)
         self.gb = groebner_basis(p.relations, self.order)
         self.leads = _lead_module(self.gb, self.order, p.rank)
-        self._keys: Optional[_TermKeys] = None
         self._reducers: Optional[_Reducers] = None
-        # term -> (integer remainder, scale) of that term; None for a standard
-        # term, which is its own normal form
+        # term -> (integer remainder, scale) of that term, divided by their
+        # content; None for a standard term, which is its own normal form
         self._term_nfs: dict = {}
+
+    def reduce_integral(self, f: dict) -> tuple:
+        """The normal form of the vec f (int or `Fraction` coefficients)
+        against the basis, as (integer vec, positive denominator): the vec
+        divided by the denominator is the remainder of `normal_form` of f.
+
+        The normal form modulo a Groebner basis is unique, hence linear, so
+        it is the sum of c * NF(t) over the terms c * t of f, each NF(t) read
+        from the table's memo.
+        """
+        if self._reducers is None:
+            self._reducers = _reducers_of([g.vec() for g in self.gb], _TermKeys(self.order))
+        nfs = self._term_nfs
+        for t in f:
+            if t not in nfs:
+                if t[0] >= self.pres.rank:
+                    raise ModuleError("rank mismatch between element and basis")
+                _fill_term_nfs(t, nfs, self._reducers)
+        return _combine(f.items(), nfs)
 
     def reduce(self, f: dict) -> dict:
         """The normal form of the vec f against the basis, as a vec of exact
-        rationals: the same remainder as `normal_form` of f.
-
-        The normal form modulo a Groebner basis is unique, hence linear, so
-        it is the sum of c * NF(t) over the terms c * t of f.  Each term is
-        pseudo-divided once per table; NF(t) is its remainder over its scale.
-        """
-        if self._reducers is None:
-            self._keys = _TermKeys(self.order)
-            self._reducers = _reducers_of([g.vec() for g in self.gb], self._keys)
-        nfs = self._term_nfs
-        parts = []
-        denom = 1
-        for t, c in f.items():
-            if t in nfs:
-                nf = nfs[t]
-            else:
-                if t[0] >= self.pres.rank:
-                    raise ModuleError("rank mismatch between element and basis")
-                r, scale = _reduce_full({t: 1}, self._reducers, self._keys)
-                nf = nfs[t] = None if t in r else (r, scale)
-            r, scale = ({t: 1}, 1) if nf is None else nf
-            d = scale * c.denominator
-            denom = denom * d // int_gcd(denom, d)
-            parts.append((c.numerator, d, r))
-        acc: dict = {}
-        for num, d, r in parts:
-            m = num * (denom // d)
-            for u, v in r.items():
-                s = acc.get(u, 0) + m * v
-                if s:
-                    acc[u] = s
-                else:
-                    del acc[u]
-        return _rational(acc, denom)
+        rationals: `reduce_integral` divided out."""
+        return _rational(*self.reduce_integral(f))
 
     def standard_terms(self) -> Optional[list]:
         """All standard module terms of a finite quotient, or None when some
@@ -749,21 +834,27 @@ def quotient_dimension(p: ModulePresentation, order: Optional[MonomialOrder] = N
 class LinSpace:
     """Row space over Q, grown one sparse row at a time.
 
-    A row maps orderable column keys to rational coefficients.  Its
-    denominators are cleared on entry and it is reduced fraction-free: at a
-    stored row whose pivot entry is b, a row with entry f there becomes
-    (b/g) * row - (f/g) * stored row, with g = gcd(f, b).  Each stored row is
-    a primitive integer row with a positive entry on its largest key (its
-    pivot), and a new row is only reduced forward against the stored pivots,
-    so no stored row is ever rewritten.  Whether a row enlarges the space,
-    and the dimension, do not depend on which echelon form is kept.
+    A row maps orderable column keys to int or `Fraction` coefficients.  A
+    row of ints enters as it is; any other has its denominators cleared on
+    entry, which scales it by a positive number and so keeps its span.  It
+    is reduced fraction-free: at a stored row whose pivot entry is b, a row
+    with entry f there becomes (b/g) * row - (f/g) * stored row, with
+    g = gcd(f, b).  Each stored row is a primitive integer row with a
+    positive entry on its largest key (its pivot), and a new row is only
+    reduced forward against the stored pivots, so no stored row is ever
+    rewritten.  Whether a row enlarges the space, and the dimension, do not
+    depend on which echelon form is kept.
     """
 
     def __init__(self):
         self.rows: dict = {}  # pivot key -> primitive integer row, positive at its pivot
 
     def _reduce(self, row: dict) -> dict:
-        row = _integral({t: c for t, c in row.items() if c})[0]
+        row = {t: c for t, c in row.items() if c}
+        for c in row.values():
+            if type(c) is not int:
+                row = _integral(row)[0]
+                break
         while row:
             p = max(row)
             base = self.rows.get(p)

@@ -1,10 +1,17 @@
 """Torsion-reduced forms: presentations, torsion, contraction, de Rham slices."""
 
-import pytest
+from fractions import Fraction
 
-from logforms.exterior import form_basis, monomial_form, wedge
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from logforms import groebner
+from logforms.exterior import d_term, form_basis, monomial_form, wedge
 from logforms.forms import (
+    CheckedFormsModule,
     FormsError,
+    GradedSlices,
     class_is_torsion,
     cokernel_slice_dims,
     contract_class,
@@ -20,9 +27,11 @@ from logforms.forms import (
     wedge_map_kernel_dims,
 )
 from logforms.groebner import (
+    LinSpace,
     QuotientTable,
     groebner_basis,
     is_member,
+    monomials_of_weight,
     quotient_dimension,
     submodules_equal,
 )
@@ -153,19 +162,20 @@ def test_de_rham_exact_four_planes_afd(four_planes_afd):
     assert rep["all_exact"]
 
 
+def _four_planes_modules(setup, ks):
+    return [forms_pullback(setup.e_basis, setup.map.components, setup.map.source_names, k,
+                           weights=setup.weights) for k in ks]
+
+
 def test_slices_compute_one_basis_per_module(four_planes_afd, gb_calls):
     """A module's one Groebner basis serves both its slice bases and the
     normal forms that land in it."""
-    setup = four_planes_afd
-
-    def modules(ks):
-        return [forms_pullback(setup.e_basis, setup.map.components, setup.map.source_names, k,
-                               weights=setup.weights) for k in ks]
-
-    assert de_rham_report_sliced(modules(range(0, 4)), 8)["all_exact"]
+    mods = _four_planes_modules(four_planes_afd, range(0, 4))
+    assert de_rham_report_sliced(mods, 8)["all_exact"]
     assert len(gb_calls) == 4
     del gb_calls[:]
-    assert sum(cokernel_slice_dims(modules((1, 2)), 2, 12).values()) == 1
+    top = cokernel_slice_dims(_four_planes_modules(four_planes_afd, (1, 2)), 2, 12)
+    assert sum(top.values()) == 1
     assert len(gb_calls) == 2
 
 
@@ -183,10 +193,8 @@ def test_torsion_saturation_computes_no_basis_twice(four_planes_afd, gb_calls):
 
 def test_slices_enumerate_each_slice_once(four_planes_afd, call_counter):
     """One staircase enumeration per (module, degree) pair."""
-    setup = four_planes_afd
     calls = call_counter("groebner", "QuotientTable.standard_monomials")
-    mods = [forms_pullback(setup.e_basis, setup.map.components, setup.map.source_names, k,
-                           weights=setup.weights) for k in range(0, 4)]
+    mods = _four_planes_modules(four_planes_afd, range(0, 4))
     assert de_rham_report_sliced(mods, 8)["all_exact"]
     assert len(calls) == 4 * 9
 
@@ -194,11 +202,9 @@ def test_slices_enumerate_each_slice_once(four_planes_afd, call_counter):
 def test_slices_enumerate_each_degree_once_per_slice(four_planes_afd, call_counter):
     """Within one slice, the monomials of one weighted degree are enumerated
     once, however many components share that degree shift."""
-    setup = four_planes_afd
     call_counter("groebner", "QuotientTable.standard_monomials")
     call_counter("groebner", "monomials_of_weight")
-    mods = [forms_pullback(setup.e_basis, setup.map.components, setup.map.source_names, k,
-                           weights=setup.weights) for k in range(0, 4)]
+    mods = _four_planes_modules(four_planes_afd, range(0, 4))
     assert de_rham_report_sliced(mods, 8)["all_exact"]
     # each enumeration belongs to the slice call that started last before it
     slices = []
@@ -227,20 +233,96 @@ def test_slices_build_one_reducer_table_per_module(nc4, call_counter):
     assert len(calls) == 4
 
 
-def test_slices_reduce_each_term_once(nc4, call_counter):
-    """A table pseudo-divides each distinct term it is asked to reduce once,
-    however many slice images share that term."""
+def _built_tables(mods):
+    """Each module's table with its reducer table, built before counting: the
+    Groebner bases divide and clear denominators too."""
+    tables = [m.table() for m in mods]
+    for qt in tables:
+        qt.reduce({})
+    return tables
+
+
+def test_slices_reduce_each_term_once(four_planes_afd, call_counter, monkeypatch):
+    """Once the tables are built, reducing the slice images pseudo-divides
+    nothing: each distinct term a table's memo holds took exactly one reducer
+    step, which found a reducer exactly when the term is not standard."""
+    mods = _four_planes_modules(four_planes_afd, range(0, 4))
+    tables = _built_tables(mods)
+    divisions = call_counter("groebner", "_reduce_full")
+    reduced = call_counter("groebner", "QuotientTable.reduce_integral")
+    steps = []
+    find = groebner._Reducers.find
+
+    def stepping(reducers, term):
+        hit = find(reducers, term)
+        steps.append(((reducers, term), hit is not None))
+        return hit
+
+    monkeypatch.setattr(groebner._Reducers, "find", stepping)
+    assert de_rham_report_sliced(mods, 8)["all_exact"]
+    assert not divisions
+    memo = {(qt._reducers, t): nf is not None for qt in tables for t, nf in qt._term_nfs.items()}
+    assert len(steps) == len(memo)
+    assert dict(steps) == memo
+    assert any(memo.values()) and not all(memo.values())
+    # the images of d share terms, so reducing them whole would repeat work
+    named = {(table, t) for table, vec in reduced for t in vec}
+    assert len(named) < sum(len(vec) for _, vec in reduced)
+
+
+def test_slices_make_no_fraction_round_trip(nc4, four_planes_afd, call_counter):
+    """The slice echelon takes the integer normal forms as they are: no
+    value becomes a `Fraction` and is cleared again."""
     _, basis = nc4
-    mods = [forms_free(basis, k) for k in range(0, 5)]
-    for m in mods:
-        m.table()  # the Groebner bases divide too; build them before counting
-    reductions = call_counter("groebner", "_reduce_full")
-    reduced = call_counter("groebner", "QuotientTable.reduce")
-    assert de_rham_report_sliced(mods, 6)["all_exact"]
-    distinct = {(table, t) for table, vec in reduced for t in vec}
-    assert len(reductions) == len(distinct)
-    # the images of d share terms, so reducing them whole repeats work
-    assert len(distinct) < sum(len(vec) for _, vec in reduced)
+    free = [forms_free(basis, k) for k in range(0, 5)]
+    pulled = _four_planes_modules(four_planes_afd, range(0, 4))
+    _built_tables(free + pulled)
+    rational = call_counter("groebner", "_rational")
+    integral = call_counter("groebner", "_integral")
+    assert de_rham_report_sliced(free, 6)["all_exact"]
+    assert de_rham_report_sliced(pulled, 8)["all_exact"]
+    assert not rational and not integral
+
+
+@st.composite
+def _graded_modules(draw):
+    """Forms modules over n <= 3 variables with positive weights, each level
+    presented by a few random homogeneous relations."""
+    n = draw(st.integers(2, 3))
+    weights = tuple(draw(st.integers(1, 2)) for _ in range(n))
+    coeffs = st.integers(-3, 3)
+    mods = []
+    for k in range(0, n + 1):
+        shifts = [sum(weights[i] for i in I) for I in form_basis(n, k)] or [0]
+        rels = []
+        for _ in range(draw(st.integers(0, 3))):
+            degree = draw(st.integers(max(shifts), max(shifts) + 3))
+            entries = []
+            for shift in shifts:
+                monos = monomials_of_weight(n, weights, degree - shift)
+                entries.append(Poly(n, {e: Fraction(draw(coeffs)) for e in monos
+                                        if draw(st.booleans())}))
+            rels.append(FreeElement(entries))
+        mods.append(CheckedFormsModule(["x", "y", "z"][:n], n, k, rels, Poly.zero(n),
+                                       weights=weights))
+    return mods
+
+
+@given(_graded_modules())
+@settings(max_examples=40, deadline=None)
+def test_slice_rank_matches_rational_columns(mods):
+    """The rank of the integer slice columns is that of the exact rational
+    normal forms of the same images of d."""
+    n = mods[0].n
+    slices = GradedSlices(mods)
+    for degree in range(0, 5):
+        for k in range(0, n):
+            space = LinSpace()
+            for comp, e in slices.basis(k, degree):
+                col = mods[k + 1].table().reduce(d_term(n, form_basis(n, k)[comp], e))
+                assert all(type(c) is Fraction for c in col.values())
+                space.add(col)
+            assert slices.d_rank(k, degree) == space.dim
 
 
 def test_de_rham_homotopy_mode(calderon):

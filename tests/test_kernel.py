@@ -415,6 +415,13 @@ def test_table_reduce_rejects_a_term_beyond_the_rank():
         qt.reduce({(0, (1, 0)): Fraction(1), (3, (1, 0)): Fraction(1)})
 
 
+def test_table_reduce_follows_a_deep_chain():
+    """Modulo x - y, x^1500 reduces through 1500 terms in a row, each the
+    one tail term of the one before, deeper than Python's recursion limit."""
+    qt = QuotientTable(ModulePresentation(1, [F("x - y")], nvars=2), ORD)
+    assert qt.reduce({(0, (1500, 0)): Fraction(1)}) == {(0, (0, 1500)): Fraction(1)}
+
+
 def test_table_reduce_of_the_empty_vec_is_empty():
     qt = QuotientTable(ModulePresentation(1, [F("x^2")], nvars=2), ORD)
     assert qt.reduce({}) == {}
