@@ -8,6 +8,7 @@ and additionally the parameter differentials in the relative case.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Optional, Sequence
 
 from .exterior import contract, d_term, form_basis, form_rank, monomial_form, pullback, wedge
@@ -22,7 +23,7 @@ from .groebner import (
     syzygy_module,
 )
 from .logarithmic import LogBasis, apply_field, log_form_generators
-from .module import FreeElement, Grading, ModulePresentation
+from .module import INFINITE, FreeElement, Grading, ModulePresentation
 from .order import MonomialOrder
 from .poly import Poly, PolyError, poly_exact_div
 
@@ -247,22 +248,67 @@ def subquotient_dimension(big_gens: Sequence[FreeElement], small_gens: Sequence[
     return quotient_dimension(pres, order)
 
 
+def _primes(count: int) -> list:
+    """The first count primes: 2, 3, 5, 7, ..."""
+    out: list = []
+    p = 2
+    while len(out) < count:
+        if all(p % q for q in out):
+            out.append(p)
+        p += 1
+    return out
+
+
+def _linear_form(weights: Sequence[int]) -> Poly:
+    """l = sum(p_i * x_i^(D / w_i)) with D = lcm(w) and p_i the i-th prime:
+    homogeneous of weighted degree D, with fixed generic coefficients."""
+    D = lcm(*weights)
+    primes = _primes(len(weights))
+    return Poly(len(weights), {tuple(D // w if j == i else 0 for j, w in enumerate(weights)): p
+                               for i, p in enumerate(primes)})
+
+
+def _torsion(m: CheckedFormsModule, max_steps: int) -> tuple:
+    """(reduced basis of the saturation M : m^inf of the relation module M,
+    dim of it over M); see `torsion_saturation`."""
+    order = m.order()
+    nv = m.nvars
+    g = m.grading()
+    if g is not None:
+        sat = saturate(m.relations, m.rank, [_linear_form(g.weights)], order, max_steps=max_steps)
+        length = subquotient_dimension(sat, m.relations, order, nv)
+        if length != INFINITE:
+            return sat, length
+    variables = [Poly.variable(nv, i) for i in range(nv)]
+    sat = saturate(m.relations, m.rank, variables, order, max_steps=max_steps)
+    return sat, subquotient_dimension(sat, m.relations, order, nv)
+
+
 def torsion_length(m: CheckedFormsModule, max_steps: int = 30):
     """C-dimension of the elements killed by a power of the maximal ideal."""
-    return subquotient_dimension(torsion_saturation(m, max_steps), m.relations, m.order(),
-                                 m.nvars)
+    return _torsion(m, max_steps)[1]
 
 
 def torsion_saturation(m: CheckedFormsModule, max_steps: int = 30) -> list:
-    order = m.order()
-    nv = m.nvars
-    variables = [Poly.variable(nv, i) for i in range(nv)]
-    return saturate(m.relations, m.rank, variables, order, max_steps=max_steps)
+    """The reduced basis of the saturation M : m^inf of the relation module
+    M, m = (x_1, ..., x_n): the forms that a power of m sends into M.
+
+    For a graded module it is first computed as S = M : l^inf, by the colon
+    chain of the one linear form l of `_linear_form`, and certified by the
+    dimension of S/M that `torsion_length` reports anyway.  The certificate:
+    l lies in m, so M : m^inf lies in S.  If dim S/M is finite, then S/M is a
+    graded module (l is homogeneous and M graded) of finite dimension, and
+    under positive weights m raises degrees, so a power of m kills S/M and
+    S lies in M : m^inf; hence S = M : m^inf.  When dim S/M is infinite (l
+    vanishes on a component of the support, as when it is one of the
+    planes), or the module is ungraded, the colon chain of the maximal ideal
+    itself gives the saturation.
+    """
+    return _torsion(m, max_steps)[0]
 
 
 def class_is_torsion(m: CheckedFormsModule, form: FreeElement) -> bool:
-    sat = torsion_saturation(m)
-    return is_member(form, sat, m.order())
+    return is_member(form, torsion_saturation(m), m.order())
 
 
 # ---------------------------------------------------------------------------

@@ -474,16 +474,35 @@ def _tag_part(basis: Sequence[dict], rank: int, s: int, nvars: int) -> list:
     return out
 
 
+def syzygies_and_head_leads(columns: Sequence[FreeElement],
+                            order: Optional[MonomialOrder] = None) -> tuple:
+    """(`syzygy_module` of the columns, head leads), both read from one
+    `_tagged_basis`.  The head leads are the lead terms (component,
+    exponent) of the basis elements that do not lie wholly in the tags.
+
+    Every head term is greater than every tag term, so the lead of an element
+    with a head part is its head lead.  The head of any element of the
+    stacked module is sum(a_i * column_i), and every member of the submodule
+    the columns generate is such a head; its lead, a head term, is divisible
+    by the lead of some basis element.  So the head parts of the basis are a
+    Groebner basis of that submodule, under the head order of the
+    `_EliminationOrder`: weighted degree, then position, then the scalar
+    order, a global order."""
+    _check_family(columns)
+    if not columns:
+        return [], []
+    rank, nvars = columns[0].rank, columns[0].nvars
+    basis = _tagged_basis(columns, (order or MonomialOrder()).with_nvars(nvars))
+    # each basis vec lists its lead first (`_interreduce`)
+    leads = [lt for lt in (next(iter(v)) for v in basis) if lt[0] < rank]
+    return _tag_part(basis, rank, len(columns), nvars), leads
+
+
 def syzygy_module(columns: Sequence[FreeElement],
                   order: Optional[MonomialOrder] = None) -> list:
     """Generators of the module of relations sum(a_i * column_i) = 0: the
     reduced Groebner basis of the syzygy module."""
-    _check_family(columns)
-    if not columns:
-        return []
-    rank, nvars = columns[0].rank, columns[0].nvars
-    basis = _tagged_basis(columns, (order or MonomialOrder()).with_nvars(nvars))
-    return _tag_part(basis, rank, len(columns), nvars)
+    return syzygies_and_head_leads(columns, order)[0]
 
 
 def lift_over_generators(f: FreeElement, gens: Sequence[FreeElement],

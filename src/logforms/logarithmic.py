@@ -14,10 +14,17 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .exterior import form_basis, minor_table
-from .groebner import minimal_generator_indices, syzygy_module
+from .groebner import minimal_generator_indices, syzygies_and_head_leads, syzygy_module
 from .module import FreeElement, ModuleError
 from .order import MonomialOrder
-from .poly import Poly, PolyError, is_squarefree, poly_exact_div, quasihomogeneous_weights
+from .poly import (
+    Poly,
+    PolyError,
+    is_squarefree,
+    poly_exact_div,
+    quasihomogeneous_weights,
+    squarefree_by_leads,
+)
 
 
 class DivisorError(ValueError):
@@ -37,8 +44,6 @@ class Divisor:
             raise DivisorError("equation does not match the variable list")
         if h.is_zero() or h.is_constant():
             raise DivisorError("divisor equation must be a nonconstant polynomial")
-        if not is_squarefree(h):
-            raise DivisorError("divisor equation is not reduced (repeated factor)")
         self.names = tuple(names)
         self.h = h
         self.weights = tuple(weights) if weights is not None else None
@@ -49,6 +54,23 @@ class Divisor:
                 raise DivisorError("weights must be strictly positive")
             if not h.is_homogeneous(self.weights):
                 raise DivisorError("equation is not homogeneous for the given weights")
+        # The syzygies of (dh/dx_1, ..., dh/dx_n, h) under `order()`, which
+        # `derlog` reads.  For h homogeneous under the order's weights, their
+        # one tagged basis also holds a Groebner basis of J = (dh, h) in its
+        # heads, and reducedness is read from its leads.  An inhomogeneous h
+        # takes the homogenised `is_squarefree` instead, and keeps None here:
+        # on a dense bivariate sextic the tagged basis took a hundred times
+        # longer.
+        self._derlog_syzygies: Optional[list] = None
+        order = self.order()
+        if h.is_homogeneous(order.weights):
+            syz, leads = syzygies_and_head_leads(_derlog_columns(h), order)
+            self._derlog_syzygies = syz
+            reduced = squarefree_by_leads([e for _, e in leads], self.nvars)
+        else:
+            reduced = is_squarefree(h)
+        if not reduced:
+            raise DivisorError("divisor equation is not reduced (repeated factor)")
 
     @property
     def nvars(self) -> int:
@@ -140,14 +162,22 @@ def apply_field(field: FreeElement, f: Poly) -> Poly:
     return out
 
 
+def _derlog_columns(h: Poly) -> list:
+    """The columns (dh/dx_1, ..., dh/dx_n, h) of the tangency relations."""
+    return [FreeElement([h.derivative(i)]) for i in range(h.nvars)] + [FreeElement([h])]
+
+
 def derlog(d: Divisor, order: Optional[MonomialOrder] = None) -> list:
     """Generators of the module of fields tangent to the divisor.
 
     Returned as pairs (field, witness) with field(h) = witness * h exactly.
+    Under the divisor's own order the syzygies come from the basis that
+    `Divisor` built; under any other they are computed here.
     """
     n = d.nvars
-    cols = [FreeElement([p]) for p in d.partials()] + [FreeElement([d.h])]
-    syz = syzygy_module(cols, order or d.order())
+    syz = d._derlog_syzygies
+    if syz is None or (order is not None and order.with_nvars(n) != d.order()):
+        syz = syzygy_module(_derlog_columns(d.h), order or d.order())
     out = []
     for s in syz:
         field = FreeElement(s.entries[:n])

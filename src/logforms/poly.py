@@ -535,30 +535,43 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
     return q
 
 
+def squarefree_by_leads(leads: Sequence[tuple], nvars: int) -> bool:
+    """The lead rule of reducedness.  Given the lead monomials of a Groebner
+    basis of J = (h, dh/dx_1, ..., dh/dx_n) under any global monomial order,
+    h has no repeated factor over Q exactly when, for every variable x_j,
+    some lead monomial does not contain x_j.
+
+    Why: the leads generate the lead ideal of J, and dim Q[x]/J equals the
+    dimension of Q[x] modulo that monomial ideal, under any monomial order.
+    A set S of variables is independent modulo the lead ideal when no lead
+    monomial is a monomial in S alone, and the dimension is the largest size
+    of such a set; S = {x_i : i != j} is independent exactly when every lead
+    contains x_j.  So the rule says dim Q[x]/J <= n - 2, and it holds for
+    J = (1), a constant h.
+
+    Proof that this is reducedness (characteristic 0): if h = p^2 * q with p
+    nonconstant, p divides h and every partial, so V(J) contains V(p), of
+    dimension n - 1.  If h is reduced, V(J) is the singular locus of V(h), a
+    proper closed subset of each of its components, so dim V(J) <= n - 2.
+    """
+    return all(any(e[j] == 0 for e in leads) for j in range(nvars))
+
+
 def is_squarefree(h: Poly) -> bool:
-    """True when h has no repeated factor over Q, read from the lead
-    monomials of one reduced degrevlex Groebner basis of
-    J = (h, dh/dx_1, ..., dh/dx_n).
-
-    The rule: h is squarefree exactly when, for every variable x_j, some lead
-    monomial does not contain x_j.  A set S of variables is independent
-    modulo J when no lead monomial is a monomial in S alone, and
-    dim Q[x]/J is the largest size of such a set; S = {x_i : i != j} is
-    independent exactly when every lead contains x_j.  So the rule says
-    dim Q[x]/J <= n - 2, and it holds for J = (1), a constant h.
-
-    Proof (characteristic 0): if h = p^2 * q with p nonconstant, p divides h
-    and every partial, so V(J) contains V(p), of dimension n - 1.  If h is
-    reduced, V(J) is the singular locus of V(h), a proper closed subset of
-    each of its components, so dim V(J) <= n - 2.
+    """True when h has no repeated factor over Q: `squarefree_by_leads` of
+    one reduced degrevlex Groebner basis of J = (h, dh/dx_1, ..., dh/dx_n).
 
     An inhomogeneous h is first homogenised with a new variable t.
     Homogenisation is multiplicative and t divides no homogenised polynomial,
     so a factor of H = h^hom dehomogenises (t = 1) to a factor of h of the
     same degree, and H has a repeated factor exactly when h has.
     Buchberger's algorithm keeps to one degree at a time on homogeneous
-    input; on dense bivariate h of degree 15 this cut the basis from seconds
-    to under a tenth of a second.
+    input.  Measured on dense random bivariate h (every term x^i y^j with
+    i + j <= d, coefficient `randint(-5, 5) or 1` from `random.Random(5)`),
+    on a 2-vCPU Xeon virtual machine, homogenised against not: d = 6 took
+    0.02 s either way, d = 10 took 3.6 s against 13.7 s, the square of the
+    d = 7 polynomial 0.43 s against 1.5 s, and d = 15 did not finish within
+    100 s homogenised.
     """
     if h.is_zero():
         raise PolyError("zero polynomial has no squarefree test")
@@ -572,8 +585,7 @@ def is_squarefree(h: Poly) -> bool:
         h = Poly(n + 1, {e + (d - sum(e),): c for e, c in h.terms.items()})
         n += 1
     gens = [FreeElement([p]) for p in [h] + [h.derivative(i) for i in range(n)]]
-    leads = QuotientTable(ModulePresentation(1, gens)).leads[0]
-    return all(any(e[j] == 0 for e in leads) for j in range(n))
+    return squarefree_by_leads(QuotientTable(ModulePresentation(1, gens)).leads[0], n)
 
 
 # ---------------------------------------------------------------------------

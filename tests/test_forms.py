@@ -1,9 +1,12 @@
 """Torsion-reduced forms: presentations, torsion, contraction, de Rham slices."""
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logforms import groebner
@@ -23,7 +26,9 @@ from logforms.forms import (
     forms_pullback,
     forms_relative,
     pd_check,
+    subquotient_dimension,
     torsion_length,
+    torsion_saturation,
     wedge_map_kernel_dims,
 )
 from logforms.groebner import (
@@ -33,9 +38,10 @@ from logforms.groebner import (
     is_member,
     monomials_of_weight,
     quotient_dimension,
+    saturate,
     submodules_equal,
 )
-from logforms.logarithmic import Divisor, euler_field, is_free, log_form_generators
+from logforms.logarithmic import Divisor, euler_field, is_free, log_form_generators, saito_check
 from logforms.module import FreeElement, Grading, ModulePresentation
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, parse_poly
@@ -189,6 +195,75 @@ def test_torsion_saturation_computes_no_basis_twice(four_planes_afd, gb_calls):
     assert torsion_length(m) == 1
     assert len(gb_calls) == 2
     assert len(set(gb_calls)) == 2
+
+
+@lru_cache(maxsize=None)
+def _normal_crossing_basis(m):
+    """The Saito basis w_i d/dw_i of w1*...*wm."""
+    names = [f"w{i + 1}" for i in range(m)]
+    ws = [Poly.variable(m, i) for i in range(m)]
+    h = Poly.constant(m, 1)
+    for w in ws:
+        h = h * w
+    fields = [FreeElement([ws[i] if j == i else Poly.zero(m) for j in range(m)])
+              for i in range(m)]
+    return saito_check(Divisor(names, h, weights=(1,) * m), fields)[0]
+
+
+def _pulled_back_planes(rows, k):
+    """Degree-k forms on the arrangement of the planes with the given
+    coefficient rows in C^3, pulled back from normal crossing."""
+    names = ["x1", "x2", "x3"]
+    comps = [Poly(3, {tuple(int(i == j) for j in range(3)): c for i, c in enumerate(r) if c})
+             for r in rows]
+    return forms_pullback(_normal_crossing_basis(len(rows)), comps, names, k, weights=(1, 1, 1))
+
+
+def _maximal_ideal_chain(m):
+    """The saturation by the colon chain of (x_1, ..., x_n), and its length."""
+    order = m.order()
+    variables = [Poly.variable(m.nvars, i) for i in range(m.nvars)]
+    sat = saturate(m.relations, m.rank, variables, order)
+    return sat, subquotient_dimension(sat, m.relations, order, m.nvars)
+
+
+def _det3(a, b, c):
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
+@given(st.integers(4, 5).flatmap(lambda m: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * 3), min_size=m, max_size=m)))
+@settings(max_examples=12, deadline=None)
+def test_torsion_by_one_linear_form_matches_the_maximal_ideal_chain(rows):
+    """On generic arrangements in C^3 the saturation by the one linear form,
+    once certified, is the saturation by the maximal ideal."""
+    assume(all(_det3(a, b, c) for a, b, c in combinations(rows, 3)))
+    m = _pulled_back_planes(rows, 2)
+    sat, length = _maximal_ideal_chain(m)
+    assert length == comb(len(rows) - 1, 3)
+    assert torsion_length(m) == length
+    assert torsion_saturation(m) == sat
+
+
+def test_torsion_falls_back_when_the_linear_form_is_a_plane(call_counter):
+    """Under unit weights the linear form is 2*x1 + 3*x2 + 5*x3, here one of
+    the planes: its saturation is infinite over the module, so the maximal
+    ideal's chain decides."""
+    m = _pulled_back_planes([(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 3, 5)], 2)
+    calls = call_counter("groebner", "saturate")
+    assert torsion_length(m) == 1
+    x = [Poly.variable(3, i) for i in range(3)]
+    assert [list(c[2]) for c in calls] == [[x[0].scale(2) + x[1].scale(3) + x[2].scale(5)], x]
+
+
+def test_ungraded_torsion_takes_the_maximal_ideal_chain(calderon, call_counter):
+    _, basis = calderon
+    m = forms_free(basis, 1)
+    assert m.grading() is None
+    calls = call_counter("groebner", "saturate")
+    assert torsion_length(m) == 0
+    assert [list(c[2]) for c in calls] == [[Poly.variable(3, i) for i in range(3)]]
 
 
 def test_slices_enumerate_each_slice_once(four_planes_afd, call_counter):

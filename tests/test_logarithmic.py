@@ -1,13 +1,22 @@
 """Tangent-field modules, Saito certificates and logarithmic form generators."""
 
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from logforms import logarithmic
 from logforms.cli import main
 from logforms.exterior import ext_d, form_basis, monomial_form, contract, wedge
-from logforms.groebner import groebner_basis, is_member, submodules_equal
+from logforms.groebner import (
+    groebner_basis,
+    is_member,
+    monomials_of_weight,
+    submodules_equal,
+    syzygy_module,
+)
 from logforms.logarithmic import (
     Divisor,
     DivisorError,
@@ -24,7 +33,7 @@ from logforms.logarithmic import (
 )
 from logforms.module import FreeElement
 from logforms.order import MonomialOrder
-from logforms.poly import Poly, parse_poly, poly_exact_div
+from logforms.poly import Poly, is_squarefree, parse_poly, poly_exact_div
 
 ORD = MonomialOrder()
 
@@ -37,6 +46,81 @@ def member_of(fields, candidate, order=ORD):
 def test_reducedness_rejected():
     with pytest.raises(DivisorError):
         Divisor(["x", "y"], parse_poly("x^2*y", ["x", "y"]))
+
+
+@st.composite
+def _form(draw, nvars, degree):
+    """A nonzero homogeneous form of the given degree, coefficients -2..2."""
+    monos = monomials_of_weight(nvars, (1,) * nvars, degree)
+    coeffs = [draw(st.sampled_from([-2, -1, 1, 2]))]
+    coeffs += draw(st.lists(st.integers(-2, 2), min_size=len(monos) - 1, max_size=len(monos) - 1))
+    return Poly(nvars, {e: c for e, c in zip(draw(st.permutations(monos)), coeffs) if c})
+
+
+@st.composite
+def homogeneous_products(draw):
+    """Products of linear and quadratic forms in 2 to 4 variables, with one
+    factor squared half the time; of degree at most 6, or 4 over four
+    variables, where a non-reduced sextic's tagged basis can take minutes."""
+    nvars = draw(st.integers(2, 4))
+    degrees = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    square = draw(st.sampled_from([0, 0, 1, 2]))  # degree of the squared factor
+    assume(sum(degrees) + 2 * square <= (6 if nvars < 4 else 4))
+    h = Poly.constant(nvars, 1)
+    for degree in degrees:
+        h = h * draw(_form(nvars, degree))
+    if square:
+        p = draw(_form(nvars, square))
+        h = h * p * p
+    return h
+
+
+def _fresh_derlog(h, order):
+    """The (field, witness) pairs of a syzygy basis of (dh/dx_1, ..., dh/dx_n,
+    h) computed from scratch."""
+    n = h.nvars
+    cols = [FreeElement([h.derivative(i)]) for i in range(n)] + [FreeElement([h])]
+    pairs = [(FreeElement(s.entries[:n]), -s.entries[n]) for s in syzygy_module(cols, order)]
+    return [(f, w) for f, w in pairs if not f.is_zero()]
+
+
+@given(homogeneous_products())
+@settings(max_examples=60, deadline=None)
+def test_divisor_reducedness_matches_is_squarefree(h):
+    """A homogeneous divisor reads reducedness from the heads of its tagged
+    basis of (dh, h); it must agree with `is_squarefree`, and the syzygies of
+    that basis are what a fresh `syzygy_module` gives.  (Lex is checked on
+    one divisor below: lex syzygies of these inputs can take minutes.)"""
+    names = [f"x{i}" for i in range(h.nvars)]
+    if not is_squarefree(h):
+        with pytest.raises(DivisorError, match="not reduced"):
+            Divisor(names, h)
+        return
+    assert derlog(Divisor(names, h)) == _fresh_derlog(h, MonomialOrder())
+
+
+def test_derlog_reuses_the_divisor_basis_only_under_its_order(call_counter):
+    names = ["x", "y", "z"]
+    d = Divisor(names, parse_poly("x*y*z*(x+y+z)*(x-2*y+3*z)", names))
+    calls = call_counter("groebner", "syzygy_module")
+    assert derlog(d) == derlog(d, MonomialOrder()) == _fresh_derlog(d.h, d.order())
+    assert calls == []
+    lex = MonomialOrder("lex")
+    assert derlog(d, lex) == _fresh_derlog(d.h, lex)
+    assert len(calls) == 1
+
+
+def test_inhomogeneous_divisor_builds_no_tagged_basis(call_counter):
+    """An inhomogeneous equation takes the homogenised squarefree test: on
+    this dense bivariate sextic the tagged basis of (dh, h) takes about a
+    hundred times as long."""
+    rng = random.Random(5)
+    h = Poly(2, {(i, j): rng.randint(-5, 5) or 1 for i in range(7) for j in range(7 - i)})
+    tagged = call_counter("groebner", "_tagged_basis")
+    squarefree = call_counter("poly", "is_squarefree")
+    Divisor(["x", "y"], h)
+    assert tagged == []
+    assert len(squarefree) == 1
 
 
 def test_derlog_witnesses_are_exact(nc3, calderon, four_planes_divisor):
