@@ -3,12 +3,22 @@
 Degree-k forms on an n-variable ring are FreeElements of rank C(n, k); the
 component basis is the list of strictly increasing index tuples in
 lexicographic order (dx_I for I = (i_1 < ... < i_k)).
+
+Minors and pullbacks run on an integer core: term dicts {exponent:
+coefficient} whose coefficients are Python ints where the input is integral
+and `Fraction`s where it is not.  Python adds and multiplies ints and
+Fractions exactly with each other, so each result is the exact rational one,
+and a rational input keeps its denominators; `Poly` (whose coefficients are
+all Fractions) is built only for a result handed back.  A minor table and
+the memo of composed monomials that `pullback` keeps live for one table or
+one call, never longer.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 from typing import Sequence
 
 from .module import FreeElement, ModuleError
@@ -104,12 +114,7 @@ def ext_d(n: int, k: int, a: FreeElement) -> FreeElement:
     basis = form_basis(n, k)
     out: dict = {}
     for (pos, e), c in a.vec().items():
-        for t, v in d_term(n, basis[pos], e).items():
-            s = out.get(t, 0) + c * v
-            if s:
-                out[t] = s
-            else:
-                del out[t]
+        _add_scaled(out, c, d_term(n, basis[pos], e))
     return FreeElement.from_vec(form_rank(n, k + 1), nv, out)
 
 
@@ -139,63 +144,151 @@ def contract(n: int, k: int, field: FreeElement, a: FreeElement) -> FreeElement:
     return FreeElement(out)
 
 
+def _integer_terms(p: Poly) -> dict:
+    """The terms of p, each integral coefficient as an int and any other as
+    its `Fraction`."""
+    return {e: c.numerator if c.denominator == 1 else c for e, c in p.terms.items()}
+
+
+def _add_product(out: dict, a: dict, b: dict, scale=1) -> dict:
+    """out += scale * a * b on term dicts, dropping cancelled terms; returns out."""
+    for e1, c1 in a.items():
+        c1 *= scale
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def _add_scaled(out: dict, scale, b: dict) -> None:
+    """out += scale * b on dicts of terms (or of vec entries), dropping
+    cancelled terms."""
+    for e, c in b.items():
+        s = out.get(e, 0) + scale * c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+
+
+def _minor_terms(matrix: Sequence[Sequence[dict]], nvars: int):
+    """`minor_table` over a matrix of term dicts, giving term dicts, which the
+    caller must not change."""
+    one = {(0,) * nvars: 1}
+    cache: dict = {}
+
+    def minor(rows: tuple, cols: tuple) -> dict:
+        if not rows:
+            return one
+        key = (rows, cols)
+        m = cache.get(key)
+        if m is None:
+            row = matrix[rows[0]]
+            m = {}
+            for pos, c in enumerate(cols):
+                if row[c]:
+                    sub = minor(rows[1:], cols[:pos] + cols[pos + 1:])
+                    _add_product(m, row[c], sub, -1 if pos % 2 else 1)
+            cache[key] = m
+        return m
+
+    return minor
+
+
 def minor_table(matrix: Sequence[Sequence[Poly]], nvars: int):
     """The minors of a polynomial matrix, memoised for the table's lifetime.
 
     Returns minor(rows, cols): the determinant of the submatrix with the given
     rows and columns in the order given, by Laplace expansion along the first
-    listed row; minor((), ()) = 1.
+    listed row; minor((), ()) = 1.  The expansion runs on term dicts with int
+    coefficients wherever the entries are integral (`_integer_terms`), so
+    only a rational entry brings `Fraction` arithmetic in; a `Poly` is built
+    only for a minor asked for.
     """
-    cache: dict = {}
-
-    def minor(rows: tuple, cols: tuple) -> Poly:
-        if not rows:
-            return Poly.constant(nvars, 1)
-        key = (rows, cols)
-        if key not in cache:
-            row = matrix[rows[0]]
-            acc = Poly.zero(nvars)
-            for pos, c in enumerate(cols):
-                a = row[c]
-                if a.is_zero():
-                    continue
-                term = a * minor(rows[1:], cols[:pos] + cols[pos + 1:])
-                if pos % 2 == 1:
-                    term = -term
-                acc = acc + term
-            cache[key] = acc
-        return cache[key]
-
-    return minor
+    minor = _minor_terms([[_integer_terms(a) for a in row] for row in matrix], nvars)
+    return lambda rows, cols: Poly(nvars, minor(rows, cols))
 
 
-def pullback(k: int, target_n: int, form: FreeElement, components: Sequence[Poly],
-             source_n: int) -> FreeElement:
-    """Pull a k-form on the target back along the map with the given components.
+def pullback(forms: Sequence[tuple], components: Sequence[Poly], source_n: int) -> list:
+    """Pull forms on the target back along the map with the given components.
 
-    `form` has rank C(target_n, k) with coefficients in the target ring;
-    `components` are target coordinates expressed in source-ring polynomials.
-    The pullback of dy_J is the sum over I of the (J, I) minor of the
-    Jacobian times dx_I.
+    `forms` is a list of pairs (k, form), form a k-form of rank C(m, k) with
+    coefficients in the target ring of m = len(components) variables;
+    `components` are the target coordinates as polynomials of one source
+    ring, whose first source_n variables are differentiated.  Returns the
+    pullbacks in the order given.  The pullback of c dy_J is (c o F) times
+    the sum over I of the (J, I) minor of the Jacobian dF times dx_I.
+
+    All forms share one Jacobian minor table and one memo of composed
+    monomials, x^e o F = (x^(e - e_i) o F) * F_i for the first i with
+    e_i > 0, both living for this call only.  The arithmetic runs on term
+    dicts whose coefficients are ints where the input is integral and
+    `Fraction`s otherwise: ints and Fractions add and multiply exactly with
+    each other, so every coefficient is the exact rational one, and a `Poly`
+    is built only for each result entry.
     """
-    if len(components) != target_n:
-        raise ModuleError("one component per target variable required")
-    nv = source_n if not components else components[0].nvars
-    minor = minor_table([[f.derivative(v) for v in range(source_n)] for f in components], nv)
-    source_basis = form_basis(source_n, k)
-    out = [Poly.zero(nv) for _ in range(max(len(source_basis), 1))]
-    for pos, J in enumerate(form_basis(target_n, k)):
-        c = form.entries[pos]
+    m = len(components)
+    nv = components[0].nvars if components else source_n
+    comps = [_integer_terms(f) for f in components]
+    minor = _minor_terms([[_derivative_terms(f, v) for v in range(source_n)] for f in comps], nv)
+    composed = {(0,) * m: {(0,) * nv: 1}}
+
+    def compose(e: tuple) -> dict:
+        got = composed.get(e)
+        if got is None:
+            i = next(i for i, a in enumerate(e) if a)
+            got = _add_product({}, compose(e[:i] + (e[i] - 1,) + e[i + 1:]), comps[i])
+            composed[e] = got
+        return got
+
+    out = []
+    for k, form in forms:
+        if form.nvars != m:
+            raise ModuleError("one component per target variable required")
+        if form.rank != max(form_rank(m, k), 1):
+            raise ModuleError(f"a {k}-form on {m} target variables has rank C({m}, {k})")
+        source_basis = form_basis(source_n, k)
+        pulled = [{} for _ in range(max(len(source_basis), 1))]
+        for J, c in zip(form_basis(m, k), form.entries):
+            if c.is_zero():
+                continue
+            cf: dict = {}
+            for e, a in _integer_terms(c).items():
+                _add_scaled(cf, a, compose(e))
+            if not cf:
+                continue
+            for q, I in enumerate(source_basis):
+                _add_product(pulled[q], cf, minor(J, I))
+        out.append(FreeElement([Poly(nv, t) for t in pulled]))
+    return out
+
+
+def _derivative_terms(terms: dict, v: int) -> dict:
+    """d/dx_v of a term dict."""
+    out = {}
+    for e, c in terms.items():
+        if e[v]:
+            out[e[:v] + (e[v] - 1,) + e[v + 1:]] = c * e[v]
+    return out
+
+
+def wedge_unit(n: int, k: int, a: FreeElement, M: tuple) -> FreeElement:
+    """a ^ dx_M for a k-form a: a signed re-indexing of a's entries, the dx_I
+    entry moving to dx_(I + M) with the sign of `merge_sign(I, M)`."""
+    nv = a.nvars
+    idx = form_index(n, k + len(M))
+    entries = [Poly.zero(nv)] * max(form_rank(n, k + len(M)), 1)
+    for I, c in zip(form_basis(n, k), a.entries):
         if c.is_zero():
             continue
-        pulled_c = c.compose(list(components))
-        if pulled_c.is_zero():
-            continue
-        for q, I in enumerate(source_basis):
-            m = minor(J, I)
-            if not m.is_zero():
-                out[q] = out[q] + pulled_c * m
-    return FreeElement(out)
+        sign, merged = merge_sign(I, M)
+        if sign is not None:
+            entries[idx[merged]] = c if sign > 0 else -c
+    return FreeElement(entries)
 
 
 def monomial_form(n: int, k: int, nvars: int, I: tuple, coeff: Poly) -> FreeElement:

@@ -11,11 +11,21 @@ from __future__ import annotations
 from math import lcm
 from typing import Optional, Sequence
 
-from .exterior import contract, d_term, form_basis, form_rank, monomial_form, pullback, wedge
+from .exterior import (
+    contract,
+    d_term,
+    form_basis,
+    form_rank,
+    monomial_form,
+    pullback,
+    wedge,
+    wedge_unit,
+)
 from .groebner import (
     LinSpace,
     QuotientTable,
     StabilizationError,
+    groebner_basis,
     is_member,
     kernel_of_map,
     quotient_dimension,
@@ -140,30 +150,34 @@ def pullback_relation_generators(e_basis: LogBasis, components: Sequence[Poly],
 
 def pullback_relations_by_degree(e_basis: LogBasis, components: Sequence[Poly],
                                  source_n: int, ks: Sequence[int]) -> dict:
-    """{k: `pullback_relation_generators` of degree k} for each k in ks.  Each
-    logarithmic generator of degree j is pulled back once per call, however
-    many of the degrees take its wedges with the basis (k - j)-forms."""
+    """{k: `pullback_relation_generators` of degree k} for each k in ks."""
+    return _pulled_back(e_basis, components, source_n, ks)[1]
+
+
+def _pulled_back(e_basis: LogBasis, components: Sequence[Poly], source_n: int,
+                 ks: Sequence[int]) -> tuple:
+    """(h o F, `pullback_relations_by_degree`) from one `pullback` call, which
+    takes h as a 0-form and each logarithmic generator of a degree j that some
+    k in ks wedges with the basis (k - j)-forms once.  Each wedge p ^ dx_M
+    with a basis form is a signed re-indexing of p (`wedge_unit`)."""
     m = e_basis.n
-    nv = components[0].nvars
+    degrees = [j for j in range(0, min(max(ks), m) + 1)
+               if any(j <= k and k - j <= source_n for k in ks)]
+    gens = [(j, g) for j in degrees for g in log_form_generators(e_basis, j)]
+    h0, *pulled = pullback([(0, FreeElement([e_basis.divisor.h]))] + gens, components, source_n)
     out: dict = {k: [] for k in ks}
-    for j in range(0, min(max(ks), m) + 1):
-        wanted = [k for k in out if j <= k and k - j <= source_n]
-        if not wanted:
+    for (j, _), p in zip(gens, pulled):
+        if p.is_zero():
             continue
-        pulled = [p for p in (pullback(j, m, g, components, source_n)
-                              for g in log_form_generators(e_basis, j)) if not p.is_zero()]
-        for k in wanted:
-            gens = out[k]
-            for p in pulled:
-                if j == k:
-                    gens.append(p)
-                    continue
+        for k, rels in out.items():
+            if j == k:
+                rels.append(p)
+            elif j < k and k - j <= source_n:
                 for M in form_basis(source_n, k - j):
-                    unit = monomial_form(source_n, k - j, nv, M, Poly.constant(nv, 1))
-                    w = wedge(source_n, j, p, k - j, unit)
+                    w = wedge_unit(source_n, j, p, M)
                     if not w.is_zero():
-                        gens.append(w)
-    return out
+                        rels.append(w)
+    return h0.entries[0], out
 
 
 def forms_pullback(e_basis: LogBasis, components: Sequence[Poly], source_names: Sequence[str],
@@ -176,10 +190,9 @@ def forms_pullback_degrees(e_basis: LogBasis, components: Sequence[Poly],
                            source_names: Sequence[str], ks: Sequence[int],
                            weights: Optional[Sequence[int]]) -> list:
     """`forms_pullback` for each form degree in ks, in that order, from one
-    pullback of each logarithmic generator."""
+    `pullback` call (`_pulled_back`)."""
     n = len(source_names)
-    h0 = e_basis.divisor.h.compose(list(components))
-    gens = pullback_relations_by_degree(e_basis, components, n, ks)
+    h0, gens = _pulled_back(e_basis, components, n, ks)
     return [CheckedFormsModule(source_names, n, k, gens[k], h0, weights=weights, kind="pullback")
             for k in ks]
 
@@ -189,9 +202,8 @@ def forms_relative(e_basis: LogBasis, components: Sequence[Poly], source_names: 
                    weights: Optional[Sequence[int]] = None) -> CheckedFormsModule:
     """Relative forms of a family: pulled-back ideal plus parameter differentials."""
     n = len(source_names)
-    gens = (pullback_relation_generators(e_basis, components, n, k)
-            + _parameter_differentials(n, k, components[0].nvars, param_indices))
-    h0 = e_basis.divisor.h.compose(list(components))
+    h0, gens = _pulled_back(e_basis, components, n, (k,))
+    gens = gens[k] + _parameter_differentials(n, k, components[0].nvars, param_indices)
     return CheckedFormsModule(source_names, n, k, gens, h0, weights=weights, kind="relative")
 
 
@@ -274,13 +286,14 @@ def _torsion(m: CheckedFormsModule, max_steps: int) -> tuple:
     order = m.order()
     nv = m.nvars
     g = m.grading()
+    gb = groebner_basis(m.relations, order)
     if g is not None:
-        sat = saturate(m.relations, m.rank, [_linear_form(g.weights)], order, max_steps=max_steps)
+        sat = saturate(gb, m.rank, [_linear_form(g.weights)], order, max_steps, reduced=True)
         length = subquotient_dimension(sat, m.relations, order, nv)
         if length != INFINITE:
             return sat, length
     variables = [Poly.variable(nv, i) for i in range(nv)]
-    sat = saturate(m.relations, m.rank, variables, order, max_steps=max_steps)
+    sat = saturate(gb, m.rank, variables, order, max_steps, reduced=True)
     return sat, subquotient_dimension(sat, m.relations, order, nv)
 
 

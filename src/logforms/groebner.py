@@ -597,10 +597,13 @@ def colon_ideal(relations: Sequence[FreeElement], rank: int, ideal_gens: Sequenc
 
 
 def saturate(relations: Sequence[FreeElement], rank: int, ideal_gens: Sequence[Poly],
-             order: Optional[MonomialOrder] = None, max_steps: int = 30) -> list:
-    """Stabilised union of iterated colons N : I, N : I^2, ... by the ideal."""
+             order: Optional[MonomialOrder] = None, max_steps: int = 30,
+             reduced: bool = False) -> list:
+    """Stabilised union of iterated colons N : I, N : I^2, ... by the ideal.
+    With reduced=True the relations are taken to be their own reduced
+    Groebner basis under order, and the chain starts from them as given."""
     order = (order or MonomialOrder()).with_nvars(ideal_gens[0].nvars)
-    current = groebner_basis(relations, order)
+    current = list(relations) if reduced else groebner_basis(relations, order)
     for _ in range(max_steps):
         # N lies in N : I, and both are reduced (canonical) bases, so the
         # chain is stable exactly when a step returns its input.

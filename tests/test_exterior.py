@@ -15,6 +15,7 @@ from logforms.exterior import (
     monomial_form,
     pullback,
     wedge,
+    wedge_unit,
 )
 from logforms.logarithmic import poly_det
 from logforms.module import FreeElement
@@ -25,10 +26,12 @@ NV = 2
 
 @st.composite
 def polys(draw, nvars=NV, max_terms=3):
+    """Coefficients a / b with |a| <= 3 and b in {1, 2, 3}, so that both the
+    int and the `Fraction` coefficients of the integer term dicts occur."""
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         e = tuple(draw(st.integers(0, 2)) for _ in range(nvars))
-        terms[e] = Fraction(draw(st.integers(-3, 3)))
+        terms[e] = Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from((1, 2, 3))))
     return Poly(nvars, terms)
 
 
@@ -97,20 +100,45 @@ def wedge_chain_pullback(k: int, target_n: int, form: FreeElement, components: l
 
 @st.composite
 def pullback_inputs(draw):
+    """One to three forms of drawn degrees on C^target_n, and a map."""
     target_n = draw(st.integers(1, 3))
     source_n = draw(st.integers(1, 3))
-    k = draw(st.integers(0, target_n))
     components = [draw(polys(source_n)) for _ in range(target_n)]
-    form = FreeElement([draw(polys(target_n, 2)) for _ in range(max(form_rank(target_n, k), 1))])
-    return k, target_n, form, components, source_n
+    forms = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, target_n))
+        forms.append((k, FreeElement([draw(polys(target_n, 2))
+                                      for _ in range(max(form_rank(target_n, k), 1))])))
+    return forms, target_n, components, source_n
 
 
 @given(pullback_inputs())
 @settings(max_examples=120, deadline=None)
 def test_pullback_matches_wedge_chains(case):
-    k, target_n, form, components, source_n = case
-    assert (pullback(k, target_n, form, components, source_n)
-            == wedge_chain_pullback(k, target_n, form, components, source_n))
+    """Forms pulled back together, sharing one minor table and one memo of
+    composed monomials, each equal their wedge chains."""
+    forms, target_n, components, source_n = case
+    assert (pullback(forms, components, source_n)
+            == [wedge_chain_pullback(k, target_n, form, components, source_n)
+                for k, form in forms])
+
+
+@st.composite
+def forms_and_basis_forms(draw):
+    """A k-form a and a basis form dx_M on C^n, n <= 4."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    a = FreeElement([draw(polys()) for _ in range(max(form_rank(n, k), 1))])
+    M = draw(st.sampled_from(form_basis(n, draw(st.integers(0, n)))))
+    return n, k, a, M
+
+
+@given(forms_and_basis_forms())
+@settings(max_examples=120, deadline=None)
+def test_wedge_unit_matches_wedge(case):
+    n, k, a, M = case
+    unit = monomial_form(n, len(M), NV, M, Poly.constant(NV, 1))
+    assert wedge_unit(n, k, a, M) == wedge(n, k, a, len(M), unit)
 
 
 @st.composite

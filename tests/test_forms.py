@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logforms import groebner
-from logforms.exterior import d_term, form_basis, monomial_form, wedge
+from logforms.exterior import d_term, form_basis, monomial_form, pullback, wedge
 from logforms.forms import (
     CheckedFormsModule,
     FormsError,
@@ -24,8 +24,10 @@ from logforms.forms import (
     forms_free,
     forms_free_relative,
     forms_pullback,
+    forms_pullback_degrees,
     forms_relative,
     pd_check,
+    pullback_relations_by_degree,
     subquotient_dimension,
     torsion_length,
     torsion_saturation,
@@ -257,6 +259,17 @@ def test_torsion_falls_back_when_the_linear_form_is_a_plane(call_counter):
     assert [list(c[2]) for c in calls] == [[x[0].scale(2) + x[1].scale(3) + x[2].scale(5)], x]
 
 
+def test_torsion_chains_start_from_one_basis(gb_calls):
+    """When the linear form's saturation is infinite, the maximal ideal's
+    chain starts from the relations' basis the first chain started from:
+    one basis of the relations and one per subquotient length."""
+    m = _pulled_back_planes([(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 3, 5)], 2)
+    del gb_calls[:]
+    assert torsion_length(m) == 1
+    assert len(gb_calls) == 3
+    assert len(set(gb_calls)) == 3
+
+
 def test_ungraded_torsion_takes_the_maximal_ideal_chain(calderon, call_counter):
     _, basis = calderon
     m = forms_free(basis, 1)
@@ -357,6 +370,69 @@ def test_slices_make_no_fraction_round_trip(nc4, four_planes_afd, call_counter):
     assert de_rham_report_sliced(free, 6)["all_exact"]
     assert de_rham_report_sliced(pulled, 8)["all_exact"]
     assert not rational and not integral
+
+
+def test_pullback_makes_no_poly_arithmetic(four_planes_afd, call_counter):
+    """The pulled-back relations and h o F come from integer term dicts: no
+    `Poly` product or composition is formed while the modules are built."""
+    setup = four_planes_afd
+    comps, names = setup.map.components, setup.map.source_names
+    products = call_counter("poly", "Poly.__mul__")
+    compositions = call_counter("poly", "Poly.compose")
+    mods = forms_pullback_degrees(setup.e_basis, comps, names, (1, 2), setup.weights)
+    assert not products and not compositions
+    assert [len(m.relations) for m in mods] == [7, 18]
+    assert all(m.h == setup.e_basis.divisor.h.compose(comps) for m in mods)
+
+
+def _relations_one_by_one(e_basis, components, source_n, ks):
+    """The relations built generator by generator: each pulled back on its
+    own, then wedged with the basis forms through `wedge`."""
+    m = e_basis.n
+    nv = components[0].nvars
+    out = {k: [] for k in ks}
+    for j in range(0, min(max(ks), m) + 1):
+        wanted = [k for k in out if j <= k and k - j <= source_n]
+        if not wanted:
+            continue
+        pulled = [p for p in (pullback([(j, g)], components, source_n)[0]
+                              for g in log_form_generators(e_basis, j)) if not p.is_zero()]
+        for k in wanted:
+            for p in pulled:
+                if j == k:
+                    out[k].append(p)
+                    continue
+                for M in form_basis(source_n, k - j):
+                    unit = monomial_form(source_n, k - j, nv, M, Poly.constant(nv, 1))
+                    w = wedge(source_n, j, p, k - j, unit)
+                    if not w.is_zero():
+                        out[k].append(w)
+    return out
+
+
+@st.composite
+def _maps_into_normal_crossing(draw):
+    """A map from C^n (n <= 3) into normal crossing in C^m (2 <= m <= 4),
+    with small integer or rational coefficients, and some form degrees."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 3))
+    coeffs = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
+    comps = []
+    for _ in range(m):
+        terms = {tuple(draw(st.integers(0, 2)) for _ in range(n)): draw(coeffs)
+                 for _ in range(draw(st.integers(0, 3)))}
+        comps.append(Poly(n, terms))
+    ks = draw(st.lists(st.integers(0, n), min_size=1, max_size=n + 1, unique=True))
+    return m, comps, n, ks
+
+
+@given(_maps_into_normal_crossing())
+@settings(max_examples=40, deadline=None)
+def test_pulled_back_relations_match_one_by_one(case):
+    m, comps, n, ks = case
+    e_basis = _normal_crossing_basis(m)
+    assert (pullback_relations_by_degree(e_basis, comps, n, ks)
+            == _relations_one_by_one(e_basis, comps, n, ks))
 
 
 @st.composite
