@@ -238,10 +238,17 @@ def pullback(forms: Sequence[tuple], components: Sequence[Poly], source_n: int) 
     composed = {(0,) * m: {(0,) * nv: 1}}
 
     def compose(e: tuple) -> dict:
+        # Walk e down to an exponent already in the memo, then multiply back
+        # up, so a high power costs no recursion depth.
+        chain = []
         got = composed.get(e)
-        if got is None:
+        while got is None:
             i = next(i for i, a in enumerate(e) if a)
-            got = _add_product({}, compose(e[:i] + (e[i] - 1,) + e[i + 1:]), comps[i])
+            chain.append((e, i))
+            e = e[:i] + (e[i] - 1,) + e[i + 1:]
+            got = composed.get(e)
+        for e, i in reversed(chain):
+            got = _add_product({}, got, comps[i])
             composed[e] = got
         return got
 

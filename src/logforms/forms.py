@@ -145,21 +145,16 @@ def pullback_relation_generators(e_basis: LogBasis, components: Sequence[Poly],
                                  source_n: int, k: int) -> list:
     """Degree-k part of the exterior ideal generated by the pulled-back
     logarithmic form generators of the target divisor."""
-    return pullback_relations_by_degree(e_basis, components, source_n, (k,))[k]
+    return pullback_relations_by_degree(e_basis, components, source_n, (k,))[1][k]
 
 
 def pullback_relations_by_degree(e_basis: LogBasis, components: Sequence[Poly],
-                                 source_n: int, ks: Sequence[int]) -> dict:
-    """{k: `pullback_relation_generators` of degree k} for each k in ks."""
-    return _pulled_back(e_basis, components, source_n, ks)[1]
-
-
-def _pulled_back(e_basis: LogBasis, components: Sequence[Poly], source_n: int,
-                 ks: Sequence[int]) -> tuple:
-    """(h o F, `pullback_relations_by_degree`) from one `pullback` call, which
-    takes h as a 0-form and each logarithmic generator of a degree j that some
-    k in ks wedges with the basis (k - j)-forms once.  Each wedge p ^ dx_M
-    with a basis form is a signed re-indexing of p (`wedge_unit`)."""
+                                 source_n: int, ks: Sequence[int]) -> tuple:
+    """(h o F, {k: `pullback_relation_generators` of degree k} for each k in
+    ks) from one `pullback` call, which takes h as a 0-form and each
+    logarithmic generator of a degree j that some k in ks wedges with the
+    basis (k - j)-forms once.  Each wedge p ^ dx_M with a basis form is a
+    signed re-indexing of p (`wedge_unit`)."""
     m = e_basis.n
     degrees = [j for j in range(0, min(max(ks), m) + 1)
                if any(j <= k and k - j <= source_n for k in ks)]
@@ -190,9 +185,9 @@ def forms_pullback_degrees(e_basis: LogBasis, components: Sequence[Poly],
                            source_names: Sequence[str], ks: Sequence[int],
                            weights: Optional[Sequence[int]]) -> list:
     """`forms_pullback` for each form degree in ks, in that order, from one
-    `pullback` call (`_pulled_back`)."""
+    `pullback` call (`pullback_relations_by_degree`)."""
     n = len(source_names)
-    h0, gens = _pulled_back(e_basis, components, n, ks)
+    h0, gens = pullback_relations_by_degree(e_basis, components, n, ks)
     return [CheckedFormsModule(source_names, n, k, gens[k], h0, weights=weights, kind="pullback")
             for k in ks]
 
@@ -202,7 +197,7 @@ def forms_relative(e_basis: LogBasis, components: Sequence[Poly], source_names: 
                    weights: Optional[Sequence[int]] = None) -> CheckedFormsModule:
     """Relative forms of a family: pulled-back ideal plus parameter differentials."""
     n = len(source_names)
-    h0, gens = _pulled_back(e_basis, components, n, (k,))
+    h0, gens = pullback_relations_by_degree(e_basis, components, n, (k,))
     gens = gens[k] + _parameter_differentials(n, k, components[0].nvars, param_indices)
     return CheckedFormsModule(source_names, n, k, gens, h0, weights=weights, kind="relative")
 
@@ -288,12 +283,12 @@ def _torsion(m: CheckedFormsModule, max_steps: int) -> tuple:
     g = m.grading()
     gb = groebner_basis(m.relations, order)
     if g is not None:
-        sat = saturate(gb, m.rank, [_linear_form(g.weights)], order, max_steps, reduced=True)
+        sat = saturate(gb, m.rank, [_linear_form(g.weights)], order, max_steps)
         length = subquotient_dimension(sat, m.relations, order, nv)
         if length != INFINITE:
             return sat, length
     variables = [Poly.variable(nv, i) for i in range(nv)]
-    sat = saturate(gb, m.rank, variables, order, max_steps, reduced=True)
+    sat = saturate(gb, m.rank, variables, order, max_steps)
     return sat, subquotient_dimension(sat, m.relations, order, nv)
 
 

@@ -597,16 +597,15 @@ def colon_ideal(relations: Sequence[FreeElement], rank: int, ideal_gens: Sequenc
 
 
 def saturate(relations: Sequence[FreeElement], rank: int, ideal_gens: Sequence[Poly],
-             order: Optional[MonomialOrder] = None, max_steps: int = 30,
-             reduced: bool = False) -> list:
+             order: Optional[MonomialOrder] = None, max_steps: int = 30) -> list:
     """Stabilised union of iterated colons N : I, N : I^2, ... by the ideal.
-    With reduced=True the relations are taken to be their own reduced
-    Groebner basis under order, and the chain starts from them as given."""
+    The chain starts from the relations as given; passing their reduced
+    Groebner basis under order saves one colon step."""
     order = (order or MonomialOrder()).with_nvars(ideal_gens[0].nvars)
-    current = list(relations) if reduced else groebner_basis(relations, order)
+    current = list(relations)
     for _ in range(max_steps):
-        # N lies in N : I, and both are reduced (canonical) bases, so the
-        # chain is stable exactly when a step returns its input.
+        # N lies in N : I, and every step returns a reduced (canonical)
+        # basis, so the chain is stable exactly when a step returns its input.
         bigger = colon_ideal(current, rank, ideal_gens, order)
         if bigger == current:
             return current

@@ -176,3 +176,9 @@ def test_d_image_matches_ext_d(case):
     assert image == leibniz.vec()
     assert all(type(c) is int for c in image.values())
     assert d_vec(n, k + 1, image) == {}
+
+
+def test_pullback_of_a_high_power():
+    """The memo of composed monomials reaches x^1500 without deep recursion."""
+    f = FreeElement([Poly(1, {(1500,): 1})])
+    assert pullback([(0, f)], [Poly(1, {(1,): 2})], 1) == [FreeElement([Poly(1, {(1500,): 2 ** 1500})])]
