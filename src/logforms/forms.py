@@ -357,24 +357,38 @@ class GradedSlices:
     def dim(self, k: int, degree: int) -> int:
         return len(self.basis(k, degree))
 
+    def _d_columns(self, k: int, degree: int):
+        """The columns of `d_matrix`, one at a time."""
+        src = self.basis(k, degree)
+        mod_next = self.by_k.get(k + 1)
+        if mod_next is None:
+            for _ in src:
+                yield {}
+            return
+        terms = set(self.basis(k + 1, degree))
+        n = mod_next.n
+        basis = form_basis(n, k)
+        for comp, e in src:
+            yield _slice_coordinates(mod_next, d_term(n, basis[comp], e), terms)
+
     def d_matrix(self, k: int, degree: int) -> list:
         """Columns: images under d of the degree-slice basis of level k, in the
         slice coordinates of level k+1, each as an integer row scaled by a
         positive number (`_slice_coordinates`)."""
-        src = self.basis(k, degree)
-        mod_next = self.by_k.get(k + 1)
-        if mod_next is None:
-            return [{} for _ in src]
-        terms = set(self.basis(k + 1, degree))
-        n = mod_next.n
-        basis = form_basis(n, k)
-        return [_slice_coordinates(mod_next, d_term(n, basis[comp], e), terms)
-                for comp, e in src]
+        return list(self._d_columns(k, degree))
 
     def d_rank(self, k: int, degree: int) -> int:
+        """The rank of `d_matrix`, reading its columns only until the rank
+        reaches the dimension of the target slice: every column lies in that
+        slice, so the rank cannot exceed its dimension, and the columns not
+        yet read cannot raise it further."""
+        target = self.dim(k + 1, degree)
         sp = LinSpace()
-        for c in self.d_matrix(k, degree):
-            sp.add(c)
+        if target:
+            for c in self._d_columns(k, degree):
+                sp.add(c)
+                if sp.dim == target:
+                    break
         return sp.dim
 
     def cohomology_dims(self, degree: int) -> list:

@@ -230,7 +230,18 @@ def _reduce_full(f: dict, reducers: _Reducers, keys: _TermKeys,
 
 def _buchberger_vecs(inputs: Sequence[dict], order: MonomialOrder, is_ideal: bool) -> list:
     """The reduced Groebner basis of rational vecs, as primitive integer vecs
-    with a positive lead, sorted by increasing lead."""
+    with a positive lead, sorted by increasing lead.
+
+    The inputs wait in the heap of S-pairs, keyed like a pair by (monomial
+    key, component) of their lead, and each is reduced against the basis so
+    far when it comes off, just like an S-polynomial; only a nonzero
+    remainder joins the basis, so an input that the basis already reduces to
+    zero makes no pairs.  The answer does not change: an input is its
+    remainder plus a combination of elements already kept, so the kept
+    elements generate the module of the inputs, and the loop ends only once
+    every pair of them has been reduced to zero or passed over by a
+    criterion, so they are a Groebner basis of it.  `_interreduce` turns any
+    Groebner basis of a module into its one reduced basis."""
     keys = _TermKeys(order)
     mono_key = order.mono_key
     G: list = []
@@ -238,7 +249,8 @@ def _buchberger_vecs(inputs: Sequence[dict], order: MonomialOrder, is_ideal: boo
     reducers = _Reducers()
     # Pending pairs: the set answers the chain criterion's membership test,
     # the heap hands them out by (lcm key, component, i, j), each lcm and its
-    # key computed once when the pair is pushed.
+    # key computed once when the pair is pushed.  An input waits in the same
+    # heap as (lead key, component, -1, its position, the vec).
     pairs = set()
     queue: list = []
 
@@ -256,20 +268,14 @@ def _buchberger_vecs(inputs: Sequence[dict], order: MonomialOrder, is_ideal: boo
                 pairs.add((i, j))
                 heappush(queue, (mono_key(L), comp, i, j, L))
 
-    for v in inputs:
-        if v:
-            v = _integral(v)[0]
-            lt, lc = _leading(v, keys)
-            add(_normalize(v, lc), lt)
-
-    while queue:
-        _, comp, i, j, L = heappop(queue)
+    def s_polynomial(comp: int, i: int, j: int, L: tuple):
+        """The S-polynomial of G[i] and G[j], whose leads have lcm x^L in
+        component comp, or None when a criterion passes the pair over."""
         pairs.discard((i, j))
         (_, ei), lci = lts[i]
         (_, ej), lcj = lts[j]
         if is_ideal and mono_mul(ei, ej) == L:
-            continue  # product criterion: coprime leads (valid for ideals)
-        chained = False
+            return None  # product criterion: coprime leads (valid for ideals)
         for k in range(len(G)):
             if k == i or k == j:
                 continue
@@ -278,16 +284,27 @@ def _buchberger_vecs(inputs: Sequence[dict], order: MonomialOrder, is_ideal: boo
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik not in pairs and pjk not in pairs:
-                    chained = True
-                    break
-        if chained:
-            continue
+                    return None  # chain criterion
         # (lcj/g) x^(L-ei) G[i] - (lci/g) x^(L-ej) G[j]: a positive multiple
         # of the monic S-polynomial, in integers
         g = int_gcd(lci, lcj)
         s: dict = {}
         _add_scaled_shifted(s, G[i], lcj // g, mono_div(L, ei))
         _add_scaled_shifted(s, G[j], -(lci // g), mono_div(L, ej))
+        return s
+
+    for pos, v in enumerate(inputs):
+        if v:
+            v = _integral(v)[0]
+            (comp, e), _ = _leading(v, keys)
+            queue.append((mono_key(e), comp, -1, pos, v))
+    heapify(queue)
+
+    while queue:
+        _, comp, i, j, item = heappop(queue)
+        s = item if i < 0 else s_polynomial(comp, i, j, item)
+        if s is None:
+            continue
         s = _reduce_full(s, reducers, keys)[0]
         if s:
             lt = next(iter(s))

@@ -317,8 +317,10 @@ def test_slices_build_one_reducer_table_per_module(nc4, call_counter):
     calls = call_counter("groebner", "_reducers_of")
     mods = [forms_free(basis, k) for k in range(0, 5)]
     assert de_rham_report_sliced(mods, 6)["all_exact"]
-    # d leaves level 0 into level 1 and so on: levels 1..4 are reduced into
-    assert len(calls) == 4
+    # d leaves level 0 into level 1 and so on: levels 1..3 are reduced into;
+    # every slice of level 4 is zero, so no column into it is computed
+    assert all(mods[4].table().dim(degree) == 0 for degree in range(0, 7))
+    assert len(calls) == 3
 
 
 def _built_tables(mods):
@@ -370,6 +372,49 @@ def test_slices_make_no_fraction_round_trip(nc4, four_planes_afd, call_counter):
     assert de_rham_report_sliced(free, 6)["all_exact"]
     assert de_rham_report_sliced(pulled, 8)["all_exact"]
     assert not rational and not integral
+
+
+def test_redundant_relations_join_no_basis(four_planes_afd, call_counter):
+    """The 18 level-2 relations of the four planes enter the Buchberger loop
+    from its heap, each reduced against the basis so far: only the 6 that
+    do not reduce to zero join the basis, and interreduction keeps all 6.
+    Added unreduced, every relation would join it."""
+    m = _four_planes_modules(four_planes_afd, (2,))[0]
+    call_counter("groebner", "_buchberger_vecs")
+    call_counter("groebner", "_Reducers.add")
+    call_counter("groebner", "_interreduce")
+    gb = groebner_basis(m.relations, m.order())
+    names = [name for name, _ in call_counter.log]
+    assert names.count("_buchberger_vecs") == 1
+    added = names.index("_interreduce") - names.index("_buchberger_vecs") - 1
+    assert len(m.relations) == 18
+    assert added == len(gb) == 6
+
+
+def test_slice_rank_reads_columns_until_the_target_dimension(call_counter):
+    """On five planes in C^4, pulled back from normal crossing in C^5 (top
+    level 3, bound 12), `cokernel_slice_dims` computes the columns of d in
+    each degree only until their rank is the dimension of the target slice:
+    one `_slice_coordinates` call per column of the shortest full-rank
+    prefix, or per column where no prefix has full rank."""
+    names = ["x1", "x2", "x3", "x4"]
+    comps = [parse_poly(t, names) for t in ("x1", "x2", "x3", "x4", "x1+x2+x3+x4")]
+    mods = forms_pullback_degrees(_normal_crossing_basis(5), comps, names, (2, 3), (1,) * 4)
+    slices = GradedSlices(mods)
+    needed = total = 0
+    for degree in range(0, 13):
+        columns = slices.d_matrix(2, degree)
+        space = LinSpace()
+        ranks = [0]
+        for col in columns:
+            space.add(col)
+            ranks.append(space.dim)
+        target = slices.dim(3, degree)
+        needed += ranks.index(target) if target in ranks else len(columns)
+        total += len(columns)
+    calls = call_counter("forms", "_slice_coordinates")
+    assert sum(cokernel_slice_dims(mods, 3, 12).values()) == 1
+    assert len(calls) == needed < total
 
 
 def test_pullback_makes_no_poly_arithmetic(four_planes_afd, call_counter):

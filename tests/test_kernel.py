@@ -640,3 +640,78 @@ def test_reduced_basis_matches_sympy(sympy, polys):
         _monic({e: Fraction(int(c.p), int(c.q)) for e, c in q.as_dict().items()}, order)
         for q in theirs.polys}
     assert len(ours) == len(theirs.polys)
+
+
+@st.composite
+def _families(draw):
+    """A family of elements of O^rank, rank 1 or 2 over 1 to 3 variables, and
+    the same module presented four other ways: shuffled, with one element
+    repeated, with one element scaled, and with an O-combination of the
+    family appended.  Graded families are homogeneous for unit weights (one
+    to three elements, and the combination homogeneous too); ungraded ones
+    are as small as in the colon tests (one or two elements of two terms,
+    exponents up to 2, and monomial multipliers of exponent at most 1)."""
+    rank = draw(st.integers(1, 2))
+    nvars = draw(st.integers(1, 3 if rank == 1 else 2))
+    graded = draw(st.booleans())
+    coeff = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 2))
+    degrees, gens = [], []
+    for _ in range(draw(st.integers(1, 3 if graded else 2))):
+        degrees.append(draw(st.integers(1, 3)))
+        if graded:
+            gens.append(FreeElement([draw(_homogeneous(nvars, degrees[-1], 2))
+                                     for _ in range(rank)]))
+        else:
+            gens.append(FreeElement([draw(_polys(nvars, 2, 2)) for _ in range(rank)]))
+    m = len(gens)
+    perm = draw(st.permutations(range(m)))
+    i = draw(st.integers(0, m - 1))
+    scale = draw(coeff)
+    top = max(degrees)
+    multipliers = []
+    for d in degrees:
+        if graded:
+            e = [0] * nvars
+            for _ in range(top - d):
+                e[draw(st.integers(0, nvars - 1))] += 1
+        else:
+            e = [draw(st.integers(0, 1)) for _ in range(nvars)]
+        multipliers.append(Poly.monomial(nvars, tuple(e), draw(coeff))
+                           if draw(st.booleans()) else Poly.zero(nvars))
+    order = draw(st.sampled_from([MonomialOrder("wdegrevlex"), MonomialOrder("lex")]))
+    return gens, perm, i, scale, multipliers, order
+
+
+def _put(seq, k, v):
+    """A list copy of seq with v at position k."""
+    out = list(seq)
+    out[k] = v
+    return out
+
+
+@given(_families())
+@settings(max_examples=80, deadline=None)
+def test_bases_do_not_depend_on_the_presentation(family):
+    """`groebner_basis` gives one output for every presentation of a module,
+    and `syzygy_module` gives the reduced basis of the syzygies the
+    presentation changes to: permuted with the columns; with e_i - e_m added
+    for a repeated column; with entry i divided by c when column i is scaled
+    by c; with (a, -1) added for an appended column sum(a_j * column_j).
+    Each input reaches the Buchberger loop in another order, and some reduce
+    to zero there."""
+    gens, perm, i, c, a, order = family
+    m, nvars = len(gens), gens[0].nvars
+    gb = groebner_basis(gens, order)
+    syz = syzygy_module(gens, order)
+    padded = [FreeElement([*s.entries, Poly.zero(nvars)]) for s in syz]
+    presentations = [
+        ([gens[k] for k in perm], [FreeElement([s.entries[k] for k in perm]) for s in syz]),
+        (gens + [gens[i]],
+         padded + [FreeElement.unit(m + 1, nvars, i) - FreeElement.unit(m + 1, nvars, m)]),
+        (_put(gens, i, gens[i].scale(c)),
+         [FreeElement(_put(s.entries, i, s.entries[i].scale(1 / c))) for s in syz]),
+        (gens + [_combination(a, gens)], padded + [FreeElement([*a, Poly.constant(nvars, -1)])]),
+    ]
+    for columns, syzygies in presentations:
+        assert groebner_basis(columns, order) == gb
+        assert syzygy_module(columns, order) == groebner_basis(syzygies, order)
