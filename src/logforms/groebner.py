@@ -1,7 +1,11 @@
 """Groebner bases, syzygies and dimension counts for submodules of free modules.
 
 The engine works on flattened elements ("vecs"): dictionaries mapping module
-terms (component, exponent) to nonzero coefficients.  All arithmetic is exact.
+terms to nonzero coefficients.  Outside the kernel a term is a pair
+(component, exponent); inside it, from the entry of a value to its exit, a
+term is one int packed by the `TermLayout` of the order, so comparing terms,
+multiplying them by a monomial and testing divisibility are a few int
+operations, and a smaller int is a greater term.  All arithmetic is exact.
 Inside the kernel the coefficients are Python ints: a dividend's denominators
 are cleared on entry, basis elements are kept primitive with a positive lead,
 and division is fraction-free (pseudo-division).  Values become `Fraction`s
@@ -19,37 +23,26 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .module import INFINITE, FreeElement, Grading, ModulePresentation, ModuleError
-from .order import MonomialOrder, mono_div, mono_divides, mono_lcm, mono_mul
+from .order import (FIELD_MAX, MonomialOrder, StabilizationError, TermLayout, field_overflow,
+                    mono_divides, mono_lcm)
 from .poly import Poly
-
-
-class StabilizationError(RuntimeError):
-    """An iterative computation failed to stabilise within its configured bound."""
 
 
 # ---------------------------------------------------------------------------
 # vec primitives
 
 
-class _TermKeys(dict):
-    """Heap keys of module terms, memoised for one kernel call: the negated
-    `term_key`, so the greatest term comes first in a min-heap and under
-    `min`.  Each call makes its own and drops it on return."""
-
-    __slots__ = ("term_key",)
-
-    def __init__(self, order: MonomialOrder):
-        super().__init__()
-        self.term_key = order.term_key
-
-    def __missing__(self, t: tuple):
-        k = self[t] = tuple([-x for x in self.term_key(t)])
-        return k
+def _packed(vec: dict, layout: TermLayout) -> dict:
+    """A vec with its terms packed: how a value enters the kernel."""
+    pack = layout.pack
+    return {pack(t): c for t, c in vec.items()}
 
 
-def _leading(vec: dict, keys: _TermKeys):
-    t = min(vec, key=keys.__getitem__)
-    return t, vec[t]
+def _unpacked(vec: dict, layout: TermLayout) -> dict:
+    """A packed vec with its terms as (component, exponent) pairs: how a
+    value leaves the kernel."""
+    unpack = layout.unpack
+    return {unpack(t): c for t, c in vec.items()}
 
 
 def _integral(vec: dict):
@@ -86,74 +79,62 @@ def _normalize(vec: dict, lc: int) -> dict:
     return {t: c // content for t, c in vec.items()}
 
 
-def _add_scaled_shifted(target: dict, src: dict, coeff: int, shift: tuple):
-    """target += coeff * x^shift * src, in place."""
-    for (c, e), v in src.items():
-        t = (c, mono_mul(e, shift))
-        s = target.get(t, 0) + coeff * v
-        if s:
-            target[t] = s
-        else:
-            target.pop(t, None)
-
-
-def _divisibility_mask(e: tuple) -> int:
-    """Three bits per variable, the lowest min(e_i, 3) of them set (Singular's
-    short exponent vectors): when x^a divides x^b, every bit of a's mask is
-    set in b's, so a mask with a bit that b's lacks rules a division out."""
-    m = 0
-    for i, x in enumerate(e):
-        if x:
-            m |= (7 if x >= 3 else 2 * x - 1) << (3 * i)
-    return m
-
-
 class _Reducers:
-    """Basis elements bucketed by leading component for division.  Each entry
-    is (lead term, lead coefficient, the other terms, position added); every
-    element is a primitive integer vec with a positive lead.  Beside each
-    component's entries runs the list of their leads' divisibility masks,
-    which `find` tests before it compares exponents."""
+    """Basis elements bucketed by leading component for division, on packed
+    terms.  Each entry is (divisor key of the lead, lead term, lead
+    coefficient, head tail, tag tail, position added); every element is a
+    primitive integer vec with a positive lead.  The tail, the other terms,
+    is split by the shift it takes (`TermLayout.shifts`): under a plain
+    order every term is a head term.  `find` tests each lead of the term's
+    component by one subtraction and mask (`TermLayout.divides`)."""
 
-    def __init__(self):
+    def __init__(self, layout: TermLayout):
+        self.layout = layout
         self.by_comp: dict = {}
-        self.masks: dict = {}
         self.count = 0
+        self._comp_shift = layout.comp_shift
+        self._probe = layout.probe
+        self._mask = layout.exponent_guards
 
-    def add(self, lt: tuple, lc: int, vec: dict):
-        tail = [(t, c) for t, c in vec.items() if t != lt]
-        self.by_comp.setdefault(lt[0], []).append((lt, lc, tail, self.count))
-        self.masks.setdefault(lt[0], []).append(_divisibility_mask(lt[1]))
+    def add(self, lt: int, lc: int, vec: dict):
+        """Enter the element vec with lead lt and lead coefficient lc, and
+        return its entry."""
+        layout = self.layout
+        tag_start = layout.tag_start
+        heads = [(t, c) for t, c in vec.items() if t < tag_start and t != lt]
+        tags = [(t, c) for t, c in vec.items() if t >= tag_start and t != lt]
+        entry = (layout.divisor(lt), lt, lc, heads, tags, self.count)
+        self.by_comp.setdefault(layout.component(lt), []).append(entry)
         self.count += 1
+        return entry
 
-    def find(self, term: tuple):
-        comp, expo = term
-        entries = self.by_comp.get(comp)
+    def find(self, term: int):
+        entries = self.by_comp.get((term >> self._comp_shift) & FIELD_MAX)
         if entries is None:
             return None
-        outside = ~_divisibility_mask(expo)
-        for entry, mask in zip(entries, self.masks[comp]):
-            if not mask & outside and mono_divides(entry[0][1], expo):
+        probe = self._probe(term)
+        mask = self._mask
+        for entry in entries:
+            if (probe - entry[0]) & mask == mask:
                 return entry
         return None
 
 
-def _reducers_of(vecs: Sequence[dict], keys: _TermKeys) -> _Reducers:
-    """The reducer table of rational vecs, each made primitive with a
+def _reducers_of(vecs: Sequence[dict], layout: TermLayout) -> _Reducers:
+    """The reducer table of packed rational vecs, each made primitive with a
     positive lead; dividing by a positive multiple of an element leaves the
     same remainder."""
-    reducers = _Reducers()
+    reducers = _Reducers(layout)
     for v in vecs:
         v = _integral(v)[0]
-        lt, lc = _leading(v, keys)
-        v = _normalize(v, lc)
+        lt = min(v)
+        v = _normalize(v, v[lt])
         reducers.add(lt, v[lt], v)
     return reducers
 
 
-def _reduce_full(f: dict, reducers: _Reducers, keys: _TermKeys,
-                 cofactors: Optional[list] = None):
-    """Pseudo-division of an integer vec f by the reducers: returns
+def _reduce_full(f: dict, reducers: _Reducers, cofactors: Optional[list] = None):
+    """Pseudo-division of a packed integer vec f by the reducers: returns
     (remainder, scale) with scale a positive integer and scale * f equal to
     sum(cofactor_i * reducer_i) + remainder.  Dividing the remainder by scale
     gives the full normal form of f over the rationals.  Its terms come in
@@ -165,29 +146,34 @@ def _reduce_full(f: dict, reducers: _Reducers, keys: _TermKeys,
     subtracted.  The division runs through the same terms as over the
     rationals, each coefficient the rational one times the current scale.
 
-    The pending terms sit in a heap with lazy deletion: a popped term that is
-    no longer pending was cancelled.  A reduction step pushes only the terms
-    it brings in, and every term it touches is smaller than the one reduced.
+    The pending terms sit in a heap of packed terms, the greatest the
+    smallest int, with lazy deletion: a popped term that is no longer pending
+    was cancelled.  A reduction step pushes only the terms it brings in, and
+    every term it touches is smaller than the one reduced.  A term it brings
+    in that leaves the packed fields raises `StabilizationError`.
 
     When `cofactors` is given it holds one dict per reducer (by position
-    added), which accumulates the division coefficients by exponent.
+    added), which accumulates the division coefficients by head shift: the
+    int that multiplies a term by the monomial of the coefficient.
     """
     work = dict(f)
-    heap = [(keys[t], t) for t in work]
+    heap = list(work)
     heapify(heap)
     result: dict = {}
     scale = 1
+    find = reducers.find
+    shifts = reducers.layout.shifts
+    guards = reducers.layout.guards
     while heap:
-        t = heappop(heap)[1]
+        t = heappop(heap)
         c = work.pop(t, None)
         if c is None:
             continue
-        hit = reducers.find(t)
+        hit = find(t)
         if hit is None:
             result[t] = c
             continue
-        lt, lc, tail, pos = hit
-        shift = mono_div(t[1], lt[1])
+        _, lt, lc, heads, tags, pos = hit
         if lc != 1:
             g = int_gcd(c, lc)
             c //= g
@@ -202,25 +188,29 @@ def _reduce_full(f: dict, reducers: _Reducers, keys: _TermKeys,
                     for cof in cofactors:
                         for u in cof:
                             cof[u] *= m
-        for (comp, e), v in tail:
-            u = (comp, mono_mul(e, shift))
-            old = work.get(u)
-            if old is None:
-                work[u] = -c * v
-                heappush(heap, (keys[u], u))
-            else:
-                s = old - c * v
-                if s:
-                    work[u] = s
+        head_shift, tag_shift = shifts(t, lt)
+        for tail, shift in ((heads, head_shift), (tags, tag_shift)):
+            for u, v in tail:
+                u += shift
+                old = work.get(u)
+                if old is None:
+                    if u & guards:
+                        raise field_overflow()
+                    work[u] = -c * v
+                    heappush(heap, u)
                 else:
-                    del work[u]
+                    s = old - c * v
+                    if s:
+                        work[u] = s
+                    else:
+                        del work[u]
         if cofactors is not None:
             cof = cofactors[pos]
-            s = cof.get(shift, 0) + c
+            s = cof.get(head_shift, 0) + c
             if s:
-                cof[shift] = s
+                cof[head_shift] = s
             else:
-                cof.pop(shift, None)
+                cof.pop(head_shift, None)
     return result, scale
 
 
@@ -228,9 +218,9 @@ def _reduce_full(f: dict, reducers: _Reducers, keys: _TermKeys,
 # Buchberger
 
 
-def _buchberger_vecs(inputs: Sequence[dict], order: MonomialOrder, is_ideal: bool) -> list:
-    """The reduced Groebner basis of rational vecs, as primitive integer vecs
-    with a positive lead, sorted by increasing lead.
+def _buchberger_vecs(inputs: Sequence[dict], layout: TermLayout, is_ideal: bool) -> list:
+    """The reduced Groebner basis of packed rational vecs, as packed
+    primitive integer vecs with a positive lead, sorted by increasing lead.
 
     The inputs wait in the heap of S-pairs, keyed like a pair by (monomial
     key, component) of their lead, and each is reduced against the basis so
@@ -242,62 +232,74 @@ def _buchberger_vecs(inputs: Sequence[dict], order: MonomialOrder, is_ideal: boo
     every pair of them has been reduced to zero or passed over by a
     criterion, so they are a Groebner basis of it.  `_interreduce` turns any
     Groebner basis of a module into its one reduced basis."""
-    keys = _TermKeys(order)
-    mono_key = order.mono_key
-    G: list = []
-    lts: list = []  # (lead term, lead coefficient) of G[i]
-    reducers = _Reducers()
+    reducers = _Reducers(layout)
+    G: list = []  # the reducer entry of each basis element
+    exps: list = []  # the exponent of each lead, for the lcms of pairs
+    pack, unpack, shifts = layout.pack, layout.unpack, layout.shifts
+    guards, mono_mask, mask = layout.guards, layout.mono_mask, layout.exponent_guards
+    one = pack((0, (0,) * layout.nvars)) if is_ideal else None
     # Pending pairs: the set answers the chain criterion's membership test,
-    # the heap hands them out by (lcm key, component, i, j), each lcm and its
-    # key computed once when the pair is pushed.  An input waits in the same
-    # heap as (lead key, component, -1, its position, the vec).
+    # the heap hands them out by (lcm key, component, i, j), each lcm packed
+    # and keyed once when the pair is pushed.  The key of a packed lcm is its
+    # negated monomial fields, which orders like `mono_key`.  An input waits
+    # in the same heap as (lead key, component, -1, its position, the vec).
     pairs = set()
     queue: list = []
 
-    def add(vec: dict, lt: tuple):
-        lc = vec[lt]
+    def add(vec: dict, lt: int):
         j = len(G)
-        G.append(vec)
-        lts.append((lt, lc))
-        reducers.add(lt, lc, vec)
-        comp, e = lt
-        for i in range(j):
-            (ci, ei), _ = lts[i]
-            if ci == comp:
-                L = mono_lcm(ei, e)
-                pairs.add((i, j))
-                heappush(queue, (mono_key(L), comp, i, j, L))
+        G.append(reducers.add(lt, vec[lt], vec))
+        comp, e = unpack(lt)
+        exps.append(e)
+        for entry in reducers.by_comp[comp][:-1]:
+            i = entry[5]
+            L = pack((comp, mono_lcm(exps[i], e)))
+            pairs.add((i, j))
+            heappush(queue, (-(L & mono_mask), comp, i, j, L))
 
-    def s_polynomial(comp: int, i: int, j: int, L: tuple):
-        """The S-polynomial of G[i] and G[j], whose leads have lcm x^L in
+    def shifted_into(s: dict, entry: tuple, coeff: int, L: int):
+        """s += coeff * x^(L - lead) * (the tail of the entry), in place."""
+        head_shift, tag_shift = shifts(L, entry[1])
+        for tail, shift in ((entry[3], head_shift), (entry[4], tag_shift)):
+            for u, v in tail:
+                u += shift
+                if u & guards:
+                    raise field_overflow()
+                x = s.get(u, 0) + coeff * v
+                if x:
+                    s[u] = x
+                else:
+                    s.pop(u, None)
+
+    def s_polynomial(comp: int, i: int, j: int, L: int):
+        """The S-polynomial of G[i] and G[j], whose leads have lcm L in
         component comp, or None when a criterion passes the pair over."""
         pairs.discard((i, j))
-        (_, ei), lci = lts[i]
-        (_, ej), lcj = lts[j]
-        if is_ideal and mono_mul(ei, ej) == L:
+        gi, gj = G[i], G[j]
+        if is_ideal and gi[1] + gj[1] - one == L:
             return None  # product criterion: coprime leads (valid for ideals)
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            (ck, ek), _ = lts[k]
-            if ck == comp and mono_divides(ek, L):
+        probe = layout.probe(L)
+        for entry in reducers.by_comp[comp]:
+            k = entry[5]
+            if k != i and k != j and (probe - entry[0]) & mask == mask:
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik not in pairs and pjk not in pairs:
                     return None  # chain criterion
-        # (lcj/g) x^(L-ei) G[i] - (lci/g) x^(L-ej) G[j]: a positive multiple
-        # of the monic S-polynomial, in integers
+        # (lcj/g) x^(L-lti) G[i] - (lci/g) x^(L-ltj) G[j]: a positive multiple
+        # of the monic S-polynomial, in integers; the leads cancel
+        lci, lcj = gi[2], gj[2]
         g = int_gcd(lci, lcj)
         s: dict = {}
-        _add_scaled_shifted(s, G[i], lcj // g, mono_div(L, ei))
-        _add_scaled_shifted(s, G[j], -(lci // g), mono_div(L, ej))
+        shifted_into(s, gi, lcj // g, L)
+        shifted_into(s, gj, -(lci // g), L)
         return s
 
     for pos, v in enumerate(inputs):
         if v:
             v = _integral(v)[0]
-            (comp, e), _ = _leading(v, keys)
-            queue.append((mono_key(e), comp, -1, pos, v))
+            lt = min(v)
+            queue.append((-(lt & mono_mask), layout.component(lt), -1, pos, v))
     heapify(queue)
 
     while queue:
@@ -305,34 +307,30 @@ def _buchberger_vecs(inputs: Sequence[dict], order: MonomialOrder, is_ideal: boo
         s = item if i < 0 else s_polynomial(comp, i, j, item)
         if s is None:
             continue
-        s = _reduce_full(s, reducers, keys)[0]
+        s = _reduce_full(s, reducers)[0]
         if s:
             lt = next(iter(s))
             add(_normalize(s, s[lt]), lt)
-    return _interreduce(G, lts, keys)
+    return _interreduce(G, layout)
 
 
-def _interreduce(G: Sequence[dict], lts: Sequence[tuple], keys: _TermKeys) -> list:
-    """The reduced basis from a Groebner basis G of primitive integer vecs
-    with their leads, sorted by increasing lead, each element primitive with
-    a positive lead."""
-    items = sorted(((lt, lc, g) for g, (lt, lc) in zip(G, lts)),
-                   key=lambda item: keys[item[0]], reverse=True)
+def _interreduce(G: Sequence[tuple], layout: TermLayout) -> list:
+    """The reduced basis from a Groebner basis, given as the reducer entries
+    of primitive integer vecs, as packed vecs sorted by increasing lead, each
+    element primitive with a positive lead."""
     kept: list = []
-    reducers = _Reducers()
-    for lt, lc, g in items:
-        if any(k_lt[0] == lt[0] and mono_divides(k_lt[1], lt[1]) for k_lt, _, _ in kept):
-            continue
-        kept.append((lt, lc, g))
-        reducers.add(lt, lc, g)
+    reducers = _Reducers(layout)
+    for _, lt, lc, heads, tags, _ in sorted(G, key=lambda entry: entry[1], reverse=True):
+        if reducers.find(lt) is None:
+            kept.append(reducers.add(lt, lc, dict(heads + tags)))
     # No other kept lead divides a kept lead (a smaller one would have
     # dropped it, a larger one cannot divide it), and an element's own lead
     # divides none of the smaller terms met while reducing its tail.  So the
     # tail reduced against all kept elements is the element reduced against
     # the others, less its lead, and the output stays in increasing order.
     out = []
-    for lt, lc, g in kept:
-        tail, scale = _reduce_full({t: c for t, c in g.items() if t != lt}, reducers, keys)
+    for _, lt, lc, heads, tags, _ in kept:
+        tail, scale = _reduce_full(dict(heads + tags), reducers)
         r = {lt: lc * scale}
         r.update(tail)
         out.append(_normalize(r, lc))
@@ -358,18 +356,17 @@ def groebner_basis(generators: Sequence[FreeElement], order: MonomialOrder) -> l
     if not generators:
         return []
     rank, nvars = generators[0].rank, generators[0].nvars
-    order = order.with_nvars(nvars)
-    basis = _buchberger_vecs([g.vec() for g in generators], order, rank == 1)
-    return [FreeElement.from_vec(rank, nvars, _rational(v, 1)) for v in basis]
+    layout = order.layout(nvars)
+    basis = _buchberger_vecs([_packed(g.vec(), layout) for g in generators], layout, rank == 1)
+    return [FreeElement.from_vec(rank, nvars, _rational(_unpacked(v, layout), 1)) for v in basis]
 
 
-def _divide(f: FreeElement, reducers: _Reducers, keys: _TermKeys,
-            cofactors: Optional[list] = None):
-    """Pseudo-division of f with its denominators cleared: (remainder, d)
-    where the rational remainder of f is the integer remainder divided by d
-    (and so are the cofactors)."""
-    ints, denom = _integral(f.vec())
-    r, scale = _reduce_full(ints, reducers, keys, cofactors)
+def _divide(f: FreeElement, reducers: _Reducers, cofactors: Optional[list] = None):
+    """Pseudo-division of f with its denominators cleared: (packed remainder,
+    d) where the rational remainder of f is the integer remainder divided by
+    d (and so are the cofactors)."""
+    ints, denom = _integral(_packed(f.vec(), reducers.layout))
+    r, scale = _reduce_full(ints, reducers, cofactors)
     return r, denom * scale
 
 
@@ -379,10 +376,10 @@ def normal_form(f: FreeElement, basis: Sequence[FreeElement], order: MonomialOrd
         if f.rank != basis[0].rank:
             raise ModuleError("rank mismatch between element and basis")
         _check_family(basis)
-    keys = _TermKeys(order.with_nvars(f.nvars))
-    reducers = _reducers_of([b.vec() for b in basis if not b.is_zero()], keys)
-    r, denom = _divide(f, reducers, keys)
-    return FreeElement.from_vec(f.rank, f.nvars, _rational(r, denom))
+    layout = order.layout(f.nvars)
+    reducers = _reducers_of([_packed(b.vec(), layout) for b in basis if not b.is_zero()], layout)
+    r, denom = _divide(f, reducers)
+    return FreeElement.from_vec(f.rank, f.nvars, _rational(_unpacked(r, layout), denom))
 
 
 def normal_form_with_cofactors(f: FreeElement, basis: Sequence[FreeElement],
@@ -392,20 +389,23 @@ def normal_form_with_cofactors(f: FreeElement, basis: Sequence[FreeElement],
         if f.rank != basis[0].rank:
             raise ModuleError("rank mismatch between element and basis")
         _check_family(basis)
-    keys = _TermKeys(order.with_nvars(f.nvars))
+    layout = order.layout(f.nvars)
     live = [i for i, b in enumerate(basis) if not b.is_zero()]
-    vecs = [basis[i].vec() for i in live]
-    reducers = _reducers_of(vecs, keys)
+    vecs = [_packed(basis[i].vec(), layout) for i in live]
+    reducers = _reducers_of(vecs, layout)
     cof: list = [dict() for _ in live]
-    r, denom = _divide(f, reducers, keys, cof)
+    r, denom = _divide(f, reducers, cof)
+    # a cofactor's keys are head shifts, each x^e less x^0 in component 0
+    one = layout.pack((0, (0,) * f.nvars))
     cof_polys = [Poly.zero(f.nvars) for _ in basis]
     for entries in reducers.by_comp.values():
-        for lt, lc, _, pos in entries:
+        for _, lt, lc, _, _, pos in entries:
             # the reducer is lc / (lead coefficient of the element) times it
             k = lc / vecs[pos][lt]
-            cof_polys[live[pos]] = Poly(f.nvars, {e: k * Fraction(c, denom)
+            cof_polys[live[pos]] = Poly(f.nvars, {layout.unpack(one + e)[1]: k * Fraction(c, denom)
                                                   for e, c in cof[pos].items()})
-    return FreeElement.from_vec(f.rank, f.nvars, _rational(r, denom)), cof_polys
+    return (FreeElement.from_vec(f.rank, f.nvars, _rational(_unpacked(r, layout), denom)),
+            cof_polys)
 
 
 def is_member(f: FreeElement, gb: Sequence[FreeElement], order: MonomialOrder) -> bool:
@@ -435,9 +435,10 @@ class _EliminationOrder:
     ever higher degree in later head components, and on random inhomogeneous
     colons it made Buchberger's algorithm a thousand times slower."""
 
-    __slots__ = ("mono_key", "rank", "weights")
+    __slots__ = ("order", "mono_key", "rank", "weights")
 
     def __init__(self, order: MonomialOrder, rank: int):
+        self.order = order
         self.mono_key = order.mono_key
         self.rank = rank
         self.weights = order.weights
@@ -450,14 +451,22 @@ class _EliminationOrder:
                     *self.mono_key(e))
         return (0, -comp, *self.mono_key(e))
 
+    def layout(self, nvars: int) -> TermLayout:
+        """The packed terms of this order: the fields of `term_key`, with the
+        leading flag and degree of head terms above the component."""
+        order = self.order.with_nvars(nvars)
+        base = None if order.kind == "lex" else order.weights
+        return TermLayout(nvars, base, self.rank, self.weights or (1,) * nvars)
+
 
 def _tagged_basis(gens: Sequence[FreeElement], order: MonomialOrder,
                   tags: Optional[Sequence[FreeElement]] = None,
-                  plain: Sequence[FreeElement] = ()) -> list:
+                  plain: Sequence[FreeElement] = ()) -> tuple:
     """Reduced Groebner basis of the stacked vecs g_i + t_i and p_j + 0 in
     O^rank + O^s, where the generators g_i and the plain elements p_j live in
     O^rank and the tag t_i of g_i (by default the unit vector e_i) sits in the
-    components from rank on, under the `_EliminationOrder`.
+    components from rank on, under the `_EliminationOrder`: (packed basis,
+    the layout of its terms).
 
     Every tag term is smaller than every head term, so the basis elements
     that lie wholly in the tags are a reduced Groebner basis of the tags of
@@ -475,19 +484,21 @@ def _tagged_basis(gens: Sequence[FreeElement], order: MonomialOrder,
                 v[(rank + c, e)] = x
         stacked.append(v)
     stacked.extend(p.vec() for p in plain)
-    return _buchberger_vecs(stacked, _EliminationOrder(order, rank), False)
+    layout = _EliminationOrder(order, rank).layout(nvars)
+    return _buchberger_vecs([_packed(v, layout) for v in stacked], layout, False), layout
 
 
-def _tag_part(basis: Sequence[dict], rank: int, s: int, nvars: int) -> list:
-    """The elements of a `_tagged_basis` that lie wholly from component rank
-    on, shifted down into O^s.  They are primitive integer vecs with a
-    positive lead, sorted by increasing lead: the canonical reduced basis that
-    `groebner_basis` gives for the module they generate."""
+def _tag_part(basis: Sequence[dict], layout: TermLayout, s: int) -> list:
+    """The elements of a packed `_tagged_basis` that lie wholly from
+    component rank on, shifted down into O^s.  They are primitive integer
+    vecs with a positive lead, sorted by increasing lead: the canonical
+    reduced basis that `groebner_basis` gives for the module they generate."""
+    rank, nvars = layout.rank, layout.nvars
     out = []
     for v in basis:
-        if all(c >= rank for (c, _) in v):
-            out.append(FreeElement.from_vec(s, nvars, {(c - rank, e): Fraction(x)
-                                                       for (c, e), x in v.items()}))
+        if next(iter(v)) >= layout.tag_start:  # its lead, the greatest term, is a tag
+            out.append(FreeElement.from_vec(s, nvars, {(c - rank, e): Fraction(x) for (c, e), x
+                                                       in _unpacked(v, layout).items()}))
     return out
 
 
@@ -509,10 +520,11 @@ def syzygies_and_head_leads(columns: Sequence[FreeElement],
     if not columns:
         return [], []
     rank, nvars = columns[0].rank, columns[0].nvars
-    basis = _tagged_basis(columns, (order or MonomialOrder()).with_nvars(nvars))
+    basis, layout = _tagged_basis(columns, (order or MonomialOrder()).with_nvars(nvars))
     # each basis vec lists its lead first (`_interreduce`)
-    leads = [lt for lt in (next(iter(v)) for v in basis) if lt[0] < rank]
-    return _tag_part(basis, rank, len(columns), nvars), leads
+    leads = [layout.unpack(lt) for lt in (next(iter(v)) for v in basis)
+             if lt < layout.tag_start]
+    return _tag_part(basis, layout, len(columns)), leads
 
 
 def syzygy_module(columns: Sequence[FreeElement],
@@ -535,12 +547,12 @@ def lift_over_generators(f: FreeElement, gens: Sequence[FreeElement],
     rank, nvars = gens[0].rank, gens[0].nvars
     order = (order or MonomialOrder()).with_nvars(nvars)
     s = len(gens)
-    keys = _TermKeys(_EliminationOrder(order, rank))
-    reduced, denom = _divide(f, _reducers_of(_tagged_basis(gens, order), keys), keys)
-    if any(c < rank for (c, _) in reduced):
+    basis, layout = _tagged_basis(gens, order)
+    reduced, denom = _divide(f, _reducers_of(basis, layout))
+    if any(t < layout.tag_start for t in reduced):
         return None
     coeffs = [dict() for _ in range(s)]
-    for (c, e), v in reduced.items():
+    for (c, e), v in _unpacked(reduced, layout).items():
         coeffs[c - rank][e] = Fraction(-v, denom)
     return [Poly(nvars, t) for t in coeffs]
 
@@ -555,10 +567,9 @@ def kernel_of_map(columns: Sequence[FreeElement], target_relations: Sequence[Fre
     a = len(columns)
     if a == 0:
         return []
-    rank, nvars = columns[0].rank, columns[0].nvars
-    order = (order or MonomialOrder()).with_nvars(nvars)
-    basis = _tagged_basis(columns, order, plain=target_relations)
-    return _tag_part(basis, rank, a, nvars)
+    order = (order or MonomialOrder()).with_nvars(columns[0].nvars)
+    basis, layout = _tagged_basis(columns, order, plain=target_relations)
+    return _tag_part(basis, layout, a)
 
 
 def colon_single(relations: Sequence[FreeElement], rank: int, f: Poly,
@@ -578,10 +589,9 @@ def intersect(gens_a: Sequence[FreeElement], gens_b: Sequence[FreeElement],
     _check_family(list(gens_a) + list(gens_b))
     if not gens_a or not gens_b:
         return []
-    rank, nvars = gens_a[0].rank, gens_a[0].nvars
-    order = (order or MonomialOrder()).with_nvars(nvars)
-    basis = _tagged_basis(gens_a, order, tags=gens_a, plain=gens_b)
-    return _tag_part(basis, rank, rank, nvars)
+    order = (order or MonomialOrder()).with_nvars(gens_a[0].nvars)
+    basis, layout = _tagged_basis(gens_a, order, tags=gens_a, plain=gens_b)
+    return _tag_part(basis, layout, gens_a[0].rank)
 
 
 def colon_ideal(relations: Sequence[FreeElement], rank: int, ideal_gens: Sequence[Poly],
@@ -636,10 +646,9 @@ def saturate(relations: Sequence[FreeElement], rank: int, ideal_gens: Sequence[P
 
 def _lead_module(gb: Sequence[FreeElement], order: MonomialOrder, rank: int):
     """Minimal leading exponents per component."""
-    keys = _TermKeys(order)
     leads: list = [[] for _ in range(rank)]
     for g in gb:
-        (c, e), _ = _leading(g.vec(), keys)
+        c, e = max(g.vec(), key=order.term_key)
         leads[c].append(e)
     minimal: list = []
     for lst in leads:
@@ -721,9 +730,9 @@ def _combine(pairs, nfs: dict):
     return acc, denom
 
 
-def _fill_term_nfs(t: tuple, nfs: dict, reducers: _Reducers):
-    """Enter the normal form of the term t into the memo nfs, with that of
-    every term its reduction meets and the memo lacks.
+def _fill_term_nfs(t: int, nfs: dict, reducers: _Reducers):
+    """Enter the normal form of the packed term t into the memo nfs, with
+    that of every term its reduction meets and the memo lacks.
 
     A standard term is its own normal form and is entered as None.  For any
     other term, one reducer step gives the lead lc * x^lt of a basis element
@@ -739,6 +748,7 @@ def _fill_term_nfs(t: tuple, nfs: dict, reducers: _Reducers):
     it first reaches the top; it is entered when it reaches the top again,
     after every missing term of its step has been entered above it.
     """
+    shifts, guards = reducers.layout.shifts, reducers.layout.guards
     stack = [(t, None)]
     while stack:
         s, step = stack[-1]
@@ -751,9 +761,13 @@ def _fill_term_nfs(t: tuple, nfs: dict, reducers: _Reducers):
                 nfs[s] = None
                 stack.pop()
                 continue
-            lt, lc, tail, _ = hit
-            shift = mono_div(s[1], lt[1])
-            step = lc, [((comp, mono_mul(e, shift)), v) for (comp, e), v in tail]
+            _, lt, lc, heads, tags, _ = hit
+            head_shift, tag_shift = shifts(s, lt)
+            step = lc, ([(u + head_shift, v) for u, v in heads]
+                        + [(u + tag_shift, v) for u, v in tags])
+            for u, _ in step[1]:
+                if u & guards:
+                    raise field_overflow()
             stack[-1] = (s, step)
             missing = [(u, None) for u, _ in step[1] if u not in nfs]
             if missing:
@@ -781,9 +795,11 @@ class QuotientTable:
     (`standard_terms`, which is None when the quotient is infinite).  The
     same basis reduces vecs (`reduce_integral`, and `reduce` over the
     rationals) through one reducer table, built on first use, and one memo
-    of term normal forms, both kept with the table.  Each term the memo
-    holds took one reducer step; the rest of its normal form was read from
-    the memo (`_fill_term_nfs`).
+    of term normal forms, both kept with the table and both on packed terms
+    (`TermLayout` of the order): a vec's terms are packed on entry to
+    `reduce_integral` and its normal form's terms unpacked on exit.  Each
+    term the memo holds took one reducer step; the rest of its normal form
+    was read from the memo (`_fill_term_nfs`).
     """
 
     def __init__(self, p: ModulePresentation, order: Optional[MonomialOrder] = None):
@@ -792,8 +808,9 @@ class QuotientTable:
         self.gb = groebner_basis(p.relations, self.order)
         self.leads = _lead_module(self.gb, self.order, p.rank)
         self._reducers: Optional[_Reducers] = None
-        # term -> (integer remainder, scale) of that term, divided by their
-        # content; None for a standard term, which is its own normal form
+        # packed term -> (packed integer remainder, scale) of that term,
+        # divided by their content; None for a standard term, which is its
+        # own normal form
         self._term_nfs: dict = {}
 
     def reduce_integral(self, f: dict) -> tuple:
@@ -806,14 +823,21 @@ class QuotientTable:
         from the table's memo.
         """
         if self._reducers is None:
-            self._reducers = _reducers_of([g.vec() for g in self.gb], _TermKeys(self.order))
+            layout = self.order.layout(self.pres.nvars)
+            self._reducers = _reducers_of([_packed(g.vec(), layout) for g in self.gb], layout)
+        layout = self._reducers.layout
         nfs = self._term_nfs
-        for t in f:
-            if t not in nfs:
-                if t[0] >= self.pres.rank:
-                    raise ModuleError("rank mismatch between element and basis")
-                _fill_term_nfs(t, nfs, self._reducers)
-        return _combine(f.items(), nfs)
+        rank = self.pres.rank
+        pairs = []
+        for t, c in f.items():
+            if t[0] >= rank:
+                raise ModuleError("rank mismatch between element and basis")
+            u = layout.pack(t)
+            if u not in nfs:
+                _fill_term_nfs(u, nfs, self._reducers)
+            pairs.append((u, c))
+        acc, denom = _combine(pairs, nfs)
+        return _unpacked(acc, layout), denom
 
     def reduce(self, f: dict) -> dict:
         """The normal form of the vec f against the basis, as a vec of exact

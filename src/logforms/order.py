@@ -1,20 +1,30 @@
-"""Monomial and module term orders.
+"""Monomial and module term orders, and the packed terms of each order.
 
 Module terms are compared position-over-term: component 0 has the highest
 priority, ties are broken by the scalar monomial order.  Scalar orders are
 weighted degree-reverse-lexicographic (default, all weights 1) and pure
 lexicographic; all weights must be strictly positive so the orders are
 well-orders.
+
+Inside the Groebner kernel a module term (component, exponent) is one int,
+laid out by its order (`TermLayout`): comparing, multiplying by a monomial
+and testing divisibility are each a few int operations.
 """
 
 from __future__ import annotations
 
 from operator import add, le, mul, sub
+from struct import Struct
 from typing import Optional, Sequence
 
 
 class OrderError(ValueError):
     pass
+
+
+class StabilizationError(RuntimeError):
+    """An iterative computation failed to stabilise within its configured
+    bound, or a term left the bound of the packed exponent fields."""
 
 
 class MonomialOrder:
@@ -50,6 +60,12 @@ class MonomialOrder:
         comp, e = term
         return (-comp, *self.mono_key(e))
 
+    def layout(self, nvars: int) -> "TermLayout":
+        """The packed terms of this order over nvars variables: the fields of
+        `term_key`, the component above those of `mono_key`."""
+        weights = self.with_nvars(nvars).weights
+        return TermLayout(nvars, None if self.kind == "lex" else weights)
+
     def __eq__(self, other):
         return (
             isinstance(other, MonomialOrder)
@@ -76,3 +92,136 @@ def mono_div(a: tuple, b: tuple) -> tuple:
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(map(max, a, b))
+
+
+# ---------------------------------------------------------------------------
+# packed terms
+
+FIELD_BITS = 15
+FIELD_MAX = (1 << FIELD_BITS) - 1
+_STRIDE = FIELD_BITS + 1  # two bytes: a field and its guard bit
+
+
+def field_overflow() -> StabilizationError:
+    return StabilizationError(f"a term left the packed exponent fields: an exponent or "
+                              f"weighted degree above {FIELD_MAX}")
+
+
+class TermLayout:
+    """Module terms (component, exponent) of one order packed into ints.
+
+    The int holds the entries of the order's term key as fields of
+    FIELD_BITS bits, the first entry in the most significant field, each
+    field topped by a guard bit that a valid term leaves clear.  A key entry
+    +q is held as FIELD_MAX - q and an entry -q as q, so a smaller int is a
+    greater term.  Every field is affine in the exponent, so multiplying a
+    term by x^s adds one int, the difference of two terms that differ by x^s
+    (`shifts`); a shifted term that leaves a field sets that field's guard
+    bit, so it never aliases a valid term.
+
+    Fields from the least significant: the entries of `mono_key` (for
+    wdegrevlex e_0, ..., e_{n-1}, then the weighted degree; for lex
+    e_{n-1}, ..., e_0), then the component.  With `rank` the layout is that
+    of an elimination order: head terms (component below rank) carry a
+    degree field above the component and tag terms a set flag above that,
+    so every head term is greater than every tag term.  A tag term keeps its
+    degree field at zero, so it shifts without that field (`shifts`).
+
+    Divisibility within one component: x^a divides x^b when no exponent
+    field of b is below that of a (for wdegrevlex; above, for lex, whose
+    fields hold FIELD_MAX - e_i), that is when `probe(b) - divisor(a)` keeps
+    every exponent guard bit: the subtraction borrows from a field's own
+    guard bit exactly when the field is short, and never across fields,
+    since `probe` and `divisor` set every guard bit of the minuend.
+    """
+
+    __slots__ = ("nvars", "rank", "ascending", "comp_shift", "guards", "exponent_guards",
+                 "mono_mask", "tag_start", "low", "_weights", "_head_weights", "_fields",
+                 "_comp_field")
+
+    def __init__(self, nvars: int, weights: Optional[Sequence[int]],
+                 rank: Optional[int] = None, head_weights: Optional[Sequence[int]] = None):
+        """weights: those of wdegrevlex, or None for lex; head_weights: those of
+        the degree field of the head terms of an elimination order."""
+        self.nvars = nvars
+        self.ascending = weights is not None
+        # a degree under unit weights is a plain sum
+        self._weights = None if weights is None or set(weights) <= {1} else tuple(weights)
+        self._head_weights = (None if head_weights is None or set(head_weights) <= {1}
+                              else tuple(head_weights))
+        nfields = nvars + 1 if self.ascending else nvars
+        self.comp_shift = nfields * _STRIDE
+        self.mono_mask = (1 << self.comp_shift) - 1
+        self.low = (1 << (self.comp_shift + _STRIDE)) - 1
+        if rank is None:
+            self.rank = FIELD_MAX + 1
+            nfields += 1
+            self.tag_start = 1 << (self.comp_shift + _STRIDE)
+        else:
+            self.rank = rank
+            nfields += 3
+            self.tag_start = 1 << (self.comp_shift + 2 * _STRIDE)
+        self.guards = sum(1 << (j * _STRIDE + FIELD_BITS) for j in range(nfields))
+        self.exponent_guards = sum(1 << (j * _STRIDE + FIELD_BITS) for j in range(nvars))
+        self._fields = Struct(f">{nfields}H")  # most significant first
+        self._comp_field = nfields - 1 - self.comp_shift // _STRIDE
+
+    def pack(self, term: tuple) -> int:
+        """The int of a term, its fields shifted in from the most significant;
+        raises `StabilizationError` when a field of the term does not fit."""
+        comp, e = term
+        if comp > FIELD_MAX:
+            raise field_overflow()
+        p = comp
+        if self.rank <= FIELD_MAX:  # an elimination order: flag and degree first
+            if comp < self.rank:
+                w = self._head_weights
+                degree = sum(e) if w is None else sum(map(mul, e, w))
+                if degree > FIELD_MAX:
+                    raise field_overflow()
+                p = (FIELD_MAX - degree) << _STRIDE | comp
+            else:
+                p = 1 << (2 * _STRIDE) | comp
+        if self.ascending:
+            w = self._weights
+            degree = sum(e) if w is None else sum(map(mul, e, w))
+            if degree > FIELD_MAX:
+                raise field_overflow()
+            p = p << _STRIDE | (FIELD_MAX - degree)
+            for x in reversed(e):
+                p = p << _STRIDE | x
+        else:
+            if e and max(e) > FIELD_MAX:
+                raise field_overflow()
+            for x in e:
+                p = p << _STRIDE | (FIELD_MAX - x)
+        return p
+
+    def unpack(self, p: int) -> tuple:
+        fields = self._fields
+        f = fields.unpack(p.to_bytes(fields.size, "big"))
+        c = self._comp_field
+        if self.ascending:
+            return f[c], f[:c + 1:-1]
+        return f[c], tuple([FIELD_MAX - x for x in f[c + 1:]])
+
+    def component(self, p: int) -> int:
+        return (p >> self.comp_shift) & FIELD_MAX
+
+    def shifts(self, t: int, lead: int) -> tuple:
+        """(head shift, tag shift) that multiply a term by x^s, where t is
+        x^s times lead, in the same component.  The tag shift leaves out the
+        degree field, which only head terms carry; the component fields of t
+        and lead cancel in both."""
+        return t - lead, (t & self.low) - (lead & self.low)
+
+    def probe(self, b: int) -> int:
+        return b | self.guards if self.ascending else -b
+
+    def divisor(self, a: int) -> int:
+        return a if self.ascending else -(a | self.guards)
+
+    def divides(self, a: int, b: int) -> bool:
+        """True when the term a divides the term b of the same component."""
+        g = self.exponent_guards
+        return (self.probe(b) - self.divisor(a)) & g == g

@@ -9,6 +9,7 @@ import pytest
 
 from logforms.cli import main, run_job
 from logforms.jobio import STATEMENTS, JobError, parse_job
+from logforms.order import FIELD_MAX
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -242,6 +243,17 @@ def test_ae_codim_jet_cap_run_out_exits_4(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-stabilization" in captured.err
+
+
+def test_exponent_beyond_the_packed_field_exits_4(tmp_path, capsys):
+    """A divisor with an exponent beyond the Groebner kernel's packed field
+    stops with exit 4 and names the bound, never a wrapped-around answer."""
+    job = tmp_path / "job.job"
+    job.write_text(f'ring {{ x, y }};\ndivisor "x^{FIELD_MAX + 1}*y + y^3";\ncommand is-free;\n')
+    assert main(["--input", str(job)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-stabilization" in captured.err and str(FIELD_MAX) in captured.err
 
 
 @pytest.mark.parametrize("germ", ["x*y+y^5", "x*y^2+y^4"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from logforms.groebner import (
     LinSpace,
     QuotientTable,
+    StabilizationError,
     colon_ideal,
     colon_single,
     groebner_basis,
@@ -24,7 +25,8 @@ from logforms.groebner import (
     syzygy_module,
 )
 from logforms.module import INFINITE, FreeElement, Grading, ModulePresentation, ModuleError
-from logforms.order import MonomialOrder, mono_div, mono_divides, mono_mul
+from logforms.groebner import _EliminationOrder
+from logforms.order import FIELD_MAX, MonomialOrder, mono_div, mono_divides, mono_mul
 from logforms.poly import Poly, parse_poly
 
 N2 = ["x", "y"]
@@ -256,7 +258,7 @@ def test_gb_canonical_under_input_shuffle():
 
 
 def test_saturation_nonstabilization_raises():
-    from logforms.groebner import StabilizationError, saturate
+    from logforms.groebner import saturate
 
     with pytest.raises(StabilizationError):
         saturate([F("x^2")], 1, [parse_poly("x", N2), parse_poly("y", N2)],
@@ -626,15 +628,18 @@ def _monic(terms: dict, order: MonomialOrder) -> frozenset:
     return frozenset((e, c / lc) for e, c in terms.items())
 
 
-@given(_ideals())
+@given(_ideals(), st.sampled_from([("wdegrevlex", "grevlex"), ("lex", "lex")]))
 @settings(max_examples=40, deadline=None)
-def test_reduced_basis_matches_sympy(sympy, polys):
+def test_reduced_basis_matches_sympy(sympy, polys, kinds):
+    """Our reduced basis is sympy's, under grevlex (wdegrevlex with unit
+    weights) and under lex, x0 > x1 > x2 in both."""
+    ours_kind, their_kind = kinds
     nvars = polys[0].nvars
-    order = ORD.with_nvars(nvars)
+    order = MonomialOrder(ours_kind).with_nvars(nvars)
     syms = sympy.symbols(f"x0:{nvars}")
     exprs = [sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator)
                                    for e, c in p.terms.items()}, *syms).as_expr() for p in polys]
-    theirs = sympy.groebner(exprs, *syms, order="grevlex")
+    theirs = sympy.groebner(exprs, *syms, order=their_kind)
     ours = groebner_basis([FreeElement([p]) for p in polys], order)
     assert {_monic(g.entries[0].terms, order) for g in ours} == {
         _monic({e: Fraction(int(c.p), int(c.q)) for e, c in q.as_dict().items()}, order)
@@ -715,3 +720,116 @@ def test_bases_do_not_depend_on_the_presentation(family):
     for columns, syzygies in presentations:
         assert groebner_basis(columns, order) == gb
         assert syzygy_module(columns, order) == groebner_basis(syzygies, order)
+
+
+@st.composite
+def _packing_orders(draw):
+    """An order of each family over 1 to 5 variables, a rank from 1 to 6
+    and the order's packed layout: wdegrevlex with drawn positive weights,
+    lex, and the `_EliminationOrder` over either, with 1 to rank head
+    components and the rest tags."""
+    nvars = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["wdegrevlex", "lex"]))
+    weights = draw(st.none() | st.tuples(*[st.integers(1, 7)] * nvars))
+    order = MonomialOrder(kind, weights).with_nvars(nvars)
+    if draw(st.booleans()):
+        order = _EliminationOrder(order, draw(st.integers(1, rank)))
+    return order, order.layout(nvars), rank, nvars
+
+
+@st.composite
+def _exponents(draw, nvars):
+    """An exponent each of whose entries is small, or at most FIELD_MAX /
+    (7 * nvars) (so that every weighted degree fits), or up to half of
+    FIELD_MAX or FIELD_MAX, or within 2 of FIELD_MAX: near the bound, and
+    often beyond it in a degree field or once multiplied."""
+    entries = [st.integers(0, 1), st.integers(0, FIELD_MAX // (7 * nvars)),
+               st.integers(0, FIELD_MAX // 2), st.integers(0, FIELD_MAX),
+               st.integers(FIELD_MAX - 2, FIELD_MAX)]
+    return tuple(draw(st.one_of(entries)) for _ in range(nvars))
+
+
+def _packed_or_none(layout, term):
+    try:
+        return layout.pack(term)
+    except StabilizationError:
+        return None
+
+
+@given(_packing_orders(), st.data())
+@settings(max_examples=500, deadline=None)
+def test_packed_terms_follow_the_term_key(setting, data):
+    """A term packs exactly when every entry of its `term_key` fits a field;
+    packing round-trips; a smaller int is a greater term under `term_key`;
+    within a component the packed divisibility test is `mono_divides`; and
+    adding the shift of two terms that differ by x^s multiplies any term of
+    the right kind by x^s, or sets a guard bit when the product does not
+    fit."""
+    order, layout, rank, nvars = setting
+    terms = [(data.draw(st.integers(0, rank - 1)), data.draw(_exponents(nvars)))
+             for _ in range(3)]
+    packed = [_packed_or_none(layout, t) for t in terms]
+    for t, p in zip(terms, packed):
+        assert (p is not None) == all(abs(k) <= FIELD_MAX for k in order.term_key(t))
+        if p is not None:
+            assert layout.unpack(p) == t
+            assert not p & layout.guards
+    (a, b, u), (pa, pb, pu) = terms, packed
+    if pa is not None and pb is not None:
+        assert (pa < pb) == (order.term_key(a) > order.term_key(b))
+        assert (pa == pb) == (a == b)
+        if a[0] == b[0]:
+            assert layout.divides(pa, pb) == mono_divides(a[1], b[1])
+    s = data.draw(_exponents(nvars))
+    lead = _packed_or_none(layout, (a[0], mono_mul(a[1], s)))
+    if pa is None or pu is None or lead is None:
+        return
+    head_shift, tag_shift = layout.shifts(lead, pa)
+    if pa >= layout.tag_start and pu < layout.tag_start:
+        return  # a tag lead has no head terms behind it
+    shifted = pu + (head_shift if pu < layout.tag_start else tag_shift)
+    want = _packed_or_none(layout, (u[0], mono_mul(u[1], s)))
+    if want is None:
+        assert shifted & layout.guards
+    else:
+        assert shifted == want
+
+
+def test_exponent_beyond_the_field_raises():
+    big = FIELD_MAX + 1
+    with pytest.raises(StabilizationError, match=str(FIELD_MAX)):
+        groebner_basis([F(f"x^{big} + y"), F("x*y")], ORD)
+    with pytest.raises(StabilizationError, match=str(FIELD_MAX)):
+        syzygy_module([F(f"x^{big}"), F("y")])
+    with pytest.raises(StabilizationError, match=str(FIELD_MAX)):
+        normal_form(F(f"y^{big}"), [F("x")], ORD)
+
+
+def test_s_polynomials_beyond_the_field_raise():
+    """The inputs fit the packed fields but their S-polynomials do not: the
+    lcm of x^a*y and x*y^a has degree 2a under wdegrevlex, and under lex the
+    S-polynomial of x^2 + y^M and x*y is y^(M+1)."""
+    a = FIELD_MAX // 2 + 1
+    groebner_basis([F(f"x^{a}*y + 1")], ORD)
+    with pytest.raises(StabilizationError, match=str(FIELD_MAX)):
+        groebner_basis([F(f"x^{a}*y"), F(f"x*y^{a}")], ORD)
+    lex = MonomialOrder("lex")
+    groebner_basis([F(f"x^2 + y^{FIELD_MAX}")], lex)
+    with pytest.raises(StabilizationError, match=str(FIELD_MAX)):
+        groebner_basis([F(f"x^2 + y^{FIELD_MAX}"), F("x*y")], lex)
+
+
+def test_reductions_beyond_the_field_raise():
+    """Modulo x - y^2 under lex, reducing x^k walks to y^(2k), which leaves
+    the field for 2k > FIELD_MAX: in plain division and in the term memo of
+    a quotient table."""
+    lex = MonomialOrder("lex")
+    k = FIELD_MAX // 2 + 1
+    basis = groebner_basis([F("x - y^2")], lex)
+    assert normal_form(F(f"x^{k - 1}"), basis, lex) == F(f"y^{2 * k - 2}")
+    with pytest.raises(StabilizationError, match=str(FIELD_MAX)):
+        normal_form(F(f"x^{k}"), basis, lex)
+    qt = QuotientTable(ModulePresentation(1, [F("x - y^2")], nvars=2), lex)
+    with pytest.raises(StabilizationError, match=str(FIELD_MAX)):
+        qt.reduce({(0, (k, 0)): Fraction(1)})
