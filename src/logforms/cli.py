@@ -29,6 +29,7 @@ from .deformation import (
     t1_log,
     theta_prime_minors,
 )
+from .exterior import pullback
 from .forms import (
     CheckedFormsModule,
     FormsError,
@@ -126,7 +127,7 @@ def _pullback_germ(job: JobSpec):
     e_basis = _target_basis(job)
     full = _inducing_map(job)
     imap = full.germ()
-    h0 = e_basis.divisor.h.compose(imap.components)
+    h0 = pullback([(0, FreeElement([e_basis.divisor.h]))], imap.components, 0)[0].entries[0]
     return e_basis, imap, h0, full.germ_weights(_weights_for(h0, job.weights))
 
 
@@ -182,13 +183,16 @@ def _cmd_saito_check(job: JobSpec, opts: dict) -> dict:
     return rec
 
 
-def _forms_module(job: JobSpec, k: int) -> CheckedFormsModule:
+def _forms_module(job: JobSpec, k: Optional[int]) -> CheckedFormsModule:
+    """The forms module of degree k; by default of degree n - 1, n the number
+    of variables of the module's own ring (the central germ's, for a map)."""
     if job.target_divisor_text is not None and job.map_text is not None:
         e_basis, imap, _, weights = _pullback_germ(job)
+        k = imap.source_dim - 1 if k is None else k
         return forms_pullback(e_basis, imap.components, imap.source_names, k, weights=weights)
     d = _divisor_from_job(job)
     basis = _free_basis(d)
-    return forms_free(basis, k)
+    return forms_free(basis, d.nvars - 1 if k is None else k)
 
 
 def _cmd_omega_check(job: JobSpec, opts: dict) -> dict:
@@ -241,14 +245,10 @@ def _cmd_de_rham(job: JobSpec, opts: dict) -> dict:
 
 
 def _cmd_torsion_length(job: JobSpec, opts: dict) -> dict:
-    k = opts.get("form-degree")
-    if k is None:
-        nsrc = len(job.ring) if job.ring else len(job.target_ring)
-        k = nsrc - 1
-    m = _forms_module(job, k)
+    m = _forms_module(job, opts.get("form-degree"))
     dim = torsion_length(m)
     graded = m.grading() is not None
-    return {"verdicts": {"form_degree": k},
+    return {"verdicts": {"form_degree": m.k},
             "dimensions": {"torsion_length": {"value": dim,
                                               "route": "iterated colon saturation"}},
             "certificates": {}, "flags": {"certified": _flag(graded)}}

@@ -14,7 +14,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .forms import cokernel_slice_dims, forms_pullback_degrees, stabilized_sum
-from .exterior import minor_table
+from .exterior import minor_table, pullback
 from .groebner import (
     LinSpace,
     QuotientTable,
@@ -112,13 +112,13 @@ def jacobian_columns(components: Sequence[Poly], source_n: int) -> list:
 
 
 def pulled_field_columns(e_basis: LogBasis, components: Sequence[Poly]) -> list:
-    """The target logarithmic fields composed with the map."""
+    """The target logarithmic fields composed with the map: the m^2 Saito
+    entries pulled back as 0-forms by one `pullback` call, then grouped back
+    into m columns."""
     m = e_basis.n
-    cols = []
-    for j in range(m):
-        cols.append(FreeElement([e_basis.theta[j][a].compose(list(components))
-                                 for a in range(m)]))
-    return cols
+    pulled = pullback([(0, FreeElement([a])) for field in e_basis.theta for a in field],
+                      components, 0)
+    return [FreeElement([p.entries[0] for p in pulled[j * m:(j + 1) * m]]) for j in range(m)]
 
 
 def kev_normal_space(setup: DeformationSetup, order: Optional[MonomialOrder] = None):

@@ -45,21 +45,15 @@ class FormsError(ValueError):
 class GradedDimensionTable:
     """Weighted degree to dimension, with a stabilization flag.
 
-    The flag is set only when the last two windows of the table agree, so a
-    finite tail of zeros (or an eventually constant function) counts as
-    stabilized and anything still moving does not.
+    The flag is set only when the last two pairs of degrees of the table
+    agree, so a finite tail of zeros (or an eventually constant function)
+    counts as stabilized and anything still moving does not.
     """
 
-    def __init__(self, values: dict, window: int = 2):
+    def __init__(self, values: dict):
         self.values = dict(values)
-        self.window = window
-        degrees = sorted(self.values)
-        if len(degrees) >= 2 * window:
-            last = [self.values[d] for d in degrees[-window:]]
-            prev = [self.values[d] for d in degrees[-2 * window:-window]]
-            self.stabilized = last == prev
-        else:
-            self.stabilized = False
+        tail = [self.values[d] for d in sorted(self.values)[-4:]]
+        self.stabilized = len(tail) == 4 and tail[:2] == tail[2:]
 
     def total(self) -> int:
         return sum(self.values.values())
@@ -275,7 +269,7 @@ def _linear_form(weights: Sequence[int]) -> Poly:
                                for i, p in enumerate(primes)})
 
 
-def _torsion(m: CheckedFormsModule, max_steps: int) -> tuple:
+def _torsion(m: CheckedFormsModule) -> tuple:
     """(reduced basis of the saturation M : m^inf of the relation module M,
     dim of it over M); see `torsion_saturation`."""
     order = m.order()
@@ -283,21 +277,21 @@ def _torsion(m: CheckedFormsModule, max_steps: int) -> tuple:
     g = m.grading()
     gb = groebner_basis(m.relations, order)
     if g is not None:
-        sat = saturate(gb, m.rank, [_linear_form(g.weights)], order, max_steps)
+        sat = saturate(gb, m.rank, [_linear_form(g.weights)], order)
         length = subquotient_dimension(sat, m.relations, order, nv)
         if length != INFINITE:
             return sat, length
     variables = [Poly.variable(nv, i) for i in range(nv)]
-    sat = saturate(gb, m.rank, variables, order, max_steps)
+    sat = saturate(gb, m.rank, variables, order)
     return sat, subquotient_dimension(sat, m.relations, order, nv)
 
 
-def torsion_length(m: CheckedFormsModule, max_steps: int = 30):
+def torsion_length(m: CheckedFormsModule):
     """C-dimension of the elements killed by a power of the maximal ideal."""
-    return _torsion(m, max_steps)[1]
+    return _torsion(m)[1]
 
 
-def torsion_saturation(m: CheckedFormsModule, max_steps: int = 30) -> list:
+def torsion_saturation(m: CheckedFormsModule) -> list:
     """The reduced basis of the saturation M : m^inf of the relation module
     M, m = (x_1, ..., x_n): the forms that a power of m sends into M.
 
@@ -312,7 +306,7 @@ def torsion_saturation(m: CheckedFormsModule, max_steps: int = 30) -> list:
     planes), or the module is ungraded, the colon chain of the maximal ideal
     itself gives the saturation.
     """
-    return _torsion(m, max_steps)[0]
+    return _torsion(m)[0]
 
 
 def class_is_torsion(m: CheckedFormsModule, form: FreeElement) -> bool:

@@ -19,12 +19,12 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd as int_gcd
-from operator import mul
+from operator import le
 from typing import Optional, Sequence
 
 from .module import INFINITE, FreeElement, Grading, ModulePresentation, ModuleError
 from .order import (FIELD_MAX, MonomialOrder, StabilizationError, TermLayout, field_overflow,
-                    mono_divides, mono_lcm)
+                    mono_lcm)
 from .poly import Poly
 
 
@@ -241,7 +241,7 @@ def _buchberger_vecs(inputs: Sequence[dict], layout: TermLayout, is_ideal: bool)
     # Pending pairs: the set answers the chain criterion's membership test,
     # the heap hands them out by (lcm key, component, i, j), each lcm packed
     # and keyed once when the pair is pushed.  The key of a packed lcm is its
-    # negated monomial fields, which orders like `mono_key`.  An input waits
+    # negated monomial fields, greater for a greater monomial.  An input waits
     # in the same heap as (lead key, component, -1, its position, the vec).
     pairs = set()
     queue: list = []
@@ -424,49 +424,14 @@ def submodules_equal(gens_a: Sequence[FreeElement], gens_b: Sequence[FreeElement
     return submodule_contains(gba, gens_b, order) and submodule_contains(gbb, gens_a, order)
 
 
-class _EliminationOrder:
-    """The term order of a stacked module O^rank + O^s: every head term (below
-    component rank) is greater than every tag term (from rank on).  Tags
-    compare position over term, as O^s does under the scalar order.  Heads
-    compare by weighted degree first (total degree under lex), then by
-    position, then by the scalar order.  For homogeneous input whose head
-    components share one shift this is position over term; for other input,
-    pure position over term would let one reduction step bring in terms of
-    ever higher degree in later head components, and on random inhomogeneous
-    colons it made Buchberger's algorithm a thousand times slower."""
-
-    __slots__ = ("order", "mono_key", "rank", "weights")
-
-    def __init__(self, order: MonomialOrder, rank: int):
-        self.order = order
-        self.mono_key = order.mono_key
-        self.rank = rank
-        self.weights = order.weights
-
-    def term_key(self, term: tuple):
-        comp, e = term
-        if comp < self.rank:
-            w = self.weights
-            return (1, sum(map(mul, e, w)) if w is not None else sum(e), -comp,
-                    *self.mono_key(e))
-        return (0, -comp, *self.mono_key(e))
-
-    def layout(self, nvars: int) -> TermLayout:
-        """The packed terms of this order: the fields of `term_key`, with the
-        leading flag and degree of head terms above the component."""
-        order = self.order.with_nvars(nvars)
-        base = None if order.kind == "lex" else order.weights
-        return TermLayout(nvars, base, self.rank, self.weights or (1,) * nvars)
-
-
 def _tagged_basis(gens: Sequence[FreeElement], order: MonomialOrder,
                   tags: Optional[Sequence[FreeElement]] = None,
                   plain: Sequence[FreeElement] = ()) -> tuple:
     """Reduced Groebner basis of the stacked vecs g_i + t_i and p_j + 0 in
     O^rank + O^s, where the generators g_i and the plain elements p_j live in
     O^rank and the tag t_i of g_i (by default the unit vector e_i) sits in the
-    components from rank on, under the `_EliminationOrder`: (packed basis,
-    the layout of its terms).
+    components from rank on, under the elimination order of
+    `MonomialOrder.layout`: (packed basis, the layout of its terms).
 
     Every tag term is smaller than every head term, so the basis elements
     that lie wholly in the tags are a reduced Groebner basis of the tags of
@@ -484,7 +449,7 @@ def _tagged_basis(gens: Sequence[FreeElement], order: MonomialOrder,
                 v[(rank + c, e)] = x
         stacked.append(v)
     stacked.extend(p.vec() for p in plain)
-    layout = _EliminationOrder(order, rank).layout(nvars)
+    layout = order.layout(nvars, rank)
     return _buchberger_vecs([_packed(v, layout) for v in stacked], layout, False), layout
 
 
@@ -514,8 +479,8 @@ def syzygies_and_head_leads(columns: Sequence[FreeElement],
     the columns generate is such a head; its lead, a head term, is divisible
     by the lead of some basis element.  So the head parts of the basis are a
     Groebner basis of that submodule, under the head order of the
-    `_EliminationOrder`: weighted degree, then position, then the scalar
-    order, a global order."""
+    elimination order (`MonomialOrder.layout`): weighted degree, then
+    position, then the scalar order, a global order."""
     _check_family(columns)
     if not columns:
         return [], []
@@ -644,21 +609,13 @@ def saturate(relations: Sequence[FreeElement], rank: int, ideal_gens: Sequence[P
 # dimension counts
 
 
-def _lead_module(gb: Sequence[FreeElement], order: MonomialOrder, rank: int):
-    """Minimal leading exponents per component."""
+def _lead_module(gb: Sequence[FreeElement], layout: TermLayout, rank: int):
+    """Leading exponents per component; those of a reduced basis are minimal."""
     leads: list = [[] for _ in range(rank)]
     for g in gb:
-        c, e = max(g.vec(), key=order.term_key)
+        c, e = layout.unpack(min(map(layout.pack, g.vec())))
         leads[c].append(e)
-    minimal: list = []
-    for lst in leads:
-        lst.sort()
-        keep = []
-        for e in lst:
-            if not any(mono_divides(f, e) for f in keep):
-                keep.append(e)
-        minimal.append(keep)
-    return minimal
+    return leads
 
 
 def _component_box(leads: Sequence[tuple], nvars: int):
@@ -677,7 +634,7 @@ def _component_box(leads: Sequence[tuple], nvars: int):
 
 
 def _is_standard(leads: Sequence[tuple], e: tuple) -> bool:
-    return not any(mono_divides(l, e) for l in leads)
+    return not any(all(map(le, l, e)) for l in leads)
 
 
 def monomials_of_weight(nvars: int, weights: Sequence[int], target: int):
@@ -806,7 +763,7 @@ class QuotientTable:
         self.pres = p
         self.order = (order or MonomialOrder()).with_nvars(p.nvars)
         self.gb = groebner_basis(p.relations, self.order)
-        self.leads = _lead_module(self.gb, self.order, p.rank)
+        self.leads = _lead_module(self.gb, self.order.layout(p.nvars), p.rank)
         self._reducers: Optional[_Reducers] = None
         # packed term -> (packed integer remainder, scale) of that term,
         # divided by their content; None for a standard term, which is its

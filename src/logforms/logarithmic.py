@@ -250,13 +250,10 @@ SUBSET_SEARCH_CAP = 4096
 
 
 def _canonical_field_order(fields: list, order: MonomialOrder) -> list:
-    """Sort fields by descending leading term so certificates are reproducible."""
-    def lead_key(f: FreeElement):
-        vec = f.vec()
-        t = max(vec, key=order.term_key)
-        return order.term_key(t)
-
-    return sorted(fields, key=lead_key, reverse=True)
+    """Sort fields by descending leading term (ascending packed lead) so
+    certificates are reproducible; fields with one lead keep their order."""
+    layout = order.layout(fields[0].nvars)
+    return sorted(fields, key=lambda f: min(map(layout.pack, f.vec())))
 
 
 def _positive_certificate(d: Divisor, fields: list):

@@ -184,30 +184,6 @@ class Poly:
                 t[tuple(e2)] = c * e[i]
         return Poly(self.nvars, t)
 
-    def compose(self, args: Sequence["Poly"]) -> "Poly":
-        """Substitute args[i] for variable i; args live in a common ring."""
-        if len(args) != self.nvars:
-            raise PolyError("substitution needs one polynomial per variable")
-        if not args:
-            raise PolyError("empty substitution")
-        m = args[0].nvars
-        out = Poly.zero(m)
-        power_cache: dict = {}
-
-        def power(i: int, k: int) -> Poly:
-            key = (i, k)
-            if key not in power_cache:
-                power_cache[key] = args[i] ** k
-            return power_cache[key]
-
-        for e, c in self.terms.items():
-            term = Poly.constant(m, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
-
     def set_vars_zero(self, indices: Iterable[int]) -> "Poly":
         """Substitute 0 for the given variables (ring unchanged)."""
         kill = set(indices)

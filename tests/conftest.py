@@ -2,6 +2,7 @@
 
 import importlib
 import sys
+from operator import mul
 
 import pytest
 
@@ -63,6 +64,45 @@ def call_counter(monkeypatch):
 
     count.log = []
     return count
+
+
+# ---------------------------------------------------------------------------
+# reference term orders and composition, independent of the packed terms and
+# of `exterior.pullback`
+
+
+def mono_key(order, e: tuple):
+    """Sort key of a monomial; a larger key is a larger monomial."""
+    if order.kind == "lex":
+        return e
+    w = order.weights
+    return (sum(map(mul, e, w)) if w is not None else sum(e), *[-x for x in reversed(e)])
+
+
+def term_key(order, term: tuple, rank=None):
+    """Sort key of a module term (component, exponent), position over term;
+    with rank, of the elimination order of `MonomialOrder.layout`: every
+    head term (component below rank) above every tag term, heads by weighted
+    degree, then position, then the scalar order."""
+    comp, e = term
+    if rank is None:
+        return (-comp, *mono_key(order, e))
+    if comp < rank:
+        w = order.weights
+        return (1, sum(map(mul, e, w)) if w is not None else sum(e), -comp, *mono_key(order, e))
+    return (0, -comp, *mono_key(order, e))
+
+
+def compose(p: Poly, args) -> Poly:
+    """p with args[i] substituted for variable i, by `Poly` arithmetic."""
+    nvars = args[0].nvars
+    out = Poly.zero(nvars)
+    for e, c in p.terms.items():
+        term = Poly.constant(nvars, c)
+        for a, k in zip(args, e):
+            term = term * a ** k
+        out = out + term
+    return out
 
 
 def certified(divisor):

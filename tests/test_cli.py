@@ -267,3 +267,17 @@ def test_ae_codim_jet_route_alone_is_uncertified(tmp_path, capsys, germ):
     record = json.loads(capsys.readouterr().out)
     assert record["routes"] == ["direct"]
     assert record["flags"]["certified"] == "UNCERTIFIED-LOCAL"
+
+
+def test_torsion_length_default_form_degree_counts_no_parameters():
+    """Without `form-degree` the torsion length is taken in degree n - 1 of
+    the forms module's own ring: the central germ of a map drops its
+    parameters, so the four planes in x1, x2, x3 (params s) give degree 2."""
+    family = parse_job('ring { x1, x2, x3, s };\nparams { s };\nweights ( 1, 1, 1, 1 );\n'
+                       'target-ring { w1, w2, w3, w4 };\ntarget-weights ( 1, 1, 1, 1 );\n'
+                       'target-divisor "w1*w2*w3*w4";\nmap ( "x1", "x2", "x3", "x1+x2+x3-s" );\n'
+                       'command torsion-length;\n')
+    germ = parse_job((JOBS / "torsion_four_planes.job").read_text())
+    record, want = run_job(family), run_job(germ)
+    assert record["verdicts"]["form_degree"] == want["verdicts"]["form_degree"] == 2
+    assert record["dimensions"] == want["dimensions"]

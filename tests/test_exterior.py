@@ -21,6 +21,8 @@ from logforms.logarithmic import poly_det
 from logforms.module import FreeElement
 from logforms.poly import Poly
 
+from conftest import compose
+
 NV = 2
 
 
@@ -83,11 +85,11 @@ def wedge_chain_pullback(k: int, target_n: int, form: FreeElement, components: l
     basis forms dy_J, each a chain of `wedge` calls."""
     nv = components[0].nvars
     if k == 0:
-        return FreeElement([form.entries[0].compose(components)])
+        return FreeElement([compose(form.entries[0], components)])
     dcomp = [FreeElement([f.derivative(v) for v in range(source_n)]) for f in components]
     out = FreeElement.zero(max(form_rank(source_n, k), 1), nv)
     for pos, J in enumerate(form_basis(target_n, k)):
-        pulled_c = form.entries[pos].compose(components)
+        pulled_c = compose(form.entries[pos], components)
         if pulled_c.is_zero():
             continue
         block, deg = dcomp[J[0]], 1

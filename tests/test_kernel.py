@@ -1,6 +1,8 @@
 """Groebner engine: bases, normal forms, syzygies, dimensions, minimal generators."""
 
 from fractions import Fraction
+from functools import partial
+from operator import add, le, sub
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +27,10 @@ from logforms.groebner import (
     syzygy_module,
 )
 from logforms.module import INFINITE, FreeElement, Grading, ModulePresentation, ModuleError
-from logforms.groebner import _EliminationOrder
-from logforms.order import FIELD_MAX, MonomialOrder, mono_div, mono_divides, mono_mul
+from logforms.order import FIELD_MAX, MonomialOrder
 from logforms.poly import Poly, parse_poly
+
+from conftest import mono_key, term_key
 
 N2 = ["x", "y"]
 ORD = MonomialOrder()
@@ -35,6 +38,18 @@ ORD = MonomialOrder()
 
 def F(*texts, names=N2):
     return FreeElement([parse_poly(t, names) for t in texts])
+
+
+def mono_divides(a: tuple, b: tuple) -> bool:
+    return all(map(le, a, b))
+
+
+def mono_mul(a: tuple, b: tuple) -> tuple:
+    return tuple(map(add, a, b))
+
+
+def mono_div(a: tuple, b: tuple) -> tuple:
+    return tuple(map(sub, a, b))
 
 
 def test_gb_single_generator_is_itself():
@@ -266,11 +281,11 @@ def test_saturation_nonstabilization_raises():
 
 
 def test_gb_spolynomials_reduce_to_zero():
-    from logforms.order import mono_div, mono_lcm
+    from logforms.order import mono_lcm
 
     gens = [F("x^2 - y"), F("x*y + y^2")]
     gb = groebner_basis(gens, ORD)
-    key = ORD.with_nvars(2).term_key
+    key = partial(term_key, ORD.with_nvars(2))
     for i in range(len(gb)):
         for j in range(i + 1, len(gb)):
             vi, vj = gb[i].vec(), gb[j].vec()
@@ -286,10 +301,8 @@ def test_gb_spolynomials_reduce_to_zero():
 
 
 def test_normal_form_fully_reduced():
-    from logforms.order import mono_divides
-
     gb = groebner_basis([F("x^2 - y"), F("y^2")], ORD)
-    key = ORD.with_nvars(2).term_key
+    key = partial(term_key, ORD.with_nvars(2))
     leads = [max(g.vec(), key=key) for g in gb]
     nf = normal_form(F("x^5 + x^3*y + y^4 + x"), gb, ORD)
     for comp, p in enumerate(nf.entries):
@@ -322,11 +335,41 @@ def _division_inputs(draw):
     return gens, element(5), order
 
 
+@st.composite
+def _quotients(draw):
+    """A presentation in O^rank, rank 1 or 2, over 1 to 3 variables, and
+    wdegrevlex with drawn weights or lex."""
+    rank = draw(st.integers(1, 2))
+    nvars = draw(st.integers(1, 3 if rank == 1 else 2))
+    relations = [FreeElement([draw(_polys(nvars, 2, 2)) for _ in range(rank)])
+                 for _ in range(draw(st.integers(1, 3)))]
+    weights = draw(st.tuples(*[st.integers(1, 3)] * nvars))
+    order = draw(st.sampled_from([MonomialOrder("wdegrevlex", weights), MonomialOrder("lex")]))
+    return ModulePresentation(rank, relations, nvars=nvars), order
+
+
+@given(_quotients())
+@settings(max_examples=80, deadline=None)
+def test_quotient_leads_are_the_minimal_reference_leads(case):
+    """Component by component, a quotient table's leads are the minimal
+    leads of its basis by the reference key, each once."""
+    p, order = case
+    qt = QuotientTable(p, order)
+    key = partial(term_key, order.with_nvars(p.nvars))
+    leads: list = [[] for _ in range(p.rank)]
+    for g in qt.gb:
+        c, e = max(g.vec(), key=key)
+        leads[c].append(e)
+    minimal = [sorted({e for e in lst if not any(f != e and mono_divides(f, e) for f in lst)})
+               for lst in leads]
+    assert [sorted(lst) for lst in qt.leads] == minimal
+
+
 def _naive_normal_form(f, basis, order):
     """Remainder of f by full division: reduce the greatest remaining term by
     the first basis element whose lead divides it, found by scanning for the
     maximum afresh on every step."""
-    key = order.with_nvars(f.nvars).term_key
+    key = partial(term_key, order.with_nvars(f.nvars))
     leads = [(max(v, key=key), v) for v in (b.vec() for b in basis)]
     work, rem = f.vec(), {}
     while work:
@@ -624,7 +667,7 @@ def _ideals(draw):
 
 
 def _monic(terms: dict, order: MonomialOrder) -> frozenset:
-    lc = terms[max(terms, key=order.mono_key)]
+    lc = terms[max(terms, key=partial(mono_key, order))]
     return frozenset((e, c / lc) for e, c in terms.items())
 
 
@@ -724,18 +767,17 @@ def test_bases_do_not_depend_on_the_presentation(family):
 
 @st.composite
 def _packing_orders(draw):
-    """An order of each family over 1 to 5 variables, a rank from 1 to 6
-    and the order's packed layout: wdegrevlex with drawn positive weights,
-    lex, and the `_EliminationOrder` over either, with 1 to rank head
-    components and the rest tags."""
+    """An order of each family over 1 to 5 variables, a rank from 1 to 6,
+    the reference term key of the order and its packed layout: wdegrevlex
+    with drawn positive weights, lex, and the elimination order over either,
+    with 1 to rank head components and the rest tags."""
     nvars = draw(st.integers(1, 5))
     rank = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(["wdegrevlex", "lex"]))
     weights = draw(st.none() | st.tuples(*[st.integers(1, 7)] * nvars))
     order = MonomialOrder(kind, weights).with_nvars(nvars)
-    if draw(st.booleans()):
-        order = _EliminationOrder(order, draw(st.integers(1, rank)))
-    return order, order.layout(nvars), rank, nvars
+    heads = draw(st.none() | st.integers(1, rank))
+    return partial(term_key, order, rank=heads), order.layout(nvars, heads), rank, nvars
 
 
 @st.composite
@@ -760,24 +802,24 @@ def _packed_or_none(layout, term):
 @given(_packing_orders(), st.data())
 @settings(max_examples=500, deadline=None)
 def test_packed_terms_follow_the_term_key(setting, data):
-    """A term packs exactly when every entry of its `term_key` fits a field;
-    packing round-trips; a smaller int is a greater term under `term_key`;
-    within a component the packed divisibility test is `mono_divides`; and
-    adding the shift of two terms that differ by x^s multiplies any term of
-    the right kind by x^s, or sets a guard bit when the product does not
-    fit."""
-    order, layout, rank, nvars = setting
+    """A term packs exactly when every entry of its reference `term_key`
+    fits a field; packing round-trips; a smaller int is a greater term under
+    `term_key`; within a component the packed divisibility test is
+    `mono_divides`; and adding the shift of two terms that differ by x^s
+    multiplies any term of the right kind by x^s, or sets a guard bit when
+    the product does not fit."""
+    key, layout, rank, nvars = setting
     terms = [(data.draw(st.integers(0, rank - 1)), data.draw(_exponents(nvars)))
              for _ in range(3)]
     packed = [_packed_or_none(layout, t) for t in terms]
     for t, p in zip(terms, packed):
-        assert (p is not None) == all(abs(k) <= FIELD_MAX for k in order.term_key(t))
+        assert (p is not None) == all(abs(k) <= FIELD_MAX for k in key(t))
         if p is not None:
             assert layout.unpack(p) == t
             assert not p & layout.guards
     (a, b, u), (pa, pb, pu) = terms, packed
     if pa is not None and pb is not None:
-        assert (pa < pb) == (order.term_key(a) > order.term_key(b))
+        assert (pa < pb) == (key(a) > key(b))
         assert (pa == pb) == (a == b)
         if a[0] == b[0]:
             assert layout.divides(pa, pb) == mono_divides(a[1], b[1])

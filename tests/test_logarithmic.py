@@ -35,6 +35,8 @@ from logforms.module import FreeElement
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, is_squarefree, parse_poly, poly_exact_div
 
+from conftest import term_key
+
 ORD = MonomialOrder()
 
 
@@ -343,3 +345,32 @@ def test_graded_saito_failure_exits_5(monkeypatch, capsys):
     job = Path(__file__).resolve().parent.parent / "jobs" / "is_free_normal_crossing.job"
     assert main(["--input", str(job)]) == 5
     assert "internal invariant violation" in capsys.readouterr().err
+
+
+@st.composite
+def _fields(draw):
+    """Two to five fields in O^2 over 2 variables, drawn from few terms so
+    that leads repeat, the first also scaled by 2 (the same lead), and
+    wdegrevlex with drawn weights or lex."""
+    def entry(min_size):
+        exps = draw(st.lists(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]),
+                             min_size=min_size, max_size=2))
+        return Poly(2, {e: draw(st.sampled_from([-1, 1, 2])) for e in exps})
+
+    fields = [FreeElement([entry(0), entry(1)]) for _ in range(draw(st.integers(2, 5)))]
+    fields.append(fields[0].scale(2))
+    weights = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    return fields, draw(st.sampled_from([MonomialOrder("wdegrevlex", weights),
+                                         MonomialOrder("lex")]))
+
+
+@given(_fields())
+@settings(max_examples=100, deadline=None)
+def test_canonical_field_order_matches_the_reference_sort(case):
+    """Fields sort by descending lead under the reference key, and fields
+    with one lead keep their order."""
+    fields, order = case
+    key = lambda t: term_key(order.with_nvars(2), t)
+    want = sorted(fields, key=lambda f: key(max(f.vec(), key=key)), reverse=True)
+    got = logarithmic._canonical_field_order(fields, order)
+    assert all(a is b for a, b in zip(got, want)) and len(got) == len(want)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logforms.exterior import pullback
+from logforms.module import FreeElement
 from logforms.poly import (
     ParseError,
     Poly,
@@ -17,6 +19,8 @@ from logforms.poly import (
     poly_gcd,
     quasihomogeneous_weights,
 )
+
+from conftest import compose
 
 NAMES = ["x", "y", "z"]
 
@@ -66,7 +70,8 @@ def test_derivative_and_compose():
     h = P("x^2*y + z^3")
     assert h.derivative(0) == P("2*x*y")
     sub = [P("y"), P("x"), P("z")]
-    assert h.compose(sub) == P("y^2*x + z^3")
+    assert compose(h, sub) == P("y^2*x + z^3")
+    assert pullback([(0, FreeElement([h]))], sub, 0)[0] == FreeElement([P("y^2*x + z^3")])
 
 
 def test_set_vars_zero():
