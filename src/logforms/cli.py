@@ -187,9 +187,9 @@ def _forms_module(job: JobSpec, k: Optional[int]) -> CheckedFormsModule:
     """The forms module of degree k; by default of degree n - 1, n the number
     of variables of the module's own ring (the central germ's, for a map)."""
     if job.target_divisor_text is not None and job.map_text is not None:
-        e_basis, imap, _, weights = _pullback_germ(job)
+        e_basis, imap, h0, weights = _pullback_germ(job)
         k = imap.source_dim - 1 if k is None else k
-        return forms_pullback(e_basis, imap.components, imap.source_names, k, weights=weights)
+        return forms_pullback(e_basis, imap.components, imap.source_names, k, weights, h0)
     d = _divisor_from_job(job)
     basis = _free_basis(d)
     return forms_free(basis, d.nvars - 1 if k is None else k)
@@ -221,7 +221,7 @@ def _cmd_de_rham(job: JobSpec, opts: dict) -> dict:
         n = imap.source_dim
         semi = None if weights else quasihomogeneous_weights(h0, allow_zero=True)
         mods = forms_pullback_degrees(e_basis, imap.components, imap.source_names,
-                                      range(0, n + 1), weights)
+                                      range(0, n + 1), weights, h0)
     else:
         d = _divisor_from_job(job)
         basis = _free_basis(d)

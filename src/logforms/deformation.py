@@ -9,7 +9,7 @@ a good defining equation) that must agree on weighted homogeneous data.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Optional, Sequence
 
@@ -19,7 +19,6 @@ from .groebner import (
     LinSpace,
     QuotientTable,
     lift_over_generators,
-    monomials_of_weight,
     quotient_dimension,
 )
 from .logarithmic import Divisor, LogBasis, apply_field, derlog_h, euler_field, poly_det
@@ -299,7 +298,7 @@ def ae_normal_space_direct(components: Sequence[Poly], cap: int = 20):
     prev = None
     for N in range(1, cap + 1):
         span = SparseLinSpace()
-        monomials = [e for deg in range(N + 1) for e in monomials_of_weight(n, (1,) * n, deg)]
+        monomials = sorted((e for e in product(range(N + 1), repeat=n) if sum(e) <= N), key=sum)
         # source-field images: monomial times each Jacobian column
         for v in range(n):
             col = partial_cols[v]

@@ -84,26 +84,33 @@ def wedge(n: int, ka: int, a: FreeElement, kb: int, b: FreeElement) -> FreeEleme
     return FreeElement(out)
 
 
+@lru_cache(maxsize=None)
+def d_rule(n: int, k: int) -> tuple:
+    """Per basis k-form dx_I, the triples (v, position of dx_(I + v), sign)
+    over the v < n not in I: d(x^e dx_I) sums sign * e_v * x^(e - e_v) dx_(I + v)
+    over them, the sign (-1)^#{i in I : i < v} of moving dx_v past them."""
+    idx = form_index(n, k + 1)
+    return tuple(tuple((v, idx[tuple(sorted(I + (v,)))], (-1) ** sum(i < v for i in I))
+                       for v in range(n) if v not in I) for I in form_basis(n, k))
+
+
 def d_term(n: int, I: tuple, e: tuple) -> dict:
-    """The exterior derivative of the single term x^e dx_I, as an integer vec
-    {(position of dx_J among the (k+1)-forms, exponent): coefficient}:
+    """d(x^e dx_I) by `d_rule`, as an integer vec {(position of dx_J among
+    the (k+1)-forms, exponent): coefficient}."""
+    return {(J, e[:v] + (e[v] - 1,) + e[v + 1:]): sign * e[v]
+            for v, J, sign in d_rule(n, len(I))[form_index(n, len(I))[I]] if e[v]}
 
-        d(x^e dx_I) = sum over v not in I with e_v > 0 of
-                      (-1)^#{i in I : i < v} * e_v * x^(e - e_v) dx_(I + v),
 
-    the sign being that of moving dx_v past the dx_i of I with i < v (as
-    `merge_sign((v,), I)` gives it).  Only the first n variables are
-    differentiated."""
-    idx = form_index(n, len(I) + 1)
-    out = {}
-    for v in range(n):
-        ev = e[v]
-        if not ev or v in I:
-            continue
-        below = sum(1 for i in I if i < v)
-        J = I[:below] + (v,) + I[below:]
-        out[(idx[J], e[:v] + (ev - 1,) + e[v + 1:])] = -ev if below % 2 else ev
-    return out
+def d_packed(n: int, k: int, layout):
+    """`d_term` of one packed term of a `TermLayout`, as a packed vec.  A
+    packed field is affine in the exponent, so each term of d(t) is t plus
+    an int fixed by dx_I and v (that of x^0 dx_J less that of x_v dx_I)."""
+    zero = (0,) * layout.nvars
+    moves = [[(v, layout.pack((J, zero)) - layout.pack((I, zero[:v] + (1,) + zero[v + 1:])), sign)
+              for v, J, sign in rule] for I, rule in enumerate(d_rule(n, k))]
+    component, exponent = layout.component, layout.exponent
+    return lambda t: {t + move: sign * e for v, move, sign in moves[component(t)]
+                      if (e := exponent(t, v))}
 
 
 def ext_d(n: int, k: int, a: FreeElement) -> FreeElement:

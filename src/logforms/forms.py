@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .exterior import (
     contract,
-    d_term,
+    d_packed,
     form_basis,
     form_rank,
     monomial_form,
@@ -113,7 +113,7 @@ class CheckedFormsModule:
         return self._table
 
     def class_is_zero(self, form: FreeElement) -> bool:
-        return not self.table().reduce_integral(form.vec())[0]
+        return not self.table().reduce(form.vec())
 
     def dimension_table(self, bound: int) -> dict:
         if self.table().pres.grading is None:
@@ -143,19 +143,26 @@ def pullback_relation_generators(e_basis: LogBasis, components: Sequence[Poly],
 
 
 def pullback_relations_by_degree(e_basis: LogBasis, components: Sequence[Poly],
-                                 source_n: int, ks: Sequence[int]) -> tuple:
+                                 source_n: int, ks: Sequence[int],
+                                 h0: Optional[Poly] = None) -> tuple:
     """(h o F, {k: `pullback_relation_generators` of degree k} for each k in
-    ks) from one `pullback` call, which takes h as a 0-form and each
-    logarithmic generator of a degree j that some k in ks wedges with the
-    basis (k - j)-forms once.  Each wedge p ^ dx_M with a basis form is a
-    signed re-indexing of p (`wedge_unit`)."""
+    ks) from one `pullback` call, which takes h as a 0-form (unless h0 = h o
+    F is given) and each logarithmic generator of a degree j that some k in
+    ks wedges with the basis (k - j)-forms once.  Each wedge p ^ dx_M with a
+    basis form is a signed re-indexing of p (`wedge_unit`)."""
     m = e_basis.n
     degrees = [j for j in range(0, min(max(ks), m) + 1)
                if any(j <= k and k - j <= source_n for k in ks)]
     gens = [(j, g) for j in degrees for g in log_form_generators(e_basis, j)]
-    h0, *pulled = pullback([(0, FreeElement([e_basis.divisor.h]))] + gens, components, source_n)
+    h = FreeElement([e_basis.divisor.h])
+    # a degree-0 generator equal to h (det of a Saito basis of determinant h)
+    # pulls back to h o F, so h is composed once
+    todo = [(j, g) for j, g in gens if j or g != h]
+    pulled = iter(pullback(([] if h0 is not None else [(0, h)]) + todo, components, source_n))
+    h0 = next(pulled).entries[0] if h0 is None else h0
     out: dict = {k: [] for k in ks}
-    for (j, _), p in zip(gens, pulled):
+    for j, g in gens:
+        p = FreeElement([h0]) if not j and g == h else next(pulled)
         if p.is_zero():
             continue
         for k, rels in out.items():
@@ -166,22 +173,23 @@ def pullback_relations_by_degree(e_basis: LogBasis, components: Sequence[Poly],
                     w = wedge_unit(source_n, j, p, M)
                     if not w.is_zero():
                         rels.append(w)
-    return h0.entries[0], out
+    return h0, out
 
 
 def forms_pullback(e_basis: LogBasis, components: Sequence[Poly], source_names: Sequence[str],
-                   k: int, weights: Optional[Sequence[int]] = None) -> CheckedFormsModule:
-    """Forms on the preimage divisor presented by the pulled-back ideal."""
-    return forms_pullback_degrees(e_basis, components, source_names, (k,), weights)[0]
+                   k: int, weights: Optional[Sequence[int]] = None,
+                   h0: Optional[Poly] = None) -> CheckedFormsModule:
+    """Forms on the preimage divisor presented by the pulled-back ideal (h0: h o F)."""
+    return forms_pullback_degrees(e_basis, components, source_names, (k,), weights, h0)[0]
 
 
 def forms_pullback_degrees(e_basis: LogBasis, components: Sequence[Poly],
                            source_names: Sequence[str], ks: Sequence[int],
-                           weights: Optional[Sequence[int]]) -> list:
+                           weights: Optional[Sequence[int]], h0: Optional[Poly] = None) -> list:
     """`forms_pullback` for each form degree in ks, in that order, from one
     `pullback` call (`pullback_relations_by_degree`)."""
     n = len(source_names)
-    h0, gens = pullback_relations_by_degree(e_basis, components, n, ks)
+    h0, gens = pullback_relations_by_degree(e_basis, components, n, ks, h0)
     return [CheckedFormsModule(source_names, n, k, gens[k], h0, weights=weights, kind="pullback")
             for k in ks]
 
@@ -319,9 +327,10 @@ def class_is_torsion(m: CheckedFormsModule, form: FreeElement) -> bool:
 
 def _slice_coordinates(m: CheckedFormsModule, form: dict, terms: set) -> dict:
     """Coordinates {standard term: integer} of a positive multiple of the
-    class of a form of m, given as a vec, in a slice basis of m, given as the
-    set of its standard terms.  A rank read from such rows is the rank of the
-    classes, since scaling a row by a nonzero number keeps its span."""
+    class of a form of m, given as a packed vec, in a slice basis of m, given
+    as the set of its packed standard terms.  A rank read from such rows is
+    the rank of the classes, since scaling a row by a nonzero number keeps
+    its span."""
     row = m.table().reduce_integral(form)[0]
     if not row.keys() <= terms:
         raise FormsError("reduced form left the slice basis")
@@ -330,18 +339,22 @@ def _slice_coordinates(m: CheckedFormsModule, form: dict, terms: set) -> dict:
 
 class GradedSlices:
     """Standard-monomial slice bases of graded forms modules (indexed by their
-    own form degree k), with the degree-preserving derivative matrices."""
+    own form degree k), with the degree-preserving derivative matrices.  The
+    levels of one complex share their weights, hence one order and one
+    packing of terms: the slice bases are those `QuotientTable.standard_monomials`
+    walks (with its degree limit), and the columns of d come from `d_packed`."""
 
     def __init__(self, modules: Sequence[CheckedFormsModule]):
         self.by_k = {}
         self._bases: dict = {}
+        self._d: dict = {}  # k -> d of level k on packed terms
         for m in modules:
             if m.grading() is None:
                 raise FormsError("slice computations need positive weights and homogeneous relations")
             self.by_k[m.k] = m
 
     def basis(self, k: int, degree: int) -> list:
-        """The standard terms of one slice, enumerated once and kept."""
+        """The packed standard terms of one slice, walked once and kept."""
         key = (k, degree)
         if key not in self._bases:
             m = self.by_k.get(k)
@@ -360,10 +373,10 @@ class GradedSlices:
                 yield {}
             return
         terms = set(self.basis(k + 1, degree))
-        n = mod_next.n
-        basis = form_basis(n, k)
-        for comp, e in src:
-            yield _slice_coordinates(mod_next, d_term(n, basis[comp], e), terms)
+        if k not in self._d:
+            self._d[k] = d_packed(mod_next.n, k, mod_next.table().layout)
+        for t in src:
+            yield _slice_coordinates(mod_next, self._d[k](t), terms)
 
     def d_matrix(self, k: int, degree: int) -> list:
         """Columns: images under d of the degree-slice basis of level k, in the
@@ -473,6 +486,7 @@ def wedge_map_kernel_dims(source: CheckedFormsModule, target: CheckedFormsModule
     nv = target.nvars
     out = {}
     shift = None
+    unpack, pack = source.table().layout.unpack, target.table().layout.pack
     for degree in range(0, bound + 1):
         src = source.table().standard_monomials(degree)
         if not src:
@@ -487,11 +501,11 @@ def wedge_map_kernel_dims(source: CheckedFormsModule, target: CheckedFormsModule
         terms = set(target.table().standard_monomials(degree + shift))
         sp = LinSpace()
         kernel = 0
-        for comp, e in src:
+        for comp, e in map(unpack, src):
             I = form_basis(source.n, source.k)[comp] if form_rank(source.n, source.k) else ()
             f = monomial_form(source.n, source.k, nv, I, Poly.monomial(nv, e))
-            row = _slice_coordinates(target, wedge(n, wedge_deg, wedge_form, source.k, f).vec(),
-                                     terms)
+            image = wedge(n, wedge_deg, wedge_form, source.k, f).vec()
+            row = _slice_coordinates(target, {pack(t): c for t, c in image.items()}, terms)
             if not sp.add(row):
                 kernel += 1
         out[degree] = kernel

@@ -1,11 +1,12 @@
 """Groebner bases, syzygies and dimension counts for submodules of free modules.
 
 The engine works on flattened elements ("vecs"): dictionaries mapping module
-terms to nonzero coefficients.  Outside the kernel a term is a pair
-(component, exponent); inside it, from the entry of a value to its exit, a
-term is one int packed by the `TermLayout` of the order, so comparing terms,
-multiplying them by a monomial and testing divisibility are a few int
-operations, and a smaller int is a greater term.  All arithmetic is exact.
+terms to nonzero coefficients.  Outside the kernel and a `QuotientTable` a
+term is a pair (component, exponent); inside them, from the entry of a value
+to its exit, a term is one int packed by the `TermLayout` of the order, so
+comparing terms, multiplying them by a monomial and testing divisibility are
+a few int operations, and a smaller int is a greater term.  All arithmetic
+is exact.
 Inside the kernel the coefficients are Python ints: a dividend's denominators
 are cleared on entry, basis elements are kept primitive with a positive lead,
 and division is fraction-free (pseudo-division).  Values become `Fraction`s
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import product
+from functools import cached_property
+from itertools import islice
 from math import gcd as int_gcd
-from operator import le
 from typing import Optional, Sequence
 
 from .module import INFINITE, FreeElement, Grading, ModulePresentation, ModuleError
@@ -120,15 +121,18 @@ class _Reducers:
         return None
 
 
+def _primitive(vec: dict) -> dict:
+    """The primitive integer multiple, positive lead, of a packed rational vec."""
+    v = _integral(vec)[0]
+    return _normalize(v, v[min(v)])
+
+
 def _reducers_of(vecs: Sequence[dict], layout: TermLayout) -> _Reducers:
-    """The reducer table of packed rational vecs, each made primitive with a
-    positive lead; dividing by a positive multiple of an element leaves the
-    same remainder."""
+    """The reducer table of packed primitive integer vecs with a positive
+    lead (`_primitive`, or a basis from `_buchberger_vecs`)."""
     reducers = _Reducers(layout)
     for v in vecs:
-        v = _integral(v)[0]
         lt = min(v)
-        v = _normalize(v, v[lt])
         reducers.add(lt, v[lt], v)
     return reducers
 
@@ -350,6 +354,12 @@ def _check_family(elems: Sequence[FreeElement]):
             raise ModuleError("elements must share one rank and variable list")
 
 
+def _reduced_basis(generators: Sequence[FreeElement], layout: TermLayout, rank: int) -> list:
+    """The packed reduced basis (`_buchberger_vecs`, each vec its lead first)
+    of the generated submodule, for `groebner_basis` and `QuotientTable`."""
+    return _buchberger_vecs([_packed(g.vec(), layout) for g in generators], layout, rank == 1)
+
+
 def groebner_basis(generators: Sequence[FreeElement], order: MonomialOrder) -> list:
     """Reduced, canonically sorted Groebner basis of the generated submodule."""
     _check_family(generators)
@@ -357,7 +367,7 @@ def groebner_basis(generators: Sequence[FreeElement], order: MonomialOrder) -> l
         return []
     rank, nvars = generators[0].rank, generators[0].nvars
     layout = order.layout(nvars)
-    basis = _buchberger_vecs([_packed(g.vec(), layout) for g in generators], layout, rank == 1)
+    basis = _reduced_basis(generators, layout, rank)
     return [FreeElement.from_vec(rank, nvars, _rational(_unpacked(v, layout), 1)) for v in basis]
 
 
@@ -377,7 +387,8 @@ def normal_form(f: FreeElement, basis: Sequence[FreeElement], order: MonomialOrd
             raise ModuleError("rank mismatch between element and basis")
         _check_family(basis)
     layout = order.layout(f.nvars)
-    reducers = _reducers_of([_packed(b.vec(), layout) for b in basis if not b.is_zero()], layout)
+    reducers = _reducers_of([_primitive(_packed(b.vec(), layout)) for b in basis
+                             if not b.is_zero()], layout)
     r, denom = _divide(f, reducers)
     return FreeElement.from_vec(f.rank, f.nvars, _rational(_unpacked(r, layout), denom))
 
@@ -392,7 +403,7 @@ def normal_form_with_cofactors(f: FreeElement, basis: Sequence[FreeElement],
     layout = order.layout(f.nvars)
     live = [i for i, b in enumerate(basis) if not b.is_zero()]
     vecs = [_packed(basis[i].vec(), layout) for i in live]
-    reducers = _reducers_of(vecs, layout)
+    reducers = _reducers_of(list(map(_primitive, vecs)), layout)
     cof: list = [dict() for _ in live]
     r, denom = _divide(f, reducers, cof)
     # a cofactor's keys are head shifts, each x^e less x^0 in component 0
@@ -609,53 +620,53 @@ def saturate(relations: Sequence[FreeElement], rank: int, ideal_gens: Sequence[P
 # dimension counts
 
 
-def _lead_module(gb: Sequence[FreeElement], layout: TermLayout, rank: int):
-    """Leading exponents per component; those of a reduced basis are minimal."""
-    leads: list = [[] for _ in range(rank)]
-    for g in gb:
-        c, e = layout.unpack(min(map(layout.pack, g.vec())))
-        leads[c].append(e)
-    return leads
+def _finite(leads: Sequence[tuple], nvars: int) -> bool:
+    """Whether 1 is a lead or every variable has a pure power among the leads."""
+    supports = [[i for i, a in enumerate(e) if a] for e in leads]
+    return [] in supports or {s[0] for s in supports if len(s) == 1} == set(range(nvars))
 
 
-def _component_box(leads: Sequence[tuple], nvars: int):
-    """Per-variable bounds from pure-power leading monomials; None if unbounded."""
-    bounds = []
-    for i in range(nvars):
-        best = None
-        for e in leads:
-            if e[i] > 0 and all(e[j] == 0 for j in range(nvars) if j != i):
-                if best is None or e[i] < best:
-                    best = e[i]
-        if best is None:
-            return None
-        bounds.append(best)
-    return bounds
-
-
-def _is_standard(leads: Sequence[tuple], e: tuple) -> bool:
-    return not any(all(map(le, l, e)) for l in leads)
-
-
-def monomials_of_weight(nvars: int, weights: Sequence[int], target: int):
-    """All exponent tuples with given weighted degree (weights positive)."""
-    out: list = []
-
-    def rec(i: int, remaining: int, prefix: list):
-        if i == nvars:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        w = weights[i]
-        maxa = remaining // w
-        for a in range(maxa + 1):
-            prefix.append(a)
-            rec(i + 1, remaining - a * w, prefix)
-            prefix.pop()
-
-    if target >= 0:
-        rec(0, target, [])
-    return out
+def _staircase(comp: int, weights: Sequence[int], leads: set, layout: TermLayout):
+    """Yield the packed standard terms of component comp of weighted degree
+    0, 1, 2, ..., one list per degree in increasing lexicographic order of
+    exponents, until no later degree has one.  t is standard exactly when it
+    is not a lead and t / x_k is standard for every k with e_k > 0.  Each t
+    is made once, as x_f * (t / x_f) with x_f its first variable, from the
+    prefix of degree deg - w_f whose first variable is x_f or later.  A step
+    by x_k adds one int; one that leaves a field sets a guard bit (upwards,
+    `StabilizationError`).  After max(weights) empty degrees in a row, all are."""
+    nvars, guards = layout.nvars, layout.guards
+    zero = (0,) * nvars
+    one = layout.pack((comp, zero))
+    steps = [layout.pack((comp, zero[:k] + (1,) + zero[k + 1:])) - one for k in range(nvars)]
+    level = [] if one in leads else [one]
+    levels = [(level, [len(level)] * (nvars + 1))]  # terms, prefix length by first variable
+    window = max(weights, default=1)
+    yield level
+    while any(terms for terms, _ in levels[-window:]):
+        degree = len(levels)
+        standard = set().union(*(terms for terms, _ in levels[-window:]))  # all a division reaches
+        level = []
+        prefix = [0] * (nvars + 1)
+        for f in range(nvars - 1, -1, -1):
+            if degree >= weights[f]:
+                below, below_prefix = levels[degree - weights[f]]
+                for t in islice(below, below_prefix[f]):
+                    t += steps[f]
+                    if t & guards:
+                        raise field_overflow()
+                    if t in leads:
+                        continue
+                    for k in range(f + 1, nvars):
+                        s = t - steps[k]
+                        if not s & guards and s not in standard:
+                            break
+                    else:
+                        level.append(t)
+            prefix[f] = len(level)
+        levels.append((level, prefix))
+        del standard  # a suspended walk holds no set
+        yield level
 
 
 def _combine(pairs, nfs: dict):
@@ -744,92 +755,105 @@ def _fill_term_nfs(t: int, nfs: dict, reducers: _Reducers):
 
 class QuotientTable:
     """The leading-term staircase of O^rank / <relations>, read from one
-    reduced Groebner basis.
+    reduced Groebner basis, kept packed as the kernel returned it (`gb`, as
+    `FreeElement`s, is built only when asked for).
 
-    One staircase serves both questions asked of a quotient: the standard
-    terms of one weighted degree (`standard_monomials`, which needs a
-    grading) and the full list of standard terms of a finite quotient
-    (`standard_terms`, which is None when the quotient is infinite).  The
-    same basis reduces vecs (`reduce_integral`, and `reduce` over the
-    rationals) through one reducer table, built on first use, and one memo
-    of term normal forms, both kept with the table and both on packed terms
-    (`TermLayout` of the order): a vec's terms are packed on entry to
-    `reduce_integral` and its normal form's terms unpacked on exit.  Each
-    term the memo holds took one reducer step; the rest of its normal form
-    was read from the memo (`_fill_term_nfs`).
+    One staircase walk (`_staircase`) answers both questions asked of a
+    quotient: the standard terms of one weighted degree (`standard_monomials`,
+    which needs a grading; each component walked once, each degree kept) and
+    all standard terms of a finite quotient (`standard_terms`, None when it
+    is infinite).  The same basis reduces vecs (`reduce_integral`, and
+    `reduce` over the rationals) through one reducer table, built on first
+    use, and one memo of term normal forms, each term of which took one
+    reducer step (`_fill_term_nfs`).  Slices, reducer table and memo are on
+    the packed terms of `layout`.  A slice of a weighted degree above
+    FIELD_MAX of an infinite component raises `StabilizationError`.
     """
 
     def __init__(self, p: ModulePresentation, order: Optional[MonomialOrder] = None):
         self.pres = p
         self.order = (order or MonomialOrder()).with_nvars(p.nvars)
-        self.gb = groebner_basis(p.relations, self.order)
-        self.leads = _lead_module(self.gb, self.order.layout(p.nvars), p.rank)
+        self.layout = self.order.layout(p.nvars)
+        self._basis = _reduced_basis(p.relations, self.layout, p.rank)
+        # each basis vec lists its lead first; a reduced basis has minimal leads
+        self._lead_terms = {next(iter(v)) for v in self._basis}
+        self.leads: list = [[] for _ in range(p.rank)]
+        for c, e in map(self.layout.unpack, sorted(self._lead_terms)):
+            self.leads[c].append(e)
+        self._slices: dict = {}  # component -> (its slices so far by degree, its walk)
         self._reducers: Optional[_Reducers] = None
         # packed term -> (packed integer remainder, scale) of that term,
         # divided by their content; None for a standard term, which is its
         # own normal form
         self._term_nfs: dict = {}
 
+    @cached_property
+    def gb(self) -> list:
+        rank, nvars, layout = self.pres.rank, self.pres.nvars, self.layout
+        return [FreeElement.from_vec(rank, nvars, _rational(_unpacked(v, layout), 1))
+                for v in self._basis]
+
     def reduce_integral(self, f: dict) -> tuple:
-        """The normal form of the vec f (int or `Fraction` coefficients)
-        against the basis, as (integer vec, positive denominator): the vec
-        divided by the denominator is the remainder of `normal_form` of f.
+        """The normal form of the packed vec f (int or `Fraction`
+        coefficients) against the basis, as (packed integer vec, positive
+        denominator): the vec divided by the denominator is the remainder of
+        `normal_form` of f.
 
         The normal form modulo a Groebner basis is unique, hence linear, so
         it is the sum of c * NF(t) over the terms c * t of f, each NF(t) read
         from the table's memo.
         """
         if self._reducers is None:
-            layout = self.order.layout(self.pres.nvars)
-            self._reducers = _reducers_of([_packed(g.vec(), layout) for g in self.gb], layout)
-        layout = self._reducers.layout
+            self._reducers = _reducers_of(self._basis, self.layout)
         nfs = self._term_nfs
-        rank = self.pres.rank
-        pairs = []
-        for t, c in f.items():
-            if t[0] >= rank:
-                raise ModuleError("rank mismatch between element and basis")
-            u = layout.pack(t)
+        for u in f:
             if u not in nfs:
                 _fill_term_nfs(u, nfs, self._reducers)
-            pairs.append((u, c))
-        acc, denom = _combine(pairs, nfs)
-        return _unpacked(acc, layout), denom
+        return _combine(f.items(), nfs)
 
     def reduce(self, f: dict) -> dict:
-        """The normal form of the vec f against the basis, as a vec of exact
-        rationals: `reduce_integral` divided out."""
-        return _rational(*self.reduce_integral(f))
+        """The normal form of the vec f, on (component, exponent) terms,
+        against the basis, as a vec of exact rationals: `reduce_integral`
+        divided out."""
+        if any(t[0] >= self.pres.rank for t in f):
+            raise ModuleError("rank mismatch between element and basis")
+        return _unpacked(_rational(*self.reduce_integral(_packed(f, self.layout))), self.layout)
 
     def standard_terms(self) -> Optional[list]:
-        """All standard module terms of a finite quotient, or None when some
-        component has infinitely many."""
+        """All standard module terms of a finite quotient, sorted, or None
+        when some component has infinitely many: each component's staircase
+        walked under unit weights."""
         nvars = self.pres.nvars
-        zero_e = tuple([0] * nvars)
-        out = []
-        for comp, leads in enumerate(self.leads):
-            if zero_e in leads:
-                continue
-            box = _component_box(leads, nvars)
-            if box is None:
-                return None
-            out.extend((comp, e) for e in product(*map(range, box)) if _is_standard(leads, e))
-        return out
+        if not all(_finite(leads, nvars) for leads in self.leads):
+            return None
+        unit, zero = (1,) * nvars, (0,) * nvars
+        terms = [t for comp, leads in enumerate(self.leads) if zero not in leads
+                 for level in _staircase(comp, unit, self._lead_terms, self.layout) for t in level]
+        return sorted(map(self.layout.unpack, terms))
 
-    def standard_monomials(self, degree: int):
-        """Standard monomial module terms of the given weighted degree.  The
-        monomials of each distinct degree - shift are enumerated once."""
+    def standard_monomials(self, degree: int) -> list:
+        """The standard terms of the given weighted degree, packed
+        (`layout`), by component and within one in increasing lexicographic
+        order of their exponents."""
         g = self.pres.grading
         if g is None:
             raise ModuleError("graded dimension tables need a grading")
-        monomials: dict = {}
         out = []
-        for comp, leads in enumerate(self.leads):
-            target = degree - g.shifts[comp]
-            monos = monomials.get(target)
-            if monos is None:
-                monos = monomials[target] = monomials_of_weight(self.pres.nvars, g.weights, target)
-            out.extend((comp, e) for e in monos if _is_standard(leads, e))
+        for comp, shift in enumerate(g.shifts):
+            target = degree - shift
+            if target > FIELD_MAX and not _finite(self.leads[comp], self.pres.nvars):
+                raise field_overflow()
+            if comp not in self._slices:
+                walk = _staircase(comp, g.weights, self._lead_terms, self.layout)
+                self._slices[comp] = ([], walk)
+            slices, walk = self._slices[comp]
+            try:
+                slices.extend(islice(walk, max(0, target + 1 - len(slices))))
+            except StabilizationError:
+                del self._slices[comp]  # a walk that raised has ended
+                raise
+            if 0 <= target < len(slices):
+                out.extend(slices[target])
         return out
 
     def dim(self, degree: int) -> int:

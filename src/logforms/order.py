@@ -195,6 +195,12 @@ class TermLayout:
     def component(self, p: int) -> int:
         return (p >> self.comp_shift) & FIELD_MAX
 
+    def exponent(self, p: int, v: int) -> int:
+        """The exponent of variable v in the term p."""
+        if self.ascending:
+            return (p >> (v * _STRIDE)) & FIELD_MAX
+        return FIELD_MAX - ((p >> ((self.nvars - 1 - v) * _STRIDE)) & FIELD_MAX)
+
     def shifts(self, t: int, lead: int) -> tuple:
         """(head shift, tag shift) that multiply a term by x^s, where t is
         x^s times lead, in the same component.  The tag shift leaves out the

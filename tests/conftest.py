@@ -24,14 +24,15 @@ def _rebind(monkeypatch, original, replacement):
 
 @pytest.fixture
 def gb_calls(monkeypatch):
-    """Records the generators of every `groebner_basis` call, through every
-    `logforms` module that binds it."""
+    """Records the generators of every Groebner basis computed from
+    generators: each `groebner_basis` call and each `QuotientTable`, both of
+    which compute it through `groebner._reduced_basis`."""
     calls = []
-    original = groebner.groebner_basis
+    original = groebner._reduced_basis
 
-    def counting(generators, order):
+    def counting(generators, layout, rank):
         calls.append(tuple(generators))
-        return original(generators, order)
+        return original(generators, layout, rank)
 
     _rebind(monkeypatch, original, counting)
     return calls
@@ -102,6 +103,26 @@ def compose(p: Poly, args) -> Poly:
         for a, k in zip(args, e):
             term = term * a ** k
         out = out + term
+    return out
+
+
+def monomials_of_weight(nvars: int, weights, target: int) -> list:
+    """All exponent tuples of the given weighted degree (weights positive),
+    in increasing lexicographic order, by recursion over the variables."""
+    out: list = []
+
+    def rec(i: int, remaining: int, prefix: list):
+        if i == nvars:
+            if remaining == 0:
+                out.append(tuple(prefix))
+            return
+        for a in range(remaining // weights[i] + 1):
+            prefix.append(a)
+            rec(i + 1, remaining - a * weights[i], prefix)
+            prefix.pop()
+
+    if target >= 0:
+        rec(0, target, [])
     return out
 
 

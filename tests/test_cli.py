@@ -281,3 +281,27 @@ def test_torsion_length_default_form_degree_counts_no_parameters():
     record, want = run_job(family), run_job(germ)
     assert record["verdicts"]["form_degree"] == want["verdicts"]["form_degree"] == 2
     assert record["dimensions"] == want["dimensions"]
+
+
+OMEGA_PULLBACK = ('ring { x1, x2, x3 };\nweights ( 1, 1, 1 );\ntarget-ring { w1, w2, w3, w4 };\n'
+                  'target-weights ( 1, 1, 1, 1 );\ntarget-divisor "w1*w2*w3*w4";\n'
+                  'map ( "x1", "x2", "x3", "x1+x2+x3" );\ncommand omega-check;\n'
+                  'option degree-bound 4;\n')
+
+
+@pytest.mark.parametrize("text", [
+    OMEGA_PULLBACK,
+    (JOBS / "torsion_four_planes.job").read_text(),
+    (JOBS / "torsion_lips.job").read_text(),
+    (JOBS / "de_rham_four_planes_afd.job").read_text(),
+], ids=["omega-check", "torsion-four-planes", "torsion-lips", "de-rham-check"])
+def test_pullback_jobs_compose_h_once(text, call_counter):
+    """A pullback job composes the target equation h with the map once: the
+    germ's h o F, which gives the weights, is the one the forms module keeps,
+    and no form equal to h is pulled back again (for normal crossing, the
+    degree-0 logarithmic generator, the Saito determinant, is h itself)."""
+    calls = call_counter("exterior", "pullback")
+    run_job(parse_job(text))
+    h = calls[0][0][0]  # the first form the job pulls back: h, as a 0-form
+    assert h[0] == 0 and len(calls) >= 2
+    assert sum(form == h for forms, *_ in calls for form in forms) == 1

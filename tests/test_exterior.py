@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logforms.exterior import (
+    d_packed,
     d_term,
     ext_d,
     form_basis,
@@ -19,6 +20,7 @@ from logforms.exterior import (
 )
 from logforms.logarithmic import poly_det
 from logforms.module import FreeElement
+from logforms.order import MonomialOrder
 from logforms.poly import Poly
 
 from conftest import compose
@@ -178,6 +180,22 @@ def test_d_image_matches_ext_d(case):
     assert image == leibniz.vec()
     assert all(type(c) is int for c in image.values())
     assert d_vec(n, k + 1, image) == {}
+
+
+@given(monomial_forms(), st.integers(0, 2), st.data())
+@settings(max_examples=150, deadline=None)
+def test_d_packed_is_d_term_packed(case, extra, data):
+    """On the packed terms of wdegrevlex with drawn weights or of lex, over a
+    ring with extra undifferentiated variables, d of a packed term is the
+    packed `d_term`."""
+    n, I, e = case
+    e = e + tuple(data.draw(st.integers(0, 3)) for _ in range(extra))
+    weights = data.draw(st.tuples(*[st.integers(1, 3)] * (n + extra)))
+    order = data.draw(st.sampled_from([MonomialOrder("wdegrevlex", weights), MonomialOrder("lex")]))
+    layout = order.layout(n + extra)
+    pos = form_basis(n, len(I)).index(I)
+    image = d_packed(n, len(I), layout)(layout.pack((pos, e)))
+    assert image == {layout.pack(t): c for t, c in d_term(n, I, e).items()}
 
 
 def test_pullback_of_a_high_power():

@@ -38,7 +38,6 @@ from logforms.groebner import (
     QuotientTable,
     groebner_basis,
     is_member,
-    monomials_of_weight,
     quotient_dimension,
     saturate,
     submodules_equal,
@@ -48,7 +47,7 @@ from logforms.module import FreeElement, Grading, ModulePresentation
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, parse_poly
 
-from conftest import compose
+from conftest import compose, monomials_of_weight
 
 ORD = MonomialOrder()
 
@@ -289,27 +288,35 @@ def test_slices_enumerate_each_slice_once(four_planes_afd, call_counter):
     assert len(calls) == 4 * 9
 
 
-def test_slices_enumerate_each_degree_once_per_slice(four_planes_afd, call_counter):
-    """Within one slice, the monomials of one weighted degree are enumerated
-    once, however many components share that degree shift."""
-    call_counter("groebner", "QuotientTable.standard_monomials")
-    call_counter("groebner", "monomials_of_weight")
+def test_slices_walk_each_level_once(four_planes_afd, monkeypatch):
+    """Each table walks the staircase of each component once, and builds
+    each degree of it once, however many slices ask for it: the slices read
+    the degrees they need from the walk the table keeps."""
+    started, built = [], []
+    walk = groebner._staircase
+
+    def counting(comp, weights, leads, layout):
+        started.append((id(leads), comp))
+        for degree, level in enumerate(walk(comp, weights, leads, layout)):
+            built.append((id(leads), comp, degree))
+            yield level
+
+    monkeypatch.setattr(groebner, "_staircase", counting)
     mods = _four_planes_modules(four_planes_afd, range(0, 4))
     assert de_rham_report_sliced(mods, 8)["all_exact"]
-    # each enumeration belongs to the slice call that started last before it
-    slices = []
-    for name, args in call_counter.log:
-        if name == "monomials_of_weight":
-            slices[-1][0].append(args[2])
-        else:
-            table, degree = args
-            shifts = table.pres.grading.shifts
-            slices.append(([], {degree - s for s in shifts}, len(shifts)))
-    assert len(slices) == 4 * 9
-    for targets, distinct, rank in slices:
-        assert sorted(targets) == sorted(distinct)
-    # the components share shifts, so enumerating per component repeats work
-    assert sum(rank for _, _, rank in slices) > sum(len(t) for t, _, _ in slices)
+    assert len(started) == len(set(started)) == sum(m.rank for m in mods)
+    assert len(built) == len(set(built))
+    # each walk built its degrees in turn from 0, and no further than the
+    # slices of degree up to 8 needed
+    shifts = {(id(m.table()._lead_terms), c): s
+              for m in mods for c, s in enumerate(m.table().pres.grading.shifts)}
+    for key in started:
+        degrees = [d for t, c, d in built if (t, c) == key]
+        assert degrees == list(range(len(degrees)))
+        assert len(degrees) <= 8 - shifts[key] + 1
+    # rebuilding each slice's degrees from 0 would repeat work
+    rebuilt = sum(max(0, degree - s + 1) for s in shifts.values() for degree in range(0, 9))
+    assert len(built) < rebuilt
 
 
 def test_slices_build_one_reducer_table_per_module(nc4, call_counter):
@@ -515,7 +522,7 @@ def test_slice_rank_matches_rational_columns(mods):
     for degree in range(0, 5):
         for k in range(0, n):
             space = LinSpace()
-            for comp, e in slices.basis(k, degree):
+            for comp, e in map(mods[k].table().layout.unpack, slices.basis(k, degree)):
                 col = mods[k + 1].table().reduce(d_term(n, form_basis(n, k)[comp], e))
                 assert all(type(c) is Fraction for c in col.values())
                 space.add(col)

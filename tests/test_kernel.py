@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from operator import add, le, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from logforms.groebner import (
@@ -30,7 +31,7 @@ from logforms.module import INFINITE, FreeElement, Grading, ModulePresentation, 
 from logforms.order import FIELD_MAX, MonomialOrder
 from logforms.poly import Poly, parse_poly
 
-from conftest import mono_key, term_key
+from conftest import mono_key, monomials_of_weight, term_key
 
 N2 = ["x", "y"]
 ORD = MonomialOrder()
@@ -154,7 +155,7 @@ def test_staircase_finite_count_matches_graded_slices(rank, rels, grading):
     p = ModulePresentation(rank, rels, grading=grading)
     for order in (MonomialOrder("wdegrevlex"), MonomialOrder("lex")):
         qt = QuotientTable(p, order)
-        slices = [t for d in range(0, 21) for t in qt.standard_monomials(d)]
+        slices = [qt.layout.unpack(t) for d in range(0, 21) for t in qt.standard_monomials(d)]
         assert sorted(slices) == sorted(qt.standard_terms())
         assert quotient_dimension(p, order) == sum(qt.table(20).values())
 
@@ -363,6 +364,69 @@ def test_quotient_leads_are_the_minimal_reference_leads(case):
     minimal = [sorted({e for e in lst if not any(f != e and mono_divides(f, e) for f in lst)})
                for lst in leads]
     assert [sorted(lst) for lst in qt.leads] == minimal
+
+
+@st.composite
+def _graded_quotients(draw):
+    """A graded presentation in O^rank, rank 1 to 3 over 1 to 4 variables,
+    with drawn weights and shifts and a few homogeneous relations of one or
+    two terms per component (half the time with a pure power of every
+    variable in every component, so the quotient is finite), and
+    wdegrevlex with drawn weights or lex."""
+    rank = draw(st.integers(1, 3))
+    nvars = draw(st.integers(1, 4))
+    weights = draw(st.tuples(*[st.integers(1, 3)] * nvars))
+    shifts = draw(st.tuples(*[st.integers(0, 2)] * rank))
+    relations = []
+    for _ in range(draw(st.integers(0, 5))):
+        degree = draw(st.integers(max(shifts), max(shifts) + 4))
+        entries = []
+        for shift in shifts:
+            monos = monomials_of_weight(nvars, weights, degree - shift)
+            chosen = draw(st.lists(st.sampled_from(monos), max_size=2)) if monos else []
+            entries.append(Poly(nvars, {e: Fraction(draw(st.integers(1, 3))) for e in chosen}))
+        relations.append(FreeElement(entries))
+    if draw(st.booleans()):  # a pure power of every variable in every component
+        for c in range(rank):
+            for i in range(nvars):
+                power = tuple(draw(st.integers(1, 3)) if j == i else 0 for j in range(nvars))
+                relations.append(FreeElement([Poly(nvars, {power: Fraction(1)}) if j == c
+                                              else Poly.zero(nvars) for j in range(rank)]))
+    order_weights = draw(st.tuples(*[st.integers(1, 3)] * nvars))
+    order = draw(st.sampled_from([MonomialOrder("wdegrevlex", order_weights),
+                                  MonomialOrder("lex")]))
+    return ModulePresentation(rank, relations, Grading(weights, shifts), nvars), order
+
+
+@given(_graded_quotients())
+@settings(max_examples=80, deadline=None)
+def test_staircase_walk_matches_the_enumeration(case):
+    """The walked slices are the monomials of each degree that no lead
+    divides, in the order of the enumeration; `standard_terms` lists the
+    standard terms of a finite quotient sorted.  A finite staircase has no
+    terms of degree 40000; an infinite one raises there, above the packed
+    fields' limit."""
+    p, order = case
+    qt = QuotientTable(p, order)
+    g = p.grading
+
+    def standard(comp, monos):
+        return [(comp, e) for e in monos if not any(mono_divides(l, e) for l in qt.leads[comp])]
+
+    for degree in range(0, 13):
+        want = [t for c, s in enumerate(g.shifts)
+                for t in standard(c, monomials_of_weight(p.nvars, g.weights, degree - s))]
+        assert [qt.layout.unpack(t) for t in qt.standard_monomials(degree)] == want
+    terms = qt.standard_terms()
+    event("infinite" if terms is None else "finite")
+    if terms is None:
+        with pytest.raises(StabilizationError):
+            qt.dim(40000)
+    else:
+        box = range(1 + max((max(e, default=0) for ls in qt.leads for e in ls), default=0))
+        assert terms == [t for c in range(p.rank)
+                         for t in standard(c, product(box, repeat=p.nvars))]
+        assert qt.dim(40000) == 0
 
 
 def _naive_normal_form(f, basis, order):
