@@ -16,7 +16,6 @@ from typing import Optional
 from .deformation import (
     DeformationError,
     DeformationSetup,
-    INFINITE_OR_UNSTABLE,
     InducingMap,
     ae_codim_damon,
     ae_normal_space_direct,
@@ -352,11 +351,7 @@ def _cmd_ae_codim(job: JobSpec, opts: dict) -> dict:
     if not job.ring or job.map_text is None or not job.target_ring:
         raise PreconditionError("ae-codim needs 'ring', 'target-ring' and 'map' (the germ)")
     f0 = job.map_polys()
-    cap = opts.get("jet-cap", 20)
-    direct = ae_normal_space_direct(f0, cap=cap)
-    if direct == INFINITE_OR_UNSTABLE:
-        raise StabilizationError(f"jet orders did not stabilise within jet-cap {cap}")
-    routes = {"direct": _fmt_dim(direct)}
+    routes = {"direct": ae_normal_space_direct(f0, cap=opts.get("jet-cap", 20))}
     rec_cert = {}
     agreement = None
     if job.unfolding_discriminant_text is not None and job.inclusion_text is not None:

@@ -23,15 +23,12 @@ from .groebner import (
 )
 from .logarithmic import Divisor, LogBasis, apply_field, derlog_h, euler_field, poly_det
 from .module import INFINITE, FreeElement, ModulePresentation
-from .order import MonomialOrder
+from .order import MonomialOrder, StabilizationError
 from .poly import Poly
 
 
 class DeformationError(ValueError):
     pass
-
-
-INFINITE_OR_UNSTABLE = "INFINITE-OR-UNSTABLE"
 
 
 class InducingMap:
@@ -279,7 +276,8 @@ def ae_normal_space_direct(components: Sequence[Poly], cap: int = 20):
     The target-pullback part is not finitely generated over the source ring,
     so each truncation spans the image of the tangent space inside the jet
     space exactly; the resulting dimensions increase to the true codimension
-    for finite germs and run away for non-finite ones.
+    for finite germs and run away for non-finite ones.  Raises
+    `StabilizationError` when no two consecutive jet orders up to `cap` agree.
     """
     p = len(components)
     if p == 0:
@@ -321,7 +319,7 @@ def ae_normal_space_direct(components: Sequence[Poly], cap: int = 20):
         if prev is not None and c_N == prev:
             return c_N
         prev = c_N
-    return INFINITE_OR_UNSTABLE
+    raise StabilizationError(f"jet orders did not stabilise within jet-cap {cap}")
 
 
 def _component_powers(components: Sequence[Poly], orders: Sequence[int], bound: int):

@@ -4,25 +4,24 @@ Degree-k forms on an n-variable ring are FreeElements of rank C(n, k); the
 component basis is the list of strictly increasing index tuples in
 lexicographic order (dx_I for I = (i_1 < ... < i_k)).
 
-Minors and pullbacks run on an integer core: term dicts {exponent:
-coefficient} whose coefficients are Python ints where the input is integral
-and `Fraction`s where it is not.  Python adds and multiplies ints and
-Fractions exactly with each other, so each result is the exact rational one,
-and a rational input keeps its denominators; `Poly` (whose coefficients are
-all Fractions) is built only for a result handed back.  A minor table and
-the memo of composed monomials that `pullback` keeps live for one table or
-one call, never longer.
+The arithmetic is the term-dict layer of `poly` (`_add_product`,
+`_add_scaled`, `_derivative_terms`): each entry of a wedge, contraction or
+derivative is built in one dict.  Minors and pullbacks run it on int
+coefficients where the input is integral (`_integer_terms`) and on
+`Fraction`s where it is not, so a rational input keeps its denominators;
+`Poly` (whose coefficients are all Fractions) is built only for a result
+handed back.  A minor table and the memo of composed monomials that
+`pullback` keeps live for one table or one call, never longer.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from operator import add
 from typing import Sequence
 
 from .module import FreeElement, ModuleError
-from .poly import Poly
+from .poly import Poly, _add_product, _add_scaled, _derivative_terms, _integer_terms
 
 
 @lru_cache(maxsize=None)
@@ -61,27 +60,18 @@ def wedge(n: int, ka: int, a: FreeElement, kb: int, b: FreeElement) -> FreeEleme
     nv = a.nvars
     if k > n:
         return zero_form(n, k, nv)
-    basis_a = form_basis(n, ka)
     basis_b = form_basis(n, kb)
     idx = form_index(n, k)
-    out = [Poly.zero(nv) for _ in range(form_rank(n, k))]
-    for pa, I in enumerate(basis_a):
-        ca = a.entries[pa]
-        if ca.is_zero():
+    out = [{} for _ in range(form_rank(n, k))]
+    for I, ca in zip(form_basis(n, ka), a.entries):
+        if not ca.terms:
             continue
-        for pb, J in enumerate(basis_b):
-            cb = b.entries[pb]
-            if cb.is_zero():
-                continue
-            sign, merged = merge_sign(I, J)
-            if sign is None:
-                continue
-            term = ca * cb
-            if sign < 0:
-                term = -term
-            pos = idx[merged]
-            out[pos] = out[pos] + term
-    return FreeElement(out)
+        for J, cb in zip(basis_b, b.entries):
+            if cb.terms:
+                sign, merged = merge_sign(I, J)
+                if sign is not None:
+                    _add_product(out[idx[merged]], ca.terms, cb.terms, sign)
+    return FreeElement([Poly(nv, t) for t in out])
 
 
 @lru_cache(maxsize=None)
@@ -132,54 +122,15 @@ def contract(n: int, k: int, field: FreeElement, a: FreeElement) -> FreeElement:
     nv = a.nvars
     if k == 0:
         return FreeElement.zero(1, nv)
-    basis = form_basis(n, k)
     idx = form_index(n, k - 1)
-    out = [Poly.zero(nv) for _ in range(form_rank(n, k - 1))]
-    for pos, I in enumerate(basis):
-        c = a.entries[pos]
-        if c.is_zero():
+    out = [{} for _ in range(form_rank(n, k - 1))]
+    for I, c in zip(form_basis(n, k), a.entries):
+        if not c.terms:
             continue
         for p, i in enumerate(I):
-            coeff = field.entries[i]
-            if coeff.is_zero():
-                continue
-            rest = I[:p] + I[p + 1:]
-            term = c * coeff
-            if p % 2 == 1:
-                term = -term
-            out[idx[rest]] = out[idx[rest]] + term
-    return FreeElement(out)
-
-
-def _integer_terms(p: Poly) -> dict:
-    """The terms of p, each integral coefficient as an int and any other as
-    its `Fraction`."""
-    return {e: c.numerator if c.denominator == 1 else c for e, c in p.terms.items()}
-
-
-def _add_product(out: dict, a: dict, b: dict, scale=1) -> dict:
-    """out += scale * a * b on term dicts, dropping cancelled terms; returns out."""
-    for e1, c1 in a.items():
-        c1 *= scale
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return out
-
-
-def _add_scaled(out: dict, scale, b: dict) -> None:
-    """out += scale * b on dicts of terms (or of vec entries), dropping
-    cancelled terms."""
-    for e, c in b.items():
-        s = out.get(e, 0) + scale * c
-        if s:
-            out[e] = s
-        else:
-            del out[e]
+            _add_product(out[idx[I[:p] + I[p + 1:]]], c.terms, field.entries[i].terms,
+                         -1 if p % 2 else 1)
+    return FreeElement([Poly(nv, t) for t in out])
 
 
 def _minor_terms(matrix: Sequence[Sequence[dict]], nvars: int):
@@ -278,15 +229,6 @@ def pullback(forms: Sequence[tuple], components: Sequence[Poly], source_n: int) 
             for q, I in enumerate(source_basis):
                 _add_product(pulled[q], cf, minor(J, I))
         out.append(FreeElement([Poly(nv, t) for t in pulled]))
-    return out
-
-
-def _derivative_terms(terms: dict, v: int) -> dict:
-    """d/dx_v of a term dict."""
-    out = {}
-    for e, c in terms.items():
-        if e[v]:
-            out[e[:v] + (e[v] - 1,) + e[v + 1:]] = c * e[v]
     return out
 
 

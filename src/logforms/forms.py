@@ -8,6 +8,7 @@ and additionally the parameter differentials in the relative case.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence
 
@@ -91,6 +92,13 @@ class CheckedFormsModule:
         return MonomialOrder("wdegrevlex", (1,) * self.nvars)
 
     def grading(self) -> Optional[Grading]:
+        """The grading by the weights, each dx_I shifted by its weight; None
+        without positive weights or when a relation is not homogeneous for
+        it.  Checked once per module, like its table."""
+        return self._grading
+
+    @cached_property
+    def _grading(self) -> Optional[Grading]:
         if self.weights is None or any(w <= 0 for w in self.weights):
             return None
         shifts = [sum(self.weights[i] for i in I) for I in form_basis(self.n, self.k)]

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .module import INFINITE, FreeElement, Grading, ModulePresentation, ModuleError
 from .order import (FIELD_MAX, MonomialOrder, StabilizationError, TermLayout, field_overflow,
                     mono_lcm)
-from .poly import Poly
+from .poly import Poly, _integral, _normalize
 
 
 # ---------------------------------------------------------------------------
@@ -46,38 +46,12 @@ def _unpacked(vec: dict, layout: TermLayout) -> dict:
     return {unpack(t): c for t, c in vec.items()}
 
 
-def _integral(vec: dict):
-    """(D * vec, D) for the least positive D that makes every coefficient of
-    a rational vec an integer: how a value enters the kernel."""
-    denom = 1
-    for c in vec.values():
-        d = c.denominator
-        if d != 1:
-            denom = denom * d // int_gcd(denom, d)
-    return {t: c.numerator * (denom // c.denominator) for t, c in vec.items()}, denom
-
-
 def _rational(vec: dict, denom: int) -> dict:
     """The integer vec divided by denom, as exact `Fraction`s: how a value
     leaves the kernel."""
     if denom == 1:
         return {t: Fraction(c) for t, c in vec.items()}
     return {t: Fraction(c, denom) for t, c in vec.items()}
-
-
-def _normalize(vec: dict, lc: int) -> dict:
-    """Divide an integer vec by its content, so its coefficients are coprime
-    integers and the lead coefficient (`lc`, the current one) is positive."""
-    content = 0
-    for c in vec.values():
-        content = int_gcd(content, c)
-        if content == 1:
-            break
-    if lc < 0:
-        content = -content
-    if content == 1:
-        return vec
-    return {t: c // content for t, c in vec.items()}
 
 
 class _Reducers:

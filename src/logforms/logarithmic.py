@@ -20,6 +20,9 @@ from .order import MonomialOrder
 from .poly import (
     Poly,
     PolyError,
+    _add_product,
+    _derivative_terms,
+    _integer_terms,
     is_squarefree,
     poly_exact_div,
     quasihomogeneous_weights,
@@ -153,13 +156,13 @@ class FreenessVerdict:
 
 
 def apply_field(field: FreeElement, f: Poly) -> Poly:
-    """chi(f) = sum of coefficients times partial derivatives."""
-    out = Poly.zero(f.nvars)
-    for i in range(field.rank):
-        a = field.entries[i]
-        if not a.is_zero():
-            out = out + a * f.derivative(i)
-    return out
+    """chi(f) = sum of coefficients times partial derivatives, summed in one
+    term dict on int coefficients where the input is integral."""
+    terms = _integer_terms(f)
+    out: dict = {}
+    for i, a in enumerate(field.entries):
+        _add_product(out, _integer_terms(a), _derivative_terms(terms, i))
+    return Poly(f.nvars, out)
 
 
 def _derlog_columns(h: Poly) -> list:
@@ -227,22 +230,22 @@ def saito_check(d: Divisor, candidates: Sequence[FreeElement]):
     for j, chi in enumerate(candidates):
         if chi.rank != n:
             return None, f"field {j} has rank {chi.rank}, expected {n}"
-        val = apply_field(chi, d.h)
         try:
-            witnesses.append(poly_exact_div(val, d.h) if not val.is_zero() else Poly.zero(n))
+            witnesses.append(poly_exact_div(apply_field(chi, d.h), d.h))
         except PolyError:
             return None, f"field {j} is not logarithmic: chi(h) is not a multiple of h"
     theta_rows = [[candidates[j].entries[i] for j in range(n)] for i in range(n)]
     det = poly_det(theta_rows)
     if det.is_zero():
         return None, "determinant of the coefficient matrix vanishes"
-    try:
-        quot = poly_exact_div(det, d.h)
-    except PolyError:
-        return None, "determinant is not a multiple of h"
-    if not quot.is_constant() or quot.is_zero():
-        return None, "determinant over h is not a nonzero constant"
-    unit = quot.constant_value()
+    # With lc the coefficient at the lex-largest exponent, det = c * h for a
+    # constant c exactly when det == (lc(det) / lc(h)) * h: if det = c * h,
+    # the lex-largest exponents agree and lc(det) = c * lc(h); the converse is
+    # the equation itself.  The unit is nonzero because det is.
+    h = d.h
+    unit = det.terms[max(det.terms)] / h.terms[max(h.terms)]
+    if det != h.scale(unit):
+        return None, "determinant is not a nonzero constant times h"
     return LogBasis(d, [list(c.entries) for c in candidates], unit, witnesses), None
 
 
@@ -258,10 +261,14 @@ def _canonical_field_order(fields: list, order: MonomialOrder) -> list:
 
 def _positive_certificate(d: Divisor, fields: list):
     """`saito_check` of the fields, with the first field negated when the
-    certificate's unit comes out negative, so the unit is positive."""
+    certificate's unit comes out negative, so the unit is positive.  Negating
+    a field negates its witness chi(h) / h and its column of the determinant,
+    so the certificate is negated in place rather than checked again."""
     basis, reason = saito_check(d, fields)
     if basis is not None and basis.unit < 0:
-        basis, reason = saito_check(d, [-fields[0]] + fields[1:])
+        basis.theta[0] = [-c for c in basis.theta[0]]
+        basis.witnesses[0] = -basis.witnesses[0]
+        basis.unit = -basis.unit
     return basis, reason
 
 

@@ -1,8 +1,18 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials over exact rationals, and the one layer
+of exact term-dict arithmetic that every module shares.
 
-Every coefficient is a `fractions.Fraction`; there is no floating point
-anywhere in the package.  Exponent vectors are tuples of non-negative
-integers, one entry per ambient variable.
+Every coefficient of a `Poly` is a `fractions.Fraction`; there is no
+floating point anywhere in the package.  Exponent vectors are tuples of
+non-negative integers, one entry per ambient variable.
+
+Below `Poly` sit the term-dict helpers: `_add_scaled`, `_add_product` and
+`_derivative_terms` add, multiply and differentiate dicts {key: coefficient}
+in place or into one new dict, and `_integral` and `_normalize` clear
+denominators and content.  Their coefficients may be ints, `Fraction`s or a
+mix (Python adds and multiplies them exactly with each other), so minors,
+pullbacks, `apply_field` and the Groebner kernel run them on ints where the
+input is integral, while `Poly`'s operators, wedges and contractions run
+them on `Fraction`s.
 """
 
 from __future__ import annotations
@@ -10,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd as int_gcd
+from operator import add, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -26,6 +37,71 @@ def _as_fraction(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise PolyError(f"coefficient {c!r} is not an exact rational")
+
+
+def _add_scaled(out: dict, scale, b: dict) -> dict:
+    """out += scale * b on term dicts (or vecs), dropping cancelled terms;
+    returns out.  A scale of 1 multiplies nothing: a `Fraction` times 1
+    costs as much as any other product."""
+    one = scale == 1
+    for e, c in b.items():
+        s = out.get(e, 0) + (c if one else scale * c)
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def _add_product(out: dict, a: dict, b: dict, scale=1) -> dict:
+    """out += scale * a * b on term dicts, dropping cancelled terms; returns out."""
+    for e1, c1 in a.items():
+        c1 *= scale
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def _derivative_terms(terms: dict, v: int) -> dict:
+    """d/dx_v of a term dict."""
+    return {e[:v] + (e[v] - 1,) + e[v + 1:]: c * e[v] for e, c in terms.items() if e[v]}
+
+
+def _integer_terms(p: "Poly") -> dict:
+    """The terms of p, each integral coefficient as an int and any other as
+    its `Fraction`."""
+    return {e: c.numerator if c.denominator == 1 else c for e, c in p.terms.items()}
+
+
+def _integral(vec: dict):
+    """(D * vec, D) for the least positive D that makes every coefficient of
+    a rational vec an integer."""
+    denom = 1
+    for c in vec.values():
+        d = c.denominator
+        if d != 1:
+            denom = denom * d // int_gcd(denom, d)
+    return {t: c.numerator * (denom // c.denominator) for t, c in vec.items()}, denom
+
+
+def _normalize(vec: dict, lc: int) -> dict:
+    """Divide an integer vec by its content, so its coefficients are coprime
+    integers and the lead coefficient (`lc`, the current one) is positive."""
+    content = 0
+    for c in vec.values():
+        content = int_gcd(content, c)
+        if content == 1:
+            break
+    if lc < 0:
+        content = -content
+    if content == 1:
+        return vec
+    return {t: c // content for t, c in vec.items()}
 
 
 class Poly:
@@ -101,48 +177,33 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------
 
+    @staticmethod
+    def _of(nvars: int, terms: dict) -> "Poly":
+        """A Poly holding `terms`, nonzero `Fraction`s, as they are."""
+        r = Poly.__new__(Poly)
+        r.nvars, r.terms = nvars, terms
+        return r
+
     def _check(self, other: "Poly"):
         if self.nvars != other.nvars:
             raise PolyError("polynomials live in different rings")
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e, 0) + c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        r = Poly.__new__(Poly)
-        r.nvars, r.terms = self.nvars, t
-        return r
+        return Poly._of(self.nvars, _add_scaled(dict(self.terms), 1, other.terms))
 
     def __neg__(self) -> "Poly":
-        r = Poly.__new__(Poly)
-        r.nvars = self.nvars
-        r.terms = {e: -c for e, c in self.terms.items()}
-        return r
+        return Poly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check(other)
+        return Poly._of(self.nvars, _add_scaled(dict(self.terms), -1, other.terms))
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        t: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = t.get(e, 0) + c1 * c2
-                if s:
-                    t[e] = s
-                else:
-                    t.pop(e, None)
-        r = Poly.__new__(Poly)
-        r.nvars, r.terms = self.nvars, t
-        return r
+        return Poly._of(self.nvars, _add_product({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -150,10 +211,7 @@ class Poly:
         c = _as_fraction(c)
         if c == 0:
             return Poly(self.nvars)
-        r = Poly.__new__(Poly)
-        r.nvars = self.nvars
-        r.terms = {e: c * v for e, v in self.terms.items()}
-        return r
+        return Poly._of(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -176,13 +234,7 @@ class Poly:
     # -- calculus and substitution --------------------------------------
 
     def derivative(self, i: int) -> "Poly":
-        t: dict = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                t[tuple(e2)] = c * e[i]
-        return Poly(self.nvars, t)
+        return Poly._of(self.nvars, _derivative_terms(self.terms, i))
 
     def set_vars_zero(self, indices: Iterable[int]) -> "Poly":
         """Substitute 0 for the given variables (ring unchanged)."""
@@ -202,16 +254,10 @@ class Poly:
         """
         if not self.terms:
             return self, Fraction(1)
-        denom = 1
-        for c in self.terms.values():
-            denom = denom * c.denominator // int_gcd(denom, c.denominator)
-        numer = 0
-        for c in self.terms.values():
-            numer = int_gcd(numer, c.numerator * denom // c.denominator)
         lead = max(self.terms)
-        sign = 1 if self.terms[lead] > 0 else -1
-        content = Fraction(sign * numer, denom)
-        return self.scale(1 / content), content
+        ints, _ = _integral(self.terms)
+        ints = _normalize(ints, ints[lead])
+        return Poly(self.nvars, ints), self.terms[lead] / ints[lead]
 
     # -- formatting ------------------------------------------------------
 
@@ -412,14 +458,10 @@ def _main_variable(f: Poly, g: Poly) -> Optional[int]:
 
 def _univ_coeffs(f: Poly, v: int) -> list:
     """Coefficients of f as a polynomial in variable v (list indexed by power)."""
-    d = f.degree_in(v)
-    coeffs = [Poly.zero(f.nvars) for _ in range(d + 1)]
+    coeffs = [{} for _ in range(f.degree_in(v) + 1)]
     for e, c in f.terms.items():
-        e2 = list(e)
-        k = e2[v]
-        e2[v] = 0
-        coeffs[k] = coeffs[k] + Poly.monomial(f.nvars, e2, c)
-    return coeffs
+        coeffs[e[v]][e[:v] + (0,) + e[v + 1:]] = c
+    return [Poly._of(f.nvars, t) for t in coeffs]
 
 def _pseudo_rem(f: Poly, g: Poly, v: int) -> Poly:
     """Pseudo-remainder of f by g with respect to variable v."""
@@ -494,21 +536,20 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
         raise PolyError("division by zero polynomial")
     if f.is_zero():
         return f
-    # multivariate long division by leading term (lex order); exactness checked
-    q = Poly.zero(f.nvars)
-    r = f
+    # multivariate long division by leading term (lex order), subtracting
+    # c * x^e * g from one remainder dict in place; exactness checked
+    q: dict = {}
+    r = dict(f.terms)
     glead = max(g.terms)
     gc = g.terms[glead]
-    while not r.is_zero():
-        rlead = max(r.terms)
-        e = tuple(a - b for a, b in zip(rlead, glead))
+    while r:
+        rlead = max(r)
+        e = tuple(map(sub, rlead, glead))
         if any(x < 0 for x in e):
             raise PolyError("polynomial division is not exact")
-        c = r.terms[rlead] / gc
-        mono = Poly.monomial(f.nvars, e, c)
-        q = q + mono
-        r = r - mono * g
-    return q
+        c = q[e] = r[rlead] / gc
+        _add_product(r, {e: -c}, g.terms)
+    return Poly._of(f.nvars, q)
 
 
 def squarefree_by_leads(leads: Sequence[tuple], nvars: int) -> bool:
@@ -662,14 +703,8 @@ def quasihomogeneous_weights(h: Poly, allow_zero: bool = False) -> Optional[tupl
         return [w[-c] for c in range(n)]
 
     def lowest_terms(w: list) -> tuple:
-        denom = 1
-        for x in w:
-            denom = denom * x.denominator // int_gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in w]
-        g = 0
-        for x in ints:
-            g = int_gcd(g, x)
-        return tuple(x // g for x in ints)
+        # the weights are at least 0 and not all 0, so 1 stands for a positive lead
+        return tuple(_normalize(_integral(dict(enumerate(w)))[0], 1).values())
 
     m = len(free)
     grid = list(product(*[range(1, 5) for _ in free])) if m <= 4 else [(1,) * m]

@@ -7,7 +7,6 @@ import pytest
 from logforms.deformation import (
     DeformationError,
     DeformationSetup,
-    INFINITE_OR_UNSTABLE,
     InducingMap,
     ae_codim_damon,
     ae_normal_space_direct,
@@ -32,7 +31,7 @@ from logforms.groebner import (
 from logforms.jobio import parse_job
 from logforms.logarithmic import Divisor, derlog_fields, is_free, poly_det
 from logforms.module import INFINITE, FreeElement, ModulePresentation
-from logforms.order import MonomialOrder
+from logforms.order import MonomialOrder, StabilizationError
 from logforms.poly import Poly, parse_poly
 
 ORD = MonomialOrder()
@@ -172,7 +171,8 @@ def test_ae_direct_examples():
     lips = [parse_poly("x", mn), parse_poly("y^3 + x^2*y", mn)]
     assert ae_normal_space_direct(lips) == 1
     unstable = [parse_poly("x", mn), parse_poly("y^3", mn)]
-    assert ae_normal_space_direct(unstable, cap=12) == INFINITE_OR_UNSTABLE
+    with pytest.raises(StabilizationError, match="jet-cap 12"):
+        ae_normal_space_direct(unstable, cap=12)
 
 
 def test_ae_direct_rejects_nonvanishing_germ():

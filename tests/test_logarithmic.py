@@ -1,6 +1,7 @@
 """Tangent-field modules, Saito certificates and logarithmic form generators."""
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,39 @@ def test_saito_idempotence(nc3, calderon, lips_disc):
         again, reason = saito_check(d, basis.fields())
         assert again is not None
         assert again.unit == basis.unit
+
+
+@pytest.mark.parametrize("c", [Fraction(-3, 2), 5])
+def test_saito_unit_scales_with_one_field(nc3, calderon, lips_disc, c):
+    """Scaling one certified field by a constant c multiplies the unit by c;
+    scaling it by a variable leaves a determinant that is a multiple of h
+    but not a constant one."""
+    for d, basis in (nc3, calderon, lips_disc):
+        for j in range(basis.n):
+            fields = basis.fields()
+            scaled, reason = saito_check(d, fields[:j] + [fields[j].scale(c)] + fields[j + 1:])
+            assert reason is None and scaled.unit == c * basis.unit
+            x = Poly.variable(d.nvars, j)
+            none, reason = saito_check(d, fields[:j] + [fields[j].scale(x)] + fields[j + 1:])
+            assert none is None
+            assert reason == "determinant is not a nonzero constant times h"
+
+
+def test_negative_unit_is_negated_in_place(nc3, calderon, lips_disc, call_counter):
+    """A certificate whose unit comes out negative is the Saito check of the
+    fields with the first negated, field by field, after one check only."""
+    checks = call_counter("logarithmic", "saito_check")
+    for d, basis in (nc3, calderon, lips_disc):
+        fields = basis.fields()
+        fields[0] = -fields[0]
+        assert saito_check(d, fields)[0].unit < 0
+        before = len(checks)
+        got, reason = logarithmic._positive_certificate(d, fields)
+        assert reason is None and len(checks) == before + 1
+        want, _ = saito_check(d, [-fields[0]] + fields[1:])
+        assert got.unit == want.unit > 0
+        assert got.theta == want.theta
+        assert got.witnesses == want.witnesses
 
 
 def test_log_forms_top_and_bottom(nc3):

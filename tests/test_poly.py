@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logforms.exterior import pullback
+from logforms.logarithmic import apply_field
 from logforms.module import FreeElement
 from logforms.poly import (
     ParseError,
@@ -250,3 +251,46 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=60, deadline=None)
 def test_format_parse_round_trip(p):
     assert parse_poly(p.format(NAMES), NAMES) == p
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(sympy, syms, p: Poly):
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[s ** a for s, a in zip(syms, e)])
+                       for e, c in p.terms.items()])
+
+
+def _from_sympy(sympy, syms, expr) -> dict:
+    return {e: Fraction(int(c.p), int(c.q))
+            for e, c in sympy.Poly(expr, *syms).as_dict().items()}
+
+
+@given(small_polys(), small_polys(), small_polys())
+@settings(max_examples=80, deadline=None)
+def test_term_dict_arithmetic_matches_sympy(sympy, a, b, c):
+    """+, -, *, derivatives, a vector field applied and exact division agree
+    with sympy's arithmetic, and every coefficient they leave is a
+    `Fraction`.  f = a*b + c is a multiple of b exactly when sympy's division
+    by the one polynomial b (a Groebner basis of (b)) leaves no remainder."""
+    syms = sympy.symbols("x0:3")
+    A, B, C = (_to_sympy(sympy, syms, p) for p in (a, b, c))
+    field = FreeElement([a, b, c])
+    pairs = [(a + b, A + B), (a - b, A - B), (a * b, A * B),
+             (apply_field(field, c), sum(X * sympy.diff(C, s) for X, s in zip((A, B, C), syms)))]
+    pairs += [(a.derivative(i), sympy.diff(A, s)) for i, s in enumerate(syms)]
+    if not b.is_zero():
+        f = a * b + c
+        q, r = sympy.div(A * B + C, B, *syms)
+        if r == 0:
+            pairs.append((poly_exact_div(f, b), q))
+        else:
+            with pytest.raises(PolyError):
+                poly_exact_div(f, b)
+        pairs.append((poly_exact_div(a * b, b), A))
+    for ours, theirs in pairs:
+        assert ours.terms == _from_sympy(sympy, syms, sympy.expand(theirs))
+        assert all(type(x) is Fraction for x in ours.terms.values())
