@@ -55,7 +55,7 @@ from .logarithmic import (
 )
 from .module import INFINITE, FreeElement, ModuleError
 from .order import MonomialOrder
-from .poly import ParseError, Poly, PolyError, quasihomogeneous_weights
+from .poly import Poly, PolyError, quasihomogeneous_weights
 
 SCHEMA = "logforms/1"
 
@@ -91,9 +91,9 @@ def _weighted_divisor(names, h: Poly, given) -> Divisor:
 
 
 def _divisor_from_job(job: JobSpec) -> Divisor:
-    if not job.ring or job.divisor_text is None:
+    if not job.ring or "divisor" not in job.polys:
         raise PreconditionError("this command needs 'ring' and 'divisor'")
-    return _weighted_divisor(job.ring, job.divisor_poly(), job.weights)
+    return _weighted_divisor(job.ring, job.polys["divisor"], job.weights)
 
 
 def _free_basis(d: Divisor, what: str = "divisor") -> LogBasis:
@@ -106,16 +106,16 @@ def _free_basis(d: Divisor, what: str = "divisor") -> LogBasis:
 
 
 def _target_basis(job: JobSpec) -> LogBasis:
-    if not job.target_ring or job.target_divisor_text is None:
+    if not job.target_ring or "target-divisor" not in job.polys:
         raise PreconditionError("this command needs 'target-ring' and 'target-divisor'")
-    return _free_basis(_weighted_divisor(job.target_ring, job.target_divisor_poly(),
+    return _free_basis(_weighted_divisor(job.target_ring, job.polys["target-divisor"],
                                          job.target_weights), "target divisor")
 
 
 def _inducing_map(job: JobSpec) -> InducingMap:
-    if job.map_text is None:
+    if "map" not in job.polys:
         raise PreconditionError("this command needs 'map'")
-    return InducingMap(job.ring, job.target_ring, job.map_polys(),
+    return InducingMap(job.ring, job.target_ring, job.polys["map"],
                        s_indices=tuple(job.param_indices()),
                        t_indices=tuple(job.ext_param_indices()))
 
@@ -168,9 +168,9 @@ def _cmd_derlog(job: JobSpec, opts: dict) -> dict:
 
 def _cmd_saito_check(job: JobSpec, opts: dict) -> dict:
     d = _divisor_from_job(job)
-    if job.fields_text is None:
+    if "fields" not in job.polys:
         raise PreconditionError("saito-check needs 'fields'")
-    candidates = [FreeElement(vec) for vec in job.field_elements()]
+    candidates = [FreeElement(vec) for vec in job.polys["fields"]]
     basis, reason = saito_check(d, candidates)
     rec = {"verdicts": {"saito": "PASS" if basis else "FAIL"},
            "dimensions": {}, "certificates": {},
@@ -185,7 +185,7 @@ def _cmd_saito_check(job: JobSpec, opts: dict) -> dict:
 def _forms_module(job: JobSpec, k: Optional[int]) -> CheckedFormsModule:
     """The forms module of degree k; by default of degree n - 1, n the number
     of variables of the module's own ring (the central germ's, for a map)."""
-    if job.target_divisor_text is not None and job.map_text is not None:
+    if "target-divisor" in job.polys and "map" in job.polys:
         e_basis, imap, h0, weights = _pullback_germ(job)
         k = imap.source_dim - 1 if k is None else k
         return forms_pullback(e_basis, imap.components, imap.source_names, k, weights, h0)
@@ -215,7 +215,7 @@ def _cmd_omega_check(job: JobSpec, opts: dict) -> dict:
 
 def _cmd_de_rham(job: JobSpec, opts: dict) -> dict:
     bound = opts.get("degree-bound", 12)
-    if job.target_divisor_text is not None and job.map_text is not None:
+    if "target-divisor" in job.polys and "map" in job.polys:
         e_basis, imap, h0, weights = _pullback_germ(job)
         n = imap.source_dim
         semi = None if weights else quasihomogeneous_weights(h0, allow_zero=True)
@@ -300,7 +300,7 @@ def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
     routes = {}
     errors = {}
     # de Rham route needs target data and the map
-    if job.target_divisor_text is not None and job.map_text is not None:
+    if "target-divisor" in job.polys and "map" in job.polys:
         e_basis = _target_basis(job)
         imap = _inducing_map(job)
         setup = DeformationSetup(e_basis, imap, weights=job.weights)
@@ -313,7 +313,7 @@ def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
         else:
             errors["derham"] = "no positive weight system"
     # alternating and good-equation routes need the total-space divisor
-    if job.divisor_text is not None and job.params:
+    if "divisor" in job.polys and job.params:
         d = _divisor_from_job(job)
         params = job.param_indices()
         try:
@@ -348,18 +348,17 @@ def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
 
 
 def _cmd_ae_codim(job: JobSpec, opts: dict) -> dict:
-    if not job.ring or job.map_text is None or not job.target_ring:
+    if not job.ring or "map" not in job.polys or not job.target_ring:
         raise PreconditionError("ae-codim needs 'ring', 'target-ring' and 'map' (the germ)")
-    f0 = job.map_polys()
-    routes = {"direct": ae_normal_space_direct(f0, cap=opts.get("jet-cap", 20))}
+    routes = {"direct": ae_normal_space_direct(job.polys["map"], cap=opts.get("jet-cap", 20))}
     rec_cert = {}
     agreement = None
-    if job.unfolding_discriminant_text is not None and job.inclusion_text is not None:
+    if "unfolding-discriminant" in job.polys and "inclusion" in job.polys:
         df_basis = _free_basis(_weighted_divisor(job.unfolding_target,
-                                                 job.unfolding_discriminant_poly(),
+                                                 job.polys["unfolding-discriminant"],
                                                  job.unfolding_weights), "unfolding discriminant")
         rec_cert["discriminant_saito_basis"] = _basis_record(df_basis)
-        incl = InducingMap(job.target_ring, job.unfolding_target, job.inclusion_polys())
+        incl = InducingMap(job.target_ring, job.unfolding_target, job.polys["inclusion"])
         damon = ae_codim_damon(df_basis, incl, weights=job.target_weights,
                                order=opts.get("order"))
         routes["damon"] = _fmt_dim(damon)
@@ -468,7 +467,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
 
@@ -483,7 +482,7 @@ def main(argv: Optional[list] = None) -> int:
             job.command = args.command
         overrides = {k: getattr(args, k.replace("-", "_"), None) for k in OPTION_DOMAINS}
         record = run_job(job, overrides)
-    except (JobError, ParseError) as exc:
+    except JobError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (PreconditionError, DivisorError, DeformationError, FormsError,

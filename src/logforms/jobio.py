@@ -18,9 +18,10 @@ integer or a/b rational coefficients).
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
-from .poly import ParseError, Poly, parse_poly
+from .poly import ParseError, _Tokens, parse_poly
 
 
 # The job language: statement keyword -> (JobSpec attribute, argument shape),
@@ -46,7 +47,7 @@ STATEMENTS = {
 
 # Per list shape: its brackets, the token kind of one item (or the shape of a
 # nested list) and the item's name in error messages.
-_LISTS = {"names": ("{", "}", "word", "identifier"),
+_LISTS = {"names": ("{", "}", "name", "identifier"),
           "ints": ("(", ")", "int", "integer"),
           "strings": ("(", ")", "string", "quoted polynomial"),
           "fields": ("{", "}", "strings", None)}
@@ -65,13 +66,11 @@ _ECHO = {"names": lambda v: "{ " + ", ".join(v) + " }",
          "strings": lambda v: "( " + _quoted(v) + " )",
          "fields": lambda v: "{ " + ", ".join(f"({_quoted(vec)})" for vec in v) + " }"}
 
-# Validation: the name lists, which must not repeat a name; each weights
-# statement with the ring it grades; and each polynomial statement with the
-# ring its polynomials live in, the ring each of its vectors must match in
-# length and the message when one does not (None for a single polynomial),
-# and what one of its polynomials is called in error messages.
-_NAME_LISTS = ("ring", "target-ring", "unfolding-ring", "unfolding-target", "params",
-               "ext-params")
+# Validation: each weights statement with the ring it grades; and each
+# polynomial statement with the ring its polynomials live in, the ring each of
+# its vectors must match in length and the message when one does not (None for
+# a single polynomial), and what one of its polynomials is called in error
+# messages.
 _WEIGHTED = (("weights", "ring"), ("target-weights", "target-ring"),
              ("unfolding-weights", "unfolding-target"))
 _POLYNOMIALS = (
@@ -141,108 +140,25 @@ def check_option(key: str, value, line: int = 0, col: int = 0):
         raise JobError(f"option {key} needs {need}, not {value!r}", line, col)
 
 
-class _JobTokens:
-    def __init__(self, text: str):
-        self.toks: list = []
-        line, col = 1, 1
-        i = 0
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch == "\n":
-                line += 1
-                col = 1
-                i += 1
-                continue
-            if ch.isspace():
-                i += 1
-                col += 1
-                continue
-            if ch == "#":
-                while i < n and text[i] != "\n":
-                    i += 1
-                continue
-            if ch == '"':
-                j = i + 1
-                while j < n and text[j] != '"':
-                    if text[j] == "\n":
-                        raise JobError("unterminated string", line, col)
-                    j += 1
-                if j >= n:
-                    raise JobError("unterminated string", line, col)
-                self.toks.append(("string", text[i + 1:j], line, col))
-                col += j - i + 1
-                i = j + 1
-                continue
-            if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", text[i:j], line, col))
-                col += j - i
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] in "_-"):
-                    j += 1
-                self.toks.append(("word", text[i:j], line, col))
-                col += j - i
-                i = j
-                continue
-            if ch in "{}(),;":
-                self.toks.append((ch, ch, line, col))
-                i += 1
-                col += 1
-                continue
-            raise JobError(f"unexpected character {ch!r}", line, col)
-        self.toks.append(("end", "", line, col))
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind: str):
-        t = self.next()
-        if t[0] != kind:
-            raise JobError(f"expected {kind!r}, found {t[1]!r}", t[2], t[3])
-        return t
+# The job grammar for the tokenizer of `poly`: blanks and comments are
+# skipped, a name may go on with '-', and an int may carry a minus sign.
+_JOB_TOKENS = re.compile(r'(?P<skip>[^\S\n]+|#[^\n]*)|(?P<string>"[^"\n]*")|(?P<unterminated>")'
+                         r"|(?P<int>-?\d+)|(?P<name>[^\W\d][\w-]*)|(?P<op>[{}(),;])|(?P<nl>\n)")
 
 
 class JobSpec:
     """Validated job: one attribute per statement of `STATEMENTS` (a `names`
-    statement defaults to [], any other to None), the command and options."""
+    statement defaults to [], any other to None), the command and options.
+    `polys` holds the parsed polynomials of each polynomial statement given,
+    keyed by its keyword and in its shape: a `Poly` for a string, a list for
+    strings and a list of lists for fields."""
 
     def __init__(self):
         for attr, shape in STATEMENTS.values():
             setattr(self, attr, _default(shape))
+        self.polys: dict = {}
         self.command: Optional[str] = None
         self.options: dict = {}
-
-    # parsed objects -----------------------------------------------------
-
-    def divisor_poly(self) -> Poly:
-        return parse_poly(self.divisor_text, self.ring)
-
-    def target_divisor_poly(self) -> Poly:
-        return parse_poly(self.target_divisor_text, self.target_ring)
-
-    def map_polys(self) -> list:
-        return [parse_poly(t, self.ring) for t in self.map_text]
-
-    def unfolding_discriminant_poly(self) -> Poly:
-        return parse_poly(self.unfolding_discriminant_text, self.unfolding_target)
-
-    def inclusion_polys(self) -> list:
-        return [parse_poly(t, self.target_ring) for t in self.inclusion_text]
-
-    def field_elements(self) -> list:
-        return [[parse_poly(t, self.ring) for t in vec] for vec in self.fields_text]
 
     def param_indices(self) -> list:
         return [self.ring.index(p) for p in self.params]
@@ -268,7 +184,7 @@ class JobSpec:
         return isinstance(other, JobSpec) and self.__dict__ == other.__dict__
 
 
-def _parse_list(toks: _JobTokens, shape: str) -> list:
+def _parse_list(toks: _Tokens, shape: str) -> list:
     """A bracketed list of one shape; the commas between items are optional."""
     opening, closing, item, what = _LISTS[shape]
     toks.expect(opening)
@@ -289,14 +205,14 @@ def _parse_list(toks: _JobTokens, shape: str) -> list:
 
 def parse_job(text: str) -> JobSpec:
     """Parse and validate a job file; raises JobError with line/column."""
-    toks = _JobTokens(text)
+    toks = _Tokens(text, _JOB_TOKENS, JobError)
     job = JobSpec()
     args: dict = {}  # statement keyword -> the tokens of its (last) argument
     while True:
         t = toks.next()
         if t[0] == "end":
             break
-        if t[0] != "word":
+        if t[0] != "name":
             raise JobError(f"expected statement keyword, found {t[1]!r}", t[2], t[3])
         kw = t[1]
         if kw in STATEMENTS:
@@ -307,15 +223,15 @@ def parse_job(text: str) -> JobSpec:
             args[kw] = toks.toks[first:toks.pos]
         elif kw == "command":
             c = toks.next()
-            if c[0] != "word" or c[1] not in COMMANDS:
+            if c[0] != "name" or c[1] not in COMMANDS:
                 raise JobError(f"unknown command {c[1]!r}", c[2], c[3])
             job.command = c[1]
         elif kw == "option":
             k = toks.next()
-            if k[0] != "word":
+            if k[0] != "name":
                 raise JobError(f"unknown option {k[1]!r}", k[2], k[3])
             v = toks.next()
-            if v[0] not in ("int", "word"):
+            if v[0] not in ("int", "name"):
                 raise JobError(f"expected option value, found {v[1]!r}", v[2], v[3])
             value = int(v[1]) if v[0] == "int" else v[1]
             check_option(k[1], value, k[2], k[3])
@@ -337,12 +253,12 @@ def _validate(job: JobSpec, args: dict):
         """Line and column of a name, or of the text of a quoted polynomial,
         in the argument of statement kw."""
         for kind, text, line, col in args[kw]:
-            if text == item and kind in ("word", "string"):
+            if text == item and kind in ("name", "string"):
                 return line, col + (kind == "string")
         return 0, 0
 
-    for kw in _NAME_LISTS:
-        if len(set(arg(kw))) != len(arg(kw)):
+    for kw, (_, shape) in STATEMENTS.items():
+        if shape == "names" and len(set(arg(kw))) != len(arg(kw)):
             raise JobError(f"duplicate variable in {kw}")
     for kw, ring in _WEIGHTED:
         weights = arg(kw)
@@ -359,18 +275,22 @@ def _validate(job: JobSpec, args: dict):
         raise JobError("divisor given without a ring")
     if job.inclusion_text is not None and not job.target_ring:
         raise JobError("inclusion needs a target-ring (the source of the inclusion)")
-    # arity, polynomial syntax and variable scope
+    # arity, polynomial syntax and variable scope; each polynomial is parsed
+    # here, once, onto job.polys
     for kw, ring, arity, arity_message, what in _POLYNOMIALS:
         value = arg(kw)
         if value is None:
             continue
         shape = STATEMENTS[kw][1]
         vectors = value if shape == "fields" else [value] if shape == "strings" else [[value]]
+        parsed = []
         for vec in vectors:
             if arity is not None and len(vec) != len(arg(arity)):
                 raise JobError(arity_message)
+            parsed.append([])
             for txt in vec:
                 try:
-                    parse_poly(txt, arg(ring))
+                    parsed[-1].append(parse_poly(txt, arg(ring)))
                 except ParseError as exc:
                     raise JobError(f"{what}: {exc.message}", *find_pos(kw, txt)) from exc
+        job.polys[kw] = parsed if shape == "fields" else parsed[0] if shape == "strings" else parsed[0][0]

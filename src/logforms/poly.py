@@ -17,6 +17,7 @@ them on `Fraction`s.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import product
 from math import gcd as int_gcd
@@ -303,45 +304,44 @@ class ParseError(ValueError):
         self.col = col
 
 
+# The polynomial grammar, one named group per kind of token.  The tokenizer
+# tries the groups in order at each position: `skip` is dropped, `nl` starts a
+# line, `op` is punctuation, kept with itself as its kind, and any other group
+# names the kind of its token.
+_POLY_TOKENS = re.compile(r"(?P<skip>[^\S\n]+)|(?P<int>\d+)|(?P<name>[^\W\d]\w*)"
+                          r"|(?P<op>[-+*^()/])|(?P<nl>\n)")
+
+
 class _Tokens:
-    def __init__(self, text: str):
+    """The tokens of `text` under one grammar's pattern, each (kind, text,
+    line, column), then an "end" token: the package's one tokenizer, for
+    polynomials and for job files.  A fault raises `error(message, line,
+    column)`: a character no group matches, a name that does not start with
+    a letter or '_' (a word character that is not a decimal digit may also
+    be '²' or '½'), or a match of the group `unterminated`.  An int is a run
+    of decimal digits (what `int()` reads) and a string token holds the text
+    between its quotes."""
+
+    def __init__(self, text: str, pattern=_POLY_TOKENS, error=ParseError):
+        self.error = error
         self.toks: list = []
-        line, col = 1, 1
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "\n":
-                line += 1
-                col = 1
-                i += 1
-                continue
-            if ch.isspace():
-                i += 1
-                col += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", text[i:j], line, col))
-                col += j - i
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(("name", text[i:j], line, col))
-                col += j - i
-                i = j
-                continue
-            if ch in "+-*^()/":
-                self.toks.append((ch, ch, line, col))
-                i += 1
-                col += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        self.toks.append(("end", "", line, col))
+        line, start, pos = 1, 0, 0  # start: the offset of the line's first character
+        while pos < len(text):
+            m = pattern.match(text, pos)
+            kind = m and m.lastgroup
+            ch, col = text[pos], pos - start + 1
+            if not kind or kind == "name" and not (ch.isalpha() or ch == "_"):
+                raise error(f"unexpected character {ch!r}", line, col)
+            tok, pos = m.group(), m.end()
+            if kind == "nl":
+                line, start = line + 1, pos
+            elif kind == "unterminated":
+                raise error("unterminated string", line, col)
+            elif kind == "string":
+                self.toks.append((kind, tok[1:-1], line, col))
+            elif kind != "skip":
+                self.toks.append((tok if kind == "op" else kind, tok, line, col))
+        self.toks.append(("end", "", line, pos - start + 1))
         self.pos = 0
 
     def peek(self):
@@ -352,6 +352,17 @@ class _Tokens:
         self.pos += 1
         return t
 
+    def expect(self, kind: str):
+        t = self.next()
+        if t[0] != kind:
+            raise self.error(f"expected {kind!r}, found {t[1]!r}", t[2], t[3])
+        return t
+
+
+# How deep parentheses may nest: each level costs the recursive descent below
+# four Python frames, and the interpreter allows about a thousand.
+_MAX_NESTING = 100
+
 
 def parse_poly(text: str, names: Sequence[str]) -> Poly:
     """Parse the package-wide polynomial grammar: + - * ^, parentheses,
@@ -359,6 +370,7 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
     index = {n: i for i, n in enumerate(names)}
     nvars = len(names)
     toks = _Tokens(text)
+    depth = 0  # parentheses open around the current token
 
     def parse_sum() -> Poly:
         kind, _, line, col = toks.peek()
@@ -409,22 +421,31 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
         return p
 
     def parse_atom() -> Poly:
+        nonlocal depth
         kind, val, line, col = toks.next()
+        negate = False
+        while kind == "-":  # a run of unary minus signs, read without recursion
+            negate = not negate
+            kind, val, line, col = toks.next()
         if kind == "int":
-            return Poly.constant(nvars, int(val))
-        if kind == "name":
+            p = Poly.constant(nvars, int(val))
+        elif kind == "name":
             if val not in index:
                 raise ParseError(f"unknown variable {val!r}", line, col)
-            return Poly.variable(nvars, index[val])
-        if kind == "(":
+            p = Poly.variable(nvars, index[val])
+        elif kind == "(":
+            if depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", line, col)
+            depth += 1
             p = parse_sum()
+            depth -= 1
             kind2, _, line2, col2 = toks.next()
             if kind2 != ")":
                 raise ParseError("expected ')'", line2, col2)
-            return p
-        if kind == "-":
-            return -parse_atom()
-        raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", line, col)
+        else:
+            raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input",
+                             line, col)
+        return -p if negate else p
 
     p = parse_sum()
     kind, val, line, col = toks.peek()

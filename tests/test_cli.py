@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from logforms.cli import main, run_job
-from logforms.jobio import STATEMENTS, JobError, parse_job
+from logforms.cli import HANDLERS, main, run_job
+from logforms.jobio import COMMANDS, STATEMENTS, JobError, JobSpec, parse_job
 from logforms.order import FIELD_MAX
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
@@ -208,6 +210,11 @@ JOB_ERRORS = [
      (2, 10)),
     ("ext-params-name-in-other-name", "ring { xs };\next-params { xs, s };",
      "parameter 's' is not a ring variable", (2, 18)),
+    ("superscript-exponent", 'ring { x };\ndivisor "x^²";', "divisor: unexpected character '²'",
+     (2, 10)),
+    ("superscript-option", "option degree-bound ²;", "unexpected character '²'", (1, 21)),
+    ("nesting", 'ring { x };\ndivisor "' + "(" * 300 + "x" + ")" * 300 + '";',
+     "divisor: parentheses nested deeper than 100", (2, 10)),
 ]
 
 
@@ -218,6 +225,51 @@ def test_job_error_message_and_position(text, message, position):
         parse_job(text + "\n")
     assert exc.value.message == message
     assert (exc.value.line, exc.value.col) == (position or (0, 0))
+
+
+# Text a mutation inserts into a corpus job: job punctuation, comment and
+# quote marks, numeric characters that are not decimal digits ('²', '½'), one
+# that is ('٣'), a letter beyond ASCII, and runs of '(' deep enough to exhaust
+# a recursive parser.
+_INSERTS = st.one_of(st.text(st.sampled_from('{}(),;#"²½٣é'), min_size=1, max_size=3),
+                     st.integers(1, 400).map(lambda n: "(" * n))
+
+
+@given(st.sampled_from(sorted(JOBS.glob("*.job"))), st.data())
+@settings(max_examples=300, deadline=None)
+def test_parse_job_raises_nothing_but_job_error(jobfile, data):
+    """Each example inserts one text into a corpus job, anywhere or right
+    after a quote mark or an operator, where it lands inside a polynomial
+    more often."""
+    text = jobfile.read_text()
+    after_operator = [i + 1 for i, ch in enumerate(text) if ch in '"*^+-']
+    pos = data.draw(st.one_of(st.integers(0, len(text)), st.sampled_from(after_operator)))
+    mutated = text[:pos] + data.draw(_INSERTS) + text[pos:]
+    try:
+        assert isinstance(parse_job(mutated), JobSpec)
+    except JobError:
+        pass
+
+
+def test_every_command_has_one_handler():
+    assert list(HANDLERS) == list(COMMANDS)
+
+
+def test_each_polynomial_is_parsed_once(call_counter, capsys):
+    """The job layer parses each of the six polynomial strings of the job
+    onto the JobSpec, and the commands read them from there."""
+    calls = call_counter("poly", "parse_poly")
+    assert main(["--input", str(JOBS / "mu_e_four_planes.job")]) == 0
+    assert len(calls) == 6
+
+
+def test_job_file_not_utf8_exits_2(tmp_path, capsys):
+    job = tmp_path / "job.job"
+    job.write_bytes(b'ring { x };\n# \xff\ndivisor "x";\ncommand is-free;\n')
+    assert main(["--input", str(job)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {job}: ")
 
 
 def test_repeated_parameter_is_a_parse_error(tmp_path, capsys):

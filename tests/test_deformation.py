@@ -202,7 +202,7 @@ def test_fitting_reduced_computes_one_basis(gb_calls):
     """The T1 dimension, its standard basis and the normal forms of the
     multiplication by s all come from one Groebner basis."""
     job = parse_job((JOBS / "fitting_four_planes.job").read_text())
-    basis = is_free(Divisor(job.ring, job.divisor_poly(), weights=job.weights)).basis
+    basis = is_free(Divisor(job.ring, job.polys["divisor"], weights=job.weights)).basis
     del gb_calls[:]
     reduced, _, dim = ke_discriminant_reduced(basis, job.param_indices()[0])
     assert reduced and dim == 1

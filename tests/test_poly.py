@@ -60,6 +60,24 @@ def test_parse_error_position():
         P("x + ")
 
 
+def test_parse_reads_decimal_digits_only():
+    """An int is a run of decimal digits, which is what int() reads: '٣' is 3,
+    while '²' and '½' are unexpected characters, never a ValueError."""
+    assert P("٣*x^٢") == P("3*x^2")
+    for text, col in (("x^²", 3), ("½*x", 1), ("x*²", 3), ("2²", 2)):
+        with pytest.raises(ParseError) as exc:
+            P(text)
+        assert (exc.value.message, exc.value.col) == (f"unexpected character {text[col - 1]!r}", col)
+
+
+def test_parse_nesting_is_bounded_and_unary_minus_iterative():
+    assert P("-" * 1201 + "x") == -P("x")
+    assert P("(" * 100 + "x" + ")" * 100) == P("x")
+    with pytest.raises(ParseError) as exc:
+        P("(" * 101 + "x" + ")" * 101)
+    assert (exc.value.message, exc.value.col) == ("parentheses nested deeper than 100", 101)
+
+
 def test_arithmetic_is_exact():
     p = P("x + 1/3")
     q = p * p * p
