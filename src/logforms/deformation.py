@@ -11,9 +11,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from operator import mul
 from typing import Optional, Sequence
 
-from .forms import cokernel_slice_dims, forms_pullback_degrees, stabilized_sum
+from .forms import (
+    CheckedFormsModule,
+    cokernel_slice_dims,
+    forms_pullback_degrees,
+    stabilized_sum,
+)
 from .exterior import minor_table, pullback
 from .groebner import (
     LinSpace,
@@ -238,9 +244,67 @@ def mu_e_good_equation(d: Divisor, param_indices: Sequence[int], witness: FreeEl
     return quotient_dimension(pres, (order or d.order()).with_nvars(nv))
 
 
+def cartan_stop_degree(components: Sequence[Poly], weights: Sequence[int], h: Poly,
+                       top: CheckedFormsModule) -> Optional[int]:
+    """A weighted degree D above which every cokernel slice of d into the
+    top level of `mu_e_derham` vanishes, or None when the proof below does
+    not apply: a component of F is zero or not weighted homogeneous of
+    positive degree, the target equation h is not homogeneous for the
+    degrees (d_c) of the components, the top level is not graded, or O/J is
+    infinite.
+
+    Let the source have n variables of weights w, p = n - 1, E = sum w_i x_i
+    d/dx_i, and R_k the pulled-back relations of level k: the exterior ideal
+    generated by F* of h times the logarithmic forms of the target.  J is
+    the ideal of every coefficient of every level-p relation (homogeneous,
+    since the level is graded), and D is the top weighted degree of its
+    standard terms plus sum(w), or 0 when J is the unit ideal.
+
+    Proof.  Since p = n - 1, r ^ dx_j = +-r_{[n]-j} dx_[n] for a level-p
+    relation r, so J * Omega^n lies in R_p ^ Omega^1.  A homogeneous n-form
+    g dx_[n] of degree delta > D has deg g above the top standard degree,
+    so g lies in J (its normal form, homogeneous of the same degree, is
+    zero); hence R_p ^ Omega^1 holds every n-form of degree delta > D.
+    Each F_c is weighted homogeneous of degree d_c > 0, so
+    i_E F*eta = F*(i_E' eta) with E' = sum d_c y_c d/dy_c.  E' is
+    logarithmic, E'(h) = deg(h) h, because h is homogeneous for the weights
+    (d_c), and contraction by a logarithmic field maps h Omega^j(log D) into
+    h Omega^(j-1)(log D) (Saito, "Theory of logarithmic differential forms
+    and logarithmic vector fields", 1980).  With the Leibniz rule for i_E
+    this gives i_E R_p in R_(p-1) and i_E (R_p ^ Omega^1) in R_p.  Now let
+    omega be a level-p form of degree delta > D (delta > 0 too).  Cartan's
+    formula for the Euler field reads delta omega = L_E omega =
+    d(i_E omega) + i_E d(omega), and d(omega) lies in R_p ^ Omega^1, so
+    i_E d(omega) lies in R_p: the class of omega is d of the class of
+    i_E omega / delta, and the cokernel slice of degree delta is zero (the
+    homotopy Greuel uses for an ICIS, Math. Ann. 214, 1975).
+    """
+    degrees = []
+    for c in components:
+        if c.is_zero() or not c.is_homogeneous(weights) or c.weighted_degree(weights) <= 0:
+            return None
+        degrees.append(c.weighted_degree(weights))
+    if not h.is_homogeneous(degrees) or top.grading() is None:
+        return None
+    coefficients = {c for r in top.relations for c in r.entries if not c.is_zero()}
+    pres = ModulePresentation(1, [FreeElement([c]) for c in coefficients], nvars=top.nvars)
+    terms = QuotientTable(pres, top.order()).standard_terms()
+    if terms is None:
+        return None
+    if not terms:
+        return 0
+    return max(sum(map(mul, e, weights)) for _, e in terms) + sum(weights)
+
+
 def mu_e_derham(setup: DeformationSetup, bound: int = 20, window: int = 4) -> int:
     """Singular Milnor number as the dimension of the top checked forms of the
-    central fibre modulo exact forms, accumulated over weighted-degree slices."""
+    central fibre modulo exact forms, accumulated over weighted-degree slices.
+
+    The sum stops at the degree D of `cartan_stop_degree`, proven to bound
+    every nonzero slice, when D <= bound; degrees above D are never sliced.
+    Otherwise (no D, or D > bound) the slices are summed to `bound` and the
+    sum is trusted only if the last `window` of them are zero
+    (`stabilized_sum`), else `StabilizationError`."""
     imap = setup.map.germ()
     if setup.weights is None:
         raise DeformationError("the de Rham route needs positive weights")
@@ -248,6 +312,9 @@ def mu_e_derham(setup: DeformationSetup, bound: int = 20, window: int = 4) -> in
     p = imap.source_dim - 1
     mods = forms_pullback_degrees(setup.e_basis, imap.components, imap.source_names,
                                   (p - 1, p), weights)
+    stop = cartan_stop_degree(imap.components, weights, setup.e_basis.divisor.h, mods[1])
+    if stop is not None and stop <= bound:
+        return sum(cokernel_slice_dims(mods, p, stop).values())
     table = cokernel_slice_dims(mods, p, bound)
     return stabilized_sum(table, bound, window)
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,19 @@ def test_cli_parse_error_exit_code(tmp_path):
     proc = _cli("--input", str(bad))
     assert proc.returncode == 2
     assert "unknown variable" in proc.stderr
+
+
+def test_cli_rejects_a_power_too_large_to_expand(tmp_path):
+    """(x+y+z)^200 has 20301 terms: the job exits 2 before it is multiplied
+    out (it never finished before the bound)."""
+    job = tmp_path / "power.job"
+    job.write_text('ring { x, y, z };\ndivisor "(x+y+z)^200";\ncommand is-free;\n')
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "logforms.cli", "--input", str(job)],
+                          capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2
+    assert "power may expand to more than 1000 terms" in proc.stderr
 
 
 def test_cli_precondition_exit_code(tmp_path):
@@ -215,6 +229,8 @@ JOB_ERRORS = [
     ("superscript-option", "option degree-bound ²;", "unexpected character '²'", (1, 21)),
     ("nesting", 'ring { x };\ndivisor "' + "(" * 300 + "x" + ")" * 300 + '";',
      "divisor: parentheses nested deeper than 100", (2, 10)),
+    ("power", 'ring { x, y, z };\ndivisor "(x+y+z)^200";',
+     "divisor: power may expand to more than 1000 terms", (2, 10)),
 ]
 
 

@@ -1,8 +1,13 @@
 """Normal spaces, relative T1, singular Milnor number routes, map germs."""
 
+from functools import cache
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logforms.deformation import (
     DeformationError,
@@ -10,6 +15,7 @@ from logforms.deformation import (
     InducingMap,
     ae_codim_damon,
     ae_normal_space_direct,
+    cartan_stop_degree,
     good_equation_witness,
     jacobian_columns,
     ke_discriminant_reduced,
@@ -21,7 +27,9 @@ from logforms.deformation import (
     t1_log,
     theta_prime_minors,
 )
+from logforms.forms import cokernel_slice_dims, contraction_well_defined, forms_pullback_degrees
 from logforms.groebner import (
+    LinSpace,
     groebner_basis,
     is_member,
     kernel_of_map,
@@ -29,7 +37,14 @@ from logforms.groebner import (
     submodules_equal,
 )
 from logforms.jobio import parse_job
-from logforms.logarithmic import Divisor, derlog_fields, is_free, poly_det
+from logforms.logarithmic import (
+    Divisor,
+    derlog_fields,
+    euler_field,
+    is_free,
+    poly_det,
+    saito_check,
+)
 from logforms.module import INFINITE, FreeElement, ModulePresentation
 from logforms.order import MonomialOrder, StabilizationError
 from logforms.poly import Poly, parse_poly
@@ -254,14 +269,129 @@ def test_pip_equals_pop(four_planes_family, lips_disc, four_lines_total):
         assert pip == pop
 
 
-def test_mu_derham_vanishes_on_free_pullback(nc2):
-    """A transverse pullback is free and its top cokernel vanishes."""
+def _stop_degree_and_levels(setup: DeformationSetup):
+    """(`cartan_stop_degree`, [level p - 1, level p]) of a set-up, p the
+    source dimension minus one, as `mu_e_derham` computes them."""
+    imap = setup.map.germ()
+    weights = setup.map.germ_weights(setup.weights)
+    p = imap.source_dim - 1
+    mods = forms_pullback_degrees(setup.e_basis, imap.components, imap.source_names,
+                                  (p - 1, p), weights)
+    return cartan_stop_degree(imap.components, weights, setup.e_basis.divisor.h, mods[1]), mods
+
+
+def test_mu_derham_vanishes_on_free_pullback(nc2, call_counter):
+    """A transverse pullback is free and its top cokernel vanishes.  The
+    coefficients of its level-p relations generate the unit ideal, so the
+    stopping degree is 0 and no slice above degree 0 is read."""
     _, basis = nc2
     sn = ["a", "b", "c"]
     comps = [parse_poly("a", sn), parse_poly("b", sn)]
     setup = DeformationSetup(basis, InducingMap(sn, ["x", "y"], comps),
                              weights=(1, 1, 1))
+    assert _stop_degree_and_levels(setup)[0] == 0
+    calls = call_counter("forms", "GradedSlices.basis")
     assert mu_e_derham(setup, bound=8) == 0
+    assert {degree for _, _, degree in calls} == {0}
+
+
+def test_mu_derham_slices_no_degree_above_the_stopping_degree(four_planes_afd, call_counter):
+    """Four generic planes in C^3: J = (coefficients of the level-2
+    relations) has standard terms up to degree 1, so D = 1 + 3 = 4, and
+    the slices of degrees 5..12 are never read."""
+    assert _stop_degree_and_levels(four_planes_afd)[0] == 4
+    calls = call_counter("forms", "GradedSlices.basis")
+    assert mu_e_derham(four_planes_afd, bound=12, window=4) == 1
+    assert max(degree for _, _, degree in calls) == 4
+
+
+@cache
+def _normal_crossing(m: int):
+    """Saito certificate of w1*...*wm: the diagonal fields w_i d/dw_i."""
+    names = [f"w{i + 1}" for i in range(m)]
+    ws = [Poly.variable(m, i) for i in range(m)]
+    h = ws[0]
+    for w in ws[1:]:
+        h = h * w
+    fields = [FreeElement([ws[i] if j == i else Poly.zero(m) for j in range(m)])
+              for i in range(m)]
+    return saito_check(Divisor(names, h, weights=(1,) * m), fields)[0]
+
+
+def _independent(rows) -> bool:
+    space = LinSpace()
+    for r in rows:
+        space.add(dict(enumerate(r)))
+    return space.dim == len(rows)
+
+
+@st.composite
+def generic_arrangements(draw):
+    """(n, m, rows): m linear forms on C^n, n = 2..4, m = n+1..n+3, the
+    first n the coordinates and the rest with coefficients in +-1..3, any n
+    of them independent."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(n + 1, n + 3))
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    coeff = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    while True:
+        rows = unit + draw(st.lists(st.lists(coeff, min_size=n, max_size=n),
+                                    min_size=m - n, max_size=m - n))
+        if all(_independent([rows[i] for i in s]) for s in combinations(range(m), n)):
+            return n, m, rows
+
+
+@given(generic_arrangements())
+@settings(max_examples=60, deadline=None)
+def test_cartan_stop_degree_on_generic_arrangements(arrangement):
+    """On a generic arrangement of m hyperplanes in C^n pulled back from
+    normal crossing, every cokernel slice above the stopping degree D is
+    zero (read up to max(12, D + 3)), the slices sum to C(m-1, n) as
+    `mu_e_derham` does, and contraction by the Euler field maps the level-p
+    relations into the level-(p-1) ones, the lemma D rests on."""
+    n, m, rows = arrangement
+    names = [f"x{i + 1}" for i in range(n)]
+    comps = [Poly(n, {tuple(int(i == j) for j in range(n)): c for i, c in enumerate(r) if c})
+             for r in rows]
+    basis = _normal_crossing(m)
+    setup = DeformationSetup(basis, InducingMap(names, basis.divisor.names, comps),
+                             weights=(1,) * n)
+    stop, mods = _stop_degree_and_levels(setup)
+    assert stop is not None
+    table = cokernel_slice_dims(mods, n - 1, max(12, stop + 3))
+    assert all(v == 0 for degree, v in table.items() if degree > stop)
+    assert sum(table.values()) == comb(m - 1, n) == mu_e_derham(setup, bound=12, window=4)
+    assert contraction_well_defined(mods[1], mods[0], euler_field((1,) * n, n))
+
+
+@pytest.mark.parametrize("comps", [("x", "y", "x+y", "z"), ("x", "y", "x+2*y", "x+y+z")])
+def test_mu_derham_falls_back_on_an_infinite_coefficient_quotient(nc4, comps):
+    """Two non-generic maps C^3 -> C^4: O/J is infinite, so no stopping
+    degree is proven, and the bound and window rule raises as before."""
+    _, e_basis = nc4
+    sn = ["x", "y", "z"]
+    imap = InducingMap(sn, list(e_basis.divisor.names), [parse_poly(c, sn) for c in comps])
+    setup = DeformationSetup(e_basis, imap, weights=(1, 1, 1))
+    assert _stop_degree_and_levels(setup)[0] is None
+    with pytest.raises(StabilizationError,
+                       match="^per-degree contributions did not vanish over the last 4 degrees$"):
+        mu_e_derham(setup, bound=12, window=4)
+
+
+def test_cartan_stop_degree_needs_homogeneous_components(nc4, lips_disc, lips_afd):
+    """No stopping degree for a zero component, a component that is not
+    weighted homogeneous, or an h that is not homogeneous for the degrees of
+    the components.  The window rule still answers where it did."""
+    assert _stop_degree_and_levels(lips_afd)[0] is None  # the U component is zero
+    assert mu_e_derham(lips_afd, bound=12) == 1
+    _, e_basis = nc4
+    sn = ["x", "y", "z"]
+    imap = InducingMap(sn, list(e_basis.divisor.names),
+                       [parse_poly(c, sn) for c in ("x", "y", "z", "x+y+z^2")])
+    assert _stop_degree_and_levels(DeformationSetup(e_basis, imap, weights=(1, 1, 1)))[0] is None
+    _, lips = lips_disc
+    identity = InducingMap(sn, list(lips.divisor.names), [parse_poly(c, sn) for c in sn])
+    assert _stop_degree_and_levels(DeformationSetup(lips, identity, weights=(1, 1, 1)))[0] is None
 
 
 def test_mu_trivial_family_is_zero():

@@ -1,7 +1,8 @@
 """Exact polynomial arithmetic, parsing and quasihomogeneity."""
 
+import time
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,24 @@ def test_parse_nesting_is_bounded_and_unary_minus_iterative():
     with pytest.raises(ParseError) as exc:
         P("(" * 101 + "x" + ")" * 101)
     assert (exc.value.message, exc.value.col) == ("parentheses nested deeper than 100", 101)
+
+
+def test_parse_power_is_bounded_by_its_term_count():
+    """p^e has at most C(e + t - 1, t - 1) terms, t those of p; a power whose
+    bound exceeds 1000 is rejected at its exponent before it is multiplied
+    out.  (x+y+z)^100 took seconds and (x+y+z)^200 minutes before."""
+    start = time.perf_counter()
+    for text, col in (("(x+y)^1000", 7), ("(x+y+z)^44", 9), ("(x+y+z)^200", 9),
+                      ("2*(x+y)^99999999999999999999", 9), ("(x+1)^3000", 7)):
+        with pytest.raises(ParseError) as exc:
+            P(text)
+        assert (exc.value.message, exc.value.col) == ("power may expand to more than 1000 terms", col)
+    assert time.perf_counter() - start < 0.5
+    assert len(P("(x+y)^500").terms) == 501
+    assert len(P("(x+y+z)^12").terms) == comb(14, 2)
+    assert P("x^1500") == Poly.monomial(3, (1500, 0, 0))
+    assert P("(2*x*y)^5000") == Poly.monomial(3, (5000, 5000, 0), 2 ** 5000)
+    assert P("0^5000").is_zero() and P("(x+y)^0") == P("1")
 
 
 def test_arithmetic_is_exact():
