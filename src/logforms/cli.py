@@ -238,7 +238,7 @@ def _cmd_de_rham(job: JobSpec, opts: dict) -> dict:
         raise PreconditionError("de-rham-check needs a weight system (none found)")
     tables = {str(deg): info for deg, info in rep.get("per_degree", {}).items()}
     return {"verdicts": {"all_exact": rep["all_exact"], "mode": rep["mode"],
-                         **({"failure": rep["failure"]} if "failure" in rep else {})},
+                         **{k: rep[k] for k in ("failure", "positive_degrees") if k in rep}},
             "dimensions": {}, "certificates": {}, "tables": {"per_degree": tables},
             "flags": {"certified": _flag(certified)}}
 

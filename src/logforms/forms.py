@@ -19,7 +19,6 @@ from .exterior import (
     form_rank,
     monomial_form,
     pullback,
-    wedge,
     wedge_unit,
 )
 from .groebner import (
@@ -33,7 +32,7 @@ from .groebner import (
     saturate,
     syzygy_module,
 )
-from .logarithmic import LogBasis, apply_field, log_form_generators
+from .logarithmic import LogBasis, apply_field, euler_field, log_form_generators
 from .module import INFINITE, FreeElement, Grading, ModulePresentation
 from .order import MonomialOrder
 from .poly import Poly, PolyError, poly_exact_div
@@ -418,21 +417,39 @@ class GradedSlices:
         return out
 
 
+def _contraction_failure(modules: Sequence[CheckedFormsModule], chi: FreeElement) -> Optional[int]:
+    """The first level k >= 1 whose relations contraction by chi does not map
+    into the relations of level k - 1, or None when every level passes."""
+    return next((k for k in range(1, len(modules))
+                 if not contraction_well_defined(modules[k], modules[k - 1], chi)), None)
+
+
 def de_rham_report_sliced(modules: Sequence[CheckedFormsModule], bound: int) -> dict:
-    """Per-degree exactness report for the augmented complex (positive weights)."""
+    """Per-degree exactness report for the augmented complex C -> M_0 ->
+    ... -> M_n, M_k the level-k forms modulo R_k, under positive weights w.
+
+    Only degree 0 is sliced when the levels are 0..n and contraction by the
+    Euler field E = sum w_i x_i d/dx_i maps each R_k into R_(k-1), checked
+    by exact membership in the lower tables (Saito's contraction lemma for
+    `forms_free`).  Then every positive degree is
+    exact: if w is a k-form of degree delta > 0 with dw in R_(k+1), Cartan's
+    formula delta*w = d(i_E w) + i_E dw, with i_E dw in R_k, makes the class
+    of w the differential of that of i_E w / delta (for k = 0, w itself lies
+    in R_0).  Otherwise degrees 0..bound are sliced, and exactness holds
+    only up to the bound.  `positive_degrees` names the rule used."""
     slices = GradedSlices(modules)
+    n, weights = modules[0].n, modules[0].weights
+    homotopy = ([m.k for m in modules] == list(range(n + 1))
+                and _contraction_failure(modules, euler_field(weights, n)) is None)
     report = {}
-    all_exact = True
-    for degree in range(0, bound + 1):
+    for degree in range(0, 1 if homotopy else bound + 1):
         coh = slices.cohomology_dims(degree)
-        if degree == 0:
-            exact = coh[0] == 1 and all(c == 0 for c in coh[1:])
-        else:
-            exact = all(c == 0 for c in coh)
-        report[degree] = {"cohomology": coh, "exact": exact}
-        if not exact:
-            all_exact = False
-    return {"mode": "slice", "per_degree": report, "all_exact": all_exact}
+        report[degree] = {"cohomology": coh,
+                          "exact": coh == [int(degree == 0)] + [0] * (len(coh) - 1)}
+    return {"mode": "slice", "per_degree": report,
+            "all_exact": all(r["exact"] for r in report.values()),
+            "positive_degrees": ("Euler-field homotopy (contraction checked)" if homotopy
+                                 else f"sliced to degree-bound {bound}")}
 
 
 def de_rham_report_homotopy(modules: Sequence[CheckedFormsModule],
@@ -456,10 +473,9 @@ def de_rham_report_homotopy(modules: Sequence[CheckedFormsModule],
             if len(degs) != 1 or min(degs) <= 0:
                 return {"mode": "homotopy", "all_exact": False,
                         "failure": "relation generator not homogeneous of positive weight"}
-    for k in range(1, len(modules)):
-        if not contraction_well_defined(modules[k], modules[k - 1], chi):
-            return {"mode": "homotopy", "all_exact": False,
-                    "failure": f"contraction does not preserve relations at degree {k}"}
+    if (k := _contraction_failure(modules, chi)) is not None:
+        return {"mode": "homotopy", "all_exact": False,
+                "failure": f"contraction does not preserve relations at degree {k}"}
     report = {degree: {"exact": True, "certificate": "radial-contraction homotopy"}
               for degree in range(0, bound + 1)}
     report[0]["certificate"] = "weight-zero slice is the de Rham complex of the zero-weight variables"
@@ -485,36 +501,3 @@ def stabilized_sum(table: dict, bound: int, window: int):
         raise StabilizationError(
             f"per-degree contributions did not vanish over the last {window} degrees")
     return total
-
-
-def wedge_map_kernel_dims(source: CheckedFormsModule, target: CheckedFormsModule,
-                          wedge_form: FreeElement, wedge_deg: int, bound: int) -> dict:
-    """Per-degree kernel dimensions of (wedge with a fixed form) on slice bases."""
-    n = target.n
-    nv = target.nvars
-    out = {}
-    shift = None
-    unpack, pack = source.table().layout.unpack, target.table().layout.pack
-    for degree in range(0, bound + 1):
-        src = source.table().standard_monomials(degree)
-        if not src:
-            out[degree] = 0
-            continue
-        # weighted degree of the wedge form (homogeneous)
-        if shift is None:
-            degs = wedge_form.weighted_degree(
-                target.weights,
-                [sum(target.weights[i] for i in I) for I in form_basis(n, wedge_deg)])
-            shift = min(degs)
-        terms = set(target.table().standard_monomials(degree + shift))
-        sp = LinSpace()
-        kernel = 0
-        for comp, e in map(unpack, src):
-            I = form_basis(source.n, source.k)[comp] if form_rank(source.n, source.k) else ()
-            f = monomial_form(source.n, source.k, nv, I, Poly.monomial(nv, e))
-            image = wedge(n, wedge_deg, wedge_form, source.k, f).vec()
-            row = _slice_coordinates(target, {pack(t): c for t, c in image.items()}, terms)
-            if not sp.add(row):
-                kernel += 1
-        out[degree] = kernel
-    return out

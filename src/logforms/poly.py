@@ -363,12 +363,25 @@ class _Tokens:
 # four Python frames, and the interpreter allows about a thousand.
 _MAX_NESTING = 100
 
-# How many terms a power may expand to.  A power is multiplied out as it is
-# parsed, and p^e has at most C(e + t - 1, t - 1) terms, t those of p (at
-# least e + 1 when t > 1).  The cost grows with that count and with the size
-# of the coefficients: on a 2-vCPU Xeon VM, (x+y)^999 takes about 2 s,
-# (x+y+z)^43 (990 terms) 0.2 s and (x+y+z)^100 (5151 terms) 7 s.
-_MAX_POWER_TERMS = 1000
+# How many terms a power or a product may expand to.  Both are multiplied out
+# as they are parsed: p^e has at most C(e + t - 1, t - 1) terms, t those of p
+# (at least e + 1 when t > 1), and p*q at most `_product_terms`.  The cost
+# grows with that count and the coefficients: on a 2-vCPU Xeon VM, (x+y)^999
+# takes 2 s, (x+y+z)^43 (990 terms) 0.2 s, (x+y+z)^43*(x+y+z)^43 (3828) 4 s.
+_MAX_TERMS = 1000
+
+
+def _product_terms(p: Poly, q: Poly) -> int:
+    """The lesser of |p|*|q| and the number of monomials in the v variables
+    of p and q with total degree from lo to hi, the sums of the lowest and
+    of the highest degrees of p and q: C(hi + v, v) - C(lo - 1 + v, v)."""
+    pairs = len(p.terms) * len(q.terms)
+    if pairs <= _MAX_TERMS:
+        return pairs
+    degrees = [[sum(e) for e in f.terms] for f in (p, q)]
+    lo, hi = (sum(map(f, degrees)) for f in (min, max))
+    v = sum(any(e[i] for f in (p, q) for e in f.terms) for i in range(p.nvars))
+    return min(pairs, comb(hi + v, v) - comb(lo - 1 + v, v))
 
 
 def parse_poly(text: str, names: Sequence[str]) -> Poly:
@@ -403,7 +416,11 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
             kind, _, line, col = toks.peek()
             if kind == "*":
                 toks.next()
-                p = p * parse_power()
+                q = parse_power()
+                if _product_terms(p, q) > _MAX_TERMS:
+                    raise ParseError(f"product may expand to more than {_MAX_TERMS} terms",
+                                     line, col)
+                p = p * q
             elif kind == "/":
                 toks.next()
                 kind2, val, line2, col2 = toks.next()
@@ -425,8 +442,8 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
             if kind2 != "int":
                 raise ParseError("exponent must be an integer literal", line2, col2)
             e, t = int(val), len(p.terms)
-            if t > 1 and (e >= _MAX_POWER_TERMS or comb(e + t - 1, e) > _MAX_POWER_TERMS):
-                raise ParseError(f"power may expand to more than {_MAX_POWER_TERMS} terms",
+            if t > 1 and (e >= _MAX_TERMS or comb(e + t - 1, e) > _MAX_TERMS):
+                raise ParseError(f"power may expand to more than {_MAX_TERMS} terms",
                                  line2, col2)
             return p ** e
         return p

@@ -2,13 +2,18 @@
 
 import importlib
 import sys
+from functools import cache
+from itertools import combinations
 from operator import mul
 
 import pytest
+from hypothesis import strategies as st
 
 from logforms import groebner
 from logforms.deformation import DeformationSetup, InducingMap
-from logforms.logarithmic import Divisor, FreenessVerdict, is_free
+from logforms.groebner import LinSpace
+from logforms.logarithmic import Divisor, FreenessVerdict, is_free, saito_check
+from logforms.module import FreeElement
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, parse_poly
 
@@ -124,6 +129,42 @@ def monomials_of_weight(nvars: int, weights, target: int) -> list:
     if target >= 0:
         rec(0, target, [])
     return out
+
+
+@cache
+def normal_crossing_basis(m: int):
+    """Saito certificate of w1*...*wm: the diagonal fields w_i d/dw_i."""
+    names = [f"w{i + 1}" for i in range(m)]
+    ws = [Poly.variable(m, i) for i in range(m)]
+    h = ws[0]
+    for w in ws[1:]:
+        h = h * w
+    fields = [FreeElement([ws[i] if j == i else Poly.zero(m) for j in range(m)])
+              for i in range(m)]
+    return saito_check(Divisor(names, h, weights=(1,) * m), fields)[0]
+
+
+def _independent(rows) -> bool:
+    space = LinSpace()
+    for r in rows:
+        space.add(dict(enumerate(r)))
+    return space.dim == len(rows)
+
+
+@st.composite
+def generic_arrangements(draw):
+    """(n, m, rows): m linear forms on C^n, n = 2..4, m = n+1..n+3, the
+    first n the coordinates and the rest with coefficients in +-1..3, any n
+    of them independent."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(n + 1, n + 3))
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    coeff = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    while True:
+        rows = unit + draw(st.lists(st.lists(coeff, min_size=n, max_size=n),
+                                    min_size=m - n, max_size=m - n))
+        if all(_independent([rows[i] for i in s]) for s in combinations(range(m), n)):
+            return n, m, rows
 
 
 def certified(divisor):

@@ -1,13 +1,20 @@
 """The cheapest `derham-slices` and `syzygy-ladder` benchmark cases give their
-known answers, so a wrong answer on the slice route or the Groebner/syzygy
-kernel fails the test suite as well as the benchmark."""
+known answers, the golden records hold every answer the `cli-corpus` workload
+checks, and every benchmark input parses: so a wrong answer on the slice
+route or the Groebner/syzygy kernel, or a record change the benchmark would
+count as a wrong answer, fails the test suite as well as the benchmark."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-CASES = Path(__file__).resolve().parent.parent / "bench" / "cases.py"
+from logforms.jobio import parse_job
+
+ROOT = Path(__file__).resolve().parent.parent
+CASES = ROOT / "bench" / "cases.py"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -40,3 +47,27 @@ def test_derham_slices_known_answer(derham_cases, case_id):
 def test_syzygy_ladder_known_answer(syzygy_cases, case_id):
     case = syzygy_cases[case_id]
     assert case.run() == case.expected
+
+
+def test_golden_records_hold_the_corpus_answers(bench_cases):
+    """Each corpus job's golden record holds every value `cli-corpus`
+    expects of that job, read the way the benchmark reads it."""
+    assert sorted(bench_cases.CORPUS) == sorted(p.stem for p in GOLDEN.glob("*.json"))
+    wrong = {}
+    for stem, expected in bench_cases.CORPUS.items():
+        record = json.loads((GOLDEN / f"{stem}.json").read_text())
+        answer = bench_cases.Job(stem, None, expected).answer(record)
+        if answer != expected:
+            wrong[stem] = answer
+    assert not wrong
+
+
+def test_every_benchmark_input_parses(bench_cases, tmp_path):
+    """Every `cli-corpus` job parses, and so does every reflection
+    arrangement of the ladders (B4 and D4 are the longest products): each a
+    homogeneous product of as many planes as its exponents sum to."""
+    for job in bench_cases.cli_corpus(1, ROOT, tmp_path):
+        parse_job(job.path.read_text())
+    for kind in ("A3", "B3", "D4", "B4", "A4"):
+        h, names, exps = bench_cases._reflection(kind)
+        assert h.is_homogeneous((1,) * len(names)) and h.total_degree() == sum(exps)

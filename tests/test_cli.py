@@ -139,9 +139,12 @@ def test_cli_text_output():
 
 
 def test_cli_flag_overrides_degree_bound():
-    proc = _cli("--input", str(JOBS / "de_rham_plane_pair.job"), "--degree-bound", "4")
+    """The flag takes the place of the job's `option degree-bound 8`: the
+    omega-check table stops at degree 4."""
+    proc = _cli("--input", str(JOBS / "omega_check_normal_crossing.job"), "--degree-bound", "4")
     record = json.loads(proc.stdout)
-    degrees = set(record["tables"]["per_degree"])
+    assert record["options"]["degree-bound"] == 4
+    degrees = set(record["tables"]["graded_dimensions"]["values"])
     assert degrees == {str(d) for d in range(0, 5)}
 
 
@@ -231,6 +234,8 @@ JOB_ERRORS = [
      "divisor: parentheses nested deeper than 100", (2, 10)),
     ("power", 'ring { x, y, z };\ndivisor "(x+y+z)^200";',
      "divisor: power may expand to more than 1000 terms", (2, 10)),
+    ("product", 'ring { x, y, z };\ndivisor "(x+y+z)^43*(x+y+z)^43";',
+     "divisor: product may expand to more than 1000 terms", (2, 10)),
 ]
 
 

@@ -1,13 +1,10 @@
 """Normal spaces, relative T1, singular Milnor number routes, map germs."""
 
-from functools import cache
-from itertools import combinations
 from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from logforms.deformation import (
     DeformationError,
@@ -29,7 +26,6 @@ from logforms.deformation import (
 )
 from logforms.forms import cokernel_slice_dims, contraction_well_defined, forms_pullback_degrees
 from logforms.groebner import (
-    LinSpace,
     groebner_basis,
     is_member,
     kernel_of_map,
@@ -43,11 +39,12 @@ from logforms.logarithmic import (
     euler_field,
     is_free,
     poly_det,
-    saito_check,
 )
 from logforms.module import INFINITE, FreeElement, ModulePresentation
 from logforms.order import MonomialOrder, StabilizationError
 from logforms.poly import Poly, parse_poly
+
+from conftest import generic_arrangements, normal_crossing_basis
 
 ORD = MonomialOrder()
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
@@ -305,42 +302,6 @@ def test_mu_derham_slices_no_degree_above_the_stopping_degree(four_planes_afd, c
     assert max(degree for _, _, degree in calls) == 4
 
 
-@cache
-def _normal_crossing(m: int):
-    """Saito certificate of w1*...*wm: the diagonal fields w_i d/dw_i."""
-    names = [f"w{i + 1}" for i in range(m)]
-    ws = [Poly.variable(m, i) for i in range(m)]
-    h = ws[0]
-    for w in ws[1:]:
-        h = h * w
-    fields = [FreeElement([ws[i] if j == i else Poly.zero(m) for j in range(m)])
-              for i in range(m)]
-    return saito_check(Divisor(names, h, weights=(1,) * m), fields)[0]
-
-
-def _independent(rows) -> bool:
-    space = LinSpace()
-    for r in rows:
-        space.add(dict(enumerate(r)))
-    return space.dim == len(rows)
-
-
-@st.composite
-def generic_arrangements(draw):
-    """(n, m, rows): m linear forms on C^n, n = 2..4, m = n+1..n+3, the
-    first n the coordinates and the rest with coefficients in +-1..3, any n
-    of them independent."""
-    n = draw(st.integers(2, 4))
-    m = draw(st.integers(n + 1, n + 3))
-    unit = [[int(i == j) for j in range(n)] for i in range(n)]
-    coeff = st.sampled_from((-3, -2, -1, 1, 2, 3))
-    while True:
-        rows = unit + draw(st.lists(st.lists(coeff, min_size=n, max_size=n),
-                                    min_size=m - n, max_size=m - n))
-        if all(_independent([rows[i] for i in s]) for s in combinations(range(m), n)):
-            return n, m, rows
-
-
 @given(generic_arrangements())
 @settings(max_examples=60, deadline=None)
 def test_cartan_stop_degree_on_generic_arrangements(arrangement):
@@ -353,7 +314,7 @@ def test_cartan_stop_degree_on_generic_arrangements(arrangement):
     names = [f"x{i + 1}" for i in range(n)]
     comps = [Poly(n, {tuple(int(i == j) for j in range(n)): c for i, c in enumerate(r) if c})
              for r in rows]
-    basis = _normal_crossing(m)
+    basis = normal_crossing_basis(m)
     setup = DeformationSetup(basis, InducingMap(names, basis.divisor.names, comps),
                              weights=(1,) * n)
     stop, mods = _stop_degree_and_levels(setup)

@@ -31,7 +31,6 @@ from logforms.forms import (
     subquotient_dimension,
     torsion_length,
     torsion_saturation,
-    wedge_map_kernel_dims,
 )
 from logforms.groebner import (
     LinSpace,
@@ -47,7 +46,13 @@ from logforms.module import FreeElement, Grading, ModulePresentation
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, parse_poly
 
-from conftest import compose, monomials_of_weight
+from conftest import (
+    certified,
+    compose,
+    generic_arrangements,
+    monomials_of_weight,
+    normal_crossing_basis,
+)
 
 ORD = MonomialOrder()
 
@@ -176,6 +181,105 @@ def _four_planes_modules(setup, ks):
                            weights=setup.weights) for k in ks]
 
 
+def _sliced_to(mods, bound) -> dict:
+    """Every slice of degree 0..bound of the augmented complex, as the
+    report's fallback reads them: the oracle of the report, and the workload
+    of the slice tests below."""
+    slices = GradedSlices(mods)
+    out = {}
+    for degree in range(bound + 1):
+        coh = slices.cohomology_dims(degree)
+        out[degree] = {"cohomology": coh,
+                       "exact": coh == [int(degree == 0)] + [0] * (len(coh) - 1)}
+    return out
+
+
+def _exact_to(mods, bound) -> bool:
+    return all(r["exact"] for r in _sliced_to(mods, bound).values())
+
+
+HOMOTOPY = "Euler-field homotopy (contraction checked)"
+
+REFLECTION = {"A2": "x*y*(x-y)", "B2": "x*y*(x-y)*(x+y)", "A3": "x*y*z*(x-y)*(x-z)*(y-z)",
+              "B3": "x*y*z*(x-y)*(x+y)*(x-z)*(x+z)*(y-z)*(y+z)"}
+
+
+@st.composite
+def graded_complexes(draw):
+    """Levels 0..n of the forms of a reflection arrangement after a
+    unitriangular integer change of coordinates (free: `forms_free`), or of
+    a generic arrangement pulled back from normal crossing
+    (`forms_pullback_degrees`), all with weights 1."""
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(sorted(REFLECTION)))
+        n = int(kind[1])
+        names = ["x", "y", "z"][:n]
+        coords = [Poly(n, {tuple(int(c == j) for c in range(n)):
+                           1 if j == i else draw(st.integers(-2, 2)) for j in range(i, n)})
+                  for i in range(n)]
+        h = compose(parse_poly(REFLECTION[kind], names), coords)
+        basis = certified(Divisor(names, h, weights=(1,) * n))
+        return [forms_free(basis, k) for k in range(n + 1)]
+    n, m, rows = draw(generic_arrangements())
+    names = [f"x{i + 1}" for i in range(n)]
+    comps = [Poly(n, {tuple(int(i == j) for j in range(n)): c for i, c in enumerate(r) if c})
+             for r in rows]
+    return forms_pullback_degrees(normal_crossing_basis(m), comps, names, range(n + 1),
+                                  (1,) * n)
+
+
+@given(graded_complexes())
+@settings(max_examples=40, deadline=None)
+def test_de_rham_report_agrees_with_every_slice(mods):
+    """Contraction by the Euler field maps each relation level into the one
+    below, so the report slices degree 0 alone and proves the rest; the
+    slices it no longer reads are zero in every positive degree."""
+    n = mods[0].n
+    full = _sliced_to(mods, 6)
+    rep = de_rham_report_sliced(mods, 6)
+    chi = euler_field((1,) * n, n)
+    assert all(contraction_well_defined(mods[k], mods[k - 1], chi) for k in range(1, n + 1))
+    assert rep["positive_degrees"] == HOMOTOPY
+    assert rep["per_degree"] == {0: full[0]}
+    assert all(full[degree]["cohomology"] == [0] * (n + 1) for degree in range(1, 7))
+    assert rep["all_exact"] and full[0]["exact"]
+
+
+def test_de_rham_report_reads_no_slice_above_degree_zero(nc4, four_planes_afd, call_counter):
+    """Where the homotopy holds, no slice of positive degree is read."""
+    _, basis = nc4
+    calls = call_counter("forms", "GradedSlices.basis")
+    for mods in ([forms_free(basis, k) for k in range(0, 5)],
+                 _four_planes_modules(four_planes_afd, range(0, 4))):
+        rep = de_rham_report_sliced(mods, 8)
+        assert rep["all_exact"] and rep["positive_degrees"] == HOMOTOPY
+        assert list(rep["per_degree"]) == [0]
+    assert calls and {degree for _, _, degree in calls} == {0}
+
+
+def test_de_rham_report_slices_to_the_bound_where_contraction_fails(four_planes_afd):
+    """R_0 = 0, R_1 = (x dy) and R_2 = every 2-form on C^2, weights (1, 1),
+    make a complex (d(x dy) = dx^dy), but i_E(x dy) = xy is not in R_0 and
+    i_E(dx^dy) = x dy - y dx is not in R_1: the homotopy proves nothing, so
+    every degree up to the bound is sliced.  So is a complex missing its
+    top level."""
+    names, h = ["x", "y"], parse_poly("x*y", ["x", "y"])
+    rels = {0: [], 1: [monomial_form(2, 1, 2, (1,), Poly.variable(2, 0))],
+            2: [monomial_form(2, 2, 2, (0, 1), Poly.constant(2, 1))]}
+    mods = [CheckedFormsModule(names, 2, k, rels[k], h, weights=(1, 1)) for k in range(3)]
+    chi = euler_field((1, 1), 2)
+    assert not contraction_well_defined(mods[1], mods[0], chi)
+    assert not contraction_well_defined(mods[2], mods[1], chi)
+    rep = de_rham_report_sliced(mods, 6)
+    assert rep["positive_degrees"] == "sliced to degree-bound 6"
+    assert rep["per_degree"] == _sliced_to(mods, 6)
+    assert rep["all_exact"]
+    partial = _four_planes_modules(four_planes_afd, range(0, 3))
+    rep = de_rham_report_sliced(partial, 4)
+    assert rep["positive_degrees"] == "sliced to degree-bound 4"
+    assert rep["per_degree"] == _sliced_to(partial, 4)
+
+
 def test_slices_compute_one_basis_per_module(four_planes_afd, gb_calls):
     """A module's one Groebner basis serves both its slice bases and the
     normal forms that land in it."""
@@ -284,7 +388,7 @@ def test_slices_enumerate_each_slice_once(four_planes_afd, call_counter):
     """One staircase enumeration per (module, degree) pair."""
     calls = call_counter("groebner", "QuotientTable.standard_monomials")
     mods = _four_planes_modules(four_planes_afd, range(0, 4))
-    assert de_rham_report_sliced(mods, 8)["all_exact"]
+    assert _exact_to(mods, 8)
     assert len(calls) == 4 * 9
 
 
@@ -303,7 +407,7 @@ def test_slices_walk_each_level_once(four_planes_afd, monkeypatch):
 
     monkeypatch.setattr(groebner, "_staircase", counting)
     mods = _four_planes_modules(four_planes_afd, range(0, 4))
-    assert de_rham_report_sliced(mods, 8)["all_exact"]
+    assert _exact_to(mods, 8)
     assert len(started) == len(set(started)) == sum(m.rank for m in mods)
     assert len(built) == len(set(built))
     # each walk built its degrees in turn from 0, and no further than the
@@ -325,7 +429,7 @@ def test_slices_build_one_reducer_table_per_module(nc4, call_counter):
     _, basis = nc4
     calls = call_counter("groebner", "_reducers_of")
     mods = [forms_free(basis, k) for k in range(0, 5)]
-    assert de_rham_report_sliced(mods, 6)["all_exact"]
+    assert _exact_to(mods, 6)
     # d leaves level 0 into level 1 and so on: levels 1..3 are reduced into;
     # every slice of level 4 is zero, so no column into it is computed
     assert all(mods[4].table().dim(degree) == 0 for degree in range(0, 7))
@@ -358,7 +462,7 @@ def test_slices_reduce_each_term_once(four_planes_afd, call_counter, monkeypatch
         return hit
 
     monkeypatch.setattr(groebner._Reducers, "find", stepping)
-    assert de_rham_report_sliced(mods, 8)["all_exact"]
+    assert _exact_to(mods, 8)
     assert not divisions
     memo = {(qt._reducers, t): nf is not None for qt in tables for t, nf in qt._term_nfs.items()}
     assert len(steps) == len(memo)
@@ -378,8 +482,8 @@ def test_slices_make_no_fraction_round_trip(nc4, four_planes_afd, call_counter):
     _built_tables(free + pulled)
     rational = call_counter("groebner", "_rational")
     integral = call_counter("groebner", "_integral")
-    assert de_rham_report_sliced(free, 6)["all_exact"]
-    assert de_rham_report_sliced(pulled, 8)["all_exact"]
+    assert _exact_to(free, 6)
+    assert _exact_to(pulled, 8)
     assert not rational and not integral
 
 
@@ -605,6 +709,30 @@ def test_pairing_presentation_tables(nc3, four_planes_family):
         assert t_forms == t_image
 
 
+def _wedge_map_kernel_dims(source, target, wedge_form, wedge_deg: int, bound: int) -> dict:
+    """Per-degree kernel dimensions of (wedge with a fixed homogeneous form)
+    on slice bases."""
+    n, nv = target.n, target.nvars
+    shifts = [sum(target.weights[i] for i in I) for I in form_basis(n, wedge_deg)]
+    shift = min(wedge_form.weighted_degree(target.weights, shifts))
+    unpack, pack = source.table().layout.unpack, target.table().layout.pack
+    out = {}
+    for degree in range(0, bound + 1):
+        terms = set(target.table().standard_monomials(degree + shift))
+        sp = LinSpace()
+        kernel = 0
+        for comp, e in map(unpack, source.table().standard_monomials(degree)):
+            f = monomial_form(source.n, source.k, nv, form_basis(source.n, source.k)[comp],
+                              Poly.monomial(nv, e))
+            image = wedge(n, wedge_deg, wedge_form, source.k, f).vec()
+            row = target.table().reduce_integral({pack(t): c for t, c in image.items()})[0]
+            assert row.keys() <= terms
+            if not sp.add(row):
+                kernel += 1
+        out[degree] = kernel
+    return out
+
+
 def test_wedge_injectivity_below_critical_codimension(four_planes_family_map,
                                                       four_planes_family):
     fam = four_planes_family_map
@@ -614,7 +742,7 @@ def test_wedge_injectivity_below_critical_codimension(four_planes_family_map,
         src = forms_relative(fam.e_basis, fam.map.components, fam.map.source_names,
                              [3], k, weights=(1, 1, 1, 1))
         tgt = forms_free(basis, k + 1)
-        kd = wedge_map_kernel_dims(src, tgt, ds, 1, 8)
+        kd = _wedge_map_kernel_dims(src, tgt, ds, 1, 8)
         assert all(v == 0 for v in kd.values())
 
 

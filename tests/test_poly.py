@@ -97,6 +97,28 @@ def test_parse_power_is_bounded_by_its_term_count():
     assert P("0^5000").is_zero() and P("(x+y)^0") == P("1")
 
 
+def test_parse_product_is_bounded_by_its_term_count():
+    """p*q has at most |p|*|q| terms, and no more than the monomials in the
+    variables of p and q whose total degree lies between the sums of their
+    lowest and of their highest degrees; a product whose bound exceeds 1000
+    is rejected at its '*' before it is multiplied out.
+    (x+y+z)^43*(x+y+z)^43 (3828 terms) took 4 s before, and each further
+    factor multiplies the work."""
+    start = time.perf_counter()
+    for text, col in (("(x+y+z)^43*(x+y+z)^43", 11),
+                      ("(x+y+z)^20*(x+y+z)^20*(x+y+z)^20", 22),
+                      ("x^2*(x+y+z)^30*(x+y+z)^12", 15),
+                      ("(x+y+z)^30*(1+x+y+z)^3", 11)):
+        with pytest.raises(ParseError) as exc:
+            P(text)
+        assert (exc.value.message, exc.value.col) == ("product may expand to more than 1000 terms", col)
+    assert time.perf_counter() - start < 3
+    assert len(P("(x+y+z)^20*(x+y+z)^20").terms) == comb(42, 2)
+    assert len(P("(x+y+z)^43*x").terms) == comb(45, 2)
+    assert P("x^1500*(x+y)*y") == P("x^1501*y+x^1500*y^2")
+    assert P("(x+y+z)^20*(x*y*z)^100*0").is_zero()
+
+
 def test_arithmetic_is_exact():
     p = P("x + 1/3")
     q = p * p * p
