@@ -114,13 +114,16 @@ def jacobian_columns(components: Sequence[Poly], source_n: int) -> list:
 
 
 def pulled_field_columns(e_basis: LogBasis, components: Sequence[Poly]) -> list:
-    """The target logarithmic fields composed with the map: the m^2 Saito
-    entries pulled back as 0-forms by one `pullback` call, then grouped back
-    into m columns."""
+    """The target logarithmic fields composed with the map: the nonzero ones
+    of the m^2 Saito entries pulled back as 0-forms by one `pullback` call,
+    a zero entry staying zero, then grouped back into m columns."""
     m = e_basis.n
-    pulled = pullback([(0, FreeElement([a])) for field in e_basis.theta for a in field],
-                      components, 0)
-    return [FreeElement([p.entries[0] for p in pulled[j * m:(j + 1) * m]]) for j in range(m)]
+    entries = [a for field in e_basis.theta for a in field]
+    pulled = iter(pullback([(0, FreeElement([a])) for a in entries if not a.is_zero()],
+                           components, 0))
+    zero = Poly.zero(components[0].nvars)
+    flat = [zero if a.is_zero() else next(pulled).entries[0] for a in entries]
+    return [FreeElement(flat[j * m:(j + 1) * m]) for j in range(m)]
 
 
 def kev_normal_space(setup: DeformationSetup, order: Optional[MonomialOrder] = None):

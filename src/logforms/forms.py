@@ -9,6 +9,7 @@ and additionally the parameter differentials in the relative case.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
 from math import lcm
 from typing import Optional, Sequence
 
@@ -25,10 +26,10 @@ from .groebner import (
     LinSpace,
     QuotientTable,
     StabilizationError,
+    _finite,
+    _staircase,
     groebner_basis,
     is_member,
-    kernel_of_map,
-    quotient_dimension,
     saturate,
     syzygy_module,
 )
@@ -253,15 +254,42 @@ def contraction_well_defined(m: CheckedFormsModule, lower: CheckedFormsModule,
     return all(lower.class_is_zero(contract(m.n, m.k, chi, g)) for g in m.relations)
 
 
-def subquotient_dimension(big_gens: Sequence[FreeElement], small_gens: Sequence[FreeElement],
+def subquotient_dimension(big_gb: Sequence[FreeElement], small_gb: Sequence[FreeElement],
                           order: MonomialOrder, nvars: int):
-    """Dimension of <big>/<small> for nested submodules."""
-    big = [g for g in big_gens if not g.is_zero()]
-    if not big:
-        return 0
-    K = kernel_of_map(big, list(small_gens), order)
-    pres = ModulePresentation(len(big), K, nvars=nvars)
-    return quotient_dimension(pres, order)
+    """dim S/M, or INFINITE, for submodules M of S of one free module O^r,
+    given by their reduced Groebner bases small_gb and big_gb under one
+    global order (as `groebner_basis` and `saturate` return them): read off
+    their lead terms, with no further basis.
+
+    Every lead term of M is one of S, so the standard terms std(S) lie in
+    std(M).  Normal form modulo S maps the span of std(M), which is O^r/M,
+    onto the span of std(S), which is O^r/S, with kernel S/M.  So dim S/M
+    is the number of terms that are lead terms of S but not of M.  Those are
+    the terms b * x^a, b a lead of the basis of S, with x^a standard for the
+    monomial colon (leads of M : b).  They are finitely many exactly when
+    each such colon holds a pure power x_v^(p_v) of every variable
+    (`_finite`), and then none has a total degree above deg b + sum(p_v - 1).
+    So the count is, in each component, the sum over the degrees d up to the
+    greatest such bound of |std_M(d)| - |std_S(d)|, both read from the
+    staircase walk (`_staircase`) under unit weights.  A lead of the basis of
+    S that is a lead term of M is a least one there, hence a lead of the
+    basis of M too: it adds nothing and is skipped."""
+    layout = order.layout(nvars)
+    small, big = ({min(map(layout.pack, g.vec())) for g in gb} for gb in (small_gb, big_gb))
+    exponents: dict = {}  # component -> the lead exponents of M there
+    for c, a in map(layout.unpack, small):
+        exponents.setdefault(c, []).append(a)
+    tops: dict = {}  # component -> the degree no term of S/M lies above
+    for c, b in map(layout.unpack, big - small):
+        colon = [tuple(max(x - y, 0) for x, y in zip(a, b)) for a in exponents.get(c, ())]
+        if not _finite(colon, nvars):
+            return INFINITE
+        powers = [min(a[v] for a in colon if a[v] == sum(a)) for v in range(nvars)]
+        tops[c] = max(tops.get(c, 0), sum(b) + sum(powers) - nvars)
+    unit = (1,) * nvars
+    return sum(len(level) * sign for c, top in tops.items()
+               for leads, sign in ((small, 1), (big, -1))
+               for level in islice(_staircase(c, unit, leads, layout), top + 1))
 
 
 def _primes(count: int) -> list:
@@ -293,12 +321,12 @@ def _torsion(m: CheckedFormsModule) -> tuple:
     gb = groebner_basis(m.relations, order)
     if g is not None:
         sat = saturate(gb, m.rank, [_linear_form(g.weights)], order)
-        length = subquotient_dimension(sat, m.relations, order, nv)
+        length = subquotient_dimension(sat, gb, order, nv)
         if length != INFINITE:
             return sat, length
     variables = [Poly.variable(nv, i) for i in range(nv)]
     sat = saturate(gb, m.rank, variables, order)
-    return sat, subquotient_dimension(sat, m.relations, order, nv)
+    return sat, subquotient_dimension(sat, gb, order, nv)
 
 
 def torsion_length(m: CheckedFormsModule):
@@ -312,14 +340,16 @@ def torsion_saturation(m: CheckedFormsModule) -> list:
 
     For a graded module it is first computed as S = M : l^inf, by the colon
     chain of the one linear form l of `_linear_form`, and certified by the
-    dimension of S/M that `torsion_length` reports anyway.  The certificate:
-    l lies in m, so M : m^inf lies in S.  If dim S/M is finite, then S/M is a
-    graded module (l is homogeneous and M graded) of finite dimension, and
-    under positive weights m raises degrees, so a power of m kills S/M and
-    S lies in M : m^inf; hence S = M : m^inf.  When dim S/M is infinite (l
-    vanishes on a component of the support, as when it is one of the
-    planes), or the module is ungraded, the colon chain of the maximal ideal
-    itself gives the saturation.
+    dimension of S/M that `torsion_length` reports anyway, read off the lead
+    terms of the reduced bases of S and M (`subquotient_dimension`).  The
+    certificate: l lies in m, so M : m^inf lies in S.  If dim S/M is finite,
+    then S/M is a graded module (l is homogeneous and M graded) of finite
+    dimension, and under positive weights m raises degrees, so a power of m
+    kills S/M and S lies in M : m^inf; hence S = M : m^inf.  When dim S/M is
+    infinite (l vanishes on a component of the support, as when it is one of
+    the planes), or the module is ungraded, the colon chain of the maximal
+    ideal itself gives the saturation.  Both chains start from the one basis
+    of M, which both counts read.
     """
     return _torsion(m)[0]
 

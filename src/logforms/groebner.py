@@ -402,13 +402,6 @@ def submodule_contains(gb_big: Sequence[FreeElement], elems: Sequence[FreeElemen
     return all(is_member(e, gb_big, order) for e in elems)
 
 
-def submodules_equal(gens_a: Sequence[FreeElement], gens_b: Sequence[FreeElement],
-                     order: MonomialOrder) -> bool:
-    gba = groebner_basis(gens_a, order)
-    gbb = groebner_basis(gens_b, order)
-    return submodule_contains(gba, gens_b, order) and submodule_contains(gbb, gens_a, order)
-
-
 def _tagged_basis(gens: Sequence[FreeElement], order: MonomialOrder,
                   tags: Optional[Sequence[FreeElement]] = None,
                   plain: Sequence[FreeElement] = ()) -> tuple:

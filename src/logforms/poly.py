@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd as int_gcd
+from math import comb, gcd as int_gcd, lcm
 from operator import add, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -384,6 +384,53 @@ def _product_terms(p: Poly, q: Poly) -> int:
     return min(pairs, comb(hi + v, v) - comb(lo - 1 + v, v))
 
 
+# How much work the products and powers of one polynomial may take to
+# multiply out, in sum: about a second.  Each term pair costs a `Fraction`
+# product and sum, about 5 us on a 2-vCPU Xeon VM with short coefficients and
+# up to three times that with long ones, so a pair counts as 1 + b/1024, b
+# the bits of the numerators and denominators of its two coefficients.
+# (x+y)^500 (0.7 s) costs about 144,000; (x+y)^999 (2.4 s) and
+# (x+y)^500*(x+y)^499 (2.5 s) cost more than the bound.
+_MAX_WORK = 200_000
+
+
+def _work(pairs: int, bits: int) -> int:
+    return pairs + pairs * bits // 1024
+
+
+def _bits(p: Poly) -> int:
+    """The greatest bits of the numerator and the denominator of a
+    coefficient of p."""
+    return max((c.numerator.bit_length() + c.denominator.bit_length()
+                for c in p.terms.values()), default=0)
+
+
+def _power_work(p: Poly, e: int) -> float:
+    """The work of p^e by the repeated squaring of `Poly.__pow__`, bounded
+    from p alone: with t terms, p^k has at most C(k + t - 1, t - 1), and
+    with p = P/D, P integral, each coefficient of p^k is a quotient of a
+    coefficient of P^k, at most |P|_1^k, by D^k, so it has at most
+    k*log2(|P|_1 * D) bits.  In ints throughout, as a monomial's exponent
+    may have hundreds of digits."""
+    t = len(p.terms)
+    if not t:
+        return 0
+    denom = lcm(*(c.denominator for c in p.terms.values()))
+    bits = (sum(abs(c.numerator) * (denom // c.denominator) for c in p.terms.values())
+            * denom - 1).bit_length()
+    work, result, base = 0, 0, 1  # the exponents of result and base
+    while e:
+        if e & 1:
+            work += _work(comb(result + t - 1, t - 1) * comb(base + t - 1, t - 1),
+                          (result + base) * bits)
+            result += base
+        e >>= 1
+        if e:
+            work += _work(comb(base + t - 1, t - 1) ** 2, 2 * base * bits)
+            base *= 2
+    return work
+
+
 def parse_poly(text: str, names: Sequence[str]) -> Poly:
     """Parse the package-wide polynomial grammar: + - * ^, parentheses,
     integer or rational (a/b) coefficients, variables from `names`."""
@@ -391,6 +438,14 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
     nvars = len(names)
     toks = _Tokens(text)
     depth = 0  # parentheses open around the current token
+    spent = 0  # the work of the products and powers multiplied out so far
+
+    def spend(work: int, what: str, line: int, col: int):
+        nonlocal spent
+        spent += work
+        if spent > _MAX_WORK:
+            raise ParseError(f"{what} may take more work to expand than the bound of {_MAX_WORK}",
+                             line, col)
 
     def parse_sum() -> Poly:
         kind, _, line, col = toks.peek()
@@ -420,6 +475,7 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
                 if _product_terms(p, q) > _MAX_TERMS:
                     raise ParseError(f"product may expand to more than {_MAX_TERMS} terms",
                                      line, col)
+                spend(_work(len(p.terms) * len(q.terms), _bits(p) + _bits(q)), "product", line, col)
                 p = p * q
             elif kind == "/":
                 toks.next()
@@ -445,6 +501,7 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
             if t > 1 and (e >= _MAX_TERMS or comb(e + t - 1, e) > _MAX_TERMS):
                 raise ParseError(f"power may expand to more than {_MAX_TERMS} terms",
                                  line2, col2)
+            spend(_power_work(p, e), "power", line2, col2)
             return p ** e
         return p
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from logforms import groebner
 from logforms.deformation import DeformationSetup, InducingMap
-from logforms.groebner import LinSpace
+from logforms.groebner import LinSpace, groebner_basis, submodule_contains
 from logforms.logarithmic import Divisor, FreenessVerdict, is_free, saito_check
 from logforms.module import FreeElement
 from logforms.order import MonomialOrder
@@ -99,6 +99,14 @@ def term_key(order, term: tuple, rank=None):
     return (0, -comp, *mono_key(order, e))
 
 
+def submodules_equal(gens_a, gens_b, order) -> bool:
+    """Whether the two families generate one submodule: each lies in the
+    submodule of the other, read by membership in its Groebner basis."""
+    gba = groebner_basis(gens_a, order)
+    gbb = groebner_basis(gens_b, order)
+    return submodule_contains(gba, gens_b, order) and submodule_contains(gbb, gens_a, order)
+
+
 def compose(p: Poly, args) -> Poly:
     """p with args[i] substituted for variable i, by `Poly` arithmetic."""
     nvars = args[0].nvars
@@ -144,7 +152,7 @@ def normal_crossing_basis(m: int):
     return saito_check(Divisor(names, h, weights=(1,) * m), fields)[0]
 
 
-def _independent(rows) -> bool:
+def independent(rows) -> bool:
     space = LinSpace()
     for r in rows:
         space.add(dict(enumerate(r)))
@@ -163,7 +171,7 @@ def generic_arrangements(draw):
     while True:
         rows = unit + draw(st.lists(st.lists(coeff, min_size=n, max_size=n),
                                     min_size=m - n, max_size=m - n))
-        if all(_independent([rows[i] for i in s]) for s in combinations(range(m), n)):
+        if all(independent([rows[i] for i in s]) for s in combinations(range(m), n)):
             return n, m, rows
 
 

@@ -36,7 +36,7 @@ from logforms.forms import (
     pd_check,
     torsion_length,
 )
-from logforms.groebner import groebner_basis, is_member, submodules_equal, syzygy_module
+from logforms.groebner import groebner_basis, is_member, syzygy_module
 from logforms.jobio import parse_job
 from logforms.logarithmic import (
     Divisor,
@@ -48,6 +48,8 @@ from logforms.logarithmic import (
 from logforms.module import FreeElement
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, parse_poly
+
+from conftest import submodules_equal
 
 ORD = MonomialOrder()
 JOBS = Path(__file__).resolve().parent.parent / "jobs"

@@ -121,6 +121,19 @@ def test_cli_rejects_a_power_too_large_to_expand(tmp_path):
     assert "power may expand to more than 1000 terms" in proc.stderr
 
 
+def test_cli_rejects_a_power_too_costly_to_expand(tmp_path):
+    """(x+y)^999 has 1000 terms, inside the term bound, but took 2.4 s to
+    multiply out: the job exits 2 before it is."""
+    job = tmp_path / "power.job"
+    job.write_text('ring { x, y };\ndivisor "(x+y)^999";\ncommand is-free;\n')
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "logforms.cli", "--input", str(job)],
+                          capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2
+    assert "power may take more work to expand than the bound of 200000" in proc.stderr
+
+
 def test_cli_precondition_exit_code(tmp_path):
     bad = tmp_path / "nonreduced.job"
     bad.write_text('ring { x, y };\ndivisor "x^2*y";\ncommand is-free;\n')

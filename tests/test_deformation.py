@@ -30,7 +30,6 @@ from logforms.groebner import (
     is_member,
     kernel_of_map,
     quotient_dimension,
-    submodules_equal,
 )
 from logforms.jobio import parse_job
 from logforms.logarithmic import (
@@ -44,7 +43,7 @@ from logforms.module import INFINITE, FreeElement, ModulePresentation
 from logforms.order import MonomialOrder, StabilizationError
 from logforms.poly import Poly, parse_poly
 
-from conftest import generic_arrangements, normal_crossing_basis
+from conftest import compose, generic_arrangements, normal_crossing_basis, submodules_equal
 
 ORD = MonomialOrder()
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
@@ -68,6 +67,23 @@ def test_kev_four_planes(four_planes_afd):
 def test_kev_four_lines(four_lines_afd):
     _, dim = kev_normal_space(four_lines_afd)
     assert dim == 3
+
+
+def test_pulled_field_columns_pull_back_the_nonzero_entries(four_planes_afd, lips_disc,
+                                                           lips_inclusion, call_counter):
+    """Each column is a target field composed with the map, its zero entries
+    kept as zeros, and only the nonzero entries go through `pullback`."""
+    calls = call_counter("exterior", "pullback")
+    _, lips_basis = lips_disc
+    for e_basis, comps in ((four_planes_afd.e_basis, four_planes_afd.map.components),
+                           (lips_basis, lips_inclusion.components)):
+        del calls[:]
+        cols = pulled_field_columns(e_basis, comps)
+        assert cols == [FreeElement([compose(a, comps) for a in field]) for field in e_basis.theta]
+        entries = [a for field in e_basis.theta for a in field]
+        nonzero = [a for a in entries if not a.is_zero()]
+        assert len(calls) == 1 and len(nonzero) < len(entries)
+        assert [f.entries[0] for _, f in calls[0][0]] == nonzero
 
 
 def test_t1_trivial_product_family():

@@ -15,6 +15,7 @@ from logforms.forms import (
     CheckedFormsModule,
     FormsError,
     GradedSlices,
+    _linear_form,
     class_is_torsion,
     cokernel_slice_dims,
     contract_class,
@@ -37,12 +38,12 @@ from logforms.groebner import (
     QuotientTable,
     groebner_basis,
     is_member,
+    kernel_of_map,
     quotient_dimension,
     saturate,
-    submodules_equal,
 )
 from logforms.logarithmic import Divisor, euler_field, is_free, log_form_generators, saito_check
-from logforms.module import FreeElement, Grading, ModulePresentation
+from logforms.module import INFINITE, FreeElement, Grading, ModulePresentation
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, parse_poly
 
@@ -50,8 +51,10 @@ from conftest import (
     certified,
     compose,
     generic_arrangements,
+    independent,
     monomials_of_weight,
     normal_crossing_basis,
+    submodules_equal,
 )
 
 ORD = MonomialOrder()
@@ -294,14 +297,13 @@ def test_slices_compute_one_basis_per_module(four_planes_afd, gb_calls):
 
 def test_torsion_saturation_computes_no_basis_twice(four_planes_afd, gb_calls):
     """Every colon step returns a reduced basis, so the chain computes one
-    basis (of its input) and the length one more (of the quotient), each of
-    a new input."""
+    basis (of its input), and the length is read off the leads of that basis
+    and of the saturation's with none more."""
     setup = four_planes_afd
     m = forms_pullback(setup.e_basis, setup.map.components, setup.map.source_names, 2,
                        weights=setup.weights)
     assert torsion_length(m) == 1
-    assert len(gb_calls) == 2
-    assert len(set(gb_calls)) == 2
+    assert len(gb_calls) == 1
 
 
 @lru_cache(maxsize=None)
@@ -331,7 +333,7 @@ def _maximal_ideal_chain(m):
     order = m.order()
     variables = [Poly.variable(m.nvars, i) for i in range(m.nvars)]
     sat = saturate(m.relations, m.rank, variables, order)
-    return sat, subquotient_dimension(sat, m.relations, order, m.nvars)
+    return sat, subquotient_dimension(sat, groebner_basis(m.relations, order), order, m.nvars)
 
 
 def _det3(a, b, c):
@@ -366,13 +368,75 @@ def test_torsion_falls_back_when_the_linear_form_is_a_plane(call_counter):
 
 def test_torsion_chains_start_from_one_basis(gb_calls):
     """When the linear form's saturation is infinite, the maximal ideal's
-    chain starts from the relations' basis the first chain started from:
-    one basis of the relations and one per subquotient length."""
+    chain starts from the relations' basis the first chain started from, and
+    both lengths are read off leads: one basis, of the relations."""
     m = _pulled_back_planes([(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 3, 5)], 2)
     del gb_calls[:]
     assert torsion_length(m) == 1
-    assert len(gb_calls) == 3
-    assert len(set(gb_calls)) == 3
+    assert len(gb_calls) == 1
+
+
+def _kernel_route(big, small, order, nvars):
+    """dim <big>/<small> for nested submodules as the dimension of O^len(big)
+    modulo the kernel of big -> O^rank/<small>: two more Groebner bases (the
+    kernel's and its quotient's), the route the count off the leads
+    replaced, kept as its oracle."""
+    K = kernel_of_map(big, small, order)
+    return quotient_dimension(ModulePresentation(len(big), K, nvars=nvars), order)
+
+
+def _ideal(nvars, *texts):
+    names = ["x", "y", "z"][:nvars]
+    return [FreeElement([parse_poly(t, names)]) for t in texts]
+
+
+def test_lead_gap_count_of_monomial_ideals():
+    """(x^2, y^2) in (x, y^2) leaves x and x*y; (x^2) in (x) leaves x*y^j
+    for every j."""
+    cases = [((2, "x^2", "y^2"), (2, "x", "y^2"), 2), ((2, "x^2"), (2, "x"), INFINITE),
+             ((3, "x^2", "y^2", "z"), (3, "x", "y^2", "z"), 2), ((2, "x^2", "y^3"), (2, "1"), 6)]
+    for (nv, *small), (_, *big), expected in cases:
+        gb_small, gb_big = groebner_basis(_ideal(nv, *small), ORD), groebner_basis(_ideal(nv, *big), ORD)
+        assert subquotient_dimension(gb_big, gb_small, ORD, nv) == expected
+        assert _kernel_route(gb_big, gb_small, ORD, nv) == expected
+    gb = groebner_basis(_ideal(2, "x^2", "y"), ORD)
+    assert subquotient_dimension(gb, gb, ORD, 2) == 0
+
+
+@st.composite
+def _arrangement_modules(draw):
+    """(module, plane): the degree-k forms, k < n, of a generic arrangement in
+    C^2..C^4 pulled back from normal crossing, and whether the linear form
+    of `_linear_form` is one of its planes."""
+    n, m, rows = draw(generic_arrangements())
+    plane = draw(st.booleans())
+    if plane:  # the coefficients of `_linear_form` under unit weights
+        rows = rows + [[2, 3, 5, 7][:n]]
+        assume(all(independent([rows[i] for i in s]) for s in combinations(range(len(rows)), n)))
+    k = draw(st.integers(0, n - 1))
+    names = [f"x{i + 1}" for i in range(n)]
+    comps = [Poly(n, {tuple(int(i == j) for j in range(n)): c for i, c in enumerate(r) if c})
+             for r in rows]
+    return forms_pullback(normal_crossing_basis(len(rows)), comps, names, k, weights=(1,) * n), plane
+
+
+@given(_arrangement_modules())
+@settings(max_examples=25, deadline=None)
+def test_lead_gap_count_matches_the_kernel_route(case):
+    """After the linear form's chain and after the maximal ideal's, the count
+    off the leads of the two bases is the kernel route's dimension; with the
+    linear form a plane of the arrangement, its saturation is infinite over
+    the module on both routes."""
+    m, plane = case
+    order, n = m.order(), m.nvars
+    gb = groebner_basis(m.relations, order)
+    variables = [Poly.variable(n, i) for i in range(n)]
+    for chain in ([_linear_form((1,) * n)], variables):
+        sat = saturate(gb, m.rank, chain, order)
+        length = subquotient_dimension(sat, gb, order, n)
+        assert length == _kernel_route(sat, m.relations, order, n)
+        if plane and len(chain) == 1:
+            assert length == INFINITE
 
 
 def test_ungraded_torsion_takes_the_maximal_ideal_chain(calderon, call_counter):

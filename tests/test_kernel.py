@@ -24,14 +24,13 @@ from logforms.groebner import (
     normal_form,
     normal_form_with_cofactors,
     quotient_dimension,
-    submodules_equal,
     syzygy_module,
 )
 from logforms.module import INFINITE, FreeElement, Grading, ModulePresentation, ModuleError
 from logforms.order import FIELD_MAX, MonomialOrder
 from logforms.poly import Poly, parse_poly
 
-from conftest import mono_key, monomials_of_weight, term_key
+from conftest import mono_key, monomials_of_weight, submodules_equal, term_key
 
 N2 = ["x", "y"]
 ORD = MonomialOrder()

@@ -14,7 +14,6 @@ from logforms.exterior import ext_d, form_basis, monomial_form, contract, wedge
 from logforms.groebner import (
     groebner_basis,
     is_member,
-    submodules_equal,
     syzygy_module,
 )
 from logforms.logarithmic import (
@@ -35,7 +34,7 @@ from logforms.module import FreeElement
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, is_squarefree, parse_poly, poly_exact_div
 
-from conftest import monomials_of_weight, term_key
+from conftest import monomials_of_weight, submodules_equal, term_key
 
 ORD = MonomialOrder()
 

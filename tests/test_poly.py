@@ -119,6 +119,36 @@ def test_parse_product_is_bounded_by_its_term_count():
     assert P("(x+y+z)^20*(x*y*z)^100*0").is_zero()
 
 
+def test_parse_is_bounded_by_its_work():
+    """Within the term bound, multiplying out can still take seconds, since
+    each term pair costs a Fraction product and sum, more for long
+    coefficients: (x+y)^999 took 2.4 s and (x+y)^500*(x+y)^499 2.5 s.  The
+    work of the products and powers of one polynomial is bounded too, in
+    sum, and the step that passes the bound is rejected before it is
+    multiplied out, at its '*' or its exponent.  A power is bounded from its
+    base, so a single one is rejected at once; (x+y)^500 parses, and twice
+    over it does not, after the first is multiplied out."""
+    def rejected(text: str, what: str, col: int):
+        with pytest.raises(ParseError) as exc:
+            P(text)
+        assert (exc.value.message, exc.value.col) == (f"{what} may take more work to expand "
+                                                      f"than the bound of 200000", col)
+
+    start = time.perf_counter()
+    for text, col in (("(x+y)^999", 7), ("(1/3*x+1/5*y)^800", 15), ("(3*x)^" + "9" * 400, 7)):
+        rejected(text, "power", col)
+    assert time.perf_counter() - start < 0.1
+    start = time.perf_counter()
+    for text, what, col in (("(x+y)^500*(x+y)^499", "power", 17),
+                            ("(x+y)^500+(x+y)^500", "power", 17),
+                            ("(x+y)^350*(x+y)^350", "product", 10)):
+        rejected(text, what, col)
+    assert time.perf_counter() - start < 3
+    assert len(P("(x+y)^500").terms) == 501
+    assert len(P("(x+y+z)^20*(x+y+z)^20").terms) == comb(42, 2)
+    assert P("x^" + "9" * 400) == Poly.monomial(3, (10 ** 400 - 1, 0, 0))
+
+
 def test_arithmetic_is_exact():
     p = P("x + 1/3")
     q = p * p * p
