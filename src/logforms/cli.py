@@ -17,26 +17,23 @@ from .deformation import (
     DeformationError,
     DeformationSetup,
     InducingMap,
+    _mu_e_derham_proven,
     ae_codim_damon,
     ae_normal_space_direct,
     good_equation_witness,
     ke_discriminant_reduced,
     kev_normal_space,
     mu_e_alternating,
-    mu_e_derham,
     mu_e_good_equation,
     t1_log,
     theta_prime_minors,
 )
 from .exterior import pullback
 from .forms import (
-    CheckedFormsModule,
     FormsError,
     GradedDimensionTable,
-    de_rham_report_homotopy,
     de_rham_report_sliced,
     forms_free,
-    forms_pullback,
     forms_pullback_degrees,
     pd_check,
     torsion_length,
@@ -182,20 +179,23 @@ def _cmd_saito_check(job: JobSpec, opts: dict) -> dict:
     return rec
 
 
-def _forms_module(job: JobSpec, k: Optional[int]) -> CheckedFormsModule:
-    """The forms module of degree k; by default of degree n - 1, n the number
-    of variables of the module's own ring (the central germ's, for a map)."""
+def _forms_modules(job: JobSpec, degrees) -> tuple:
+    """(modules, h, weights): the job's forms modules in the form degrees
+    degrees(n), n the number of variables of their own ring (the central
+    germ's, for a map), with the equation h of their divisor and its positive
+    weights (given, or detected; None without)."""
     if "target-divisor" in job.polys and "map" in job.polys:
         e_basis, imap, h0, weights = _pullback_germ(job)
-        k = imap.source_dim - 1 if k is None else k
-        return forms_pullback(e_basis, imap.components, imap.source_names, k, weights, h0)
+        return (forms_pullback_degrees(e_basis, imap.components, imap.source_names,
+                                       degrees(imap.source_dim), weights, h0), h0, weights)
     d = _divisor_from_job(job)
     basis = _free_basis(d)
-    return forms_free(basis, d.nvars - 1 if k is None else k)
+    return [forms_free(basis, k) for k in degrees(d.nvars)], d.h, d.weights
 
 
 def _cmd_omega_check(job: JobSpec, opts: dict) -> dict:
-    m = _forms_module(job, opts.get("form-degree", 1))
+    k = opts.get("form-degree", 1)
+    m = _forms_modules(job, lambda n: (k,))[0][0]
     names = m.names
     rec = {"verdicts": {"kind": m.kind}, "dimensions": {}, "certificates": {},
            "tables": {}, "flags": {}}
@@ -214,37 +214,20 @@ def _cmd_omega_check(job: JobSpec, opts: dict) -> dict:
 
 
 def _cmd_de_rham(job: JobSpec, opts: dict) -> dict:
-    bound = opts.get("degree-bound", 12)
-    if "target-divisor" in job.polys and "map" in job.polys:
-        e_basis, imap, h0, weights = _pullback_germ(job)
-        n = imap.source_dim
-        semi = None if weights else quasihomogeneous_weights(h0, allow_zero=True)
-        mods = forms_pullback_degrees(e_basis, imap.components, imap.source_names,
-                                      range(0, n + 1), weights, h0)
-    else:
-        d = _divisor_from_job(job)
-        basis = _free_basis(d)
-        n = d.nvars
-        weights = d.weights
-        semi = None if weights else d.semipositive_weights()
-        mods = [forms_free(basis, k) for k in range(0, n + 1)]
-    if weights is not None:
-        rep = de_rham_report_sliced(mods, bound)
-        certified = True
-    elif semi is not None:
-        rep = de_rham_report_homotopy(mods, semi, bound)
-        certified = True
-    else:
-        raise PreconditionError("de-rham-check needs a weight system (none found)")
+    mods, h, weights = _forms_modules(job, lambda n: range(0, n + 1))
+    if weights is None:
+        weights = quasihomogeneous_weights(h, allow_zero=True)
+    rep = de_rham_report_sliced(mods, opts.get("degree-bound", 12), weights)
     tables = {str(deg): info for deg, info in rep.get("per_degree", {}).items()}
     return {"verdicts": {"all_exact": rep["all_exact"], "mode": rep["mode"],
                          **{k: rep[k] for k in ("failure", "positive_degrees") if k in rep}},
             "dimensions": {}, "certificates": {}, "tables": {"per_degree": tables},
-            "flags": {"certified": _flag(certified)}}
+            "flags": {"certified": _flag(True)}}
 
 
 def _cmd_torsion_length(job: JobSpec, opts: dict) -> dict:
-    m = _forms_module(job, opts.get("form-degree"))
+    k = opts.get("form-degree")
+    m = _forms_modules(job, lambda n: (n - 1 if k is None else k,))[0][0]
     dim = torsion_length(m)
     graded = m.grading() is not None
     return {"verdicts": {"form_degree": m.k},
@@ -299,6 +282,7 @@ def _cmd_critical_ideal(job: JobSpec, opts: dict) -> dict:
 def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
     routes = {}
     errors = {}
+    proven = True  # False when a route stopped on a heuristic rule
     # de Rham route needs target data and the map
     if "target-divisor" in job.polys and "map" in job.polys:
         e_basis = _target_basis(job)
@@ -306,8 +290,8 @@ def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
         setup = DeformationSetup(e_basis, imap, weights=job.weights)
         if setup.weights is not None:
             try:
-                routes["derham"] = mu_e_derham(setup, bound=opts.get("degree-bound", 20),
-                                               window=opts.get("window", 4))
+                routes["derham"], proven = _mu_e_derham_proven(
+                    setup, opts.get("degree-bound", 20), opts.get("window", 4))
             except (StabilizationError, DeformationError) as exc:
                 errors["derham"] = str(exc)
         else:
@@ -340,8 +324,8 @@ def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
     rec = {"verdicts": {"routes_agree": agreement},
            "dimensions": dims, "certificates": {},
            "routes": sorted(routes), "agreement": agreement,
-           "flags": {"certified": _flag(job.weights is not None or
-                                        job.target_weights is not None)}}
+           "flags": {"certified": _flag(proven and (job.weights is not None or
+                                                    job.target_weights is not None))}}
     if errors:
         rec["verdicts"]["route_errors"] = errors
     return rec
@@ -454,12 +438,10 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("command", nargs="?", default=None,
                         help="subcommand; may also come from the job file")
     parser.add_argument("--input", required=True, help="job file")
-    parser.add_argument("--degree-bound", type=int, default=None)
-    parser.add_argument("--order", choices=("wdegrevlex", "lex"), default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    for key, domain in OPTION_DOMAINS.items():
+        parser.add_argument(f"--{key}", default=None,
+                            **({"choices": domain} if isinstance(domain, tuple) else {"type": int}))
     parser.add_argument("--output", choices=("json", "text"), default="json")
-    parser.add_argument("--form-degree", type=int, default=None)
-    parser.add_argument("--jet-cap", type=int, default=None)
     parser.add_argument("--timing", action="store_true",
                         help="include wall-clock timing (breaks byte determinism)")
     args = parser.parse_args(argv)

@@ -308,6 +308,12 @@ def mu_e_derham(setup: DeformationSetup, bound: int = 20, window: int = 4) -> in
     Otherwise (no D, or D > bound) the slices are summed to `bound` and the
     sum is trusted only if the last `window` of them are zero
     (`stabilized_sum`), else `StabilizationError`."""
+    return _mu_e_derham_proven(setup, bound, window)[0]
+
+
+def _mu_e_derham_proven(setup: DeformationSetup, bound: int, window: int) -> tuple:
+    """(`mu_e_derham`, whether Cartan's stop degree ended the sum): False
+    when the trailing window, a heuristic, did."""
     imap = setup.map.germ()
     if setup.weights is None:
         raise DeformationError("the de Rham route needs positive weights")
@@ -317,9 +323,9 @@ def mu_e_derham(setup: DeformationSetup, bound: int = 20, window: int = 4) -> in
                                   (p - 1, p), weights)
     stop = cartan_stop_degree(imap.components, weights, setup.e_basis.divisor.h, mods[1])
     if stop is not None and stop <= bound:
-        return sum(cokernel_slice_dims(mods, p, stop).values())
+        return sum(cokernel_slice_dims(mods, p, stop).values()), True
     table = cokernel_slice_dims(mods, p, bound)
-    return stabilized_sum(table, bound, window)
+    return stabilized_sum(table, bound, window), False
 
 
 # ---------------------------------------------------------------------------

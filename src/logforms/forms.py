@@ -33,7 +33,7 @@ from .groebner import (
     saturate,
     syzygy_module,
 )
-from .logarithmic import LogBasis, apply_field, euler_field, log_form_generators
+from .logarithmic import LogBasis, apply_field, log_form_generators
 from .module import INFINITE, FreeElement, Grading, ModulePresentation
 from .order import MonomialOrder
 from .poly import Poly, PolyError, poly_exact_div
@@ -454,62 +454,60 @@ def _contraction_failure(modules: Sequence[CheckedFormsModule], chi: FreeElement
                  if not contraction_well_defined(modules[k], modules[k - 1], chi)), None)
 
 
-def de_rham_report_sliced(modules: Sequence[CheckedFormsModule], bound: int) -> dict:
-    """Per-degree exactness report for the augmented complex C -> M_0 ->
-    ... -> M_n, M_k the level-k forms modulo R_k, under positive weights w.
+def de_rham_report_sliced(modules: Sequence[CheckedFormsModule], bound: int,
+                          weights: Optional[Sequence[int]] = None) -> dict:
+    """Exactness report for the augmented complex C -> M_0 -> ... -> M_n,
+    M_k the level-k forms modulo R_k, under weights w >= 0, not all zero
+    (by default the modules' own).
 
-    Only degree 0 is sliced when the levels are 0..n and contraction by the
-    Euler field E = sum w_i x_i d/dx_i maps each R_k into R_(k-1), checked
-    by exact membership in the lower tables (Saito's contraction lemma for
-    `forms_free`).  Then every positive degree is
-    exact: if w is a k-form of degree delta > 0 with dw in R_(k+1), Cartan's
-    formula delta*w = d(i_E w) + i_E dw, with i_E dw in R_k, makes the class
-    of w the differential of that of i_E w / delta (for k = 0, w itself lies
-    in R_0).  Otherwise degrees 0..bound are sliced, and exactness holds
-    only up to the bound.  `positive_degrees` names the rule used."""
-    slices = GradedSlices(modules)
-    n, weights = modules[0].n, modules[0].weights
-    homotopy = ([m.k for m in modules] == list(range(n + 1))
-                and _contraction_failure(modules, euler_field(weights, n)) is None)
-    report = {}
-    for degree in range(0, 1 if homotopy else bound + 1):
-        coh = slices.cohomology_dims(degree)
-        report[degree] = {"cohomology": coh,
-                          "exact": coh == [int(degree == 0)] + [0] * (len(coh) - 1)}
-    return {"mode": "slice", "per_degree": report,
-            "all_exact": all(r["exact"] for r in report.values()),
-            "positive_degrees": ("Euler-field homotopy (contraction checked)" if homotopy
-                                 else f"sliced to degree-bound {bound}")}
-
-
-def de_rham_report_homotopy(modules: Sequence[CheckedFormsModule],
-                            semiweights: Sequence[int], bound: int) -> dict:
-    """Exactness certificate via the contraction homotopy of the radial field of
-    the positive-weight variables.
-
-    Valid when every relation generator is homogeneous of positive weight and
-    contraction maps each relation level into the one below; the weight-zero
-    slice is then the polynomial de Rham complex of the zero-weight variables.
-    """
-    n = modules[0].n
-    nv = modules[0].nvars
-    chi = FreeElement([Poly.variable(nv, i).scale(semiweights[i]) for i in range(n)])
-    for m in modules:
-        shifts = [sum(semiweights[i] for i in I) for I in form_basis(m.n, m.k)] or [0]
-        for r in m.relations:
-            degs = r.weighted_degree(semiweights, shifts)
-            if degs is None:
-                continue
-            if len(degs) != 1 or min(degs) <= 0:
-                return {"mode": "homotopy", "all_exact": False,
-                        "failure": "relation generator not homogeneous of positive weight"}
-    if (k := _contraction_failure(modules, chi)) is not None:
-        return {"mode": "homotopy", "all_exact": False,
-                "failure": f"contraction does not preserve relations at degree {k}"}
-    report = {degree: {"exact": True, "certificate": "radial-contraction homotopy"}
-              for degree in range(0, bound + 1)}
-    report[0]["certificate"] = "weight-zero slice is the de Rham complex of the zero-weight variables"
-    return {"mode": "homotopy", "per_degree": report, "all_exact": True}
+    Suppose the levels are 0..n and contraction by chi = sum w_i x_i d/dx_i
+    maps each R_k into R_(k-1) (checked once, by exact membership in the
+    lower tables; Saito's contraction lemma for `forms_free`).  If w is a
+    k-form of degree delta > 0 with dw in R_(k+1), Cartan's formula
+    delta*w = d(i_chi w) + i_chi dw, with i_chi dw in R_k, makes the class
+    of w the differential of that of i_chi w / delta (for k = 0, w lies in
+    R_0): every positive degree is exact, and degree 0 is left.  Under
+    positive weights (mode "slice") it is sliced; where the hypothesis
+    fails, degrees 0..bound are sliced, exact only up to the bound, and
+    `positive_degrees` names the rule used.  Under a zero weight (mode
+    "homotopy") every relation must also be homogeneous of positive weight;
+    then degree 0 is the polynomial de Rham complex of the zero-weight
+    variables, exact by Poincare's lemma.  A failed hypothesis is named in
+    `failure`, with all_exact False."""
+    n, nv = modules[0].n, modules[0].nvars
+    weights = modules[0].weights if weights is None else tuple(weights)
+    if weights is None:
+        raise FormsError("de Rham exactness needs a weight system (none found)")
+    chi = FreeElement([Poly.variable(nv, i).scale(w) for i, w in enumerate(weights)])
+    whole = [m.k for m in modules] == list(range(n + 1))
+    if all(weights):
+        slices = GradedSlices(modules)
+        homotopy = whole and _contraction_failure(modules, chi) is None
+        report = {}
+        for degree in range(0, 1 if homotopy else bound + 1):
+            coh = slices.cohomology_dims(degree)
+            report[degree] = {"cohomology": coh,
+                              "exact": coh == [int(degree == 0)] + [0] * (len(coh) - 1)}
+        return {"mode": "slice", "per_degree": report,
+                "all_exact": all(r["exact"] for r in report.values()),
+                "positive_degrees": ("Euler-field homotopy (contraction checked)" if homotopy
+                                     else f"sliced to degree-bound {bound}")}
+    shifts = {m.k: [sum(weights[i] for i in I) for I in form_basis(n, m.k)] or [0]
+              for m in modules}
+    degrees = (r.weighted_degree(weights, shifts[m.k]) for m in modules for r in m.relations)
+    if any(d is not None and (len(d) != 1 or min(d) <= 0) for d in degrees):
+        failure = "relation generator not homogeneous of positive weight"
+    elif not whole:
+        failure = f"levels are not 0..{n}"
+    elif (k := _contraction_failure(modules, chi)) is not None:
+        failure = f"contraction does not preserve relations at degree {k}"
+    else:
+        report = {degree: {"exact": True, "certificate": "radial-contraction homotopy"}
+                  for degree in range(0, bound + 1)}
+        report[0]["certificate"] = ("weight-zero slice is the de Rham complex of the "
+                                    "zero-weight variables")
+        return {"mode": "homotopy", "per_degree": report, "all_exact": True}
+    return {"mode": "homotopy", "all_exact": False, "failure": failure}
 
 
 def cokernel_slice_dims(modules: Sequence[CheckedFormsModule], k_top: int, bound: int) -> dict:

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .module import INFINITE, FreeElement, Grading, ModulePresentation, ModuleError
 from .order import (FIELD_MAX, MonomialOrder, StabilizationError, TermLayout, field_overflow,
                     mono_lcm)
-from .poly import Poly, _integral, _normalize
+from .poly import Poly, _common_denominator, _content, _integral, _normalize
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +641,8 @@ def _combine(pairs, nfs: dict):
     nfs (None: u is standard; else (remainder, scale), NF(u) = remainder /
     scale) and each c an int or a `Fraction`, as (integer vec, positive
     denominator)."""
-    denom = 1
-    for u, c in pairs:
-        nf = nfs[u]
-        d = c.denominator if nf is None else nf[1] * c.denominator
-        if d != 1:
-            denom = denom * d // int_gcd(denom, d)
+    denom = _common_denominator(c.denominator if (nf := nfs[u]) is None
+                                else nf[1] * c.denominator for u, c in pairs)
     acc: dict = {}
     for u, c in pairs:
         nf = nfs[u]
@@ -712,11 +708,7 @@ def _fill_term_nfs(t: int, nfs: dict, reducers: _Reducers):
         lc, pairs = step
         acc, denom = _combine(pairs, nfs)
         scale = lc * denom
-        g = scale
-        for a in acc.values():
-            g = int_gcd(g, a)
-            if g == 1:
-                break
+        g = _content(acc.values(), scale)
         nfs[s] = ({w: -a // g for w, a in acc.items()}, scale // g)
 
 

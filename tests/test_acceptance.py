@@ -29,7 +29,6 @@ from logforms.exterior import form_basis, monomial_form, wedge
 from logforms.forms import (
     class_is_torsion,
     contract_class,
-    de_rham_report_homotopy,
     de_rham_report_sliced,
     forms_free,
     forms_pullback,
@@ -143,7 +142,7 @@ def test_criterion_04_de_rham(nc2, nc3, calderon, four_planes_afd):
         ok = ok and rep["all_exact"]
     d, basis = calderon
     mods = [forms_free(basis, k) for k in range(0, 4)]
-    rep = de_rham_report_homotopy(mods, d.semipositive_weights(), 12)
+    rep = de_rham_report_sliced(mods, 12, d.semipositive_weights())
     ok = ok and rep["all_exact"]
     setup = four_planes_afd
     mods = [forms_pullback(setup.e_basis, setup.map.components, setup.map.source_names,

@@ -175,6 +175,13 @@ def test_invalid_option_is_a_parse_error(tmp_path, capsys, jobname, extra, argv)
     assert "parse error: option" in capsys.readouterr().err
 
 
+def test_window_flag_is_checked_like_the_job_option(capsys):
+    """Every option of the job language has its flag, with the job option's
+    domain: `--window 0` is below the least window, 1."""
+    assert main(["--input", str(JOBS / "mu_e_four_planes.job"), "--window", "0"]) == 2
+    assert "parse error: option window" in capsys.readouterr().err
+
+
 # One single-fault job per JobError site: (id, job text, message, (line, column)
 # of the fault, or None where the message carries no position).
 JOB_ERRORS = [
@@ -391,3 +398,27 @@ def test_pullback_jobs_compose_h_once(text, call_counter):
     h = calls[0][0][0]  # the first form the job pulls back: h, as a 0-form
     assert h[0] == 0 and len(calls) >= 2
     assert sum(form == h for forms, *_ in calls for form in forms) == 1
+
+
+def test_mu_e_from_the_window_fallback_is_uncertified():
+    """The lips discriminant pulled back by (X, 0, W): the zero component
+    leaves Cartan's stop unproven, so mu_e_derham = 1 comes from the
+    trailing window of zero slices, a heuristic, and is not certified."""
+    job = parse_job('ring { X, W };\nweights ( 1, 3 );\ntarget-ring { A, U, B };\n'
+                    'target-weights ( 1, 2, 3 );\ntarget-divisor "4*(U+A^2)^3 + 27*B^2";\n'
+                    'map ( "X", "0", "W" );\ncommand mu-e;\n')
+    record = run_job(job)
+    assert record["dimensions"]["mu_e_derham"]["value"] == 1
+    assert record["flags"]["certified"] == "UNCERTIFIED-LOCAL"
+
+
+def test_de_rham_without_a_weight_system_exits_3(tmp_path, capsys):
+    """x*y*(x+y+x^2), pulled back from normal crossing, has no weights, not
+    even with a zero among them: no homotopy applies and no slice is graded."""
+    job = tmp_path / "job.job"
+    job.write_text('ring { x, y };\ntarget-ring { u, v, w };\ntarget-divisor "u*v*w";\n'
+                   'map ( "x", "y", "x+y+x^2" );\ncommand de-rham-check;\n')
+    assert main(["--input", str(job)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs a weight system (none found)" in captured.err

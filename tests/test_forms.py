@@ -20,7 +20,6 @@ from logforms.forms import (
     cokernel_slice_dims,
     contract_class,
     contraction_well_defined,
-    de_rham_report_homotopy,
     de_rham_report_sliced,
     forms_free,
     forms_free_relative,
@@ -281,6 +280,57 @@ def test_de_rham_report_slices_to_the_bound_where_contraction_fails(four_planes_
     rep = de_rham_report_sliced(partial, 4)
     assert rep["positive_degrees"] == "sliced to degree-bound 4"
     assert rep["per_degree"] == _sliced_to(partial, 4)
+
+
+def _xy_complex(rels: dict) -> list:
+    """Levels 0..2 on C^2 (names x, y) with the given relations and no
+    weights of their own."""
+    h = parse_poly("x*y", ["x", "y"])
+    return [CheckedFormsModule(["x", "y"], 2, k, rels[k], h) for k in range(3)]
+
+
+def test_de_rham_homotopy_rejects_a_relation_of_weight_zero():
+    """Under the weights (1, 0) the relation y of level 0 has weight 0 and
+    x + x^2 is not homogeneous: the radial field proves nothing, and the
+    report says why, with no per-degree table."""
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    for r in (y, x + x * x):
+        mods = _xy_complex({0: [FreeElement([r])], 1: [], 2: []})
+        assert de_rham_report_sliced(mods, 6, (1, 0)) == {
+            "mode": "homotopy", "all_exact": False,
+            "failure": "relation generator not homogeneous of positive weight"}
+
+
+def test_de_rham_homotopy_needs_every_level():
+    """Without its top level the complex proves nothing under a zero weight:
+    the homotopy needs dw in R_(k+1) at every level k it certifies."""
+    x = Poly.variable(2, 0)
+    mods = _xy_complex({0: [], 1: [monomial_form(2, 1, 2, (1,), x)], 2: []})[:2]
+    assert de_rham_report_sliced(mods, 6, (1, 0)) == {
+        "mode": "homotopy", "all_exact": False, "failure": "levels are not 0..2"}
+
+
+def test_de_rham_homotopy_names_the_level_contraction_leaves():
+    """Under the weights (1, 0) the radial field is x d/dx.  With R_1 = (y dx)
+    and R_2 = (dx^dy) it sends y dx to xy, outside R_0 = 0: the report names
+    level 1.  With R_1 = (x^2 dy) it keeps R_1 in R_0 but sends dx^dy to
+    x dy, outside R_1: the report names level 2.  With R_1 = (x dy) every
+    level passes and every degree up to the bound is certified."""
+    x, y, one = Poly.variable(2, 0), Poly.variable(2, 1), Poly.constant(2, 1)
+    top = [monomial_form(2, 2, 2, (0, 1), one)]
+    for form, level in ((monomial_form(2, 1, 2, (0,), y), 1),
+                        (monomial_form(2, 1, 2, (1,), x * x), 2)):
+        mods = _xy_complex({0: [], 1: [form], 2: top})
+        assert de_rham_report_sliced(mods, 6, (1, 0)) == {
+            "mode": "homotopy", "all_exact": False,
+            "failure": f"contraction does not preserve relations at degree {level}"}
+    rep = de_rham_report_sliced(_xy_complex({0: [], 1: [monomial_form(2, 1, 2, (1,), x)],
+                                             2: top}), 2, (1, 0))
+    assert rep == {"mode": "homotopy", "all_exact": True, "per_degree": {
+        0: {"exact": True,
+            "certificate": "weight-zero slice is the de Rham complex of the zero-weight variables"},
+        1: {"exact": True, "certificate": "radial-contraction homotopy"},
+        2: {"exact": True, "certificate": "radial-contraction homotopy"}}}
 
 
 def test_slices_compute_one_basis_per_module(four_planes_afd, gb_calls):
@@ -700,7 +750,7 @@ def test_slice_rank_matches_rational_columns(mods):
 def test_de_rham_homotopy_mode(calderon):
     d, basis = calderon
     mods = [forms_free(basis, k) for k in range(0, 4)]
-    rep = de_rham_report_homotopy(mods, d.semipositive_weights(), 10)
+    rep = de_rham_report_sliced(mods, 10, d.semipositive_weights())
     assert rep["all_exact"]
 
 

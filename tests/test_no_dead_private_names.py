@@ -1,10 +1,13 @@
-"""Every private module-level name of the package is defined once and read."""
+"""Every private module-level name of the package is defined once and read,
+and every public function or class is read somewhere in the repository."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "logforms"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "logforms"
 
 
 def _defined(stmt) -> list:
@@ -66,3 +69,42 @@ def test_every_private_module_name_is_defined_once():
     defined = {(mod, name) for mod, _, name in _definitions(_modules())}
     counts = Counter(name for _, name in defined)
     assert not [name for name, c in counts.items() if c > 1]
+
+
+# A string that is a dotted name: how the benchmark's trace names its targets.
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _statement_reads() -> list:
+    """(file, line, the names read) for every module-level statement in src,
+    tests and bench; in bench, a string that is a dotted name reads each of
+    its parts."""
+    out = []
+    for folder in ("src", "tests", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+                names = _loads(stmt)
+                if folder == "bench":
+                    names |= {part for node in ast.walk(stmt)
+                              if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                              and _DOTTED.fullmatch(node.value)
+                              for part in node.value.split(".")}
+                out.append((path, stmt.lineno, names))
+    return out
+
+
+def test_every_public_function_and_class_is_read():
+    """A public module-level function or class of the package must be read
+    by another statement in src, tests or bench (a string naming a trace
+    target counts); importing it, re-exporting it from `logforms` or listing
+    it in `__all__` does not."""
+    reads = _statement_reads()
+    orphans = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")
+                    and not any(stmt.name in names for where, line, names in reads
+                                if (where, line) != (path, stmt.lineno))):
+                orphans.append(f"{path.stem}.{stmt.name}")
+    assert not orphans, f"public names nothing reads: {orphans}"
