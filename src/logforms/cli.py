@@ -127,8 +127,28 @@ def _pullback_germ(job: JobSpec):
     return e_basis, imap, h0, full.germ_weights(_weights_for(h0, job.weights))
 
 
-def _flag(certified: bool) -> str:
-    return "CERTIFIED" if certified else "UNCERTIFIED-LOCAL"
+def _record(verdicts: dict, numbers, certified: bool = True,
+            certificates: Optional[dict] = None, **parts) -> dict:
+    """A command's record body.  `numbers` lists (name, value, route, proven);
+    each becomes one `dimensions` entry, its value formatted by `_fmt_dim`.
+    The flag is CERTIFIED exactly when `certified` and every `proven` hold."""
+    proven = certified and all(ok for *_, ok in numbers)
+    return {"verdicts": verdicts,
+            "dimensions": {name: {"value": _fmt_dim(value), "route": route}
+                           for name, value, route, _ in numbers},
+            "certificates": certificates or {}, **parts,
+            "flags": {"certified": "CERTIFIED" if proven else "UNCERTIFIED-LOCAL"}}
+
+
+def _routes_record(prefix: str, routes: dict, agreement: Optional[bool], certified: bool,
+                   verdicts: dict, **parts) -> dict:
+    """The record of one number computed by several routes: `routes` maps each
+    route that ran to (value, proven), reported as `prefix`_route.  An
+    `agreement` of None (one route) adds no `routes_agree` verdict."""
+    if agreement is not None:
+        verdicts["routes_agree"] = parts["agreement"] = agreement
+    numbers = [(f"{prefix}_{name}", v, name, ok) for name, (v, ok) in sorted(routes.items())]
+    return _record(verdicts, numbers, certified, routes=sorted(routes), **parts)
 
 
 # ---------------------------------------------------------------------------
@@ -136,47 +156,35 @@ def _flag(certified: bool) -> str:
 
 
 def _cmd_is_free(job: JobSpec, opts: dict) -> dict:
-    d = _divisor_from_job(job)
-    verdict = is_free(d, opts.get("order"))
-    rec = {"verdicts": {"freeness": verdict.kind},
-           "dimensions": {"minimal_generators": {"value": verdict.generator_count,
-                                                 "route": "tangent-field syzygies + Nakayama"}},
-           "certificates": {}, "flags": {"certified": _flag(True)}}
-    if verdict.basis is not None:
-        rec["certificates"]["saito_basis"] = _basis_record(verdict.basis)
+    verdict = is_free(_divisor_from_job(job), opts.get("order"))
+    verdicts = {"freeness": verdict.kind}
     if verdict.reason:
-        rec["verdicts"]["reason"] = verdict.reason
-    return rec
+        verdicts["reason"] = verdict.reason
+    certificates = ({"saito_basis": _basis_record(verdict.basis)}
+                    if verdict.basis is not None else {})
+    return _record(verdicts, [("minimal_generators", verdict.generator_count,
+                               "tangent-field syzygies + Nakayama", True)],
+                   certificates=certificates)
 
 
 def _cmd_derlog(job: JobSpec, opts: dict) -> dict:
     d = _divisor_from_job(job)
     gens = derlog(d, opts.get("order"))
-    names = d.names
-    return {
-        "verdicts": {},
-        "dimensions": {"generator_count": {"value": len(gens), "route": "syzygy module"}},
-        "certificates": {
-            "generators": [{"field": [p.format(names) for p in f.entries],
-                            "witness": w.format(names)} for f, w in gens]},
-        "flags": {"certified": _flag(True)},
-    }
+    return _record({}, [("generator_count", len(gens), "syzygy module", True)],
+                   certificates={"generators": [
+                       {"field": [p.format(d.names) for p in f.entries],
+                        "witness": w.format(d.names)} for f, w in gens]})
 
 
 def _cmd_saito_check(job: JobSpec, opts: dict) -> dict:
     d = _divisor_from_job(job)
     if "fields" not in job.polys:
         raise PreconditionError("saito-check needs 'fields'")
-    candidates = [FreeElement(vec) for vec in job.polys["fields"]]
-    basis, reason = saito_check(d, candidates)
-    rec = {"verdicts": {"saito": "PASS" if basis else "FAIL"},
-           "dimensions": {}, "certificates": {},
-           "flags": {"certified": _flag(True)}}
+    basis, reason = saito_check(d, [FreeElement(vec) for vec in job.polys["fields"]])
     if basis:
-        rec["certificates"]["saito_basis"] = _basis_record(basis)
-    else:
-        rec["verdicts"]["reason"] = reason
-    return rec
+        return _record({"saito": "PASS"}, [],
+                       certificates={"saito_basis": _basis_record(basis)})
+    return _record({"saito": "FAIL", "reason": reason}, [])
 
 
 def _forms_modules(job: JobSpec, degrees) -> tuple:
@@ -196,21 +204,17 @@ def _forms_modules(job: JobSpec, degrees) -> tuple:
 def _cmd_omega_check(job: JobSpec, opts: dict) -> dict:
     k = opts.get("form-degree", 1)
     m = _forms_modules(job, lambda n: (k,))[0][0]
-    names = m.names
-    rec = {"verdicts": {"kind": m.kind}, "dimensions": {}, "certificates": {},
-           "tables": {}, "flags": {}}
-    rec["certificates"]["relations"] = [[p.format(names) for p in r.entries]
-                                        for r in m.relations]
-    rec["dimensions"]["rank"] = {"value": m.rank, "route": "binomial(n, k)"}
+    verdicts = {"kind": m.kind}
+    tables = {}
     graded = m.grading() is not None
     if graded:
-        bound = opts.get("degree-bound", 20)
-        rec["tables"]["graded_dimensions"] = GradedDimensionTable(
-            m.dimension_table(bound)).as_dict()
+        tables["graded_dimensions"] = GradedDimensionTable(
+            m.dimension_table(opts.get("degree-bound", 20))).as_dict()
     if m.kind == "free":
-        rec["verdicts"]["relation_module_free"] = pd_check(m)
-    rec["flags"]["certified"] = _flag(graded)
-    return rec
+        verdicts["relation_module_free"] = pd_check(m)
+    return _record(verdicts, [("rank", m.rank, "binomial(n, k)", True)], graded,
+                   {"relations": [[p.format(m.names) for p in r.entries] for r in m.relations]},
+                   tables=tables)
 
 
 def _cmd_de_rham(job: JobSpec, opts: dict) -> dict:
@@ -219,34 +223,25 @@ def _cmd_de_rham(job: JobSpec, opts: dict) -> dict:
         weights = quasihomogeneous_weights(h, allow_zero=True)
     rep = de_rham_report_sliced(mods, opts.get("degree-bound", 12), weights)
     tables = {str(deg): info for deg, info in rep.get("per_degree", {}).items()}
-    return {"verdicts": {"all_exact": rep["all_exact"], "mode": rep["mode"],
-                         **{k: rep[k] for k in ("failure", "positive_degrees") if k in rep}},
-            "dimensions": {}, "certificates": {}, "tables": {"per_degree": tables},
-            "flags": {"certified": _flag(True)}}
+    return _record({"all_exact": rep["all_exact"], "mode": rep["mode"],
+                    **{k: rep[k] for k in ("failure", "positive_degrees") if k in rep}},
+                   [], tables={"per_degree": tables})
 
 
 def _cmd_torsion_length(job: JobSpec, opts: dict) -> dict:
     k = opts.get("form-degree")
     m = _forms_modules(job, lambda n: (n - 1 if k is None else k,))[0][0]
-    dim = torsion_length(m)
-    graded = m.grading() is not None
-    return {"verdicts": {"form_degree": m.k},
-            "dimensions": {"torsion_length": {"value": dim,
-                                              "route": "iterated colon saturation"}},
-            "certificates": {}, "flags": {"certified": _flag(graded)}}
+    return _record({"form_degree": m.k},
+                   [("torsion_length", torsion_length(m), "iterated colon saturation",
+                     m.grading() is not None)])
 
 
 def _cmd_kev(job: JobSpec, opts: dict) -> dict:
-    e_basis = _target_basis(job)
-    imap = _inducing_map(job)
-    weights = job.weights
-    setup = DeformationSetup(e_basis, imap, weights=weights)
-    pres, dim = kev_normal_space(setup, opts.get("order"))
-    graded = weights is not None
-    return {"verdicts": {"algebraically_transverse_off_origin": dim != INFINITE},
-            "dimensions": {"kev_codimension": {"value": _fmt_dim(dim),
-                                               "route": "normal space quotient"}},
-            "certificates": {}, "flags": {"certified": _flag(graded or dim == 0)}}
+    setup = DeformationSetup(_target_basis(job), _inducing_map(job), weights=job.weights)
+    _, dim = kev_normal_space(setup, opts.get("order"))
+    return _record({"algebraically_transverse_off_origin": dim != INFINITE},
+                   [("kev_codimension", dim, "normal space quotient",
+                     job.weights is not None or dim == 0)])
 
 
 def _cmd_t1_log(job: JobSpec, opts: dict) -> dict:
@@ -259,11 +254,9 @@ def _cmd_t1_log(job: JobSpec, opts: dict) -> dict:
     _, dim_rel = t1_log(basis, params + ext, ext, opts.get("order"))
     _, dim_fib = t1_log(basis, params + ext, params + ext, opts.get("order"))
     graded = d.weights is not None
-    return {"verdicts": {},
-            "dimensions": {
-                "t1_log_relative": {"value": _fmt_dim(dim_rel), "route": "parameter rows of the Saito matrix"},
-                "t1_log_fibre": {"value": _fmt_dim(dim_fib), "route": "parameter rows mod base maximal ideal"}},
-            "certificates": {}, "flags": {"certified": _flag(graded)}}
+    return _record({}, [
+        ("t1_log_relative", dim_rel, "parameter rows of the Saito matrix", graded),
+        ("t1_log_fibre", dim_fib, "parameter rows mod base maximal ideal", graded)])
 
 
 def _cmd_critical_ideal(job: JobSpec, opts: dict) -> dict:
@@ -273,36 +266,29 @@ def _cmd_critical_ideal(job: JobSpec, opts: dict) -> dict:
     if not params:
         raise PreconditionError("critical-ideal needs 'params'")
     minors = theta_prime_minors(basis, params, job.ext_param_indices())
-    return {"verdicts": {"unit_ideal": any(m.is_constant() and not m.is_zero() for m in minors)},
-            "dimensions": {"generator_count": {"value": len(minors), "route": "maximal minors"}},
-            "certificates": {"ideal_generators": [m.format(d.names) for m in minors]},
-            "flags": {"certified": _flag(True)}}
+    return _record({"unit_ideal": any(m.is_constant() and not m.is_zero() for m in minors)},
+                   [("generator_count", len(minors), "maximal minors", True)],
+                   certificates={"ideal_generators": [m.format(d.names) for m in minors]})
 
 
 def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
-    routes = {}
+    routes = {}  # route -> (value, proven): de Rham is proven when Cartan's stop ended it
     errors = {}
-    proven = True  # False when a route stopped on a heuristic rule
     # de Rham route needs target data and the map
     if "target-divisor" in job.polys and "map" in job.polys:
-        e_basis = _target_basis(job)
-        imap = _inducing_map(job)
-        setup = DeformationSetup(e_basis, imap, weights=job.weights)
-        if setup.weights is not None:
-            try:
-                routes["derham"], proven = _mu_e_derham_proven(
-                    setup, opts.get("degree-bound", 20), opts.get("window", 4))
-            except (StabilizationError, DeformationError) as exc:
-                errors["derham"] = str(exc)
-        else:
-            errors["derham"] = "no positive weight system"
+        setup = DeformationSetup(_target_basis(job), _inducing_map(job), weights=job.weights)
+        try:
+            routes["derham"] = _mu_e_derham_proven(
+                setup, opts.get("degree-bound", 20), opts.get("window", 4))
+        except (StabilizationError, DeformationError) as exc:
+            errors["derham"] = str(exc)
     # alternating and good-equation routes need the total-space divisor
     if "divisor" in job.polys and job.params:
         d = _divisor_from_job(job)
         params = job.param_indices()
         try:
             basis = _free_basis(d)
-            routes["alternating"] = mu_e_alternating(basis, params, opts.get("order"))
+            routes["alternating"] = mu_e_alternating(basis, params, opts.get("order")), True
         except (PreconditionError, DeformationError) as exc:
             errors["alternating"] = str(exc)
         witness = good_equation_witness(d.h, d.weights)
@@ -310,54 +296,44 @@ def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
             errors["good_equation"] = "no good-equation witness found"
         else:
             try:
-                dim = mu_e_good_equation(d, params, witness, opts.get("order"))
-                routes["good_equation"] = _fmt_dim(dim)
+                routes["good_equation"] = (
+                    mu_e_good_equation(d, params, witness, opts.get("order")), True)
             except DeformationError as exc:
                 errors["good_equation"] = str(exc)
     if not routes:
         detail = "; ".join(f"{k}: {v}" for k, v in sorted(errors.items()))
         raise PreconditionError("mu-e could not run any route"
                                 + (f" ({detail})" if detail else "; it needs family or map data"))
-    values = set(routes.values())
-    agreement = len(values) == 1
-    dims = {f"mu_e_{name}": {"value": v, "route": name} for name, v in sorted(routes.items())}
-    rec = {"verdicts": {"routes_agree": agreement},
-           "dimensions": dims, "certificates": {},
-           "routes": sorted(routes), "agreement": agreement,
-           "flags": {"certified": _flag(proven and (job.weights is not None or
-                                                    job.target_weights is not None))}}
+    agreement = len({v for v, _ in routes.values()}) == 1
+    rec = _routes_record("mu_e", routes, agreement,
+                         job.weights is not None or job.target_weights is not None, {})
     if errors:
-        rec["verdicts"]["route_errors"] = errors
+        rec["verdicts"]["route_errors"] = errors  # text output lists it after routes_agree
     return rec
 
 
 def _cmd_ae_codim(job: JobSpec, opts: dict) -> dict:
     if not job.ring or "map" not in job.polys or not job.target_ring:
         raise PreconditionError("ae-codim needs 'ring', 'target-ring' and 'map' (the germ)")
-    routes = {"direct": ae_normal_space_direct(job.polys["map"], cap=opts.get("jet-cap", 20))}
-    rec_cert = {}
+    direct = ae_normal_space_direct(job.polys["map"], cap=opts.get("jet-cap", 20))
+    routes = {}
+    certificates = {}
     agreement = None
     if "unfolding-discriminant" in job.polys and "inclusion" in job.polys:
         df_basis = _free_basis(_weighted_divisor(job.unfolding_target,
                                                  job.polys["unfolding-discriminant"],
                                                  job.unfolding_weights), "unfolding discriminant")
-        rec_cert["discriminant_saito_basis"] = _basis_record(df_basis)
+        certificates["discriminant_saito_basis"] = _basis_record(df_basis)
         incl = InducingMap(job.target_ring, job.unfolding_target, job.polys["inclusion"])
         damon = ae_codim_damon(df_basis, incl, weights=job.target_weights,
                                order=opts.get("order"))
-        routes["damon"] = _fmt_dim(damon)
-        agreement = routes["direct"] == routes["damon"]
-    dims = {f"ae_codim_{name}": {"value": v, "route": name} for name, v in sorted(routes.items())}
+        routes["damon"] = damon, True
+        agreement = direct == damon
     # the jet route stops when two consecutive jet orders agree, which proves
     # nothing on its own: only the Damon route, agreeing with it, certifies
-    rec = {"verdicts": {"finite": True},
-           "dimensions": dims, "certificates": rec_cert,
-           "routes": sorted(routes),
-           "flags": {"certified": _flag(agreement is True)}}
-    if agreement is not None:
-        rec["verdicts"]["routes_agree"] = agreement
-        rec["agreement"] = agreement
-    return rec
+    routes["direct"] = direct, agreement is True
+    return _routes_record("ae_codim", routes, agreement, True, {"finite": True},
+                          certificates=certificates)
 
 
 def _cmd_fitting_reduced(job: JobSpec, opts: dict) -> dict:
@@ -367,10 +343,9 @@ def _cmd_fitting_reduced(job: JobSpec, opts: dict) -> dict:
     if len(params) != 1:
         raise PreconditionError("fitting-reduced needs exactly one parameter")
     reduced, chi, dim = ke_discriminant_reduced(basis, params[0], opts.get("order"))
-    return {"verdicts": {"fitting_ideal_is_maximal_ideal": reduced},
-            "dimensions": {"t1_log_relative": {"value": _fmt_dim(dim), "route": "parameter rows"}},
-            "certificates": {"fitting_ideal_generator": chi.format([job.params[0]])},
-            "flags": {"certified": _flag(d.weights is not None)}}
+    return _record({"fitting_ideal_is_maximal_ideal": reduced},
+                   [("t1_log_relative", dim, "parameter rows", d.weights is not None)],
+                   certificates={"fitting_ideal_generator": chi.format([job.params[0]])})
 
 
 HANDLERS = {

@@ -134,9 +134,8 @@ def kev_normal_space(setup: DeformationSetup, order: Optional[MonomialOrder] = N
     n = imap.source_dim
     rels = jacobian_columns(imap.components, n) + pulled_field_columns(setup.e_basis, imap.components)
     pres = ModulePresentation(imap.target_dim, rels, nvars=n)
-    order = order or (MonomialOrder("wdegrevlex", setup.weights)
-                      if setup.weights is not None and len(setup.weights) == n
-                      else MonomialOrder())
+    weights = setup.map.germ_weights(setup.weights)
+    order = order or MonomialOrder("wdegrevlex", weights)
     dim = quotient_dimension(pres, order.with_nvars(n))
     return pres, dim
 
@@ -314,9 +313,9 @@ def mu_e_derham(setup: DeformationSetup, bound: int = 20, window: int = 4) -> in
 def _mu_e_derham_proven(setup: DeformationSetup, bound: int, window: int) -> tuple:
     """(`mu_e_derham`, whether Cartan's stop degree ended the sum): False
     when the trailing window, a heuristic, did."""
-    imap = setup.map.germ()
     if setup.weights is None:
-        raise DeformationError("the de Rham route needs positive weights")
+        raise DeformationError("no positive weight system")
+    imap = setup.map.germ()
     weights = setup.map.germ_weights(setup.weights)
     p = imap.source_dim - 1
     mods = forms_pullback_degrees(setup.e_basis, imap.components, imap.source_names,

@@ -64,6 +64,11 @@ class GradedDimensionTable:
                 "stabilized": self.stabilized}
 
 
+def _shifts(weights: Sequence[int], n: int, k: int) -> list:
+    """The weight of each basis form dx_I of degree k on n variables."""
+    return [sum(weights[i] for i in I) for I in form_basis(n, k)]
+
+
 class CheckedFormsModule:
     """Finite presentation of one degree of the torsion-reduced complex."""
 
@@ -101,10 +106,7 @@ class CheckedFormsModule:
     def _grading(self) -> Optional[Grading]:
         if self.weights is None or any(w <= 0 for w in self.weights):
             return None
-        shifts = [sum(self.weights[i] for i in I) for I in form_basis(self.n, self.k)]
-        if not shifts:
-            shifts = [0]
-        g = Grading(self.weights, shifts)
+        g = Grading(self.weights, _shifts(self.weights, self.n, self.k))
         for r in self.relations:
             if not r.is_homogeneous(g.weights, g.shifts):
                 return None
@@ -492,9 +494,8 @@ def de_rham_report_sliced(modules: Sequence[CheckedFormsModule], bound: int,
                 "all_exact": all(r["exact"] for r in report.values()),
                 "positive_degrees": ("Euler-field homotopy (contraction checked)" if homotopy
                                      else f"sliced to degree-bound {bound}")}
-    shifts = {m.k: [sum(weights[i] for i in I) for I in form_basis(n, m.k)] or [0]
-              for m in modules}
-    degrees = (r.weighted_degree(weights, shifts[m.k]) for m in modules for r in m.relations)
+    degrees = (r.weighted_degree(weights, _shifts(weights, n, m.k))
+               for m in modules for r in m.relations)
     if any(d is not None and (len(d) != 1 or min(d) <= 0) for d in degrees):
         failure = "relation generator not homogeneous of positive weight"
     elif not whole:

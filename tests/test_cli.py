@@ -422,3 +422,19 @@ def test_de_rham_without_a_weight_system_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "needs a weight system (none found)" in captured.err
+
+
+def test_mu_e_without_weights_answers_by_the_family_routes():
+    """The four planes family with no weights statement: the de Rham route,
+    which needs a positive weight system, reports why it did not run, and
+    the alternating and good-equation routes answer."""
+    job = parse_job('ring { x1, x2, x3, s };\nparams { s };\n'
+                    'divisor "x1*x2*x3*(x1+x2+x3-s)";\ntarget-ring { w1, w2, w3, w4 };\n'
+                    'target-divisor "w1*w2*w3*w4";\nmap ( "x1", "x2", "x3", "x1+x2+x3-s" );\n'
+                    'command mu-e;\n')
+    record = run_job(job)
+    assert record["routes"] == ["alternating", "good_equation"]
+    assert record["verdicts"] == {"routes_agree": True,
+                                  "route_errors": {"derham": "no positive weight system"}}
+    assert [record["dimensions"][f"mu_e_{r}"]["value"] for r in record["routes"]] == [1, 1]
+    assert record["flags"]["certified"] == "UNCERTIFIED-LOCAL"

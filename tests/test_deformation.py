@@ -69,6 +69,21 @@ def test_kev_four_lines(four_lines_afd):
     assert dim == 3
 
 
+def test_kev_orders_a_family_by_the_germ_weights(nc3, call_counter):
+    """A family's weights cover its parameter too: the normal space of the
+    central germ (x, y) -> (x^2, y, x^2 + y) is read in the weighted order of
+    the germ's weights (1, 2), and its dimension is the one under unit weights."""
+    calls = call_counter("groebner", "quotient_dimension")
+    _, e_basis = nc3
+    sn = ["x", "y", "s"]
+    comps = [parse_poly(c, sn) for c in ["x^2", "y", "x^2+y-s^2"]]
+    imap = InducingMap(sn, ["u", "v", "w"], comps, s_indices=(2,))
+    _, dim = kev_normal_space(DeformationSetup(e_basis, imap, weights=(1, 2, 1)))
+    assert calls[0][1].weights == (1, 2)
+    _, unit_dim = kev_normal_space(DeformationSetup(e_basis, imap))
+    assert calls[1][1].weights == (1, 1) and dim == unit_dim
+
+
 def test_pulled_field_columns_pull_back_the_nonzero_entries(four_planes_afd, lips_disc,
                                                            lips_inclusion, call_counter):
     """Each column is a target field composed with the map, its zero entries
