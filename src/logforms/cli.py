@@ -274,6 +274,7 @@ def _cmd_critical_ideal(job: JobSpec, opts: dict) -> dict:
 def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
     routes = {}  # route -> (value, proven): de Rham is proven when Cartan's stop ended it
     errors = {}
+    ran_out = False  # a route failed because its bound ran out
     # de Rham route needs target data and the map
     if "target-divisor" in job.polys and "map" in job.polys:
         setup = DeformationSetup(_target_basis(job), _inducing_map(job), weights=job.weights)
@@ -282,6 +283,7 @@ def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
                 setup, opts.get("degree-bound", 20), opts.get("window", 4))
         except (StabilizationError, DeformationError) as exc:
             errors["derham"] = str(exc)
+            ran_out = isinstance(exc, StabilizationError)
     # alternating and good-equation routes need the total-space divisor
     if "divisor" in job.polys and job.params:
         d = _divisor_from_job(job)
@@ -302,8 +304,10 @@ def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
                 errors["good_equation"] = str(exc)
     if not routes:
         detail = "; ".join(f"{k}: {v}" for k, v in sorted(errors.items()))
-        raise PreconditionError("mu-e could not run any route"
-                                + (f" ({detail})" if detail else "; it needs family or map data"))
+        # a bound that ran out is non-stabilization (exit 4), not a missing input
+        raise (StabilizationError if ran_out else PreconditionError)(
+            "mu-e could not run any route"
+            + (f" ({detail})" if detail else "; it needs family or map data"))
     agreement = len({v for v, _ in routes.values()}) == 1
     rec = _routes_record("mu_e", routes, agreement,
                          job.weights is not None or job.target_weights is not None, {})

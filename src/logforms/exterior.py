@@ -11,7 +11,11 @@ coefficients where the input is integral (`_integer_terms`) and on
 `Fraction`s where it is not, so a rational input keeps its denominators;
 `Poly` (whose coefficients are all Fractions) is built only for a result
 handed back.  A minor table and the memo of composed monomials that
-`pullback` keeps live for one table or one call, never longer.
+`pullback` keeps live for one table or one call, never longer.  A minor
+table reads each row's support once: a minor with a row that vanishes on
+all of its columns is zero without expansion (the zero-support rule), so of
+the C(n, k)^2 minors of size k of a diagonal matrix (the Saito matrix of
+normal crossing) only the C(n, k) principal ones are expanded.
 """
 
 from __future__ import annotations
@@ -135,8 +139,13 @@ def contract(n: int, k: int, field: FreeElement, a: FreeElement) -> FreeElement:
 
 def _minor_terms(matrix: Sequence[Sequence[dict]], nvars: int):
     """`minor_table` over a matrix of term dicts, giving term dicts, which the
-    caller must not change."""
+    caller must not change.  Each row's support (the columns of its nonzero
+    entries) is one bitmask; a minor with a row whose support misses its
+    columns is the shared empty dict, never expanded."""
     one = {(0,) * nvars: 1}
+    zero: dict = {}
+    bits = [1 << c for c in range(max(map(len, matrix), default=0))]
+    support = [sum(b for b, a in zip(bits, row) if a) for row in matrix]
     cache: dict = {}
 
     def minor(rows: tuple, cols: tuple) -> dict:
@@ -145,12 +154,18 @@ def _minor_terms(matrix: Sequence[Sequence[dict]], nvars: int):
         key = (rows, cols)
         m = cache.get(key)
         if m is None:
-            row = matrix[rows[0]]
-            m = {}
-            for pos, c in enumerate(cols):
-                if row[c]:
-                    sub = minor(rows[1:], cols[:pos] + cols[pos + 1:])
-                    _add_product(m, row[c], sub, -1 if pos % 2 else 1)
+            mask = sum(map(bits.__getitem__, cols))
+            for r in rows:
+                if not support[r] & mask:
+                    m = zero
+                    break
+            else:
+                row = matrix[rows[0]]
+                m = {}
+                for pos, c in enumerate(cols):
+                    if row[c]:
+                        sub = minor(rows[1:], cols[:pos] + cols[pos + 1:])
+                        _add_product(m, row[c], sub, -1 if pos % 2 else 1)
             cache[key] = m
         return m
 
@@ -162,7 +177,10 @@ def minor_table(matrix: Sequence[Sequence[Poly]], nvars: int):
 
     Returns minor(rows, cols): the determinant of the submatrix with the given
     rows and columns in the order given, by Laplace expansion along the first
-    listed row; minor((), ()) = 1.  The expansion runs on term dicts with int
+    listed row; minor((), ()) = 1.  A minor with a row that is zero on every
+    one of its columns is zero, and is returned without being expanded (the
+    zero-support rule), so a sparse matrix, a diagonal one above all,
+    expands few of its minors.  The expansion runs on term dicts with int
     coefficients wherever the entries are integral (`_integer_terms`), so
     only a rational entry brings `Fraction` arithmetic in; a `Poly` is built
     only for a minor asked for.

@@ -33,7 +33,7 @@ from .groebner import (
     saturate,
     syzygy_module,
 )
-from .logarithmic import LogBasis, apply_field, log_form_generators
+from .logarithmic import LogBasis, _log_form_generators, apply_field, log_form_generators
 from .module import INFINITE, FreeElement, Grading, ModulePresentation
 from .order import MonomialOrder
 from .poly import Poly, PolyError, poly_exact_div
@@ -163,7 +163,7 @@ def pullback_relations_by_degree(e_basis: LogBasis, components: Sequence[Poly],
     m = e_basis.n
     degrees = [j for j in range(0, min(max(ks), m) + 1)
                if any(j <= k and k - j <= source_n for k in ks)]
-    gens = [(j, g) for j in degrees for g in log_form_generators(e_basis, j)]
+    gens = [(j, g) for j, js in _log_form_generators(e_basis, degrees).items() for g in js]
     h = FreeElement([e_basis.divisor.h])
     # a degree-0 generator equal to h (det of a Saito basis of determinant h)
     # pulls back to h o F, so h is composed once
@@ -523,7 +523,12 @@ def cokernel_slice_dims(modules: Sequence[CheckedFormsModule], k_top: int, bound
 
 
 def stabilized_sum(table: dict, bound: int, window: int):
-    """Sum the per-degree table, requiring a trailing window of zeros."""
+    """Sum the per-degree table, requiring a trailing window of zeros that
+    ends at `bound`.  A bound below the window raises `StabilizationError`:
+    the window would cover every sliced degree, so the sum would be its own
+    vanishing tail."""
+    if bound < window:
+        raise StabilizationError(f"degree bound {bound} is below the window of {window} degrees")
     total = sum(table.values())
     tail = [table[d] for d in range(max(0, bound - window + 1), bound + 1)]
     if any(t != 0 for t in tail):

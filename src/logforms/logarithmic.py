@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .exterior import form_basis, minor_table
+from .exterior import _minor_terms, form_basis, minor_table
 from .groebner import minimal_generator_indices, syzygies_and_head_leads, syzygy_module
 from .module import FreeElement, ModuleError
 from .order import MonomialOrder
@@ -318,23 +318,32 @@ def log_form_generators(basis: LogBasis, k: int) -> list:
     as polynomial k-forms: one generator per index set I, with dx_J-coefficient
     the signed complementary minor of the coefficient matrix.  For k = 0 the
     one generator is det = unit * h."""
+    return _log_form_generators(basis, (k,))[k]
+
+
+def _log_form_generators(basis: LogBasis, ks: Sequence[int]) -> dict:
+    """{k: `log_form_generators`(basis, k)} for each k in ks, from one minor
+    table of the Saito matrix on term dicts.  The dx_J-coefficient of the
+    generator of I is (-1)^(sum I + sum J) times the minor on the rows off J
+    and the columns off I; each index set's complement and sign parity is
+    taken once, and a `Poly` is built only for a nonzero minor."""
     n = basis.n
-    if k < 0 or k > n:
+    if any(k < 0 or k > n for k in ks):
         raise ModuleError("form degree out of range")
-    minor = minor_table(basis.matrix(), basis.divisor.h.nvars)
-    gens = []
-    basis_k = form_basis(n, k)
-    full = tuple(range(n))
-    for I in basis_k:
-        Ic = tuple(i for i in full if i not in I)
-        entries = []
-        sI = sum(i + 1 for i in I)
-        for J in basis_k:
-            Jc = tuple(j for j in full if j not in J)
-            sJ = sum(j + 1 for j in J)
-            m = minor(Jc, Ic)
-            if (sI + sJ) % 2 == 1:
-                m = -m
-            entries.append(m)
-        gens.append(FreeElement(entries))
-    return gens
+    nv = basis.divisor.h.nvars
+    minor = _minor_terms([[_integer_terms(a) for a in row] for row in basis.matrix()], nv)
+    zero = Poly.zero(nv)
+    out = {}
+    for k in ks:
+        sides = [(tuple(i for i in range(n) if i not in I), sum(I) % 2) for I in form_basis(n, k)]
+        gens = []
+        for Ic, pI in sides:
+            entries = []
+            for Jc, pJ in sides:
+                m = minor(Jc, Ic)
+                if m and pI != pJ:
+                    m = {e: -c for e, c in m.items()}
+                entries.append(Poly(nv, m) if m else zero)
+            gens.append(FreeElement(entries))
+        out[k] = gens
+    return out

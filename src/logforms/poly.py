@@ -213,10 +213,18 @@ class Poly:
         return Poly._of(self.nvars, _add_scaled(dict(self.terms), -1, other.terms))
 
     def __mul__(self, other) -> "Poly":
+        """The product, multiplied out on int term dicts: each factor's
+        denominators are cleared once (`_integral`) and the product divided
+        back by theirs, since an int product costs a fraction of a
+        `Fraction` one."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        return Poly._of(self.nvars, _add_product({}, self.terms, other.terms))
+        a, da = _integral(self.terms)
+        b, db = _integral(other.terms)
+        denom = da * db
+        return Poly._of(self.nvars, {e: Fraction(c, denom)
+                                     for e, c in _add_product({}, a, b).items()})
 
     __rmul__ = __mul__
 

@@ -412,6 +412,25 @@ def test_mu_e_from_the_window_fallback_is_uncertified():
     assert record["flags"]["certified"] == "UNCERTIFIED-LOCAL"
 
 
+@pytest.mark.parametrize("options", ["option degree-bound 3;\n",
+                                     "option window 1;\noption degree-bound 4;\n"],
+                         ids=["bound-below-window", "nonzero-tail"])
+def test_mu_e_bound_that_runs_out_exits_4(tmp_path, capsys, options):
+    """The lips inclusion of the test above, where only the window fallback
+    answers.  A degree bound below the window (slices 0..3 would be both
+    the sum and its vanishing tail, answering 0) and a window whose last
+    slice is not zero both run the bound out: exit 4, not an answer and not
+    a missing precondition."""
+    job = tmp_path / "job.job"
+    job.write_text('ring { X, W };\nweights ( 1, 3 );\ntarget-ring { A, U, B };\n'
+                   'target-weights ( 1, 2, 3 );\ntarget-divisor "4*(U+A^2)^3 + 27*B^2";\n'
+                   'map ( "X", "0", "W" );\ncommand mu-e;\n' + options)
+    assert main(["--input", str(job)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("non-stabilization: mu-e could not run any route (derham: ")
+
+
 def test_de_rham_without_a_weight_system_exits_3(tmp_path, capsys):
     """x*y*(x+y+x^2), pulled back from normal crossing, has no weights, not
     even with a zero among them: no homotopy applies and no slice is graded."""

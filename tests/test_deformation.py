@@ -24,7 +24,8 @@ from logforms.deformation import (
     t1_log,
     theta_prime_minors,
 )
-from logforms.forms import cokernel_slice_dims, contraction_well_defined, forms_pullback_degrees
+from logforms.forms import (cokernel_slice_dims, contraction_well_defined, forms_pullback_degrees,
+                            stabilized_sum)
 from logforms.groebner import (
     groebner_basis,
     is_member,
@@ -384,6 +385,16 @@ def test_cartan_stop_degree_needs_homogeneous_components(nc4, lips_disc, lips_af
     _, lips = lips_disc
     identity = InducingMap(sn, list(lips.divisor.names), [parse_poly(c, sn) for c in sn])
     assert _stop_degree_and_levels(DeformationSetup(lips, identity, weights=(1, 1, 1)))[0] is None
+
+
+def test_window_rule_needs_a_bound_past_the_window(lips_afd):
+    """A bound below the window leaves no sliced degree outside the window:
+    the fallback raises rather than read the whole sum as its own tail (the
+    lips inclusion answered 0 at bound 3, where its number is 1)."""
+    with pytest.raises(StabilizationError, match="^degree bound 3 is below the window of 4 "):
+        mu_e_derham(lips_afd, bound=3, window=4)
+    with pytest.raises(StabilizationError, match="^degree bound 0 is below the window of 1 "):
+        stabilized_sum({0: 0}, 0, 1)
 
 
 def test_mu_trivial_family_is_zero():

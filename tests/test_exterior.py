@@ -6,6 +6,7 @@ from itertools import permutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logforms import exterior
 from logforms.exterior import (
     d_packed,
     d_term,
@@ -21,7 +22,7 @@ from logforms.exterior import (
 from logforms.logarithmic import poly_det
 from logforms.module import FreeElement
 from logforms.order import MonomialOrder
-from logforms.poly import Poly
+from logforms.poly import Poly, _add_product
 
 from conftest import compose
 
@@ -72,6 +73,65 @@ def test_minor_table_matches_leibniz(case):
     for r, c in [(tuple(sorted(rows)), tuple(sorted(cols))), (rows, cols),
                  (rows[::-1], cols), (rows, cols[::-1])]:
         assert minor(r, c) == leibniz_det([[matrix[i][j] for j in c] for i in r])
+
+
+@st.composite
+def sparse_matrices_with_minor(draw):
+    """A matrix of up to 5 x 5, integral or rational throughout, with
+    entries that are mostly zero and with some rows and columns zero
+    throughout; and k distinct rows and columns in a drawn order."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    zero_rows = draw(st.sets(st.integers(0, nrows - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+    denominators = (1,) if draw(st.booleans()) else (1, 2, 3)
+    matrix = []
+    for i in range(nrows):
+        row = []
+        for j in range(ncols):
+            terms = {}
+            if i not in zero_rows and j not in zero_cols and draw(st.booleans()):
+                for _ in range(draw(st.integers(1, 2))):
+                    e = tuple(draw(st.integers(0, 2)) for _ in range(NV))
+                    terms[e] = Fraction(draw(st.integers(-3, 3)),
+                                        draw(st.sampled_from(denominators)))
+            row.append(Poly(NV, terms))
+        matrix.append(row)
+    k = draw(st.integers(0, min(nrows, ncols)))
+    rows = tuple(draw(st.permutations(range(nrows)))[:k])
+    cols = tuple(draw(st.permutations(range(ncols)))[:k])
+    return matrix, rows, cols
+
+
+@given(sparse_matrices_with_minor())
+@settings(max_examples=150, deadline=None)
+def test_zero_support_rule_matches_leibniz(case):
+    """Minors that the zero-support rule skips, and those it expands, agree
+    with the Leibniz determinant, in the drawn order and sorted, from one
+    table."""
+    matrix, rows, cols = case
+    minor = minor_table(matrix, NV)
+    for r, c in [(rows, cols), (tuple(sorted(rows)), tuple(sorted(cols))), (rows[::-1], cols)]:
+        assert minor(r, c) == leibniz_det([[matrix[i][j] for j in c] for i in r])
+
+
+def test_diagonal_minor_table_expands_only_principal_minors(monkeypatch):
+    """Every minor of every size of a diagonal 4 x 4 matrix, read from one
+    table, multiplies out one entry per nonempty principal minor (2^4 - 1
+    products): every other minor has a row that is zero on its columns."""
+    products = []
+    monkeypatch.setattr(exterior, "_add_product",
+                        lambda *args: products.append(args) or _add_product(*args))
+    n = 4
+    matrix = [[Poly.variable(NV, 0) + Poly.constant(NV, i) if i == j else Poly.zero(NV)
+               for j in range(n)] for i in range(n)]
+    minor = minor_table(matrix, NV)
+    for k in range(n + 1):
+        for rows in form_basis(n, k):
+            for cols in form_basis(n, k):
+                expected = leibniz_det([[matrix[i][j] for j in cols] for i in rows])
+                assert minor(rows, cols) == expected
+                assert expected.is_zero() == (rows != cols)
+    assert len(products) == 2 ** n - 1
 
 
 @given(st.integers(1, 4).flatmap(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from logforms import groebner
+from logforms import groebner, logarithmic
 from logforms.exterior import d_term, form_basis, monomial_form, pullback, wedge
 from logforms.forms import (
     CheckedFormsModule,
@@ -704,6 +704,26 @@ def test_pulled_back_relations_match_one_by_one(case):
     e_basis = _normal_crossing_basis(m)
     assert (pullback_relations_by_degree(e_basis, comps, n, ks)[1]
             == _relations_one_by_one(e_basis, comps, n, ks))
+
+
+def test_pulled_back_relations_build_one_saito_minor_table(monkeypatch):
+    """One `pullback_relations_by_degree` call, here over every degree a map
+    C^3 -> C^4 reaches, takes the log-form generators of all its degrees
+    from one minor table of the target's Saito matrix; the Jacobian minors
+    of `pullback` are another module's table and are not counted here."""
+    tables = []
+
+    def counting(*args):
+        tables.append(args)
+        return original(*args)
+
+    original = logarithmic._minor_terms
+    monkeypatch.setattr(logarithmic, "_minor_terms", counting)
+    names = ["x", "y", "z"]
+    comps = [parse_poly(c, names) for c in ("x", "y", "z", "x+2*y+3*z")]
+    rels = pullback_relations_by_degree(_normal_crossing_basis(4), comps, 3, (0, 1, 2, 3))[1]
+    assert len(tables) == 1
+    assert rels == _relations_one_by_one(_normal_crossing_basis(4), comps, 3, (0, 1, 2, 3))
 
 
 @st.composite

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from logforms import logarithmic
 from logforms.cli import main
-from logforms.exterior import ext_d, form_basis, monomial_form, contract, wedge
+from logforms.exterior import contract, ext_d, form_basis, minor_table, monomial_form, wedge
 from logforms.groebner import (
     groebner_basis,
     is_member,
@@ -34,7 +34,7 @@ from logforms.module import FreeElement
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, is_squarefree, parse_poly, poly_exact_div
 
-from conftest import monomials_of_weight, submodules_equal, term_key
+from conftest import monomials_of_weight, normal_crossing_basis, submodules_equal, term_key
 
 ORD = MonomialOrder()
 
@@ -282,6 +282,42 @@ def test_log_forms_top_and_bottom(nc3):
     gtop = log_form_generators(basis, 3)
     assert len(gtop) == 1
     assert gtop[0].entries[0].is_constant() and not gtop[0].entries[0].is_zero()
+
+
+def minor_loop_generators(basis, k: int) -> list:
+    """`log_form_generators` by the per-(I, J) loop it replaced: one `Poly`
+    minor table, with each pair's complements and sign taken afresh."""
+    n = basis.n
+    minor = minor_table(basis.matrix(), basis.divisor.h.nvars)
+    full = tuple(range(n))
+    gens = []
+    for I in form_basis(n, k):
+        Ic = tuple(i for i in full if i not in I)
+        entries = []
+        for J in form_basis(n, k):
+            Jc = tuple(j for j in full if j not in J)
+            m = minor(Jc, Ic)
+            entries.append(-m if (sum(i + 1 for i in I) + sum(j + 1 for j in J)) % 2 else m)
+        gens.append(FreeElement(entries))
+    return gens
+
+
+REFLECTION = {"A3": "x*y*z*(x-y)*(x-z)*(y-z)", "B3": "x*y*z*(x-y)*(x+y)*(x-z)*(x+z)*(y-z)*(y+z)"}
+
+
+@pytest.mark.parametrize("kind", ["NC2", "NC3", "NC4", "NC5", "A3", "B3"])
+def test_log_form_generators_match_the_minor_loop(kind):
+    """Normal crossing in C^2..C^5, whose diagonal Saito matrix leaves most
+    minors to the zero-support rule, and the A3 and B3 reflection
+    arrangements, whose Saito matrices are dense: every degree, entry by
+    entry."""
+    if kind.startswith("NC"):
+        basis = normal_crossing_basis(int(kind[2]))
+    else:
+        names = ["x", "y", "z"]
+        basis = is_free(Divisor(names, parse_poly(REFLECTION[kind], names), (1, 1, 1))).basis
+    for k in range(basis.n + 1):
+        assert log_form_generators(basis, k) == minor_loop_generators(basis, k)
 
 
 def test_log_forms_normal_crossing_equality(nc2, nc3):

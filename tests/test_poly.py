@@ -121,8 +121,8 @@ def test_parse_product_is_bounded_by_its_term_count():
 
 def test_parse_is_bounded_by_its_work():
     """Within the term bound, multiplying out can still take seconds, since
-    each term pair costs a Fraction product and sum, more for long
-    coefficients: (x+y)^999 took 2.4 s and (x+y)^500*(x+y)^499 2.5 s.  The
+    each term pair costs a product and sum, more for long coefficients:
+    (x+y)^999 took 2.4 s and (x+y)^500*(x+y)^499 2.5 s on `Fraction` terms.  The
     work of the products and powers of one polynomial is bounded too, in
     sum, and the step that passes the bound is rejected before it is
     multiplied out, at its '*' or its exponent.  A power is bounded from its
@@ -334,6 +334,44 @@ def test_ring_axioms(a, b, c):
     assert (a + b) * c == a * c + b * c
     assert a * b == b * a
     assert (a - a).is_zero()
+
+
+def _fraction_product(a: Poly, b: Poly) -> dict:
+    """The schoolbook product on `Fraction` coefficients."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def product_factors(draw):
+    """Up to 12 terms, with coefficients that are small ints, ratios of
+    small ints or ratios of 80-bit ints."""
+    big = draw(st.booleans())
+    top = 2 ** 80 if big else 9
+    terms = {}
+    for _ in range(draw(st.integers(0, 12))):
+        e = tuple(draw(st.integers(0, 3)) for _ in range(3))
+        terms[e] = Fraction(draw(st.integers(-top, top)), draw(st.integers(1, top)))
+    return Poly(3, terms)
+
+
+@given(product_factors(), product_factors(), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_product_matches_the_fraction_product(a, b, e):
+    """`Poly.__mul__` multiplies int term dicts with the denominators
+    cleared; the schoolbook `Fraction` product is the oracle, for products
+    and for powers (by repeated squaring, so through the same product)."""
+    ab = a * b
+    assert ab.terms == _fraction_product(a, b)
+    assert all(type(c) is Fraction for c in ab.terms.values())
+    power = Poly.constant(3, 1)
+    for _ in range(e):
+        power = Poly(3, _fraction_product(power, a))
+    assert (a ** e).terms == power.terms
 
 
 @given(small_polys())
