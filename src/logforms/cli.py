@@ -17,13 +17,13 @@ from .deformation import (
     DeformationError,
     DeformationSetup,
     InducingMap,
-    _mu_e_derham_proven,
     ae_codim_damon,
     ae_normal_space_direct,
     good_equation_witness,
     ke_discriminant_reduced,
     kev_normal_space,
     mu_e_alternating,
+    mu_e_derham,
     mu_e_good_equation,
     t1_log,
     theta_prime_minors,
@@ -272,15 +272,14 @@ def _cmd_critical_ideal(job: JobSpec, opts: dict) -> dict:
 
 
 def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
-    routes = {}  # route -> (value, proven): de Rham is proven when Cartan's stop ended it
+    routes = {}  # route -> (value, proven)
     errors = {}
     ran_out = False  # a route failed because its bound ran out
     # de Rham route needs target data and the map
     if "target-divisor" in job.polys and "map" in job.polys:
         setup = DeformationSetup(_target_basis(job), _inducing_map(job), weights=job.weights)
         try:
-            routes["derham"] = _mu_e_derham_proven(
-                setup, opts.get("degree-bound", 20), opts.get("window", 4))
+            routes["derham"] = mu_e_derham(setup, opts.get("degree-bound", 20)), True
         except (StabilizationError, DeformationError) as exc:
             errors["derham"] = str(exc)
             ran_out = isinstance(exc, StabilizationError)

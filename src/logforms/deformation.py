@@ -18,7 +18,6 @@ from .forms import (
     CheckedFormsModule,
     cokernel_slice_dims,
     forms_pullback_degrees,
-    stabilized_sum,
 )
 from .exterior import minor_table, pullback
 from .groebner import (
@@ -246,14 +245,16 @@ def mu_e_good_equation(d: Divisor, param_indices: Sequence[int], witness: FreeEl
     return quotient_dimension(pres, (order or d.order()).with_nvars(nv))
 
 
-def cartan_stop_degree(components: Sequence[Poly], weights: Sequence[int], h: Poly,
+def cartan_stop_degree(components: Sequence[Poly], weights: Sequence[int], target: Divisor,
                        top: CheckedFormsModule) -> Optional[int]:
     """A weighted degree D above which every cokernel slice of d into the
     top level of `mu_e_derham` vanishes, or None when the proof below does
-    not apply: a component of F is zero or not weighted homogeneous of
+    not apply: a nonzero component of F is not weighted homogeneous of
     positive degree, the target equation h is not homogeneous for the
     degrees (d_c) of the components, the top level is not graded, or O/J is
-    infinite.
+    infinite.  A zero component F_c takes d_c = r v_c, where v are the
+    target's weights and r is the common ratio d_c / v_c of the nonzero
+    components; with no target weights, or no common ratio, there is no D.
 
     Let the source have n variables of weights w, p = n - 1, E = sum w_i x_i
     d/dx_i, and R_k the pulled-back relations of level k: the exterior ideal
@@ -267,10 +268,13 @@ def cartan_stop_degree(components: Sequence[Poly], weights: Sequence[int], h: Po
     g dx_[n] of degree delta > D has deg g above the top standard degree,
     so g lies in J (its normal form, homogeneous of the same degree, is
     zero); hence R_p ^ Omega^1 holds every n-form of degree delta > D.
-    Each F_c is weighted homogeneous of degree d_c > 0, so
-    i_E F*eta = F*(i_E' eta) with E' = sum d_c y_c d/dy_c.  E' is
-    logarithmic, E'(h) = deg(h) h, because h is homogeneous for the weights
-    (d_c), and contraction by a logarithmic field maps h Omega^j(log D) into
+    Let E' = sum d_c y_c d/dy_c.  Then i_E F*eta = F*(i_E' eta): both sides
+    are antiderivations along F* that vanish on functions, and on dy_c they
+    give E(F_c) and F*(d_c y_c) = d_c F_c, equal where F_c is homogeneous of
+    degree d_c and both zero where F_c = 0, whatever d_c is.  E' is
+    logarithmic, E'(h) = deg(h) h, because h is homogeneous for the degrees
+    (d_c); with a zero component E' is r times the target's Euler field.
+    Contraction by a logarithmic field maps h Omega^j(log D) into
     h Omega^(j-1)(log D) (Saito, "Theory of logarithmic differential forms
     and logarithmic vector fields", 1980).  With the Leibniz rule for i_E
     this gives i_E R_p in R_(p-1) and i_E (R_p ^ Omega^1) in R_p.  Now let
@@ -283,10 +287,18 @@ def cartan_stop_degree(components: Sequence[Poly], weights: Sequence[int], h: Po
     """
     degrees = []
     for c in components:
-        if c.is_zero() or not c.is_homogeneous(weights) or c.weighted_degree(weights) <= 0:
+        if c.is_zero():
+            degrees.append(None)
+        elif c.is_homogeneous(weights) and c.weighted_degree(weights) > 0:
+            degrees.append(c.weighted_degree(weights))
+        else:
             return None
-        degrees.append(c.weighted_degree(weights))
-    if not h.is_homogeneous(degrees) or top.grading() is None:
+    if None in degrees:  # no target weights: no ratio
+        ratios = {Fraction(d, v) for d, v in zip(degrees, target.weights or ()) if d is not None}
+        if len(ratios) != 1:
+            return None
+        degrees = target.weights  # h is homogeneous for them, so for r times them
+    if not target.h.is_homogeneous(degrees) or top.grading() is None:
         return None
     coefficients = {c for r in top.relations for c in r.entries if not c.is_zero()}
     pres = ModulePresentation(1, [FreeElement([c]) for c in coefficients], nvars=top.nvars)
@@ -298,21 +310,15 @@ def cartan_stop_degree(components: Sequence[Poly], weights: Sequence[int], h: Po
     return max(sum(map(mul, e, weights)) for _, e in terms) + sum(weights)
 
 
-def mu_e_derham(setup: DeformationSetup, bound: int = 20, window: int = 4) -> int:
+def mu_e_derham(setup: DeformationSetup, bound: int = 20, window: Optional[int] = None) -> int:
     """Singular Milnor number as the dimension of the top checked forms of the
     central fibre modulo exact forms, accumulated over weighted-degree slices.
 
     The sum stops at the degree D of `cartan_stop_degree`, proven to bound
-    every nonzero slice, when D <= bound; degrees above D are never sliced.
-    Otherwise (no D, or D > bound) the slices are summed to `bound` and the
-    sum is trusted only if the last `window` of them are zero
-    (`stabilized_sum`), else `StabilizationError`."""
-    return _mu_e_derham_proven(setup, bound, window)[0]
-
-
-def _mu_e_derham_proven(setup: DeformationSetup, bound: int, window: int) -> tuple:
-    """(`mu_e_derham`, whether Cartan's stop degree ended the sum): False
-    when the trailing window, a heuristic, did."""
+    every nonzero slice; degrees above D are never sliced.  With no D there
+    is no proven stop and no bound would help: `DeformationError`.  D above
+    `bound` raises `StabilizationError`.  `window` is not read; it is kept
+    only because the benchmark's cases still pass it."""
     if setup.weights is None:
         raise DeformationError("no positive weight system")
     imap = setup.map.germ()
@@ -320,11 +326,12 @@ def _mu_e_derham_proven(setup: DeformationSetup, bound: int, window: int) -> tup
     p = imap.source_dim - 1
     mods = forms_pullback_degrees(setup.e_basis, imap.components, imap.source_names,
                                   (p - 1, p), weights)
-    stop = cartan_stop_degree(imap.components, weights, setup.e_basis.divisor.h, mods[1])
-    if stop is not None and stop <= bound:
-        return sum(cokernel_slice_dims(mods, p, stop).values()), True
-    table = cokernel_slice_dims(mods, p, bound)
-    return stabilized_sum(table, bound, window), False
+    stop = cartan_stop_degree(imap.components, weights, setup.e_basis.divisor, mods[1])
+    if stop is None:
+        raise DeformationError("no stop degree is proven: Cartan's formula does not apply")
+    if stop > bound:
+        raise StabilizationError(f"the stop degree {stop} is above the degree bound {bound}")
+    return sum(cokernel_slice_dims(mods, p, stop).values())
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .exterior import (
 from .groebner import (
     LinSpace,
     QuotientTable,
-    StabilizationError,
     _finite,
     _staircase,
     groebner_basis,
@@ -521,17 +520,3 @@ def cokernel_slice_dims(modules: Sequence[CheckedFormsModule], k_top: int, bound
         out[degree] = dim - rank
     return out
 
-
-def stabilized_sum(table: dict, bound: int, window: int):
-    """Sum the per-degree table, requiring a trailing window of zeros that
-    ends at `bound`.  A bound below the window raises `StabilizationError`:
-    the window would cover every sliced degree, so the sum would be its own
-    vanishing tail."""
-    if bound < window:
-        raise StabilizationError(f"degree bound {bound} is below the window of {window} degrees")
-    total = sum(table.values())
-    tail = [table[d] for d in range(max(0, bound - window + 1), bound + 1)]
-    if any(t != 0 for t in tail):
-        raise StabilizationError(
-            f"per-degree contributions did not vanish over the last {window} degrees")
-    return total

@@ -111,7 +111,7 @@ COMMANDS = (
 # The domain of each option: the words it may take, or the least value of an
 # integer option (None: any integer).
 OPTION_DOMAINS = {"degree-bound": 0, "order": ("wdegrevlex", "lex"), "seed": None,
-                  "form-degree": 0, "jet-cap": 1, "window": 1}
+                  "form-degree": 0, "jet-cap": 1}
 
 
 class JobError(ValueError):

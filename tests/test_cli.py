@@ -164,10 +164,10 @@ def test_cli_flag_overrides_degree_bound():
 @pytest.mark.parametrize("jobname, extra, argv", [
     ("de_rham_plane_pair", "option degree-bound -3;", []),
     ("is_free_normal_crossing", "option seed abc;", []),
-    ("mu_e_four_planes", "option window abc;", []),
+    ("mu_e_four_planes", "option jet-cap 0;", []),
     ("is_free_normal_crossing", "option order foo;", []),
     ("de_rham_plane_pair", "", ["--degree-bound", "-1"]),
-], ids=["degree-bound", "seed", "window", "order", "cli-degree-bound"])
+], ids=["degree-bound", "seed", "jet-cap", "order", "cli-degree-bound"])
 def test_invalid_option_is_a_parse_error(tmp_path, capsys, jobname, extra, argv):
     job = tmp_path / "job.job"
     job.write_text((JOBS / f"{jobname}.job").read_text() + extra + "\n")
@@ -175,11 +175,18 @@ def test_invalid_option_is_a_parse_error(tmp_path, capsys, jobname, extra, argv)
     assert "parse error: option" in capsys.readouterr().err
 
 
-def test_window_flag_is_checked_like_the_job_option(capsys):
-    """Every option of the job language has its flag, with the job option's
-    domain: `--window 0` is below the least window, 1."""
-    assert main(["--input", str(JOBS / "mu_e_four_planes.job"), "--window", "0"]) == 2
-    assert "parse error: option window" in capsys.readouterr().err
+def test_window_flag_is_checked_like_the_job_option(tmp_path, capsys):
+    """The `mu-e` sum ends only at Cartan's stop degree, so there is no
+    `window` option: its flag is an unknown argument and the job option an
+    unknown option, both exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--input", str(JOBS / "mu_e_four_planes.job"), "--window", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --window" in capsys.readouterr().err
+    job = tmp_path / "job.job"
+    job.write_text((JOBS / "mu_e_four_planes.job").read_text() + "option window 1;\n")
+    assert main(["--input", str(job)]) == 2
+    assert "parse error: unknown option 'window'" in capsys.readouterr().err
 
 
 # One single-fault job per JobError site: (id, job text, message, (line, column)
@@ -400,35 +407,61 @@ def test_pullback_jobs_compose_h_once(text, call_counter):
     assert sum(form == h for forms, *_ in calls for form in forms) == 1
 
 
-def test_mu_e_from_the_window_fallback_is_uncertified():
-    """The lips discriminant pulled back by (X, 0, W): the zero component
-    leaves Cartan's stop unproven, so mu_e_derham = 1 comes from the
-    trailing window of zero slices, a heuristic, and is not certified."""
-    job = parse_job('ring { X, W };\nweights ( 1, 3 );\ntarget-ring { A, U, B };\n'
-                    'target-weights ( 1, 2, 3 );\ntarget-divisor "4*(U+A^2)^3 + 27*B^2";\n'
-                    'map ( "X", "0", "W" );\ncommand mu-e;\n')
-    record = run_job(job)
-    assert record["dimensions"]["mu_e_derham"]["value"] == 1
-    assert record["flags"]["certified"] == "UNCERTIFIED-LOCAL"
+LIPS_INCLUSION = ('ring { X, W };\nweights ( 1, 3 );\ntarget-ring { A, U, B };\n'
+                  'target-weights ( 1, 2, 3 );\ntarget-divisor "4*(U+A^2)^3 + 27*B^2";\n'
+                  'map ( "X", "0", "W" );\ncommand mu-e;\n')
 
 
-@pytest.mark.parametrize("options", ["option degree-bound 3;\n",
-                                     "option window 1;\noption degree-bound 4;\n"],
+def test_mu_e_of_the_lips_inclusion_ends_at_cartans_stop(tmp_path, capsys):
+    """The lips discriminant pulled back by (X, 0, W): the zero component U
+    takes its degree from the target weights, so Cartan's stop degree is 5
+    and mu_e_derham = 1 is CERTIFIED at the default bound and at bound 5.
+    Every bound below 5 exits 4."""
+    for options in ("", "option degree-bound 5;\n"):
+        record = run_job(parse_job(LIPS_INCLUSION + options))
+        assert record["dimensions"]["mu_e_derham"]["value"] == 1
+        assert record["flags"]["certified"] == "CERTIFIED"
+    job = tmp_path / "job.job"
+    for bound in range(1, 5):
+        job.write_text(LIPS_INCLUSION + f"option degree-bound {bound};\n")
+        assert main(["--input", str(job)]) == 4
+        assert capsys.readouterr().err == (
+            "non-stabilization: mu-e could not run any route (derham: the stop degree 5 "
+            f"is above the degree bound {bound})\n")
+
+
+@pytest.mark.parametrize("options", ["option degree-bound 3;\n", "option degree-bound 4;\n"],
                          ids=["bound-below-window", "nonzero-tail"])
 def test_mu_e_bound_that_runs_out_exits_4(tmp_path, capsys, options):
-    """The lips inclusion of the test above, where only the window fallback
-    answers.  A degree bound below the window (slices 0..3 would be both
-    the sum and its vanishing tail, answering 0) and a window whose last
-    slice is not zero both run the bound out: exit 4, not an answer and not
-    a missing precondition."""
+    """The lips inclusion of the test above at bounds 3 and 4, below its stop
+    degree 5: exit 4, not an answer and not a missing precondition.  (The
+    ids name a trailing-window stop that the sum no longer has.)"""
     job = tmp_path / "job.job"
-    job.write_text('ring { X, W };\nweights ( 1, 3 );\ntarget-ring { A, U, B };\n'
-                   'target-weights ( 1, 2, 3 );\ntarget-divisor "4*(U+A^2)^3 + 27*B^2";\n'
-                   'map ( "X", "0", "W" );\ncommand mu-e;\n' + options)
+    job.write_text(LIPS_INCLUSION + options)
     assert main(["--input", str(job)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("non-stabilization: mu-e could not run any route (derham: ")
+
+
+@pytest.mark.parametrize("ring, target, comps", [
+    ("u, v, w", "u*v*w", '"x", "0", "y"'),
+    ("w1, w2, w3, w4", "w1*w2*w3*w4", '"x", "y", "x+y", "y"'),
+], ids=["zero-pullback", "infinite-quotient"])
+def test_mu_e_without_a_stop_degree_exits_3(tmp_path, capsys, ring, target, comps):
+    """A map-only `mu-e` job whose O/J is infinite has no proven stop degree:
+    (x, 0, y) into normal crossing in C^3, where h o F = 0, and a
+    non-generic map into normal crossing in C^4.  No bound would help, so
+    the route error is a failed precondition (exit 3), not exit 4."""
+    ones = ", ".join("1" for _ in ring.split(","))
+    job = tmp_path / "job.job"
+    job.write_text(f'ring {{ x, y }};\nweights ( 1, 1 );\ntarget-ring {{ {ring} }};\n'
+                   f'target-weights ( {ones} );\ntarget-divisor "{target}";\n'
+                   f'map ( {comps} );\ncommand mu-e;\n')
+    assert main(["--input", str(job)]) == 3
+    assert capsys.readouterr().err == (
+        "precondition failure: mu-e could not run any route (derham: no stop degree is "
+        "proven: Cartan's formula does not apply)\n")
 
 
 def test_de_rham_without_a_weight_system_exits_3(tmp_path, capsys):

@@ -24,8 +24,7 @@ from logforms.deformation import (
     t1_log,
     theta_prime_minors,
 )
-from logforms.forms import (cokernel_slice_dims, contraction_well_defined, forms_pullback_degrees,
-                            stabilized_sum)
+from logforms.forms import cokernel_slice_dims, contraction_well_defined, forms_pullback_degrees
 from logforms.groebner import (
     groebner_basis,
     is_member,
@@ -44,7 +43,8 @@ from logforms.module import INFINITE, FreeElement, ModulePresentation
 from logforms.order import MonomialOrder, StabilizationError
 from logforms.poly import Poly, parse_poly
 
-from conftest import compose, generic_arrangements, normal_crossing_basis, submodules_equal
+from conftest import (certified, compose, generic_arrangements, normal_crossing_basis,
+                      submodules_equal)
 
 ORD = MonomialOrder()
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
@@ -306,7 +306,7 @@ def _stop_degree_and_levels(setup: DeformationSetup):
     p = imap.source_dim - 1
     mods = forms_pullback_degrees(setup.e_basis, imap.components, imap.source_names,
                                   (p - 1, p), weights)
-    return cartan_stop_degree(imap.components, weights, setup.e_basis.divisor.h, mods[1]), mods
+    return cartan_stop_degree(imap.components, weights, setup.e_basis.divisor, mods[1]), mods
 
 
 def test_mu_derham_vanishes_on_free_pullback(nc2, call_counter):
@@ -330,7 +330,7 @@ def test_mu_derham_slices_no_degree_above_the_stopping_degree(four_planes_afd, c
     the slices of degrees 5..12 are never read."""
     assert _stop_degree_and_levels(four_planes_afd)[0] == 4
     calls = call_counter("forms", "GradedSlices.basis")
-    assert mu_e_derham(four_planes_afd, bound=12, window=4) == 1
+    assert mu_e_derham(four_planes_afd, bound=12) == 1
     assert max(degree for _, _, degree in calls) == 4
 
 
@@ -353,30 +353,75 @@ def test_cartan_stop_degree_on_generic_arrangements(arrangement):
     assert stop is not None
     table = cokernel_slice_dims(mods, n - 1, max(12, stop + 3))
     assert all(v == 0 for degree, v in table.items() if degree > stop)
-    assert sum(table.values()) == comb(m - 1, n) == mu_e_derham(setup, bound=12, window=4)
+    assert sum(table.values()) == comb(m - 1, n) == mu_e_derham(setup, bound=12)
     assert contraction_well_defined(mods[1], mods[0], euler_field((1,) * n, n))
+
+
+def _zero_component_setup(target, source: str, comps: str, weights) -> DeformationSetup:
+    """The set-up of a map, its components written in the source variables
+    (comma-separated, like `source`), into a certified target."""
+    sn = source.split(",")
+    imap = InducingMap(sn, list(target.divisor.names),
+                       [parse_poly(c, sn) for c in comps.split(",")])
+    return DeformationSetup(target, imap, weights=weights)
+
+
+@pytest.mark.parametrize("target, source, comps, weights, stop, mu", [
+    ("lips_disc", "X,W", "X,0,W", (1, 3), 5, 1),
+    ("four_lines_total", "x,y", "x,y,0,0", (1, 1), 4, comb(3, 2)),
+    ("four_lines_total", "x,y,z", "x,y,z,0", (1, 1, 1), 4, comb(3, 3)),
+], ids=["lips-inclusion", "four-lines", "four-planes"])
+def test_cartan_stop_degree_covers_zero_components(request, target, source, comps, weights,
+                                                   stop, mu):
+    """Maps with zero components into two free targets: the lips
+    discriminant by (X, 0, W), and x*y*(x-y-s1)*(x+y-2*s1-s2) by
+    (x, y, 0, 0), four generic lines, and by (x, y, z, 0), four generic
+    planes.  A zero component takes its degree from the target's weights,
+    so D exists; every slice above it is zero (read up to max(12, D + 3)),
+    and the slices sum to `mu_e_derham`, C(m - 1, n) for m generic
+    hyperplanes in C^n, and 1 for the lips inclusion."""
+    _, basis = request.getfixturevalue(target)
+    setup = _zero_component_setup(basis, source, comps, weights)
+    found, mods = _stop_degree_and_levels(setup)
+    assert found == stop
+    table = cokernel_slice_dims(mods, len(weights) - 1, max(12, stop + 3))
+    assert all(v == 0 for degree, v in table.items() if degree > stop)
+    assert sum(table.values()) == mu == mu_e_derham(setup, bound=12)
+
+
+def test_zero_components_without_a_common_ratio_have_no_stop(lips_disc, nc3):
+    """No stop degree, and a route error rather than a number: the lips
+    inclusion (X, 0, W^2), where degree over target weight is 1 for X and 2
+    for W; the same discriminant without weights; and (x, 0, y) into normal
+    crossing in C^3, where h o F = 0 and J is infinite."""
+    d, basis = lips_disc
+    unweighted = certified(Divisor(d.names, d.h))
+    _, nc = nc3
+    for setup in (_zero_component_setup(basis, "X,W", "X,0,W^2", (1, 1)),
+                  _zero_component_setup(unweighted, "X,W", "X,0,W", (1, 3)),
+                  _zero_component_setup(nc, "x,y", "x,0,y", (1, 1))):
+        assert _stop_degree_and_levels(setup)[0] is None
+        with pytest.raises(DeformationError, match="^no stop degree is proven"):
+            mu_e_derham(setup, bound=12)
 
 
 @pytest.mark.parametrize("comps", [("x", "y", "x+y", "z"), ("x", "y", "x+2*y", "x+y+z")])
 def test_mu_derham_falls_back_on_an_infinite_coefficient_quotient(nc4, comps):
     """Two non-generic maps C^3 -> C^4: O/J is infinite, so no stopping
-    degree is proven, and the bound and window rule raises as before."""
+    degree is proven, and the route raises `DeformationError`: no degree
+    bound would give a proven sum."""
     _, e_basis = nc4
     sn = ["x", "y", "z"]
     imap = InducingMap(sn, list(e_basis.divisor.names), [parse_poly(c, sn) for c in comps])
     setup = DeformationSetup(e_basis, imap, weights=(1, 1, 1))
     assert _stop_degree_and_levels(setup)[0] is None
-    with pytest.raises(StabilizationError,
-                       match="^per-degree contributions did not vanish over the last 4 degrees$"):
-        mu_e_derham(setup, bound=12, window=4)
+    with pytest.raises(DeformationError, match="^no stop degree is proven"):
+        mu_e_derham(setup, bound=12)
 
 
-def test_cartan_stop_degree_needs_homogeneous_components(nc4, lips_disc, lips_afd):
-    """No stopping degree for a zero component, a component that is not
-    weighted homogeneous, or an h that is not homogeneous for the degrees of
-    the components.  The window rule still answers where it did."""
-    assert _stop_degree_and_levels(lips_afd)[0] is None  # the U component is zero
-    assert mu_e_derham(lips_afd, bound=12) == 1
+def test_cartan_stop_degree_needs_homogeneous_components(nc4, lips_disc):
+    """No stopping degree for a component that is not weighted homogeneous,
+    or an h that is not homogeneous for the degrees of the components."""
     _, e_basis = nc4
     sn = ["x", "y", "z"]
     imap = InducingMap(sn, list(e_basis.divisor.names),
@@ -385,16 +430,6 @@ def test_cartan_stop_degree_needs_homogeneous_components(nc4, lips_disc, lips_af
     _, lips = lips_disc
     identity = InducingMap(sn, list(lips.divisor.names), [parse_poly(c, sn) for c in sn])
     assert _stop_degree_and_levels(DeformationSetup(lips, identity, weights=(1, 1, 1)))[0] is None
-
-
-def test_window_rule_needs_a_bound_past_the_window(lips_afd):
-    """A bound below the window leaves no sliced degree outside the window:
-    the fallback raises rather than read the whole sum as its own tail (the
-    lips inclusion answered 0 at bound 3, where its number is 1)."""
-    with pytest.raises(StabilizationError, match="^degree bound 3 is below the window of 4 "):
-        mu_e_derham(lips_afd, bound=3, window=4)
-    with pytest.raises(StabilizationError, match="^degree bound 0 is below the window of 1 "):
-        stabilized_sum({0: 0}, 0, 1)
 
 
 def test_mu_trivial_family_is_zero():
