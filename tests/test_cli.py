@@ -356,17 +356,66 @@ def test_exponent_beyond_the_packed_field_exits_4(tmp_path, capsys):
     assert "non-stabilization" in captured.err and str(FIELD_MAX) in captured.err
 
 
-@pytest.mark.parametrize("germ", ["x*y+y^5", "x*y^2+y^4"])
-def test_ae_codim_jet_route_alone_is_uncertified(tmp_path, capsys, germ):
-    # the jet route stops when two consecutive jet orders agree, which proves
-    # nothing: (x, xy+y^5) gives 2 that way, (x, xy^2+y^4) gives 1
+def _germ_job(tmp_path, comps: str) -> Path:
     job = tmp_path / "job.job"
-    job.write_text(f'ring {{ x, y }};\ntarget-ring {{ X, Y }};\nmap ( "x", "{germ}" );\n'
+    job.write_text(f'ring {{ x, y }};\ntarget-ring {{ X, Y }};\nmap ( {comps} );\n'
                    'command ae-codim;\n')
-    assert main(["--input", str(job)]) == 0
+    return job
+
+
+def test_ae_codim_direct_route_alone_is_certified(tmp_path, capsys):
+    """Without unfolding data the slice route is the only route, and its
+    stop is proven: (x, xy+y^5) has A_e-codimension 3, CERTIFIED."""
+    assert main(["--input", str(_germ_job(tmp_path, '"x", "x*y+y^5"'))]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["routes"] == ["direct"]
-    assert record["flags"]["certified"] == "UNCERTIFIED-LOCAL"
+    assert record["dimensions"]["ae_codim_direct"]["value"] == 3
+    assert record["verdicts"] == {"finite": True}
+    assert record["flags"]["certified"] == "CERTIFIED"
+
+
+def test_ae_codim_of_a_germ_that_is_not_finitely_determined_exits_4(tmp_path, capsys):
+    """(x, xy^2+y^4) is not finitely determined: its slices never close the
+    window, and the jet-cap bound on the nonzero slices above D0 runs out."""
+    assert main(["--input", str(_germ_job(tmp_path, '"x", "x*y^2+y^4"'))]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("non-stabilization: ") and "jet-cap 20" in captured.err
+
+
+# the lips after the target change (X, W) -> (X, W + X^2), with the lips'
+# stable unfolding and the inclusion (X, W - X^2, 0)
+UNWEIGHTED_LIPS = (JOBS / "ae_codim_lips.job").read_text().replace(
+    "target-weights ( 1, 3 );\n", "").replace(
+    '"y^3 + x^2*y"', '"y^3 + x^2*y + x^2"').replace('"W" )', '"W - X^2" )')
+
+
+@pytest.mark.parametrize("text", [
+    'ring { x, y };\ntarget-ring { X, Y };\nmap ( "x", "y^3+x*y^4" );\ncommand ae-codim;\n',
+    UNWEIGHTED_LIPS], ids=["x,y^3+x*y^4", "lips-after-a-target-change"])
+def test_ae_codim_without_weights_exits_3(tmp_path, capsys, text):
+    """(x, y^3+x*y^4) has no positive weights making both components
+    homogeneous (3 w_y = w_x + 4 w_y), so the graded count does not apply.
+    Nor has the lips after a target change, and the unfolding data its job
+    gives do not help: on data without weights the Damon count is global,
+    not shown local."""
+    job = tmp_path / "job.job"
+    job.write_text(text)
+    assert main(["--input", str(job)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs positive weights" in captured.err
+
+
+@pytest.mark.parametrize("comps", ['"x", "x*y"', '"0", "0"'], ids=["x*y", "zero"])
+def test_ae_codim_of_a_germ_that_is_not_k_finite_is_infinite(tmp_path, capsys, comps):
+    """(x, x*y) and the zero germ are not K-finite, so T A_e f, inside
+    T K_e f + C^2, has infinite codimension: INFINITE with `finite: False`,
+    exit 0."""
+    assert main(["--input", str(_germ_job(tmp_path, comps))]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["dimensions"]["ae_codim_direct"]["value"] == "INFINITE"
+    assert record["verdicts"] == {"finite": False}
 
 
 def test_torsion_length_default_form_degree_counts_no_parameters():
@@ -461,7 +510,7 @@ def test_mu_e_without_a_stop_degree_exits_3(tmp_path, capsys, ring, target, comp
     assert main(["--input", str(job)]) == 3
     assert capsys.readouterr().err == (
         "precondition failure: mu-e could not run any route (derham: no stop degree is "
-        "proven: Cartan's formula does not apply)\n")
+        "proven: O/J is infinite)\n")
 
 
 def test_de_rham_without_a_weight_system_exits_3(tmp_path, capsys):

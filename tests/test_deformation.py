@@ -1,10 +1,12 @@
 """Normal spaces, relative T1, singular Milnor number routes, map germs."""
 
+import re
 from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logforms.deformation import (
     DeformationError,
@@ -41,10 +43,10 @@ from logforms.logarithmic import (
 )
 from logforms.module import INFINITE, FreeElement, ModulePresentation
 from logforms.order import MonomialOrder, StabilizationError
-from logforms.poly import Poly, parse_poly
+from logforms.poly import Poly, parse_poly, quasihomogeneous_weights
 
-from conftest import (certified, compose, generic_arrangements, normal_crossing_basis,
-                      submodules_equal)
+from conftest import (certified, compose, generic_arrangements, monomials_of_weight,
+                      normal_crossing_basis, submodules_equal)
 
 ORD = MonomialOrder()
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
@@ -214,6 +216,7 @@ def test_ae_direct_examples():
     assert ae_normal_space_direct(fold) == 0
     lips = [parse_poly("x", mn), parse_poly("y^3 + x^2*y", mn)]
     assert ae_normal_space_direct(lips) == 1
+    assert ae_normal_space_direct([parse_poly("0", mn)] * 2) == INFINITE  # T K_e f = 0
     unstable = [parse_poly("x", mn), parse_poly("y^3", mn)]
     with pytest.raises(StabilizationError, match="jet-cap 12"):
         ae_normal_space_direct(unstable, cap=12)
@@ -222,6 +225,90 @@ def test_ae_direct_examples():
 def test_ae_direct_rejects_nonvanishing_germ():
     with pytest.raises(DeformationError):
         ae_normal_space_direct([parse_poly("x + 1", ["x"])])
+
+
+# Map germs with their A_e-codimension: fold, lips, (x, xy+y^5), Rieger's
+# C^2 -> C^2 germs (k - 1) and Mond's C^2 -> C^3 germs S_k, B_k, H_k (k).
+KNOWN_GERMS = (
+    [("fold", ("x", "y^2"), 0), ("lips", ("x", "y^3+x^2*y"), 1),
+     ("xy+y5", ("x", "x*y+y^5"), 3)]
+    + [(f"rieger-{k}", ("x", f"y^3+x^{k}*y"), k - 1) for k in range(2, 9)]
+    + [(f"mond-S{k}", ("x", "y^2", f"y^3+x^{k + 1}*y"), k) for k in range(2, 9)]
+    + [(f"mond-B{k}", ("x", "y^2", f"x^2*y+y^{2 * k + 1}"), k) for k in range(2, 9)]
+    + [(f"mond-H{k}", ("x", "y^3", f"x*y+y^{3 * k - 1}"), k) for k in range(2, 9)]
+)
+
+
+def _germ(texts) -> list:
+    return [parse_poly(t, ["x", "y"]) for t in texts]
+
+
+@pytest.mark.parametrize("texts, codim", [g[1:] for g in KNOWN_GERMS],
+                         ids=[g[0] for g in KNOWN_GERMS])
+def test_ae_direct_gives_the_known_codimension(texts, codim):
+    """The slice count with its proven stop gives every known answer, among
+    them Mond B2-B8 and H3-H8, and 3 on (x, xy+y^5)."""
+    assert ae_normal_space_direct(_germ(texts)) == codim
+
+
+@st.composite
+def germs_in_new_coordinates(draw):
+    """A germ of KNOWN_GERMS with its codimension, in coordinates changed by
+    weight-preserving maps of source and target.  Each map sends the i-th
+    coordinate u_i to a u_i + b m(u), a != 0 and m a monomial of weight
+    w_i in the coordinates before u_i in order of weight: triangular with
+    an invertible diagonal, so invertible."""
+    _, texts, codim = draw(st.sampled_from(KNOWN_GERMS))
+    comps = _germ(texts)
+    weights = quasihomogeneous_weights(*comps)
+
+    def change(w, coords: list) -> list:
+        order = sorted(range(len(w)), key=lambda i: w[i])
+        out = list(coords)
+        for pos, i in enumerate(order):
+            earlier = order[:pos]
+            out[i] = coords[i].scale(draw(st.sampled_from([1, -1, 2, 3])))
+            choices = monomials_of_weight(len(earlier), [w[j] for j in earlier], w[i])
+            if choices:
+                term = Poly.constant(2, draw(st.integers(-2, 2)))
+                for j, k in zip(earlier, draw(st.sampled_from(choices))):
+                    term = term * coords[j] ** k
+                out[i] = out[i] + term
+        return out
+
+    source = change(weights, [Poly.variable(2, 0), Poly.variable(2, 1)])
+    moved = [compose(c, source) for c in comps]
+    return change([c.weighted_degree(weights) for c in comps], moved), codim
+
+
+@given(germs_in_new_coordinates())
+@settings(max_examples=30, deadline=None)
+def test_ae_direct_is_invariant_under_weighted_coordinate_changes(germ):
+    comps, codim = germ
+    assert ae_normal_space_direct(comps) == codim
+
+
+def _milnor_number(h: Poly) -> int:
+    jacobian = [FreeElement([h.derivative(i)]) for i in range(h.nvars)]
+    return quotient_dimension(ModulePresentation(1, jacobian))
+
+
+@given(st.integers(2, 7), st.integers(2, 7))
+@settings(max_examples=20, deadline=None)
+def test_ae_direct_of_a_function_is_its_milnor_number_minus_one(a, b):
+    """For a weighted homogeneous function germ with an isolated critical
+    point, T A_e f = J(f) + C[f] = J(f) + C, since f lies in J(f) by Euler's
+    relation: the A_e-codimension is mu - 1.  (Every slice above D0 is f
+    times a lower one, so zero, and no germ here needs a `cap`.)"""
+    h = parse_poly(f"x^{a}+y^{b}", ["x", "y"])
+    assert ae_normal_space_direct([h]) == _milnor_number(h) - 1 == (a - 1) * (b - 1) - 1
+
+
+@pytest.mark.parametrize("text, mu", [("x^2+y^2+z^2", 1), ("x*y+z^3", 2), ("x^2*y+y^4+z^2", 5),
+                                      ("x^3+y^3+z^3", 8), ("x^3+y^4+z^5", 24)])
+def test_ae_direct_of_a_function_in_three_variables(text, mu):
+    h = parse_poly(text, ["x", "y", "z"])
+    assert ae_normal_space_direct([h]) == _milnor_number(h) - 1 == mu - 1
 
 
 def test_ae_damon_matches_direct(lips_disc, lips_inclusion):
@@ -389,6 +476,16 @@ def test_cartan_stop_degree_covers_zero_components(request, target, source, comp
     assert sum(table.values()) == mu == mu_e_derham(setup, bound=12)
 
 
+def _assert_no_stop(setup: DeformationSetup, why: str):
+    """Neither `cartan_stop_degree` nor `mu_e_derham` gives a number: both
+    raise `DeformationError` naming the hypothesis that failed."""
+    match = "^no stop degree is proven: " + re.escape(why) + "$"
+    with pytest.raises(DeformationError, match=match):
+        _stop_degree_and_levels(setup)
+    with pytest.raises(DeformationError, match=match):
+        mu_e_derham(setup, bound=12)
+
+
 def test_zero_components_without_a_common_ratio_have_no_stop(lips_disc, nc3):
     """No stop degree, and a route error rather than a number: the lips
     inclusion (X, 0, W^2), where degree over target weight is 1 for X and 2
@@ -397,12 +494,11 @@ def test_zero_components_without_a_common_ratio_have_no_stop(lips_disc, nc3):
     d, basis = lips_disc
     unweighted = certified(Divisor(d.names, d.h))
     _, nc = nc3
-    for setup in (_zero_component_setup(basis, "X,W", "X,0,W^2", (1, 1)),
-                  _zero_component_setup(unweighted, "X,W", "X,0,W", (1, 3)),
-                  _zero_component_setup(nc, "x,y", "x,0,y", (1, 1))):
-        assert _stop_degree_and_levels(setup)[0] is None
-        with pytest.raises(DeformationError, match="^no stop degree is proven"):
-            mu_e_derham(setup, bound=12)
+    _assert_no_stop(_zero_component_setup(basis, "X,W", "X,0,W^2", (1, 1)),
+                    "the components have no common ratio to the target weights")
+    _assert_no_stop(_zero_component_setup(unweighted, "X,W", "X,0,W", (1, 3)),
+                    "a component is zero and the target has no weights")
+    _assert_no_stop(_zero_component_setup(nc, "x,y", "x,0,y", (1, 1)), "O/J is infinite")
 
 
 @pytest.mark.parametrize("comps", [("x", "y", "x+y", "z"), ("x", "y", "x+2*y", "x+y+z")])
@@ -413,10 +509,7 @@ def test_mu_derham_falls_back_on_an_infinite_coefficient_quotient(nc4, comps):
     _, e_basis = nc4
     sn = ["x", "y", "z"]
     imap = InducingMap(sn, list(e_basis.divisor.names), [parse_poly(c, sn) for c in comps])
-    setup = DeformationSetup(e_basis, imap, weights=(1, 1, 1))
-    assert _stop_degree_and_levels(setup)[0] is None
-    with pytest.raises(DeformationError, match="^no stop degree is proven"):
-        mu_e_derham(setup, bound=12)
+    _assert_no_stop(DeformationSetup(e_basis, imap, weights=(1, 1, 1)), "O/J is infinite")
 
 
 def test_cartan_stop_degree_needs_homogeneous_components(nc4, lips_disc):
@@ -426,10 +519,12 @@ def test_cartan_stop_degree_needs_homogeneous_components(nc4, lips_disc):
     sn = ["x", "y", "z"]
     imap = InducingMap(sn, list(e_basis.divisor.names),
                        [parse_poly(c, sn) for c in ("x", "y", "z", "x+y+z^2")])
-    assert _stop_degree_and_levels(DeformationSetup(e_basis, imap, weights=(1, 1, 1)))[0] is None
+    _assert_no_stop(DeformationSetup(e_basis, imap, weights=(1, 1, 1)),
+                    "a component is not weighted homogeneous of positive degree")
     _, lips = lips_disc
     identity = InducingMap(sn, list(lips.divisor.names), [parse_poly(c, sn) for c in sn])
-    assert _stop_degree_and_levels(DeformationSetup(lips, identity, weights=(1, 1, 1)))[0] is None
+    _assert_no_stop(DeformationSetup(lips, identity, weights=(1, 1, 1)),
+                    "the target equation is not homogeneous for the degrees of the components")
 
 
 def test_mu_trivial_family_is_zero():

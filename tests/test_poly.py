@@ -206,6 +206,18 @@ def test_quasihomogeneous_weights_property():
         assert len(degs) == 1
 
 
+def test_weights_of_several_polynomials():
+    """One weight system for several polynomials, each homogeneous of its
+    own degree: the stacked difference systems.  A zero polynomial sets no
+    condition, and the germ (x, y^3 + x*y^4) has none (3 w_y = w_x + 4 w_y)."""
+    xy = ["x", "y"]
+    mond_b2 = [parse_poly(t, xy) for t in ("x", "y^2", "x^2*y+y^5")]
+    assert quasihomogeneous_weights(*mond_b2) == (2, 1)
+    assert quasihomogeneous_weights(mond_b2[0], Poly.zero(2), mond_b2[2]) == (2, 1)
+    assert quasihomogeneous_weights(*[parse_poly(t, xy) for t in ("x", "y^3+x*y^4")]) is None
+    assert quasihomogeneous_weights(parse_poly("x", xy), parse_poly("y", xy)) == (1, 1)
+
+
 def test_weights_beyond_the_search_grid():
     """Positive weights exist, but none with free-column values in 1..4:
     with the free columns x, u at 1 the system needs 6 < u < 7.4."""
