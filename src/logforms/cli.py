@@ -39,7 +39,7 @@ from .forms import (
     torsion_length,
 )
 from .groebner import StabilizationError
-from .jobio import OPTION_DOMAINS, JobError, JobSpec, check_option, parse_job
+from .jobio import COMMANDS, OPTION_DOMAINS, JobError, JobSpec, check_option, parse_job
 from .logarithmic import (
     Divisor,
     DivisorError,
@@ -51,7 +51,6 @@ from .logarithmic import (
     saito_check,
 )
 from .module import INFINITE, FreeElement, ModuleError
-from .order import MonomialOrder
 from .poly import Poly, PolyError, quasihomogeneous_weights
 
 SCHEMA = "logforms/1"
@@ -156,7 +155,7 @@ def _routes_record(prefix: str, routes: dict, agreement: Optional[bool], certifi
 
 
 def _cmd_is_free(job: JobSpec, opts: dict) -> dict:
-    verdict = is_free(_divisor_from_job(job), opts.get("order"))
+    verdict = is_free(_divisor_from_job(job))
     verdicts = {"freeness": verdict.kind}
     if verdict.reason:
         verdicts["reason"] = verdict.reason
@@ -169,7 +168,7 @@ def _cmd_is_free(job: JobSpec, opts: dict) -> dict:
 
 def _cmd_derlog(job: JobSpec, opts: dict) -> dict:
     d = _divisor_from_job(job)
-    gens = derlog(d, opts.get("order"))
+    gens = derlog(d)
     return _record({}, [("generator_count", len(gens), "syzygy module", True)],
                    certificates={"generators": [
                        {"field": [p.format(d.names) for p in f.entries],
@@ -223,9 +222,11 @@ def _cmd_de_rham(job: JobSpec, opts: dict) -> dict:
         weights = quasihomogeneous_weights(h, allow_zero=True)
     rep = de_rham_report_sliced(mods, opts.get("degree-bound", 12), weights)
     tables = {str(deg): info for deg, info in rep.get("per_degree", {}).items()}
+    # degrees sliced to the bound are exact only up to the bound
+    sliced = rep.get("positive_degrees", "").startswith("sliced to degree-bound")
     return _record({"all_exact": rep["all_exact"], "mode": rep["mode"],
                     **{k: rep[k] for k in ("failure", "positive_degrees") if k in rep}},
-                   [], tables={"per_degree": tables})
+                   [], not sliced, tables={"per_degree": tables})
 
 
 def _cmd_torsion_length(job: JobSpec, opts: dict) -> dict:
@@ -238,7 +239,7 @@ def _cmd_torsion_length(job: JobSpec, opts: dict) -> dict:
 
 def _cmd_kev(job: JobSpec, opts: dict) -> dict:
     setup = DeformationSetup(_target_basis(job), _inducing_map(job), weights=job.weights)
-    _, dim = kev_normal_space(setup, opts.get("order"))
+    _, dim = kev_normal_space(setup)
     return _record({"algebraically_transverse_off_origin": dim != INFINITE},
                    [("kev_codimension", dim, "normal space quotient",
                      job.weights is not None or dim == 0)])
@@ -251,8 +252,8 @@ def _cmd_t1_log(job: JobSpec, opts: dict) -> dict:
     ext = job.ext_param_indices()
     if not params:
         raise PreconditionError("t1-log needs 'params'")
-    _, dim_rel = t1_log(basis, params + ext, ext, opts.get("order"))
-    _, dim_fib = t1_log(basis, params + ext, params + ext, opts.get("order"))
+    _, dim_rel = t1_log(basis, params + ext, ext)
+    _, dim_fib = t1_log(basis, params + ext, params + ext)
     graded = d.weights is not None
     return _record({}, [
         ("t1_log_relative", dim_rel, "parameter rows of the Saito matrix", graded),
@@ -289,7 +290,7 @@ def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
         params = job.param_indices()
         try:
             basis = _free_basis(d)
-            routes["alternating"] = mu_e_alternating(basis, params, opts.get("order")), True
+            routes["alternating"] = mu_e_alternating(basis, params), True
         except (PreconditionError, DeformationError) as exc:
             errors["alternating"] = str(exc)
         witness = good_equation_witness(d.h, d.weights)
@@ -297,8 +298,7 @@ def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
             errors["good_equation"] = "no good-equation witness found"
         else:
             try:
-                routes["good_equation"] = (
-                    mu_e_good_equation(d, params, witness, opts.get("order")), True)
+                routes["good_equation"] = mu_e_good_equation(d, params, witness), True
             except DeformationError as exc:
                 errors["good_equation"] = str(exc)
     if not routes:
@@ -328,8 +328,7 @@ def _cmd_ae_codim(job: JobSpec, opts: dict) -> dict:
                                                  job.unfolding_weights), "unfolding discriminant")
         certificates["discriminant_saito_basis"] = _basis_record(df_basis)
         incl = InducingMap(job.target_ring, job.unfolding_target, job.polys["inclusion"])
-        damon = ae_codim_damon(df_basis, incl, weights=job.target_weights,
-                               order=opts.get("order"))
+        damon = ae_codim_damon(df_basis, incl, weights=job.target_weights)
         routes["damon"] = damon, True
         agreement = direct == damon
     return _routes_record("ae_codim", routes, agreement, True, {"finite": direct != INFINITE},
@@ -342,7 +341,7 @@ def _cmd_fitting_reduced(job: JobSpec, opts: dict) -> dict:
     params = job.param_indices()
     if len(params) != 1:
         raise PreconditionError("fitting-reduced needs exactly one parameter")
-    reduced, chi, dim = ke_discriminant_reduced(basis, params[0], opts.get("order"))
+    reduced, chi, dim = ke_discriminant_reduced(basis, params[0])
     return _record({"fitting_ideal_is_maximal_ideal": reduced},
                    [("t1_log_relative", dim, "parameter rows", d.weights is not None)],
                    certificates={"fitting_ideal_generator": chi.format([job.params[0]])})
@@ -371,8 +370,6 @@ def run_job(job: JobSpec, options: Optional[dict] = None) -> dict:
         if v is not None:
             check_option(k, v)
             opts[k] = v
-    if "order" in opts:
-        opts["order"] = MonomialOrder("lex") if opts["order"] == "lex" else None
     if not job.command:
         raise PreconditionError("no command given (job file or command line)")
     handler = HANDLERS[job.command]
@@ -381,7 +378,7 @@ def run_job(job: JobSpec, options: Optional[dict] = None) -> dict:
         "schema": SCHEMA,
         "command": job.command,
         "input_echo": job.echo(),
-        "options": {k: v for k, v in sorted(opts.items()) if k != "order"},
+        "options": dict(sorted(opts.items())),
         "seed": opts.get("seed", 0),
     }
     record.update(body)
@@ -413,13 +410,16 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("command", nargs="?", default=None,
                         help="subcommand; may also come from the job file")
     parser.add_argument("--input", required=True, help="job file")
-    for key, domain in OPTION_DOMAINS.items():
-        parser.add_argument(f"--{key}", default=None,
-                            **({"choices": domain} if isinstance(domain, tuple) else {"type": int}))
+    for key in OPTION_DOMAINS:
+        parser.add_argument(f"--{key}", type=int, default=None)
     parser.add_argument("--output", choices=("json", "text"), default="json")
     parser.add_argument("--timing", action="store_true",
                         help="include wall-clock timing (breaks byte determinism)")
     args = parser.parse_args(argv)
+    # checked here, not by `choices`, so that the value of an unknown flag
+    # is not read as the command
+    if args.command not in (None, *COMMANDS):
+        parser.error(f"unknown command {args.command!r} (choose from {', '.join(COMMANDS)})")
 
     try:
         with open(args.input, "r", encoding="utf-8") as fh:

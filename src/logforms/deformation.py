@@ -126,7 +126,7 @@ def pulled_field_columns(e_basis: LogBasis, components: Sequence[Poly]) -> list:
     return [FreeElement(flat[j * m:(j + 1) * m]) for j in range(m)]
 
 
-def kev_normal_space(setup: DeformationSetup, order: Optional[MonomialOrder] = None):
+def kev_normal_space(setup: DeformationSetup):
     """Presentation and dimension of the normal space of the inducing germ:
     target fields pulled back plus the Jacobian image, inside the free module
     of target directions."""
@@ -135,28 +135,26 @@ def kev_normal_space(setup: DeformationSetup, order: Optional[MonomialOrder] = N
     rels = jacobian_columns(imap.components, n) + pulled_field_columns(setup.e_basis, imap.components)
     pres = ModulePresentation(imap.target_dim, rels, nvars=n)
     weights = setup.map.germ_weights(setup.weights)
-    order = order or MonomialOrder("wdegrevlex", weights)
-    dim = quotient_dimension(pres, order.with_nvars(n))
+    dim = quotient_dimension(pres, MonomialOrder(weights).with_nvars(n))
     return pres, dim
 
 
 def t1_log(total_basis: LogBasis, param_indices: Sequence[int],
-           kill_indices: Sequence[int] = (), order: Optional[MonomialOrder] = None):
+           kill_indices: Sequence[int] = ()):
     """Relative T1 of the projection to the chosen parameters: the free module
     on the parameter directions modulo the parameter rows of the basis matrix,
     optionally reduced mod the ideal of the kill parameters."""
-    pres, order = _t1_presentation(total_basis, param_indices, kill_indices, order)
-    return pres, quotient_dimension(pres, order)
+    pres = _t1_presentation(total_basis, param_indices, kill_indices)
+    return pres, quotient_dimension(pres, total_basis.divisor.order())
 
 
 def _t1_presentation(total_basis: LogBasis, param_indices: Sequence[int],
-                     kill_indices: Sequence[int], order: Optional[MonomialOrder]):
-    """The presentation of `t1_log` and the monomial order it is read in."""
-    nv = total_basis.divisor.h.nvars
+                     kill_indices: Sequence[int]) -> ModulePresentation:
+    """The presentation of `t1_log`."""
     if not param_indices:
         raise DeformationError("at least one deformation parameter required")
-    pres = _parameter_rows(total_basis.theta, param_indices, kill_indices, nv)
-    return pres, (order or total_basis.divisor.order()).with_nvars(nv)
+    return _parameter_rows(total_basis.theta, param_indices, kill_indices,
+                           total_basis.divisor.h.nvars)
 
 
 def _parameter_rows(fields: Sequence[Sequence[Poly]], param_indices: Sequence[int],
@@ -200,15 +198,14 @@ def theta_prime_minors(total_basis: LogBasis, param_indices: Sequence[int],
     return out
 
 
-def mu_e_alternating(total_basis: LogBasis, param_indices: Sequence[int],
-                     order: Optional[MonomialOrder] = None) -> int:
+def mu_e_alternating(total_basis: LogBasis, param_indices: Sequence[int]) -> int:
     """Alternating sum of relative T1 dimensions along the parameter chain."""
     d = len(param_indices)
     total = 0
     for i in range(d):
         params = param_indices[i:]
         kills = param_indices[i + 1:]
-        _, dim = t1_log(total_basis, params, kills, order)
+        _, dim = t1_log(total_basis, params, kills)
         if dim == INFINITE:
             raise DeformationError(f"relative T1 at chain position {i + 1} is infinite")
         total += dim if i % 2 == 0 else -dim
@@ -234,16 +231,15 @@ def good_equation_witness(h: Poly, weights: Optional[Sequence[int]] = None) -> O
     return chi if apply_field(chi, h) == h else None
 
 
-def mu_e_good_equation(d: Divisor, param_indices: Sequence[int], witness: FreeElement,
-                       order: Optional[MonomialOrder] = None):
+def mu_e_good_equation(d: Divisor, param_indices: Sequence[int], witness: FreeElement):
     """Dimension of the parameter directions modulo the annihilating fields of
     the equation and the base maximal ideal; requires a good-equation witness."""
     if apply_field(witness, d.h) != d.h:
         raise DeformationError("good-equation witness fails chi(h) = h")
     nv = d.nvars
-    fields = [f.entries for f in derlog_h(d, order)]
+    fields = [f.entries for f in derlog_h(d)]
     pres = _parameter_rows(fields, param_indices, param_indices, nv)
-    return quotient_dimension(pres, (order or d.order()).with_nvars(nv))
+    return quotient_dimension(pres, d.order())
 
 
 def cartan_stop_degree(components: Sequence[Poly], weights: Sequence[int], target: Divisor,
@@ -386,7 +382,7 @@ def ae_normal_space_direct(components: Sequence[Poly], cap: int = 20):
     columns = jacobian_columns(components, n)
     ke = ModulePresentation(p, columns + [FreeElement.unit(p, n, c).scale(f) for f in components
                                           for c in range(p) if not f.is_zero()], nvars=n)
-    generators = QuotientTable(ke, MonomialOrder("wdegrevlex", weights)).standard_terms()
+    generators = QuotientTable(ke, MonomialOrder(weights)).standard_terms()
     if generators is None:
         return INFINITE
     d_max = max(degrees)
@@ -431,21 +427,19 @@ def ae_normal_space_direct(components: Sequence[Poly], cap: int = 20):
 
 
 def ae_codim_damon(df_basis: LogBasis, inclusion: InducingMap,
-                   weights: Optional[Sequence[int]] = None,
-                   order: Optional[MonomialOrder] = None):
+                   weights: Optional[Sequence[int]] = None):
     """Codimension through the discriminant of a stable unfolding: the normal
     space of the inclusion against the discriminant's logarithmic fields."""
     setup = DeformationSetup(df_basis, inclusion, weights=weights)
-    _, dim = kev_normal_space(setup, order)
+    _, dim = kev_normal_space(setup)
     return dim
 
 
-def ke_discriminant_reduced(total_basis: LogBasis, s_index: int,
-                            order: Optional[MonomialOrder] = None):
+def ke_discriminant_reduced(total_basis: LogBasis, s_index: int):
     """Whether the zeroth Fitting ideal of the relative T1 over the base equals
     the base maximal ideal (one-parameter miniversal data)."""
-    pres, order = _t1_presentation(total_basis, [s_index], (), order)
-    table = QuotientTable(pres, order)
+    table = QuotientTable(_t1_presentation(total_basis, [s_index], ()),
+                          total_basis.divisor.order())
     basis_terms = table.standard_terms()
     if basis_terms is None:
         raise DeformationError("relative T1 is infinite; hypotheses do not hold")

@@ -91,9 +91,8 @@ class CheckedFormsModule:
         return self.h.nvars
 
     def order(self) -> MonomialOrder:
-        if self.weights is not None and all(w > 0 for w in self.weights):
-            return MonomialOrder("wdegrevlex", self.weights)
-        return MonomialOrder("wdegrevlex", (1,) * self.nvars)
+        positive = self.weights is not None and all(w > 0 for w in self.weights)
+        return MonomialOrder(self.weights if positive else None).with_nvars(self.nvars)
 
     def grading(self) -> Optional[Grading]:
         """The grading by the weights, each dx_I shifted by its weight; None

@@ -56,19 +56,19 @@ def _rational(vec: dict, denom: int) -> dict:
 
 class _Reducers:
     """Basis elements bucketed by leading component for division, on packed
-    terms.  Each entry is (divisor key of the lead, lead term, lead
-    coefficient, head tail, tag tail, position added); every element is a
-    primitive integer vec with a positive lead.  The tail, the other terms,
-    is split by the shift it takes (`TermLayout.shifts`): under a plain
-    order every term is a head term.  `find` tests each lead of the term's
-    component by one subtraction and mask (`TermLayout.divides`)."""
+    terms.  Each entry is (lead term, lead coefficient, head tail, tag tail,
+    position added); every element is a primitive integer vec with a
+    positive lead.  The tail, the other terms, is split by the shift it
+    takes (`TermLayout.shifts`): under a plain order every term is a head
+    term.  `find` tests each lead of the term's component by one
+    subtraction and mask (`TermLayout.divides`)."""
 
     def __init__(self, layout: TermLayout):
         self.layout = layout
         self.by_comp: dict = {}
         self.count = 0
         self._comp_shift = layout.comp_shift
-        self._probe = layout.probe
+        self._guards = layout.guards
         self._mask = layout.exponent_guards
 
     def add(self, lt: int, lc: int, vec: dict):
@@ -78,7 +78,7 @@ class _Reducers:
         tag_start = layout.tag_start
         heads = [(t, c) for t, c in vec.items() if t < tag_start and t != lt]
         tags = [(t, c) for t, c in vec.items() if t >= tag_start and t != lt]
-        entry = (layout.divisor(lt), lt, lc, heads, tags, self.count)
+        entry = (lt, lc, heads, tags, self.count)
         self.by_comp.setdefault(layout.component(lt), []).append(entry)
         self.count += 1
         return entry
@@ -87,7 +87,7 @@ class _Reducers:
         entries = self.by_comp.get((term >> self._comp_shift) & FIELD_MAX)
         if entries is None:
             return None
-        probe = self._probe(term)
+        probe = term | self._guards
         mask = self._mask
         for entry in entries:
             if (probe - entry[0]) & mask == mask:
@@ -151,7 +151,7 @@ def _reduce_full(f: dict, reducers: _Reducers, cofactors: Optional[list] = None)
         if hit is None:
             result[t] = c
             continue
-        _, lt, lc, heads, tags, pos = hit
+        lt, lc, heads, tags, pos = hit
         if lc != 1:
             g = int_gcd(c, lc)
             c //= g
@@ -230,15 +230,15 @@ def _buchberger_vecs(inputs: Sequence[dict], layout: TermLayout, is_ideal: bool)
         comp, e = unpack(lt)
         exps.append(e)
         for entry in reducers.by_comp[comp][:-1]:
-            i = entry[5]
+            i = entry[4]
             L = pack((comp, mono_lcm(exps[i], e)))
             pairs.add((i, j))
             heappush(queue, (-(L & mono_mask), comp, i, j, L))
 
     def shifted_into(s: dict, entry: tuple, coeff: int, L: int):
         """s += coeff * x^(L - lead) * (the tail of the entry), in place."""
-        head_shift, tag_shift = shifts(L, entry[1])
-        for tail, shift in ((entry[3], head_shift), (entry[4], tag_shift)):
+        head_shift, tag_shift = shifts(L, entry[0])
+        for tail, shift in ((entry[2], head_shift), (entry[3], tag_shift)):
             for u, v in tail:
                 u += shift
                 if u & guards:
@@ -254,11 +254,11 @@ def _buchberger_vecs(inputs: Sequence[dict], layout: TermLayout, is_ideal: bool)
         component comp, or None when a criterion passes the pair over."""
         pairs.discard((i, j))
         gi, gj = G[i], G[j]
-        if is_ideal and gi[1] + gj[1] - one == L:
+        if is_ideal and gi[0] + gj[0] - one == L:
             return None  # product criterion: coprime leads (valid for ideals)
-        probe = layout.probe(L)
+        probe = L | guards
         for entry in reducers.by_comp[comp]:
-            k = entry[5]
+            k = entry[4]
             if k != i and k != j and (probe - entry[0]) & mask == mask:
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
@@ -266,7 +266,7 @@ def _buchberger_vecs(inputs: Sequence[dict], layout: TermLayout, is_ideal: bool)
                     return None  # chain criterion
         # (lcj/g) x^(L-lti) G[i] - (lci/g) x^(L-ltj) G[j]: a positive multiple
         # of the monic S-polynomial, in integers; the leads cancel
-        lci, lcj = gi[2], gj[2]
+        lci, lcj = gi[1], gj[1]
         g = int_gcd(lci, lcj)
         s: dict = {}
         shifted_into(s, gi, lcj // g, L)
@@ -298,7 +298,7 @@ def _interreduce(G: Sequence[tuple], layout: TermLayout) -> list:
     element primitive with a positive lead."""
     kept: list = []
     reducers = _Reducers(layout)
-    for _, lt, lc, heads, tags, _ in sorted(G, key=lambda entry: entry[1], reverse=True):
+    for lt, lc, heads, tags, _ in sorted(G, key=lambda entry: entry[0], reverse=True):
         if reducers.find(lt) is None:
             kept.append(reducers.add(lt, lc, dict(heads + tags)))
     # No other kept lead divides a kept lead (a smaller one would have
@@ -307,7 +307,7 @@ def _interreduce(G: Sequence[tuple], layout: TermLayout) -> list:
     # tail reduced against all kept elements is the element reduced against
     # the others, less its lead, and the output stays in increasing order.
     out = []
-    for _, lt, lc, heads, tags, _ in kept:
+    for lt, lc, heads, tags, _ in kept:
         tail, scale = _reduce_full(dict(heads + tags), reducers)
         r = {lt: lc * scale}
         r.update(tail)
@@ -384,7 +384,7 @@ def normal_form_with_cofactors(f: FreeElement, basis: Sequence[FreeElement],
     one = layout.pack((0, (0,) * f.nvars))
     cof_polys = [Poly.zero(f.nvars) for _ in basis]
     for entries in reducers.by_comp.values():
-        for _, lt, lc, _, _, pos in entries:
+        for lt, lc, _, _, pos in entries:
             # the reducer is lc / (lead coefficient of the element) times it
             k = lc / vecs[pos][lt]
             cof_polys[live[pos]] = Poly(f.nvars, {layout.unpack(one + e)[1]: k * Fraction(c, denom)
@@ -674,6 +674,12 @@ def _fill_term_nfs(t: int, nfs: dict, reducers: _Reducers):
     NF(t) = remainder / scale, divided by their common content: as a
     normal form is unique, so is this pair, whichever order filled the memo.
 
+    A term brought in by a step can leave the packed fields, which raises
+    `StabilizationError`.  Within one component it cannot, since a step
+    never raises the weighted degree there; a later component can hold a
+    term of higher degree (position over term): modulo x e_0 - y^K e_1,
+    x^k e_0 steps to x^(k-1)*y^K e_1.
+
     The terms wait on an explicit stack, not on the call stack: a chain of
     reductions can be thousands of terms deep.  A term is stepped once, when
     it first reaches the top; it is entered when it reaches the top again,
@@ -692,7 +698,7 @@ def _fill_term_nfs(t: int, nfs: dict, reducers: _Reducers):
                 nfs[s] = None
                 stack.pop()
                 continue
-            _, lt, lc, heads, tags, _ = hit
+            lt, lc, heads, tags, _ = hit
             head_shift, tag_shift = shifts(s, lt)
             step = lc, ([(u + head_shift, v) for u, v in heads]
                         + [(u + tag_shift, v) for u, v in tags])

@@ -108,10 +108,8 @@ COMMANDS = (
     "fitting-reduced",
 )
 
-# The domain of each option: the words it may take, or the least value of an
-# integer option (None: any integer).
-OPTION_DOMAINS = {"degree-bound": 0, "order": ("wdegrevlex", "lex"), "seed": None,
-                  "form-degree": 0, "jet-cap": 1}
+# The least value of each option, an integer (None: any integer).
+OPTION_DOMAINS = {"degree-bound": 0, "seed": None, "form-degree": 0, "jet-cap": 1}
 
 
 class JobError(ValueError):
@@ -131,11 +129,7 @@ def check_option(key: str, value, line: int = 0, col: int = 0):
     if key not in OPTION_DOMAINS:
         raise JobError(f"unknown option {key!r}", line, col)
     domain = OPTION_DOMAINS[key]
-    if isinstance(domain, tuple):
-        if value not in domain:
-            raise JobError(f"option {key} must be one of {', '.join(domain)}, not {value!r}",
-                           line, col)
-    elif not isinstance(value, int) or (domain is not None and value < domain):
+    if not isinstance(value, int) or (domain is not None and value < domain):
         need = "an integer" if domain is None else f"an integer >= {domain}"
         raise JobError(f"option {key} needs {need}, not {value!r}", line, col)
 
@@ -271,6 +265,10 @@ def _validate(job: JobSpec, args: dict):
         for p in arg(kw):
             if p not in job.ring:
                 raise JobError(f"parameter {p!r} is not a ring variable", *find_pos(kw, p))
+    for p in job.ext_params:
+        if p in job.params:
+            raise JobError(f"parameter {p!r} is in both params and ext-params",
+                           *find_pos("ext-params", p))
     if job.divisor_text is not None and not job.ring:
         raise JobError("divisor given without a ring")
     if job.inclusion_text is not None and not job.target_ring:

@@ -89,9 +89,7 @@ class Divisor:
         return quasihomogeneous_weights(self.h, allow_zero=True)
 
     def order(self) -> MonomialOrder:
-        if self.weights is not None:
-            return MonomialOrder("wdegrevlex", self.weights)
-        return MonomialOrder("wdegrevlex", (1,) * self.nvars)
+        return MonomialOrder(self.weights).with_nvars(self.nvars)
 
     def __repr__(self):
         return f"Divisor({self.h.format(self.names)})"
@@ -170,17 +168,17 @@ def _derlog_columns(h: Poly) -> list:
     return [FreeElement([h.derivative(i)]) for i in range(h.nvars)] + [FreeElement([h])]
 
 
-def derlog(d: Divisor, order: Optional[MonomialOrder] = None) -> list:
+def derlog(d: Divisor) -> list:
     """Generators of the module of fields tangent to the divisor.
 
     Returned as pairs (field, witness) with field(h) = witness * h exactly.
-    Under the divisor's own order the syzygies come from the basis that
-    `Divisor` built; under any other they are computed here.
+    The syzygies are those of the basis that `Divisor` built for a
+    homogeneous h, and are computed here under `d.order()` otherwise.
     """
     n = d.nvars
     syz = d._derlog_syzygies
-    if syz is None or (order is not None and order.with_nvars(n) != d.order()):
-        syz = syzygy_module(_derlog_columns(d.h), order or d.order())
+    if syz is None:
+        syz = syzygy_module(_derlog_columns(d.h), d.order())
     out = []
     for s in syz:
         field = FreeElement(s.entries[:n])
@@ -191,14 +189,14 @@ def derlog(d: Divisor, order: Optional[MonomialOrder] = None) -> list:
     return out
 
 
-def derlog_fields(d: Divisor, order: Optional[MonomialOrder] = None) -> list:
-    return [f for f, _ in derlog(d, order)]
+def derlog_fields(d: Divisor) -> list:
+    return [f for f, _ in derlog(d)]
 
 
-def derlog_h(d: Divisor, order: Optional[MonomialOrder] = None) -> list:
+def derlog_h(d: Divisor) -> list:
     """Generators of the module of fields annihilating the equation."""
     cols = [FreeElement([p]) for p in d.partials()]
-    return syzygy_module(cols, order or d.order())
+    return syzygy_module(cols, d.order())
 
 
 def euler_field(weights: Sequence[int], nvars: int) -> FreeElement:
@@ -238,9 +236,9 @@ def saito_check(d: Divisor, candidates: Sequence[FreeElement]):
     det = poly_det(theta_rows)
     if det.is_zero():
         return None, "determinant of the coefficient matrix vanishes"
-    # With lc the coefficient at the lex-largest exponent, det = c * h for a
-    # constant c exactly when det == (lc(det) / lc(h)) * h: if det = c * h,
-    # the lex-largest exponents agree and lc(det) = c * lc(h); the converse is
+    # With lc the coefficient at the largest exponent tuple, det = c * h for
+    # a constant c exactly when det == (lc(det) / lc(h)) * h: if det = c * h,
+    # the largest exponents agree and lc(det) = c * lc(h); the converse is
     # the equation itself.  The unit is nonzero because det is.
     h = d.h
     unit = det.terms[max(det.terms)] / h.terms[max(h.terms)]
@@ -253,7 +251,7 @@ SUBSET_SEARCH_CAP = 4096
 
 
 def _canonical_field_order(fields: list, order: MonomialOrder) -> list:
-    """Sort fields by descending leading term (ascending packed lead) so
+    """Sort fields by descending leading term (smallest packed lead first) so
     certificates are reproducible; fields with one lead keep their order."""
     layout = order.layout(fields[0].nvars)
     return sorted(fields, key=lambda f: min(map(layout.pack, f.vec())))
@@ -272,21 +270,21 @@ def _positive_certificate(d: Divisor, fields: list):
     return basis, reason
 
 
-def is_free(d: Divisor, order: Optional[MonomialOrder] = None) -> FreenessVerdict:
+def is_free(d: Divisor) -> FreenessVerdict:
     """Freeness test via minimal generators of the tangent-field module."""
     n = d.nvars
-    gens = derlog(d, order)
-    fields = [f for f, _ in gens]
+    order = d.order()
+    fields = derlog_fields(d)
     w = d.semipositive_weights()
     degrees = None if w is None else _field_degrees([f.entries for f in fields], w)
-    idx = minimal_generator_indices(fields, order or d.order(), degrees)
+    idx = minimal_generator_indices(fields, order, degrees)
     count = len(idx)
     if count < n:
         raise InternalInvariantError(
             f"tangent-field module reported {count} < {n} minimal generators")
     if count > n:
         return FreenessVerdict(FreenessVerdict.NOT_FREE, generator_count=count)
-    chosen = _canonical_field_order([fields[i] for i in idx], order or d.order())
+    chosen = _canonical_field_order([fields[i] for i in idx], order)
     basis, reason = _positive_certificate(d, chosen)
     if basis is not None:
         return FreenessVerdict(FreenessVerdict.FREE, basis=basis, generator_count=n)
@@ -305,7 +303,7 @@ def is_free(d: Divisor, order: Optional[MonomialOrder] = None) -> FreenessVerdic
         tried += 1
         if tried > SUBSET_SEARCH_CAP:
             break
-        cand = _canonical_field_order([fields[i] for i in subset], order or d.order())
+        cand = _canonical_field_order([fields[i] for i in subset], order)
         basis, _ = _positive_certificate(d, cand)
         if basis is not None:
             return FreenessVerdict(FreenessVerdict.FREE, basis=basis, generator_count=n)

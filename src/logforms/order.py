@@ -1,10 +1,9 @@
-"""Monomial and module term orders, and the packed terms of each order.
+"""The monomial and module term order, and its packed terms.
 
-Module terms are compared position-over-term: component 0 has the highest
-priority, ties are broken by the scalar monomial order.  Scalar orders are
-weighted degree-reverse-lexicographic (default, all weights 1) and pure
-lexicographic; all weights must be strictly positive so the orders are
-well-orders.
+Monomials are compared by weighted degree reverse lexicographic order, all
+weights 1 by default; all weights must be strictly positive so the order is a
+well-order.  Module terms are compared position-over-term: component 0 has
+the highest priority, ties are broken by the monomial order.
 
 Inside the Groebner kernel a module term (component, exponent) is one int,
 laid out by its order (`TermLayout`): comparing, multiplying by a monomial
@@ -28,23 +27,21 @@ class StabilizationError(RuntimeError):
 
 
 class MonomialOrder:
-    """A total, multiplicative well-order on monomials of a fixed ring."""
+    """Weighted degree reverse lexicographic order on the monomials of a
+    fixed ring: a total, multiplicative well-order."""
 
-    __slots__ = ("kind", "weights")
+    __slots__ = ("weights",)
 
-    def __init__(self, kind: str = "wdegrevlex", weights: Optional[Sequence[int]] = None):
-        if kind not in ("wdegrevlex", "lex"):
-            raise OrderError(f"unknown order kind {kind!r}")
-        self.kind = kind
+    def __init__(self, weights: Optional[Sequence[int]] = None):
         self.weights = tuple(weights) if weights is not None else None
         if self.weights is not None and any(w <= 0 for w in self.weights):
             raise OrderError("order weights must be strictly positive")
 
     def with_nvars(self, n: int) -> "MonomialOrder":
-        if self.weights is not None and len(self.weights) != n:
+        if self.weights is None:
+            return MonomialOrder((1,) * n)
+        if len(self.weights) != n:
             raise OrderError("weight vector length does not match variable count")
-        if self.kind == "wdegrevlex" and self.weights is None:
-            return MonomialOrder("wdegrevlex", (1,) * n)
         return self
 
     def layout(self, nvars: int, rank: Optional[int] = None) -> "TermLayout":
@@ -52,25 +49,17 @@ class MonomialOrder:
         term.  With rank, those of the elimination order of a stacked module
         O^rank + O^s, in which every head term (below component rank) is
         greater than every tag term (from rank on).  Tags compare position
-        over term.  Heads compare by weighted degree first (total degree
-        under lex), then by position, then by the scalar order.  For
-        homogeneous input whose head components share one shift this is
-        position over term; for other input, pure position over term would
-        let one reduction step bring in terms of ever higher degree in later
-        head components, and on random inhomogeneous colons it made
-        Buchberger's algorithm a thousand times slower."""
-        weights = self.with_nvars(nvars).weights
-        return TermLayout(nvars, None if self.kind == "lex" else weights, rank, weights)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and self.kind == other.kind
-            and self.weights == other.weights
-        )
+        over term.  Heads compare by weighted degree first, then by position,
+        then by the monomial order.  For homogeneous input whose head
+        components share one shift this is position over term; for other
+        input, pure position over term would let one reduction step bring in
+        terms of ever higher degree in later head components, and on random
+        inhomogeneous colons it made Buchberger's algorithm a thousand times
+        slower."""
+        return TermLayout(self.with_nvars(nvars).weights, rank)
 
     def __repr__(self):
-        return f"MonomialOrder({self.kind!r}, {self.weights!r})"
+        return f"MonomialOrder({self.weights!r})"
 
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
@@ -103,40 +92,32 @@ class TermLayout:
     (`shifts`); a shifted term that leaves a field sets that field's guard
     bit, so it never aliases a valid term.
 
-    Fields from the most significant: the component (position over term);
-    then for wdegrevlex the weighted degree and e_{n-1}, ..., e_0 as they
-    are (of two terms of one degree, the greater has the smaller exponent in
-    the last variable where they differ), and for lex FIELD_MAX - e_0, ...,
-    FIELD_MAX - e_{n-1}.  With `rank` the layout is that of an elimination
+    Fields from the most significant: the component (position over term),
+    the weighted degree, then e_{n-1}, ..., e_0 as they are (of two terms of
+    one degree, the greater has the smaller exponent in the last variable
+    where they differ).  With `rank` the layout is that of an elimination
     order (`MonomialOrder.layout`): above the component, head terms
-    (component below rank) carry a degree field and tag terms a set flag
-    above that, so every head term is greater than every tag term.  A tag
-    term keeps its degree field at zero, so it shifts without that field
+    (component below rank) carry the degree field again and tag terms a set
+    flag above that, so every head term is greater than every tag term.  A
+    tag term keeps that upper degree field at zero, so it shifts without it
     (`shifts`).
 
     Divisibility within one component: x^a divides x^b when no exponent
-    field of b is below that of a (for wdegrevlex; above, for lex, whose
-    fields hold FIELD_MAX - e_i), that is when `probe(b) - divisor(a)` keeps
-    every exponent guard bit: the subtraction borrows from a field's own
-    guard bit exactly when the field is short, and never across fields,
-    since `probe` and `divisor` set every guard bit of the minuend.
+    field of b is below that of a, that is when b with every guard bit set,
+    less a, keeps every exponent guard bit (`divides`): the subtraction
+    borrows from a field's own guard bit exactly when the field is short,
+    and never across fields, since every guard bit of the minuend is set.
     """
 
-    __slots__ = ("nvars", "rank", "ascending", "comp_shift", "guards", "exponent_guards",
-                 "mono_mask", "tag_start", "low", "_weights", "_head_weights", "_fields",
-                 "_comp_field")
+    __slots__ = ("nvars", "rank", "comp_shift", "guards", "exponent_guards",
+                 "mono_mask", "tag_start", "low", "_weights", "_fields", "_comp_field")
 
-    def __init__(self, nvars: int, weights: Optional[Sequence[int]],
-                 rank: Optional[int] = None, head_weights: Optional[Sequence[int]] = None):
-        """weights: those of wdegrevlex, or None for lex; head_weights: those of
-        the degree field of the head terms of an elimination order."""
-        self.nvars = nvars
-        self.ascending = weights is not None
+    def __init__(self, weights: Sequence[int], rank: Optional[int] = None):
+        """weights: those of the weighted degree, one per variable."""
+        self.nvars = nvars = len(weights)
         # a degree under unit weights is a plain sum
-        self._weights = None if weights is None or set(weights) <= {1} else tuple(weights)
-        self._head_weights = (None if head_weights is None or set(head_weights) <= {1}
-                              else tuple(head_weights))
-        nfields = nvars + 1 if self.ascending else nvars
+        self._weights = None if set(weights) <= {1} else tuple(weights)
+        nfields = nvars + 1
         self.comp_shift = nfields * _STRIDE
         self.mono_mask = (1 << self.comp_shift) - 1
         self.low = (1 << (self.comp_shift + _STRIDE)) - 1
@@ -157,64 +138,42 @@ class TermLayout:
         """The int of a term, its fields shifted in from the most significant;
         raises `StabilizationError` when a field of the term does not fit."""
         comp, e = term
-        if comp > FIELD_MAX:
+        w = self._weights
+        degree = sum(e) if w is None else sum(map(mul, e, w))
+        if comp > FIELD_MAX or degree > FIELD_MAX:  # every exponent is at most the degree
             raise field_overflow()
         p = comp
         if self.rank <= FIELD_MAX:  # an elimination order: flag and degree first
             if comp < self.rank:
-                w = self._head_weights
-                degree = sum(e) if w is None else sum(map(mul, e, w))
-                if degree > FIELD_MAX:
-                    raise field_overflow()
                 p = (FIELD_MAX - degree) << _STRIDE | comp
             else:
                 p = 1 << (2 * _STRIDE) | comp
-        if self.ascending:
-            w = self._weights
-            degree = sum(e) if w is None else sum(map(mul, e, w))
-            if degree > FIELD_MAX:
-                raise field_overflow()
-            p = p << _STRIDE | (FIELD_MAX - degree)
-            for x in reversed(e):
-                p = p << _STRIDE | x
-        else:
-            if e and max(e) > FIELD_MAX:
-                raise field_overflow()
-            for x in e:
-                p = p << _STRIDE | (FIELD_MAX - x)
+        p = p << _STRIDE | (FIELD_MAX - degree)
+        for x in reversed(e):
+            p = p << _STRIDE | x
         return p
 
     def unpack(self, p: int) -> tuple:
         fields = self._fields
         f = fields.unpack(p.to_bytes(fields.size, "big"))
         c = self._comp_field
-        if self.ascending:
-            return f[c], f[:c + 1:-1]
-        return f[c], tuple([FIELD_MAX - x for x in f[c + 1:]])
+        return f[c], f[:c + 1:-1]
 
     def component(self, p: int) -> int:
         return (p >> self.comp_shift) & FIELD_MAX
 
     def exponent(self, p: int, v: int) -> int:
         """The exponent of variable v in the term p."""
-        if self.ascending:
-            return (p >> (v * _STRIDE)) & FIELD_MAX
-        return FIELD_MAX - ((p >> ((self.nvars - 1 - v) * _STRIDE)) & FIELD_MAX)
+        return (p >> (v * _STRIDE)) & FIELD_MAX
 
     def shifts(self, t: int, lead: int) -> tuple:
         """(head shift, tag shift) that multiply a term by x^s, where t is
         x^s times lead, in the same component.  The tag shift leaves out the
-        degree field, which only head terms carry; the component fields of t
-        and lead cancel in both."""
+        upper degree field, which only head terms carry; the component
+        fields of t and lead cancel in both."""
         return t - lead, (t & self.low) - (lead & self.low)
-
-    def probe(self, b: int) -> int:
-        return b | self.guards if self.ascending else -b
-
-    def divisor(self, a: int) -> int:
-        return a if self.ascending else -(a | self.guards)
 
     def divides(self, a: int, b: int) -> bool:
         """True when the term a divides the term b of the same component."""
         g = self.exponent_guards
-        return (self.probe(b) - self.divisor(a)) & g == g
+        return ((b | self.guards) - a) & g == g

@@ -662,7 +662,7 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
         raise PolyError("division by zero polynomial")
     if f.is_zero():
         return f
-    # multivariate long division by leading term (lex order), subtracting
+    # multivariate long division by the largest exponent tuple, subtracting
     # c * x^e * g from one remainder dict in place; exactness checked
     q: dict = {}
     r = dict(f.terms)

@@ -79,8 +79,6 @@ def call_counter(monkeypatch):
 
 def mono_key(order, e: tuple):
     """Sort key of a monomial; a larger key is a larger monomial."""
-    if order.kind == "lex":
-        return e
     w = order.weights
     return (sum(map(mul, e, w)) if w is not None else sum(e), *[-x for x in reversed(e)])
 
@@ -89,14 +87,14 @@ def term_key(order, term: tuple, rank=None):
     """Sort key of a module term (component, exponent), position over term;
     with rank, of the elimination order of `MonomialOrder.layout`: every
     head term (component below rank) above every tag term, heads by weighted
-    degree, then position, then the scalar order."""
+    degree, then position, then the monomial order."""
     comp, e = term
+    key = mono_key(order, e)
     if rank is None:
-        return (-comp, *mono_key(order, e))
+        return (-comp, *key)
     if comp < rank:
-        w = order.weights
-        return (1, sum(map(mul, e, w)) if w is not None else sum(e), -comp, *mono_key(order, e))
-    return (0, -comp, *mono_key(order, e))
+        return (1, key[0], -comp, *key)
+    return (0, -comp, *key)
 
 
 def submodules_equal(gens_a, gens_b, order) -> bool:

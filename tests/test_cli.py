@@ -165,9 +165,8 @@ def test_cli_flag_overrides_degree_bound():
     ("de_rham_plane_pair", "option degree-bound -3;", []),
     ("is_free_normal_crossing", "option seed abc;", []),
     ("mu_e_four_planes", "option jet-cap 0;", []),
-    ("is_free_normal_crossing", "option order foo;", []),
     ("de_rham_plane_pair", "", ["--degree-bound", "-1"]),
-], ids=["degree-bound", "seed", "jet-cap", "order", "cli-degree-bound"])
+], ids=["degree-bound", "seed", "jet-cap", "cli-degree-bound"])
 def test_invalid_option_is_a_parse_error(tmp_path, capsys, jobname, extra, argv):
     job = tmp_path / "job.job"
     job.write_text((JOBS / f"{jobname}.job").read_text() + extra + "\n")
@@ -175,18 +174,33 @@ def test_invalid_option_is_a_parse_error(tmp_path, capsys, jobname, extra, argv)
     assert "parse error: option" in capsys.readouterr().err
 
 
-def test_window_flag_is_checked_like_the_job_option(tmp_path, capsys):
+@pytest.mark.parametrize("option, value", [("window", "4"), ("order", "lex")],
+                         ids=["window", "order"])
+def test_removed_options_exit_2(tmp_path, capsys, option, value):
     """The `mu-e` sum ends only at Cartan's stop degree, so there is no
-    `window` option: its flag is an unknown argument and the job option an
-    unknown option, both exit 2."""
+    `window` option, and every answer is read in one term order, so there
+    is no `order` option: each flag is an unknown argument and each job
+    option an unknown option, both exit 2."""
     with pytest.raises(SystemExit) as exc:
-        main(["--input", str(JOBS / "mu_e_four_planes.job"), "--window", "4"])
+        main(["--input", str(JOBS / "mu_e_four_planes.job"), f"--{option}", value])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --window" in capsys.readouterr().err
+    assert f"unrecognized arguments: --{option}" in capsys.readouterr().err
     job = tmp_path / "job.job"
-    job.write_text((JOBS / "mu_e_four_planes.job").read_text() + "option window 1;\n")
+    job.write_text((JOBS / "mu_e_four_planes.job").read_text() + f"option {option} {value};\n")
     assert main(["--input", str(job)]) == 2
-    assert "parse error: unknown option 'window'" in capsys.readouterr().err
+    assert f"parse error: unknown option '{option}'" in capsys.readouterr().err
+
+
+def test_unknown_subcommand_exits_2(tmp_path, capsys):
+    """A subcommand on the command line must be one of `COMMANDS`, also for
+    a job that names no command of its own."""
+    job = tmp_path / "job.job"
+    job.write_text('ring { x, y };\ndivisor "x*y";\n')
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate", "--input", str(job)])
+    assert exc.value.code == 2
+    assert "unknown command 'frobnicate'" in capsys.readouterr().err
+    assert main(["is-free", "--input", str(job)]) == 0
 
 
 # One single-fault job per JobError site: (id, job text, message, (line, column)
@@ -254,6 +268,8 @@ JOB_ERRORS = [
      (2, 10)),
     ("ext-params-name-in-other-name", "ring { xs };\next-params { xs, s };",
      "parameter 's' is not a ring variable", (2, 18)),
+    ("params-and-ext-params", "ring { x, s, t };\nparams { s, t };\next-params { t };",
+     "parameter 't' is in both params and ext-params", (3, 14)),
     ("superscript-exponent", 'ring { x };\ndivisor "x^²";', "divisor: unexpected character '²'",
      (2, 10)),
     ("superscript-option", "option degree-bound ²;", "unexpected character '²'", (1, 21)),

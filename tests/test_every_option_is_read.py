@@ -43,8 +43,8 @@ def test_the_guard_sees_each_kind_of_read():
     `get` and a key that is not a literal do not."""
     source = ('def _cmd(job, opts, other, key):\n'
               '    a = opts.get("degree-bound", 20)\n'
-              '    b = opts["order"] == "lex"\n'
+              '    b = opts["form-degree"] == 1\n'
               '    opts["seed"] = 1\n'
               '    c = other.get("jet-cap")\n'
               '    return opts.get(key)\n')
-    assert _options_read(ast.parse(source)) == {"degree-bound", "order"}
+    assert _options_read(ast.parse(source)) == {"degree-bound", "form-degree"}

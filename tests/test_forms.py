@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from logforms import groebner, logarithmic
+from logforms import cli, groebner, logarithmic
 from logforms.exterior import d_term, form_basis, monomial_form, pullback, wedge
 from logforms.forms import (
     CheckedFormsModule,
@@ -41,6 +41,7 @@ from logforms.groebner import (
     quotient_dimension,
     saturate,
 )
+from logforms.jobio import JobSpec
 from logforms.logarithmic import Divisor, euler_field, is_free, log_form_generators, saito_check
 from logforms.module import INFINITE, FreeElement, Grading, ModulePresentation
 from logforms.order import MonomialOrder
@@ -259,16 +260,21 @@ def test_de_rham_report_reads_no_slice_above_degree_zero(nc4, four_planes_afd, c
     assert calls and {degree for _, _, degree in calls} == {0}
 
 
-def test_de_rham_report_slices_to_the_bound_where_contraction_fails(four_planes_afd):
-    """R_0 = 0, R_1 = (x dy) and R_2 = every 2-form on C^2, weights (1, 1),
-    make a complex (d(x dy) = dx^dy), but i_E(x dy) = xy is not in R_0 and
-    i_E(dx^dy) = x dy - y dx is not in R_1: the homotopy proves nothing, so
-    every degree up to the bound is sliced.  So is a complex missing its
-    top level."""
+def _complex_without_contraction() -> list:
+    """R_0 = 0, R_1 = (x dy) and R_2 = every 2-form on C^2, weights (1, 1):
+    a complex (d(x dy) = dx^dy), but i_E(x dy) = xy is not in R_0 and
+    i_E(dx^dy) = x dy - y dx is not in R_1."""
     names, h = ["x", "y"], parse_poly("x*y", ["x", "y"])
     rels = {0: [], 1: [monomial_form(2, 1, 2, (1,), Poly.variable(2, 0))],
             2: [monomial_form(2, 2, 2, (0, 1), Poly.constant(2, 1))]}
-    mods = [CheckedFormsModule(names, 2, k, rels[k], h, weights=(1, 1)) for k in range(3)]
+    return [CheckedFormsModule(names, 2, k, rels[k], h, weights=(1, 1)) for k in range(3)]
+
+
+def test_de_rham_report_slices_to_the_bound_where_contraction_fails(four_planes_afd):
+    """On `_complex_without_contraction` the homotopy proves nothing, so
+    every degree up to the bound is sliced.  So is a complex missing its
+    top level."""
+    mods = _complex_without_contraction()
     chi = euler_field((1, 1), 2)
     assert not contraction_well_defined(mods[1], mods[0], chi)
     assert not contraction_well_defined(mods[2], mods[1], chi)
@@ -280,6 +286,18 @@ def test_de_rham_report_slices_to_the_bound_where_contraction_fails(four_planes_
     rep = de_rham_report_sliced(partial, 4)
     assert rep["positive_degrees"] == "sliced to degree-bound 4"
     assert rep["per_degree"] == _sliced_to(partial, 4)
+
+
+def test_de_rham_check_sliced_to_the_bound_is_uncertified(monkeypatch):
+    """Sliced to the bound, exactness is proven only up to the bound: the
+    `de-rham-check` record of `_complex_without_contraction` is flagged
+    UNCERTIFIED-LOCAL, although every slice read is exact."""
+    mods = _complex_without_contraction()
+    monkeypatch.setattr(cli, "_forms_modules", lambda job, degrees: (mods, mods[0].h, (1, 1)))
+    record = cli._cmd_de_rham(JobSpec(), {"degree-bound": 6})
+    assert record["verdicts"]["positive_degrees"] == "sliced to degree-bound 6"
+    assert record["verdicts"]["all_exact"]
+    assert record["flags"]["certified"] == "UNCERTIFIED-LOCAL"
 
 
 def _xy_complex(rels: dict) -> list:

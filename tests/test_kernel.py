@@ -33,6 +33,7 @@ from logforms.poly import Poly, parse_poly
 from conftest import mono_key, monomials_of_weight, submodules_equal, term_key
 
 N2 = ["x", "y"]
+N3 = ["x", "y", "z"]
 ORD = MonomialOrder()
 
 
@@ -136,11 +137,12 @@ def test_quotient_dimension_infinite():
 
 
 def test_quotient_dimension_order_independence():
-    for rels in ([F("x^2"), F("y^3")], [F("x^2", "0"), F("0", "y"), F("y^4", "0"), F("0", "x")]):
+    for rels in ([F("x^2"), F("y^3")], [F("x^2", "0"), F("0", "y"), F("y^4", "0"), F("0", "x")],
+                 [F("x^2 - y^3"), F("x*y")]):
         rank = rels[0].rank
         p = ModulePresentation(rank, rels)
-        d1 = quotient_dimension(p, MonomialOrder("wdegrevlex"))
-        d2 = quotient_dimension(p, MonomialOrder("lex"))
+        d1 = quotient_dimension(p, MonomialOrder())
+        d2 = quotient_dimension(p, MonomialOrder((5, 1)))
         assert d1 == d2
 
 
@@ -152,7 +154,7 @@ def test_quotient_dimension_order_independence():
 ])
 def test_staircase_finite_count_matches_graded_slices(rank, rels, grading):
     p = ModulePresentation(rank, rels, grading=grading)
-    for order in (MonomialOrder("wdegrevlex"), MonomialOrder("lex")):
+    for order in (MonomialOrder(), MonomialOrder((3, 1))):
         qt = QuotientTable(p, order)
         slices = [qt.layout.unpack(t) for d in range(0, 21) for t in qt.standard_monomials(d)]
         assert sorted(slices) == sorted(qt.standard_terms())
@@ -310,6 +312,11 @@ def test_normal_form_fully_reduced():
             assert not any(lc == comp and mono_divides(le, e) for lc, le in leads)
 
 
+def _orders(nvars):
+    """The order under unit weights, or under drawn weights from 1 to 3."""
+    return st.builds(MonomialOrder, st.none() | st.tuples(*[st.integers(1, 3)] * nvars))
+
+
 @st.composite
 def _polys(draw, nvars, max_terms, max_exp):
     terms = {}
@@ -331,21 +338,18 @@ def _division_inputs(draw):
         return FreeElement([draw(_polys(nvars, max_terms, 2)) for _ in range(rank)])
 
     gens = [element(2) for _ in range(draw(st.integers(1, 3)))]
-    order = draw(st.sampled_from([MonomialOrder("wdegrevlex"), MonomialOrder("lex")]))
-    return gens, element(5), order
+    return gens, element(5), draw(_orders(nvars))
 
 
 @st.composite
 def _quotients(draw):
     """A presentation in O^rank, rank 1 or 2, over 1 to 3 variables, and
-    wdegrevlex with drawn weights or lex."""
+    an order."""
     rank = draw(st.integers(1, 2))
     nvars = draw(st.integers(1, 3 if rank == 1 else 2))
     relations = [FreeElement([draw(_polys(nvars, 2, 2)) for _ in range(rank)])
                  for _ in range(draw(st.integers(1, 3)))]
-    weights = draw(st.tuples(*[st.integers(1, 3)] * nvars))
-    order = draw(st.sampled_from([MonomialOrder("wdegrevlex", weights), MonomialOrder("lex")]))
-    return ModulePresentation(rank, relations, nvars=nvars), order
+    return ModulePresentation(rank, relations, nvars=nvars), draw(_orders(nvars))
 
 
 @given(_quotients())
@@ -370,8 +374,8 @@ def _graded_quotients(draw):
     """A graded presentation in O^rank, rank 1 to 3 over 1 to 4 variables,
     with drawn weights and shifts and a few homogeneous relations of one or
     two terms per component (half the time with a pure power of every
-    variable in every component, so the quotient is finite), and
-    wdegrevlex with drawn weights or lex."""
+    variable in every component, so the quotient is finite), and an order
+    with weights of its own."""
     rank = draw(st.integers(1, 3))
     nvars = draw(st.integers(1, 4))
     weights = draw(st.tuples(*[st.integers(1, 3)] * nvars))
@@ -391,9 +395,7 @@ def _graded_quotients(draw):
                 power = tuple(draw(st.integers(1, 3)) if j == i else 0 for j in range(nvars))
                 relations.append(FreeElement([Poly(nvars, {power: Fraction(1)}) if j == c
                                               else Poly.zero(nvars) for j in range(rank)]))
-    order_weights = draw(st.tuples(*[st.integers(1, 3)] * nvars))
-    order = draw(st.sampled_from([MonomialOrder("wdegrevlex", order_weights),
-                                  MonomialOrder("lex")]))
+    order = draw(_orders(nvars))
     return ModulePresentation(rank, relations, Grading(weights, shifts), nvars), order
 
 
@@ -661,8 +663,7 @@ def _colon_inputs(draw):
         relations.append(FreeElement([poly(degree, 2) for _ in range(rank)]))
     ideal = [poly(draw(st.integers(1, 2)), 1) for _ in range(draw(st.integers(1, 3)))]
     ideal = [f for f in ideal if not f.is_zero()] or [Poly.variable(nvars, 0)]
-    order = draw(st.sampled_from([MonomialOrder("wdegrevlex"), MonomialOrder("lex")]))
-    return relations, rank, ideal, order
+    return relations, rank, ideal, draw(_orders(nvars))
 
 
 @given(_colon_inputs())
@@ -701,8 +702,7 @@ def _intersect_inputs(draw):
 
     gens_a = [element() for _ in range(draw(st.integers(1, 3 if graded else 2)))]
     gens_b = [element() for _ in range(draw(st.integers(1, 3 if graded else 1)))]
-    order = draw(st.sampled_from([MonomialOrder("wdegrevlex"), MonomialOrder("lex")]))
-    return gens_a, gens_b, order
+    return gens_a, gens_b, draw(_orders(nvars))
 
 
 @given(_intersect_inputs())
@@ -734,18 +734,17 @@ def _monic(terms: dict, order: MonomialOrder) -> frozenset:
     return frozenset((e, c / lc) for e, c in terms.items())
 
 
-@given(_ideals(), st.sampled_from([("wdegrevlex", "grevlex"), ("lex", "lex")]))
+@given(_ideals())
 @settings(max_examples=40, deadline=None)
-def test_reduced_basis_matches_sympy(sympy, polys, kinds):
-    """Our reduced basis is sympy's, under grevlex (wdegrevlex with unit
-    weights) and under lex, x0 > x1 > x2 in both."""
-    ours_kind, their_kind = kinds
+def test_reduced_basis_matches_sympy(sympy, polys):
+    """Our reduced basis is sympy's under grevlex (our order with unit
+    weights), x0 > x1 > x2."""
     nvars = polys[0].nvars
-    order = MonomialOrder(ours_kind).with_nvars(nvars)
+    order = MonomialOrder().with_nvars(nvars)
     syms = sympy.symbols(f"x0:{nvars}")
     exprs = [sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator)
                                    for e, c in p.terms.items()}, *syms).as_expr() for p in polys]
-    theirs = sympy.groebner(exprs, *syms, order=their_kind)
+    theirs = sympy.groebner(exprs, *syms, order="grevlex")
     ours = groebner_basis([FreeElement([p]) for p in polys], order)
     assert {_monic(g.entries[0].terms, order) for g in ours} == {
         _monic({e: Fraction(int(c.p), int(c.q)) for e, c in q.as_dict().items()}, order)
@@ -789,8 +788,7 @@ def _families(draw):
             e = [draw(st.integers(0, 1)) for _ in range(nvars)]
         multipliers.append(Poly.monomial(nvars, tuple(e), draw(coeff))
                            if draw(st.booleans()) else Poly.zero(nvars))
-    order = draw(st.sampled_from([MonomialOrder("wdegrevlex"), MonomialOrder("lex")]))
-    return gens, perm, i, scale, multipliers, order
+    return gens, perm, i, scale, multipliers, draw(_orders(nvars))
 
 
 def _put(seq, k, v):
@@ -830,15 +828,14 @@ def test_bases_do_not_depend_on_the_presentation(family):
 
 @st.composite
 def _packing_orders(draw):
-    """An order of each family over 1 to 5 variables, a rank from 1 to 6,
-    the reference term key of the order and its packed layout: wdegrevlex
-    with drawn positive weights, lex, and the elimination order over either,
-    with 1 to rank head components and the rest tags."""
+    """An order over 1 to 5 variables, a rank from 1 to 6,
+    the reference term key of the order and its packed layout: unit or
+    drawn positive weights, plain or the elimination order, with 1 to rank
+    head components and the rest tags."""
     nvars = draw(st.integers(1, 5))
     rank = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(["wdegrevlex", "lex"]))
     weights = draw(st.none() | st.tuples(*[st.integers(1, 7)] * nvars))
-    order = MonomialOrder(kind, weights).with_nvars(nvars)
+    order = MonomialOrder(weights).with_nvars(nvars)
     heads = draw(st.none() | st.integers(1, rank))
     return partial(term_key, order, rank=heads), order.layout(nvars, heads), rank, nvars
 
@@ -913,28 +910,44 @@ def test_exponent_beyond_the_field_raises():
 
 def test_s_polynomials_beyond_the_field_raise():
     """The inputs fit the packed fields but their S-polynomials do not: the
-    lcm of x^a*y and x*y^a has degree 2a under wdegrevlex, and under lex the
-    S-polynomial of x^2 + y^M and x*y is y^(M+1)."""
+    lcm of x^a*y and x*y^a has degree 2a.  Below the lcm a term may still
+    leave the fields, from a later component or from the tags: modulo
+    x e_0 - y^K e_1 and y^b e_0 the S-polynomial is y^(K+b) e_1, and the
+    syzygies of x, x*y^K + 1 and z^c include x*y^K*z^c e_1, of degree
+    1 + K + c."""
     a = FIELD_MAX // 2 + 1
     groebner_basis([F(f"x^{a}*y + 1")], ORD)
     with pytest.raises(StabilizationError, match=str(FIELD_MAX)):
         groebner_basis([F(f"x^{a}*y"), F(f"x*y^{a}")], ORD)
-    lex = MonomialOrder("lex")
-    groebner_basis([F(f"x^2 + y^{FIELD_MAX}")], lex)
+    K = 20000
+    b = FIELD_MAX - K
+    groebner_basis([F("x", f"-y^{K}"), F(f"y^{b}", "0")], ORD)
     with pytest.raises(StabilizationError, match=str(FIELD_MAX)):
-        groebner_basis([F(f"x^2 + y^{FIELD_MAX}"), F("x*y")], lex)
+        groebner_basis([F("x", f"-y^{K}"), F(f"y^{b + 1}", "0")], ORD)
+    columns = [F("x", names=N3), F(f"x*y^{K} + 1", names=N3)]
+    syzygy_module(columns + [F(f"z^{b - 1}", names=N3)])
+    with pytest.raises(StabilizationError, match=str(FIELD_MAX)):
+        syzygy_module(columns + [F(f"z^{b}", names=N3)])
 
 
 def test_reductions_beyond_the_field_raise():
-    """Modulo x - y^2 under lex, reducing x^k walks to y^(2k), which leaves
-    the field for 2k > FIELD_MAX: in plain division and in the term memo of
-    a quotient table."""
-    lex = MonomialOrder("lex")
-    k = FIELD_MAX // 2 + 1
-    basis = groebner_basis([F("x - y^2")], lex)
-    assert normal_form(F(f"x^{k - 1}"), basis, lex) == F(f"y^{2 * k - 2}")
+    """Within one component a reduction step never raises the weighted
+    degree, but a term can leave the fields through a later component or a
+    tag.  Modulo x e_0 - y^K e_1, x^k e_0 reduces to x^(k-1)*y^K e_1: in
+    plain division and in the term memo of a quotient table.  Lifting x^k
+    over x and x*y^K + 1 reduces it by the basis element 1 + e_2 - y^K e_1
+    (1 = (x*y^K + 1) - y^K * x), whose tag x^k*y^K e_1 has degree k + K."""
+    K = 20000
+    k = FIELD_MAX - K + 1
+    basis = groebner_basis([F("x", f"-y^{K}")], ORD)
+    assert normal_form(F(f"x^{k}", "0"), basis, ORD) == F("0", f"x^{k - 1}*y^{K}")
     with pytest.raises(StabilizationError, match=str(FIELD_MAX)):
-        normal_form(F(f"x^{k}"), basis, lex)
-    qt = QuotientTable(ModulePresentation(1, [F("x - y^2")], nvars=2), lex)
+        normal_form(F(f"x^{k + 1}", "0"), basis, ORD)
+    qt = QuotientTable(ModulePresentation(2, [F("x", f"-y^{K}")], nvars=2), ORD)
+    assert qt.reduce({(0, (k, 0)): Fraction(1)}) == {(1, (k - 1, K)): Fraction(1)}
     with pytest.raises(StabilizationError, match=str(FIELD_MAX)):
-        qt.reduce({(0, (k, 0)): Fraction(1)})
+        qt.reduce({(0, (k + 1, 0)): Fraction(1)})
+    gens = [F("x"), F(f"x*y^{K} + 1")]
+    assert lift_over_generators(F(f"x^{k - 1}"), gens) is not None
+    with pytest.raises(StabilizationError, match=str(FIELD_MAX)):
+        lift_over_generators(F(f"x^{k}"), gens)
