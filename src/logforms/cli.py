@@ -123,6 +123,8 @@ def _pullback_germ(job: JobSpec):
     full = _inducing_map(job)
     imap = full.germ()
     h0 = pullback([(0, FreeElement([e_basis.divisor.h]))], imap.components, 0)[0].entries[0]
+    if h0.is_zero():
+        raise PreconditionError("h o F is zero: the map sends the source into the target divisor")
     return e_basis, imap, h0, full.germ_weights(_weights_for(h0, job.weights))
 
 
@@ -273,34 +275,29 @@ def _cmd_critical_ideal(job: JobSpec, opts: dict) -> dict:
 
 
 def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
-    routes = {}  # route -> (value, proven)
-    errors = {}
-    ran_out = False  # a route failed because its bound ran out
-    # de Rham route needs target data and the map
+    """Each route builds its own inputs: the de Rham route needs target data
+    and the map, the alternating and good-equation routes the total-space
+    divisor with parameters.  A route whose inputs or computation fail
+    reports its error beside the routes that answer."""
+    computations = {}
     if "target-divisor" in job.polys and "map" in job.polys:
-        setup = DeformationSetup(_target_basis(job), _inducing_map(job), weights=job.weights)
-        try:
-            routes["derham"] = mu_e_derham(setup, opts.get("degree-bound", 20)), True
-        except (StabilizationError, DeformationError) as exc:
-            errors["derham"] = str(exc)
-            ran_out = isinstance(exc, StabilizationError)
-    # alternating and good-equation routes need the total-space divisor
+        computations["derham"] = lambda: mu_e_derham(
+            DeformationSetup(_target_basis(job), _inducing_map(job), weights=job.weights))
     if "divisor" in job.polys and job.params:
         d = _divisor_from_job(job)
         params = job.param_indices()
+        computations["alternating"] = lambda: mu_e_alternating(_free_basis(d), params)
+        computations["good_equation"] = lambda: mu_e_good_equation(
+            d, params, good_equation_witness(d.h, d.weights))
+    routes = {}  # route -> (value, proven)
+    errors = {}
+    ran_out = False  # a route failed because its bound ran out
+    for name, compute in computations.items():
         try:
-            basis = _free_basis(d)
-            routes["alternating"] = mu_e_alternating(basis, params), True
-        except (PreconditionError, DeformationError) as exc:
-            errors["alternating"] = str(exc)
-        witness = good_equation_witness(d.h, d.weights)
-        if witness is None:
-            errors["good_equation"] = "no good-equation witness found"
-        else:
-            try:
-                routes["good_equation"] = mu_e_good_equation(d, params, witness), True
-            except DeformationError as exc:
-                errors["good_equation"] = str(exc)
+            routes[name] = compute(), True
+        except (PreconditionError, DeformationError, StabilizationError) as exc:
+            errors[name] = str(exc)
+            ran_out |= isinstance(exc, StabilizationError)
     if not routes:
         detail = "; ".join(f"{k}: {v}" for k, v in sorted(errors.items()))
         # a bound that ran out is non-stabilization (exit 4), not a missing input

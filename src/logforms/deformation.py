@@ -1,11 +1,13 @@
 """Deformation theory of almost free divisors and map germs.
 
 Normal spaces are presented as cokernels over the source ring; singular
-Milnor numbers come from three independent routes (de Rham cokernel slices,
-alternating sums of relative T1 dimensions, and the annihilator route through
-a good defining equation) that must agree on weighted homogeneous data.  A
-weighted homogeneous map germ's A_e-codimension is counted over proven
-normal-space slices (`direct`) and through a stable unfolding (`damon`).
+Milnor numbers come from three independent routes (the de Rham cokernel,
+counted as the top forms modulo the pulled-back relations by the Euler-field
+homotopy, alternating sums of relative T1 dimensions, and the annihilator
+route through a good defining equation) that must agree on weighted
+homogeneous data.  A weighted homogeneous map germ's A_e-codimension is
+counted over proven normal-space slices (`direct`) and through a stable
+unfolding (`damon`).
 """
 
 from __future__ import annotations
@@ -15,11 +17,7 @@ from itertools import combinations
 from operator import add, mul
 from typing import Optional, Sequence
 
-from .forms import (
-    CheckedFormsModule,
-    cokernel_slice_dims,
-    forms_pullback_degrees,
-)
+from .forms import CheckedFormsModule, forms_pullback_degrees
 from .exterior import minor_table, pullback
 from .groebner import (
     LinSpace,
@@ -231,9 +229,13 @@ def good_equation_witness(h: Poly, weights: Optional[Sequence[int]] = None) -> O
     return chi if apply_field(chi, h) == h else None
 
 
-def mu_e_good_equation(d: Divisor, param_indices: Sequence[int], witness: FreeElement):
+def mu_e_good_equation(d: Divisor, param_indices: Sequence[int],
+                       witness: Optional[FreeElement]):
     """Dimension of the parameter directions modulo the annihilating fields of
-    the equation and the base maximal ideal; requires a good-equation witness."""
+    the equation and the base maximal ideal; requires a good-equation witness
+    (None: `good_equation_witness` found none)."""
+    if witness is None:
+        raise DeformationError("no good-equation witness found")
     if apply_field(witness, d.h) != d.h:
         raise DeformationError("good-equation witness fails chi(h) = h")
     nv = d.nvars
@@ -242,49 +244,16 @@ def mu_e_good_equation(d: Divisor, param_indices: Sequence[int], witness: FreeEl
     return quotient_dimension(pres, d.order())
 
 
-def cartan_stop_degree(components: Sequence[Poly], weights: Sequence[int], target: Divisor,
-                       top: CheckedFormsModule) -> int:
-    """A weighted degree D above which every cokernel slice of d into the
-    top level of `mu_e_derham` vanishes.  `DeformationError` names the
-    hypothesis of the proof below that fails: a nonzero component of F is
-    weighted homogeneous of positive degree, the target equation h is
-    homogeneous for the degrees (d_c) of the components, the top level is
-    graded, and O/J is finite.  A zero component F_c takes d_c = r v_c, v
-    the target's weights and r the common ratio d_c / v_c of the nonzero
-    components; with no target weights, or no common ratio, there is no D.
-
-    Let the source have n variables of weights w, p = n - 1, E = sum w_i x_i
-    d/dx_i, and R_k the pulled-back relations of level k: the exterior ideal
-    generated by F* of h times the logarithmic forms of the target.  J is
-    the ideal of every coefficient of every level-p relation (homogeneous,
-    since the level is graded), and D is the top weighted degree of its
-    standard terms plus sum(w), or 0 when J is the unit ideal.
-
-    Proof.  Since p = n - 1, r ^ dx_j = +-r_{[n]-j} dx_[n] for a level-p
-    relation r, so J * Omega^n lies in R_p ^ Omega^1.  A homogeneous n-form
-    g dx_[n] of degree delta > D has deg g above the top standard degree,
-    so g lies in J (its normal form, homogeneous of the same degree, is
-    zero); hence R_p ^ Omega^1 holds every n-form of degree delta > D.
-    Let E' = sum d_c y_c d/dy_c.  Then i_E F*eta = F*(i_E' eta): both sides
-    are antiderivations along F* that vanish on functions, and on dy_c they
-    give E(F_c) and F*(d_c y_c) = d_c F_c, equal where F_c is homogeneous of
-    degree d_c and both zero where F_c = 0, whatever d_c is.  E' is
-    logarithmic, E'(h) = deg(h) h, because h is homogeneous for the degrees
-    (d_c); with a zero component E' is r times the target's Euler field.
-    Contraction by a logarithmic field maps h Omega^j(log D) into
-    h Omega^(j-1)(log D) (Saito, "Theory of logarithmic differential forms
-    and logarithmic vector fields", 1980).  With the Leibniz rule for i_E
-    this gives i_E R_p in R_(p-1) and i_E (R_p ^ Omega^1) in R_p.  Now let
-    omega be a level-p form of degree delta > D (delta > 0 too).  Cartan's
-    formula for the Euler field reads delta omega = L_E omega =
-    d(i_E omega) + i_E d(omega), and d(omega) lies in R_p ^ Omega^1, so
-    i_E d(omega) lies in R_p: the class of omega is d of the class of
-    i_E omega / delta, and the cokernel slice of degree delta is zero (the
-    homotopy Greuel uses for an ICIS, Math. Ann. 214, 1975).
-    """
-    def unproven(why: str) -> DeformationError:
-        return DeformationError("no stop degree is proven: " + why)
-
+def check_euler_homotopy(components: Sequence[Poly], weights: Sequence[int], target: Divisor,
+                         top: CheckedFormsModule) -> None:
+    """Check the hypotheses of `mu_e_derham`'s proof, raising
+    `DeformationError` that names the one that fails: a nonzero component
+    of F is weighted homogeneous of positive degree, the target equation h
+    is homogeneous for the degrees (d_c) of the components, and the top
+    level is graded.  A zero component F_c takes d_c = r v_c, v the
+    target's weights and r the common ratio d_c / v_c of the nonzero
+    components; with no target weights, or no common ratio, the check
+    fails."""
     degrees = []
     for c in components:
         if c.is_zero():
@@ -292,47 +261,70 @@ def cartan_stop_degree(components: Sequence[Poly], weights: Sequence[int], targe
         elif c.is_homogeneous(weights) and c.weighted_degree(weights) > 0:
             degrees.append(c.weighted_degree(weights))
         else:
-            raise unproven("a component is not weighted homogeneous of positive degree")
+            raise DeformationError("a component is not weighted homogeneous of positive degree")
     if None in degrees:
         if target.weights is None:
-            raise unproven("a component is zero and the target has no weights")
+            raise DeformationError("a component is zero and the target has no weights")
         if len({Fraction(d, v) for d, v in zip(degrees, target.weights) if d is not None}) != 1:
-            raise unproven("the components have no common ratio to the target weights")
+            raise DeformationError("the components have no common ratio to the target weights")
         degrees = target.weights  # h is homogeneous for them, so for r times them
     if not target.h.is_homogeneous(degrees):
-        raise unproven("the target equation is not homogeneous for the degrees of the components")
+        raise DeformationError(
+            "the target equation is not homogeneous for the degrees of the components")
     if top.grading() is None:
-        raise unproven("the top level is not graded")
-    coefficients = {c for r in top.relations for c in r.entries if not c.is_zero()}
-    pres = ModulePresentation(1, [FreeElement([c]) for c in coefficients], nvars=top.nvars)
-    terms = QuotientTable(pres, top.order()).standard_terms()
-    if terms is None:
-        raise unproven("O/J is infinite")
-    if not terms:
-        return 0
-    return max(sum(map(mul, e, weights)) for _, e in terms) + sum(weights)
+        raise DeformationError("the top level is not graded")
 
 
 def mu_e_derham(setup: DeformationSetup, bound: int = 20, window: Optional[int] = None) -> int:
-    """Singular Milnor number as the dimension of the top checked forms of the
-    central fibre modulo exact forms, accumulated over weighted-degree slices.
+    """Singular Milnor number: the dimension of the top checked forms of the
+    central fibre modulo exact forms, counted as dim Omega^n / R_n, the
+    number of standard terms of one table.  The hypotheses are those of
+    `check_euler_homotopy`; an infinite Omega^n / R_n is `DeformationError`.
+    `bound` and `window` are not read; they are kept only because the
+    benchmark's cases still pass them.
 
-    The sum stops at the degree D of `cartan_stop_degree`, proven to bound
-    every nonzero slice; degrees above D are never sliced.  With no D there
-    is no proven stop and no bound would help: `DeformationError`.  D above
-    `bound` raises `StabilizationError`.  `window` is not read; it is kept
-    only because the benchmark's cases still pass it."""
+    Let the source have n variables of weights w, p = n - 1, E = sum w_i x_i
+    d/dx_i, R_k the pulled-back relations of level k (the exterior ideal
+    generated by F* of h times the logarithmic forms of the target) and
+    M_k = Omega^k / R_k.  The route's number is the sum over degrees delta
+    of dim coker(d: M_(p-1) -> M_p)_delta.
+
+    Proof that it equals dim M_n.  d maps R_k into R_(k+1): d(h eta) =
+    h(dh/h ^ eta + d eta) is again h times a logarithmic form, and d
+    commutes with F*.  Let E' = sum d_c y_c d/dy_c.  Then i_E F*eta =
+    F*(i_E' eta): both sides are antiderivations along F* that vanish on
+    functions, and on dy_c they give E(F_c) and F*(d_c y_c) = d_c F_c, equal
+    where F_c is homogeneous of degree d_c and both zero where F_c = 0,
+    whatever d_c is.  E' is logarithmic, E'(h) = deg(h) h, because h is
+    homogeneous for the degrees (d_c); with a zero component E' is r times
+    the target's Euler field.  Contraction by a logarithmic field maps
+    h Omega^j(log D) into h Omega^(j-1)(log D) (Saito, "Theory of
+    logarithmic differential forms and logarithmic vector fields", 1980), so
+    with the Leibniz rule for i_E, i_E maps R_k into R_(k-1) at every
+    level, n included.  So L_E = d i_E + i_E d, which is delta on forms of
+    degree delta, maps each R_k into itself, and each M_k is graded.  In a
+    degree delta > 0, Cartan's formula reads delta omega = d(i_E omega) +
+    i_E d(omega).  If omega is a p-form with d(omega) in R_n, then
+    i_E d(omega) lies in R_p, so the class of omega is d of the class of
+    i_E omega / delta: M_(p-1) -> M_p -> M_n is exact at M_p.  An n-form
+    omega has d(omega) = 0, so it is d of i_E omega / delta: d maps M_p
+    onto M_n.  Hence coker(d)_delta = (M_p / ker d)_delta, which d maps
+    isomorphically onto (M_n)_delta (the homotopy Greuel uses for an ICIS,
+    Math. Ann. 214, 1975).  In degree 0, (M_p)_0 = 0 for p >= 1, and for
+    p = 0 the augmentation C -> M_0 kills the constants; (M_n)_0 = 0 since
+    n >= 1.  So the sum is dim M_n."""
     if setup.weights is None:
         raise DeformationError("no positive weight system")
     imap = setup.map.germ()
     weights = setup.map.germ_weights(setup.weights)
-    p = imap.source_dim - 1
-    mods = forms_pullback_degrees(setup.e_basis, imap.components, imap.source_names,
-                                  (p - 1, p), weights)
-    stop = cartan_stop_degree(imap.components, weights, setup.e_basis.divisor, mods[1])
-    if stop > bound:
-        raise StabilizationError(f"the stop degree {stop} is above the degree bound {bound}")
-    return sum(cokernel_slice_dims(mods, p, stop).values())
+    n = imap.source_dim
+    top = forms_pullback_degrees(setup.e_basis, imap.components, imap.source_names, (n,),
+                                 weights)[0]
+    check_euler_homotopy(imap.components, weights, setup.e_basis.divisor, top)
+    terms = top.table().standard_terms()
+    if terms is None:
+        raise DeformationError("Omega^n/R_n is infinite")
+    return len(terms)
 
 
 # ---------------------------------------------------------------------------

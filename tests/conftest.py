@@ -1,10 +1,12 @@
 """Shared corpus: the divisors, families and maps exercised across the suite."""
 
 import importlib
+import os
 import sys
 from functools import cache
 from itertools import combinations
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -16,6 +18,12 @@ from logforms.logarithmic import Divisor, FreenessVerdict, is_free, saito_check
 from logforms.module import FreeElement
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, parse_poly
+
+# The CLI processes that tests start import the package from src, as the
+# tests themselves do (`pythonpath` in pyproject.toml).
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(Path(__file__).resolve().parent.parent / "src")]
+    + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 
 def _rebind(monkeypatch, original, replacement):

@@ -177,8 +177,8 @@ def test_invalid_option_is_a_parse_error(tmp_path, capsys, jobname, extra, argv)
 @pytest.mark.parametrize("option, value", [("window", "4"), ("order", "lex")],
                          ids=["window", "order"])
 def test_removed_options_exit_2(tmp_path, capsys, option, value):
-    """The `mu-e` sum ends only at Cartan's stop degree, so there is no
-    `window` option, and every answer is read in one term order, so there
+    """The `mu-e` de Rham route counts one finite table and reads no
+    window, so there is no `window` option, and every answer is read in one term order, so there
     is no `order` option: each flag is an unknown argument and each job
     option an unknown option, both exit 2."""
     with pytest.raises(SystemExit) as exc:
@@ -477,36 +477,39 @@ LIPS_INCLUSION = ('ring { X, W };\nweights ( 1, 3 );\ntarget-ring { A, U, B };\n
                   'map ( "X", "0", "W" );\ncommand mu-e;\n')
 
 
-def test_mu_e_of_the_lips_inclusion_ends_at_cartans_stop(tmp_path, capsys):
+def test_mu_e_of_the_lips_inclusion_ends_at_cartans_stop():
     """The lips discriminant pulled back by (X, 0, W): the zero component U
-    takes its degree from the target weights, so Cartan's stop degree is 5
-    and mu_e_derham = 1 is CERTIFIED at the default bound and at bound 5.
-    Every bound below 5 exits 4."""
-    for options in ("", "option degree-bound 5;\n"):
+    takes its degree from the target weights, and mu_e_derham = 1, the one
+    standard term of Omega^2 / R_2, is CERTIFIED at the default and at
+    every degree bound 0..5: the count reads no bound.  (The name recalls
+    the stop degree 5 the route once ended at; Cartan's formula now ends
+    it at level n, with no degree.)"""
+    for options in ["", *(f"option degree-bound {bound};\n" for bound in range(6))]:
         record = run_job(parse_job(LIPS_INCLUSION + options))
         assert record["dimensions"]["mu_e_derham"]["value"] == 1
         assert record["flags"]["certified"] == "CERTIFIED"
-    job = tmp_path / "job.job"
-    for bound in range(1, 5):
-        job.write_text(LIPS_INCLUSION + f"option degree-bound {bound};\n")
-        assert main(["--input", str(job)]) == 4
-        assert capsys.readouterr().err == (
-            "non-stabilization: mu-e could not run any route (derham: the stop degree 5 "
-            f"is above the degree bound {bound})\n")
 
 
-@pytest.mark.parametrize("options", ["option degree-bound 3;\n", "option degree-bound 4;\n"],
-                         ids=["bound-below-window", "nonzero-tail"])
-def test_mu_e_bound_that_runs_out_exits_4(tmp_path, capsys, options):
-    """The lips inclusion of the test above at bounds 3 and 4, below its stop
-    degree 5: exit 4, not an answer and not a missing precondition.  (The
-    ids name a trailing-window stop that the sum no longer has.)"""
+@pytest.mark.parametrize("weights, target_weights, comps", [
+    ("40000, 40000", "1, 1", '"x", "y"'),
+    ("1, 40000", "1, 1", '"x^40000", "y"'),
+], ids=["bound-below-window", "nonzero-tail"])
+def test_mu_e_bound_that_runs_out_exits_4(tmp_path, capsys, weights, target_weights, comps):
+    """A map-only `mu-e` job whose terms leave the packed exponent fields:
+    variables of weight above the field bound, and a component of degree
+    above it.  The bound ran out, so exit 4, not an answer and not a
+    missing precondition.  (The ids name a degree bound and a
+    trailing-window stop that the route no longer has.)"""
     job = tmp_path / "job.job"
-    job.write_text(LIPS_INCLUSION + options)
+    job.write_text(f'ring {{ x, y }};\nweights ( {weights} );\ntarget-ring {{ a, b }};\n'
+                   f'target-weights ( {target_weights} );\ntarget-divisor "a*b";\n'
+                   f'map ( {comps} );\ncommand mu-e;\n')
     assert main(["--input", str(job)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("non-stabilization: mu-e could not run any route (derham: ")
+    assert captured.err == (
+        "non-stabilization: mu-e could not run any route (derham: a term left the packed "
+        "exponent fields: an exponent or weighted degree above 32767)\n")
 
 
 @pytest.mark.parametrize("ring, target, comps", [
@@ -514,7 +517,7 @@ def test_mu_e_bound_that_runs_out_exits_4(tmp_path, capsys, options):
     ("w1, w2, w3, w4", "w1*w2*w3*w4", '"x", "y", "x+y", "y"'),
 ], ids=["zero-pullback", "infinite-quotient"])
 def test_mu_e_without_a_stop_degree_exits_3(tmp_path, capsys, ring, target, comps):
-    """A map-only `mu-e` job whose O/J is infinite has no proven stop degree:
+    """A map-only `mu-e` job whose Omega^n / R_n is infinite has no count:
     (x, 0, y) into normal crossing in C^3, where h o F = 0, and a
     non-generic map into normal crossing in C^4.  No bound would help, so
     the route error is a failed precondition (exit 3), not exit 4."""
@@ -525,8 +528,54 @@ def test_mu_e_without_a_stop_degree_exits_3(tmp_path, capsys, ring, target, comp
                    f'map ( {comps} );\ncommand mu-e;\n')
     assert main(["--input", str(job)]) == 3
     assert capsys.readouterr().err == (
-        "precondition failure: mu-e could not run any route (derham: no stop degree is "
-        "proven: O/J is infinite)\n")
+        "precondition failure: mu-e could not run any route (derham: Omega^n/R_n is "
+        "infinite)\n")
+
+
+def test_mu_e_route_whose_inputs_fail_leaves_the_other_routes():
+    """The four planes family with a target divisor that is not free: the
+    de Rham route cannot build its set-up and reports why, and the
+    alternating and good-equation routes still answer, CERTIFIED."""
+    record = run_job(parse_job(
+        'ring { x1, x2, x3, s };\nweights ( 1, 1, 1, 1 );\nparams { s };\n'
+        'divisor "x1*x2*x3*(x1+x2+x3-s)";\ntarget-ring { a, b, c };\n'
+        'target-weights ( 1, 1, 1 );\ntarget-divisor "a*b*c*(a+b+c)";\n'
+        'map ( "x1", "x2", "x3" );\ncommand mu-e;\n'))
+    assert record["routes"] == ["alternating", "good_equation"]
+    assert record["verdicts"] == {"routes_agree": True, "route_errors": {
+        "derham": "target divisor is not certified free (NOT_FREE); this command needs a "
+                  "Saito basis"}}
+    assert [record["dimensions"][f"mu_e_{r}"]["value"] for r in record["routes"]] == [1, 1]
+    assert record["flags"]["certified"] == "CERTIFIED"
+
+
+def test_mu_e_of_a_one_variable_germ_answers_by_every_route():
+    """Two points x*(x - s) on the line, pulled back from normal crossing by
+    (x, x - s): the de Rham route counts Omega^1 / R_1 with no level below
+    0, and all three routes give 1."""
+    record = run_job(parse_job(
+        'ring { x, s };\nweights ( 1, 1 );\nparams { s };\ndivisor "x*(x-s)";\n'
+        'target-ring { w1, w2 };\ntarget-weights ( 1, 1 );\ntarget-divisor "w1*w2";\n'
+        'map ( "x", "x-s" );\ncommand mu-e;\n'))
+    assert record["routes"] == ["alternating", "derham", "good_equation"]
+    assert record["verdicts"] == {"routes_agree": True}
+    assert [record["dimensions"][f"mu_e_{r}"]["value"] for r in record["routes"]] == [1, 1, 1]
+    assert record["flags"]["certified"] == "CERTIFIED"
+
+
+@pytest.mark.parametrize("command", ["torsion-length", "de-rham-check"])
+def test_map_into_the_target_divisor_exits_3(tmp_path, capsys, command):
+    """(x, 0, y) sends the plane into the normal crossing divisor a*b*c, so
+    h o F = 0 and there is no pulled-back divisor: a failed precondition
+    that names the cause, not a torsion length or an exact complex."""
+    job = tmp_path / "job.job"
+    job.write_text('ring { x, y };\nweights ( 1, 1 );\ntarget-ring { a, b, c };\n'
+                   f'target-divisor "a*b*c";\nmap ( "x", "0", "y" );\ncommand {command};\n')
+    assert main(["--input", str(job)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("precondition failure: h o F is zero: the map sends the source "
+                            "into the target divisor\n")
 
 
 def test_de_rham_without_a_weight_system_exits_3(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import re
 from math import comb
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from logforms.deformation import (
     InducingMap,
     ae_codim_damon,
     ae_normal_space_direct,
-    cartan_stop_degree,
+    check_euler_homotopy,
     good_equation_witness,
     jacobian_columns,
     ke_discriminant_reduced,
@@ -26,7 +27,8 @@ from logforms.deformation import (
     t1_log,
     theta_prime_minors,
 )
-from logforms.forms import cokernel_slice_dims, contraction_well_defined, forms_pullback_degrees
+from logforms.forms import (GradedSlices, cokernel_slice_dims, contraction_well_defined,
+                            forms_pullback_degrees)
 from logforms.groebner import (
     groebner_basis,
     is_member,
@@ -385,50 +387,68 @@ def test_pip_equals_pop(four_planes_family, lips_disc, four_lines_total):
         assert pip == pop
 
 
-def _stop_degree_and_levels(setup: DeformationSetup):
-    """(`cartan_stop_degree`, [level p - 1, level p]) of a set-up, p the
-    source dimension minus one, as `mu_e_derham` computes them."""
+def _levels(setup: DeformationSetup, ks) -> list:
+    """The pulled-back forms modules of a set-up's central germ in the form
+    degrees ks, as `mu_e_derham` builds its level n."""
     imap = setup.map.germ()
+    return forms_pullback_degrees(setup.e_basis, imap.components, imap.source_names, ks,
+                                  setup.map.germ_weights(setup.weights))
+
+
+def _assert_count(setup: DeformationSetup, mu: int):
+    """The cokernel of d from level p - 1 into level p (p = n - 1), sliced
+    by `cokernel_slice_dims`, equals M_n = Omega^n / R_n degree by degree,
+    read up to max(12, top standard degree of M_n + 3), so Cartan's formula
+    stops it where M_n stops; M_n has mu standard terms, as `mu_e_derham`
+    counts; and contraction by the Euler field maps R_n into R_p and R_p
+    into R_(p-1), the lemma the count rests on."""
     weights = setup.map.germ_weights(setup.weights)
-    p = imap.source_dim - 1
-    mods = forms_pullback_degrees(setup.e_basis, imap.components, imap.source_names,
-                                  (p - 1, p), weights)
-    return cartan_stop_degree(imap.components, weights, setup.e_basis.divisor, mods[1]), mods
+    n = len(weights)
+    mods = _levels(setup, (n - 2, n - 1, n))
+    terms = mods[2].table().standard_terms()
+    top = max((sum(map(mul, e, weights)) for _, e in terms), default=0) + sum(weights)
+    bound = max(12, top + 3)
+    assert cokernel_slice_dims(mods, n - 1, bound) == mods[2].dimension_table(bound)
+    assert len(terms) == mu == mu_e_derham(setup)
+    euler = euler_field(weights, n)
+    assert contraction_well_defined(mods[2], mods[1], euler)
+    assert contraction_well_defined(mods[1], mods[0], euler)
 
 
-def test_mu_derham_vanishes_on_free_pullback(nc2, call_counter):
-    """A transverse pullback is free and its top cokernel vanishes.  The
-    coefficients of its level-p relations generate the unit ideal, so the
-    stopping degree is 0 and no slice above degree 0 is read."""
+def test_mu_derham_vanishes_on_free_pullback(nc2):
+    """A transverse pullback is free and its top cokernel vanishes: the
+    level-3 relations hold da ^ db ^ dc, so Omega^3 / R_3 has no standard
+    term."""
     _, basis = nc2
     sn = ["a", "b", "c"]
     comps = [parse_poly("a", sn), parse_poly("b", sn)]
     setup = DeformationSetup(basis, InducingMap(sn, ["x", "y"], comps),
                              weights=(1, 1, 1))
-    assert _stop_degree_and_levels(setup)[0] == 0
-    calls = call_counter("forms", "GradedSlices.basis")
-    assert mu_e_derham(setup, bound=8) == 0
-    assert {degree for _, _, degree in calls} == {0}
+    assert _levels(setup, (3,))[0].table().standard_terms() == []
+    assert mu_e_derham(setup) == 0
 
 
-def test_mu_derham_slices_no_degree_above_the_stopping_degree(four_planes_afd, call_counter):
-    """Four generic planes in C^3: J = (coefficients of the level-2
-    relations) has standard terms up to degree 1, so D = 1 + 3 = 4, and
-    the slices of degrees 5..12 are never read."""
-    assert _stop_degree_and_levels(four_planes_afd)[0] == 4
-    calls = call_counter("forms", "GradedSlices.basis")
-    assert mu_e_derham(four_planes_afd, bound=12) == 1
-    assert max(degree for _, _, degree in calls) == 4
+def test_mu_derham_builds_one_table_and_slices_nothing(four_planes_afd, call_counter):
+    """Four generic planes in C^3: `mu_e_derham` builds the level-3 forms
+    module alone and one `QuotientTable`, of its relations, and counts the
+    table's standard terms; no `GradedSlices` method runs."""
+    modules = call_counter("forms", "forms_pullback_degrees")
+    call_counter("groebner", "QuotientTable.__init__")
+    for name, method in vars(GradedSlices).items():
+        if callable(method):
+            call_counter("forms", f"GradedSlices.{name}")
+    assert mu_e_derham(four_planes_afd) == 1
+    assert [ks for *_, ks, _ in modules] == [(3,)]
+    assert [name for name, _ in call_counter.log] == ["forms_pullback_degrees",
+                                                      "QuotientTable.__init__"]
 
 
 @given(generic_arrangements())
 @settings(max_examples=60, deadline=None)
 def test_cartan_stop_degree_on_generic_arrangements(arrangement):
     """On a generic arrangement of m hyperplanes in C^n pulled back from
-    normal crossing, every cokernel slice above the stopping degree D is
-    zero (read up to max(12, D + 3)), the slices sum to C(m-1, n) as
-    `mu_e_derham` does, and contraction by the Euler field maps the level-p
-    relations into the level-(p-1) ones, the lemma D rests on."""
+    normal crossing, the de Rham cokernel is Omega^n / R_n slice by slice,
+    and mu_e_derham = C(m-1, n) (`_assert_count`)."""
     n, m, rows = arrangement
     names = [f"x{i + 1}" for i in range(n)]
     comps = [Poly(n, {tuple(int(i == j) for j in range(n)): c for i, c in enumerate(r) if c})
@@ -436,12 +456,7 @@ def test_cartan_stop_degree_on_generic_arrangements(arrangement):
     basis = normal_crossing_basis(m)
     setup = DeformationSetup(basis, InducingMap(names, basis.divisor.names, comps),
                              weights=(1,) * n)
-    stop, mods = _stop_degree_and_levels(setup)
-    assert stop is not None
-    table = cokernel_slice_dims(mods, n - 1, max(12, stop + 3))
-    assert all(v == 0 for degree, v in table.items() if degree > stop)
-    assert sum(table.values()) == comb(m - 1, n) == mu_e_derham(setup, bound=12)
-    assert contraction_well_defined(mods[1], mods[0], euler_field((1,) * n, n))
+    _assert_count(setup, comb(m - 1, n))
 
 
 def _zero_component_setup(target, source: str, comps: str, weights) -> DeformationSetup:
@@ -453,78 +468,87 @@ def _zero_component_setup(target, source: str, comps: str, weights) -> Deformati
     return DeformationSetup(target, imap, weights=weights)
 
 
-@pytest.mark.parametrize("target, source, comps, weights, stop, mu", [
-    ("lips_disc", "X,W", "X,0,W", (1, 3), 5, 1),
-    ("four_lines_total", "x,y", "x,y,0,0", (1, 1), 4, comb(3, 2)),
-    ("four_lines_total", "x,y,z", "x,y,z,0", (1, 1, 1), 4, comb(3, 3)),
+@pytest.mark.parametrize("target, source, comps, weights, mu", [
+    ("lips_disc", "X,W", "X,0,W", (1, 3), 1),
+    ("four_lines_total", "x,y", "x,y,0,0", (1, 1), comb(3, 2)),
+    ("four_lines_total", "x,y,z", "x,y,z,0", (1, 1, 1), comb(3, 3)),
 ], ids=["lips-inclusion", "four-lines", "four-planes"])
-def test_cartan_stop_degree_covers_zero_components(request, target, source, comps, weights,
-                                                   stop, mu):
+def test_cartan_stop_degree_covers_zero_components(request, target, source, comps, weights, mu):
     """Maps with zero components into two free targets: the lips
     discriminant by (X, 0, W), and x*y*(x-y-s1)*(x+y-2*s1-s2) by
     (x, y, 0, 0), four generic lines, and by (x, y, z, 0), four generic
     planes.  A zero component takes its degree from the target's weights,
-    so D exists; every slice above it is zero (read up to max(12, D + 3)),
-    and the slices sum to `mu_e_derham`, C(m - 1, n) for m generic
-    hyperplanes in C^n, and 1 for the lips inclusion."""
+    so the Euler-field homotopy applies: the de Rham cokernel is
+    Omega^n / R_n slice by slice (`_assert_count`), C(m - 1, n) for m
+    generic hyperplanes in C^n, and 1 for the lips inclusion."""
     _, basis = request.getfixturevalue(target)
-    setup = _zero_component_setup(basis, source, comps, weights)
-    found, mods = _stop_degree_and_levels(setup)
-    assert found == stop
-    table = cokernel_slice_dims(mods, len(weights) - 1, max(12, stop + 3))
-    assert all(v == 0 for degree, v in table.items() if degree > stop)
-    assert sum(table.values()) == mu == mu_e_derham(setup, bound=12)
+    _assert_count(_zero_component_setup(basis, source, comps, weights), mu)
 
 
-def _assert_no_stop(setup: DeformationSetup, why: str):
-    """Neither `cartan_stop_degree` nor `mu_e_derham` gives a number: both
-    raise `DeformationError` naming the hypothesis that failed."""
-    match = "^no stop degree is proven: " + re.escape(why) + "$"
+def _assert_no_count(setup: DeformationSetup, why: str, hypotheses_hold: bool = False):
+    """`mu_e_derham` gives no number: it raises `DeformationError` naming
+    why.  `check_euler_homotopy`, on the top level, raises the same error,
+    or passes when the hypotheses hold and Omega^n / R_n is infinite."""
+    match = "^" + re.escape(why) + "$"
+    imap = setup.map.germ()
+    top = _levels(setup, (imap.source_dim,))[0]
+
+    def check():
+        check_euler_homotopy(imap.components, setup.map.germ_weights(setup.weights),
+                             setup.e_basis.divisor, top)
+
+    if hypotheses_hold:
+        check()
+    else:
+        with pytest.raises(DeformationError, match=match):
+            check()
     with pytest.raises(DeformationError, match=match):
-        _stop_degree_and_levels(setup)
-    with pytest.raises(DeformationError, match=match):
-        mu_e_derham(setup, bound=12)
+        mu_e_derham(setup)
 
 
 def test_zero_components_without_a_common_ratio_have_no_stop(lips_disc, nc3):
-    """No stop degree, and a route error rather than a number: the lips
-    inclusion (X, 0, W^2), where degree over target weight is 1 for X and 2
-    for W; the same discriminant without weights; and (x, 0, y) into normal
-    crossing in C^3, where h o F = 0 and J is infinite."""
+    """No Euler-field homotopy, and a route error rather than a number: the
+    lips inclusion (X, 0, W^2), where degree over target weight is 1 for X
+    and 2 for W; the same discriminant without weights; and (x, 0, y) into
+    normal crossing in C^3, where h o F = 0, so R_2 = 0 and Omega^2 / R_2
+    is infinite."""
     d, basis = lips_disc
     unweighted = certified(Divisor(d.names, d.h))
     _, nc = nc3
-    _assert_no_stop(_zero_component_setup(basis, "X,W", "X,0,W^2", (1, 1)),
-                    "the components have no common ratio to the target weights")
-    _assert_no_stop(_zero_component_setup(unweighted, "X,W", "X,0,W", (1, 3)),
-                    "a component is zero and the target has no weights")
-    _assert_no_stop(_zero_component_setup(nc, "x,y", "x,0,y", (1, 1)), "O/J is infinite")
+    _assert_no_count(_zero_component_setup(basis, "X,W", "X,0,W^2", (1, 1)),
+                     "the components have no common ratio to the target weights")
+    _assert_no_count(_zero_component_setup(unweighted, "X,W", "X,0,W", (1, 3)),
+                     "a component is zero and the target has no weights")
+    _assert_no_count(_zero_component_setup(nc, "x,y", "x,0,y", (1, 1)),
+                     "Omega^n/R_n is infinite", hypotheses_hold=True)
 
 
 @pytest.mark.parametrize("comps", [("x", "y", "x+y", "z"), ("x", "y", "x+2*y", "x+y+z")])
 def test_mu_derham_falls_back_on_an_infinite_coefficient_quotient(nc4, comps):
-    """Two non-generic maps C^3 -> C^4: O/J is infinite, so no stopping
-    degree is proven, and the route raises `DeformationError`: no degree
-    bound would give a proven sum."""
+    """Two non-generic maps C^3 -> C^4: the hypotheses of the homotopy hold,
+    but Omega^3 / R_3 is infinite, so the route raises `DeformationError`
+    and gives no number."""
     _, e_basis = nc4
     sn = ["x", "y", "z"]
     imap = InducingMap(sn, list(e_basis.divisor.names), [parse_poly(c, sn) for c in comps])
-    _assert_no_stop(DeformationSetup(e_basis, imap, weights=(1, 1, 1)), "O/J is infinite")
+    _assert_no_count(DeformationSetup(e_basis, imap, weights=(1, 1, 1)),
+                     "Omega^n/R_n is infinite", hypotheses_hold=True)
 
 
 def test_cartan_stop_degree_needs_homogeneous_components(nc4, lips_disc):
-    """No stopping degree for a component that is not weighted homogeneous,
-    or an h that is not homogeneous for the degrees of the components."""
+    """No Euler-field homotopy for a component that is not weighted
+    homogeneous, or an h that is not homogeneous for the degrees of the
+    components."""
     _, e_basis = nc4
     sn = ["x", "y", "z"]
     imap = InducingMap(sn, list(e_basis.divisor.names),
                        [parse_poly(c, sn) for c in ("x", "y", "z", "x+y+z^2")])
-    _assert_no_stop(DeformationSetup(e_basis, imap, weights=(1, 1, 1)),
-                    "a component is not weighted homogeneous of positive degree")
+    _assert_no_count(DeformationSetup(e_basis, imap, weights=(1, 1, 1)),
+                     "a component is not weighted homogeneous of positive degree")
     _, lips = lips_disc
     identity = InducingMap(sn, list(lips.divisor.names), [parse_poly(c, sn) for c in sn])
-    _assert_no_stop(DeformationSetup(lips, identity, weights=(1, 1, 1)),
-                    "the target equation is not homogeneous for the degrees of the components")
+    _assert_no_count(DeformationSetup(lips, identity, weights=(1, 1, 1)),
+                     "the target equation is not homogeneous for the degrees of the components")
 
 
 def test_mu_trivial_family_is_zero():
