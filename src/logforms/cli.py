@@ -11,6 +11,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache, partial
 from typing import Optional
 
 from .deformation import (
@@ -58,6 +59,11 @@ SCHEMA = "logforms/1"
 
 class PreconditionError(ValueError):
     pass
+
+
+# the errors `main` reports as a failed precondition (exit 3)
+PRECONDITION_ERRORS = (PreconditionError, DivisorError, DeformationError, FormsError,
+                       ModuleError, PolyError)
 
 
 def _fmt_fraction(c: Fraction) -> str:
@@ -223,12 +229,8 @@ def _cmd_de_rham(job: JobSpec, opts: dict) -> dict:
     if weights is None:
         weights = quasihomogeneous_weights(h, allow_zero=True)
     rep = de_rham_report_sliced(mods, opts.get("degree-bound", 12), weights)
-    tables = {str(deg): info for deg, info in rep.get("per_degree", {}).items()}
-    # degrees sliced to the bound are exact only up to the bound
-    sliced = rep.get("positive_degrees", "").startswith("sliced to degree-bound")
-    return _record({"all_exact": rep["all_exact"], "mode": rep["mode"],
-                    **{k: rep[k] for k in ("failure", "positive_degrees") if k in rep}},
-                   [], not sliced, tables={"per_degree": tables})
+    tables = {str(deg): info for deg, info in rep.pop("per_degree").items()}
+    return _record(rep, [], tables={"per_degree": tables})
 
 
 def _cmd_torsion_length(job: JobSpec, opts: dict) -> dict:
@@ -284,18 +286,18 @@ def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
         computations["derham"] = lambda: mu_e_derham(
             DeformationSetup(_target_basis(job), _inducing_map(job), weights=job.weights))
     if "divisor" in job.polys and job.params:
-        d = _divisor_from_job(job)
+        divisor = cache(partial(_divisor_from_job, job))  # built once, inside each route
         params = job.param_indices()
-        computations["alternating"] = lambda: mu_e_alternating(_free_basis(d), params)
+        computations["alternating"] = lambda: mu_e_alternating(_free_basis(divisor()), params)
         computations["good_equation"] = lambda: mu_e_good_equation(
-            d, params, good_equation_witness(d.h, d.weights))
+            d := divisor(), params, good_equation_witness(d.h, d.weights))
     routes = {}  # route -> (value, proven)
     errors = {}
     ran_out = False  # a route failed because its bound ran out
     for name, compute in computations.items():
         try:
             routes[name] = compute(), True
-        except (PreconditionError, DeformationError, StabilizationError) as exc:
+        except (*PRECONDITION_ERRORS, StabilizationError) as exc:
             errors[name] = str(exc)
             ran_out |= isinstance(exc, StabilizationError)
     if not routes:
@@ -439,8 +441,7 @@ def main(argv: Optional[list] = None) -> int:
     except JobError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (PreconditionError, DivisorError, DeformationError, FormsError,
-            ModuleError, PolyError) as exc:
+    except PRECONDITION_ERRORS as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 3
     except StabilizationError as exc:

@@ -3,7 +3,9 @@
 The degree-k module is presented as the quotient of the free module of
 polynomial k-forms by a relation submodule: the logarithmic-form generators
 for a free divisor, the pulled-back exterior ideal for an almost free one,
-and additionally the parameter differentials in the relative case.
+and additionally the parameter differentials in the relative case.  The
+exactness of the complex is proved by the Euler-field homotopy
+(`de_rham_report_sliced`); its graded slices serve `cokernel_slice_dims`.
 """
 
 from __future__ import annotations
@@ -456,57 +458,52 @@ def _contraction_failure(modules: Sequence[CheckedFormsModule], chi: FreeElement
 
 def de_rham_report_sliced(modules: Sequence[CheckedFormsModule], bound: int,
                           weights: Optional[Sequence[int]] = None) -> dict:
-    """Exactness report for the augmented complex C -> M_0 -> ... -> M_n,
+    """Exactness proof for the augmented complex C -> M_0 -> ... -> M_n,
     M_k the level-k forms modulo R_k, under weights w >= 0, not all zero
-    (by default the modules' own).
+    (by default the modules' own).  It reads no slice, so its name is
+    kept only because the benchmark calls it.
 
-    Suppose the levels are 0..n and contraction by chi = sum w_i x_i d/dx_i
-    maps each R_k into R_(k-1) (checked once, by exact membership in the
-    lower tables; Saito's contraction lemma for `forms_free`).  If w is a
-    k-form of degree delta > 0 with dw in R_(k+1), Cartan's formula
-    delta*w = d(i_chi w) + i_chi dw, with i_chi dw in R_k, makes the class
-    of w the differential of that of i_chi w / delta (for k = 0, w lies in
-    R_0): every positive degree is exact, and degree 0 is left.  Under
-    positive weights (mode "slice") it is sliced; where the hypothesis
-    fails, degrees 0..bound are sliced, exact only up to the bound, and
-    `positive_degrees` names the rule used.  Under a zero weight (mode
-    "homotopy") every relation must also be homogeneous of positive weight;
-    then degree 0 is the polynomial de Rham complex of the zero-weight
-    variables, exact by Poincare's lemma.  A failed hypothesis is named in
-    `failure`, with all_exact False."""
+    Hypotheses, checked in this order, the first that fails raising
+    `FormsError`: (a) every relation generator is homogeneous of positive
+    weight, (b) the levels are 0..n, and (c) contraction by chi = sum w_i
+    x_i d/dx_i maps each R_k into R_(k-1) (by exact membership in the lower
+    tables; Saito's contraction lemma for `forms_free`).  By (a) each M_k
+    is graded.  If w is a k-form of degree delta > 0 with dw in R_(k+1),
+    Cartan's formula delta*w = d(i_chi w) + i_chi dw, with i_chi dw in R_k
+    by (b) and (c), makes the class of w the differential of that of
+    i_chi w / delta (for k = 0, w lies in R_0): every positive degree is
+    exact.  Degree 0 is spanned by the forms in the zero-weight variables
+    and their differentials, and by (a) no relation has a term there: it is
+    the polynomial de Rham complex of those variables, exact by Poincare's
+    lemma.  Under positive weights (mode "slice") there are none: degree 0
+    is the constants of level 0, with cohomology [1, 0, ..., 0]; under a
+    zero weight (mode "homotopy") each degree up to `bound` gets its
+    certificate."""
     n, nv = modules[0].n, modules[0].nvars
     weights = modules[0].weights if weights is None else tuple(weights)
     if weights is None:
         raise FormsError("de Rham exactness needs a weight system (none found)")
     chi = FreeElement([Poly.variable(nv, i).scale(w) for i, w in enumerate(weights)])
-    whole = [m.k for m in modules] == list(range(n + 1))
-    if all(weights):
-        slices = GradedSlices(modules)
-        homotopy = whole and _contraction_failure(modules, chi) is None
-        report = {}
-        for degree in range(0, 1 if homotopy else bound + 1):
-            coh = slices.cohomology_dims(degree)
-            report[degree] = {"cohomology": coh,
-                              "exact": coh == [int(degree == 0)] + [0] * (len(coh) - 1)}
-        return {"mode": "slice", "per_degree": report,
-                "all_exact": all(r["exact"] for r in report.values()),
-                "positive_degrees": ("Euler-field homotopy (contraction checked)" if homotopy
-                                     else f"sliced to degree-bound {bound}")}
     degrees = (r.weighted_degree(weights, _shifts(weights, n, m.k))
                for m in modules for r in m.relations)
+    failure = None
     if any(d is not None and (len(d) != 1 or min(d) <= 0) for d in degrees):
         failure = "relation generator not homogeneous of positive weight"
-    elif not whole:
+    elif [m.k for m in modules] != list(range(n + 1)):
         failure = f"levels are not 0..{n}"
     elif (k := _contraction_failure(modules, chi)) is not None:
         failure = f"contraction does not preserve relations at degree {k}"
-    else:
-        report = {degree: {"exact": True, "certificate": "radial-contraction homotopy"}
-                  for degree in range(0, bound + 1)}
-        report[0]["certificate"] = ("weight-zero slice is the de Rham complex of the "
-                                    "zero-weight variables")
-        return {"mode": "homotopy", "per_degree": report, "all_exact": True}
-    return {"mode": "homotopy", "all_exact": False, "failure": failure}
+    if failure is not None:
+        raise FormsError(f"de Rham exactness is not proven: {failure}")
+    if all(weights):
+        return {"all_exact": True, "mode": "slice",
+                "positive_degrees": "Euler-field homotopy (contraction checked)",
+                "per_degree": {0: {"cohomology": [1] + [0] * n, "exact": True}}}
+    report = {degree: {"exact": True, "certificate": "radial-contraction homotopy"}
+              for degree in range(0, bound + 1)}
+    report[0]["certificate"] = ("weight-zero slice is the de Rham complex of the "
+                                "zero-weight variables")
+    return {"all_exact": True, "mode": "homotopy", "per_degree": report}
 
 
 def cokernel_slice_dims(modules: Sequence[CheckedFormsModule], k_top: int, bound: int) -> dict:

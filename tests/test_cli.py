@@ -549,6 +549,39 @@ def test_mu_e_route_whose_inputs_fail_leaves_the_other_routes():
     assert record["flags"]["certified"] == "CERTIFIED"
 
 
+FOUR_PLANES_FAMILY = ('ring {{ x1, x2, x3, s }};\nweights ( 1, 1, 1, 1 );\nparams {{ s }};\n'
+                      'divisor "{divisor}";\ntarget-ring {{ w1, w2, w3, w4 }};\n'
+                      'target-weights ( 1, 1, 1, 1 );\ntarget-divisor "{target}";\n'
+                      'map ( "x1", "x2", "x3", "x1+x2+x3-s" );\ncommand mu-e;\n')
+NOT_REDUCED = "divisor equation is not reduced (repeated factor)"
+
+
+def test_mu_e_total_space_divisor_not_reduced_leaves_the_derham_route():
+    """The four planes family with the total-space divisor x1^2*x2*x3*(...):
+    both family routes report that it is not reduced, and the de Rham route
+    still answers 1, CERTIFIED."""
+    record = run_job(parse_job(FOUR_PLANES_FAMILY.format(
+        divisor="x1^2*x2*x3*(x1+x2+x3-s)", target="w1*w2*w3*w4")))
+    assert record["routes"] == ["derham"]
+    assert record["verdicts"] == {"routes_agree": True, "route_errors": {
+        "alternating": NOT_REDUCED, "good_equation": NOT_REDUCED}}
+    assert record["dimensions"]["mu_e_derham"]["value"] == 1
+    assert record["flags"]["certified"] == "CERTIFIED"
+
+
+def test_mu_e_target_divisor_not_reduced_leaves_the_family_routes():
+    """The four planes family with the target divisor w1^2*w2*w3*w4: the de
+    Rham route reports that it is not reduced, and the alternating and
+    good-equation routes still answer 1, CERTIFIED."""
+    record = run_job(parse_job(FOUR_PLANES_FAMILY.format(
+        divisor="x1*x2*x3*(x1+x2+x3-s)", target="w1^2*w2*w3*w4")))
+    assert record["routes"] == ["alternating", "good_equation"]
+    assert record["verdicts"] == {"routes_agree": True,
+                                  "route_errors": {"derham": NOT_REDUCED}}
+    assert [record["dimensions"][f"mu_e_{r}"]["value"] for r in record["routes"]] == [1, 1]
+    assert record["flags"]["certified"] == "CERTIFIED"
+
+
 def test_mu_e_of_a_one_variable_germ_answers_by_every_route():
     """Two points x*(x - s) on the line, pulled back from normal crossing by
     (x, x - s): the de Rham route counts Omega^1 / R_1 with no level below

@@ -185,9 +185,8 @@ def _four_planes_modules(setup, ks):
 
 
 def _sliced_to(mods, bound) -> dict:
-    """Every slice of degree 0..bound of the augmented complex, as the
-    report's fallback reads them: the oracle of the report, and the workload
-    of the slice tests below."""
+    """Every slice of degree 0..bound of the augmented complex: the oracle
+    of the report's proof, and the workload of the slice tests below."""
     slices = GradedSlices(mods)
     out = {}
     for degree in range(bound + 1):
@@ -235,8 +234,8 @@ def graded_complexes(draw):
 @settings(max_examples=40, deadline=None)
 def test_de_rham_report_agrees_with_every_slice(mods):
     """Contraction by the Euler field maps each relation level into the one
-    below, so the report slices degree 0 alone and proves the rest; the
-    slices it no longer reads are zero in every positive degree."""
+    below, so the report proves every degree; its degree 0 is the slice,
+    and the slices of every positive degree are zero."""
     n = mods[0].n
     full = _sliced_to(mods, 6)
     rep = de_rham_report_sliced(mods, 6)
@@ -248,16 +247,23 @@ def test_de_rham_report_agrees_with_every_slice(mods):
     assert rep["all_exact"] and full[0]["exact"]
 
 
-def test_de_rham_report_reads_no_slice_above_degree_zero(nc4, four_planes_afd, call_counter):
-    """Where the homotopy holds, no slice of positive degree is read."""
+def test_de_rham_report_reads_no_slice(nc4, four_planes_afd, call_counter):
+    """The report proves every degree, so it builds no `GradedSlices`, walks
+    no slice basis and builds no table of the top level: the contraction
+    check reads the tables of levels 0..n-1 alone."""
     _, basis = nc4
-    calls = call_counter("forms", "GradedSlices.basis")
+    bases = call_counter("forms", "GradedSlices.basis")
+    slices = call_counter("forms", "GradedSlices")
+    tables = call_counter("forms", "CheckedFormsModule.table")
     for mods in ([forms_free(basis, k) for k in range(0, 5)],
                  _four_planes_modules(four_planes_afd, range(0, 4))):
+        n = mods[0].n
         rep = de_rham_report_sliced(mods, 8)
         assert rep["all_exact"] and rep["positive_degrees"] == HOMOTOPY
-        assert list(rep["per_degree"]) == [0]
-    assert calls and {degree for _, _, degree in calls} == {0}
+        assert rep["per_degree"] == {0: {"cohomology": [1] + [0] * n, "exact": True}}
+        assert {m.k for m, in tables} == set(range(n))
+        del tables[:]
+    assert not slices and not bases
 
 
 def _complex_without_contraction() -> list:
@@ -270,34 +276,38 @@ def _complex_without_contraction() -> list:
     return [CheckedFormsModule(names, 2, k, rels[k], h, weights=(1, 1)) for k in range(3)]
 
 
-def test_de_rham_report_slices_to_the_bound_where_contraction_fails(four_planes_afd):
-    """On `_complex_without_contraction` the homotopy proves nothing, so
-    every degree up to the bound is sliced.  So is a complex missing its
-    top level."""
+def test_de_rham_report_raises_where_contraction_fails(four_planes_afd):
+    """On `_complex_without_contraction` the homotopy proves nothing, and
+    the report names the first level contraction leaves, although every
+    slice is exact.  A complex missing its top level proves nothing
+    either."""
     mods = _complex_without_contraction()
     chi = euler_field((1, 1), 2)
     assert not contraction_well_defined(mods[1], mods[0], chi)
     assert not contraction_well_defined(mods[2], mods[1], chi)
-    rep = de_rham_report_sliced(mods, 6)
-    assert rep["positive_degrees"] == "sliced to degree-bound 6"
-    assert rep["per_degree"] == _sliced_to(mods, 6)
-    assert rep["all_exact"]
+    assert _exact_to(mods, 6)
+    with pytest.raises(FormsError, match="^de Rham exactness is not proven: contraction "
+                                         "does not preserve relations at degree 1$"):
+        de_rham_report_sliced(mods, 6)
     partial = _four_planes_modules(four_planes_afd, range(0, 3))
-    rep = de_rham_report_sliced(partial, 4)
-    assert rep["positive_degrees"] == "sliced to degree-bound 4"
-    assert rep["per_degree"] == _sliced_to(partial, 4)
+    with pytest.raises(FormsError, match=r"^de Rham exactness is not proven: levels are not "
+                                         r"0\.\.3$"):
+        de_rham_report_sliced(partial, 4)
 
 
-def test_de_rham_check_sliced_to_the_bound_is_uncertified(monkeypatch):
-    """Sliced to the bound, exactness is proven only up to the bound: the
-    `de-rham-check` record of `_complex_without_contraction` is flagged
-    UNCERTIFIED-LOCAL, although every slice read is exact."""
+def test_de_rham_check_without_contraction_exits_3(tmp_path, capsys, monkeypatch):
+    """A `de-rham-check` job whose complex is `_complex_without_contraction`
+    has no proof: a failed precondition (exit 3) that names the level, not
+    a record exact up to the bound."""
     mods = _complex_without_contraction()
     monkeypatch.setattr(cli, "_forms_modules", lambda job, degrees: (mods, mods[0].h, (1, 1)))
-    record = cli._cmd_de_rham(JobSpec(), {"degree-bound": 6})
-    assert record["verdicts"]["positive_degrees"] == "sliced to degree-bound 6"
-    assert record["verdicts"]["all_exact"]
-    assert record["flags"]["certified"] == "UNCERTIFIED-LOCAL"
+    job = tmp_path / "job.job"
+    job.write_text('ring { x, y };\ncommand de-rham-check;\noption degree-bound 6;\n')
+    assert cli.main(["--input", str(job)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("precondition failure: de Rham exactness is not proven: "
+                            "contraction does not preserve relations at degree 1\n")
 
 
 def _xy_complex(rels: dict) -> list:
@@ -310,13 +320,13 @@ def _xy_complex(rels: dict) -> list:
 def test_de_rham_homotopy_rejects_a_relation_of_weight_zero():
     """Under the weights (1, 0) the relation y of level 0 has weight 0 and
     x + x^2 is not homogeneous: the radial field proves nothing, and the
-    report says why, with no per-degree table."""
+    report says why."""
     x, y = Poly.variable(2, 0), Poly.variable(2, 1)
     for r in (y, x + x * x):
         mods = _xy_complex({0: [FreeElement([r])], 1: [], 2: []})
-        assert de_rham_report_sliced(mods, 6, (1, 0)) == {
-            "mode": "homotopy", "all_exact": False,
-            "failure": "relation generator not homogeneous of positive weight"}
+        with pytest.raises(FormsError, match="^de Rham exactness is not proven: relation "
+                                             "generator not homogeneous of positive weight$"):
+            de_rham_report_sliced(mods, 6, (1, 0))
 
 
 def test_de_rham_homotopy_needs_every_level():
@@ -324,8 +334,9 @@ def test_de_rham_homotopy_needs_every_level():
     the homotopy needs dw in R_(k+1) at every level k it certifies."""
     x = Poly.variable(2, 0)
     mods = _xy_complex({0: [], 1: [monomial_form(2, 1, 2, (1,), x)], 2: []})[:2]
-    assert de_rham_report_sliced(mods, 6, (1, 0)) == {
-        "mode": "homotopy", "all_exact": False, "failure": "levels are not 0..2"}
+    with pytest.raises(FormsError,
+                       match=r"^de Rham exactness is not proven: levels are not 0\.\.2$"):
+        de_rham_report_sliced(mods, 6, (1, 0))
 
 
 def test_de_rham_homotopy_names_the_level_contraction_leaves():
@@ -339,9 +350,9 @@ def test_de_rham_homotopy_names_the_level_contraction_leaves():
     for form, level in ((monomial_form(2, 1, 2, (0,), y), 1),
                         (monomial_form(2, 1, 2, (1,), x * x), 2)):
         mods = _xy_complex({0: [], 1: [form], 2: top})
-        assert de_rham_report_sliced(mods, 6, (1, 0)) == {
-            "mode": "homotopy", "all_exact": False,
-            "failure": f"contraction does not preserve relations at degree {level}"}
+        with pytest.raises(FormsError, match="^de Rham exactness is not proven: contraction "
+                                             f"does not preserve relations at degree {level}$"):
+            de_rham_report_sliced(mods, 6, (1, 0))
     rep = de_rham_report_sliced(_xy_complex({0: [], 1: [monomial_form(2, 1, 2, (1,), x)],
                                              2: top}), 2, (1, 0))
     assert rep == {"mode": "homotopy", "all_exact": True, "per_degree": {
@@ -351,12 +362,38 @@ def test_de_rham_homotopy_names_the_level_contraction_leaves():
         2: {"exact": True, "certificate": "radial-contraction homotopy"}}}
 
 
+def test_de_rham_check_whose_hypothesis_fails_exits_3(tmp_path, capsys, monkeypatch):
+    """A failed hypothesis is a failed precondition under either kind of
+    weights, never a CERTIFIED record: the positive-weight job whose
+    relations are not homogeneous (x*y*(x+y+x^2) has no weights, and is
+    given (1, 1)), and a zero-weight complex that contraction leaves at
+    level 1."""
+    job = tmp_path / "job.job"
+    job.write_text('ring { x, y };\nweights ( 1, 1 );\ntarget-ring { u, v, w };\n'
+                   'target-divisor "u*v*w";\nmap ( "x", "y", "x+y+x^2" );\n'
+                   'command de-rham-check;\n')
+    y = Poly.variable(2, 1)
+    mods = _xy_complex({0: [], 1: [monomial_form(2, 1, 2, (0,), y)],
+                        2: [monomial_form(2, 2, 2, (0, 1), Poly.constant(2, 1))]})
+
+    def exits_3(reason):
+        assert cli.main(["--input", str(job)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"precondition failure: de Rham exactness is not proven: {reason}\n"
+
+    exits_3("relation generator not homogeneous of positive weight")
+    monkeypatch.setattr(cli, "_forms_modules", lambda job, degrees: (mods, mods[0].h, (1, 0)))
+    exits_3("contraction does not preserve relations at degree 1")
+
+
 def test_slices_compute_one_basis_per_module(four_planes_afd, gb_calls):
     """A module's one Groebner basis serves both its slice bases and the
-    normal forms that land in it."""
+    normal forms that land in it.  The report reads the tables of levels
+    0..n-1 alone, each built once."""
     mods = _four_planes_modules(four_planes_afd, range(0, 4))
     assert de_rham_report_sliced(mods, 8)["all_exact"]
-    assert len(gb_calls) == 4
+    assert len(gb_calls) == 3
     del gb_calls[:]
     top = cokernel_slice_dims(_four_planes_modules(four_planes_afd, (1, 2)), 2, 12)
     assert sum(top.values()) == 1

@@ -1,5 +1,6 @@
 """Every private module-level name of the package is defined once and read,
-and every public function or class is read somewhere in the repository."""
+and every public function, class or method is read somewhere in the
+repository."""
 
 import ast
 import re
@@ -75,14 +76,17 @@ def test_every_private_module_name_is_defined_once():
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
-def _statement_reads() -> list:
+def _statement_reads(members: bool = False) -> list:
     """(file, line, the names read) for every module-level statement in src,
-    tests and bench; in bench, a string that is a dotted name reads each of
-    its parts."""
+    tests and bench, or with members for every statement of a module-level
+    class body in its place (its bases and decorators aside); in bench, a
+    string that is a dotted name reads each of its parts."""
     out = []
     for folder in ("src", "tests", "bench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
-            for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for stmt in (s for top in ast.parse(path.read_text(encoding="utf-8")).body
+                         for s in (top.body if members and isinstance(top, ast.ClassDef)
+                                   else [top])):
                 names = _loads(stmt)
                 if folder == "bench":
                     names |= {part for node in ast.walk(stmt)
@@ -108,3 +112,24 @@ def test_every_public_function_and_class_is_read():
                                 if (where, line) != (path, stmt.lineno))):
                 orphans.append(f"{path.stem}.{stmt.name}")
     assert not orphans, f"public names nothing reads: {orphans}"
+
+
+def test_every_public_method_is_read():
+    """A public method (or property) of a module-level class of the package
+    must be read by a statement in src, tests or bench other than its own
+    definition: another method of its class counts, a read inside its own
+    body does not.  As for functions, a string naming a trace target
+    counts."""
+    reads = _statement_reads(members=True)
+    orphans = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not stmt.name.startswith("_")
+                        and not any(stmt.name in names for where, line, names in reads
+                                    if (where, line) != (path, stmt.lineno))):
+                    orphans.append(f"{path.stem}.{cls.name}.{stmt.name}")
+    assert not orphans, f"public methods nothing reads: {orphans}"
