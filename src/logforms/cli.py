@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import suppress
 from fractions import Fraction
 from functools import cache, partial
 from typing import Optional
@@ -20,6 +21,7 @@ from .deformation import (
     InducingMap,
     ae_codim_damon,
     ae_normal_space_direct,
+    component_degrees,
     good_equation_witness,
     ke_discriminant_reduced,
     kev_normal_space,
@@ -128,7 +130,7 @@ def _pullback_germ(job: JobSpec):
     e_basis = _target_basis(job)
     full = _inducing_map(job)
     imap = full.germ()
-    h0 = pullback([(0, FreeElement([e_basis.divisor.h]))], imap.components, 0)[0].entries[0]
+    h0 = pullback([e_basis.divisor.h], imap.components)[0]
     if h0.is_zero():
         raise PreconditionError("h o F is zero: the map sends the source into the target divisor")
     return e_basis, imap, h0, full.germ_weights(_weights_for(h0, job.weights))
@@ -242,11 +244,19 @@ def _cmd_torsion_length(job: JobSpec, opts: dict) -> dict:
 
 
 def _cmd_kev(job: JobSpec, opts: dict) -> dict:
+    # The number is proven when it is 0 or A's columns are homogeneous for the
+    # germ's weights (`component_degrees`): a cone's count is the local one.
     setup = DeformationSetup(_target_basis(job), _inducing_map(job), weights=job.weights)
-    _, dim = kev_normal_space(setup)
+    pres, dim = kev_normal_space(setup)
+    weights = setup.map.germ_weights(setup.weights)
+    local = dim == 0
+    if not local and weights is not None:
+        with suppress(DeformationError):
+            shifts = [-d for d in component_degrees(setup.map.germ().components, weights,
+                                                    setup.e_basis.divisor)]
+            local = all(col.is_homogeneous(weights, shifts) for col in pres.relations)
     return _record({"algebraically_transverse_off_origin": dim != INFINITE},
-                   [("kev_codimension", dim, "normal space quotient",
-                     job.weights is not None or dim == 0)])
+                   [("kev_codimension", dim, "normal space quotient", local)])
 
 
 def _cmd_t1_log(job: JobSpec, opts: dict) -> dict:

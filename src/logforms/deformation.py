@@ -5,7 +5,9 @@ Milnor numbers come from three independent routes (the de Rham cokernel,
 counted as the top forms modulo the pulled-back relations by the Euler-field
 homotopy, alternating sums of relative T1 dimensions, and the annihilator
 route through a good defining equation) that must agree on weighted
-homogeneous data.  A weighted homogeneous map germ's A_e-codimension is
+homogeneous data.  The de Rham count reads the maximal minors of A =
+[S o F | dF] (`forms.pulled_back_matrix`), the K_{V,e} normal space its
+cokernel.  A weighted homogeneous map germ's A_e-codimension is
 counted over proven normal-space slices (`direct`) and through a stable
 unfolding (`damon`).
 """
@@ -17,7 +19,7 @@ from itertools import combinations
 from operator import add, mul
 from typing import Optional, Sequence
 
-from .forms import CheckedFormsModule, forms_pullback_degrees
+from .forms import CheckedFormsModule, forms_pullback_degrees, jacobian_columns, pulled_back_matrix
 from .exterior import minor_table, pullback
 from .groebner import (
     LinSpace,
@@ -70,15 +72,11 @@ class InducingMap:
         if not params:
             return self
         keep = [i for i in range(self.source_dim) if i not in params]
-        names = [self.source_names[i] for i in keep]
-        comps = []
-        for c in self.components:
-            c0 = c.set_vars_zero(params)
-            terms = {}
-            for e, v in c0.terms.items():
-                terms[tuple(e[i] for i in keep)] = v
-            comps.append(Poly(len(keep), terms))
-        return InducingMap(names, self.target_names, comps)
+        coords = [Poly.zero(len(keep))] * self.source_dim
+        for j, i in enumerate(keep):
+            coords[i] = Poly.variable(len(keep), j)
+        return InducingMap([self.source_names[i] for i in keep], self.target_names,
+                           pullback(self.components, coords))
 
     def germ_weights(self, weights: Optional[Sequence[int]]) -> Optional[tuple]:
         """Source weights for the central germ: the parameter entries are
@@ -102,36 +100,15 @@ class DeformationSetup:
         self.weights = tuple(weights) if weights is not None else None
 
 
-def jacobian_columns(components: Sequence[Poly], source_n: int) -> list:
-    """Columns of the Jacobian as elements of the rank-(target dim) free module."""
-    m = len(components)
-    cols = []
-    for v in range(source_n):
-        cols.append(FreeElement([components[a].derivative(v) for a in range(m)]))
-    return cols
-
-
-def pulled_field_columns(e_basis: LogBasis, components: Sequence[Poly]) -> list:
-    """The target logarithmic fields composed with the map: the nonzero ones
-    of the m^2 Saito entries pulled back as 0-forms by one `pullback` call,
-    a zero entry staying zero, then grouped back into m columns."""
-    m = e_basis.n
-    entries = [a for field in e_basis.theta for a in field]
-    pulled = iter(pullback([(0, FreeElement([a])) for a in entries if not a.is_zero()],
-                           components, 0))
-    zero = Poly.zero(components[0].nvars)
-    flat = [zero if a.is_zero() else next(pulled).entries[0] for a in entries]
-    return [FreeElement(flat[j * m:(j + 1) * m]) for j in range(m)]
-
-
 def kev_normal_space(setup: DeformationSetup):
-    """Presentation and dimension of the normal space of the inducing germ:
-    target fields pulled back plus the Jacobian image, inside the free module
-    of target directions."""
+    """Presentation and dimension of the normal space of the inducing germ,
+    coker A for A = [S o F | dF] (`pulled_back_matrix`): the target fields
+    composed with the germ plus the Jacobian image, inside the free module
+    of target directions, counted in the polynomial ring."""
     imap = setup.map.germ()
     n = imap.source_dim
-    rels = jacobian_columns(imap.components, n) + pulled_field_columns(setup.e_basis, imap.components)
-    pres = ModulePresentation(imap.target_dim, rels, nvars=n)
+    pres = ModulePresentation(imap.target_dim,
+                              pulled_back_matrix(setup.e_basis, imap.components, n)[0], nvars=n)
     weights = setup.map.germ_weights(setup.weights)
     dim = quotient_dimension(pres, MonomialOrder(weights).with_nvars(n))
     return pres, dim
@@ -244,31 +221,34 @@ def mu_e_good_equation(d: Divisor, param_indices: Sequence[int],
     return quotient_dimension(pres, d.order())
 
 
-def check_euler_homotopy(components: Sequence[Poly], weights: Sequence[int], target: Divisor,
-                         top: CheckedFormsModule) -> None:
-    """Check the hypotheses of `mu_e_derham`'s proof, raising
-    `DeformationError` that names the one that fails: a nonzero component
-    of F is weighted homogeneous of positive degree, the target equation h
-    is homogeneous for the degrees (d_c) of the components, and the top
-    level is graded.  A zero component F_c takes d_c = r v_c, v the
-    target's weights and r the common ratio d_c / v_c of the nonzero
-    components; with no target weights, or no common ratio, the check
-    fails."""
-    degrees = []
-    for c in components:
-        if c.is_zero():
-            degrees.append(None)
-        elif c.is_homogeneous(weights) and c.weighted_degree(weights) > 0:
-            degrees.append(c.weighted_degree(weights))
-        else:
-            raise DeformationError("a component is not weighted homogeneous of positive degree")
+def component_degrees(components: Sequence[Poly], weights: Sequence[int],
+                      target: Divisor) -> list:
+    """The degree d_c of each component F_c, which must be weighted
+    homogeneous of positive degree unless zero; a zero F_c takes d_c = r v_c,
+    v the target's weights and r the common ratio d_c / v_c of the nonzero
+    components.  `DeformationError` names what fails."""
+    degrees = [None if c.is_zero() else c.weighted_degree(weights) for c in components]
+    if any(d is not None and (d <= 0 or not c.is_homogeneous(weights))
+           for c, d in zip(components, degrees)):
+        raise DeformationError("a component is not weighted homogeneous of positive degree")
     if None in degrees:
         if target.weights is None:
             raise DeformationError("a component is zero and the target has no weights")
-        if len({Fraction(d, v) for d, v in zip(degrees, target.weights) if d is not None}) != 1:
+        ratios = {Fraction(d, v) for d, v in zip(degrees, target.weights) if d is not None}
+        if len(ratios) != 1:
             raise DeformationError("the components have no common ratio to the target weights")
-        degrees = target.weights  # h is homogeneous for them, so for r times them
-    if not target.h.is_homogeneous(degrees):
+        (r,) = ratios
+        degrees = [r * v for v in target.weights]
+    return degrees
+
+
+def check_euler_homotopy(components: Sequence[Poly], weights: Sequence[int], target: Divisor,
+                         top: CheckedFormsModule) -> None:
+    """Check the hypotheses of `mu_e_derham`'s proof, raising
+    `DeformationError` that names the one that fails: the components have
+    degrees (`component_degrees`), h is homogeneous for them, and the top
+    level is graded."""
+    if not target.h.is_homogeneous(component_degrees(components, weights, target)):
         raise DeformationError(
             "the target equation is not homogeneous for the degrees of the components")
     if top.grading() is None:

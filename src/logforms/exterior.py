@@ -6,8 +6,8 @@ lexicographic order (dx_I for I = (i_1 < ... < i_k)).
 
 The arithmetic is the term-dict layer of `poly` (`_add_product`,
 `_add_scaled`, `_derivative_terms`): each entry of a wedge, contraction or
-derivative is built in one dict.  Minors and pullbacks run it on int
-coefficients where the input is integral (`_integer_terms`) and on
+derivative is built in one dict.  Minors and compositions with a map run it
+on int coefficients where the input is integral (`_integer_terms`) and on
 `Fraction`s where it is not, so a rational input keeps its denominators;
 `Poly` (whose coefficients are all Fractions) is built only for a result
 handed back.  A minor table and the memo of composed monomials that
@@ -15,17 +15,19 @@ handed back.  A minor table and the memo of composed monomials that
 table reads each row's support once: a minor with a row that vanishes on
 all of its columns is zero without expansion (the zero-support rule), so of
 the C(n, k)^2 minors of size k of a diagonal matrix (the Saito matrix of
-normal crossing) only the C(n, k) principal ones are expanded.
+normal crossing) only the C(n, k) principal ones are expanded.  `pullback`
+only composes; pulled-back forms are minors of A = [S o F | dF] (`forms`).
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
 from .module import FreeElement, ModuleError
-from .poly import Poly, _add_product, _add_scaled, _derivative_terms, _integer_terms
+from .poly import Poly, _add_product, _add_scaled, _integer_terms
 
 
 @lru_cache(maxsize=None)
@@ -164,11 +166,14 @@ def _minor_terms(matrix: Sequence[Sequence[dict]], nvars: int):
                 m = {}
                 for pos, c in enumerate(cols):
                     if row[c]:
-                        sub = minor(rows[1:], cols[:pos] + cols[pos + 1:])
+                        sub = minor_ref()(rows[1:], cols[:pos] + cols[pos + 1:])
                         _add_product(m, row[c], sub, -1 if pos % 2 else 1)
             cache[key] = m
         return m
 
+    # A weak self-reference keeps the closure out of a reference cycle, so
+    # the cache is freed at the table's last use, not at a later collection.
+    minor_ref = weakref.ref(minor)
     return minor
 
 
@@ -189,28 +194,22 @@ def minor_table(matrix: Sequence[Sequence[Poly]], nvars: int):
     return lambda rows, cols: Poly(nvars, minor(rows, cols))
 
 
-def pullback(forms: Sequence[tuple], components: Sequence[Poly], source_n: int) -> list:
-    """Pull forms on the target back along the map with the given components.
+def pullback(polys: Sequence[Poly], components: Sequence[Poly]) -> list:
+    """Compose polynomials on the target with the map whose components are
+    given: p o F for each p in polys, in the order given, each p in the
+    target ring of m = len(components) variables and each result in the
+    components' ring.
 
-    `forms` is a list of pairs (k, form), form a k-form of rank C(m, k) with
-    coefficients in the target ring of m = len(components) variables;
-    `components` are the target coordinates as polynomials of one source
-    ring, whose first source_n variables are differentiated.  Returns the
-    pullbacks in the order given.  The pullback of c dy_J is (c o F) times
-    the sum over I of the (J, I) minor of the Jacobian dF times dx_I.
-
-    All forms share one Jacobian minor table and one memo of composed
-    monomials, x^e o F = (x^(e - e_i) o F) * F_i for the first i with
-    e_i > 0, both living for this call only.  The arithmetic runs on term
-    dicts whose coefficients are ints where the input is integral and
-    `Fraction`s otherwise: ints and Fractions add and multiply exactly with
-    each other, so every coefficient is the exact rational one, and a `Poly`
-    is built only for each result entry.
+    All polynomials share one memo of composed monomials, x^e o F =
+    (x^(e - e_i) o F) * F_i for the first i with e_i > 0, living for this
+    call only.  The arithmetic runs on term dicts whose coefficients are
+    ints where the input is integral and `Fraction`s otherwise: ints and
+    Fractions add and multiply exactly with each other, so every coefficient
+    is the exact rational one, and a `Poly` is built only for each result.
     """
     m = len(components)
-    nv = components[0].nvars if components else source_n
+    nv = components[0].nvars
     comps = [_integer_terms(f) for f in components]
-    minor = _minor_terms([[_derivative_terms(f, v) for v in range(source_n)] for f in comps], nv)
     composed = {(0,) * m: {(0,) * nv: 1}}
 
     def compose(e: tuple) -> dict:
@@ -229,24 +228,13 @@ def pullback(forms: Sequence[tuple], components: Sequence[Poly], source_n: int) 
         return got
 
     out = []
-    for k, form in forms:
-        if form.nvars != m:
+    for p in polys:
+        if p.nvars != m:
             raise ModuleError("one component per target variable required")
-        if form.rank != max(form_rank(m, k), 1):
-            raise ModuleError(f"a {k}-form on {m} target variables has rank C({m}, {k})")
-        source_basis = form_basis(source_n, k)
-        pulled = [{} for _ in range(max(len(source_basis), 1))]
-        for J, c in zip(form_basis(m, k), form.entries):
-            if c.is_zero():
-                continue
-            cf: dict = {}
-            for e, a in _integer_terms(c).items():
-                _add_scaled(cf, a, compose(e))
-            if not cf:
-                continue
-            for q, I in enumerate(source_basis):
-                _add_product(pulled[q], cf, minor(J, I))
-        out.append(FreeElement([Poly(nv, t) for t in pulled]))
+        pulled: dict = {}
+        for e, a in _integer_terms(p).items():
+            _add_scaled(pulled, a, compose(e))
+        out.append(Poly(nv, pulled))
     return out
 
 

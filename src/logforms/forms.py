@@ -2,9 +2,10 @@
 
 The degree-k module is presented as the quotient of the free module of
 polynomial k-forms by a relation submodule: the logarithmic-form generators
-for a free divisor, the pulled-back exterior ideal for an almost free one,
-and additionally the parameter differentials in the relative case.  The
-exactness of the complex is proved by the Euler-field homotopy
+for a free divisor, the pulled-back exterior ideal for an almost free one
+(minors of A = [S o F | dF], `pulled_back_matrix`, whose cokernel is the KEV
+normal space), and additionally the parameter differentials in the relative
+case.  The exactness of the complex is proved by the Euler-field homotopy
 (`de_rham_report_sliced`); its graded slices serve `cokernel_slice_dims`.
 """
 
@@ -20,6 +21,7 @@ from .exterior import (
     d_packed,
     form_basis,
     form_rank,
+    minor_table,
     monomial_form,
     pullback,
     wedge_unit,
@@ -34,7 +36,7 @@ from .groebner import (
     saturate,
     syzygy_module,
 )
-from .logarithmic import LogBasis, _log_form_generators, apply_field, log_form_generators
+from .logarithmic import LogBasis, apply_field, log_form_generators
 from .module import INFINITE, FreeElement, Grading, ModulePresentation
 from .order import MonomialOrder
 from .poly import Poly, PolyError, poly_exact_div
@@ -145,6 +147,26 @@ def forms_free(basis: LogBasis, k: int) -> CheckedFormsModule:
     return CheckedFormsModule(d.names, d.nvars, k, gens, d.h, weights=d.weights, kind="free")
 
 
+def jacobian_columns(components: Sequence[Poly], source_n: int) -> list:
+    """Columns of the Jacobian as elements of the rank-(target dim) free module."""
+    return [FreeElement([f.derivative(v) for f in components]) for v in range(source_n)]
+
+
+def pulled_back_matrix(e_basis: LogBasis, components: Sequence[Poly], source_n: int,
+                       *polys: Poly) -> tuple:
+    """(A's columns, [p o F for p in polys]): A = [S o F | dF], the target's
+    m Saito fields composed with the map F, then the source_n Jacobian
+    columns.  One `pullback` call composes the nonzero Saito entries and the
+    polys, sharing one memo; a zero entry stays zero."""
+    m = e_basis.n
+    entries = [a for field in e_basis.theta for a in field]
+    pulled = iter(pullback([a for a in entries if not a.is_zero()] + list(polys), components))
+    zero = Poly.zero(components[0].nvars)
+    flat = [zero if a.is_zero() else next(pulled) for a in entries]
+    return ([FreeElement(flat[j * m:(j + 1) * m]) for j in range(m)]
+            + jacobian_columns(components, source_n), list(pulled))
+
+
 def pullback_relation_generators(e_basis: LogBasis, components: Sequence[Poly],
                                  source_n: int, k: int) -> list:
     """Degree-k part of the exterior ideal generated by the pulled-back
@@ -156,33 +178,41 @@ def pullback_relations_by_degree(e_basis: LogBasis, components: Sequence[Poly],
                                  source_n: int, ks: Sequence[int],
                                  h0: Optional[Poly] = None) -> tuple:
     """(h o F, {k: `pullback_relation_generators` of degree k} for each k in
-    ks) from one `pullback` call, which takes h as a 0-form (unless h0 = h o
-    F is given) and each logarithmic generator of a degree j that some k in
-    ks wedges with the basis (k - j)-forms once.  Each wedge p ^ dx_M with a
-    basis form is a signed re-indexing of p (`wedge_unit`)."""
+    ks), read off one minor table of the m x (m + n) matrix A = [S o F | dF]
+    (`pulled_back_matrix`, n = source_n).  The degree-j generators are
+    F*(h omega_I), omega_I (|I| = j) the logarithmic j-forms of the Saito
+    basis.  For j >= 1 the dx_K coefficient (|K| = j) of F*(h omega_I) is
+    (-1)^(sum I + j(2m - j - 1)/2) det A[all rows; the S o F columns off I,
+    then the dF columns K], indices from 0, by the generalized Laplace
+    expansion of that determinant along its last j columns into the
+    complementary minors of S (`log_form_generators`) composed with F times
+    the minors of dF.  For j = 0 it is det(S o F) = unit * h0, h0 = h o F.
+    A degree-j generator enters level k > j wedged with each basis
+    (k - j)-form (`wedge_unit`).  So the top level R_n is I_m(A)."""
     m = e_basis.n
-    degrees = [j for j in range(0, min(max(ks), m) + 1)
-               if any(j <= k and k - j <= source_n for k in ks)]
-    gens = [(j, g) for j, js in _log_form_generators(e_basis, degrees).items() for g in js]
-    h = FreeElement([e_basis.divisor.h])
-    # a degree-0 generator equal to h (det of a Saito basis of determinant h)
-    # pulls back to h o F, so h is composed once
-    todo = [(j, g) for j, g in gens if j or g != h]
-    pulled = iter(pullback(([] if h0 is not None else [(0, h)]) + todo, components, source_n))
-    h0 = next(pulled).entries[0] if h0 is None else h0
+    columns, composed = pulled_back_matrix(e_basis, components, source_n,
+                                           *([e_basis.divisor.h] if h0 is None else []))
+    h0 = composed[0] if h0 is None else h0
+    minor = minor_table([[col.entries[c] for col in columns] for c in range(m)], h0.nvars)
+    rows = tuple(range(m))
     out: dict = {k: [] for k in ks}
-    for j, g in gens:
-        p = FreeElement([h0]) if not j and g == h else next(pulled)
-        if p.is_zero():
-            continue
-        for k, rels in out.items():
-            if j == k:
-                rels.append(p)
-            elif j < k and k - j <= source_n:
-                for M in form_basis(source_n, k - j):
-                    w = wedge_unit(source_n, j, p, M)
-                    if not w.is_zero():
-                        rels.append(w)
+    for j in range(0, min(max(ks), m, source_n) + 1):
+        for I in form_basis(m, j):
+            head = tuple(i for i in range(m) if i not in I)
+            p = FreeElement([h0.scale(e_basis.unit)] if not j else [
+                minor(rows, head + tuple(m + v for v in K)) for K in form_basis(source_n, j)])
+            if (sum(I) + j * (2 * m - j - 1) // 2) % 2:
+                p = -p
+            if p.is_zero():
+                continue
+            for k, rels in out.items():
+                if j == k:
+                    rels.append(p)
+                elif j < k and k - j <= source_n:
+                    for M in form_basis(source_n, k - j):
+                        w = wedge_unit(source_n, j, p, M)
+                        if not w.is_zero():
+                            rels.append(w)
     return h0, out
 
 
@@ -197,7 +227,7 @@ def forms_pullback_degrees(e_basis: LogBasis, components: Sequence[Poly],
                            source_names: Sequence[str], ks: Sequence[int],
                            weights: Optional[Sequence[int]], h0: Optional[Poly] = None) -> list:
     """`forms_pullback` for each form degree in ks, in that order, from one
-    `pullback` call (`pullback_relations_by_degree`)."""
+    minor table of A (`pullback_relations_by_degree`)."""
     n = len(source_names)
     h0, gens = pullback_relations_by_degree(e_basis, components, n, ks, h0)
     return [CheckedFormsModule(source_names, n, k, gens[k], h0, weights=weights, kind="pullback")

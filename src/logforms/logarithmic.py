@@ -312,36 +312,26 @@ def is_free(d: Divisor) -> FreenessVerdict:
 
 
 def log_form_generators(basis: LogBasis, k: int) -> list:
-    """Generators of h times the k-th exterior power of the dual of the basis,
-    as polynomial k-forms: one generator per index set I, with dx_J-coefficient
-    the signed complementary minor of the coefficient matrix.  For k = 0 the
+    """Generators of h times the k-th exterior power of the dual of the
+    basis, as polynomial k-forms, one per index set I, from one minor table
+    of the Saito matrix on term dicts: the dx_J-coefficient of the generator
+    of I is (-1)^(sum I + sum J) times the minor on the rows off J and the
+    columns off I, a `Poly` built only when it is nonzero.  For k = 0 the
     one generator is det = unit * h."""
-    return _log_form_generators(basis, (k,))[k]
-
-
-def _log_form_generators(basis: LogBasis, ks: Sequence[int]) -> dict:
-    """{k: `log_form_generators`(basis, k)} for each k in ks, from one minor
-    table of the Saito matrix on term dicts.  The dx_J-coefficient of the
-    generator of I is (-1)^(sum I + sum J) times the minor on the rows off J
-    and the columns off I; each index set's complement and sign parity is
-    taken once, and a `Poly` is built only for a nonzero minor."""
     n = basis.n
-    if any(k < 0 or k > n for k in ks):
+    if k < 0 or k > n:
         raise ModuleError("form degree out of range")
     nv = basis.divisor.h.nvars
     minor = _minor_terms([[_integer_terms(a) for a in row] for row in basis.matrix()], nv)
     zero = Poly.zero(nv)
-    out = {}
-    for k in ks:
-        sides = [(tuple(i for i in range(n) if i not in I), sum(I) % 2) for I in form_basis(n, k)]
-        gens = []
-        for Ic, pI in sides:
-            entries = []
-            for Jc, pJ in sides:
-                m = minor(Jc, Ic)
-                if m and pI != pJ:
-                    m = {e: -c for e, c in m.items()}
-                entries.append(Poly(nv, m) if m else zero)
-            gens.append(FreeElement(entries))
-        out[k] = gens
-    return out
+    sides = [(tuple(i for i in range(n) if i not in I), sum(I) % 2) for I in form_basis(n, k)]
+    gens = []
+    for Ic, pI in sides:
+        entries = []
+        for Jc, pJ in sides:
+            m = minor(Jc, Ic)
+            if m and pI != pJ:
+                m = {e: -c for e, c in m.items()}
+            entries.append(Poly(nv, m) if m else zero)
+        gens.append(FreeElement(entries))
+    return gens

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from logforms import groebner
 from logforms.deformation import DeformationSetup, InducingMap
+from logforms.exterior import form_basis, form_rank, wedge
 from logforms.groebner import LinSpace, groebner_basis, submodule_contains
 from logforms.logarithmic import Divisor, FreenessVerdict, is_free, saito_check
 from logforms.module import FreeElement
@@ -81,8 +82,8 @@ def call_counter(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# reference term orders and composition, independent of the packed terms and
-# of `exterior.pullback`
+# reference term orders, composition and pullback, independent of the packed
+# terms, of `exterior.pullback` and of the minors of A = [S o F | dF]
 
 
 def mono_key(order, e: tuple):
@@ -122,6 +123,28 @@ def compose(p: Poly, args) -> Poly:
         for a, k in zip(args, e):
             term = term * a ** k
         out = out + term
+    return out
+
+
+def wedge_chain_pullback(k: int, target_n: int, form: FreeElement, components: list,
+                         source_n: int) -> FreeElement:
+    """Pullback of a k-form as the sum of c(f) * df_j1 ^ ... ^ df_jk over the
+    target basis forms dy_J, each a chain of `wedge` calls, c(f) by
+    `compose`."""
+    nv = components[0].nvars
+    if k == 0:
+        return FreeElement([compose(form.entries[0], components)])
+    dcomp = [FreeElement([f.derivative(v) for v in range(source_n)]) for f in components]
+    out = FreeElement.zero(max(form_rank(source_n, k), 1), nv)
+    for pos, J in enumerate(form_basis(target_n, k)):
+        pulled_c = compose(form.entries[pos], components)
+        if pulled_c.is_zero():
+            continue
+        block, deg = dcomp[J[0]], 1
+        for j in J[1:]:
+            block = wedge(source_n, deg, block, 1, dcomp[j])
+            deg += 1
+        out = out + block.scale(pulled_c)
     return out
 
 

@@ -463,13 +463,13 @@ OMEGA_PULLBACK = ('ring { x1, x2, x3 };\nweights ( 1, 1, 1 );\ntarget-ring { w1,
 def test_pullback_jobs_compose_h_once(text, call_counter):
     """A pullback job composes the target equation h with the map once: the
     germ's h o F, which gives the weights, is the one the forms module keeps,
-    and no form equal to h is pulled back again (for normal crossing, the
-    degree-0 logarithmic generator, the Saito determinant, is h itself)."""
+    and h is composed with the map nowhere else (the degree-0 relation is
+    unit * (h o F), the Saito determinant composed with the map)."""
     calls = call_counter("exterior", "pullback")
     run_job(parse_job(text))
-    h = calls[0][0][0]  # the first form the job pulls back: h, as a 0-form
-    assert h[0] == 0 and len(calls) >= 2
-    assert sum(form == h for forms, *_ in calls for form in forms) == 1
+    h = calls[0][0][0]  # the first polynomial the job composes with the map: h
+    assert len(calls) >= 2
+    assert sum(p == h for polys, *_ in calls for p in polys) == 1
 
 
 LIPS_INCLUSION = ('ring { X, W };\nweights ( 1, 3 );\ntarget-ring { A, U, B };\n'
@@ -488,6 +488,24 @@ def test_mu_e_of_the_lips_inclusion_ends_at_cartans_stop():
         record = run_job(parse_job(LIPS_INCLUSION + options))
         assert record["dimensions"]["mu_e_derham"]["value"] == 1
         assert record["flags"]["certified"] == "CERTIFIED"
+
+
+@pytest.mark.parametrize("text, value, flag", [
+    ('ring { x }; weights ( 1 ); target-ring { w1, w2 }; target-divisor "w1*w2";\n'
+     'map ( "x", "x*(x-1)^2" ); command kev-codim;\n', 2, "UNCERTIFIED-LOCAL"),
+    ((JOBS / "kev_four_planes.job").read_text(), 1, "CERTIFIED"),
+    (LIPS_INCLUSION.replace("mu-e", "kev-codim"), 1, "CERTIFIED"),
+], ids=["not-homogeneous", "four-planes", "lips-inclusion"])
+def test_kev_certifies_only_a_graded_normal_space(text, value, flag):
+    """The KEV codimension is counted in the polynomial ring, and is the
+    local count at the origin, CERTIFIED, only where A's columns are
+    homogeneous for the given weights (the lips inclusion's zero component
+    taking its degree from the target weights).  (x, x(x - 1)^2) is tangent
+    to normal crossing at x = 1 as well: the quotient counts 2 where the
+    germ at 0 has 1, so the number is not certified, weights or not."""
+    record = run_job(parse_job(text))
+    assert record["dimensions"]["kev_codimension"]["value"] == value
+    assert record["flags"]["certified"] == flag
 
 
 @pytest.mark.parametrize("weights, target_weights, comps", [

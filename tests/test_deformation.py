@@ -17,18 +17,17 @@ from logforms.deformation import (
     ae_normal_space_direct,
     check_euler_homotopy,
     good_equation_witness,
-    jacobian_columns,
     ke_discriminant_reduced,
     kev_normal_space,
     mu_e_alternating,
     mu_e_derham,
     mu_e_good_equation,
-    pulled_field_columns,
     t1_log,
     theta_prime_minors,
 )
 from logforms.forms import (GradedSlices, cokernel_slice_dims, contraction_well_defined,
-                            forms_pullback_degrees)
+                            forms_pullback_degrees, pullback_relations_by_degree,
+                            pulled_back_matrix)
 from logforms.groebner import (
     groebner_basis,
     is_member,
@@ -45,7 +44,7 @@ from logforms.logarithmic import (
 )
 from logforms.module import INFINITE, FreeElement, ModulePresentation
 from logforms.order import MonomialOrder, StabilizationError
-from logforms.poly import Poly, parse_poly, quasihomogeneous_weights
+from logforms.poly import Poly, _integer_terms, parse_poly, quasihomogeneous_weights
 
 from conftest import (certified, compose, generic_arrangements, monomials_of_weight,
                       normal_crossing_basis, submodules_equal)
@@ -89,21 +88,37 @@ def test_kev_orders_a_family_by_the_germ_weights(nc3, call_counter):
     assert calls[1][1].weights == (1, 1) and dim == unit_dim
 
 
-def test_pulled_field_columns_pull_back_the_nonzero_entries(four_planes_afd, lips_disc,
-                                                           lips_inclusion, call_counter):
-    """Each column is a target field composed with the map, its zero entries
-    kept as zeros, and only the nonzero entries go through `pullback`."""
+def test_pulled_back_matrix_composes_the_nonzero_entries(four_planes_afd, lips_disc,
+                                                         lips_inclusion, call_counter):
+    """A's columns are the target fields composed with the map, their zero
+    entries kept as zeros, then the Jacobian columns; only the nonzero
+    entries go through `pullback`, in one call.  The one minor table that
+    the pulled-back relations read is this A, and neither A nor the
+    relations nor the KEV normal space take a logarithmic form generator."""
     calls = call_counter("exterior", "pullback")
+    tables = call_counter("exterior", "_minor_terms")
+    generators = call_counter("logarithmic", "log_form_generators")
     _, lips_basis = lips_disc
     for e_basis, comps in ((four_planes_afd.e_basis, four_planes_afd.map.components),
                            (lips_basis, lips_inclusion.components)):
-        del calls[:]
-        cols = pulled_field_columns(e_basis, comps)
-        assert cols == [FreeElement([compose(a, comps) for a in field]) for field in e_basis.theta]
+        del calls[:], tables[:]
+        m, n = e_basis.n, comps[0].nvars
+        cols, composed = pulled_back_matrix(e_basis, comps, n)
+        assert cols == ([FreeElement([compose(a, comps) for a in field]) for field in e_basis.theta]
+                        + [FreeElement([f.derivative(v) for f in comps]) for v in range(n)])
+        assert composed == [] and not tables
         entries = [a for field in e_basis.theta for a in field]
         nonzero = [a for a in entries if not a.is_zero()]
         assert len(calls) == 1 and len(nonzero) < len(entries)
-        assert [f.entries[0] for _, f in calls[0][0]] == nonzero
+        assert calls[0][0] == nonzero
+        pullback_relations_by_degree(e_basis, comps, n, (n,))
+        assert len(tables) == 1
+        assert tables[0][0] == [[_integer_terms(col.entries[c]) for col in cols]
+                                for c in range(m)]
+        names = [f"x{v}" for v in range(n)]
+        kev_normal_space(DeformationSetup(e_basis, InducingMap(names, e_basis.divisor.names,
+                                                                comps)))
+    assert not generators
 
 
 def test_t1_trivial_product_family():
@@ -364,8 +379,8 @@ def test_normal_space_sequence_exactness(nc4, four_planes_divisor, four_planes_a
     quotient is exactly the tangent-field module of the pulled-back divisor."""
     setup = four_planes_afd
     imap = setup.map
-    jac = jacobian_columns(imap.components, 3)
-    pulled = pulled_field_columns(setup.e_basis, imap.components)
+    columns = pulled_back_matrix(setup.e_basis, imap.components, 3)[0]
+    pulled, jac = columns[:4], columns[4:]
     K = kernel_of_map(jac, pulled, ORD)
     assert submodules_equal(K, derlog_fields(four_planes_divisor), ORD)
     pres = ModulePresentation(4, jac + pulled, nvars=3)
@@ -431,9 +446,11 @@ def test_mu_derham_vanishes_on_free_pullback(nc2):
 def test_mu_derham_builds_one_table_and_slices_nothing(four_planes_afd, call_counter):
     """Four generic planes in C^3: `mu_e_derham` builds the level-3 forms
     module alone and one `QuotientTable`, of its relations, and counts the
-    table's standard terms; no `GradedSlices` method runs."""
+    table's standard terms; no `GradedSlices` method runs, and no
+    logarithmic form generator is taken (the relations are A's minors)."""
     modules = call_counter("forms", "forms_pullback_degrees")
     call_counter("groebner", "QuotientTable.__init__")
+    call_counter("logarithmic", "log_form_generators")
     for name, method in vars(GradedSlices).items():
         if callable(method):
             call_counter("forms", f"GradedSlices.{name}")

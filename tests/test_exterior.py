@@ -1,4 +1,4 @@
-"""Minors, pullbacks and the exterior derivative against textbook definitions."""
+"""Minors, composition and the exterior derivative against textbook definitions."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -24,7 +24,7 @@ from logforms.module import FreeElement
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, _add_product
 
-from conftest import compose
+from conftest import compose, wedge_chain_pullback
 
 NV = 2
 
@@ -141,50 +141,35 @@ def test_poly_det_matches_leibniz(matrix):
     assert poly_det(matrix) == leibniz_det(matrix)
 
 
-def wedge_chain_pullback(k: int, target_n: int, form: FreeElement, components: list,
-                         source_n: int) -> FreeElement:
-    """Pullback as the sum of c(f) * df_j1 ^ ... ^ df_jk over the target
-    basis forms dy_J, each a chain of `wedge` calls."""
-    nv = components[0].nvars
-    if k == 0:
-        return FreeElement([compose(form.entries[0], components)])
-    dcomp = [FreeElement([f.derivative(v) for v in range(source_n)]) for f in components]
-    out = FreeElement.zero(max(form_rank(source_n, k), 1), nv)
-    for pos, J in enumerate(form_basis(target_n, k)):
-        pulled_c = compose(form.entries[pos], components)
-        if pulled_c.is_zero():
-            continue
-        block, deg = dcomp[J[0]], 1
-        for j in J[1:]:
-            block = wedge(source_n, deg, block, 1, dcomp[j])
-            deg += 1
-        out = out + block.scale(pulled_c)
-    return out
-
-
 @st.composite
 def pullback_inputs(draw):
-    """One to three forms of drawn degrees on C^target_n, and a map."""
+    """One to three polynomials (0-forms) on C^target_n, and a map."""
     target_n = draw(st.integers(1, 3))
     source_n = draw(st.integers(1, 3))
     components = [draw(polys(source_n)) for _ in range(target_n)]
-    forms = []
-    for _ in range(draw(st.integers(1, 3))):
-        k = draw(st.integers(0, target_n))
-        forms.append((k, FreeElement([draw(polys(target_n, 2))
-                                      for _ in range(max(form_rank(target_n, k), 1))])))
-    return forms, target_n, components, source_n
+    ps = [draw(polys(target_n, 2)) for _ in range(draw(st.integers(1, 3)))]
+    return ps, target_n, components, source_n
 
 
 @given(pullback_inputs())
 @settings(max_examples=120, deadline=None)
 def test_pullback_matches_wedge_chains(case):
-    """Forms pulled back together, sharing one minor table and one memo of
-    composed monomials, each equal their wedge chains."""
-    forms, target_n, components, source_n = case
-    assert (pullback(forms, components, source_n)
-            == [wedge_chain_pullback(k, target_n, form, components, source_n)
-                for k, form in forms])
+    """Polynomials composed together, sharing one memo of composed
+    monomials, each equal their 0-form wedge chain (`compose`)."""
+    ps, target_n, components, source_n = case
+    assert (pullback(ps, components)
+            == [wedge_chain_pullback(0, target_n, FreeElement([p]), components,
+                                     source_n).entries[0] for p in ps])
+
+
+def test_pullback_builds_no_minor_table(call_counter):
+    """`pullback` only composes: it builds no minor table, of dF or any
+    other matrix."""
+    tables = call_counter("exterior", "_minor_terms")
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    h = Poly(2, {(1, 1): 1, (3, 0): 2})
+    assert pullback([h], [x * y, x + y]) == [compose(h, [x * y, x + y])]
+    assert not tables
 
 
 @st.composite
@@ -260,4 +245,4 @@ def test_d_packed_is_d_term_packed(case, extra, data):
 def test_pullback_of_a_high_power():
     """The memo of composed monomials reaches x^1500 without deep recursion."""
     f = FreeElement([Poly(1, {(1500,): 1})])
-    assert pullback([(0, f)], [Poly(1, {(1,): 2})], 1) == [FreeElement([Poly(1, {(1500,): 2 ** 1500})])]
+    assert pullback([Poly(1, {(1500,): 1})], [Poly(1, {(1,): 2})]) == [Poly(1, {(1500,): 2 ** 1500})]

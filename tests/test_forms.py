@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from logforms import cli, groebner, logarithmic
-from logforms.exterior import d_term, form_basis, monomial_form, pullback, wedge
+from logforms import cli, groebner
+from logforms.exterior import d_term, form_basis, monomial_form, wedge
 from logforms.forms import (
     CheckedFormsModule,
     FormsError,
@@ -28,6 +28,7 @@ from logforms.forms import (
     forms_relative,
     pd_check,
     pullback_relations_by_degree,
+    pulled_back_matrix,
     subquotient_dimension,
     torsion_length,
     torsion_saturation,
@@ -45,7 +46,7 @@ from logforms.jobio import JobSpec
 from logforms.logarithmic import Divisor, euler_field, is_free, log_form_generators, saito_check
 from logforms.module import INFINITE, FreeElement, Grading, ModulePresentation
 from logforms.order import MonomialOrder
-from logforms.poly import Poly, parse_poly
+from logforms.poly import Poly, _integer_terms, parse_poly
 
 from conftest import (
     certified,
@@ -55,6 +56,7 @@ from conftest import (
     monomials_of_weight,
     normal_crossing_basis,
     submodules_equal,
+    wedge_chain_pullback,
 )
 
 ORD = MonomialOrder()
@@ -712,8 +714,10 @@ def test_pullback_makes_no_poly_arithmetic(four_planes_afd, call_counter):
 
 
 def _relations_one_by_one(e_basis, components, source_n, ks):
-    """The relations built generator by generator: each pulled back on its
-    own, then wedged with the basis forms through `wedge`."""
+    """The relations built generator by generator: each logarithmic form
+    generator pulled back on its own as a chain of wedges of the dF_j
+    (`wedge_chain_pullback`), then wedged with the basis forms through
+    `wedge`."""
     m = e_basis.n
     nv = components[0].nvars
     out = {k: [] for k in ks}
@@ -721,7 +725,7 @@ def _relations_one_by_one(e_basis, components, source_n, ks):
         wanted = [k for k in out if j <= k and k - j <= source_n]
         if not wanted:
             continue
-        pulled = [p for p in (pullback([(j, g)], components, source_n)[0]
+        pulled = [p for p in (wedge_chain_pullback(j, m, g, components, source_n)
                               for g in log_form_generators(e_basis, j)) if not p.is_zero()]
         for k in wanted:
             for p in pulled:
@@ -736,49 +740,57 @@ def _relations_one_by_one(e_basis, components, source_n, ks):
     return out
 
 
+@lru_cache(maxsize=None)
+def _a3_basis():
+    names = ["x", "y", "z"]
+    return certified(Divisor(names, parse_poly(REFLECTION["A3"], names), weights=(1, 1, 1)))
+
+
 @st.composite
-def _maps_into_normal_crossing(draw):
-    """A map from C^n (n <= 3) into normal crossing in C^m (2 <= m <= 4),
-    with small integer or rational coefficients, and some form degrees."""
-    m = draw(st.integers(2, 4))
+def _maps_into_free_divisors(draw, targets):
+    """A Saito basis drawn from targets, a map into its ring from C^n
+    (n <= 3), each component zero or up to three terms with small integer or
+    rational coefficients, and some form degrees."""
+    e_basis = draw(st.sampled_from(targets))
     n = draw(st.integers(1, 3))
     coeffs = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
     comps = []
-    for _ in range(m):
+    for _ in range(e_basis.n):
         terms = {tuple(draw(st.integers(0, 2)) for _ in range(n)): draw(coeffs)
                  for _ in range(draw(st.integers(0, 3)))}
         comps.append(Poly(n, terms))
     ks = draw(st.lists(st.integers(0, n), min_size=1, max_size=n + 1, unique=True))
-    return m, comps, n, ks
+    return e_basis, comps, n, ks
 
 
-@given(_maps_into_normal_crossing())
-@settings(max_examples=40, deadline=None)
-def test_pulled_back_relations_match_one_by_one(case):
-    m, comps, n, ks = case
-    e_basis = _normal_crossing_basis(m)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_pulled_back_relations_match_one_by_one(lips_disc, calderon, data):
+    """The relations read off the minors of A = [S o F | dF] are, generator
+    for generator and in order, those of the pulled-back logarithmic forms,
+    on maps into normal crossing (m = 2..4), the lips discriminant,
+    Calderon's divisor and the A3 arrangement."""
+    targets = [normal_crossing_basis(m) for m in (2, 3, 4)] + [lips_disc[1], calderon[1],
+                                                               _a3_basis()]
+    e_basis, comps, n, ks = data.draw(_maps_into_free_divisors(targets))
     assert (pullback_relations_by_degree(e_basis, comps, n, ks)[1]
             == _relations_one_by_one(e_basis, comps, n, ks))
 
 
-def test_pulled_back_relations_build_one_saito_minor_table(monkeypatch):
+def test_pulled_back_relations_build_one_table_of_A(call_counter):
     """One `pullback_relations_by_degree` call, here over every degree a map
-    C^3 -> C^4 reaches, takes the log-form generators of all its degrees
-    from one minor table of the target's Saito matrix; the Jacobian minors
-    of `pullback` are another module's table and are not counted here."""
-    tables = []
-
-    def counting(*args):
-        tables.append(args)
-        return original(*args)
-
-    original = logarithmic._minor_terms
-    monkeypatch.setattr(logarithmic, "_minor_terms", counting)
+    C^3 -> C^4 reaches, builds exactly one minor table, of the 4 x 7 matrix
+    A = [S o F | dF], and takes no logarithmic form generator."""
     names = ["x", "y", "z"]
     comps = [parse_poly(c, names) for c in ("x", "y", "z", "x+2*y+3*z")]
-    rels = pullback_relations_by_degree(_normal_crossing_basis(4), comps, 3, (0, 1, 2, 3))[1]
-    assert len(tables) == 1
-    assert rels == _relations_one_by_one(_normal_crossing_basis(4), comps, 3, (0, 1, 2, 3))
+    e_basis = _normal_crossing_basis(4)
+    tables = call_counter("exterior", "_minor_terms")
+    generators = call_counter("logarithmic", "log_form_generators")
+    rels = pullback_relations_by_degree(e_basis, comps, 3, (0, 1, 2, 3))[1]
+    assert len(tables) == 1 and not generators
+    columns = pulled_back_matrix(e_basis, comps, 3)[0]
+    assert tables[0][0] == [[_integer_terms(col.entries[c]) for col in columns] for c in range(4)]
+    assert rels == _relations_one_by_one(e_basis, comps, 3, (0, 1, 2, 3))
 
 
 @st.composite
