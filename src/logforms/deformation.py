@@ -163,14 +163,7 @@ def theta_prime_minors(total_basis: LogBasis, param_indices: Sequence[int],
             m = m.set_vars_zero(t_indices)
         if not m.is_zero():
             minors.append(m.primitive()[0])
-    seen = set()
-    out = []
-    for m in minors:
-        key = tuple(sorted(m.terms.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(m)
-    return out
+    return list(dict.fromkeys(minors))
 
 
 def mu_e_alternating(total_basis: LogBasis, param_indices: Sequence[int]) -> int:
@@ -433,6 +426,6 @@ def ke_discriminant_reduced(total_basis: LogBasis, s_index: int):
         for i in range(m):
             mat[i][j] = mat[i][j] - Poly.constant(1, cols[j][i])
     chi = poly_det(mat)
-    # Fitting ideal over the base is (chi); reduced iff it equals (s)
-    reduced = chi == Poly.variable(1, 0) or chi == -Poly.variable(1, 0)
+    # Fitting ideal over the base is (chi); chi is monic, so reduced iff chi = s
+    reduced = chi == Poly.variable(1, 0)
     return reduced, chi, m

@@ -9,9 +9,11 @@ a few int operations, and a smaller int is a greater term.  All arithmetic
 is exact.
 Inside the kernel the coefficients are Python ints: a dividend's denominators
 are cleared on entry, basis elements are kept primitive with a positive lead,
-and division is fraction-free (pseudo-division).  Values become `Fraction`s
-only where they leave the kernel, as exact rationals.  Bases are normalised
-and sorted so every computation is deterministic.
+and division is fraction-free (pseudo-division).  One division routine,
+`_reduce_full`, serves Buchberger, interreduction, `normal_form`,
+`lift_over_generators` and the normal forms of a `QuotientTable`.  Values
+become `Fraction`s only where they leave the kernel, as exact rationals.
+Bases are normalised and sorted so every computation is deterministic.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional, Sequence
 from .module import INFINITE, FreeElement, Grading, ModulePresentation, ModuleError
 from .order import (FIELD_MAX, MonomialOrder, StabilizationError, TermLayout, field_overflow,
                     mono_lcm)
-from .poly import Poly, _common_denominator, _content, _integral, _normalize
+from .poly import Poly, _integral, _normalize
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +357,9 @@ def _divide(f: FreeElement, reducers: _Reducers, cofactors: Optional[list] = Non
 
 
 def normal_form(f: FreeElement, basis: Sequence[FreeElement], order: MonomialOrder) -> FreeElement:
-    """Remainder of f under division by a Groebner basis."""
-    if basis:
-        if f.rank != basis[0].rank:
-            raise ModuleError("rank mismatch between element and basis")
-        _check_family(basis)
-    layout = order.layout(f.nvars)
-    reducers = _reducers_of([_primitive(_packed(b.vec(), layout)) for b in basis
-                             if not b.is_zero()], layout)
-    r, denom = _divide(f, reducers)
-    return FreeElement.from_vec(f.rank, f.nvars, _rational(_unpacked(r, layout), denom))
+    """Remainder of f under division by a Groebner basis: that of
+    `normal_form_with_cofactors`."""
+    return normal_form_with_cofactors(f, basis, order)[0]
 
 
 def normal_form_with_cofactors(f: FreeElement, basis: Sequence[FreeElement],
@@ -636,88 +631,6 @@ def _staircase(comp: int, weights: Sequence[int], leads: set, layout: TermLayout
         yield level
 
 
-def _combine(pairs, nfs: dict):
-    """The sum of c * NF(u) over the pairs (u, c), each u a term of the memo
-    nfs (None: u is standard; else (remainder, scale), NF(u) = remainder /
-    scale) and each c an int or a `Fraction`, as (integer vec, positive
-    denominator)."""
-    denom = _common_denominator(c.denominator if (nf := nfs[u]) is None
-                                else nf[1] * c.denominator for u, c in pairs)
-    acc: dict = {}
-    for u, c in pairs:
-        nf = nfs[u]
-        if nf is None:
-            r = ((u, 1),)
-            m = c.numerator * (denom // c.denominator)
-        else:
-            r = nf[0].items()
-            m = c.numerator * (denom // (nf[1] * c.denominator))
-        for w, a in r:
-            s = acc.get(w, 0) + m * a
-            if s:
-                acc[w] = s
-            else:
-                acc.pop(w, None)
-    return acc, denom
-
-
-def _fill_term_nfs(t: int, nfs: dict, reducers: _Reducers):
-    """Enter the normal form of the packed term t into the memo nfs, with
-    that of every term its reduction meets and the memo lacks.
-
-    A standard term is its own normal form and is entered as None.  For any
-    other term, one reducer step gives the lead lc * x^lt of a basis element
-    g whose lead divides t, so t = x^s * x^lt, and x^s * g lies in the
-    submodule.  The normal form is linear and vanishes on the submodule, so
-    NF(t) = -(1/lc) * sum(v * NF(x^s * u)) over the other terms v * u of g,
-    each smaller than t.  It is entered as (remainder, scale), integers with
-    NF(t) = remainder / scale, divided by their common content: as a
-    normal form is unique, so is this pair, whichever order filled the memo.
-
-    A term brought in by a step can leave the packed fields, which raises
-    `StabilizationError`.  Within one component it cannot, since a step
-    never raises the weighted degree there; a later component can hold a
-    term of higher degree (position over term): modulo x e_0 - y^K e_1,
-    x^k e_0 steps to x^(k-1)*y^K e_1.
-
-    The terms wait on an explicit stack, not on the call stack: a chain of
-    reductions can be thousands of terms deep.  A term is stepped once, when
-    it first reaches the top; it is entered when it reaches the top again,
-    after every missing term of its step has been entered above it.
-    """
-    shifts, guards = reducers.layout.shifts, reducers.layout.guards
-    stack = [(t, None)]
-    while stack:
-        s, step = stack[-1]
-        if step is None:
-            if s in nfs:
-                stack.pop()
-                continue
-            hit = reducers.find(s)
-            if hit is None:
-                nfs[s] = None
-                stack.pop()
-                continue
-            lt, lc, heads, tags, _ = hit
-            head_shift, tag_shift = shifts(s, lt)
-            step = lc, ([(u + head_shift, v) for u, v in heads]
-                        + [(u + tag_shift, v) for u, v in tags])
-            for u, _ in step[1]:
-                if u & guards:
-                    raise field_overflow()
-            stack[-1] = (s, step)
-            missing = [(u, None) for u, _ in step[1] if u not in nfs]
-            if missing:
-                stack.extend(missing)
-                continue
-        stack.pop()
-        lc, pairs = step
-        acc, denom = _combine(pairs, nfs)
-        scale = lc * denom
-        g = _content(acc.values(), scale)
-        nfs[s] = ({w: -a // g for w, a in acc.items()}, scale // g)
-
-
 class QuotientTable:
     """The leading-term staircase of O^rank / <relations>, read from one
     reduced Groebner basis, kept packed as the kernel returned it (`gb`, as
@@ -728,11 +641,11 @@ class QuotientTable:
     which needs a grading; each component walked once, each degree kept) and
     all standard terms of a finite quotient (`standard_terms`, None when it
     is infinite).  The same basis reduces vecs (`reduce_integral`, and
-    `reduce` over the rationals) through one reducer table, built on first
-    use, and one memo of term normal forms, each term of which took one
-    reducer step (`_fill_term_nfs`).  Slices, reducer table and memo are on
-    the packed terms of `layout`.  A slice of a weighted degree above
-    FIELD_MAX of an infinite component raises `StabilizationError`.
+    `reduce` over the rationals) by the kernel's pseudo-division
+    (`_reduce_full`) through one reducer table, built on first use.  Slices
+    and reducer table are on the packed terms of `layout`.  A slice of a
+    weighted degree above FIELD_MAX of an infinite component raises
+    `StabilizationError`.
     """
 
     def __init__(self, p: ModulePresentation, order: Optional[MonomialOrder] = None):
@@ -747,10 +660,6 @@ class QuotientTable:
             self.leads[c].append(e)
         self._slices: dict = {}  # component -> (its slices so far by degree, its walk)
         self._reducers: Optional[_Reducers] = None
-        # packed term -> (packed integer remainder, scale) of that term,
-        # divided by their content; None for a standard term, which is its
-        # own normal form
-        self._term_nfs: dict = {}
 
     @cached_property
     def gb(self) -> list:
@@ -759,30 +668,22 @@ class QuotientTable:
                 for v in self._basis]
 
     def reduce_integral(self, f: dict) -> tuple:
-        """The normal form of the packed vec f (int or `Fraction`
-        coefficients) against the basis, as (packed integer vec, positive
-        denominator): the vec divided by the denominator is the remainder of
-        `normal_form` of f.
-
-        The normal form modulo a Groebner basis is unique, hence linear, so
-        it is the sum of c * NF(t) over the terms c * t of f, each NF(t) read
-        from the table's memo.
-        """
+        """The normal form of the packed integer vec f against the basis, as
+        (packed integer vec, positive denominator) (`_reduce_full`): the vec
+        divided by the denominator is the remainder of `normal_form` of f."""
         if self._reducers is None:
             self._reducers = _reducers_of(self._basis, self.layout)
-        nfs = self._term_nfs
-        for u in f:
-            if u not in nfs:
-                _fill_term_nfs(u, nfs, self._reducers)
-        return _combine(f.items(), nfs)
+        return _reduce_full(f, self._reducers)
 
     def reduce(self, f: dict) -> dict:
         """The normal form of the vec f, on (component, exponent) terms,
-        against the basis, as a vec of exact rationals: `reduce_integral`
-        divided out."""
+        against the basis, as a vec of exact rationals: `reduce_integral` of
+        f with its denominators cleared, divided out."""
         if any(t[0] >= self.pres.rank for t in f):
             raise ModuleError("rank mismatch between element and basis")
-        return _unpacked(_rational(*self.reduce_integral(_packed(f, self.layout))), self.layout)
+        ints, denom = _integral(_packed(f, self.layout))
+        r, scale = self.reduce_integral(ints)
+        return _unpacked(_rational(r, denom * scale), self.layout)
 
     def standard_terms(self) -> Optional[list]:
         """All standard module terms of a finite quotient, sorted, or None

@@ -8,12 +8,11 @@ non-negative integers, one entry per ambient variable.
 Below `Poly` sit the term-dict helpers: `_add_scaled`, `_add_product` and
 `_derivative_terms` add, multiply and differentiate dicts {key: coefficient}
 in place or into one new dict, and `_integral` and `_normalize` clear
-denominators and content, by `_common_denominator` and `_content`, which the
-term memo of the Groebner kernel shares.  Their coefficients may be ints,
-`Fraction`s or a mix (Python adds and multiplies them exactly with each
-other), so minors, pullbacks, `apply_field` and the Groebner kernel run them
-on ints where the input is integral, while `Poly`'s operators, wedges and
-contractions run them on `Fraction`s.
+denominators and content.  Their coefficients may be ints, `Fraction`s or a
+mix (Python adds and multiplies them exactly with each other), so minors,
+pullbacks, `apply_field` and the Groebner kernel run them on ints where the
+input is integral, while `Poly`'s operators, wedges and contractions run them
+on `Fraction`s.
 """
 
 from __future__ import annotations
@@ -80,36 +79,26 @@ def _integer_terms(p: "Poly") -> dict:
     return {e: c.numerator if c.denominator == 1 else c for e, c in p.terms.items()}
 
 
-def _common_denominator(denoms) -> int:
-    """The least common multiple of the positive ints denoms."""
-    denom = 1
-    for d in denoms:
-        if d != 1:
-            denom = denom * d // int_gcd(denom, d)
-    return denom
-
-
-def _content(values, content: int = 0) -> int:
-    """The gcd of a content already in hand (0: none) and the ints values,
-    read only until it reaches 1."""
-    for c in values:
-        content = int_gcd(content, c)
-        if content == 1:
-            break
-    return content
-
-
 def _integral(vec: dict):
     """(D * vec, D) for the least positive D that makes every coefficient of
     a rational vec an integer."""
-    denom = _common_denominator(c.denominator for c in vec.values())
+    denom = 1
+    for c in vec.values():
+        d = c.denominator
+        if d != 1:
+            denom = denom * d // int_gcd(denom, d)
     return {t: c.numerator * (denom // c.denominator) for t, c in vec.items()}, denom
 
 
 def _normalize(vec: dict, lc: int) -> dict:
     """Divide an integer vec by its content, so its coefficients are coprime
-    integers and the lead coefficient (`lc`, the current one) is positive."""
-    content = _content(vec.values())
+    integers and the lead coefficient (`lc`, the current one) is positive.
+    The content is read only until it reaches 1."""
+    content = 0
+    for c in vec.values():
+        content = int_gcd(content, c)
+        if content == 1:
+            break
     if lc < 0:
         content = -content
     if content == 1:

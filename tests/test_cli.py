@@ -477,13 +477,11 @@ LIPS_INCLUSION = ('ring { X, W };\nweights ( 1, 3 );\ntarget-ring { A, U, B };\n
                   'map ( "X", "0", "W" );\ncommand mu-e;\n')
 
 
-def test_mu_e_of_the_lips_inclusion_ends_at_cartans_stop():
+def test_mu_e_of_the_lips_inclusion_counts_one_standard_term():
     """The lips discriminant pulled back by (X, 0, W): the zero component U
     takes its degree from the target weights, and mu_e_derham = 1, the one
     standard term of Omega^2 / R_2, is CERTIFIED at the default and at
-    every degree bound 0..5: the count reads no bound.  (The name recalls
-    the stop degree 5 the route once ended at; Cartan's formula now ends
-    it at level n, with no degree.)"""
+    every degree bound 0..5: the count reads no bound."""
     for options in ["", *(f"option degree-bound {bound};\n" for bound in range(6))]:
         record = run_job(parse_job(LIPS_INCLUSION + options))
         assert record["dimensions"]["mu_e_derham"]["value"] == 1
@@ -534,7 +532,7 @@ def test_mu_e_bound_that_runs_out_exits_4(tmp_path, capsys, weights, target_weig
     ("u, v, w", "u*v*w", '"x", "0", "y"'),
     ("w1, w2, w3, w4", "w1*w2*w3*w4", '"x", "y", "x+y", "y"'),
 ], ids=["zero-pullback", "infinite-quotient"])
-def test_mu_e_without_a_stop_degree_exits_3(tmp_path, capsys, ring, target, comps):
+def test_mu_e_of_an_infinite_quotient_exits_3(tmp_path, capsys, ring, target, comps):
     """A map-only `mu-e` job whose Omega^n / R_n is infinite has no count:
     (x, 0, y) into normal crossing in C^3, where h o F = 0, and a
     non-generic map into normal crossing in C^4.  No bound would help, so

@@ -462,10 +462,10 @@ def test_mu_derham_builds_one_table_and_slices_nothing(four_planes_afd, call_cou
 
 @given(generic_arrangements())
 @settings(max_examples=60, deadline=None)
-def test_cartan_stop_degree_on_generic_arrangements(arrangement):
+def test_mu_e_derham_counts_generic_arrangements(arrangement):
     """On a generic arrangement of m hyperplanes in C^n pulled back from
-    normal crossing, the de Rham cokernel is Omega^n / R_n slice by slice,
-    and mu_e_derham = C(m-1, n) (`_assert_count`)."""
+    normal crossing, the de Rham cokernel is Omega^n / R_n, and
+    mu_e_derham = C(m-1, n) (`_assert_count`)."""
     n, m, rows = arrangement
     names = [f"x{i + 1}" for i in range(n)]
     comps = [Poly(n, {tuple(int(i == j) for j in range(n)): c for i, c in enumerate(r) if c})
@@ -490,14 +490,14 @@ def _zero_component_setup(target, source: str, comps: str, weights) -> Deformati
     ("four_lines_total", "x,y", "x,y,0,0", (1, 1), comb(3, 2)),
     ("four_lines_total", "x,y,z", "x,y,z,0", (1, 1, 1), comb(3, 3)),
 ], ids=["lips-inclusion", "four-lines", "four-planes"])
-def test_cartan_stop_degree_covers_zero_components(request, target, source, comps, weights, mu):
+def test_mu_e_derham_counts_maps_with_zero_components(request, target, source, comps, weights, mu):
     """Maps with zero components into two free targets: the lips
     discriminant by (X, 0, W), and x*y*(x-y-s1)*(x+y-2*s1-s2) by
     (x, y, 0, 0), four generic lines, and by (x, y, z, 0), four generic
     planes.  A zero component takes its degree from the target's weights,
     so the Euler-field homotopy applies: the de Rham cokernel is
-    Omega^n / R_n slice by slice (`_assert_count`), C(m - 1, n) for m
-    generic hyperplanes in C^n, and 1 for the lips inclusion."""
+    Omega^n / R_n (`_assert_count`), C(m - 1, n) for m generic hyperplanes
+    in C^n, and 1 for the lips inclusion."""
     _, basis = request.getfixturevalue(target)
     _assert_count(_zero_component_setup(basis, source, comps, weights), mu)
 
@@ -552,7 +552,7 @@ def test_mu_derham_falls_back_on_an_infinite_coefficient_quotient(nc4, comps):
                      "Omega^n/R_n is infinite", hypotheses_hold=True)
 
 
-def test_cartan_stop_degree_needs_homogeneous_components(nc4, lips_disc):
+def test_check_euler_homotopy_needs_homogeneous_components(nc4, lips_disc):
     """No Euler-field homotopy for a component that is not weighted
     homogeneous, or an h that is not homogeneous for the degrees of the
     components."""

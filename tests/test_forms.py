@@ -46,7 +46,7 @@ from logforms.jobio import JobSpec
 from logforms.logarithmic import Divisor, euler_field, is_free, log_form_generators, saito_check
 from logforms.module import INFINITE, FreeElement, Grading, ModulePresentation
 from logforms.order import MonomialOrder
-from logforms.poly import Poly, _integer_terms, parse_poly
+from logforms.poly import Poly, _integer_terms, _integral, parse_poly
 
 from conftest import (
     certified,
@@ -616,32 +616,23 @@ def _built_tables(mods):
     return tables
 
 
-def test_slices_reduce_each_term_once(four_planes_afd, call_counter, monkeypatch):
-    """Once the tables are built, reducing the slice images pseudo-divides
-    nothing: each distinct term a table's memo holds took exactly one reducer
-    step, which found a reducer exactly when the term is not standard."""
+def test_built_tables_build_no_reducer_table_and_no_basis(four_planes_afd, call_counter):
+    """Once the tables are built, the contraction check of the de Rham
+    report and the slice ranks build no reducer table and no Groebner basis:
+    every normal form is one pseudo-division (`_reduce_full`) against the
+    reducer table a `QuotientTable` keeps."""
     mods = _four_planes_modules(four_planes_afd, range(0, 4))
     tables = _built_tables(mods)
-    divisions = call_counter("groebner", "_reduce_full")
+    built = call_counter("groebner", "_reducers_of")
+    bases = call_counter("groebner", "_buchberger_vecs")
     reduced = call_counter("groebner", "QuotientTable.reduce_integral")
-    steps = []
-    find = groebner._Reducers.find
-
-    def stepping(reducers, term):
-        hit = find(reducers, term)
-        steps.append(((reducers, term), hit is not None))
-        return hit
-
-    monkeypatch.setattr(groebner._Reducers, "find", stepping)
+    divisions = call_counter("groebner", "_reduce_full")
+    assert de_rham_report_sliced(mods, 8)["all_exact"]
     assert _exact_to(mods, 8)
-    assert not divisions
-    memo = {(qt._reducers, t): nf is not None for qt in tables for t, nf in qt._term_nfs.items()}
-    assert len(steps) == len(memo)
-    assert dict(steps) == memo
-    assert any(memo.values()) and not all(memo.values())
-    # the images of d share terms, so reducing them whole would repeat work
-    named = {(table, t) for table, vec in reduced for t in vec}
-    assert len(named) < sum(len(vec) for _, vec in reduced)
+    assert not built and not bases
+    assert reduced and len(divisions) == len(reduced)
+    kept = [qt._reducers for qt in tables]
+    assert all(any(args[1] is r for r in kept) for args in divisions)
 
 
 def test_slices_make_no_fraction_round_trip(nc4, four_planes_afd, call_counter):
@@ -926,7 +917,8 @@ def _wedge_map_kernel_dims(source, target, wedge_form, wedge_deg: int, bound: in
             f = monomial_form(source.n, source.k, nv, form_basis(source.n, source.k)[comp],
                               Poly.monomial(nv, e))
             image = wedge(n, wedge_deg, wedge_form, source.k, f).vec()
-            row = target.table().reduce_integral({pack(t): c for t, c in image.items()})[0]
+            ints = _integral({pack(t): c for t, c in image.items()})[0]
+            row = target.table().reduce_integral(ints)[0]
             assert row.keys() <= terms
             if not sp.add(row):
                 kernel += 1

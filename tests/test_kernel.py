@@ -477,7 +477,7 @@ def test_table_reduce_matches_normal_form(inputs):
     gens, fs, order = inputs
     qt = QuotientTable(ModulePresentation(fs[0].rank, gens, nvars=fs[0].nvars), order)
     for f in fs:
-        # every dividend goes through the same kept reducer table and memo
+        # every dividend goes through the same kept reducer table
         r = FreeElement.from_vec(f.rank, f.nvars, qt.reduce(f.vec()))
         assert r == normal_form(f, qt.gb, order) == _naive_normal_form(f, qt.gb, order)
         assert r.is_zero() == is_member(f, qt.gb, order)
@@ -499,9 +499,9 @@ def _shared_term_inputs(draw):
 
 @given(_shared_term_inputs())
 @settings(max_examples=60, deadline=None)
-def test_table_reduce_memo_is_order_free(inputs):
-    """Reducing through one table's term memo in either order, or through a
-    fresh table per dividend, gives the same normal forms as full division."""
+def test_table_reduce_is_order_free(inputs):
+    """Reducing through one table in either order, or through a fresh table
+    per dividend, gives the same normal forms as full division."""
     gens, fs, order = inputs
     pres = ModulePresentation(fs[0].rank, gens, nvars=fs[0].nvars)
     forward, backward = QuotientTable(pres, order), QuotientTable(pres, order)
@@ -516,7 +516,7 @@ def test_table_reduce_memo_is_order_free(inputs):
 
 def test_table_reduce_rejects_a_term_beyond_the_rank():
     """A term whose component is not one of the presentation's raises, also
-    once the table's memo holds other terms."""
+    once the table has reduced other terms."""
     qt = QuotientTable(ModulePresentation(2, [F("x", "y")], nvars=2), ORD)
     with pytest.raises(ModuleError):
         qt.reduce({(2, (0, 0)): Fraction(1)})
@@ -934,7 +934,7 @@ def test_reductions_beyond_the_field_raise():
     """Within one component a reduction step never raises the weighted
     degree, but a term can leave the fields through a later component or a
     tag.  Modulo x e_0 - y^K e_1, x^k e_0 reduces to x^(k-1)*y^K e_1: in
-    plain division and in the term memo of a quotient table.  Lifting x^k
+    plain division and through a quotient table.  Lifting x^k
     over x and x*y^K + 1 reduces it by the basis element 1 + e_2 - y^K e_1
     (1 = (x*y^K + 1) - y^K * x), whose tag x^k*y^K e_1 has degree k + K."""
     K = 20000
