@@ -414,7 +414,7 @@ def ke_discriminant_reduced(total_basis: LogBasis, s_index: int):
     index = {t: i for i, t in enumerate(basis_terms)}
     cols = []
     for comp, e in basis_terms:
-        col = [Fraction(0)] * m
+        col = [0] * m
         s_times_e = e[:s_index] + (e[s_index] + 1,) + e[s_index + 1:]
         for t, v in table.reduce({(comp, s_times_e): 1}).items():
             col[index[t]] = v

@@ -7,16 +7,17 @@ lexicographic order (dx_I for I = (i_1 < ... < i_k)).
 The arithmetic is the term-dict layer of `poly` (`_add_product`,
 `_add_scaled`, `_derivative_terms`): each entry of a wedge, contraction or
 derivative is built in one dict.  Minors and compositions with a map run it
-on int coefficients where the input is integral (`_integer_terms`) and on
-`Fraction`s where it is not, so a rational input keeps its denominators;
-`Poly` (whose coefficients are all Fractions) is built only for a result
-handed back.  A minor table and the memo of composed monomials that
-`pullback` keeps live for one table or one call, never longer.  A minor
-table reads each row's support once: a minor with a row that vanishes on
-all of its columns is zero without expansion (the zero-support rule), so of
-the C(n, k)^2 minors of size k of a diagonal matrix (the Saito matrix of
-normal crossing) only the C(n, k) principal ones are expanded.  `pullback`
-only composes; pulled-back forms are minors of A = [S o F | dF] (`forms`).
+on the terms of their `Poly` inputs as they are, so an integral input is
+worked on in ints and only a rational one brings `Fraction`s in; a `Poly` is
+built only for a result handed back.  A minor table and the memo of composed
+monomials that `pullback` keeps live for one table or one call, never
+longer.  A minor table reads the support of each row and each column once,
+and expands a minor along its line (row or column) with the fewest nonzero
+entries on it: a minor with a line that has none is zero without
+expansion, so of the C(n, k)^2 minors of size k of a diagonal matrix (the
+Saito matrix of normal crossing) only the C(n, k) principal ones are
+expanded.  `pullback` only composes; pulled-back forms are minors of
+A = [S o F | dF] (`forms`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .module import FreeElement, ModuleError
-from .poly import Poly, _add_product, _add_scaled, _integer_terms
+from .poly import Poly, _add_product, _add_scaled
 
 
 @lru_cache(maxsize=None)
@@ -141,13 +142,22 @@ def contract(n: int, k: int, field: FreeElement, a: FreeElement) -> FreeElement:
 
 def _minor_terms(matrix: Sequence[Sequence[dict]], nvars: int):
     """`minor_table` over a matrix of term dicts, giving term dicts, which the
-    caller must not change.  Each row's support (the columns of its nonzero
-    entries) is one bitmask; a minor with a row whose support misses its
-    columns is the shared empty dict, never expanded."""
+    caller must not change.  The support of each row (the columns of its
+    nonzero entries) and of each column is one bitmask, so the entries a
+    line has on a minor are counted by one mask and one popcount.  A minor
+    is expanded along the line with the fewest (a row on a tie, then the
+    first); one with a line that has none is the shared empty dict."""
     one = {(0,) * nvars: 1}
     zero: dict = {}
-    bits = [1 << c for c in range(max(map(len, matrix), default=0))]
-    support = [sum(b for b, a in zip(bits, row) if a) for row in matrix]
+    row_support = []
+    col_support = [0] * max(map(len, matrix), default=0)
+    for r, row in enumerate(matrix):
+        support = 0
+        for c, a in enumerate(row):
+            if a:
+                support |= 1 << c
+                col_support[c] |= 1 << r
+        row_support.append(support)
     cache: dict = {}
 
     def minor(rows: tuple, cols: tuple) -> dict:
@@ -156,18 +166,47 @@ def _minor_terms(matrix: Sequence[Sequence[dict]], nvars: int):
         key = (rows, cols)
         m = cache.get(key)
         if m is None:
-            mask = sum(map(bits.__getitem__, cols))
-            for r in rows:
-                if not support[r] & mask:
-                    m = zero
-                    break
+            cmask = 0
+            for c in cols:
+                cmask |= 1 << c
+            # the sparsest row, and whether the rows leave a column empty
+            best, at, covered = len(cols) + 1, 0, 0
+            for q, r in enumerate(rows):
+                s = row_support[r] & cmask
+                count = s.bit_count()
+                if count < best:
+                    best, at = count, q
+                    if not count:
+                        break
+                covered |= s
+            by_column = False
+            if best > 1 and covered == cmask:
+                rmask = 0
+                for r in rows:
+                    rmask |= 1 << r
+                for p, c in enumerate(cols):
+                    count = (col_support[c] & rmask).bit_count()
+                    if count < best:
+                        best, at, by_column = count, p, True
+            if not best or covered != cmask:
+                m = zero
             else:
-                row = matrix[rows[0]]
                 m = {}
-                for pos, c in enumerate(cols):
-                    if row[c]:
-                        sub = minor_ref()(rows[1:], cols[:pos] + cols[pos + 1:])
-                        _add_product(m, row[c], sub, -1 if pos % 2 else 1)
+                sub = minor_ref()
+                if by_column:
+                    c, rest = cols[at], cols[:at] + cols[at + 1:]
+                    for q, r in enumerate(rows):
+                        a = matrix[r][c]
+                        if a:
+                            _add_product(m, a, sub(rows[:q] + rows[q + 1:], rest),
+                                         -1 if (q + at) % 2 else 1)
+                else:
+                    row, rest = matrix[rows[at]], rows[:at] + rows[at + 1:]
+                    for p, c in enumerate(cols):
+                        a = row[c]
+                        if a:
+                            _add_product(m, a, sub(rest, cols[:p] + cols[p + 1:]),
+                                         -1 if (p + at) % 2 else 1)
             cache[key] = m
         return m
 
@@ -181,16 +220,15 @@ def minor_table(matrix: Sequence[Sequence[Poly]], nvars: int):
     """The minors of a polynomial matrix, memoised for the table's lifetime.
 
     Returns minor(rows, cols): the determinant of the submatrix with the given
-    rows and columns in the order given, by Laplace expansion along the first
-    listed row; minor((), ()) = 1.  A minor with a row that is zero on every
-    one of its columns is zero, and is returned without being expanded (the
-    zero-support rule), so a sparse matrix, a diagonal one above all,
-    expands few of its minors.  The expansion runs on term dicts with int
-    coefficients wherever the entries are integral (`_integer_terms`), so
-    only a rational entry brings `Fraction` arithmetic in; a `Poly` is built
-    only for a minor asked for.
+    rows and columns in the order given, by Laplace expansion along the line
+    of that submatrix with the fewest nonzero entries; minor((), ()) = 1.  A
+    minor with a row or a column that is zero throughout is zero, and is
+    returned without being expanded, so a sparse matrix, a diagonal one
+    above all, expands few of its minors.  The expansion runs on the term
+    dicts of the entries (`_minor_terms`), in ints where they are integral;
+    a `Poly` is built only for a minor asked for.
     """
-    minor = _minor_terms([[_integer_terms(a) for a in row] for row in matrix], nvars)
+    minor = _minor_terms([[a.terms for a in row] for row in matrix], nvars)
     return lambda rows, cols: Poly(nvars, minor(rows, cols))
 
 
@@ -202,14 +240,14 @@ def pullback(polys: Sequence[Poly], components: Sequence[Poly]) -> list:
 
     All polynomials share one memo of composed monomials, x^e o F =
     (x^(e - e_i) o F) * F_i for the first i with e_i > 0, living for this
-    call only.  The arithmetic runs on term dicts whose coefficients are
-    ints where the input is integral and `Fraction`s otherwise: ints and
-    Fractions add and multiply exactly with each other, so every coefficient
-    is the exact rational one, and a `Poly` is built only for each result.
+    call only.  The arithmetic runs on the term dicts of the inputs, ints
+    where they are integral and `Fraction`s otherwise: ints and Fractions
+    add and multiply exactly with each other, so every coefficient is the
+    exact rational one, and a `Poly` is built only for each result.
     """
     m = len(components)
     nv = components[0].nvars
-    comps = [_integer_terms(f) for f in components]
+    comps = [f.terms for f in components]
     composed = {(0,) * m: {(0,) * nv: 1}}
 
     def compose(e: tuple) -> dict:
@@ -232,7 +270,7 @@ def pullback(polys: Sequence[Poly], components: Sequence[Poly]) -> list:
         if p.nvars != m:
             raise ModuleError("one component per target variable required")
         pulled: dict = {}
-        for e, a in _integer_terms(p).items():
+        for e, a in p.terms.items():
             _add_scaled(pulled, a, compose(e))
         out.append(Poly(nv, pulled))
     return out

@@ -17,11 +17,11 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .exterior import (
+    _minor_terms,
     contract,
     d_packed,
     form_basis,
     form_rank,
-    minor_table,
     monomial_form,
     pullback,
     wedge_unit,
@@ -37,7 +37,7 @@ from .groebner import (
     syzygy_module,
 )
 from .logarithmic import LogBasis, apply_field, log_form_generators
-from .module import INFINITE, FreeElement, Grading, ModulePresentation
+from .module import INFINITE, FreeElement, Grading, ModuleError, ModulePresentation
 from .order import MonomialOrder
 from .poly import Poly, PolyError, poly_exact_div
 
@@ -101,22 +101,24 @@ class CheckedFormsModule:
     def grading(self) -> Optional[Grading]:
         """The grading by the weights, each dx_I shifted by its weight; None
         without positive weights or when a relation is not homogeneous for
-        it.  Checked once per module, like its table."""
-        return self._grading
-
-    @cached_property
-    def _grading(self) -> Optional[Grading]:
-        if self.weights is None or any(w <= 0 for w in self.weights):
-            return None
-        g = Grading(self.weights, _shifts(self.weights, self.n, self.k))
-        for r in self.relations:
-            if not r.is_homogeneous(g.weights, g.shifts):
-                return None
-        return g
+        it."""
+        return self.presentation().grading
 
     def presentation(self) -> ModulePresentation:
-        return ModulePresentation(self.rank, self.relations, grading=self.grading(),
-                                  nvars=self.nvars)
+        return self._presentation
+
+    @cached_property
+    def _presentation(self) -> ModulePresentation:
+        """The presentation, graded when the weights are positive and every
+        relation is homogeneous for them: `ModulePresentation` checks that,
+        once per module, like its table."""
+        if self.weights is not None and all(w > 0 for w in self.weights):
+            g = Grading(self.weights, _shifts(self.weights, self.n, self.k))
+            try:
+                return ModulePresentation(self.rank, self.relations, grading=g, nvars=self.nvars)
+            except ModuleError:  # a relation is not homogeneous for g
+                pass
+        return ModulePresentation(self.rank, self.relations, nvars=self.nvars)
 
     def table(self) -> QuotientTable:
         """The staircase of the relations' Groebner basis, computed once."""
@@ -188,21 +190,33 @@ def pullback_relations_by_degree(e_basis: LogBasis, components: Sequence[Poly],
     complementary minors of S (`log_form_generators`) composed with F times
     the minors of dF.  For j = 0 it is det(S o F) = unit * h0, h0 = h o F.
     A degree-j generator enters level k > j wedged with each basis
-    (k - j)-form (`wedge_unit`).  So the top level R_n is I_m(A)."""
+    (k - j)-form (`wedge_unit`).  So the top level R_n is I_m(A).  The
+    minors are read as term dicts (`_minor_terms`), each signed there, so
+    each entry's `Poly` is built once."""
     m = e_basis.n
     columns, composed = pulled_back_matrix(e_basis, components, source_n,
                                            *([e_basis.divisor.h] if h0 is None else []))
     h0 = composed[0] if h0 is None else h0
-    minor = minor_table([[col.entries[c] for col in columns] for c in range(m)], h0.nvars)
+    nv = h0.nvars
+    minor = _minor_terms([[col.entries[c].terms for col in columns] for c in range(m)], nv)
     rows = tuple(range(m))
+    zero = Poly.zero(nv)
     out: dict = {k: [] for k in ks}
     for j in range(0, min(max(ks), m, source_n) + 1):
+        tails = [tuple(m + v for v in K) for K in form_basis(source_n, j)]
         for I in form_basis(m, j):
-            head = tuple(i for i in range(m) if i not in I)
-            p = FreeElement([h0.scale(e_basis.unit)] if not j else [
-                minor(rows, head + tuple(m + v for v in K)) for K in form_basis(source_n, j)])
-            if (sum(I) + j * (2 * m - j - 1) // 2) % 2:
-                p = -p
+            if not j:
+                p = FreeElement([h0.scale(e_basis.unit)])
+            else:
+                odd = (sum(I) + j * (2 * m - j - 1) // 2) % 2
+                head = tuple(i for i in range(m) if i not in I)
+                entries = []
+                for tail in tails:
+                    t = minor(rows, head + tail)
+                    if t and odd:
+                        t = {e: -c for e, c in t.items()}
+                    entries.append(Poly(nv, t) if t else zero)
+                p = FreeElement(entries)
             if p.is_zero():
                 continue
             for k, rels in out.items():

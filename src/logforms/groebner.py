@@ -8,11 +8,13 @@ comparing terms, multiplying them by a monomial and testing divisibility are
 a few int operations, and a smaller int is a greater term.  All arithmetic
 is exact.
 Inside the kernel the coefficients are Python ints: a dividend's denominators
-are cleared on entry, basis elements are kept primitive with a positive lead,
-and division is fraction-free (pseudo-division).  One division routine,
-`_reduce_full`, serves Buchberger, interreduction, `normal_form`,
-`lift_over_generators` and the normal forms of a `QuotientTable`.  Values
-become `Fraction`s only where they leave the kernel, as exact rationals.
+are cleared on entry (an integral one enters as it is), basis elements are
+kept primitive with a positive lead, and division is fraction-free
+(pseudo-division).  One division routine, `_reduce_full`, serves Buchberger,
+interreduction, `normal_form`, `lift_over_generators` and the normal forms
+of a `QuotientTable`.  A value leaves the kernel divided by its denominator
+(`_rational`), in the canonical form of a `Poly` coefficient: an int when
+integral, a `Fraction` otherwise.
 Bases are normalised and sorted so every computation is deterministic.
 """
 
@@ -28,7 +30,7 @@ from typing import Optional, Sequence
 from .module import INFINITE, FreeElement, Grading, ModulePresentation, ModuleError
 from .order import (FIELD_MAX, MonomialOrder, StabilizationError, TermLayout, field_overflow,
                     mono_lcm)
-from .poly import Poly, _integral, _normalize
+from .poly import Poly, _integral, _normalize, _rational
 
 
 # ---------------------------------------------------------------------------
@@ -46,14 +48,6 @@ def _unpacked(vec: dict, layout: TermLayout) -> dict:
     value leaves the kernel."""
     unpack = layout.unpack
     return {unpack(t): c for t, c in vec.items()}
-
-
-def _rational(vec: dict, denom: int) -> dict:
-    """The integer vec divided by denom, as exact `Fraction`s: how a value
-    leaves the kernel."""
-    if denom == 1:
-        return {t: Fraction(c) for t, c in vec.items()}
-    return {t: Fraction(c, denom) for t, c in vec.items()}
 
 
 class _Reducers:
@@ -344,7 +338,7 @@ def groebner_basis(generators: Sequence[FreeElement], order: MonomialOrder) -> l
     rank, nvars = generators[0].rank, generators[0].nvars
     layout = order.layout(nvars)
     basis = _reduced_basis(generators, layout, rank)
-    return [FreeElement.from_vec(rank, nvars, _rational(_unpacked(v, layout), 1)) for v in basis]
+    return [FreeElement.from_vec(rank, nvars, _unpacked(v, layout)) for v in basis]
 
 
 def _divide(f: FreeElement, reducers: _Reducers, cofactors: Optional[list] = None):
@@ -381,7 +375,7 @@ def normal_form_with_cofactors(f: FreeElement, basis: Sequence[FreeElement],
     for entries in reducers.by_comp.values():
         for lt, lc, _, _, pos in entries:
             # the reducer is lc / (lead coefficient of the element) times it
-            k = lc / vecs[pos][lt]
+            k = Fraction(lc, vecs[pos][lt])
             cof_polys[live[pos]] = Poly(f.nvars, {layout.unpack(one + e)[1]: k * Fraction(c, denom)
                                                   for e, c in cof[pos].items()})
     return (FreeElement.from_vec(f.rank, f.nvars, _rational(_unpacked(r, layout), denom)),
@@ -435,7 +429,7 @@ def _tag_part(basis: Sequence[dict], layout: TermLayout, s: int) -> list:
     out = []
     for v in basis:
         if next(iter(v)) >= layout.tag_start:  # its lead, the greatest term, is a tag
-            out.append(FreeElement.from_vec(s, nvars, {(c - rank, e): Fraction(x) for (c, e), x
+            out.append(FreeElement.from_vec(s, nvars, {(c - rank, e): x for (c, e), x
                                                        in _unpacked(v, layout).items()}))
     return out
 
@@ -664,7 +658,7 @@ class QuotientTable:
     @cached_property
     def gb(self) -> list:
         rank, nvars, layout = self.pres.rank, self.pres.nvars, self.layout
-        return [FreeElement.from_vec(rank, nvars, _rational(_unpacked(v, layout), 1))
+        return [FreeElement.from_vec(rank, nvars, _unpacked(v, layout))
                 for v in self._basis]
 
     def reduce_integral(self, f: dict) -> tuple:
@@ -823,7 +817,7 @@ def minimal_generator_indices(gens: Sequence[FreeElement],
                         if not g.entries[c].is_zero()), default=0) for g in gens]
     chosen = []
     for i in sorted(range(s), key=lambda i: (degrees[i], i)):
-        if space.add({i: Fraction(1)}):
+        if space.add({i: 1}):
             chosen.append(i)
     chosen.sort()
     return chosen

@@ -22,7 +22,6 @@ from .poly import (
     PolyError,
     _add_product,
     _derivative_terms,
-    _integer_terms,
     is_squarefree,
     poly_exact_div,
     quasihomogeneous_weights,
@@ -155,11 +154,10 @@ class FreenessVerdict:
 
 def apply_field(field: FreeElement, f: Poly) -> Poly:
     """chi(f) = sum of coefficients times partial derivatives, summed in one
-    term dict on int coefficients where the input is integral."""
-    terms = _integer_terms(f)
+    term dict."""
     out: dict = {}
     for i, a in enumerate(field.entries):
-        _add_product(out, _integer_terms(a), _derivative_terms(terms, i))
+        _add_product(out, a.terms, _derivative_terms(f.terms, i))
     return Poly(f.nvars, out)
 
 
@@ -241,7 +239,7 @@ def saito_check(d: Divisor, candidates: Sequence[FreeElement]):
     # the largest exponents agree and lc(det) = c * lc(h); the converse is
     # the equation itself.  The unit is nonzero because det is.
     h = d.h
-    unit = det.terms[max(det.terms)] / h.terms[max(h.terms)]
+    unit = Fraction(det.terms[max(det.terms)], h.terms[max(h.terms)])
     if det != h.scale(unit):
         return None, "determinant is not a nonzero constant times h"
     return LogBasis(d, [list(c.entries) for c in candidates], unit, witnesses), None
@@ -322,7 +320,7 @@ def log_form_generators(basis: LogBasis, k: int) -> list:
     if k < 0 or k > n:
         raise ModuleError("form degree out of range")
     nv = basis.divisor.h.nvars
-    minor = _minor_terms([[_integer_terms(a) for a in row] for row in basis.matrix()], nv)
+    minor = _minor_terms([[a.terms for a in row] for row in basis.matrix()], nv)
     zero = Poly.zero(nv)
     sides = [(tuple(i for i in range(n) if i not in I), sum(I) % 2) for I in form_basis(n, k)]
     gens = []

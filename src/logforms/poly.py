@@ -1,18 +1,20 @@
 """Sparse multivariate polynomials over exact rationals, and the one layer
 of exact term-dict arithmetic that every module shares.
 
-Every coefficient of a `Poly` is a `fractions.Fraction`; there is no
-floating point anywhere in the package.  Exponent vectors are tuples of
-non-negative integers, one entry per ambient variable.
+Every coefficient of a `Poly` is an exact rational in one canonical form: an
+`int` when it is integral and a `fractions.Fraction` only when it is not,
+never a float and never an integral `Fraction`.  There is no floating point
+anywhere in the package.  Exponent vectors are tuples of non-negative
+integers, one entry per ambient variable.
 
 Below `Poly` sit the term-dict helpers: `_add_scaled`, `_add_product` and
 `_derivative_terms` add, multiply and differentiate dicts {key: coefficient}
-in place or into one new dict, and `_integral` and `_normalize` clear
-denominators and content.  Their coefficients may be ints, `Fraction`s or a
-mix (Python adds and multiplies them exactly with each other), so minors,
-pullbacks, `apply_field` and the Groebner kernel run them on ints where the
-input is integral, while `Poly`'s operators, wedges and contractions run them
-on `Fraction`s.
+in place or into one new dict, `_integral` and `_normalize` clear
+denominators and content, and `_rational` divides an int dict back out.
+Their coefficients may be ints, `Fraction`s or a mix (Python adds and
+multiplies them exactly with each other), so an integral input is worked on
+in ints throughout, by `Poly`'s operators, minors, pullbacks, `apply_field`
+and the Groebner kernel alike; a `Fraction` enters only with a denominator.
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ class PolyError(ValueError):
     """Raised on malformed polynomial input or mismatched variable lists."""
 
 
-def _as_fraction(c) -> Fraction:
+def _exact(c):
+    """c in the canonical form of a coefficient: an int when integral, else
+    a `Fraction`; anything but an int or a `Fraction` is refused."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise PolyError(f"coefficient {c!r} is not an exact rational")
 
 
@@ -73,21 +77,27 @@ def _derivative_terms(terms: dict, v: int) -> dict:
     return {e[:v] + (e[v] - 1,) + e[v + 1:]: c * e[v] for e, c in terms.items() if e[v]}
 
 
-def _integer_terms(p: "Poly") -> dict:
-    """The terms of p, each integral coefficient as an int and any other as
-    its `Fraction`."""
-    return {e: c.numerator if c.denominator == 1 else c for e, c in p.terms.items()}
-
-
 def _integral(vec: dict):
     """(D * vec, D) for the least positive D that makes every coefficient of
-    a rational vec an integer."""
-    denom = 1
+    a rational vec an int: (vec itself, 1) when every coefficient is one."""
+    denom, ints = 1, True
     for c in vec.values():
-        d = c.denominator
-        if d != 1:
-            denom = denom * d // int_gcd(denom, d)
+        if type(c) is not int:
+            ints = False
+            d = c.denominator
+            if d != 1:
+                denom = denom * d // int_gcd(denom, d)
+    if ints:
+        return vec, 1
     return {t: c.numerator * (denom // c.denominator) for t, c in vec.items()}, denom
+
+
+def _rational(vec: dict, denom: int) -> dict:
+    """The int vec divided by the positive int denom, each coefficient
+    canonical (`_exact`): vec itself when denom is 1."""
+    if denom == 1:
+        return vec
+    return {t: c // denom if not c % denom else Fraction(c, denom) for t, c in vec.items()}
 
 
 def _normalize(vec: dict, lc: int) -> dict:
@@ -107,19 +117,21 @@ def _normalize(vec: dict, lc: int) -> dict:
 
 
 class Poly:
-    """A polynomial stored as a map from exponent vectors to nonzero rationals."""
+    """A polynomial stored as a map from exponent vectors to nonzero exact
+    rationals, each an int when integral and a `Fraction` otherwise."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponent, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Exponent, object] | None = None):
         self.nvars = nvars
         clean: dict = {}
         if terms:
             for e, c in terms.items():
                 if len(e) != nvars:
                     raise PolyError("exponent vector length does not match variable count")
-                c = _as_fraction(c)
-                if c != 0:
+                if type(c) is not int:
+                    c = _exact(c)
+                if c:
                     clean[tuple(e)] = c
         self.terms = clean
 
@@ -131,20 +143,17 @@ class Poly:
 
     @staticmethod
     def constant(nvars: int, c) -> "Poly":
-        c = _as_fraction(c)
-        if c == 0:
-            return Poly(nvars)
         return Poly(nvars, {tuple([0] * nvars): c})
 
     @staticmethod
     def variable(nvars: int, i: int) -> "Poly":
         e = [0] * nvars
         e[i] = 1
-        return Poly(nvars, {tuple(e): Fraction(1)})
+        return Poly(nvars, {tuple(e): 1})
 
     @staticmethod
     def monomial(nvars: int, expo: Sequence[int], c=1) -> "Poly":
-        return Poly(nvars, {tuple(expo): _as_fraction(c)})
+        return Poly(nvars, {tuple(expo): c})
 
     # -- predicates ----------------------------------------------------
 
@@ -154,9 +163,9 @@ class Poly:
     def is_constant(self) -> bool:
         return all(all(x == 0 for x in e) for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
         """The coefficient of the constant monomial (0 if absent)."""
-        return self.terms.get(tuple([0] * self.nvars), Fraction(0))
+        return self.terms.get(tuple([0] * self.nvars), 0)
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -181,7 +190,7 @@ class Poly:
 
     @staticmethod
     def _of(nvars: int, terms: dict) -> "Poly":
-        """A Poly holding `terms`, nonzero `Fraction`s, as they are."""
+        """A Poly holding `terms`, nonzero canonical coefficients, as they are."""
         r = Poly.__new__(Poly)
         r.nvars, r.terms = nvars, terms
         return r
@@ -192,36 +201,34 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        return Poly._of(self.nvars, _add_scaled(dict(self.terms), 1, other.terms))
+        return Poly(self.nvars, _add_scaled(dict(self.terms), 1, other.terms))
 
     def __neg__(self) -> "Poly":
         return Poly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
-        return Poly._of(self.nvars, _add_scaled(dict(self.terms), -1, other.terms))
+        return Poly(self.nvars, _add_scaled(dict(self.terms), -1, other.terms))
 
     def __mul__(self, other) -> "Poly":
-        """The product, multiplied out on int term dicts: each factor's
-        denominators are cleared once (`_integral`) and the product divided
-        back by theirs, since an int product costs a fraction of a
-        `Fraction` one."""
+        """The product, multiplied out on int term dicts: a factor with a
+        denominator has them cleared once (`_integral`) and the product is
+        divided back by theirs (`_rational`), since an int product costs a
+        fraction of a `Fraction` one."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
         a, da = _integral(self.terms)
         b, db = _integral(other.terms)
-        denom = da * db
-        return Poly._of(self.nvars, {e: Fraction(c, denom)
-                                     for e, c in _add_product({}, a, b).items()})
+        return Poly._of(self.nvars, _rational(_add_product({}, a, b), da * db))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        c = _as_fraction(c)
+        c = _exact(c)
         if c == 0:
             return Poly(self.nvars)
-        return Poly._of(self.nvars, {e: c * v for e, v in self.terms.items()})
+        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -244,7 +251,7 @@ class Poly:
     # -- calculus and substitution --------------------------------------
 
     def derivative(self, i: int) -> "Poly":
-        return Poly._of(self.nvars, _derivative_terms(self.terms, i))
+        return Poly(self.nvars, _derivative_terms(self.terms, i))
 
     def set_vars_zero(self, indices: Iterable[int]) -> "Poly":
         """Substitute 0 for the given variables (ring unchanged)."""
@@ -257,17 +264,18 @@ class Poly:
 
     # -- integer normalisation ------------------------------------------
 
-    def primitive(self) -> tuple["Poly", Fraction]:
-        """Return (p, c) with self = c*p, p integer-primitive with positive leading sign.
+    def primitive(self) -> tuple["Poly", object]:
+        """Return (p, c) with self = c*p, p integer-primitive with positive
+        leading sign and c a canonical coefficient.
 
         The sign convention takes the lexicographically largest exponent.
         """
         if not self.terms:
-            return self, Fraction(1)
+            return self, 1
         lead = max(self.terms)
         ints, _ = _integral(self.terms)
         ints = _normalize(ints, ints[lead])
-        return Poly(self.nvars, ints), self.terms[lead] / ints[lead]
+        return Poly(self.nvars, ints), _exact(Fraction(self.terms[lead], ints[lead]))
 
     # -- formatting ------------------------------------------------------
 
@@ -376,7 +384,8 @@ _MAX_NESTING = 100
 # as they are parsed: p^e has at most C(e + t - 1, t - 1) terms, t those of p
 # (at least e + 1 when t > 1), and p*q at most `_product_terms`.  The cost
 # grows with that count and the coefficients: on a 2-vCPU Xeon VM, (x+y)^999
-# takes 2 s, (x+y+z)^43 (990 terms) 0.2 s, (x+y+z)^43*(x+y+z)^43 (3828) 4 s.
+# takes 0.3 s, (x+y+z)^43 (990 terms) 0.04 s, (x+y+z)^43*(x+y+z)^43 (3828)
+# 0.55 s.
 _MAX_TERMS = 1000
 
 
@@ -394,12 +403,13 @@ def _product_terms(p: Poly, q: Poly) -> int:
 
 
 # How much work the products and powers of one polynomial may take to
-# multiply out, in sum: about a second.  Each term pair costs a `Fraction`
-# product and sum, about 5 us on a 2-vCPU Xeon VM with short coefficients and
-# up to three times that with long ones, so a pair counts as 1 + b/1024, b
-# the bits of the numerators and denominators of its two coefficients.
-# (x+y)^500 (0.7 s) costs about 144,000; (x+y)^999 (2.4 s) and
-# (x+y)^500*(x+y)^499 (2.5 s) cost more than the bound.
+# multiply out, in sum: about a tenth of a second.  Each term pair costs an
+# int product and sum (`Poly.__mul__` clears a factor's denominators first),
+# which grows with the length of the coefficients, so a pair counts as
+# 1 + b/1024, b the bits of the numerators and denominators of its two
+# coefficients.  On a 2-vCPU Xeon VM, (x+y)^500 (0.07 s) costs about 144,000;
+# (x+y)^999 (0.3 s, 728,000) and (x+y)^500*(x+y)^499 (0.2 s, 493,000) cost
+# more than the bound.
 _MAX_WORK = 200_000
 
 
@@ -646,25 +656,36 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 def poly_exact_div(f: Poly, g: Poly) -> Poly:
-    """Exact division f/g; raises PolyError when g does not divide f."""
+    """Exact division f/g; raises PolyError when g does not divide f.
+
+    The division runs on ints.  Write f = F/D and g = c*G, F integral and G
+    primitive (`_integral`, `_normalize`).  If g divides f, then G divides F
+    over Z (Gauss's lemma), so each step divides an int by G's lead exactly,
+    and f/g = (F/G) / (c*D)."""
     if g.is_zero():
         raise PolyError("division by zero polynomial")
     if f.is_zero():
         return f
     # multivariate long division by the largest exponent tuple, subtracting
-    # c * x^e * g from one remainder dict in place; exactness checked
-    q: dict = {}
-    r = dict(f.terms)
+    # c * x^e * G from one remainder dict in place; exactness checked
+    r, denom = _integral(f.terms)
+    r = dict(r)
     glead = max(g.terms)
-    gc = g.terms[glead]
+    G = _integral(g.terms)[0]
+    G = _normalize(G, G[glead])
+    gc = G[glead]
+    q: dict = {}
     while r:
         rlead = max(r)
         e = tuple(map(sub, rlead, glead))
-        if any(x < 0 for x in e):
+        c, rest = divmod(r[rlead], gc)
+        if rest or any(x < 0 for x in e):
             raise PolyError("polynomial division is not exact")
-        c = q[e] = r[rlead] / gc
-        _add_product(r, {e: -c}, g.terms)
-    return Poly._of(f.nvars, q)
+        q[e] = c
+        _add_product(r, {e: -c}, G)
+    # f/g = (F/G) * k, k = G's lead / (D * g's lead)
+    k = Fraction(gc, denom) / g.terms[glead]
+    return Poly._of(f.nvars, _rational({e: c * k.numerator for e, c in q.items()}, k.denominator))
 
 
 def squarefree_by_leads(leads: Sequence[tuple], nvars: int) -> bool:

@@ -3,6 +3,7 @@
 import importlib
 import os
 import sys
+from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from operator import mul
@@ -79,6 +80,12 @@ def call_counter(monkeypatch):
 
     count.log = []
     return count
+
+
+def canonical(c) -> bool:
+    """Whether c is an exact rational in the canonical form of a `Poly`
+    coefficient: an int when integral, a `Fraction` otherwise."""
+    return type(c) is (int if c.denominator == 1 else Fraction)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from logforms.logarithmic import (
 )
 from logforms.module import INFINITE, FreeElement, ModulePresentation
 from logforms.order import MonomialOrder, StabilizationError
-from logforms.poly import Poly, _integer_terms, parse_poly, quasihomogeneous_weights
+from logforms.poly import Poly, parse_poly, quasihomogeneous_weights
 
 from conftest import (certified, compose, generic_arrangements, monomials_of_weight,
                       normal_crossing_basis, submodules_equal)
@@ -113,7 +113,7 @@ def test_pulled_back_matrix_composes_the_nonzero_entries(four_planes_afd, lips_d
         assert calls[0][0] == nonzero
         pullback_relations_by_degree(e_basis, comps, n, (n,))
         assert len(tables) == 1
-        assert tables[0][0] == [[_integer_terms(col.entries[c]) for col in cols]
+        assert tables[0][0] == [[col.entries[c].terms for col in cols]
                                 for c in range(m)]
         names = [f"x{v}" for v in range(n)]
         kev_normal_space(DeformationSetup(e_basis, InducingMap(names, e_basis.divisor.names,

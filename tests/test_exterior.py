@@ -3,7 +3,7 @@
 from fractions import Fraction
 from itertools import permutations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logforms import exterior
@@ -112,6 +112,77 @@ def test_zero_support_rule_matches_leibniz(case):
     minor = minor_table(matrix, NV)
     for r, c in [(rows, cols), (tuple(sorted(rows)), tuple(sorted(cols))), (rows[::-1], cols)]:
         assert minor(r, c) == leibniz_det([[matrix[i][j] for j in c] for i in r])
+
+
+def _leibniz_terms(matrix: list, rows: tuple, cols: tuple) -> dict:
+    """The determinant of matrix[rows][cols], a matrix of term dicts, as a
+    term dict of `Fraction`s: the signed sum over permutations of schoolbook
+    products, written out here so that it shares no code with the table."""
+    k = len(rows)
+    out: dict = {}
+    for perm in permutations(range(k)):
+        sign = (-1) ** sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
+        product = {(0,) * NV: Fraction(sign)}
+        for i, j in enumerate(perm):
+            step: dict = {}
+            for e1, c1 in product.items():
+                for e2, c2 in matrix[rows[i]][cols[j]].items():
+                    e = tuple(x + y for x, y in zip(e1, e2))
+                    step[e] = step.get(e, 0) + c1 * c2
+            product = step
+        for e, c in product.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def sparse_term_matrices(draw):
+    """A matrix of term dicts of up to 5 x 5, a quarter to three quarters of
+    its entries nonzero, some rows and columns zero throughout, diagonal one
+    time in four, with int or rational coefficients; and a few minors of it,
+    each k distinct rows and columns in a drawn order, k mostly the least
+    side."""
+    nrows, ncols = (draw(st.sampled_from((5, 4, 3, 2, 1))) for _ in range(2))
+    zero_rows = draw(st.sets(st.integers(0, nrows - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+    diagonal = draw(st.integers(0, 3)) == 0
+    fill = draw(st.integers(1, 3))  # of four entries, how many are nonzero
+    denominators = (1,) if draw(st.booleans()) else (1, 2, 3)
+    matrix = []
+    for i in range(nrows):
+        row = []
+        for j in range(ncols):
+            terms = {}
+            if (i not in zero_rows and j not in zero_cols and (i == j or not diagonal)
+                    and draw(st.integers(0, 3)) < fill):
+                for _ in range(draw(st.integers(1, 2))):
+                    e = tuple(draw(st.integers(0, 2)) for _ in range(NV))
+                    terms[e] = Fraction(draw(st.integers(-3, 3)),
+                                        draw(st.sampled_from(denominators)))
+            row.append(Poly(NV, terms).terms)
+        matrix.append(row)
+    minors = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = max(0, min(nrows, ncols) - draw(st.sampled_from((0, 0, 1, 2, 3))))
+        minors.append((tuple(draw(st.permutations(range(nrows)))[:k]),
+                       tuple(draw(st.permutations(range(ncols)))[:k])))
+    return matrix, minors
+
+
+@given(sparse_term_matrices())
+@example(([[{(0, 0): 1}, {(1, 0): 2}, {}], [{(0, 1): 3}, {}, {(0, 0): 4}],
+           [{(0, 0): 5}, {}, {(2, 0): Fraction(1, 2)}]], [((0, 1, 2), (0, 1, 2))]))
+@settings(max_examples=200, deadline=None)
+def test_sparsest_line_expansion_matches_leibniz(case):
+    """`_minor_terms`, whichever line it expands along, gives the Leibniz
+    determinant of every minor asked of one table, in the drawn order of its
+    rows and columns and reversed.  The example's sparsest line is its
+    middle column."""
+    matrix, minors = case
+    minor = exterior._minor_terms(matrix, NV)
+    for rows, cols in minors:
+        for r, c in [(rows, cols), (rows[::-1], cols), (rows, cols[::-1])]:
+            assert minor(r, c) == _leibniz_terms(matrix, r, c)
 
 
 def test_diagonal_minor_table_expands_only_principal_minors(monkeypatch):

@@ -30,7 +30,7 @@ from logforms.module import INFINITE, FreeElement, Grading, ModulePresentation, 
 from logforms.order import FIELD_MAX, MonomialOrder
 from logforms.poly import Poly, parse_poly
 
-from conftest import mono_key, monomials_of_weight, submodules_equal, term_key
+from conftest import canonical, mono_key, monomials_of_weight, submodules_equal, term_key
 
 N2 = ["x", "y"]
 N3 = ["x", "y", "z"]
@@ -296,8 +296,8 @@ def test_gb_spolynomials_reduce_to_zero():
             if ti[0] != tj[0]:
                 continue
             L = mono_lcm(ti[1], tj[1])
-            a = gb[i].scale(Poly.monomial(2, mono_div(L, ti[1]), 1 / vi[ti]))
-            b = gb[j].scale(Poly.monomial(2, mono_div(L, tj[1]), 1 / vj[tj]))
+            a = gb[i].scale(Poly.monomial(2, mono_div(L, ti[1]), Fraction(1, vi[ti])))
+            b = gb[j].scale(Poly.monomial(2, mono_div(L, tj[1]), Fraction(1, vj[tj])))
             s = a - b
             assert normal_form(s, gb, ORD).is_zero()
 
@@ -445,7 +445,7 @@ def _naive_normal_form(f, basis, order):
             rem[t] = work.pop(t)
             continue
         lt, v = hit
-        shift, factor = mono_div(t[1], lt[1]), work[t] / v[lt]
+        shift, factor = mono_div(t[1], lt[1]), Fraction(work[t], v[lt])
         for (c, e), a in v.items():
             u = (c, mono_mul(e, shift))
             work[u] = work.get(u, 0) - factor * a
@@ -609,9 +609,9 @@ def _coefficients(x):
 
 @given(_division_inputs())
 @settings(max_examples=60, deadline=None)
-def test_kernel_results_are_fractions(inputs):
-    """Values leave the integer kernel as exact rationals, never as ints or
-    floats."""
+def test_kernel_results_are_canonical_rationals(inputs):
+    """Values leave the integer kernel as canonical exact rationals: an int
+    when integral, a `Fraction` otherwise, never a float."""
     gens, f, order = inputs
     gb = groebner_basis(gens, order)
     qt = QuotientTable(ModulePresentation(f.rank, gens, nvars=f.nvars), order)
@@ -620,7 +620,7 @@ def test_kernel_results_are_fractions(inputs):
     results = [gb, normal_form(f, gb, order), qt.reduce(f.vec()), syzygy_module(gens, order),
                lifted, normal_form_with_cofactors(f, gens, order)[1]]
     for c in _coefficients(results):
-        assert type(c) is Fraction
+        assert canonical(c)
 
 
 @st.composite
@@ -731,7 +731,7 @@ def _ideals(draw):
 
 def _monic(terms: dict, order: MonomialOrder) -> frozenset:
     lc = terms[max(terms, key=partial(mono_key, order))]
-    return frozenset((e, c / lc) for e, c in terms.items())
+    return frozenset((e, Fraction(c, lc)) for e, c in terms.items())
 
 
 @given(_ideals())

@@ -22,7 +22,7 @@ from logforms.poly import (
     quasihomogeneous_weights,
 )
 
-from conftest import compose
+from conftest import canonical, compose
 
 NAMES = ["x", "y", "z"]
 
@@ -379,11 +379,36 @@ def test_product_matches_the_fraction_product(a, b, e):
     and for powers (by repeated squaring, so through the same product)."""
     ab = a * b
     assert ab.terms == _fraction_product(a, b)
-    assert all(type(c) is Fraction for c in ab.terms.values())
+    assert all(map(canonical, ab.terms.values()))
     power = Poly.constant(3, 1)
     for _ in range(e):
         power = Poly(3, _fraction_product(power, a))
     assert (a ** e).terms == power.terms
+
+
+@given(small_polys(), small_polys(), st.integers(0, 3), st.integers(-4, 4))
+@settings(max_examples=100, deadline=None)
+def test_every_operation_leaves_canonical_coefficients(a, b, e, k):
+    """Every coefficient that a `Poly` operation leaves is an int when it is
+    integral and a `Fraction` otherwise, including sums of `Fraction`s that
+    come out integral: c completes each coefficient of a to the int k."""
+    c = Poly(3, {t: k - v for t, v in a.terms.items()})
+    results = [a + b, a - b, -a, a * b, a ** e, a + c, b - -c, a.scale(Fraction(2, 3)),
+               a.scale(6), a.scale(k), a.primitive()[0], a.set_vars_zero([0]),
+               parse_poly(a.format(NAMES), NAMES), *(a.derivative(i) for i in range(3))]
+    if not b.is_zero():
+        results += [poly_exact_div(a * b, b), poly_exact_div(b * b, b)]
+    for r in results:
+        assert all(map(canonical, r.terms.values()))
+    assert (a + c).terms == {t: k for t in a.terms if k}
+
+
+def test_parsed_rational_literals_are_canonical():
+    """a/b literals are reduced, and an integral one is an int."""
+    p = P("x/2 + x/2 + 4/2*y - 3/6*z + 6/4")
+    assert p.terms == {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): Fraction(-1, 2),
+                       (0, 0, 0): Fraction(3, 2)}
+    assert all(map(canonical, p.terms.values()))
 
 
 @given(small_polys())
@@ -412,9 +437,10 @@ def _from_sympy(sympy, syms, expr) -> dict:
 @settings(max_examples=80, deadline=None)
 def test_term_dict_arithmetic_matches_sympy(sympy, a, b, c):
     """+, -, *, derivatives, a vector field applied and exact division agree
-    with sympy's arithmetic, and every coefficient they leave is a
-    `Fraction`.  f = a*b + c is a multiple of b exactly when sympy's division
-    by the one polynomial b (a Groebner basis of (b)) leaves no remainder."""
+    with sympy's arithmetic, and every coefficient they leave is canonical:
+    an int when integral, a `Fraction` otherwise.  f = a*b + c is a multiple
+    of b exactly when sympy's division by the one polynomial b (a Groebner
+    basis of (b)) leaves no remainder."""
     syms = sympy.symbols("x0:3")
     A, B, C = (_to_sympy(sympy, syms, p) for p in (a, b, c))
     field = FreeElement([a, b, c])
@@ -432,4 +458,4 @@ def test_term_dict_arithmetic_matches_sympy(sympy, a, b, c):
         pairs.append((poly_exact_div(a * b, b), A))
     for ours, theirs in pairs:
         assert ours.terms == _from_sympy(sympy, syms, sympy.expand(theirs))
-        assert all(type(x) is Fraction for x in ours.terms.values())
+        assert all(map(canonical, ours.terms.values()))
