@@ -5,15 +5,12 @@ from .forms import (
     GradedDimensionTable,
     forms_free,
     forms_pullback,
-    forms_relative,
     pd_check,
     torsion_length,
 )
 from .groebner import (
     StabilizationError,
     groebner_basis,
-    minimal_generators,
-    normal_form,
     quotient_dimension,
     syzygy_module,
 )
@@ -30,7 +27,7 @@ from .logarithmic import (
 )
 from .module import INFINITE, FreeElement, Grading, ModulePresentation
 from .order import MonomialOrder
-from .poly import ParseError, Poly, parse_poly, poly_gcd, quasihomogeneous_weights
+from .poly import ParseError, Poly, parse_poly, quasihomogeneous_weights
 
 __all__ = [
     "CheckedFormsModule",
@@ -51,15 +48,11 @@ __all__ = [
     "euler_field",
     "forms_free",
     "forms_pullback",
-    "forms_relative",
     "groebner_basis",
     "is_free",
     "log_form_generators",
-    "minimal_generators",
-    "normal_form",
     "parse_poly",
     "pd_check",
-    "poly_gcd",
     "quasihomogeneous_weights",
     "quotient_dimension",
     "saito_check",

@@ -149,15 +149,15 @@ def _record(verdicts: dict, numbers, certified: bool = True,
             "flags": {"certified": "CERTIFIED" if proven else "UNCERTIFIED-LOCAL"}}
 
 
-def _routes_record(prefix: str, routes: dict, agreement: Optional[bool], certified: bool,
-                   verdicts: dict, **parts) -> dict:
+def _routes_record(prefix: str, routes: dict, agreement: Optional[bool], verdicts: dict,
+                   **parts) -> dict:
     """The record of one number computed by several routes: `routes` maps each
     route that ran to (value, proven), reported as `prefix`_route.  An
     `agreement` of None (one route) adds no `routes_agree` verdict."""
     if agreement is not None:
         verdicts["routes_agree"] = parts["agreement"] = agreement
     numbers = [(f"{prefix}_{name}", v, name, ok) for name, (v, ok) in sorted(routes.items())]
-    return _record(verdicts, numbers, certified, routes=sorted(routes), **parts)
+    return _record(verdicts, numbers, routes=sorted(routes), **parts)
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +291,25 @@ def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
     and the map, the alternating and good-equation routes the total-space
     divisor with parameters.  A route whose inputs or computation fail
     reports its error beside the routes that answer."""
-    computations = {}
+    computations = {}  # route -> a function giving (value, proven)
     if "target-divisor" in job.polys and "map" in job.polys:
-        computations["derham"] = lambda: mu_e_derham(
-            DeformationSetup(_target_basis(job), _inducing_map(job), weights=job.weights))
+        # proven: the route raises without a positive weight system
+        computations["derham"] = lambda: (mu_e_derham(
+            DeformationSetup(_target_basis(job), _inducing_map(job), weights=job.weights)), True)
     if "divisor" in job.polys and job.params:
         divisor = cache(partial(_divisor_from_job, job))  # built once, inside each route
         params = job.param_indices()
-        computations["alternating"] = lambda: mu_e_alternating(_free_basis(divisor()), params)
-        computations["good_equation"] = lambda: mu_e_good_equation(
-            d := divisor(), params, good_equation_witness(d.h, d.weights))
+        # proven when the divisor has weights (given or detected), as in t1-log
+        computations["alternating"] = lambda: (
+            mu_e_alternating(_free_basis(divisor()), params), divisor().weights is not None)
+        computations["good_equation"] = lambda: (mu_e_good_equation(
+            d := divisor(), params, good_equation_witness(d.h, d.weights)), d.weights is not None)
     routes = {}  # route -> (value, proven)
     errors = {}
     ran_out = False  # a route failed because its bound ran out
     for name, compute in computations.items():
         try:
-            routes[name] = compute(), True
+            routes[name] = compute()
         except (*PRECONDITION_ERRORS, StabilizationError) as exc:
             errors[name] = str(exc)
             ran_out |= isinstance(exc, StabilizationError)
@@ -317,8 +320,7 @@ def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
             "mu-e could not run any route"
             + (f" ({detail})" if detail else "; it needs family or map data"))
     agreement = len({v for v, _ in routes.values()}) == 1
-    rec = _routes_record("mu_e", routes, agreement,
-                         job.weights is not None or job.target_weights is not None, {})
+    rec = _routes_record("mu_e", routes, agreement, {})
     if errors:
         rec["verdicts"]["route_errors"] = errors  # text output lists it after routes_agree
     return rec
@@ -340,7 +342,7 @@ def _cmd_ae_codim(job: JobSpec, opts: dict) -> dict:
         damon = ae_codim_damon(df_basis, incl, weights=job.target_weights)
         routes["damon"] = damon, True
         agreement = direct == damon
-    return _routes_record("ae_codim", routes, agreement, True, {"finite": direct != INFINITE},
+    return _routes_record("ae_codim", routes, agreement, {"finite": direct != INFINITE},
                           certificates=certificates)
 
 

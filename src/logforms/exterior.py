@@ -289,9 +289,3 @@ def wedge_unit(n: int, k: int, a: FreeElement, M: tuple) -> FreeElement:
         if sign is not None:
             entries[idx[merged]] = c if sign > 0 else -c
     return FreeElement(entries)
-
-
-def monomial_form(n: int, k: int, nvars: int, I: tuple, coeff: Poly) -> FreeElement:
-    entries = [Poly.zero(nvars) for _ in range(form_rank(n, k))]
-    entries[form_index(n, k)[I]] = coeff
-    return FreeElement(entries)

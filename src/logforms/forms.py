@@ -2,11 +2,13 @@
 
 The degree-k module is presented as the quotient of the free module of
 polynomial k-forms by a relation submodule: the logarithmic-form generators
-for a free divisor, the pulled-back exterior ideal for an almost free one
-(minors of A = [S o F | dF], `pulled_back_matrix`, whose cokernel is the KEV
-normal space), and additionally the parameter differentials in the relative
-case.  The exactness of the complex is proved by the Euler-field homotopy
-(`de_rham_report_sliced`); its graded slices serve `cokernel_slice_dims`.
+for a free divisor (`forms_free`), the pulled-back exterior ideal for an
+almost free one (`forms_pullback`: minors of A = [S o F | dF],
+`pulled_back_matrix`, whose cokernel is the KEV normal space).  Its torsion
+length is the dimension of the saturation by the maximal ideal over the
+relations (`torsion_length`).  The exactness of the complex is proved by the
+Euler-field homotopy (`de_rham_report_sliced`); its graded slices serve
+`cokernel_slice_dims`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .exterior import (
     d_packed,
     form_basis,
     form_rank,
-    monomial_form,
     pullback,
     wedge_unit,
 )
@@ -32,14 +33,13 @@ from .groebner import (
     _finite,
     _staircase,
     groebner_basis,
-    is_member,
     saturate,
     syzygy_module,
 )
-from .logarithmic import LogBasis, apply_field, log_form_generators
+from .logarithmic import LogBasis, log_form_generators
 from .module import INFINITE, FreeElement, Grading, ModuleError, ModulePresentation
 from .order import MonomialOrder
-from .poly import Poly, PolyError, poly_exact_div
+from .poly import Poly
 
 
 class FormsError(ValueError):
@@ -248,31 +248,6 @@ def forms_pullback_degrees(e_basis: LogBasis, components: Sequence[Poly],
             for k in ks]
 
 
-def forms_relative(e_basis: LogBasis, components: Sequence[Poly], source_names: Sequence[str],
-                   param_indices: Sequence[int], k: int,
-                   weights: Optional[Sequence[int]] = None) -> CheckedFormsModule:
-    """Relative forms of a family: pulled-back ideal plus parameter differentials."""
-    n = len(source_names)
-    h0, gens = pullback_relations_by_degree(e_basis, components, n, (k,))
-    gens = gens[k] + _parameter_differentials(n, k, components[0].nvars, param_indices)
-    return CheckedFormsModule(source_names, n, k, gens, h0, weights=weights, kind="relative")
-
-
-def forms_free_relative(basis: LogBasis, param_indices: Sequence[int], k: int) -> CheckedFormsModule:
-    """Relative forms when the total space itself carries a free-divisor certificate."""
-    d = basis.divisor
-    n = d.nvars
-    gens = log_form_generators(basis, k) + _parameter_differentials(n, k, d.h.nvars, param_indices)
-    return CheckedFormsModule(d.names, n, k, gens, d.h, weights=d.weights, kind="relative")
-
-
-def _parameter_differentials(n: int, k: int, nv: int, param_indices: Sequence[int]) -> list:
-    """The basis k-forms dx_I that contain the differential of a parameter."""
-    params = set(param_indices)
-    return [monomial_form(n, k, nv, I, Poly.constant(nv, 1))
-            for I in form_basis(n, k) if set(I) & params]
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -281,17 +256,6 @@ def pd_check(m: CheckedFormsModule) -> bool:
     """True when the relation generators form a free basis of the relation module."""
     syz = syzygy_module(m.relations, m.order())
     return all(s.is_zero() for s in syz)
-
-
-def contract_class(m: CheckedFormsModule, chi: FreeElement, form: FreeElement) -> FreeElement:
-    """Interior product on classes; chi must be tangent to the divisor."""
-    val = apply_field(chi, m.h)
-    if not val.is_zero():
-        try:
-            poly_exact_div(val, m.h)
-        except PolyError:
-            raise FormsError("contraction field is not logarithmic for the divisor")
-    return contract(m.n, m.k, chi, form)
 
 
 def contraction_well_defined(m: CheckedFormsModule, lower: CheckedFormsModule,
@@ -358,9 +322,22 @@ def _linear_form(weights: Sequence[int]) -> Poly:
                                for i, p in enumerate(primes)})
 
 
-def _torsion(m: CheckedFormsModule) -> tuple:
-    """(reduced basis of the saturation M : m^inf of the relation module M,
-    dim of it over M); see `torsion_saturation`."""
+def torsion_length(m: CheckedFormsModule):
+    """C-dimension of the elements killed by a power of the maximal ideal:
+    dim S/M for the saturation S = M : m^inf of the relation module M,
+    m = (x_1, ..., x_n), read off the lead terms of the reduced bases of S
+    and M (`subquotient_dimension`).
+
+    For a graded module S is first computed as M : l^inf, by the colon
+    chain of the one linear form l of `_linear_form`.  l lies in m, so
+    M : m^inf lies in S.  If dim S/M is finite, then S/M is a graded module
+    (l is homogeneous and M graded) of finite dimension, and under positive
+    weights m raises degrees, so a power of m kills S/M and S lies in
+    M : m^inf; hence S = M : m^inf.  When dim S/M is infinite (l vanishes
+    on a component of the support, as when it is one of the planes), or the
+    module is ungraded, the colon chain of the maximal ideal itself gives
+    the saturation.  Both chains start from the one basis of M, which both
+    counts read."""
     order = m.order()
     nv = m.nvars
     g = m.grading()
@@ -369,39 +346,10 @@ def _torsion(m: CheckedFormsModule) -> tuple:
         sat = saturate(gb, m.rank, [_linear_form(g.weights)], order)
         length = subquotient_dimension(sat, gb, order, nv)
         if length != INFINITE:
-            return sat, length
+            return length
     variables = [Poly.variable(nv, i) for i in range(nv)]
     sat = saturate(gb, m.rank, variables, order)
-    return sat, subquotient_dimension(sat, gb, order, nv)
-
-
-def torsion_length(m: CheckedFormsModule):
-    """C-dimension of the elements killed by a power of the maximal ideal."""
-    return _torsion(m)[1]
-
-
-def torsion_saturation(m: CheckedFormsModule) -> list:
-    """The reduced basis of the saturation M : m^inf of the relation module
-    M, m = (x_1, ..., x_n): the forms that a power of m sends into M.
-
-    For a graded module it is first computed as S = M : l^inf, by the colon
-    chain of the one linear form l of `_linear_form`, and certified by the
-    dimension of S/M that `torsion_length` reports anyway, read off the lead
-    terms of the reduced bases of S and M (`subquotient_dimension`).  The
-    certificate: l lies in m, so M : m^inf lies in S.  If dim S/M is finite,
-    then S/M is a graded module (l is homogeneous and M graded) of finite
-    dimension, and under positive weights m raises degrees, so a power of m
-    kills S/M and S lies in M : m^inf; hence S = M : m^inf.  When dim S/M is
-    infinite (l vanishes on a component of the support, as when it is one of
-    the planes), or the module is ungraded, the colon chain of the maximal
-    ideal itself gives the saturation.  Both chains start from the one basis
-    of M, which both counts read.
-    """
-    return _torsion(m)[0]
-
-
-def class_is_torsion(m: CheckedFormsModule, form: FreeElement) -> bool:
-    return is_member(form, torsion_saturation(m), m.order())
+    return subquotient_dimension(sat, gb, order, nv)
 
 
 # ---------------------------------------------------------------------------

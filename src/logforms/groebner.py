@@ -27,7 +27,7 @@ from itertools import islice
 from math import gcd as int_gcd
 from typing import Optional, Sequence
 
-from .module import INFINITE, FreeElement, Grading, ModulePresentation, ModuleError
+from .module import INFINITE, FreeElement, ModulePresentation, ModuleError
 from .order import (FIELD_MAX, MonomialOrder, StabilizationError, TermLayout, field_overflow,
                     mono_lcm)
 from .poly import Poly, _integral, _normalize, _rational
@@ -555,14 +555,19 @@ def colon_ideal(relations: Sequence[FreeElement], rank: int, ideal_gens: Sequenc
     return kernel_of_map(columns, blocks, order)
 
 
+# The colon steps `saturate` takes before it raises `StabilizationError`.
+SATURATION_STEPS = 30
+
+
 def saturate(relations: Sequence[FreeElement], rank: int, ideal_gens: Sequence[Poly],
-             order: Optional[MonomialOrder] = None, max_steps: int = 30) -> list:
-    """Stabilised union of iterated colons N : I, N : I^2, ... by the ideal.
-    The chain starts from the relations as given; passing their reduced
-    Groebner basis under order saves one colon step."""
+             order: Optional[MonomialOrder] = None) -> list:
+    """Stabilised union of iterated colons N : I, N : I^2, ... by the ideal,
+    within `SATURATION_STEPS` colon steps.  The chain starts from the
+    relations as given; passing their reduced Groebner basis under order
+    saves one colon step."""
     order = (order or MonomialOrder()).with_nvars(ideal_gens[0].nvars)
     current = list(relations)
-    for _ in range(max_steps):
+    for _ in range(SATURATION_STEPS):
         # N lies in N : I, and every step returns a reduced (canonical)
         # basis, so the chain is stable exactly when a step returns its input.
         bigger = colon_ideal(current, rank, ideal_gens, order)
@@ -821,20 +826,3 @@ def minimal_generator_indices(gens: Sequence[FreeElement],
             chosen.append(i)
     chosen.sort()
     return chosen
-
-
-def minimal_generators(gens: Sequence[FreeElement], grading: Grading,
-                       order: Optional[MonomialOrder] = None) -> list:
-    """Minimal generating subset of a graded submodule (all gens homogeneous)."""
-    _check_family(gens)
-    degrees = []
-    for g in gens:
-        degs = g.weighted_degree(grading.weights, grading.shifts)
-        if degs is None:
-            continue
-        if len(degs) != 1:
-            raise ModuleError("minimal_generators requires homogeneous generators")
-        degrees.append(min(degs))
-    nonzero = [g for g in gens if not g.is_zero()]
-    idx = minimal_generator_indices(nonzero, order, degrees)
-    return [nonzero[i] for i in idx]

@@ -1,5 +1,6 @@
 """Shared corpus: the divisors, families and maps exercised across the suite."""
 
+import ast
 import importlib
 import os
 import sys
@@ -14,18 +15,53 @@ from hypothesis import strategies as st
 
 from logforms import groebner
 from logforms.deformation import DeformationSetup, InducingMap
-from logforms.exterior import form_basis, form_rank, wedge
-from logforms.groebner import LinSpace, groebner_basis, submodule_contains
+from logforms.exterior import form_basis, form_index, form_rank, wedge
+from logforms.forms import CheckedFormsModule, subquotient_dimension
+from logforms.groebner import LinSpace, groebner_basis, saturate, submodule_contains
 from logforms.logarithmic import Divisor, FreenessVerdict, is_free, saito_check
 from logforms.module import FreeElement
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, parse_poly
 
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+PACKAGE = ROOT / "src" / "logforms"
+
 # The CLI processes that tests start import the package from src, as the
 # tests themselves do (`pythonpath` in pyproject.toml).
 os.environ["PYTHONPATH"] = os.pathsep.join(
-    [str(Path(__file__).resolve().parent.parent / "src")]
-    + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+
+
+# ---------------------------------------------------------------------------
+# what the benchmark reads of the package
+
+
+def trace_targets() -> dict:
+    """`TARGETS` of `bench/spans.py`: module name -> the names its trace wraps."""
+    tree = ast.parse((BENCH / "spans.py").read_text(encoding="utf-8"))
+    return next(ast.literal_eval(s.value) for s in tree.body if isinstance(s, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in s.targets))
+
+
+def bench_reads() -> set:
+    """(module, name) for every `logforms` name that `bench/*.py` imports with
+    `from ... import`, or reads as an attribute of a `logforms` module that it
+    imported so; a module imported from the package is ("logforms", its name)."""
+    out = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local name -> the `logforms` module it binds
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "logforms":
+                for alias in node.names:
+                    out.add((node.module, alias.name))
+                    if node.module == "logforms" and (PACKAGE / f"{alias.name}.py").is_file():
+                        modules[alias.asname or alias.name] = f"logforms.{alias.name}"
+        out |= {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id in modules}
+    return out
 
 
 def _rebind(monkeypatch, original, replacement):
@@ -131,6 +167,33 @@ def compose(p: Poly, args) -> Poly:
             term = term * a ** k
         out = out + term
     return out
+
+
+def monomial_form(n: int, k: int, nvars: int, I: tuple, coeff: Poly) -> FreeElement:
+    """The k-form coeff dx_I on n variables."""
+    entries = [Poly.zero(nvars) for _ in range(form_rank(n, k))]
+    entries[form_index(n, k)[I]] = coeff
+    return FreeElement(entries)
+
+
+def relative_forms(names, k: int, relations, h: Poly, params, weights) -> CheckedFormsModule:
+    """Degree-k relative forms of a family: the given relations (from
+    `pullback_relations_by_degree` or `log_form_generators`) plus the basis
+    k-forms dx_I that contain the differential of a parameter."""
+    n, nv = len(names), h.nvars
+    units = [monomial_form(n, k, nv, I, Poly.constant(nv, 1))
+             for I in form_basis(n, k) if set(I) & set(params)]
+    return CheckedFormsModule(names, n, k, list(relations) + units, h, weights=weights,
+                              kind="relative")
+
+
+def maximal_ideal_chain(m: CheckedFormsModule) -> tuple:
+    """(the saturation M : m^inf of the relation module M by the colon chain
+    of (x_1, ..., x_n), its dimension over M)."""
+    order = m.order()
+    variables = [Poly.variable(m.nvars, i) for i in range(m.nvars)]
+    sat = saturate(m.relations, m.rank, variables, order)
+    return sat, subquotient_dimension(sat, groebner_basis(m.relations, order), order, m.nvars)
 
 
 def wedge_chain_pullback(k: int, target_n: int, form: FreeElement, components: list,

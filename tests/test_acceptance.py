@@ -25,10 +25,8 @@ from logforms.deformation import (
     mu_e_good_equation,
     t1_log,
 )
-from logforms.exterior import form_basis, monomial_form, wedge
+from logforms.exterior import contract, form_basis, wedge
 from logforms.forms import (
-    class_is_torsion,
-    contract_class,
     de_rham_report_sliced,
     forms_free,
     forms_pullback,
@@ -48,7 +46,7 @@ from logforms.module import FreeElement
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, parse_poly
 
-from conftest import submodules_equal
+from conftest import maximal_ideal_chain, monomial_form, submodules_equal
 
 ORD = MonomialOrder()
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
@@ -248,12 +246,11 @@ def test_criterion_10_torsion_class(four_planes_afd):
     setup = four_planes_afd
     args = (setup.e_basis, setup.map.components, setup.map.source_names)
     m2 = forms_pullback(*args, 2, weights=setup.weights)
-    m3 = forms_pullback(*args, 3, weights=setup.weights)
     ok = torsion_length(m2) == 1
     chi = euler_field((1, 1, 1), 3)
     vol = monomial_form(3, 3, 3, (0, 1, 2), Poly.constant(3, 1))
-    cls = contract_class(m3, chi, vol)
-    ok = ok and not m2.class_is_zero(cls) and class_is_torsion(m2, cls)
+    cls = contract(3, 3, chi, vol)
+    ok = ok and not m2.class_is_zero(cls) and is_member(cls, maximal_ideal_chain(m2)[0], m2.order())
     _report(10, ok, "codim-1 AFD: torsion length 1 and the radial contraction "
                     "of the volume form is a nonzero torsion class")
 

@@ -1,17 +1,13 @@
-"""The per-layer trace of the benchmark wraps `logforms` names by string."""
+"""The benchmark reads `logforms` names: its trace wraps them by string, and
+its cases import them or read them off a module."""
 
 import importlib
-import importlib.util
-from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+from conftest import bench_reads, trace_targets
 
 
 def test_every_trace_target_resolves():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    for mod_name, targets in spans.TARGETS.items():
+    for mod_name, targets in trace_targets().items():
         mod = importlib.import_module(f"logforms.{mod_name}")
         for target in targets:
             owner, _, method = target.partition(".")
@@ -19,3 +15,15 @@ def test_every_trace_target_resolves():
             assert callable(obj), f"logforms.{mod_name}.{owner} is missing"
             if method:
                 assert method in vars(obj), f"{target} is not defined on the class itself"
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    """`from module import name` would succeed for each name `bench/*.py`
+    imports or reads off a `logforms` module (a submodule counts)."""
+    reads = bench_reads()
+    assert {("logforms.deformation", "DeformationSetup"), ("logforms.forms", "forms_pullback"),
+            ("logforms.logarithmic", "is_free"), ("logforms", "cli"),
+            ("logforms.cli", "main")} <= reads
+    missing = [f"{module}.{name}" for module, name in sorted(reads)
+               if not hasattr(__import__(module, fromlist=[name]), name)]
+    assert not missing, f"names the benchmark reads that do not resolve: {missing}"

@@ -642,7 +642,8 @@ def test_de_rham_without_a_weight_system_exits_3(tmp_path, capsys):
 def test_mu_e_without_weights_answers_by_the_family_routes():
     """The four planes family with no weights statement: the de Rham route,
     which needs a positive weight system, reports why it did not run, and
-    the alternating and good-equation routes answer."""
+    the alternating and good-equation routes answer, certified by the
+    weights detected for the divisor."""
     job = parse_job('ring { x1, x2, x3, s };\nparams { s };\n'
                     'divisor "x1*x2*x3*(x1+x2+x3-s)";\ntarget-ring { w1, w2, w3, w4 };\n'
                     'target-divisor "w1*w2*w3*w4";\nmap ( "x1", "x2", "x3", "x1+x2+x3-s" );\n'
@@ -652,4 +653,17 @@ def test_mu_e_without_weights_answers_by_the_family_routes():
     assert record["verdicts"] == {"routes_agree": True,
                                   "route_errors": {"derham": "no positive weight system"}}
     assert [record["dimensions"][f"mu_e_{r}"]["value"] for r in record["routes"]] == [1, 1]
+    assert record["flags"]["certified"] == "CERTIFIED"
+
+
+def test_mu_e_target_weights_do_not_certify_the_family_routes():
+    """x*y*(x+y^2+y^3-s) has no weights, given or detected, so its family
+    routes are not proven; weights stated for an unrelated target, which no
+    route of this job reads, do not change that."""
+    job = parse_job('ring { x, y, s };\nparams { s };\ndivisor "x*y*(x+y^2+y^3-s)";\n'
+                    'target-ring { w1, w2 };\ntarget-weights ( 1, 1 );\n'
+                    'target-divisor "w1*w2";\ncommand mu-e;\n')
+    record = run_job(job)
+    assert record["routes"] == ["alternating", "good_equation"]
+    assert [record["dimensions"][f"mu_e_{r}"]["value"] for r in record["routes"]] == [3, 3]
     assert record["flags"]["certified"] == "UNCERTIFIED-LOCAL"

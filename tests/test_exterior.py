@@ -14,7 +14,6 @@ from logforms.exterior import (
     form_basis,
     form_rank,
     minor_table,
-    monomial_form,
     pullback,
     wedge,
     wedge_unit,
@@ -24,7 +23,7 @@ from logforms.module import FreeElement
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, _add_product
 
-from conftest import compose, wedge_chain_pullback
+from conftest import compose, monomial_form, wedge_chain_pullback
 
 NV = 2
 

@@ -10,28 +10,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logforms import cli, groebner
-from logforms.exterior import d_term, form_basis, monomial_form, wedge
+from logforms.exterior import contract, d_term, form_basis, wedge
 from logforms.forms import (
     CheckedFormsModule,
     FormsError,
     GradedSlices,
     _linear_form,
-    class_is_torsion,
     cokernel_slice_dims,
-    contract_class,
     contraction_well_defined,
     de_rham_report_sliced,
     forms_free,
-    forms_free_relative,
     forms_pullback,
     forms_pullback_degrees,
-    forms_relative,
     pd_check,
     pullback_relations_by_degree,
     pulled_back_matrix,
     subquotient_dimension,
     torsion_length,
-    torsion_saturation,
 )
 from logforms.groebner import (
     LinSpace,
@@ -54,8 +49,11 @@ from conftest import (
     compose,
     generic_arrangements,
     independent,
+    maximal_ideal_chain,
+    monomial_form,
     monomials_of_weight,
     normal_crossing_basis,
+    relative_forms,
     submodules_equal,
     wedge_chain_pullback,
 )
@@ -95,22 +93,10 @@ def test_pd_check_free_cases(nc3, calderon):
 
 
 def test_contract_coordinate_example():
-    names = ["x", "y"]
-    d = Divisor(names, parse_poly("x*y", names), weights=(1, 1))
-    basis = is_free(d).basis
-    m2 = forms_free(basis, 2)
-    chi = FreeElement([Poly.variable(2, 0), Poly.zero(2)])  # x d/dx
+    """i_(x d/dx) (dx ^ dy) = x dy."""
+    chi = FreeElement([Poly.variable(2, 0), Poly.zero(2)])
     form = monomial_form(2, 2, 2, (0, 1), Poly.constant(2, 1))
-    res = contract_class(m2, chi, form)
-    assert res == monomial_form(2, 1, 2, (1,), Poly.variable(2, 0))
-
-
-def test_contract_rejects_non_logarithmic_field(nc2):
-    d, basis = nc2
-    m1 = forms_free(basis, 1)
-    bad = FreeElement([Poly.constant(2, 1), Poly.zero(2)])
-    with pytest.raises(FormsError):
-        contract_class(m1, bad, monomial_form(2, 1, 2, (0,), Poly.constant(2, 1)))
+    assert contract(2, 2, chi, form) == monomial_form(2, 1, 2, (1,), Poly.variable(2, 0))
 
 
 def test_contraction_preserves_relations(nc3, four_planes_afd):
@@ -143,11 +129,9 @@ def test_torsion_of_codim_one_afd(four_planes_afd):
     # the radial contraction of the volume form is a nonzero torsion class
     chi = euler_field((1, 1, 1), 3)
     vol = monomial_form(3, 3, 3, (0, 1, 2), Poly.constant(3, 1))
-    m3 = forms_pullback(setup.e_basis, setup.map.components, setup.map.source_names, 3,
-                        weights=setup.weights)
-    cls = contract_class(m3, chi, vol)
+    cls = contract(3, 3, chi, vol)
     assert not m2.class_is_zero(cls)
-    assert class_is_torsion(m2, cls)
+    assert is_member(cls, maximal_ideal_chain(m2)[0], m2.order())
 
 
 def test_torsion_matches_lips_codimension(lips_afd):
@@ -436,14 +420,6 @@ def _pulled_back_planes(rows, k):
     return forms_pullback(_normal_crossing_basis(len(rows)), comps, names, k, weights=(1, 1, 1))
 
 
-def _maximal_ideal_chain(m):
-    """The saturation by the colon chain of (x_1, ..., x_n), and its length."""
-    order = m.order()
-    variables = [Poly.variable(m.nvars, i) for i in range(m.nvars)]
-    sat = saturate(m.relations, m.rank, variables, order)
-    return sat, subquotient_dimension(sat, groebner_basis(m.relations, order), order, m.nvars)
-
-
 def _det3(a, b, c):
     return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
             + a[2] * (b[0] * c[1] - b[1] * c[0]))
@@ -453,14 +429,15 @@ def _det3(a, b, c):
     st.tuples(*[st.integers(-3, 3)] * 3), min_size=m, max_size=m)))
 @settings(max_examples=12, deadline=None)
 def test_torsion_by_one_linear_form_matches_the_maximal_ideal_chain(rows):
-    """On generic arrangements in C^3 the saturation by the one linear form,
-    once certified, is the saturation by the maximal ideal."""
+    """On generic arrangements in C^3 the length by the one linear form, once
+    certified, is the length by the maximal ideal's chain.  So are the
+    saturations: M : m^inf lies in S = M : l^inf, and both have one finite
+    length over M."""
     assume(all(_det3(a, b, c) for a, b, c in combinations(rows, 3)))
     m = _pulled_back_planes(rows, 2)
-    sat, length = _maximal_ideal_chain(m)
+    length = maximal_ideal_chain(m)[1]
     assert length == comb(len(rows) - 1, 3)
     assert torsion_length(m) == length
-    assert torsion_saturation(m) == sat
 
 
 def test_torsion_falls_back_when_the_linear_form_is_a_plane(call_counter):
@@ -857,8 +834,8 @@ def test_restriction_compatibility(four_planes_family_map, four_planes_afd):
     germ = four_planes_afd
     fn = fam.map.source_names
     for k in range(0, 4):
-        rel = forms_relative(fam.e_basis, fam.map.components, fn, [3], k,
-                             weights=(1, 1, 1, 1))
+        h0, gens = pullback_relations_by_degree(fam.e_basis, fam.map.components, 4, (k,))
+        rel = relative_forms(fn, k, gens[k], h0, [3], (1, 1, 1, 1))
         gens = list(rel.relations)
         for pos in range(rel.rank):
             gens.append(FreeElement.unit(rel.rank, 4, pos).scale(Poly.variable(4, 3)))
@@ -875,9 +852,9 @@ def test_transverse_relation_equality(four_planes_family_map, four_planes_family
     fam = four_planes_family_map
     d, basis = four_planes_family
     for k in range(0, 4):
-        rel_a = forms_relative(fam.e_basis, fam.map.components, fam.map.source_names,
-                               [3], k, weights=(1, 1, 1, 1))
-        rel_b = forms_free_relative(basis, [3], k)
+        h0, gens = pullback_relations_by_degree(fam.e_basis, fam.map.components, 4, (k,))
+        rel_a = relative_forms(fam.map.source_names, k, gens[k], h0, [3], (1, 1, 1, 1))
+        rel_b = relative_forms(d.names, k, log_form_generators(basis, k), d.h, [3], d.weights)
         assert submodules_equal(rel_a.relations, rel_b.relations, ORD)
 
 
@@ -933,8 +910,8 @@ def test_wedge_injectivity_below_critical_codimension(four_planes_family_map,
     d, basis = four_planes_family
     ds = monomial_form(4, 1, 4, (3,), Poly.constant(4, 1))
     for k in (0, 1):
-        src = forms_relative(fam.e_basis, fam.map.components, fam.map.source_names,
-                             [3], k, weights=(1, 1, 1, 1))
+        h0, gens = pullback_relations_by_degree(fam.e_basis, fam.map.components, 4, (k,))
+        src = relative_forms(fam.map.source_names, k, gens[k], h0, [3], (1, 1, 1, 1))
         tgt = forms_free(basis, k + 1)
         kd = _wedge_map_kernel_dims(src, tgt, ds, 1, 8)
         assert all(v == 0 for v in kd.values())

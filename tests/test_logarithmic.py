@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from logforms import logarithmic
 from logforms.cli import main
-from logforms.exterior import contract, ext_d, form_basis, minor_table, monomial_form, wedge
+from logforms.exterior import contract, ext_d, form_basis, minor_table, wedge
 from logforms.groebner import (
     groebner_basis,
     is_member,
@@ -34,7 +34,8 @@ from logforms.module import FreeElement
 from logforms.order import MonomialOrder
 from logforms.poly import Poly, is_squarefree, parse_poly, poly_exact_div
 
-from conftest import monomials_of_weight, normal_crossing_basis, submodules_equal, term_key
+from conftest import (monomial_form, monomials_of_weight, normal_crossing_basis,
+                      submodules_equal, term_key)
 
 ORD = MonomialOrder()
 

@@ -1,18 +1,19 @@
 """Every private module-level name of the package is defined once and read,
-and every public function, class or method is read somewhere in the
-repository."""
+every public function, class or method is read somewhere in the
+repository, and every module-level definition is reached from what the
+commands, the exports or the benchmark run."""
 
 import ast
 import re
 from collections import Counter
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "logforms"
+import logforms
+from conftest import PACKAGE, ROOT, bench_reads, trace_targets
 
 
-def _defined(stmt) -> list:
-    """The private names a module-level statement defines (dunders aside)."""
+def _names(stmt) -> list:
+    """The names a module-level function, class or assignment defines
+    (dunders aside)."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         names = [stmt.name]
     elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
@@ -20,7 +21,12 @@ def _defined(stmt) -> list:
         names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
     else:
         names = []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in names if not n.startswith("__")]
+
+
+def _defined(stmt) -> list:
+    """The private names a module-level statement defines (dunders aside)."""
+    return [n for n in _names(stmt) if n.startswith("_")]
 
 
 def _loads(stmt) -> set:
@@ -133,3 +139,64 @@ def test_every_public_method_is_read():
                                     if (where, line) != (path, stmt.lineno))):
                     orphans.append(f"{path.stem}.{cls.name}.{stmt.name}")
     assert not orphans, f"public methods nothing reads: {orphans}"
+
+
+def _unreachable(modules: dict, roots: set) -> list:
+    """module.name of every module-level function, class or assignment whose
+    name the roots do not reach.  A name reached reaches every name that a
+    module-level definition of it, in any module, reads (`_loads`)."""
+    reads: dict = {}  # name -> the names its definitions read
+    for body in modules.values():
+        for stmt in body:
+            for name in _names(stmt):
+                reads.setdefault(name, set()).update(_loads(stmt))
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(reads.get(name, ()))
+    return [f"{mod}.{name}" for mod, body in modules.items()
+            for stmt in body for name in _names(stmt) if name not in reached]
+
+
+def test_reachability_walk_on_a_synthetic_package():
+    """A definition reached only through another one counts; one that only
+    an unreached definition or an import reads does not."""
+    modules = {"a": ast.parse("def main():\n    return helper(LIMIT)\n"
+                              "def helper(n):\n    return n\n"
+                              "LIMIT = 3\n"
+                              "def orphan():\n    return helper(_cache)\n"
+                              "_cache = {}\n").body,
+               "b": ast.parse("from .a import orphan\n"
+                              "class Api:\n    def run(self):\n        return _inner()\n"
+                              "def _inner():\n    return 0\n").body}
+    assert _unreachable(modules, {"main", "Api"}) == ["a.orphan", "a._cache"]
+    assert _unreachable(modules, {"main", "Api", "orphan"}) == []
+
+
+def test_every_definition_is_reachable():
+    """Every module-level function, class or assignment of the package is
+    reached by name from `cli.main`, from `logforms.__all__`, or from what
+    `bench/*.py` reads of the package: its imports, the attributes it reads
+    off a `logforms` module, and the names its trace wraps (`TARGETS` of
+    `bench/spans.py`, a method by its class)."""
+    roots = ({"main"} | set(logforms.__all__) | {name for _, name in bench_reads()}
+             | {target.partition(".")[0] for targets in trace_targets().values()
+                for target in targets})
+    dead = _unreachable(_modules(), roots)
+    assert not dead, f"definitions no command, export or benchmark reaches: {dead}"
+
+
+def test_every_export_is_run_by_a_command_or_in_the_library_example():
+    """The interface is the command line and the README's library example:
+    each name of `logforms.__all__` is reached from `cli.main` or imported
+    by that example."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = {alias.name for block in re.findall(r"```python\n(.*?)```", readme, re.S)
+               for node in ast.walk(ast.parse(block))
+               if isinstance(node, ast.ImportFrom) and node.module == "logforms"
+               for alias in node.names}
+    unreached = {d.partition(".")[2] for d in _unreachable(_modules(), {"main"})}
+    stray = sorted(set(logforms.__all__) & unreached - example)
+    assert not stray, f"exports no command runs and the library example does not import: {stray}"
