@@ -85,13 +85,11 @@ def _basis_record(basis: LogBasis) -> dict:
     }
 
 
-def _weights_for(h: Poly, given) -> Optional[tuple]:
-    """The given weights, or else those detected for h (None when it has none)."""
-    return tuple(given) if given is not None else quasihomogeneous_weights(h)
-
-
 def _weighted_divisor(names, h: Poly, given) -> Divisor:
-    return Divisor(names, h, weights=_weights_for(h, given))
+    """The divisor of h with the given weights, or else those detected for h
+    (None when it has none)."""
+    return Divisor(names, h, weights=tuple(given) if given is not None
+                   else quasihomogeneous_weights(h))
 
 
 def _divisor_from_job(job: JobSpec) -> Divisor:
@@ -116,24 +114,30 @@ def _target_basis(job: JobSpec) -> LogBasis:
                                          job.target_weights), "target divisor")
 
 
-def _inducing_map(job: JobSpec) -> InducingMap:
+def _map_germ(job: JobSpec):
+    """The certified target basis, the central germ of the job's map (every
+    `params`/`ext-params` variable set to zero by one `pullback` and dropped;
+    a map with no parameters is its own germ), the pulled-back equation
+    h0 = h o F and the germ's weights: the given ones off the parameters, or
+    else those detected for h0 when h0 is not zero."""
+    e_basis = _target_basis(job)
     if "map" not in job.polys:
         raise PreconditionError("this command needs 'map'")
-    return InducingMap(job.ring, job.target_ring, job.polys["map"],
-                       s_indices=tuple(job.param_indices()),
-                       t_indices=tuple(job.ext_param_indices()))
-
-
-def _pullback_germ(job: JobSpec):
-    """The certified target basis, the central germ of the map, the pulled-back
-    equation h0 and the germ's weights (given, or detected from h0)."""
-    e_basis = _target_basis(job)
-    full = _inducing_map(job)
-    imap = full.germ()
-    h0 = pullback([e_basis.divisor.h], imap.components)[0]
-    if h0.is_zero():
-        raise PreconditionError("h o F is zero: the map sends the source into the target divisor")
-    return e_basis, imap, h0, full.germ_weights(_weights_for(h0, job.weights))
+    params = set(job.param_indices() + job.ext_param_indices())
+    keep = [i for i in range(len(job.ring)) if i not in params]
+    components = job.polys["map"]
+    if params:
+        coords = [Poly.zero(len(keep))] * len(job.ring)
+        for j, i in enumerate(keep):
+            coords[i] = Poly.variable(len(keep), j)
+        components = pullback(components, coords)
+    germ = InducingMap([job.ring[i] for i in keep], job.target_ring, components)
+    h0 = pullback([e_basis.divisor.h], components)[0]
+    if job.weights is not None:
+        weights = tuple(job.weights[i] for i in keep)
+    else:
+        weights = None if h0.is_zero() else quasihomogeneous_weights(h0)
+    return e_basis, germ, h0, weights
 
 
 def _record(verdicts: dict, numbers, certified: bool = True,
@@ -202,9 +206,12 @@ def _forms_modules(job: JobSpec, degrees) -> tuple:
     germ's, for a map), with the equation h of their divisor and its positive
     weights (given, or detected; None without)."""
     if "target-divisor" in job.polys and "map" in job.polys:
-        e_basis, imap, h0, weights = _pullback_germ(job)
-        return (forms_pullback_degrees(e_basis, imap.components, imap.source_names,
-                                       degrees(imap.source_dim), weights, h0), h0, weights)
+        e_basis, germ, h0, weights = _map_germ(job)
+        if h0.is_zero():
+            raise PreconditionError(
+                "h o F is zero: the map sends the source into the target divisor")
+        return (forms_pullback_degrees(e_basis, germ.components, germ.source_names,
+                                       degrees(germ.source_dim), weights, h0), h0, weights)
     d = _divisor_from_job(job)
     basis = _free_basis(d)
     return [forms_free(basis, k) for k in degrees(d.nvars)], d.h, d.weights
@@ -246,14 +253,12 @@ def _cmd_torsion_length(job: JobSpec, opts: dict) -> dict:
 def _cmd_kev(job: JobSpec, opts: dict) -> dict:
     # The number is proven when it is 0 or A's columns are homogeneous for the
     # germ's weights (`component_degrees`): a cone's count is the local one.
-    setup = DeformationSetup(_target_basis(job), _inducing_map(job), weights=job.weights)
-    pres, dim = kev_normal_space(setup)
-    weights = setup.map.germ_weights(setup.weights)
+    e_basis, germ, _, weights = _map_germ(job)
+    pres, dim = kev_normal_space(DeformationSetup(e_basis, germ, weights))
     local = dim == 0
     if not local and weights is not None:
         with suppress(DeformationError):
-            shifts = [-d for d in component_degrees(setup.map.germ().components, weights,
-                                                    setup.e_basis.divisor)]
+            shifts = [-d for d in component_degrees(germ.components, weights, e_basis.divisor)]
             local = all(col.is_homogeneous(weights, shifts) for col in pres.relations)
     return _record({"algebraically_transverse_off_origin": dim != INFINITE},
                    [("kev_codimension", dim, "normal space quotient", local)])
@@ -293,9 +298,11 @@ def _cmd_mu_e(job: JobSpec, opts: dict) -> dict:
     reports its error beside the routes that answer."""
     computations = {}  # route -> a function giving (value, proven)
     if "target-divisor" in job.polys and "map" in job.polys:
-        # proven: the route raises without a positive weight system
-        computations["derham"] = lambda: (mu_e_derham(
-            DeformationSetup(_target_basis(job), _inducing_map(job), weights=job.weights)), True)
+        def derham():  # proven: the route raises without a positive weight system
+            e_basis, germ, _, weights = _map_germ(job)
+            return mu_e_derham(DeformationSetup(e_basis, germ, weights)), True
+
+        computations["derham"] = derham
     if "divisor" in job.polys and job.params:
         divisor = cache(partial(_divisor_from_job, job))  # built once, inside each route
         params = job.param_indices()

@@ -7,9 +7,11 @@ homotopy, alternating sums of relative T1 dimensions, and the annihilator
 route through a good defining equation) that must agree on weighted
 homogeneous data.  The de Rham count reads the maximal minors of A =
 [S o F | dF] (`forms.pulled_back_matrix`), the K_{V,e} normal space its
-cokernel.  A weighted homogeneous map germ's A_e-codimension is
-counted over proven normal-space slices (`direct`) and through a stable
-unfolding (`damon`).
+cokernel.  Both read a set-up's map and weights as given: the map is the
+germ, and a family's central germ at parameter 0, with its weights, is
+built by the caller (`cli._map_germ`).  A weighted homogeneous map germ's
+A_e-codimension is counted over proven normal-space slices (`direct`) and
+through a stable unfolding (`damon`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from operator import add, mul
 from typing import Optional, Sequence
 
 from .forms import CheckedFormsModule, forms_pullback_degrees, jacobian_columns, pulled_back_matrix
-from .exterior import minor_table, pullback
+from .exterior import minor_table
 from .groebner import (
     LinSpace,
     QuotientTable,
@@ -39,11 +41,10 @@ class DeformationError(ValueError):
 
 class InducingMap:
     """A polynomial map germ, stored as one source-ring component per target
-    variable; deformation and extension parameters are marked source variables."""
+    variable."""
 
     def __init__(self, source_names: Sequence[str], target_names: Sequence[str],
-                 components: Sequence[Poly], s_indices: Sequence[int] = (),
-                 t_indices: Sequence[int] = ()):
+                 components: Sequence[Poly]):
         if len(components) != len(target_names):
             raise DeformationError("one component per target variable required")
         for c in components:
@@ -52,11 +53,6 @@ class InducingMap:
         self.source_names = tuple(source_names)
         self.target_names = tuple(target_names)
         self.components = list(components)
-        self.s_indices = tuple(s_indices)
-        self.t_indices = tuple(t_indices)
-        overlap = set(self.s_indices) & set(self.t_indices)
-        if overlap:
-            raise DeformationError("a variable cannot be both deformation and extension parameter")
 
     @property
     def source_dim(self) -> int:
@@ -66,30 +62,10 @@ class InducingMap:
     def target_dim(self) -> int:
         return len(self.target_names)
 
-    def germ(self) -> "InducingMap":
-        """The central germ: all parameters set to zero, parameters dropped."""
-        params = set(self.s_indices) | set(self.t_indices)
-        if not params:
-            return self
-        keep = [i for i in range(self.source_dim) if i not in params]
-        coords = [Poly.zero(len(keep))] * self.source_dim
-        for j, i in enumerate(keep):
-            coords[i] = Poly.variable(len(keep), j)
-        return InducingMap([self.source_names[i] for i in keep], self.target_names,
-                           pullback(self.components, coords))
-
-    def germ_weights(self, weights: Optional[Sequence[int]]) -> Optional[tuple]:
-        """Source weights for the central germ: the parameter entries are
-        dropped when the weights cover the full source ring, and weights of
-        any other length (already on the germ) pass through."""
-        if weights is None or len(weights) != self.source_dim:
-            return weights
-        params = set(self.s_indices) | set(self.t_indices)
-        return tuple(w for i, w in enumerate(weights) if i not in params)
-
 
 class DeformationSetup:
-    """A free target divisor with certificate, an inducing map, and parameters."""
+    """A free target divisor with certificate, an inducing map germ, and the
+    weights of the germ's source variables (None: none given)."""
 
     def __init__(self, e_basis: LogBasis, imap: InducingMap,
                  weights: Optional[Sequence[int]] = None):
@@ -105,12 +81,11 @@ def kev_normal_space(setup: DeformationSetup):
     coker A for A = [S o F | dF] (`pulled_back_matrix`): the target fields
     composed with the germ plus the Jacobian image, inside the free module
     of target directions, counted in the polynomial ring."""
-    imap = setup.map.germ()
+    imap = setup.map
     n = imap.source_dim
     pres = ModulePresentation(imap.target_dim,
                               pulled_back_matrix(setup.e_basis, imap.components, n)[0], nvars=n)
-    weights = setup.map.germ_weights(setup.weights)
-    dim = quotient_dimension(pres, MonomialOrder(weights).with_nvars(n))
+    dim = quotient_dimension(pres, MonomialOrder(setup.weights).with_nvars(n))
     return pres, dim
 
 
@@ -151,16 +126,16 @@ def _parameter_rows(fields: Sequence[Sequence[Poly]], param_indices: Sequence[in
 
 
 def theta_prime_minors(total_basis: LogBasis, param_indices: Sequence[int],
-                       t_indices: Sequence[int] = ()) -> list:
+                       ext_params: Sequence[int] = ()) -> list:
     """Maximal minors of the parameter-rows submatrix, restricted to the
     vanishing of the extension parameters."""
-    rows = tuple(param_indices) + tuple(t for t in t_indices if t not in param_indices)
+    rows = tuple(param_indices) + tuple(t for t in ext_params if t not in param_indices)
     minor = minor_table(total_basis.matrix(), total_basis.divisor.h.nvars)
     minors = []
     for cols in combinations(range(total_basis.n), len(rows)):
         m = minor(rows, cols)
-        if t_indices:
-            m = m.set_vars_zero(t_indices)
+        if ext_params:
+            m = m.set_vars_zero(ext_params)
         if not m.is_zero():
             minors.append(m.primitive()[0])
     return list(dict.fromkeys(minors))
@@ -288,8 +263,7 @@ def mu_e_derham(setup: DeformationSetup, bound: int = 20, window: Optional[int] 
     n >= 1.  So the sum is dim M_n."""
     if setup.weights is None:
         raise DeformationError("no positive weight system")
-    imap = setup.map.germ()
-    weights = setup.map.germ_weights(setup.weights)
+    imap, weights = setup.map, setup.weights
     n = imap.source_dim
     top = forms_pullback_degrees(setup.e_basis, imap.components, imap.source_names, (n,),
                                  weights)[0]

@@ -339,10 +339,11 @@ def four_planes_afd(nc4):
 
 @pytest.fixture(scope="session")
 def four_planes_family_map(nc4):
+    """The family as a map of C^4 (x1, x2, x3, s), the parameter a source variable."""
     _, e_basis = nc4
     sn = ["x1", "x2", "x3", "s"]
     comps = [parse_poly(s, sn) for s in ["x1", "x2", "x3", "x1+x2+x3-s"]]
-    imap = InducingMap(sn, ["w1", "w2", "w3", "w4"], comps, s_indices=(3,))
+    imap = InducingMap(sn, ["w1", "w2", "w3", "w4"], comps)
     return DeformationSetup(e_basis, imap, weights=(1, 1, 1, 1))
 
 

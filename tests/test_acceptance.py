@@ -14,7 +14,6 @@ import pytest
 
 from logforms.cli import run_job
 from logforms.deformation import (
-    DeformationSetup,
     InducingMap,
     ae_codim_damon,
     ae_normal_space_direct,
@@ -30,7 +29,6 @@ from logforms.forms import (
     de_rham_report_sliced,
     forms_free,
     forms_pullback,
-    pd_check,
     torsion_length,
 )
 from logforms.groebner import groebner_basis, is_member, syzygy_module
@@ -184,10 +182,10 @@ def test_criterion_06_strict_inclusion(free_corpus):
                    "on every singular free corpus divisor, 1 <= k <= n")
 
 
-def test_criterion_07_mu_routes(four_planes_family, four_planes_family_map,
+def test_criterion_07_mu_routes(four_planes_family, four_planes_afd,
                                 lips_disc, four_lines_total):
     d, basis = four_planes_family
-    derham = mu_e_derham(four_planes_family_map, bound=14)
+    derham = mu_e_derham(four_planes_afd, bound=14)
     alt = mu_e_alternating(basis, [3])
     w = good_equation_witness(d.h, d.weights)
     good = mu_e_good_equation(d, [3], w)
@@ -203,12 +201,12 @@ def test_criterion_07_mu_routes(four_planes_family, four_planes_family_map,
                    "and annihilator routes agree on weighted homogeneous families")
 
 
-def test_criterion_08_count_identity(four_planes_family, four_planes_family_map,
+def test_criterion_08_count_identity(four_planes_family, four_planes_afd,
                                      four_lines_total, four_lines_afd,
                                      four_lines_middle_afd):
     _, basis = four_planes_family
     _, t1a = t1_log(basis, [3])
-    ok = mu_e_derham(four_planes_family_map, bound=14) + 0 == t1a
+    ok = mu_e_derham(four_planes_afd, bound=14) + 0 == t1a
     _, basis2 = four_lines_total
     _, t1b = t1_log(basis2, [2, 3], [3])
     mu0 = mu_e_derham(four_lines_afd, bound=10)

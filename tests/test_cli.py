@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logforms.cli import HANDLERS, main, run_job
+from logforms.cli import HANDLERS, main, render_text, run_job
 from logforms.jobio import COMMANDS, STATEMENTS, JobError, JobSpec, parse_job
 from logforms.order import FIELD_MAX
 
@@ -434,14 +434,17 @@ def test_ae_codim_of_a_germ_that_is_not_k_finite_is_infinite(tmp_path, capsys, c
     assert record["verdicts"] == {"finite": False}
 
 
+# the four planes family as a map: the fourth plane shifted by the parameter s
+FAMILY_MAP = ('ring { x1, x2, x3, s };\nparams { s };\nweights ( 1, 1, 1, 1 );\n'
+              'target-ring { w1, w2, w3, w4 };\ntarget-weights ( 1, 1, 1, 1 );\n'
+              'target-divisor "w1*w2*w3*w4";\nmap ( "x1", "x2", "x3", "x1+x2+x3-s" );\n')
+
+
 def test_torsion_length_default_form_degree_counts_no_parameters():
     """Without `form-degree` the torsion length is taken in degree n - 1 of
     the forms module's own ring: the central germ of a map drops its
     parameters, so the four planes in x1, x2, x3 (params s) give degree 2."""
-    family = parse_job('ring { x1, x2, x3, s };\nparams { s };\nweights ( 1, 1, 1, 1 );\n'
-                       'target-ring { w1, w2, w3, w4 };\ntarget-weights ( 1, 1, 1, 1 );\n'
-                       'target-divisor "w1*w2*w3*w4";\nmap ( "x1", "x2", "x3", "x1+x2+x3-s" );\n'
-                       'command torsion-length;\n')
+    family = parse_job(FAMILY_MAP + "command torsion-length;\n")
     germ = parse_job((JOBS / "torsion_four_planes.job").read_text())
     record, want = run_job(family), run_job(germ)
     assert record["verdicts"]["form_degree"] == want["verdicts"]["form_degree"] == 2
@@ -459,17 +462,54 @@ OMEGA_PULLBACK = ('ring { x1, x2, x3 };\nweights ( 1, 1, 1 );\ntarget-ring { w1,
     (JOBS / "torsion_four_planes.job").read_text(),
     (JOBS / "torsion_lips.job").read_text(),
     (JOBS / "de_rham_four_planes_afd.job").read_text(),
-], ids=["omega-check", "torsion-four-planes", "torsion-lips", "de-rham-check"])
+    (JOBS / "kev_four_planes.job").read_text(),
+    FAMILY_MAP + "command torsion-length;\n",
+], ids=["omega-check", "torsion-four-planes", "torsion-lips", "de-rham-check", "kev-codim",
+        "torsion-family"])
 def test_pullback_jobs_compose_h_once(text, call_counter):
     """A pullback job composes the target equation h with the map once: the
     germ's h o F, which gives the weights, is the one the forms module keeps,
     and h is composed with the map nowhere else (the degree-0 relation is
-    unit * (h o F), the Saito determinant composed with the map)."""
+    unit * (h o F), the Saito determinant composed with the map).  h is the
+    parsed `target-divisor`, so a family's germ, composed first, is not
+    taken for it."""
     calls = call_counter("exterior", "pullback")
-    run_job(parse_job(text))
-    h = calls[0][0][0]  # the first polynomial the job composes with the map: h
+    job = parse_job(text)
+    run_job(job)
+    h = job.polys["target-divisor"]
     assert len(calls) >= 2
     assert sum(p == h for polys, *_ in calls for p in polys) == 1
+
+
+def test_kev_of_a_family_composes_its_germ_once(call_counter):
+    """`kev-codim` of the four planes family (params s) sets s to zero in one
+    composition of the map, and counts what the germ job counts."""
+    calls = call_counter("exterior", "pullback")
+    job = parse_job(FAMILY_MAP + "command kev-codim;\n")
+    record = run_job(job)
+    assert sum(polys == job.polys["map"] for polys, *_ in calls) == 1
+    germ = run_job(parse_job((JOBS / "kev_four_planes.job").read_text()))
+    assert record["dimensions"] == germ["dimensions"]
+    assert record["flags"] == germ["flags"] == {"certified": "CERTIFIED"}
+
+
+KEV_NO_WEIGHTS = (JOBS / "kev_four_planes.job").read_text().replace("weights ( 1, 1, 1 );\n", "")
+
+
+@pytest.mark.parametrize("command, number", [
+    ("kev-codim", "kev_codimension"),
+    ("torsion-length", "torsion_length"),
+    ("mu-e", "mu_e_derham"),
+])
+def test_a_germ_without_weights_takes_them_from_h_o_f(command, number):
+    """The four planes germ with no `weights` statement: every map command
+    reads the weights (1, 1, 1) detected for h o F, so `kev-codim`,
+    `torsion-length` and the `mu-e` de Rham route all answer 1, CERTIFIED."""
+    assert "weights" not in KEV_NO_WEIGHTS
+    record = run_job(parse_job(KEV_NO_WEIGHTS.replace("kev-codim", command)))
+    assert record["dimensions"][number]["value"] == 1
+    assert record["flags"]["certified"] == "CERTIFIED"
+
 
 
 LIPS_INCLUSION = ('ring { X, W };\nweights ( 1, 3 );\ntarget-ring { A, U, B };\n'
@@ -493,14 +533,19 @@ def test_mu_e_of_the_lips_inclusion_counts_one_standard_term():
      'map ( "x", "x*(x-1)^2" ); command kev-codim;\n', 2, "UNCERTIFIED-LOCAL"),
     ((JOBS / "kev_four_planes.job").read_text(), 1, "CERTIFIED"),
     (LIPS_INCLUSION.replace("mu-e", "kev-codim"), 1, "CERTIFIED"),
-], ids=["not-homogeneous", "four-planes", "lips-inclusion"])
+    ((JOBS / "kev_four_planes.job").read_text().replace('"x1+x2+x3"', '"0"'),
+     "INFINITE", "CERTIFIED"),
+], ids=["not-homogeneous", "four-planes", "lips-inclusion", "into-the-divisor"])
 def test_kev_certifies_only_a_graded_normal_space(text, value, flag):
     """The KEV codimension is counted in the polynomial ring, and is the
     local count at the origin, CERTIFIED, only where A's columns are
     homogeneous for the given weights (the lips inclusion's zero component
     taking its degree from the target weights).  (x, x(x - 1)^2) is tangent
     to normal crossing at x = 1 as well: the quotient counts 2 where the
-    germ at 0 has 1, so the number is not certified, weights or not."""
+    germ at 0 has 1, so the number is not certified, weights or not.
+    (x1, x2, x3, 0) sends C^3 into w1*w2*w3*w4, so h o F = 0: `kev-codim`
+    does not exit 3 as the forms commands do, and its normal space is
+    infinite."""
     record = run_job(parse_job(text))
     assert record["dimensions"]["kev_codimension"]["value"] == value
     assert record["flags"]["certified"] == flag
@@ -588,7 +633,8 @@ def test_mu_e_total_space_divisor_not_reduced_leaves_the_derham_route():
 def test_mu_e_target_divisor_not_reduced_leaves_the_family_routes():
     """The four planes family with the target divisor w1^2*w2*w3*w4: the de
     Rham route reports that it is not reduced, and the alternating and
-    good-equation routes still answer 1, CERTIFIED."""
+    good-equation routes still answer 1, CERTIFIED.  The text record lists
+    the route errors after `routes_agree`."""
     record = run_job(parse_job(FOUR_PLANES_FAMILY.format(
         divisor="x1*x2*x3*(x1+x2+x3-s)", target="w1^2*w2*w3*w4")))
     assert record["routes"] == ["alternating", "good_equation"]
@@ -596,6 +642,8 @@ def test_mu_e_target_divisor_not_reduced_leaves_the_family_routes():
                                   "route_errors": {"derham": NOT_REDUCED}}
     assert [record["dimensions"][f"mu_e_{r}"]["value"] for r in record["routes"]] == [1, 1]
     assert record["flags"]["certified"] == "CERTIFIED"
+    assert render_text(record).splitlines()[1:3] == [
+        "routes_agree: True", f"route_errors: {{'derham': '{NOT_REDUCED}'}}"]
 
 
 def test_mu_e_of_a_one_variable_germ_answers_by_every_route():
@@ -639,20 +687,19 @@ def test_de_rham_without_a_weight_system_exits_3(tmp_path, capsys):
     assert "needs a weight system (none found)" in captured.err
 
 
-def test_mu_e_without_weights_answers_by_the_family_routes():
-    """The four planes family with no weights statement: the de Rham route,
-    which needs a positive weight system, reports why it did not run, and
-    the alternating and good-equation routes answer, certified by the
-    weights detected for the divisor."""
+def test_mu_e_without_weights_answers_by_every_route():
+    """The four planes family with no weights statement: the de Rham route
+    reads the weights (1, 1, 1) detected for the central germ's h o F, and
+    the alternating and good-equation routes those detected for the
+    divisor; all three answer 1, CERTIFIED."""
     job = parse_job('ring { x1, x2, x3, s };\nparams { s };\n'
                     'divisor "x1*x2*x3*(x1+x2+x3-s)";\ntarget-ring { w1, w2, w3, w4 };\n'
                     'target-divisor "w1*w2*w3*w4";\nmap ( "x1", "x2", "x3", "x1+x2+x3-s" );\n'
                     'command mu-e;\n')
     record = run_job(job)
-    assert record["routes"] == ["alternating", "good_equation"]
-    assert record["verdicts"] == {"routes_agree": True,
-                                  "route_errors": {"derham": "no positive weight system"}}
-    assert [record["dimensions"][f"mu_e_{r}"]["value"] for r in record["routes"]] == [1, 1]
+    assert record["routes"] == ["alternating", "derham", "good_equation"]
+    assert record["verdicts"] == {"routes_agree": True}
+    assert [record["dimensions"][f"mu_e_{r}"]["value"] for r in record["routes"]] == [1, 1, 1]
     assert record["flags"]["certified"] == "CERTIFIED"
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logforms.cli import run_job
 from logforms.deformation import (
     DeformationError,
     DeformationSetup,
@@ -73,19 +74,18 @@ def test_kev_four_lines(four_lines_afd):
     assert dim == 3
 
 
-def test_kev_orders_a_family_by_the_germ_weights(nc3, call_counter):
+def test_kev_orders_a_family_by_the_weights_of_its_germ(call_counter):
     """A family's weights cover its parameter too: the normal space of the
     central germ (x, y) -> (x^2, y, x^2 + y) is read in the weighted order of
     the germ's weights (1, 2), and its dimension is the one under unit weights."""
     calls = call_counter("groebner", "quotient_dimension")
-    _, e_basis = nc3
-    sn = ["x", "y", "s"]
-    comps = [parse_poly(c, sn) for c in ["x^2", "y", "x^2+y-s^2"]]
-    imap = InducingMap(sn, ["u", "v", "w"], comps, s_indices=(2,))
-    _, dim = kev_normal_space(DeformationSetup(e_basis, imap, weights=(1, 2, 1)))
+    family = ('ring {{ x, y, s }};\nweights ( {} );\nparams {{ s }};\n'
+              'target-ring {{ u, v, w }};\ntarget-divisor "u*v*w";\n'
+              'map ( "x^2", "y", "x^2+y-s^2" );\ncommand kev-codim;\n')
+    dim = run_job(parse_job(family.format("1, 2, 1")))["dimensions"]["kev_codimension"]
     assert calls[0][1].weights == (1, 2)
-    _, unit_dim = kev_normal_space(DeformationSetup(e_basis, imap))
-    assert calls[1][1].weights == (1, 1) and dim == unit_dim
+    unit_dim = run_job(parse_job(family.format("1, 1, 1")))["dimensions"]["kev_codimension"]
+    assert calls[1][1].weights == (1, 1) and dim["value"] == unit_dim["value"]
 
 
 def test_pulled_back_matrix_composes_the_nonzero_entries(four_planes_afd, lips_disc,
@@ -187,12 +187,12 @@ def test_critical_ideal_with_an_ext_param(four_lines_total):
     assert all(e[s1] == 0 for m in minors for e in m.terms)
 
 
-def test_mu_routes_four_planes(four_planes_family, four_planes_family_map):
+def test_mu_routes_four_planes(four_planes_family, four_planes_afd):
     d, basis = four_planes_family
     assert mu_e_alternating(basis, [3]) == 1
     w = good_equation_witness(d.h, d.weights)
     assert mu_e_good_equation(d, [3], w) == 1
-    assert mu_e_derham(four_planes_family_map, bound=12) == 1
+    assert mu_e_derham(four_planes_afd, bound=12) == 1
 
 
 def test_mu_routes_four_lines(four_lines_total, four_lines_afd):
@@ -203,12 +203,12 @@ def test_mu_routes_four_lines(four_lines_total, four_lines_afd):
     assert mu_e_derham(four_lines_afd, bound=10) == 3
 
 
-def test_count_identity(four_planes_family, four_planes_family_map,
+def test_count_identity(four_planes_family, four_planes_afd,
                         four_lines_total, four_lines_middle_afd, four_lines_afd):
     """mu(central fibre) + mu(total space) equals the relative T1 dimension."""
     d, basis = four_planes_family
     _, t1 = t1_log(basis, [3])
-    assert mu_e_derham(four_planes_family_map, bound=12) + 0 == t1  # total space free
+    assert mu_e_derham(four_planes_afd, bound=12) + 0 == t1  # total space free
     d2, basis2 = four_lines_total
     # relative T1 of the s1-family through its free extension over (s1, s2)
     _, t1b = t1_log(basis2, [2, 3], [3])
@@ -403,11 +403,10 @@ def test_pip_equals_pop(four_planes_family, lips_disc, four_lines_total):
 
 
 def _levels(setup: DeformationSetup, ks) -> list:
-    """The pulled-back forms modules of a set-up's central germ in the form
-    degrees ks, as `mu_e_derham` builds its level n."""
-    imap = setup.map.germ()
-    return forms_pullback_degrees(setup.e_basis, imap.components, imap.source_names, ks,
-                                  setup.map.germ_weights(setup.weights))
+    """The pulled-back forms modules of a set-up's germ in the form degrees
+    ks, as `mu_e_derham` builds its level n."""
+    return forms_pullback_degrees(setup.e_basis, setup.map.components, setup.map.source_names,
+                                  ks, setup.weights)
 
 
 def _assert_count(setup: DeformationSetup, mu: int):
@@ -417,7 +416,7 @@ def _assert_count(setup: DeformationSetup, mu: int):
     stops it where M_n stops; M_n has mu standard terms, as `mu_e_derham`
     counts; and contraction by the Euler field maps R_n into R_p and R_p
     into R_(p-1), the lemma the count rests on."""
-    weights = setup.map.germ_weights(setup.weights)
+    weights = setup.weights
     n = len(weights)
     mods = _levels(setup, (n - 2, n - 1, n))
     terms = mods[2].table().standard_terms()
@@ -507,12 +506,10 @@ def _assert_no_count(setup: DeformationSetup, why: str, hypotheses_hold: bool = 
     why.  `check_euler_homotopy`, on the top level, raises the same error,
     or passes when the hypotheses hold and Omega^n / R_n is infinite."""
     match = "^" + re.escape(why) + "$"
-    imap = setup.map.germ()
-    top = _levels(setup, (imap.source_dim,))[0]
+    top = _levels(setup, (setup.map.source_dim,))[0]
 
     def check():
-        check_euler_homotopy(imap.components, setup.map.germ_weights(setup.weights),
-                             setup.e_basis.divisor, top)
+        check_euler_homotopy(setup.map.components, setup.weights, setup.e_basis.divisor, top)
 
     if hypotheses_hold:
         check()

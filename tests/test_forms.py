@@ -37,7 +37,6 @@ from logforms.groebner import (
     quotient_dimension,
     saturate,
 )
-from logforms.jobio import JobSpec
 from logforms.logarithmic import Divisor, euler_field, is_free, log_form_generators, saito_check
 from logforms.module import INFINITE, FreeElement, Grading, ModulePresentation
 from logforms.order import MonomialOrder

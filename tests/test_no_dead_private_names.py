@@ -1,7 +1,8 @@
 """Every private module-level name of the package is defined once and read,
 every public function, class or method is read somewhere in the
-repository, and every module-level definition is reached from what the
-commands, the exports or the benchmark run."""
+repository, every module-level definition is reached from what the
+commands, the exports or the benchmark run, and every import of the
+package and the tests is read."""
 
 import ast
 import re
@@ -139,6 +140,38 @@ def test_every_public_method_is_read():
                                     if (where, line) != (path, stmt.lineno))):
                     orphans.append(f"{path.stem}.{cls.name}.{stmt.name}")
     assert not orphans, f"public methods nothing reads: {orphans}"
+
+
+def _unread_imports(tree: ast.Module) -> list:
+    """The names a module imports and never reads (a `from __future__`
+    import aside)."""
+    bound = [alias.asname or alias.name.partition(".")[0]
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_unread_import_walk_on_a_synthetic_module():
+    """A name read as a value, an annotation or the base of an attribute
+    counts; one only imported, or read only as another object's attribute,
+    does not."""
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\nimport re as regex\nfrom typing import Optional, Any\n"
+                     "def f(x: Optional[int]):\n    return os.path.join(x).Any\n")
+    assert _unread_imports(tree) == ["regex", "Any"]
+
+
+def test_every_import_is_read():
+    """Every name that a module of the package or of the tests imports is
+    read by that module; the re-exports of `logforms/__init__.py` are its
+    interface and are left out."""
+    unread = [f"{path.relative_to(ROOT)}: {name}"
+              for folder in ("src/logforms", "tests")
+              for path in sorted((ROOT / folder).glob("*.py")) if path.name != "__init__.py"
+              for name in _unread_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not unread, f"imports their module never reads: {unread}"
 
 
 def _unreachable(modules: dict, roots: set) -> list:
