@@ -245,9 +245,9 @@ def _cmd_de_rham(job: JobSpec, opts: dict) -> dict:
 def _cmd_torsion_length(job: JobSpec, opts: dict) -> dict:
     k = opts.get("form-degree")
     m = _forms_modules(job, lambda n: (n - 1 if k is None else k,))[0][0]
+    route = "Bayer-Stillman saturation by a generic linear form, else colons by the maximal ideal"
     return _record({"form_degree": m.k},
-                   [("torsion_length", torsion_length(m), "iterated colon saturation",
-                     m.grading() is not None)])
+                   [("torsion_length", torsion_length(m), route, m.grading() is not None)])
 
 
 def _cmd_kev(job: JobSpec, opts: dict) -> dict:

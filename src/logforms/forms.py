@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import islice
-from math import lcm
 from typing import Optional, Sequence
 
 from .exterior import (
@@ -30,7 +29,9 @@ from .exterior import (
 from .groebner import (
     LinSpace,
     QuotientTable,
+    _buchberger_vecs,
     _finite,
+    _packed,
     _staircase,
     groebner_basis,
     saturate,
@@ -38,7 +39,7 @@ from .groebner import (
 )
 from .logarithmic import LogBasis, log_form_generators
 from .module import INFINITE, FreeElement, Grading, ModuleError, ModulePresentation
-from .order import MonomialOrder
+from .order import MonomialOrder, TermLayout
 from .poly import Poly
 
 
@@ -264,12 +265,15 @@ def contraction_well_defined(m: CheckedFormsModule, lower: CheckedFormsModule,
     return all(lower.class_is_zero(contract(m.n, m.k, chi, g)) for g in m.relations)
 
 
-def subquotient_dimension(big_gb: Sequence[FreeElement], small_gb: Sequence[FreeElement],
-                          order: MonomialOrder, nvars: int):
+def _leads(basis: Sequence[FreeElement], layout: TermLayout) -> set:
+    """The packed lead terms of the elements of a basis."""
+    return {min(map(layout.pack, g.vec())) for g in basis}
+
+
+def subquotient_dimension(big: set, small: set, layout: TermLayout):
     """dim S/M, or INFINITE, for submodules M of S of one free module O^r,
-    given by their reduced Groebner bases small_gb and big_gb under one
-    global order (as `groebner_basis` and `saturate` return them): read off
-    their lead terms, with no further basis.
+    given by the packed lead terms of a Groebner basis of each under the one
+    global order of layout: read off those leads, with no further basis.
 
     Every lead term of M is one of S, so the standard terms std(S) lie in
     std(M).  Normal form modulo S maps the span of std(M), which is O^r/M,
@@ -282,10 +286,9 @@ def subquotient_dimension(big_gb: Sequence[FreeElement], small_gb: Sequence[Free
     So the count is, in each component, the sum over the degrees d up to the
     greatest such bound of |std_M(d)| - |std_S(d)|, both read from the
     staircase walk (`_staircase`) under unit weights.  A lead of the basis of
-    S that is a lead term of M is a least one there, hence a lead of the
-    basis of M too: it adds nothing and is skipped."""
-    layout = order.layout(nvars)
-    small, big = ({min(map(layout.pack, g.vec())) for g in gb} for gb in (small_gb, big_gb))
+    S that is one of M adds nothing and is skipped; one that a lead of M
+    divides has 1 in its colon and adds nothing either."""
+    nvars = layout.nvars
     exponents: dict = {}  # component -> the lead exponents of M there
     for c, a in map(layout.unpack, small):
         exponents.setdefault(c, []).append(a)
@@ -313,43 +316,67 @@ def _primes(count: int) -> list:
     return out
 
 
-def _linear_form(weights: Sequence[int]) -> Poly:
-    """l = sum(p_i * x_i^(D / w_i)) with D = lcm(w) and p_i the i-th prime:
-    homogeneous of weighted degree D, with fixed generic coefficients."""
-    D = lcm(*weights)
-    primes = _primes(len(weights))
-    return Poly(len(weights), {tuple(D // w if j == i else 0 for j, w in enumerate(weights)): p
-                               for i, p in enumerate(primes)})
-
-
 def torsion_length(m: CheckedFormsModule):
     """C-dimension of the elements killed by a power of the maximal ideal:
     dim S/M for the saturation S = M : m^inf of the relation module M,
-    m = (x_1, ..., x_n), read off the lead terms of the reduced bases of S
-    and M (`subquotient_dimension`).
+    m = (x_1, ..., x_n), read off the lead terms of Groebner bases of S and
+    M (`subquotient_dimension`).
 
-    For a graded module S is first computed as M : l^inf, by the colon
-    chain of the one linear form l of `_linear_form`.  l lies in m, so
-    M : m^inf lies in S.  If dim S/M is finite, then S/M is a graded module
-    (l is homogeneous and M graded) of finite dimension, and under positive
-    weights m raises degrees, so a power of m kills S/M and S lies in
-    M : m^inf; hence S = M : m^inf.  When dim S/M is infinite (l vanishes
-    on a component of the support, as when it is one of the planes), or the
-    module is ungraded, the colon chain of the maximal ideal itself gives
-    the saturation.  Both chains start from the one basis of M, which both
-    counts read."""
+    For a graded module S is first computed as M : l^inf for the one form
+    l = x_n + sum(p_i * x_i^(w_n / w_i)) over the i < n with w_i | w_n, p_i
+    the i-th prime, homogeneous of weight w_n, by one basis (Bayer and
+    Stillman, Invent. Math. 87, 1987):
+      * The automorphism phi: x_n -> x_n - sum(p_i * x_i^(w_n / w_i)), the
+        other variables fixed, keeps every weight and sends l to x_n.  It
+        maps M : l^inf onto phi(M) : x_n^inf and keeps every dimension, so
+        the count may be taken for phi(M), whose relations are M's composed
+        with phi by one `pullback`; its coefficients stay integral, since
+        x_n in l has coefficient 1.
+      * Under the term-over-position order of the grading
+        (`MonomialOrder.layout` with the shifts), the lead of a homogeneous
+        f has the least x_n-exponent of all its terms: they share one degree
+        plus shift, and of those the greater term has the smaller exponent
+        of the last variable.  So x_n | in(f) implies x_n | f.
+      * Hence, for a Groebner basis G of phi(M) of homogeneous elements,
+        the g / x_n^(k_g), with x_n^(k_g) the power of x_n in in(g), are a
+        Groebner basis of phi(M) : x_n^inf.  A homogeneous f with
+        x_n^k f in phi(M) has some in(g) dividing x_n^k in(f), and
+        in(g / x_n^(k_g)), which x_n does not divide, divides in(f).  So the
+        leads of S are those of G divided by their x_n-powers, one
+        subtraction on each packed lead, and no element is reduced.
+      * l lies in m, so M : m^inf lies in S.  If dim S/M is finite, then
+        S/M is a graded module (l is homogeneous and M graded) of finite
+        dimension, and under positive weights m raises degrees, so a power
+        of m kills S/M and S lies in M : m^inf; hence S = M : m^inf.
+    When dim S/M is infinite (l vanishes on a component of the support, as
+    when it is one of the planes), or the module is ungraded, the colon
+    chain of the maximal ideal itself (`saturate`) gives the saturation,
+    starting from the reduced basis of M."""
     order = m.order()
     nv = m.nvars
     g = m.grading()
-    gb = groebner_basis(m.relations, order)
     if g is not None:
-        sat = saturate(gb, m.rank, [_linear_form(g.weights)], order)
-        length = subquotient_dimension(sat, gb, order, nv)
+        w, last = g.weights, nv - 1
+        y = Poly.variable(nv, last)
+        for i, p in enumerate(_primes(last)):
+            if w[last] % w[i] == 0:
+                y = y - Poly(nv, {tuple(w[last] // w[i] if j == i else 0 for j in range(nv)): p})
+        phi = [Poly.variable(nv, i) for i in range(last)] + [y]
+        entries = pullback([f for r in m.relations for f in r.entries], phi)
+        layout = order.layout(nv, shifts=g.shifts)
+        relations = [_packed(FreeElement(entries[i:i + m.rank]).vec(), layout)
+                     for i in range(0, len(entries), m.rank)]
+        small = {next(iter(v)) for v in _buchberger_vecs(relations, layout, m.rank == 1)}
+        zero = (0,) * nv
+        x_n = layout.pack((0, zero[:last] + (1,))) - layout.pack((0, zero))
+        big = {t - layout.exponent(t, last) * x_n for t in small}
+        length = subquotient_dimension(big, small, layout)
         if length != INFINITE:
             return length
-    variables = [Poly.variable(nv, i) for i in range(nv)]
-    sat = saturate(gb, m.rank, variables, order)
-    return subquotient_dimension(sat, gb, order, nv)
+    gb = groebner_basis(m.relations, order)
+    sat = saturate(gb, m.rank, [Poly.variable(nv, i) for i in range(nv)], order)
+    layout = order.layout(nv)
+    return subquotient_dimension(_leads(sat, layout), _leads(gb, layout), layout)
 
 
 # ---------------------------------------------------------------------------

@@ -193,8 +193,10 @@ def _reduce_full(f: dict, reducers: _Reducers, cofactors: Optional[list] = None)
 
 
 def _buchberger_vecs(inputs: Sequence[dict], layout: TermLayout, is_ideal: bool) -> list:
-    """The reduced Groebner basis of packed rational vecs, as packed
-    primitive integer vecs with a positive lead, sorted by increasing lead.
+    """A minimal Groebner basis of packed rational vecs, as packed primitive
+    integer vecs with a positive lead, each its lead first, sorted by
+    increasing lead.  Its tails are as the loop left them: each reader
+    reduces those of the elements it reads (`_interreduce`).
 
     The inputs wait in the heap of S-pairs, keyed like a pair by (monomial
     key, component) of their lead, and each is reduced against the basis so
@@ -204,8 +206,9 @@ def _buchberger_vecs(inputs: Sequence[dict], layout: TermLayout, is_ideal: bool)
     remainder plus a combination of elements already kept, so the kept
     elements generate the module of the inputs, and the loop ends only once
     every pair of them has been reduced to zero or passed over by a
-    criterion, so they are a Groebner basis of it.  `_interreduce` turns any
-    Groebner basis of a module into its one reduced basis."""
+    criterion, so they are a Groebner basis of it.  Of those, the elements
+    whose lead no other lead divides are a minimal one: its leads, and so
+    the module's reduced basis (`_interreduce`), are determined."""
     reducers = _Reducers(layout)
     G: list = []  # the reducer entry of each basis element
     exps: list = []  # the exponent of each lead, for the lcms of pairs
@@ -285,25 +288,38 @@ def _buchberger_vecs(inputs: Sequence[dict], layout: TermLayout, is_ideal: bool)
         if s:
             lt = next(iter(s))
             add(_normalize(s, s[lt]), lt)
-    return _interreduce(G, layout)
-
-
-def _interreduce(G: Sequence[tuple], layout: TermLayout) -> list:
-    """The reduced basis from a Groebner basis, given as the reducer entries
-    of primitive integer vecs, as packed vecs sorted by increasing lead, each
-    element primitive with a positive lead."""
-    kept: list = []
-    reducers = _Reducers(layout)
+    # A lead is divided only by a lead no greater, met before it here.
+    minimal: list = []
+    leads: dict = {}  # component -> the leads kept there
+    divides = layout.divides
     for lt, lc, heads, tags, _ in sorted(G, key=lambda entry: entry[0], reverse=True):
-        if reducers.find(lt) is None:
-            kept.append(reducers.add(lt, lc, dict(heads + tags)))
-    # No other kept lead divides a kept lead (a smaller one would have
-    # dropped it, a larger one cannot divide it), and an element's own lead
-    # divides none of the smaller terms met while reducing its tail.  So the
-    # tail reduced against all kept elements is the element reduced against
-    # the others, less its lead, and the output stays in increasing order.
+        own = leads.setdefault(layout.component(lt), [])
+        if not any(divides(a, lt) for a in own):
+            own.append(lt)
+            v = {lt: lc}
+            v.update(heads)
+            v.update(tags)
+            minimal.append(v)
+    return minimal
+
+
+def _interreduce(basis: Sequence[dict], layout: TermLayout) -> list:
+    """The elements of a minimal Groebner basis (`_buchberger_vecs`) with
+    their tails reduced against each other: the reduced basis of the module
+    they generate, as packed vecs in the same order, each primitive with a
+    positive lead, its lead first.
+
+    No lead of a minimal basis divides another, and an element's own lead
+    divides none of the smaller terms met while reducing its tail.  So the
+    tail reduced against all the elements is the element reduced against
+    the others, less its lead."""
+    reducers = _Reducers(layout)
+    entries = []
+    for v in basis:
+        lt = next(iter(v))
+        entries.append(reducers.add(lt, v[lt], v))
     out = []
-    for lt, lc, heads, tags, _ in kept:
+    for lt, lc, heads, tags, _ in entries:
         tail, scale = _reduce_full(dict(heads + tags), reducers)
         r = {lt: lc * scale}
         r.update(tail)
@@ -325,9 +341,10 @@ def _check_family(elems: Sequence[FreeElement]):
 
 
 def _reduced_basis(generators: Sequence[FreeElement], layout: TermLayout, rank: int) -> list:
-    """The packed reduced basis (`_buchberger_vecs`, each vec its lead first)
-    of the generated submodule, for `groebner_basis` and `QuotientTable`."""
-    return _buchberger_vecs([_packed(g.vec(), layout) for g in generators], layout, rank == 1)
+    """The packed reduced basis (`_interreduce`, each vec its lead first) of
+    the generated submodule, for `groebner_basis` and `QuotientTable`."""
+    packed = [_packed(g.vec(), layout) for g in generators]
+    return _interreduce(_buchberger_vecs(packed, layout, rank == 1), layout)
 
 
 def groebner_basis(generators: Sequence[FreeElement], order: MonomialOrder) -> list:
@@ -394,16 +411,20 @@ def submodule_contains(gb_big: Sequence[FreeElement], elems: Sequence[FreeElemen
 def _tagged_basis(gens: Sequence[FreeElement], order: MonomialOrder,
                   tags: Optional[Sequence[FreeElement]] = None,
                   plain: Sequence[FreeElement] = ()) -> tuple:
-    """Reduced Groebner basis of the stacked vecs g_i + t_i and p_j + 0 in
-    O^rank + O^s, where the generators g_i and the plain elements p_j live in
-    O^rank and the tag t_i of g_i (by default the unit vector e_i) sits in the
-    components from rank on, under the elimination order of
-    `MonomialOrder.layout`: (packed basis, the layout of its terms).
+    """Minimal Groebner basis (`_buchberger_vecs`, tails unreduced) of the
+    stacked vecs g_i + t_i and p_j + 0 in O^rank + O^s, where the generators
+    g_i and the plain elements p_j live in O^rank and the tag t_i of g_i (by
+    default the unit vector e_i) sits in the components from rank on, under
+    the elimination order of `MonomialOrder.layout`: (packed basis, the
+    layout of its terms).
 
     Every tag term is smaller than every head term, so the basis elements
-    that lie wholly in the tags are a reduced Groebner basis of the tags of
+    that lie wholly in the tags are a minimal Groebner basis of the tags of
     the combinations sum(a_i * (g_i + t_i)) + sum(b_j * p_j) whose heads
-    cancel, in the order that O^s has (`_tag_part` reads them off)."""
+    cancel, in the order that O^s has (`_tag_part` reduces and reads them).
+    The other elements are read for their leads, or divide in
+    `lift_over_generators`, where any Groebner basis leaves the one normal
+    form; their tails are never reduced."""
     rank, nvars = gens[0].rank, gens[0].nvars
     zero_e = tuple([0] * nvars)
     stacked = []
@@ -422,16 +443,17 @@ def _tagged_basis(gens: Sequence[FreeElement], order: MonomialOrder,
 
 def _tag_part(basis: Sequence[dict], layout: TermLayout, s: int) -> list:
     """The elements of a packed `_tagged_basis` that lie wholly from
-    component rank on, shifted down into O^s.  They are primitive integer
+    component rank on, their tails reduced against each other
+    (`_interreduce`; a tag term is divisible by no head lead, which lies in
+    another component), shifted down into O^s.  They are primitive integer
     vecs with a positive lead, sorted by increasing lead: the canonical
     reduced basis that `groebner_basis` gives for the module they generate."""
     rank, nvars = layout.rank, layout.nvars
-    out = []
-    for v in basis:
-        if next(iter(v)) >= layout.tag_start:  # its lead, the greatest term, is a tag
-            out.append(FreeElement.from_vec(s, nvars, {(c - rank, e): x for (c, e), x
-                                                       in _unpacked(v, layout).items()}))
-    return out
+    # a lead, the greatest term of its element, that is a tag
+    tags = [v for v in basis if next(iter(v)) >= layout.tag_start]
+    return [FreeElement.from_vec(s, nvars, {(c - rank, e): x for (c, e), x
+                                            in _unpacked(v, layout).items()})
+            for v in _interreduce(tags, layout)]
 
 
 def syzygies_and_head_leads(columns: Sequence[FreeElement],
@@ -453,7 +475,7 @@ def syzygies_and_head_leads(columns: Sequence[FreeElement],
         return [], []
     rank, nvars = columns[0].rank, columns[0].nvars
     basis, layout = _tagged_basis(columns, (order or MonomialOrder()).with_nvars(nvars))
-    # each basis vec lists its lead first (`_interreduce`)
+    # each basis vec lists its lead first (`_buchberger_vecs`)
     leads = [layout.unpack(lt) for lt in (next(iter(v)) for v in basis)
              if lt < layout.tag_start]
     return _tag_part(basis, layout, len(columns)), leads

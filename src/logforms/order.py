@@ -5,6 +5,15 @@ weights 1 by default; all weights must be strictly positive so the order is a
 well-order.  Module terms are compared position-over-term: component 0 has
 the highest priority, ties are broken by the monomial order.
 
+One basis takes another module order: the term-over-position order of a
+graded module, by weighted degree plus the component's shift, then reverse
+lexicographically, then by position (`MonomialOrder.layout` with `shifts`).
+Under it the lead of a homogeneous element has the least exponent of the last
+variable among all its terms, in every component, so the last variable
+divides an element when it divides its lead; `forms.torsion_length`
+saturates by that variable with one basis (Bayer-Stillman).  Under position
+over term a later component may lack the last variable while the lead has it.
+
 Inside the Groebner kernel a module term (component, exponent) is one int,
 laid out by its order (`TermLayout`): comparing, multiplying by a monomial
 and testing divisibility are each a few int operations.
@@ -44,9 +53,13 @@ class MonomialOrder:
             raise OrderError("weight vector length does not match variable count")
         return self
 
-    def layout(self, nvars: int, rank: Optional[int] = None) -> "TermLayout":
+    def layout(self, nvars: int, rank: Optional[int] = None,
+               shifts: Optional[Sequence[int]] = None) -> "TermLayout":
         """The packed terms of this order over nvars variables, position over
-        term.  With rank, those of the elimination order of a stacked module
+        term.  With shifts, one per component, those of the term-over-position
+        order of a graded module: weighted degree plus the component's shift
+        first, then the monomial order, then position.  With rank, those of
+        the elimination order of a stacked module
         O^rank + O^s, in which every head term (below component rank) is
         greater than every tag term (from rank on).  Tags compare position
         over term.  Heads compare by weighted degree first, then by position,
@@ -56,7 +69,7 @@ class MonomialOrder:
         terms of ever higher degree in later head components, and on random
         inhomogeneous colons it made Buchberger's algorithm a thousand times
         slower."""
-        return TermLayout(self.with_nvars(nvars).weights, rank)
+        return TermLayout(self.with_nvars(nvars).weights, rank, shifts)
 
     def __repr__(self):
         return f"MonomialOrder({self.weights!r})"
@@ -100,7 +113,10 @@ class TermLayout:
     (component below rank) carry the degree field again and tag terms a set
     flag above that, so every head term is greater than every tag term.  A
     tag term keeps that upper degree field at zero, so it shifts without it
-    (`shifts`).
+    (`shifts`).  With `shifts` it is that of term over position: the
+    weighted degree plus the component's shift, then e_{n-1}, ..., e_0, then
+    the component in the lowest field.  A shift is the same int in every
+    component, since the component's shift and field cancel.
 
     Divisibility within one component: x^a divides x^b when no exponent
     field of b is below that of a, that is when b with every guard bit set,
@@ -109,30 +125,40 @@ class TermLayout:
     and never across fields, since every guard bit of the minuend is set.
     """
 
-    __slots__ = ("nvars", "rank", "comp_shift", "guards", "exponent_guards",
-                 "mono_mask", "tag_start", "low", "_weights", "_fields", "_comp_field")
+    __slots__ = ("nvars", "rank", "comp_shift", "guards", "exponent_guards", "mono_mask",
+                 "tag_start", "low", "_weights", "_shifts", "_exp_shift", "_fields",
+                 "_comp_field", "_exps")
 
-    def __init__(self, weights: Sequence[int], rank: Optional[int] = None):
-        """weights: those of the weighted degree, one per variable."""
+    def __init__(self, weights: Sequence[int], rank: Optional[int] = None,
+                 shifts: Optional[Sequence[int]] = None):
+        """weights: those of the weighted degree, one per variable; shifts:
+        those of the components, for term over position."""
         self.nvars = nvars = len(weights)
         # a degree under unit weights is a plain sum
         self._weights = None if set(weights) <= {1} else tuple(weights)
-        nfields = nvars + 1
-        self.comp_shift = nfields * _STRIDE
-        self.mono_mask = (1 << self.comp_shift) - 1
-        self.low = (1 << (self.comp_shift + _STRIDE)) - 1
-        if rank is None:
-            self.rank = FIELD_MAX + 1
-            nfields += 1
-            self.tag_start = 1 << (self.comp_shift + _STRIDE)
-        else:
-            self.rank = rank
-            nfields += 3
-            self.tag_start = 1 << (self.comp_shift + 2 * _STRIDE)
+        self._shifts = None if shifts is None else tuple(shifts)
+        self.rank = FIELD_MAX + 1 if rank is None else rank
+        if shifts is not None:  # degree, exponents, component
+            nfields = nvars + 2
+            self.comp_shift = 0
+            self._exp_shift = _STRIDE
+            self.low = (1 << (nfields * _STRIDE)) - 1
+            self.mono_mask = self.low ^ ((1 << _STRIDE) - 1)
+            self.tag_start = self.low + 1
+        else:  # [flag, degree,] component, degree, exponents
+            nfields = nvars + (2 if rank is None else 4)
+            self.comp_shift = (nvars + 1) * _STRIDE
+            self._exp_shift = 0
+            self.mono_mask = (1 << self.comp_shift) - 1
+            self.low = (1 << (self.comp_shift + _STRIDE)) - 1
+            self.tag_start = 1 << (self.comp_shift + (_STRIDE if rank is None else 2 * _STRIDE))
         self.guards = sum(1 << (j * _STRIDE + FIELD_BITS) for j in range(nfields))
-        self.exponent_guards = sum(1 << (j * _STRIDE + FIELD_BITS) for j in range(nvars))
+        self.exponent_guards = sum(1 << (j * _STRIDE + FIELD_BITS + self._exp_shift)
+                                   for j in range(nvars))
         self._fields = Struct(f">{nfields}H")  # most significant first
         self._comp_field = nfields - 1 - self.comp_shift // _STRIDE
+        e0 = nfields - 1 - self._exp_shift // _STRIDE
+        self._exps = slice(e0, e0 - nvars, -1)
 
     def pack(self, term: tuple) -> int:
         """The int of a term, its fields shifted in from the most significant;
@@ -140,31 +166,36 @@ class TermLayout:
         comp, e = term
         w = self._weights
         degree = sum(e) if w is None else sum(map(mul, e, w))
+        shifts = self._shifts
+        if shifts is not None:
+            degree += shifts[comp]
         if comp > FIELD_MAX or degree > FIELD_MAX:  # every exponent is at most the degree
             raise field_overflow()
-        p = comp
-        if self.rank <= FIELD_MAX:  # an elimination order: flag and degree first
+        if shifts is not None:
+            p = 0
+        elif self.rank <= FIELD_MAX:  # an elimination order: flag and degree first
             if comp < self.rank:
                 p = (FIELD_MAX - degree) << _STRIDE | comp
             else:
                 p = 1 << (2 * _STRIDE) | comp
+        else:
+            p = comp
         p = p << _STRIDE | (FIELD_MAX - degree)
         for x in reversed(e):
             p = p << _STRIDE | x
-        return p
+        return p if shifts is None else p << _STRIDE | comp
 
     def unpack(self, p: int) -> tuple:
         fields = self._fields
         f = fields.unpack(p.to_bytes(fields.size, "big"))
-        c = self._comp_field
-        return f[c], f[:c + 1:-1]
+        return f[self._comp_field], f[self._exps]
 
     def component(self, p: int) -> int:
         return (p >> self.comp_shift) & FIELD_MAX
 
     def exponent(self, p: int, v: int) -> int:
         """The exponent of variable v in the term p."""
-        return (p >> (v * _STRIDE)) & FIELD_MAX
+        return (p >> (v * _STRIDE + self._exp_shift)) & FIELD_MAX
 
     def shifts(self, t: int, lead: int) -> tuple:
         """(head shift, tag shift) that multiply a term by x^s, where t is

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from logforms import groebner
 from logforms.deformation import DeformationSetup, InducingMap
 from logforms.exterior import form_basis, form_index, form_rank, wedge
-from logforms.forms import CheckedFormsModule, subquotient_dimension
+from logforms.forms import CheckedFormsModule, _leads, subquotient_dimension
 from logforms.groebner import LinSpace, groebner_basis, saturate, submodule_contains
 from logforms.logarithmic import Divisor, FreenessVerdict, is_free, saito_check
 from logforms.module import FreeElement
@@ -193,7 +193,14 @@ def maximal_ideal_chain(m: CheckedFormsModule) -> tuple:
     order = m.order()
     variables = [Poly.variable(m.nvars, i) for i in range(m.nvars)]
     sat = saturate(m.relations, m.rank, variables, order)
-    return sat, subquotient_dimension(sat, groebner_basis(m.relations, order), order, m.nvars)
+    return sat, lead_gap(sat, groebner_basis(m.relations, order), order, m.nvars)
+
+
+def lead_gap(big_gb, small_gb, order, nvars: int):
+    """`subquotient_dimension` of two Groebner bases under order, read off
+    their packed leads."""
+    layout = order.layout(nvars)
+    return subquotient_dimension(_leads(big_gb, layout), _leads(small_gb, layout), layout)
 
 
 def wedge_chain_pullback(k: int, target_n: int, form: FreeElement, components: list,

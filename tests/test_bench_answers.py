@@ -7,6 +7,7 @@ would count as a wrong answer, fails the test suite as well as the benchmark."""
 
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -44,11 +45,21 @@ def test_derham_slices_known_answer(derham_cases, case_id):
     assert case.run() == case.expected
 
 
-@pytest.mark.parametrize("case_id", ["torsion/C3-m4", "torsion/C3-m5", "kev/C3-m4",
-                                     "is-free/A3", "is-free/C3-m6"])
+@pytest.mark.parametrize("case_id", ["torsion/C3-m4", "torsion/C3-m5", "torsion/C3-m7",
+                                     "torsion/C4-m5", "kev/C3-m4", "is-free/A3",
+                                     "is-free/C3-m6"])
 def test_syzygy_ladder_known_answer(syzygy_cases, case_id):
     case = syzygy_cases[case_id]
     assert case.run() == case.expected
+
+
+@pytest.mark.parametrize("n, m, mu", [(3, 9, 56), (4, 7, 15)])
+def test_torsion_above_the_ladder_known_answer(bench_cases, n, m, mu):
+    """Two rungs above the ladder's, drawn at seed 11, where the torsion
+    length is C(m-1, n) as on the ladder."""
+    a = bench_cases.Arrangement(random.Random(11), n, m, {})
+    assert a.mu == mu
+    assert bench_cases._torsion(a) == mu
 
 
 def test_golden_records_hold_the_corpus_answers(bench_cases):

@@ -15,7 +15,6 @@ from logforms.forms import (
     CheckedFormsModule,
     FormsError,
     GradedSlices,
-    _linear_form,
     cokernel_slice_dims,
     contraction_well_defined,
     de_rham_report_sliced,
@@ -25,7 +24,6 @@ from logforms.forms import (
     pd_check,
     pullback_relations_by_degree,
     pulled_back_matrix,
-    subquotient_dimension,
     torsion_length,
 )
 from logforms.groebner import (
@@ -48,6 +46,7 @@ from conftest import (
     compose,
     generic_arrangements,
     independent,
+    lead_gap,
     maximal_ideal_chain,
     monomial_form,
     monomials_of_weight,
@@ -386,15 +385,21 @@ def test_slices_compute_one_basis_per_module(four_planes_afd, gb_calls):
     assert len(gb_calls) == 2
 
 
-def test_torsion_saturation_computes_no_basis_twice(four_planes_afd, gb_calls):
-    """Every colon step returns a reduced basis, so the chain computes one
-    basis (of its input), and the length is read off the leads of that basis
-    and of the saturation's with none more."""
+def test_torsion_saturation_computes_no_basis_twice(four_planes_afd, gb_calls, call_counter):
+    """The length of a graded module is read off the leads of one
+    term-over-position basis of its relations (their x_n-powers divided
+    out for the saturation's): no reduced basis, no colon, no kernel, and
+    no element of that basis tail-reduced."""
     setup = four_planes_afd
     m = forms_pullback(setup.e_basis, setup.map.components, setup.map.source_names, 2,
                        weights=setup.weights)
+    bases = call_counter("groebner", "_buchberger_vecs")
+    chains = call_counter("groebner", "saturate")
+    tagged = call_counter("groebner", "_tagged_basis")
+    reduced = call_counter("groebner", "_interreduce")
     assert torsion_length(m) == 1
-    assert len(gb_calls) == 1
+    assert [args[1].comp_shift for args in bases] == [0]  # the component in the lowest field
+    assert not gb_calls and not chains and not tagged and not reduced
 
 
 @lru_cache(maxsize=None)
@@ -439,25 +444,32 @@ def test_torsion_by_one_linear_form_matches_the_maximal_ideal_chain(rows):
     assert torsion_length(m) == length
 
 
+# Under unit weights the linear form l of `torsion_length` on C^3 is
+# 2*x1 + 3*x2 + x3: here one of the planes.
+_L_IS_A_PLANE = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 3, 1)]
+
+
 def test_torsion_falls_back_when_the_linear_form_is_a_plane(call_counter):
-    """Under unit weights the linear form is 2*x1 + 3*x2 + 5*x3, here one of
-    the planes: its saturation is infinite over the module, so the maximal
-    ideal's chain decides."""
-    m = _pulled_back_planes([(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 3, 5)], 2)
+    """l is one of the planes, so its saturation is infinite over the
+    module, and only the maximal ideal's colon chain runs and decides."""
+    m = _pulled_back_planes(_L_IS_A_PLANE, 2)
     calls = call_counter("groebner", "saturate")
     assert torsion_length(m) == 1
-    x = [Poly.variable(3, i) for i in range(3)]
-    assert [list(c[2]) for c in calls] == [[x[0].scale(2) + x[1].scale(3) + x[2].scale(5)], x]
+    assert [list(c[2]) for c in calls] == [[Poly.variable(3, i) for i in range(3)]]
 
 
-def test_torsion_chains_start_from_one_basis(gb_calls):
-    """When the linear form's saturation is infinite, the maximal ideal's
-    chain starts from the relations' basis the first chain started from, and
-    both lengths are read off leads: one basis, of the relations."""
-    m = _pulled_back_planes([(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 3, 5)], 2)
+def test_torsion_chains_start_from_one_basis(gb_calls, call_counter):
+    """When l's saturation is infinite, one term-over-position basis has
+    been computed, and the maximal ideal's chain starts from the one reduced
+    basis of the relations, off whose leads the length is read."""
+    m = _pulled_back_planes(_L_IS_A_PLANE, 2)
     del gb_calls[:]
+    bases = call_counter("groebner", "_buchberger_vecs")
+    chains = call_counter("groebner", "saturate")
     assert torsion_length(m) == 1
     assert len(gb_calls) == 1
+    assert [args[1].comp_shift for args in bases].count(0) == 1
+    assert [list(c[0]) for c in chains] == [groebner_basis(m.relations, m.order())]
 
 
 def _kernel_route(big, small, order, nvars):
@@ -481,27 +493,34 @@ def test_lead_gap_count_of_monomial_ideals():
              ((3, "x^2", "y^2", "z"), (3, "x", "y^2", "z"), 2), ((2, "x^2", "y^3"), (2, "1"), 6)]
     for (nv, *small), (_, *big), expected in cases:
         gb_small, gb_big = groebner_basis(_ideal(nv, *small), ORD), groebner_basis(_ideal(nv, *big), ORD)
-        assert subquotient_dimension(gb_big, gb_small, ORD, nv) == expected
+        assert lead_gap(gb_big, gb_small, ORD, nv) == expected
         assert _kernel_route(gb_big, gb_small, ORD, nv) == expected
     gb = groebner_basis(_ideal(2, "x^2", "y"), ORD)
-    assert subquotient_dimension(gb, gb, ORD, 2) == 0
+    assert lead_gap(gb, gb, ORD, 2) == 0
 
 
 @st.composite
 def _arrangement_modules(draw):
     """(module, plane): the degree-k forms, k < n, of a generic arrangement in
     C^2..C^4 pulled back from normal crossing, and whether the linear form
-    of `_linear_form` is one of its planes."""
+    of `_generic_form` is one of its planes."""
     n, m, rows = draw(generic_arrangements())
     plane = draw(st.booleans())
-    if plane:  # the coefficients of `_linear_form` under unit weights
-        rows = rows + [[2, 3, 5, 7][:n]]
+    if plane:
+        rows = rows + [[2, 3, 5][:n - 1] + [1]]
         assume(all(independent([rows[i] for i in s]) for s in combinations(range(len(rows)), n)))
     k = draw(st.integers(0, n - 1))
     names = [f"x{i + 1}" for i in range(n)]
     comps = [Poly(n, {tuple(int(i == j) for j in range(n)): c for i, c in enumerate(r) if c})
              for r in rows]
     return forms_pullback(normal_crossing_basis(len(rows)), comps, names, k, weights=(1,) * n), plane
+
+
+def _generic_form(n: int) -> Poly:
+    """l = 2*x_1 + 3*x_2 + ... + x_n, the form whose saturation
+    `torsion_length` takes under unit weights."""
+    return Poly(n, {tuple(int(i == j) for j in range(n)): p
+                    for i, p in enumerate([2, 3, 5][:n - 1] + [1])})
 
 
 @given(_arrangement_modules())
@@ -515,9 +534,9 @@ def test_lead_gap_count_matches_the_kernel_route(case):
     order, n = m.order(), m.nvars
     gb = groebner_basis(m.relations, order)
     variables = [Poly.variable(n, i) for i in range(n)]
-    for chain in ([_linear_form((1,) * n)], variables):
+    for chain in ([_generic_form(n)], variables):
         sat = saturate(gb, m.rank, chain, order)
-        length = subquotient_dimension(sat, gb, order, n)
+        length = lead_gap(sat, gb, order, n)
         assert length == _kernel_route(sat, m.relations, order, n)
         if plane and len(chain) == 1:
             assert length == INFINITE
@@ -783,6 +802,16 @@ def _graded_modules(draw):
         mods.append(CheckedFormsModule(["x", "y", "z"][:n], n, k, rels, Poly.zero(n),
                                        weights=weights))
     return mods
+
+
+@given(_graded_modules())
+@settings(max_examples=40, deadline=None)
+def test_torsion_length_matches_the_maximal_ideal_chain(mods):
+    """On every level of random graded modules under weights 1 and 2, the
+    length is the one the maximal ideal's colon chain gives, whether the
+    one term-over-position basis answers or the chain it falls back to."""
+    for m in mods:
+        assert torsion_length(m) == maximal_ideal_chain(m)[1]
 
 
 @given(_graded_modules())

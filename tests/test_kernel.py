@@ -3,7 +3,7 @@
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 import pytest
 from hypothesis import event, given, settings
@@ -23,6 +23,7 @@ from logforms.groebner import (
     normal_form,
     normal_form_with_cofactors,
     quotient_dimension,
+    syzygies_and_head_leads,
     syzygy_module,
 )
 from logforms.module import INFINITE, FreeElement, Grading, ModulePresentation, ModuleError
@@ -937,3 +938,82 @@ def test_reductions_beyond_the_field_raise():
     assert lift_over_generators(F(f"x^{k - 1}"), gens) is not None
     with pytest.raises(StabilizationError, match=str(FIELD_MAX)):
         lift_over_generators(F(f"x^{k}"), gens)
+
+
+def top_key(weights, shifts, term: tuple):
+    """Sort key of a module term (component, exponent) under term over
+    position: weighted degree plus the component's shift, then reverse
+    lexicographic, then position; a larger key is a greater term."""
+    comp, e = term
+    return (sum(map(mul, e, weights)) + shifts[comp], *[-x for x in reversed(e)], -comp)
+
+
+@st.composite
+def _top_layouts(draw):
+    """(weights, shifts, the term-over-position layout) over 1 to 4
+    variables and 1 to 5 components."""
+    nvars = draw(st.integers(1, 4))
+    weights = draw(st.tuples(*[st.integers(1, 3)] * nvars))
+    shifts = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    return weights, shifts, MonomialOrder(weights).layout(nvars, shifts=shifts)
+
+
+@given(_top_layouts(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_term_over_position_terms_follow_the_reference_order(setting, data):
+    """Packing round-trips and a smaller int is a greater term under
+    `top_key`; multiplying by x^s adds one int, the same in every component;
+    within a component the packed divisibility test is `mono_divides`."""
+    weights, shifts, layout = setting
+    nvars, rank = len(weights), len(shifts)
+    exponents = st.tuples(*[st.integers(0, 6)] * nvars)
+    terms = [(data.draw(st.integers(0, rank - 1)), data.draw(exponents)) for _ in range(3)]
+    packed = [layout.pack(t) for t in terms]
+    for t, p in zip(terms, packed):
+        assert layout.unpack(p) == t and layout.component(p) == t[0]
+        assert [layout.exponent(p, v) for v in range(nvars)] == list(t[1])
+        assert not p & layout.guards and p < layout.tag_start
+    (a, b, _), (pa, pb, _) = terms, packed
+    assert (pa < pb) == (top_key(weights, shifts, a) > top_key(weights, shifts, b))
+    assert (pa == pb) == (a == b)
+    if a[0] == b[0]:
+        assert layout.divides(pa, pb) == mono_divides(a[1], b[1])
+    s = data.draw(exponents)
+    moves = {layout.pack((c, mono_mul(e, s))) - layout.pack((c, e)) for c, e in terms}
+    assert len(moves) == 1
+    head_shift, tag_shift = layout.shifts(layout.pack((a[0], mono_mul(a[1], s))), pa)
+    assert moves == {head_shift} == {tag_shift}
+
+
+@given(_top_layouts(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_term_over_position_lead_has_the_least_last_exponent(setting, data):
+    """The lead (least packed int) of a homogeneous vec has the least
+    exponent of the last variable among all its terms, in every component:
+    so the last variable divides the vec when it divides its lead."""
+    weights, shifts, layout = setting
+    nvars, last = len(weights), len(weights) - 1
+    degree = max(shifts) + data.draw(st.integers(0, 6))
+    terms = [(c, e) for c, shift in enumerate(shifts)
+             for e in monomials_of_weight(nvars, weights, degree - shift)]
+    chosen = data.draw(st.lists(st.sampled_from(terms), min_size=1, unique=True)
+                       if terms else st.just([]))
+    packed = [layout.pack(t) for t in chosen]
+    if packed:
+        lowest = min(layout.exponent(p, last) for p in packed)
+        assert layout.exponent(min(packed), last) == lowest
+
+
+def test_a_tagged_basis_reduces_only_its_tag_leads(call_counter):
+    """`syzygy_module` of the derlog columns of A3 tail-reduces exactly the
+    basis elements with a tag lead, one `_reduce_full` each: the elements
+    with a head lead are read only for their leads."""
+    h = parse_poly("x*y*z*(x-y)*(x-z)*(y-z)", N3)
+    columns = [FreeElement([h.derivative(i)]) for i in range(3)] + [FreeElement([h])]
+    _, head_leads = syzygies_and_head_leads(columns)
+    call_counter("groebner", "_interreduce")
+    call_counter("groebner", "_reduce_full")
+    syz = syzygy_module(columns)
+    names = [name for name, _ in call_counter.log]
+    assert names.count("_interreduce") == 1 and head_leads
+    assert names[names.index("_interreduce") + 1:] == ["_reduce_full"] * len(syz)
