@@ -192,7 +192,8 @@ def _reduce_full(f: dict, reducers: _Reducers, cofactors: Optional[list] = None)
 # Buchberger
 
 
-def _buchberger_vecs(inputs: Sequence[dict], layout: TermLayout, is_ideal: bool) -> list:
+def _buchberger_vecs(inputs: Sequence[dict], layout: TermLayout, is_ideal: bool,
+                     watch: int = 0) -> list:
     """A minimal Groebner basis of packed rational vecs, as packed primitive
     integer vecs with a positive lead, each its lead first, sorted by
     increasing lead.  Its tails are as the loop left them: each reader
@@ -208,7 +209,25 @@ def _buchberger_vecs(inputs: Sequence[dict], layout: TermLayout, is_ideal: bool)
     every pair of them has been reduced to zero or passed over by a
     criterion, so they are a Groebner basis of it.  Of those, the elements
     whose lead no other lead divides are a minimal one: its leads, and so
-    the module's reduced basis (`_interreduce`), are determined."""
+    the module's reduced basis (`_interreduce`), are determined.
+
+    watch, when not 0, is the rank of a graded presentation whose grading
+    weights are the order's and whose components share one shift
+    (`QuotientTable`).  Then the heap hands out items by increasing degree of
+    the grading, every input and S-polynomial is homogeneous, and the loop
+    stops once the staircase of every component is closed: its leads cover
+    every term of the degree d of the next item and up.  Proof (the
+    d-truncated basis; Kreuzer and Robbiano, Computational Commutative
+    Algebra 2, 4.5): every input and pair of degree below d has been taken,
+    and what is left makes only elements of degree d and up, so the kept
+    leads and those of the module agree below d; from d on the kept leads
+    already cover every term.  So they generate the lead module, and the
+    kept elements are a Groebner basis.  A component is checked only before
+    an input or the first item of a higher degree comes off, only when it
+    gained a lead since its last check, and only when its leads hold 1 or a
+    power of every variable: then its walk (`_staircase`) ends, and a
+    nonempty level of degree d or up means that it is not closed yet.  More
+    leads only shrink a level, so a closed component stays closed."""
     reducers = _Reducers(layout)
     G: list = []  # the reducer entry of each basis element
     exps: list = []  # the exponent of each lead, for the lcms of pairs
@@ -222,6 +241,14 @@ def _buchberger_vecs(inputs: Sequence[dict], layout: TermLayout, is_ideal: bool)
     # in the same heap as (lead key, component, -1, its position, the vec).
     pairs = set()
     queue: list = []
+    # The stop (watch): the closed components, the variables with a pure
+    # power among the leads of each component (bit v for x_v), and the
+    # components to check, with the degree of the leads they gained.
+    closed: set = set()
+    powers = [0] * watch
+    every = (1 << layout.nvars) - 1
+    unchecked: set = set()
+    gained = 0
 
     def add(vec: dict, lt: int):
         j = len(G)
@@ -233,6 +260,18 @@ def _buchberger_vecs(inputs: Sequence[dict], layout: TermLayout, is_ideal: bool)
             L = pack((comp, mono_lcm(exps[i], e)))
             pairs.add((i, j))
             heappush(queue, (-(L & mono_mask), comp, i, j, L))
+        if watch and comp not in closed:
+            support = [v for v, a in enumerate(e) if a]
+            if len(support) == 1:
+                powers[comp] |= 1 << support[0]
+            if not support or powers[comp] == every:
+                unchecked.add(comp)
+
+    def closes(comp: int, d: int) -> bool:
+        """Whether the leads of comp cover every term of degree d and up."""
+        leads = {entry[0] for entry in reducers.by_comp[comp]}
+        walk = _staircase(comp, layout.weights, leads, layout)
+        return not any(islice(walk, d, None))
 
     def shifted_into(s: dict, entry: tuple, coeff: int, L: int):
         """s += coeff * x^(L - lead) * (the tail of the entry), in place."""
@@ -280,7 +319,15 @@ def _buchberger_vecs(inputs: Sequence[dict], layout: TermLayout, is_ideal: bool)
     heapify(queue)
 
     while queue:
-        _, comp, i, j, item = heappop(queue)
+        if unchecked:
+            key, _, i, _, _ = queue[0]
+            d = layout.degree(-key)
+            if i < 0 or d > gained:
+                closed.update(c for c in unchecked if closes(c, d))
+                unchecked.clear()
+                if len(closed) == watch:
+                    break
+        key, comp, i, j, item = heappop(queue)
         s = item if i < 0 else s_polynomial(comp, i, j, item)
         if s is None:
             continue
@@ -288,6 +335,8 @@ def _buchberger_vecs(inputs: Sequence[dict], layout: TermLayout, is_ideal: bool)
         if s:
             lt = next(iter(s))
             add(_normalize(s, s[lt]), lt)
+            if unchecked:
+                gained = layout.degree(-key)
     # A lead is divided only by a lead no greater, met before it here.
     minimal: list = []
     leads: dict = {}  # component -> the leads kept there
@@ -340,11 +389,13 @@ def _check_family(elems: Sequence[FreeElement]):
             raise ModuleError("elements must share one rank and variable list")
 
 
-def _reduced_basis(generators: Sequence[FreeElement], layout: TermLayout, rank: int) -> list:
-    """The packed reduced basis (`_interreduce`, each vec its lead first) of
-    the generated submodule, for `groebner_basis` and `QuotientTable`."""
+def _minimal_basis(generators: Sequence[FreeElement], layout: TermLayout, rank: int,
+                   watch: int = 0) -> list:
+    """The packed minimal basis (`_buchberger_vecs`, each vec its lead first,
+    tails unreduced) of the generated submodule, for `groebner_basis` and
+    `QuotientTable`."""
     packed = [_packed(g.vec(), layout) for g in generators]
-    return _interreduce(_buchberger_vecs(packed, layout, rank == 1), layout)
+    return _buchberger_vecs(packed, layout, rank == 1, watch)
 
 
 def groebner_basis(generators: Sequence[FreeElement], order: MonomialOrder) -> list:
@@ -354,7 +405,7 @@ def groebner_basis(generators: Sequence[FreeElement], order: MonomialOrder) -> l
         return []
     rank, nvars = generators[0].rank, generators[0].nvars
     layout = order.layout(nvars)
-    basis = _reduced_basis(generators, layout, rank)
+    basis = _interreduce(_minimal_basis(generators, layout, rank), layout)
     return [FreeElement.from_vec(rank, nvars, _unpacked(v, layout)) for v in basis]
 
 
@@ -654,14 +705,19 @@ def _staircase(comp: int, weights: Sequence[int], leads: set, layout: TermLayout
 
 class QuotientTable:
     """The leading-term staircase of O^rank / <relations>, read from one
-    reduced Groebner basis, kept packed as the kernel returned it (`gb`, as
-    `FreeElement`s, is built only when asked for).
+    minimal Groebner basis, kept packed as the kernel returned it.  Its tails
+    are reduced (`_interreduce`, once) only when something reduces against
+    it: the reduced basis serves `reduce_integral`, `reduce` and `gb` (as
+    `FreeElement`s, built only when asked for), and a count never reduces a
+    tail.  A graded presentation whose grading weights are the order's and
+    whose components share one shift stops its Buchberger loop once every
+    component's staircase is closed (`_buchberger_vecs`).
 
     One staircase walk (`_staircase`) answers both questions asked of a
     quotient: the standard terms of one weighted degree (`standard_monomials`,
     which needs a grading; each component walked once, each degree kept) and
     all standard terms of a finite quotient (`standard_terms`, None when it
-    is infinite).  The same basis reduces vecs (`reduce_integral`, and
+    is infinite).  The reduced basis reduces vecs (`reduce_integral`, and
     `reduce` over the rationals) by the kernel's pseudo-division
     (`_reduce_full`) through one reducer table, built on first use.  Slices
     and reducer table are on the packed terms of `layout`.  A slice of a
@@ -673,14 +729,21 @@ class QuotientTable:
         self.pres = p
         self.order = (order or MonomialOrder()).with_nvars(p.nvars)
         self.layout = self.order.layout(p.nvars)
-        self._basis = _reduced_basis(p.relations, self.layout, p.rank)
-        # each basis vec lists its lead first; a reduced basis has minimal leads
-        self._lead_terms = {next(iter(v)) for v in self._basis}
+        g = p.grading
+        graded = g is not None and g.weights == self.order.weights and len(set(g.shifts)) == 1
+        self._minimal = _minimal_basis(p.relations, self.layout, p.rank, p.rank if graded else 0)
+        # each basis vec lists its lead first; a minimal basis has the leads
+        # of the reduced one
+        self._lead_terms = {next(iter(v)) for v in self._minimal}
         self.leads: list = [[] for _ in range(p.rank)]
         for c, e in map(self.layout.unpack, sorted(self._lead_terms)):
             self.leads[c].append(e)
         self._slices: dict = {}  # component -> (its slices so far by degree, its walk)
         self._reducers: Optional[_Reducers] = None
+
+    @cached_property
+    def _basis(self) -> list:
+        return _interreduce(self._minimal, self.layout)
 
     @cached_property
     def gb(self) -> list:
@@ -828,17 +891,22 @@ def minimal_generator_indices(gens: Sequence[FreeElement],
     Nakayama: the classes of the generators span M/mM, and the coefficient
     vectors of relations evaluated at the origin span exactly the linear
     relations among those classes.  A subset is minimal iff its classes form a
-    basis of the quotient.
+    basis of the quotient.  Any generating set of the relations has that span
+    at the origin, so it is read off the constant tag terms of the tag-lead
+    elements of one `_tagged_basis`, whose tails are never reduced.
     """
     _check_family(gens)
     if not gens:
         return []
-    nvars = gens[0].nvars
-    syz = syzygy_module(gens, order)
-    s = len(gens)
+    rank, nvars, s = gens[0].rank, gens[0].nvars, len(gens)
+    basis, layout = _tagged_basis(gens, (order or MonomialOrder()).with_nvars(nvars))
+    # the tag-lead elements, tails unreduced, generate the syzygies
+    zero = (0,) * nvars
+    constant = {layout.pack((rank + i, zero)): i for i in range(s)}
     space = LinSpace()
-    for rel in syz:
-        space.add({i: rel.entries[i].constant_value() for i in range(s)})
+    for v in basis:
+        if next(iter(v)) >= layout.tag_start:
+            space.add({constant[t]: c for t, c in v.items() if t in constant})
     if degrees is None:
         degrees = [max((g.entries[c].total_degree() for c in range(g.rank)
                         if not g.entries[c].is_zero()), default=0) for g in gens]

@@ -125,8 +125,8 @@ class TermLayout:
     and never across fields, since every guard bit of the minuend is set.
     """
 
-    __slots__ = ("nvars", "rank", "comp_shift", "guards", "exponent_guards", "mono_mask",
-                 "tag_start", "low", "_weights", "_shifts", "_exp_shift", "_fields",
+    __slots__ = ("nvars", "weights", "rank", "comp_shift", "guards", "exponent_guards",
+                 "mono_mask", "tag_start", "low", "_weights", "_shifts", "_exp_shift", "_fields",
                  "_comp_field", "_exps")
 
     def __init__(self, weights: Sequence[int], rank: Optional[int] = None,
@@ -134,6 +134,7 @@ class TermLayout:
         """weights: those of the weighted degree, one per variable; shifts:
         those of the components, for term over position."""
         self.nvars = nvars = len(weights)
+        self.weights = tuple(weights)
         # a degree under unit weights is a plain sum
         self._weights = None if set(weights) <= {1} else tuple(weights)
         self._shifts = None if shifts is None else tuple(shifts)
@@ -192,6 +193,11 @@ class TermLayout:
 
     def component(self, p: int) -> int:
         return (p >> self.comp_shift) & FIELD_MAX
+
+    def degree(self, p: int) -> int:
+        """The weighted degree of the term p, plus its component's shift under
+        term over position: the field above the exponents."""
+        return FIELD_MAX - ((p >> (self.nvars * _STRIDE + self._exp_shift)) & FIELD_MAX)
 
     def exponent(self, p: int, v: int) -> int:
         """The exponent of variable v in the term p."""

@@ -77,13 +77,13 @@ def _rebind(monkeypatch, original, replacement):
 def gb_calls(monkeypatch):
     """Records the generators of every Groebner basis computed from
     generators: each `groebner_basis` call and each `QuotientTable`, both of
-    which compute it through `groebner._reduced_basis`."""
+    which compute it through `groebner._minimal_basis`."""
     calls = []
-    original = groebner._reduced_basis
+    original = groebner._minimal_basis
 
-    def counting(generators, layout, rank):
+    def counting(generators, layout, rank, watch=0):
         calls.append(tuple(generators))
-        return original(generators, layout, rank)
+        return original(generators, layout, rank, watch)
 
     _rebind(monkeypatch, original, counting)
     return calls
@@ -256,6 +256,18 @@ def normal_crossing_basis(m: int):
     fields = [FreeElement([ws[i] if j == i else Poly.zero(m) for j in range(m)])
               for i in range(m)]
     return saito_check(Divisor(names, h, weights=(1,) * m), fields)[0]
+
+
+def arrangement_setup(rows) -> DeformationSetup:
+    """The hyperplanes with the given coefficient rows, pulled back from
+    normal crossing, under unit weights."""
+    n, m = len(rows[0]), len(rows)
+    names = [f"x{i + 1}" for i in range(n)]
+    comps = [Poly(n, {tuple(int(i == j) for j in range(n)): c for i, c in enumerate(r) if c})
+             for r in rows]
+    basis = normal_crossing_basis(m)
+    return DeformationSetup(basis, InducingMap(names, basis.divisor.names, comps),
+                            weights=(1,) * n)
 
 
 def independent(rows) -> bool:

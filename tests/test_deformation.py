@@ -47,8 +47,8 @@ from logforms.module import INFINITE, FreeElement, ModulePresentation
 from logforms.order import MonomialOrder, StabilizationError
 from logforms.poly import Poly, parse_poly, quasihomogeneous_weights
 
-from conftest import (certified, compose, generic_arrangements, monomials_of_weight,
-                      normal_crossing_basis, submodules_equal)
+from conftest import (arrangement_setup, certified, compose, generic_arrangements,
+                      monomials_of_weight, submodules_equal)
 
 ORD = MonomialOrder()
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
@@ -466,13 +466,27 @@ def test_mu_e_derham_counts_generic_arrangements(arrangement):
     normal crossing, the de Rham cokernel is Omega^n / R_n, and
     mu_e_derham = C(m-1, n) (`_assert_count`)."""
     n, m, rows = arrangement
-    names = [f"x{i + 1}" for i in range(n)]
-    comps = [Poly(n, {tuple(int(i == j) for j in range(n)): c for i, c in enumerate(r) if c})
-             for r in rows]
-    basis = normal_crossing_basis(m)
-    setup = DeformationSetup(basis, InducingMap(names, basis.divisor.names, comps),
-                             weights=(1,) * n)
-    _assert_count(setup, comb(m - 1, n))
+    _assert_count(arrangement_setup(rows), comb(m - 1, n))
+
+
+def test_mu_derham_stops_once_the_staircase_closes(call_counter):
+    """Seven generic planes in C^3: R_3 is given by all 96 maximal minors of
+    A, and its 15 minors of degree 4 already span all of degree 4.  The
+    table of `mu_e_derham` stops its Buchberger loop there, so it makes far
+    fewer divisions than `groebner_basis` of the same relations makes before
+    interreduction, and it reduces no tail."""
+    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, -1, 2), (2, 1, -1)]
+    setup = arrangement_setup(rows)
+    top = _levels(setup, (3,))[0]
+    divisions = call_counter("groebner", "_reduce_full")
+    call_counter("groebner", "_interreduce")
+    assert mu_e_derham(setup) == comb(6, 3)
+    stopped = len(divisions)
+    assert [name for name, _ in call_counter.log] == ["_reduce_full"] * stopped
+    groebner_basis(top.relations, top.order())
+    names = [name for name, _ in call_counter.log][stopped:]
+    assert len(top.relations) == 96
+    assert 2 * stopped < names.index("_interreduce")
 
 
 def _zero_component_setup(target, source: str, comps: str, weights) -> DeformationSetup:

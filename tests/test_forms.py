@@ -562,11 +562,14 @@ def test_slices_enumerate_each_slice_once(four_planes_afd, call_counter):
 def test_slices_walk_each_level_once(four_planes_afd, monkeypatch):
     """Each table walks the staircase of each component once, and builds
     each degree of it once, however many slices ask for it: the slices read
-    the degrees they need from the walk the table keeps."""
-    started, built = [], []
+    the degrees they need from the walk the table keeps.  The other walks
+    are the closure checks of the Buchberger loop (`_buchberger_vecs`), each
+    on the leads the loop had then."""
+    started, built, held = [], [], []
     walk = groebner._staircase
 
     def counting(comp, weights, leads, layout):
+        held.append(leads)  # an id stays that of one set
         started.append((id(leads), comp))
         for degree, level in enumerate(walk(comp, weights, leads, layout)):
             built.append((id(leads), comp, degree))
@@ -575,6 +578,13 @@ def test_slices_walk_each_level_once(four_planes_afd, monkeypatch):
     monkeypatch.setattr(groebner, "_staircase", counting)
     mods = _four_planes_modules(four_planes_afd, range(0, 4))
     assert _exact_to(mods, 8)
+    kept = {id(m.table()._lead_terms) for m in mods}
+    checks = [key for key in started if key[0] not in kept]
+    # only the top level is finite, so only its one component is checked:
+    # its first leads, x1, x2 and x3, already close it
+    assert [c for _, c in checks] == [0] and mods[3].rank == 1
+    started = [key for key in started if key[0] in kept]
+    built = [key for key in built if key[0] in kept]
     assert len(started) == len(set(started)) == sum(m.rank for m in mods)
     assert len(built) == len(set(built))
     # each walk built its degrees in turn from 0, and no further than the

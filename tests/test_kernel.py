@@ -6,7 +6,7 @@ from itertools import product
 from operator import add, le, mul, sub
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from logforms.groebner import (
@@ -415,6 +415,110 @@ def test_staircase_walk_matches_the_enumeration(case):
         assert terms == [t for c in range(p.rank)
                          for t in standard(c, product(box, repeat=p.nvars))]
         assert qt.dim(40000) == 0
+
+
+@st.composite
+def _closable_quotients(draw):
+    """A graded presentation whose table may stop its Buchberger loop: rank
+    1 to 3 over 1 to 3 variables, weights 1 or 2, one shift for every
+    component and the order of its grading, with homogeneous relations of
+    up to three terms per component, and half the time one relation per
+    variable and component holding a pure power of that variable, now and
+    then beside one more term of its degree, so that many quotients are
+    finite."""
+    rank = draw(st.integers(1, 3))
+    nvars = draw(st.integers(1, 3))
+    weights = draw(st.tuples(*[st.integers(1, 2)] * nvars))
+    shift = draw(st.integers(0, 2))
+    coeff = st.sampled_from([-2, -1, 1, 2, 3])
+
+    def poly(monos, size):
+        chosen = draw(st.lists(st.sampled_from(monos), max_size=size)) if monos else []
+        return Poly(nvars, {e: draw(coeff) for e in chosen})
+
+    relations = []
+    for _ in range(draw(st.integers(1, 6))):
+        monos = monomials_of_weight(nvars, weights, draw(st.integers(0, 4)))
+        relations.append(FreeElement([poly(monos, 3) for _ in range(rank)]))
+    if draw(st.booleans()):
+        for c in range(rank):
+            for i in range(nvars):
+                power = tuple(draw(st.integers(1, 3)) if j == i else 0 for j in range(nvars))
+                monos = monomials_of_weight(nvars, weights, power[i] * weights[i])
+                entry = poly(monos, 1) + Poly(nvars, {power: 1})
+                if entry.is_zero():
+                    continue
+                relations.append(FreeElement([entry if j == c else Poly.zero(nvars)
+                                              for j in range(rank)]))
+    grading = Grading(weights, (shift,) * rank)
+    return ModulePresentation(rank, relations, grading, nvars), MonomialOrder(weights)
+
+
+@given(_closable_quotients())
+@example((ModulePresentation(1, [F("x^2"), F("y^3"), F("x*y^2")], Grading((1, 1), (0,))),
+          MonomialOrder((1, 1))))
+@settings(max_examples=150, deadline=None)
+def test_a_closed_staircase_stops_at_the_full_basis(case):
+    """A table that may stop its Buchberger loop once its staircase closes
+    has the reduced basis that `groebner_basis` computes to the end, and
+    the standard terms of that basis: those no lead of it divides.  In the
+    example the leads x^2 and y^3 cover every term of degree 4 and up, but
+    the input x*y^2 of degree 3 still comes: the loop goes on."""
+    p, order = case
+    qt = QuotientTable(p, order)
+    gb = groebner_basis(p.relations, order)
+    assert qt.gb == gb
+    key = partial(term_key, order)
+    leads: list = [[] for _ in range(p.rank)]
+    for g in gb:
+        c, e = max(g.vec(), key=key)
+        leads[c].append(e)
+    finite = all(any(sum(map(bool, e)) == 0 for e in ls)
+                 or {e.index(max(e)) for e in ls if sum(map(bool, e)) == 1} == set(range(p.nvars))
+                 for ls in leads)
+    terms = qt.standard_terms()
+    event("finite" if finite else "infinite")
+    if not finite:
+        assert terms is None
+    else:
+        box = range(1 + max((max(e, default=0) for ls in leads for e in ls), default=0))
+        assert terms == [(c, e) for c in range(p.rank) for e in product(box, repeat=p.nvars)
+                         if not any(mono_divides(lead, e) for lead in leads[c])]
+
+
+def test_unequal_shifts_never_stop(call_counter):
+    """With one shift for both components the table stops once x and y
+    lead in each: it never divides the four redundant relations.  With
+    shifts 0 and 1 the heap's degree is not the grading's, so the table
+    divides every input and pair, as `groebner_basis` does before
+    interreduction."""
+    rels = [F("x", "0"), F("y", "0"), F("0", "x"), F("0", "y"),
+            F("x^2", "0"), F("0", "x^2"), F("0", "x*y"), F("y^3", "0")]
+    divisions = call_counter("groebner", "_reduce_full")
+    call_counter("groebner", "_interreduce")
+    groebner_basis(rels, ORD)
+    names = [name for name, _ in call_counter.log]
+    full = names.index("_interreduce")
+    for shifts, count in (((1, 1), 4), ((0, 1), full)):
+        del divisions[:]
+        QuotientTable(ModulePresentation(2, rels, Grading((1, 1), shifts)), ORD)
+        assert len(divisions) == count
+
+
+def test_counts_reduce_no_tail(call_counter):
+    """A count reads leads alone: `quotient_dimension` and
+    `minimal_generator_indices` reduce no tail, and a table reduces its
+    tails once, on the first reduction against it."""
+    reduced = call_counter("groebner", "_interreduce")
+    rels = [F("x^2 - y^3"), F("x*y"), F("y^4")]
+    assert quotient_dimension(ModulePresentation(1, rels)) == 5
+    assert minimal_generator_indices([F("x"), F("y"), F("x+y"), F("x^2")]) == [0, 1]
+    assert not reduced
+    qt = QuotientTable(ModulePresentation(1, rels))
+    assert qt.reduce(F("x^3").vec()) == {} and qt.reduce(F("y^3").vec()) == F("x^2").vec()
+    gb = qt.gb
+    assert len(reduced) == 1
+    assert gb == groebner_basis(rels, ORD)
 
 
 def _naive_normal_form(f, basis, order):
